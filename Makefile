@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench perf bench-smoke sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke trend
+.PHONY: ci vet build test race bench bench-test cmperf-compare perf bench-smoke sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke trend
 
-ci: vet build race bench
+ci: vet build race bench bench-test
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +23,21 @@ race:
 # harness itself are caught on each PR; real measurements use `make perf`.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# cmperf (bench/) is its own module, so `go test ./...` at the root never sees
+# its tests; they also prove that every exported signature cmperf calls still
+# compiles against this tree.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# Judge the working tree against a parent revision with cmperf: PAIRS
+# alternating pairs of end-to-end runs, each side built from its own exported
+# copy, then `cmperf -compare` over both lists (exit status non-zero on a
+# regression). ARGS goes to every run, e.g. ARGS='-workload grid64_cm'.
+PAIRS ?= 10
+cmperf-compare:
+	@test -n "$(PARENT)" || { echo "usage: make cmperf-compare PARENT=<rev> [PAIRS=10] [ARGS='-workload ...']"; exit 2; }
+	bash tools/cmperf-compare.sh $(PARENT) $(PAIRS) $(ARGS)
 
 # Regenerate the perf snapshot of the simulation core's hot loops.
 perf:

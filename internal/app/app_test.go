@@ -51,8 +51,8 @@ func TestReceiverAcksEveryPacketByDefault(t *testing.T) {
 	tx, _ := udp.NewSocket(e.net.Host("server"), 0)
 	var reports []Report
 	tx.OnReceive(func(_ netsim.Addr, d *udp.Datagram) {
-		if rep, ok := d.App.(Report); ok {
-			reports = append(reports, rep)
+		if rep, ok := d.App.(*Report); ok {
+			reports = append(reports, *rep)
 		}
 	})
 	for i := 1; i <= 5; i++ {
@@ -86,7 +86,7 @@ func TestReceiverDelayedFeedbackPolicy(t *testing.T) {
 	tx, _ := udp.NewSocket(e.net.Host("server"), 0)
 	var reports int
 	tx.OnReceive(func(_ netsim.Addr, d *udp.Datagram) {
-		if _, ok := d.App.(Report); ok {
+		if _, ok := d.App.(*Report); ok {
 			reports++
 		}
 	})
@@ -110,7 +110,7 @@ func TestReceiverCountThresholdTriggersReport(t *testing.T) {
 	tx, _ := udp.NewSocket(e.net.Host("server"), 0)
 	var reports int
 	tx.OnReceive(func(_ netsim.Addr, d *udp.Datagram) {
-		if _, ok := d.App.(Report); ok {
+		if _, ok := d.App.(*Report); ok {
 			reports++
 		}
 	})
@@ -185,7 +185,7 @@ func TestSenderFeedbackValidation(t *testing.T) {
 	if fb.HandleDatagram(&udp.Datagram{Size: 10}) {
 		t.Fatal("non-report datagrams must not be consumed")
 	}
-	if !fb.HandleDatagram(&udp.Datagram{Size: 10, App: Report{}}) {
+	if !fb.HandleDatagram(&udp.Datagram{Size: 10, App: &Report{}}) {
 		t.Fatal("report datagrams must be consumed")
 	}
 }

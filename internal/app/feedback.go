@@ -14,6 +14,7 @@
 package app
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/cm"
@@ -27,6 +28,10 @@ import (
 // Report is the application-level acknowledgement a receiver returns to the
 // sender. All UDP-based CM clients must provide such feedback (§3.1: "all
 // UDP-based clients must implement application level data acknowledgements").
+//
+// A report travels as a *Report in Datagram.App. The ones a Receiver sends are
+// pooled and die with their datagram (netsim.PooledPayload): whoever is handed
+// one reads it during the receive callback and keeps no reference.
 type Report struct {
 	// TotalPackets and TotalBytes are cumulative receive counters.
 	TotalPackets int64
@@ -36,6 +41,34 @@ type Report struct {
 	// EchoSentAt echoes the SentAt timestamp of the most recently received
 	// datagram, giving the sender an RTT sample.
 	EchoSentAt time.Duration
+
+	// pooled marks reports drawn from reportPool; only those go back to it,
+	// and clearing it on release makes a second release a no-op.
+	pooled bool
+}
+
+// reportPool recycles reports like udp's datagram pool recycles the datagrams
+// carrying them.
+var reportPool = sync.Pool{New: func() any { return new(Report) }}
+
+// ReleasePayload implements netsim.PooledPayload. A released report reads as
+// all-negative counters, which no live report has.
+func (r *Report) ReleasePayload() {
+	if !r.pooled {
+		return
+	}
+	*r = Report{TotalPackets: -1, TotalBytes: -1, HighestSeq: -1, EchoSentAt: -1}
+	reportPool.Put(r)
+}
+
+// ClonePayload implements netsim.PooledPayload.
+func (r *Report) ClonePayload() any {
+	if !r.pooled {
+		return r
+	}
+	c := reportPool.Get().(*Report)
+	*c = *r
+	return c
 }
 
 // reportSize is the wire payload size of a feedback report.
@@ -126,7 +159,7 @@ func (r *Receiver) ReportsSent() int64 { return r.reports }
 func (r *Receiver) RateSeries() *probe.Series { return r.rate.Series() }
 
 func (r *Receiver) onDatagram(from netsim.Addr, d *udp.Datagram) {
-	if _, isReport := d.App.(Report); isReport {
+	if _, isReport := d.App.(*Report); isReport {
 		return // a sender should not loop reports back, but be safe
 	}
 	r.totalPackets++
@@ -158,13 +191,18 @@ func (r *Receiver) flushReport() {
 	r.reportTimer.Stop()
 	r.unreported = 0
 	r.reports++
-	rep := Report{
+	rep := reportPool.Get().(*Report)
+	*rep = Report{
 		TotalPackets: r.totalPackets,
 		TotalBytes:   r.totalBytes,
 		HighestSeq:   r.highestSeq,
 		EchoSentAt:   r.lastEcho,
+		pooled:       true,
 	}
-	r.sock.SendTo(r.dataSource, &udp.Datagram{Size: reportSize, App: rep})
+	d := udp.NewDatagram()
+	d.Size = reportSize
+	d.App = rep
+	r.sock.SendTo(r.dataSource, d)
 }
 
 // Close unbinds the receiver's socket.
@@ -227,10 +265,14 @@ func (f *SenderFeedback) LossEvents() int64 { return f.lossEvents }
 func (f *SenderFeedback) OnReport(rep Report) {
 	// Bytes covered by this report: everything sent up to HighestSeq.
 	covered := f.coveredSent
-	for len(f.log) > 0 && f.log[0].seq <= rep.HighestSeq {
-		covered = f.log[0].cum
-		f.log = f.log[1:]
+	done := 0
+	for done < len(f.log) && f.log[done].seq <= rep.HighestSeq {
+		covered = f.log[done].cum
+		done++
 	}
+	// Slide the uncovered tail to the front instead of reslicing past the
+	// head, so OnSend keeps appending into the same array.
+	f.log = f.log[:copy(f.log, f.log[done:])]
 	nsent := covered - f.coveredSent
 	nrecd := rep.TotalBytes - f.reportedRecv
 	if nrecd < 0 {
@@ -272,10 +314,10 @@ func (f *SenderFeedback) OnReport(rep Report) {
 // HandleDatagram is a convenience for senders: if the datagram carries a
 // Report it is consumed and true is returned.
 func (f *SenderFeedback) HandleDatagram(d *udp.Datagram) bool {
-	rep, ok := d.App.(Report)
+	rep, ok := d.App.(*Report)
 	if !ok {
 		return false
 	}
-	f.OnReport(rep)
+	f.OnReport(*rep)
 	return true
 }

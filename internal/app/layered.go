@@ -254,7 +254,8 @@ func (s *LayeredServer) recordReported(rate float64) {
 
 func (s *LayeredServer) sendPacket() {
 	s.seq++
-	d := &udp.Datagram{Seq: s.seq, Size: s.cfg.PacketSize}
+	d := udp.NewDatagram()
+	d.Seq, d.Size = s.seq, s.cfg.PacketSize
 	s.sock.SendTo(s.dst, d)
 	s.fb.OnSend(s.seq, s.cfg.PacketSize)
 	s.stats.PacketsSent++

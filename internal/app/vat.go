@@ -199,7 +199,6 @@ func (v *VatSource) onFrame() {
 	size := v.cfg.FrameSize()
 	v.stats.FramesGenerated++
 	v.seq++
-	frame := &udp.Datagram{Seq: v.seq, Size: size}
 
 	// Policer: admit only if the token bucket (filled at the CM-reported
 	// rate) has room; otherwise drop preemptively.
@@ -213,6 +212,7 @@ func (v *VatSource) onFrame() {
 	// Application buffer with configurable drop policy.
 	if len(v.appBuf) >= v.cfg.AppBufferFrames {
 		if v.cfg.DropPolicy == netsim.DropHead {
+			v.appBuf[0].ReleasePayload()
 			v.appBuf = v.appBuf[1:]
 		} else {
 			v.stats.BufferDrops++
@@ -220,6 +220,8 @@ func (v *VatSource) onFrame() {
 		}
 		v.stats.BufferDrops++
 	}
+	frame := udp.NewDatagram()
+	frame.Seq, frame.Size = v.seq, size
 	v.appBuf = append(v.appBuf, frame)
 	v.fillKernel()
 }
@@ -231,13 +233,14 @@ func (v *VatSource) fillKernel() {
 	for len(v.appBuf) > 0 && v.cc.QueueLen() < v.cfg.KernelQueueFrames {
 		frame := v.appBuf[0]
 		v.appBuf = v.appBuf[1:]
+		seq, size := frame.Seq, frame.Size // the socket owns frame once sent
 		if !v.cc.Send(frame) {
 			v.stats.KernelDrops++
 			continue
 		}
-		v.fb.OnSend(frame.Seq, frame.Size)
+		v.fb.OnSend(seq, size)
 		v.stats.FramesSent++
-		v.stats.BytesSent += int64(frame.Size)
-		v.sentRate.Record(v.sched.Now(), frame.Size)
+		v.stats.BytesSent += int64(size)
+		v.sentRate.Record(v.sched.Now(), size)
 	}
 }

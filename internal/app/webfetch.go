@@ -225,7 +225,9 @@ func (s *OnOffSource) tick() {
 	}
 	if s.on && s.rate > 0 {
 		s.seq++
-		s.sock.SendTo(s.dst, &udp.Datagram{Seq: s.seq, Size: s.packetSize})
+		d := udp.NewDatagram()
+		d.Seq, d.Size = s.seq, s.packetSize
+		s.sock.SendTo(s.dst, d)
 		s.sent++
 		s.timer.Reset(simtime.FromSeconds(float64(s.packetSize) / s.rate))
 		return

@@ -76,71 +76,35 @@ const (
 // Check validates one run's end state and returns every violated invariant
 // (empty for a clean run).
 func Check(res *scenario.Result) []Violation {
-	var out []Violation
-	add := func(rule, format string, args ...any) {
-		out = append(out, Violation{
-			Scenario: res.Scenario,
-			Rule:     rule,
-			Detail:   fmt.Sprintf(format, args...),
-		})
-	}
-
-	// Every numeric field in the whole result must be non-negative. The
-	// flattened key space (see sweep.Flatten) covers flows, links, hosts and
-	// CM accounting alike, so a new counter is guarded the day it is added.
-	flat := sweep.Flatten(res)
-	for _, k := range sortedKeys(flat) {
-		if flat[k] < 0 && !signedField(k) {
-			add(RuleNegativeCounter, "%s = %v", k, flat[k])
-		}
-	}
-
-	for _, cmr := range res.CMs {
-		if got, want := cmr.GrantsIssued, cmr.GrantsReclaimed+int64(cmr.OutstandingGrants); got != want {
-			add(RuleGrantConservation,
-				"cm %s: GrantsIssued %d != GrantsReclaimed %d + outstanding %d",
-				cmr.Host, got, cmr.GrantsReclaimed, cmr.OutstandingGrants)
-		}
-		if cmr.StrandedFlows > 0 {
-			add(RuleStrandedFlow, "cm %s: %d flow(s) with a pending request, a send callback and an open window",
-				cmr.Host, cmr.StrandedFlows)
-		}
-		if cmr.NegativePending > 0 {
-			add(RuleNegativePending, "cm %s: %d flow(s) with negative pending requests",
-				cmr.Host, cmr.NegativePending)
-		}
-		if cmr.Epoch != cmr.Restarts {
-			add(RuleEpochMismatch, "cm %s: epoch %d != restarts %d",
-				cmr.Host, cmr.Epoch, cmr.Restarts)
-		}
-	}
+	c := checker{scenario: res.Scenario}
+	c.standing(res, true)
 
 	for i, ev := range res.Events {
 		switch {
 		case ev.PastEnd && ev.Fired:
-			add(RuleUnfiredEvent, "event[%d] %s at %v flagged past-end but fired",
+			c.add(RuleUnfiredEvent, "event[%d] %s at %v flagged past-end but fired",
 				i, ev.Kind, ev.At)
 		case !ev.PastEnd && !ev.Fired && ev.At <= res.EndTime:
-			add(RuleUnfiredEvent, "event[%d] %s scheduled at %v never fired (run ended %v)",
+			c.add(RuleUnfiredEvent, "event[%d] %s scheduled at %v never fired (run ended %v)",
 				i, ev.Kind, ev.At, res.EndTime)
 		}
 	}
 
 	if rr := res.Routing; rr != nil {
 		if rr.LoopPairs > 0 {
-			add(RuleRouteLoop, "routing: %d of %d audited pairs cycle through the installed tables",
+			c.add(RuleRouteLoop, "routing: %d of %d audited pairs cycle through the installed tables",
 				rr.LoopPairs, rr.AuditedPairs)
 		}
 		if rr.Converged && rr.PendingAtEnd > 0 {
-			add(RuleRouteQuiesce, "routing: %d agent(s) with pending triggered updates after the convergence deadline (%v)",
+			c.add(RuleRouteQuiesce, "routing: %d agent(s) with pending triggered updates after the convergence deadline (%v)",
 				rr.PendingAtEnd, rr.ConvergenceDeadline)
 		}
 		if rr.Converged && rr.AuditedPairs > 0 && rr.UnreachedPairs == 0 && rr.PostConvergenceRouteDrops > 0 {
-			add(RuleRouteBlackhole, "routing: %d route-failure drop(s) after the convergence deadline (%v)",
+			c.add(RuleRouteBlackhole, "routing: %d route-failure drop(s) after the convergence deadline (%v)",
 				rr.PostConvergenceRouteDrops, rr.ConvergenceDeadline)
 		}
 	}
-	return out
+	return c.out
 }
 
 // CheckSnapshot validates a mid-run snapshot. It applies every invariant
@@ -151,45 +115,71 @@ func Check(res *scenario.Result) []Violation {
 // have rightly not fired yet.
 func CheckSnapshot(at *scenario.Snapshot) []Violation {
 	res := at.Result
-	var out []Violation
-	add := func(rule, format string, args ...any) {
-		out = append(out, Violation{
-			Scenario: fmt.Sprintf("%s t=%v", res.Scenario, at.At),
-			Rule:     rule,
-			Detail:   fmt.Sprintf(format, args...),
-		})
-	}
+	c := checker{scenario: fmt.Sprintf("%s t=%v", res.Scenario, at.At)}
+	c.standing(res, false)
 
-	flat := sweep.Flatten(res)
-	for _, k := range sortedKeys(flat) {
-		if flat[k] < 0 && !signedField(k) {
-			add(RuleNegativeCounter, "%s = %v", k, flat[k])
+	for i, ev := range res.Events {
+		if !ev.PastEnd && !ev.Fired && ev.At <= at.At {
+			c.add(RuleUnfiredEvent, "event[%d] %s scheduled at %v never fired (snapshot at %v)",
+				i, ev.Kind, ev.At, at.At)
 		}
+	}
+	return c.out
+}
+
+// checker collects the violations of one result under one scenario label.
+type checker struct {
+	scenario string
+	out      []Violation
+}
+
+func (c *checker) add(rule, format string, args ...any) {
+	c.out = append(c.out, Violation{
+		Scenario: c.scenario,
+		Rule:     rule,
+		Detail:   fmt.Sprintf(format, args...),
+	})
+}
+
+// standing applies the invariants that hold at every instant of a run, plus,
+// for an end state (final), the stranded-flow rule, which only quiescence
+// makes meaningful.
+func (c *checker) standing(res *scenario.Result, final bool) {
+	// Every numeric field in the whole result must be non-negative. The
+	// flattened key space (see sweep.Flatten) covers flows, links, hosts and
+	// CM accounting alike, so a new counter is guarded the day it is added.
+	// Only the offenders — normally none — are materialised and sorted.
+	negative := sweep.FlattenWhere(res, func(v float64) bool { return v < 0 })
+	keys := make([]string, 0, len(negative))
+	for k := range negative {
+		if !signedField(k) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		c.add(RuleNegativeCounter, "%s = %v", k, negative[k])
 	}
 
 	for _, cmr := range res.CMs {
 		if got, want := cmr.GrantsIssued, cmr.GrantsReclaimed+int64(cmr.OutstandingGrants); got != want {
-			add(RuleGrantConservation,
+			c.add(RuleGrantConservation,
 				"cm %s: GrantsIssued %d != GrantsReclaimed %d + outstanding %d",
 				cmr.Host, got, cmr.GrantsReclaimed, cmr.OutstandingGrants)
 		}
+		if final && cmr.StrandedFlows > 0 {
+			c.add(RuleStrandedFlow, "cm %s: %d flow(s) with a pending request, a send callback and an open window",
+				cmr.Host, cmr.StrandedFlows)
+		}
 		if cmr.NegativePending > 0 {
-			add(RuleNegativePending, "cm %s: %d flow(s) with negative pending requests",
+			c.add(RuleNegativePending, "cm %s: %d flow(s) with negative pending requests",
 				cmr.Host, cmr.NegativePending)
 		}
 		if cmr.Epoch != cmr.Restarts {
-			add(RuleEpochMismatch, "cm %s: epoch %d != restarts %d",
+			c.add(RuleEpochMismatch, "cm %s: epoch %d != restarts %d",
 				cmr.Host, cmr.Epoch, cmr.Restarts)
 		}
 	}
-
-	for i, ev := range res.Events {
-		if !ev.PastEnd && !ev.Fired && ev.At <= at.At {
-			add(RuleUnfiredEvent, "event[%d] %s scheduled at %v never fired (snapshot at %v)",
-				i, ev.Kind, ev.At, at.At)
-		}
-	}
-	return out
 }
 
 // CheckSnapshots validates a whole snapshot sequence plus the end state,
@@ -247,15 +237,6 @@ func signedField(key string) bool {
 	// totals are all non-negative by construction.
 	_ = key
 	return false
-}
-
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Soak runs one scenario spec and checks it, returning the result and any

@@ -250,3 +250,41 @@ func TestCheckSnapshotsFirstViolationTime(t *testing.T) {
 		t.Fatalf("firstAt = %d, want %d (t=%v)", firstAt, want, snaps[2].At)
 	}
 }
+
+// The non-negativity rule materialises only the offending keys, but its
+// verdicts are what they were when it flattened and sorted everything: one
+// violation per negative field, derived totals included, in sorted key order,
+// for an end state and for a snapshot alike.
+func TestNegativeCountersReportedInSortedKeyOrder(t *testing.T) {
+	res, err := scenario.Run(scenario.PointToPoint(scenario.PointToPointParams{
+		Workloads: []scenario.Workload{{Kind: scenario.KindBulk, From: "sender", To: "receiver", Bytes: 50_000}},
+		Duration:  2 * time.Second,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := Check(res); len(vs) != 0 {
+		t.Fatalf("clean run flagged: %v", vs)
+	}
+	res.Links[1].QueueDrops = -3
+	res.Flows[0].Timeouts = -2
+	res.Hosts[0].SentBytes = -7
+	want := []string{
+		"flows[0].timeouts = -2",
+		"hosts[0].SentBytes = -7",
+		"links[1].QueueDrops = -3",
+		"total.queue_drops = -3",
+		"total.timeouts = -2",
+	}
+	snap := scenario.Snapshot{At: time.Second, Result: res}
+	for name, vs := range map[string][]Violation{"Check": Check(res), "CheckSnapshot": CheckSnapshot(&snap)} {
+		if len(vs) != len(want) {
+			t.Fatalf("%s: %d violations, want %d: %v", name, len(vs), len(want), vs)
+		}
+		for i, v := range vs {
+			if v.Rule != RuleNegativeCounter || v.Detail != want[i] {
+				t.Fatalf("%s: violation %d is %q %q, want %q", name, i, v.Rule, v.Detail, want[i])
+			}
+		}
+	}
+}

@@ -77,12 +77,15 @@ func (k FlowKey) Reverse() FlowKey {
 // Packet is a network-layer datagram. Size is the on-the-wire size in bytes
 // (headers plus payload) and is what links serialise and queues count.
 // Payload carries the transport-layer unit (a TCP segment, a UDP datagram)
-// and is opaque to the network.
+// and is opaque to the network, except that a payload implementing
+// PooledPayload shares the packet's lifetime: it is released with the packet
+// and cloned with it.
 //
 // Hot paths obtain packets from a pool with NewPacket and hand them back with
 // Release once consumed (see docs/PERF.md for the ownership rules). Packets
-// built with a literal are never pooled; Release on them is a no-op, so test
-// code may treat packets as ordinary garbage-collected values.
+// built with a literal are never pooled; Release on them is a no-op (their
+// payload is left alone too), so test code may treat packets as ordinary
+// garbage-collected values.
 type Packet struct {
 	Proto Protocol
 	Src   Addr
@@ -91,7 +94,9 @@ type Packet struct {
 	// headers. Links use it for serialisation delay and queues for
 	// occupancy accounting.
 	Size int
-	// Payload is the transport-layer content (e.g. *tcp.Segment).
+	// Payload is the transport-layer content (e.g. *tcp.Segment). Whoever
+	// receives the packet may read it until the packet is released and must
+	// keep no reference to it afterwards (see PooledPayload).
 	Payload any
 
 	// ECT marks the packet as ECN-capable transport (the sender supports
@@ -134,6 +139,22 @@ type Packet struct {
 // everything is single-threaded.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
+// PooledPayload is implemented by payloads that are recycled through a pool of
+// their own (tcp.Segment, udp.Datagram). Such a payload lives and dies with
+// the pooled packet carrying it: Packet.Release hands it back exactly once,
+// and Packet.Clone gives the copy a payload of its own, because original and
+// duplicate are released independently. Payloads that do not implement the
+// interface (routeproto.Message, plain values in tests) are garbage collected
+// and shared between a packet and its clones.
+type PooledPayload interface {
+	// ReleasePayload returns the payload to its pool. It must be a no-op for
+	// a payload that was not drawn from the pool or was already released.
+	ReleasePayload()
+	// ClonePayload returns an independent copy with its own lifetime (or the
+	// payload itself when it is not pooled and so has nothing to release).
+	ClonePayload() any
+}
+
 // NewPacket returns a zeroed packet from the pool. The caller owns it until
 // it is handed to Host.Output / Link.Send, after which the network owns it:
 // the link releases packets it drops, and the final receiver (the host demux)
@@ -144,15 +165,19 @@ func NewPacket() *Packet {
 	return p
 }
 
-// Release returns a pooled packet to the pool. It is a no-op for packets not
-// obtained from NewPacket and for packets already released, so callers at
-// end-of-life points can release unconditionally. The packet must not be used
-// after Release.
+// Release returns a pooled packet, and with it a PooledPayload it carries, to
+// their pools. It is a no-op for packets not obtained from NewPacket and for
+// packets already released, so callers at end-of-life points can release
+// unconditionally. Neither the packet nor its payload may be used after
+// Release.
 func (p *Packet) Release() {
 	if p == nil || !p.pooled {
 		return
 	}
 	p.pooled = false
+	if pp, ok := p.Payload.(PooledPayload); ok {
+		pp.ReleasePayload()
+	}
 	p.Payload = nil
 	packetPool.Put(p)
 }
@@ -162,14 +187,17 @@ func (p *Packet) Key() FlowKey {
 	return FlowKey{Proto: p.Proto, Src: p.Src, Dst: p.Dst}
 }
 
-// Clone returns a shallow copy of the packet drawn from the pool. Links never
-// modify payloads, so a shallow copy is sufficient for duplication scenarios.
-// The copy has an independent lifetime: both it and the original must be
-// released separately. A clone of an unpooled packet is itself unpooled, so
-// clones compare equal to their source.
+// Clone returns a copy of the packet drawn from the pool. The copy has an
+// independent lifetime: both it and the original must be released separately,
+// so a PooledPayload is cloned along with the packet; any other payload is
+// shared (links never modify payloads). A clone of an unpooled packet is
+// itself unpooled, so clones compare equal to their source.
 func (p *Packet) Clone() *Packet {
 	q := packetPool.Get().(*Packet)
 	*q = *p
+	if pp, ok := p.Payload.(PooledPayload); ok {
+		q.Payload = pp.ClonePayload()
+	}
 	return q
 }
 

@@ -21,7 +21,8 @@ type TransmitNotifier interface {
 	NotifyTransmit(key netsim.FlowKey, nbytes int)
 }
 
-// Handler consumes packets demultiplexed to a bound endpoint.
+// Handler consumes packets demultiplexed to a bound endpoint. The packet and
+// its payload are valid only until Handle returns (see Host.Receive).
 type Handler interface {
 	Handle(pkt *netsim.Packet)
 }
@@ -373,9 +374,10 @@ func (h *Host) Output(pkt *netsim.Packet) bool {
 // demultiplexed to the most specific binding (connected first, then wildcard
 // listener); packets in transit are forwarded when the host is a router and
 // dropped (with accounting) otherwise. For locally terminated packets the
-// host is the end of the packet's life: once the handler returns (handlers
-// keep the payload, never the packet) the packet is released back to the
-// pool.
+// host is the end of the packet's life: once the handler returns the packet
+// is released back to the pool, and a pooled payload (tcp.Segment,
+// udp.Datagram) with it. Handlers therefore keep neither the packet nor its
+// payload: they copy what they need during Handle.
 func (h *Host) Receive(pkt *netsim.Packet) {
 	h.assertOwned()
 	if pkt.Dst.Host != h.name {

@@ -1,0 +1,127 @@
+package scenario
+
+import (
+	"encoding/json"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/race"
+)
+
+// mallocsPerHop runs spec twice and returns the second run's heap allocations
+// during RunToEnd per packet-hop (a packet serialised by one link). The first
+// run fills the packet and payload pools, as the earlier repetitions of any
+// campaign or benchmark do.
+func mallocsPerHop(t *testing.T, spec Spec) float64 {
+	t.Helper()
+	var mallocs uint64
+	var hops int
+	for i := 0; i < 2; i++ {
+		sim, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim.RunToEnd()
+		runtime.ReadMemStats(&after)
+		mallocs = after.Mallocs - before.Mallocs
+		hops = 0
+		for _, l := range sim.Finish().Links {
+			hops += l.SentPackets
+		}
+	}
+	if hops == 0 {
+		t.Fatal("run moved no packets")
+	}
+	t.Logf("%s: %d mallocs over %d packet-hops", spec.Name, mallocs, hops)
+	return float64(mallocs) / float64(hops)
+}
+
+// The steady-state data path allocates nothing per packet: packets, TCP
+// segments, UDP datagrams and feedback reports are pooled and die together
+// (docs/PERF.md). The micro gates (netsim, node, tcp, udp) each cover one
+// layer; these cover whole runs, so the next per-packet allocation anywhere
+// between cmapp_send and the receiver's Handle fails a test instead of
+// surfacing in a benchmark. What remains in the budget is per-connection and
+// per-event work: timers, probe series growth, routing messages, faults.
+func TestWholeRunAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	fattree, err := FatTree(FatTreeParams{K: 4, Duration: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fattree.RouteSync = RouteSyncProtocol
+	for _, tc := range []struct {
+		spec   Spec
+		budget float64
+	}{
+		{DumbbellGrid(GridParams{CC: CCCM, Duration: 5 * time.Second}), 0.02},
+		{DumbbellGrid(GridParams{CC: CCNative, Duration: 5 * time.Second}), 0.02},
+		{fattree, 0.02},
+		{Churn(ChurnParams{Duration: 25 * time.Second}), 0.05},
+	} {
+		if got := mallocsPerHop(t, tc.spec); got > tc.budget {
+			t.Errorf("%s: %.4f mallocs per packet-hop over RunToEnd, budget %.2f", tc.spec.Name, got, tc.budget)
+		}
+	}
+}
+
+// Payload pools are package-level, so simulations running side by side — the
+// shards of one run, the workers of a campaign — share them. With every link
+// of the churn scenario (CM-controlled TCP, layered UDP in both modes and its
+// feedback reports) duplicating every packet, each copy must carry a payload
+// of its own on serial and on cross-shard links alike: the sharded runs equal
+// the serial ones byte for byte while two workers run them at the same time.
+// `go test -race` checks the hand-offs.
+func TestDuplicatedPayloadsAcrossShardsAndWorkers(t *testing.T) {
+	base := Churn(ChurnParams{Duration: 4 * time.Second})
+	for i := range base.Links {
+		base.Links[i].DuplicateRate = 1
+	}
+	sharded := base
+	sharded.Shards = 2
+	sim := MustBuild(sharded)
+	crossShard := false
+	for _, l := range base.Links {
+		crossShard = crossShard || sim.ShardOf(l.A) != sim.ShardOf(l.B)
+	}
+	if sim.ShardCount() != 2 || !crossShard {
+		t.Fatalf("want 2 shards and a link between them, got %d shards", sim.ShardCount())
+	}
+
+	out := Runner{Parallel: 2}.RunAll([]Spec{base, sharded, sharded, base})
+	var encoded []string
+	for i, o := range out {
+		if o.Err != "" {
+			t.Fatalf("run %d: %s", i, o.Err)
+		}
+		b, err := json.Marshal(o.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, string(b))
+	}
+	for i := 1; i < len(encoded); i++ {
+		if encoded[i] != encoded[0] {
+			t.Fatalf("run %d (of serial, sharded, sharded, serial) differs from run 0", i)
+		}
+	}
+	res := out[0].Result
+	for _, l := range res.Links {
+		if l.SentPackets > 0 && l.Duplicated != l.SentPackets {
+			t.Fatalf("link %s duplicated %d of %d packets", l.Name, l.Duplicated, l.SentPackets)
+		}
+	}
+	for _, f := range res.Flows {
+		if f.Delivered == 0 {
+			t.Fatalf("flow %d.%d %s->%s delivered nothing under total duplication", f.Workload, f.Flow, f.From, f.To)
+		}
+	}
+}

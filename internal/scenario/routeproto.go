@@ -28,6 +28,7 @@
 package scenario
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dynamics"
@@ -62,8 +63,11 @@ type protoPlane struct {
 	// deltas of it, matching the oracle's changed-entry accounting.
 	// installChanged is its value right after the initial installation, so
 	// RoutingResult.TableChanges reports only post-install churn.
-	totalChanged   int
-	installChanged int
+	// totalChanged is atomic because the agents' install callbacks run on
+	// their hosts' shards, concurrently within a window; a sum does not
+	// depend on the order of its terms, so the count stays deterministic.
+	totalChanged   atomic.Int64
+	installChanged int64
 	installed      bool
 
 	// Convergence bookkeeping (armed at Start, sampled at a run barrier).
@@ -130,10 +134,10 @@ func (pp *protoPlane) installFunc(v int32) routeproto.InstallFunc {
 		return func(dest string, l *netsim.Link, metric int) {
 			if l == nil {
 				if h.RemoveRoute(dest) {
-					pp.totalChanged++
+					pp.totalChanged.Add(1)
 				}
 			} else if h.SetRoute(dest, l) {
-				pp.totalChanged++
+				pp.totalChanged.Add(1)
 			}
 		}
 	}
@@ -144,10 +148,10 @@ func (pp *protoPlane) installFunc(v int32) routeproto.InstallFunc {
 		}
 		if l == nil {
 			if h.RemoveDomainRoute(dest) {
-				pp.totalChanged++
+				pp.totalChanged.Add(1)
 			}
 		} else if h.SetDomainRoute(dest, l) {
-			pp.totalChanged++
+			pp.totalChanged.Add(1)
 		}
 	}
 }
@@ -245,7 +249,7 @@ func (pp *protoPlane) seedHier() {
 // arms flip detection.
 func (pp *protoPlane) install() int {
 	e := pp.eng
-	before := pp.totalChanged
+	before := pp.totalChanged.Load()
 	if e.hier {
 		for v := int32(0); v < int32(e.n); v++ {
 			pp.hierLocal(v)
@@ -255,7 +259,7 @@ func (pp *protoPlane) install() int {
 				continue
 			}
 			if e.hosts[v].SetDomainRoute(e.domains[v], nil) {
-				pp.totalChanged++
+				pp.totalChanged.Add(1)
 			}
 		}
 	}
@@ -269,8 +273,8 @@ func (pp *protoPlane) install() int {
 		}
 	}
 	e.syncMirror()
-	pp.installChanged = pp.totalChanged
-	return pp.totalChanged - before
+	pp.installChanged = pp.totalChanged.Load()
+	return int(pp.totalChanged.Load() - before)
 }
 
 // topologyChanged is the protocol-mode recomputeRoutes: instead of a global
@@ -290,7 +294,7 @@ func (pp *protoPlane) topologyChanged() int {
 	if len(flips) == 0 {
 		return 0
 	}
-	before := pp.totalChanged
+	before := pp.totalChanged.Load()
 	if e.hier {
 		for i, k := range flips {
 			u := e.adjFrom[k]
@@ -311,7 +315,7 @@ func (pp *protoPlane) topologyChanged() int {
 			pp.agents[e.adjFrom[k]].LinkState(int(j), !e.downMirror[k])
 		}
 	}
-	return pp.totalChanged - before
+	return int(pp.totalChanged.Load() - before)
 }
 
 // hierLocal rebuilds the locally-derivable part of node u's hier table: an
@@ -345,11 +349,11 @@ func (pp *protoPlane) hierLocal(u int32) {
 		}
 	}
 	e.queue = up[:0]
-	pp.totalChanged += e.hosts[u].InstallRoutes(routes)
+	pp.totalChanged.Add(int64(e.hosts[u].InstallRoutes(routes)))
 	if pp.defMirror[u] != def {
 		pp.defMirror[u] = def
 		e.hosts[u].SetDefaultRoute(def)
-		pp.totalChanged++
+		pp.totalChanged.Add(1)
 	}
 }
 
@@ -611,7 +615,7 @@ type RoutingResult struct {
 // be called mid-run for snapshots).
 func (pp *protoPlane) result() *RoutingResult {
 	e := pp.eng
-	rr := &RoutingResult{Mode: RoutingExact, TableChanges: pp.totalChanged - pp.installChanged}
+	rr := &RoutingResult{Mode: RoutingExact, TableChanges: int(pp.totalChanged.Load() - pp.installChanged)}
 	if e.hier {
 		rr.Mode = RoutingHier
 	}

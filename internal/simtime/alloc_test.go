@@ -131,6 +131,28 @@ func TestTimerResetFireZeroAlloc(t *testing.T) {
 	}
 }
 
+// A timer is one object: its events carry it as their argument to a shared
+// callback, so there is no per-timer wrapper closure. Every TCP endpoint
+// creates two, which is what short-flow workloads pay per connection.
+func TestNewTimerAllocatesOneObject(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	var tm Timer
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm = s.NewKindTimer(KindWorkloadApp, fn)
+	})
+	if allocs != 1 {
+		t.Fatalf("NewKindTimer allocated %.1f objects, want 1", allocs)
+	}
+	fired := false
+	tm = s.NewKindTimer(KindWorkloadApp, func() { fired = !tm.Pending() })
+	tm.Reset(time.Millisecond)
+	s.Run()
+	if !fired {
+		t.Fatal("timer did not fire, or was still pending inside its own callback")
+	}
+}
+
 // Cancel must recycle the event: a schedule/cancel churn loop holds the heap
 // at a bounded size and allocates nothing.
 func TestScheduleCancelZeroAlloc(t *testing.T) {

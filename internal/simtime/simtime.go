@@ -669,26 +669,28 @@ func (s *Scheduler) NewKindTimer(kind Kind, fn func()) Timer {
 	if fn == nil {
 		panic("simtime: NewTimer called with nil function")
 	}
-	t := &simTimer{s: s, kind: kind, fn: fn}
-	// One wrapper closure per timer, built up front so Reset never allocates.
-	t.fire = func() {
-		t.ev = nil
-		t.fn()
-	}
-	return t
+	return &simTimer{s: s, kind: kind, fn: fn}
 }
 
 type simTimer struct {
 	s    *Scheduler
 	kind Kind
 	fn   func()
-	fire func()
 	ev   *Event
+}
+
+// fireTimer is the callback of every timer event: the timer rides along as
+// the event's argument, so neither creating nor rearming a timer needs a
+// closure.
+func fireTimer(arg any) {
+	t := arg.(*simTimer)
+	t.ev = nil
+	t.fn()
 }
 
 func (t *simTimer) Reset(d time.Duration) {
 	t.Stop()
-	t.ev = t.s.AfterKind(d, t.kind, t.fire)
+	t.ev = t.s.AfterArgKind(d, t.kind, fireTimer, t)
 }
 
 func (t *simTimer) Stop() {

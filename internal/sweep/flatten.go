@@ -1,10 +1,11 @@
 package sweep
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/probe"
@@ -38,29 +39,37 @@ import (
 //	probe.<name>.mean  probe.<name>.min  probe.<name>.max
 //	probe.<name>.last  probe.<name>.samples
 func Flatten(res *scenario.Result) map[string]float64 {
-	out := make(map[string]float64)
-	flattenValue(reflect.ValueOf(res).Elem(), "", out)
+	return FlattenWhere(res, nil)
+}
+
+// FlattenWhere is Flatten restricted to the entries whose value satisfies keep
+// (nil keeps everything). A key string is built only for an entry that is
+// kept, so a filter that keeps next to nothing — the invariant checker asking
+// for negative values — pays for the walk and not for the map.
+func FlattenWhere(res *scenario.Result, keep func(v float64) bool) map[string]float64 {
+	f := flattener{out: make(map[string]float64), keep: keep}
+	f.value(reflect.ValueOf(res).Elem())
 	for i := range res.Series {
 		s := &res.Series[i]
-		prefix := "probe." + s.Name
-		out[prefix+".mean"] = s.Mean()
-		out[prefix+".min"] = s.Min()
-		out[prefix+".max"] = s.Max()
+		var last float64
 		if p, ok := s.Last(); ok {
-			out[prefix+".last"] = p.V
-		} else {
-			out[prefix+".last"] = 0
+			last = p.V
 		}
-		out[prefix+".samples"] = float64(s.Len())
+		prefix := "probe." + s.Name
+		f.put(prefix+".mean", s.Mean())
+		f.put(prefix+".min", s.Min())
+		f.put(prefix+".max", s.Max())
+		f.put(prefix+".last", last)
+		f.put(prefix+".samples", float64(s.Len()))
 	}
 
 	var delivered, rtx, timeouts int64
 	var completed int
-	for _, f := range res.Flows {
-		delivered += f.Delivered
-		rtx += f.Retransmissions
-		timeouts += f.Timeouts
-		if f.Completed {
+	for _, fl := range res.Flows {
+		delivered += fl.Delivered
+		rtx += fl.Retransmissions
+		timeouts += fl.Timeouts
+		if fl.Completed {
 			completed++
 		}
 	}
@@ -75,22 +84,22 @@ func Flatten(res *scenario.Result) map[string]float64 {
 	for _, h := range res.Hosts {
 		forwarded += int64(h.ForwardedPackets)
 	}
-	out["total.delivered_bytes"] = float64(delivered)
+	var goodput float64
 	if secs := res.EndTime.Seconds(); secs > 0 {
-		out["total.goodput_kbps"] = float64(delivered) / secs / 1024
-	} else {
-		out["total.goodput_kbps"] = 0
+		goodput = float64(delivered) / secs / 1024
 	}
-	out["total.completed"] = float64(completed)
-	out["total.flows"] = float64(len(res.Flows))
-	out["total.retransmissions"] = float64(rtx)
-	out["total.timeouts"] = float64(timeouts)
-	out["total.queue_drops"] = float64(queueDrops)
-	out["total.bernoulli_drops"] = float64(bernoulli)
-	out["total.burst_drops"] = float64(burst)
-	out["total.down_drops"] = float64(down)
-	out["total.forwarded_packets"] = float64(forwarded)
-	return out
+	f.put("total.delivered_bytes", float64(delivered))
+	f.put("total.goodput_kbps", goodput)
+	f.put("total.completed", float64(completed))
+	f.put("total.flows", float64(len(res.Flows)))
+	f.put("total.retransmissions", float64(rtx))
+	f.put("total.timeouts", float64(timeouts))
+	f.put("total.queue_drops", float64(queueDrops))
+	f.put("total.bernoulli_drops", float64(bernoulli))
+	f.put("total.burst_drops", float64(burst))
+	f.put("total.down_drops", float64(down))
+	f.put("total.forwarded_packets", float64(forwarded))
+	return f.out
 }
 
 var (
@@ -98,64 +107,120 @@ var (
 	seriesSliceType = reflect.TypeOf([]probe.Series(nil))
 )
 
-func flattenValue(v reflect.Value, prefix string, out map[string]float64) {
-	if v.Type() == seriesSliceType {
-		return // summarised under "probe." by Flatten, never walked raw
+// flattener walks a result depth-first, keeping the key of the value it is
+// at in one reused buffer: descending appends a path element, returning
+// truncates, and only a kept leaf turns the buffer into a string.
+type flattener struct {
+	key  []byte
+	out  map[string]float64
+	keep func(v float64) bool
+}
+
+func (f *flattener) kept(v float64) bool { return f.keep == nil || f.keep(v) }
+
+// put records a derived value under a ready-made key.
+func (f *flattener) put(key string, v float64) {
+	if f.kept(v) {
+		f.out[key] = v
 	}
+}
+
+// leaf records a walked value under the key the buffer holds.
+func (f *flattener) leaf(v float64) {
+	if f.kept(v) {
+		f.out[string(f.key)] = v
+	}
+}
+
+func (f *flattener) value(v reflect.Value) {
+	if v.Type() == seriesSliceType {
+		return // summarised under "probe." by FlattenWhere, never walked raw
+	}
+	base := len(f.key)
 	switch v.Kind() {
 	case reflect.Struct:
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" { // unexported
-				continue
-			}
-			name := f.Name
-			if tag, ok := f.Tag.Lookup("json"); ok {
-				tagName, _, _ := strings.Cut(tag, ",")
-				if tagName == "-" {
-					continue
+		for _, fld := range flatFieldsOf(v.Type()) {
+			if !fld.inline {
+				if base > 0 {
+					f.key = append(f.key, '.')
 				}
-				if tagName != "" {
-					name = tagName
-				}
+				f.key = append(f.key, fld.name...)
 			}
-			child := prefix
-			// An untagged anonymous struct inlines, exactly as encoding/json
-			// would inline it.
-			if !(f.Anonymous && f.Type.Kind() == reflect.Struct && f.Tag.Get("json") == "") {
-				if child != "" {
-					child += "."
-				}
-				child += name
-			}
-			flattenValue(v.Field(i), child, out)
+			f.value(v.Field(fld.index))
+			f.key = f.key[:base]
 		}
 	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			flattenValue(v.Index(i), fmt.Sprintf("%s[%d]", prefix, i), out)
+			f.key = append(f.key, '[')
+			f.key = strconv.AppendInt(f.key, int64(i), 10)
+			f.key = append(f.key, ']')
+			f.value(v.Index(i))
+			f.key = f.key[:base]
 		}
 	case reflect.Pointer:
 		if !v.IsNil() {
-			flattenValue(v.Elem(), prefix, out)
+			f.value(v.Elem())
 		}
 	case reflect.Bool:
 		if v.Bool() {
-			out[prefix] = 1
+			f.leaf(1)
 		} else {
-			out[prefix] = 0
+			f.leaf(0)
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		if v.Type() == durationType {
-			out[prefix] = time.Duration(v.Int()).Seconds()
+			f.leaf(time.Duration(v.Int()).Seconds())
 		} else {
-			out[prefix] = float64(v.Int())
+			f.leaf(float64(v.Int()))
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		out[prefix] = float64(v.Uint())
+		f.leaf(float64(v.Uint()))
 	case reflect.Float32, reflect.Float64:
-		out[prefix] = v.Float()
+		f.leaf(v.Float())
 	}
+}
+
+// flatField is one walked field of a struct type: its index, its key name
+// (json tag name, Go name when untagged), and whether it inlines.
+type flatField struct {
+	index  int
+	name   string
+	inline bool
+}
+
+// flatFields caches the walked fields per struct type; reflect.Type.Field
+// allocates on every call, and a large result has tens of thousands of
+// structs of a handful of types.
+var flatFields sync.Map // reflect.Type -> []flatField
+
+func flatFieldsOf(t reflect.Type) []flatField {
+	if c, ok := flatFields.Load(t); ok {
+		return c.([]flatField)
+	}
+	var fields []flatField
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if sf.PkgPath != "" { // unexported
+			continue
+		}
+		name := sf.Name
+		tag, tagged := sf.Tag.Lookup("json")
+		if tagged {
+			tagName, _, _ := strings.Cut(tag, ",")
+			if tagName == "-" {
+				continue
+			}
+			if tagName != "" {
+				name = tagName
+			}
+		}
+		// An untagged anonymous struct inlines, exactly as encoding/json
+		// would inline it.
+		inline := sf.Anonymous && sf.Type.Kind() == reflect.Struct && tag == ""
+		fields = append(fields, flatField{index: i, name: name, inline: inline})
+	}
+	flatFields.Store(t, fields)
+	return fields
 }
 
 // selectKeys returns, sorted, every key present in any of the flattened maps

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cm"
@@ -291,12 +290,12 @@ func (e *Endpoint) basePacket(seg *Segment, control bool) *netsim.Packet {
 }
 
 func (e *Endpoint) sendSYN(synAck bool) {
-	seg := &Segment{
+	seg := newSegment(Segment{
 		Seq:   e.iss,
 		SYN:   true,
 		Wnd:   e.cfg.RecvWindow,
 		TSVal: e.sched.Now(),
-	}
+	})
 	if synAck {
 		seg.ACK = true
 		seg.Ack = e.rcvNxt
@@ -314,14 +313,14 @@ func (e *Endpoint) sendSYN(synAck bool) {
 func (e *Endpoint) sendAck() {
 	e.ackTimer.Stop()
 	e.unackedSegs = 0
-	seg := &Segment{
+	seg := newSegment(Segment{
 		Seq:   e.sndNxt,
 		ACK:   true,
 		Ack:   e.rcvNxt,
 		Wnd:   e.availableRecvWindow(),
 		TSVal: e.sched.Now(),
 		TSEcr: e.lastTSVal,
-	}
+	})
 	e.stats.AcksSent++
 	e.host.Output(e.basePacket(seg, true))
 }
@@ -370,11 +369,11 @@ func (e *Endpoint) sendOneSegment() (int, bool) {
 				}
 			}
 		}
-		seg := &Segment{
+		seg := newSegment(Segment{
 			Seq: e.sndUna, Len: length, ACK: true, Ack: e.rcvNxt,
 			Wnd: e.availableRecvWindow(), TSVal: now, TSEcr: e.lastTSVal,
 			FIN: fin, Retransmit: true,
-		}
+		})
 		e.stats.SegmentsSent++
 		e.stats.Retransmissions++
 		e.stats.BytesSent += int64(length)
@@ -401,10 +400,10 @@ func (e *Endpoint) sendOneSegment() (int, bool) {
 		if length <= 0 {
 			return 0, false
 		}
-		seg := &Segment{
+		seg := newSegment(Segment{
 			Seq: e.sndNxt, Len: length, ACK: true, Ack: e.rcvNxt,
 			Wnd: e.availableRecvWindow(), TSVal: now, TSEcr: e.lastTSVal,
-		}
+		})
 		e.sndNxt += int64(length)
 		e.stats.SegmentsSent++
 		e.stats.BytesSent += int64(length)
@@ -415,10 +414,10 @@ func (e *Endpoint) sendOneSegment() (int, bool) {
 
 	// FIN, once all data has been transmitted at least once.
 	if e.finQueued && !e.finSent && e.sndNxt == e.sndBufEndData() && wndRoom >= 0 {
-		seg := &Segment{
+		seg := newSegment(Segment{
 			Seq: e.sndNxt, FIN: true, ACK: true, Ack: e.rcvNxt,
 			Wnd: e.availableRecvWindow(), TSVal: now, TSEcr: e.lastTSVal,
-		}
+		})
 		e.finSent = true
 		e.sndBufEnd = e.sndNxt + 1 // FIN occupies one sequence number
 		e.sndNxt++
@@ -836,14 +835,14 @@ type Listener struct {
 	port   int
 	cfg    Config
 	accept func(*Endpoint)
-	conns  map[string]*Endpoint
+	conns  map[netsim.Addr]*Endpoint
 }
 
 // Listen binds a listener to (host, port). The accept callback runs when a
 // SYN creates a new connection; the endpoint it receives is in SYN-RECEIVED
 // and becomes established once the handshake completes.
 func Listen(h *node.Host, port int, cfg Config, accept func(*Endpoint)) (*Listener, error) {
-	l := &Listener{host: h, port: port, cfg: cfg, accept: accept, conns: make(map[string]*Endpoint)}
+	l := &Listener{host: h, port: port, cfg: cfg, accept: accept, conns: make(map[netsim.Addr]*Endpoint)}
 	if err := h.Bind(netsim.ProtoTCP, port, l); err != nil {
 		return nil, err
 	}
@@ -857,8 +856,7 @@ func (l *Listener) Handle(pkt *netsim.Packet) {
 	if !ok || !seg.SYN || seg.ACK {
 		return
 	}
-	key := fmt.Sprintf("%s:%d", pkt.Src.Host, pkt.Src.Port)
-	if ep, exists := l.conns[key]; exists {
+	if ep, exists := l.conns[pkt.Src]; exists {
 		ep.Handle(pkt)
 		return
 	}
@@ -867,7 +865,7 @@ func (l *Listener) Handle(pkt *netsim.Packet) {
 	if err := l.host.BindConn(netsim.ProtoTCP, l.port, pkt.Src, e); err != nil {
 		return
 	}
-	l.conns[key] = e
+	l.conns[pkt.Src] = e
 	// Passive open: record the peer's SYN and answer with SYN-ACK.
 	e.iss = 1
 	e.sndUna = e.iss

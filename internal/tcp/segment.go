@@ -19,6 +19,7 @@ package tcp
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -28,6 +29,12 @@ import (
 // numbers are absolute 64-bit byte offsets (no wraparound handling is needed
 // at simulation scale). Payload bytes are synthetic: only lengths travel, and
 // receivers reconstruct the stream from sequence arithmetic.
+//
+// Segments an endpoint sends come from a pool and die with the packet that
+// carries them (netsim.PooledPayload). The rule for receivers: read the
+// segment during Handle, copy the fields you need, keep no reference.
+// Endpoint and Listener follow it — the out-of-order list stores byte
+// intervals, never segments. A &Segment{} literal is never pooled.
 type Segment struct {
 	Seq int64 // sequence number of the first payload byte (or of SYN/FIN)
 	Ack int64 // cumulative acknowledgement: next byte expected
@@ -47,6 +54,47 @@ type Segment struct {
 	// Retransmit marks retransmitted segments (used only for statistics and
 	// to suppress RTT sampling on ambiguous segments, per Karn's rule).
 	Retransmit bool
+
+	// pooled marks segments drawn from segmentPool; only those go back to it,
+	// and clearing it on release makes a second release a no-op.
+	pooled bool
+}
+
+// segmentPool recycles segments like netsim's packet pool recycles packets: a
+// package-level sync.Pool, so no simulation retains anything and concurrent
+// simulations (sharded runs, campaign workers) need no lock.
+var segmentPool = sync.Pool{New: func() any { return new(Segment) }}
+
+// released is what a segment reads as once it has been handed back: values no
+// live segment has, so a receiver that kept a reference past Handle computes
+// nonsense at once instead of silently reading the pool's next user.
+var released = Segment{Seq: -1 << 62, Ack: -1 << 62, Len: -1 << 30, Wnd: -1 << 30, TSVal: -1, TSEcr: -1}
+
+// newSegment returns a pooled segment holding v. Ownership passes to the
+// packet it is attached to; the sender must not touch it after Output.
+func newSegment(v Segment) *Segment {
+	s := segmentPool.Get().(*Segment)
+	*s = v
+	s.pooled = true
+	return s
+}
+
+// ReleasePayload implements netsim.PooledPayload.
+func (s *Segment) ReleasePayload() {
+	if !s.pooled {
+		return
+	}
+	*s = released
+	segmentPool.Put(s)
+}
+
+// ClonePayload implements netsim.PooledPayload: a duplicated packet gets its
+// own segment, released independently of the original's.
+func (s *Segment) ClonePayload() any {
+	if !s.pooled {
+		return s
+	}
+	return newSegment(*s)
 }
 
 // seqLen returns the amount of sequence space the segment occupies.
@@ -94,10 +142,10 @@ const (
 	StateSynSent
 	StateSynReceived
 	StateEstablished
-	StateFinWait  // our FIN sent, not yet acknowledged
+	StateFinWait   // our FIN sent, not yet acknowledged
 	StateCloseWait // peer's FIN received, we may still send
-	StateClosing  // both FINs in flight
-	StateTimeWait // fully closed
+	StateClosing   // both FINs in flight
+	StateTimeWait  // fully closed
 )
 
 // String names the state.

@@ -6,6 +6,7 @@ package udp
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cm"
@@ -16,6 +17,11 @@ import (
 // Datagram is the payload carried in a UDP packet. Payload bytes are
 // synthetic (only the length travels); applications attach their own
 // application-layer data in App.
+//
+// A datagram from NewDatagram is pooled: it belongs to the socket from the
+// moment it is passed to SendTo or CCSocket.Send, dies with the packet that
+// carries it (netsim.PooledPayload), and the sender must not touch it again.
+// A &Datagram{} literal is never pooled and may be sent any number of times.
 type Datagram struct {
 	// Seq is an application-assigned sequence number.
 	Seq int64
@@ -25,8 +31,57 @@ type Datagram struct {
 	// Size is the application payload length in bytes.
 	Size int
 	// App carries application-defined content (for example feedback
-	// reports).
+	// reports). If it implements netsim.PooledPayload it is released and
+	// cloned together with a pooled datagram.
 	App any
+
+	// pooled marks datagrams drawn from datagramPool; only those go back to
+	// it, and clearing it on release makes a second release a no-op.
+	pooled bool
+}
+
+// datagramPool recycles datagrams like netsim's packet pool recycles packets:
+// package-level, so no simulation retains anything and concurrent simulations
+// need no lock.
+var datagramPool = sync.Pool{New: func() any { return new(Datagram) }}
+
+// released is what a datagram reads as once it has been handed back: values
+// no live datagram has, so a callback that kept a reference computes nonsense
+// at once instead of silently reading the pool's next user.
+var released = Datagram{Seq: -1 << 62, SentAt: -1, Size: -1 << 30}
+
+// NewDatagram returns a zeroed datagram from the pool.
+func NewDatagram() *Datagram {
+	d := datagramPool.Get().(*Datagram)
+	*d = Datagram{pooled: true}
+	return d
+}
+
+// ReleasePayload implements netsim.PooledPayload. Senders call it directly
+// for a pooled datagram they drop before it reaches a socket.
+func (d *Datagram) ReleasePayload() {
+	if !d.pooled {
+		return
+	}
+	if app, ok := d.App.(netsim.PooledPayload); ok {
+		app.ReleasePayload()
+	}
+	*d = released
+	datagramPool.Put(d)
+}
+
+// ClonePayload implements netsim.PooledPayload: a duplicated packet gets its
+// own datagram, released independently of the original's.
+func (d *Datagram) ClonePayload() any {
+	if !d.pooled {
+		return d
+	}
+	c := datagramPool.Get().(*Datagram)
+	*c = *d
+	if app, ok := d.App.(netsim.PooledPayload); ok {
+		c.App = app.ClonePayload()
+	}
+	return c
 }
 
 // wireSize returns the on-the-wire size of a datagram.
@@ -34,7 +89,9 @@ func wireSize(d *Datagram) int {
 	return netsim.IPHeaderSize + netsim.UDPHeaderSize + d.Size
 }
 
-// ReceiveFunc is invoked for every datagram delivered to a socket.
+// ReceiveFunc is invoked for every datagram delivered to a socket. It may read
+// the datagram (and its App) during the call and must keep no reference to
+// either.
 type ReceiveFunc func(from netsim.Addr, d *Datagram)
 
 // Socket is a plain (unreliable, unordered, uncontrolled) UDP socket.
@@ -142,11 +199,15 @@ type CCStats struct {
 // The socket is connected to a single destination, so the IP output hook can
 // attribute transmissions to the flow without an explicit cm_notify.
 type CCSocket struct {
-	sock    *Socket
-	cmgr    *cm.CM
-	flow    cm.FlowID
-	dst     netsim.Addr
+	sock *Socket
+	cmgr *cm.CM
+	flow cm.FlowID
+	dst  netsim.Addr
+	// queue[head:] are the datagrams awaiting transmission, oldest first.
+	// Popping advances head instead of reslicing so the backing array is
+	// reused and a steady-state Send allocates nothing.
 	queue   []*Datagram
+	head    int
 	limit   int
 	pending bool
 	onSpace func()
@@ -185,7 +246,7 @@ func (s *CCSocket) Local() netsim.Addr { return s.sock.Local() }
 func (s *CCSocket) Inner() *Socket { return s.sock }
 
 // QueueLen returns the number of queued datagrams awaiting transmission.
-func (s *CCSocket) QueueLen() int { return len(s.queue) }
+func (s *CCSocket) QueueLen() int { return len(s.queue) - s.head }
 
 // Stats returns the socket's counters.
 func (s *CCSocket) Stats() CCStats { return s.stats }
@@ -197,19 +258,28 @@ func (s *CCSocket) OnSpace(fn func()) { s.onSpace = fn }
 
 // Send queues a datagram for congestion-controlled transmission. If the
 // kernel queue is full the datagram is dropped (drop-tail, as a kernel socket
-// buffer behaves) and false is returned.
+// buffer behaves) and false is returned. Either way the socket now owns d.
 func (s *CCSocket) Send(d *Datagram) bool {
 	if s.closed {
+		d.ReleasePayload()
 		return false
 	}
-	if len(s.queue) >= s.limit {
+	if s.QueueLen() >= s.limit {
 		s.stats.QueueDrops++
+		d.ReleasePayload()
 		return false
+	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		// Out of room at the tail: slide the waiting datagrams to the front
+		// rather than grow.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
 	}
 	s.queue = append(s.queue, d)
 	s.stats.Enqueued++
-	if len(s.queue) > s.stats.MaxQueueDepth {
-		s.stats.MaxQueueDepth = len(s.queue)
+	if s.QueueLen() > s.stats.MaxQueueDepth {
+		s.stats.MaxQueueDepth = s.QueueLen()
 	}
 	// "When data enters the packet queue, the kernel calls cm_request() on
 	// the flow associated with the socket."
@@ -225,23 +295,27 @@ func (s *CCSocket) Send(d *Datagram) bool {
 // remain.
 func (s *CCSocket) ccappSend(_ cm.FlowID) {
 	s.pending = false
-	if s.closed || len(s.queue) == 0 {
+	if s.closed || s.QueueLen() == 0 {
 		s.cmgr.Notify(s.flow, 0)
 		return
 	}
-	d := s.queue[0]
-	s.queue = s.queue[1:]
+	d := s.queue[s.head]
+	s.queue[s.head] = nil
+	if s.head++; s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	size := d.Size // SendTo hands d to the network, which may release it
 	if !s.sock.SendTo(s.dst, d) {
 		// Dropped at the first hop; the IP hook never charged it, so release
 		// the grant explicitly.
 		s.cmgr.Notify(s.flow, 0)
 	}
 	s.stats.Sent++
-	s.stats.SentBytes += int64(d.Size)
+	s.stats.SentBytes += int64(size)
 	if s.onSpace != nil {
 		s.onSpace()
 	}
-	if len(s.queue) > 0 && !s.pending {
+	if s.QueueLen() > 0 && !s.pending {
 		s.pending = true
 		s.cmgr.Request(s.flow)
 	}
@@ -263,7 +337,10 @@ func (s *CCSocket) Close() {
 		return
 	}
 	s.closed = true
-	s.queue = nil
+	for _, d := range s.queue[s.head:] {
+		d.ReleasePayload()
+	}
+	s.queue, s.head = nil, 0
 	s.cmgr.Close(s.flow)
 	s.sock.Close()
 }
