@@ -131,8 +131,7 @@ func (m *Macroflow) removeFlow(fl *flowState) {
 	if fl.unclaimedGrants > 0 {
 		for i := 0; i < len(m.grants); {
 			if m.grants[i].flow == fl {
-				m.grantedBytes -= m.grants[i].bytes
-				m.grants = append(m.grants[:i], m.grants[i+1:]...)
+				m.grantedBytes -= m.removeGrant(i).bytes
 				m.stats.GrantsReclaimed++
 				m.cm.acct.GrantsReclaimed++
 				continue
@@ -198,12 +197,25 @@ func (m *Macroflow) pump() {
 	m.armBackgroundTimer()
 }
 
+// removeGrant deletes and returns grant i, keeping the order of the rest. The
+// vacated slot is cleared: a stale copy there would keep the flow it names —
+// and through its send callback the client's whole connection — reachable
+// after cm_close for as long as the macroflow lives.
+func (m *Macroflow) removeGrant(i int) grant {
+	g := m.grants[i]
+	last := len(m.grants) - 1
+	copy(m.grants[i:], m.grants[i+1:])
+	m.grants[last] = grant{}
+	m.grants = m.grants[:last]
+	return g
+}
+
 // reclaimGrant removes the oldest unclaimed grant belonging to fl, returning
 // whether one existed.
 func (m *Macroflow) reclaimGrant(fl *flowState) bool {
 	for i, g := range m.grants {
 		if g.flow == fl {
-			m.grants = append(m.grants[:i], m.grants[i+1:]...)
+			m.removeGrant(i)
 			m.grantedBytes -= g.bytes
 			if fl.unclaimedGrants > 0 {
 				fl.unclaimedGrants--
@@ -392,8 +404,7 @@ func (m *Macroflow) onBackgroundTimer() {
 	expired := 0
 	for i := 0; i < len(m.grants); {
 		if now-m.grants[i].issued >= m.cm.cfg.GrantTimeout {
-			g := m.grants[i]
-			m.grants = append(m.grants[:i], m.grants[i+1:]...)
+			g := m.removeGrant(i)
 			m.grantedBytes -= g.bytes
 			if g.flow.unclaimedGrants > 0 {
 				g.flow.unclaimedGrants--

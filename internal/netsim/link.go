@@ -125,6 +125,10 @@ type Link struct {
 	cfg   LinkConfig
 	sched *simtime.Scheduler
 	dst   Receiver
+	// queue is the transmit buffer, created by the first Send: in an
+	// internet-scale topology almost every direction never carries a packet,
+	// and a Queue with its ring is ~290 bytes. A nil queue reads as an empty
+	// one (QueueLen, QueueStats).
 	queue *Queue
 	// key orders this link's delivery events against same-instant deliveries
 	// from other links (see SortKey). Derived from the direction name at
@@ -195,19 +199,13 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 	if sched == nil {
 		panic("netsim: NewLink requires a scheduler")
 	}
-	qp, qb := cfg.QueuePackets, cfg.QueueBytes
-	if qp == 0 && qb == 0 {
-		qp = 100
-	}
-	q := NewQueue(qp, qb, DropTail)
-	if cfg.ECNThresholdPackets > 0 {
-		q.SetECNThreshold(cfg.ECNThresholdPackets)
+	if cfg.QueuePackets < 0 || cfg.QueueBytes < 0 {
+		panic("netsim: negative queue limit")
 	}
 	l := &Link{
 		cfg:   cfg,
 		sched: sched,
 		dst:   dst,
-		queue: q,
 		key:   nameKey(cfg.Name),
 	}
 	if cfg.Gilbert != nil {
@@ -264,6 +262,20 @@ func (l *Link) random() *rand.Rand {
 		l.rng = rand.New(rand.NewSource(seed))
 	}
 	return l.rng
+}
+
+// buffer returns the link's transmit queue, creating it on first use from the
+// construction-time limits (100 packets when none is configured).
+func (l *Link) buffer() *Queue {
+	if l.queue == nil {
+		qp, qb := l.cfg.QueuePackets, l.cfg.QueueBytes
+		if qp == 0 && qb == 0 {
+			qp = 100
+		}
+		l.queue = NewQueue(qp, qb, DropTail)
+		l.queue.SetECNThreshold(l.cfg.ECNThresholdPackets)
+	}
+	return l.queue
 }
 
 // SetDestination points the link at a new receiver.
@@ -379,10 +391,20 @@ func (l *Link) DropCount() int {
 func (l *Link) DeliveredBytes() int64 { return l.stats.DeliveredOctets }
 
 // QueueStats returns the counters of the link's buffer.
-func (l *Link) QueueStats() QueueStats { return l.queue.Stats() }
+func (l *Link) QueueStats() QueueStats {
+	if l.queue == nil {
+		return QueueStats{}
+	}
+	return l.queue.Stats()
+}
 
 // QueueLen returns the instantaneous queue depth in packets.
-func (l *Link) QueueLen() int { return l.queue.Len() }
+func (l *Link) QueueLen() int {
+	if l.queue == nil {
+		return 0
+	}
+	return l.queue.Len()
+}
 
 // Utilization returns the fraction of virtual time the link spent
 // serialising packets, measured against the elapsed time on the scheduler.
@@ -431,7 +453,7 @@ func (l *Link) Send(pkt *Packet) bool {
 		return false
 	}
 	pkt.Enqueued = l.sched.Now()
-	if victim := l.queue.Enqueue(pkt); victim != nil {
+	if victim := l.buffer().Enqueue(pkt); victim != nil {
 		l.stats.QueueDrops++
 		if l.dropTap != nil {
 			l.dropTap(victim, "queue")
@@ -458,7 +480,10 @@ func (l *Link) startTransmit() {
 		l.busy = false
 		return
 	}
-	pkt := l.queue.Dequeue()
+	var pkt *Packet
+	if l.queue != nil {
+		pkt = l.queue.Dequeue()
+	}
 	if pkt == nil {
 		l.busy = false
 		return

@@ -288,3 +288,40 @@ func TestPropertyLossyLinkAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A link builds its transmit queue on the first Send. Until then it reads as
+// a link with an empty queue, and bringing it up from down has nothing to
+// drain; afterwards the configured limits and ECN threshold apply as if the
+// queue had been there from the start.
+func TestLinkQueueIsBuiltOnFirstSend(t *testing.T) {
+	s := simtime.NewScheduler()
+	dst := &collector{sched: s}
+	l := NewLink(s, LinkConfig{Bandwidth: 1 * Mbps, QueuePackets: 3, ECNThresholdPackets: 2}, dst)
+	if l.queue != nil {
+		t.Fatal("an idle link already holds a queue")
+	}
+	if l.QueueLen() != 0 || l.QueueStats() != (QueueStats{}) {
+		t.Fatalf("idle link reads QueueLen %d, QueueStats %+v", l.QueueLen(), l.QueueStats())
+	}
+	l.SetDown(true)
+	l.SetDown(false)
+	s.Run()
+	if l.queue != nil || len(dst.pkts) != 0 {
+		t.Fatal("flapping an idle link built a queue or delivered something")
+	}
+
+	for i := 0; i < 6; i++ {
+		p := mkpkt(1250)
+		p.ECT = true
+		l.Send(p)
+	}
+	// One in service, three queued (the last of them past the ECN threshold),
+	// two dropped at the limit.
+	if l.QueueLen() != 3 || l.Stats().QueueDrops != 2 {
+		t.Fatalf("QueueLen = %d, QueueDrops = %d, want 3 and 2", l.QueueLen(), l.Stats().QueueDrops)
+	}
+	s.Run()
+	if qs := l.QueueStats(); len(dst.pkts) != 4 || qs.ECNMarked == 0 || qs.MaxDepthPackets != 3 {
+		t.Fatalf("delivered %d, queue stats %+v", len(dst.pkts), qs)
+	}
+}

@@ -333,6 +333,17 @@ func (h *Host) UnbindConn(proto netsim.Protocol, localPort int, remote netsim.Ad
 	delete(h.bindings, bindingKey{proto: proto, localPort: localPort, remoteHost: remote.Host, remotePort: remote.Port})
 }
 
+// RebindConn hands an existing connected binding to another handler; where no
+// such binding exists nothing is bound. TCP uses it when a connection reaches
+// TIME_WAIT: a small record takes over the demultiplexing slot and the host no
+// longer refers to the endpoint.
+func (h *Host) RebindConn(proto netsim.Protocol, localPort int, remote netsim.Addr, handler Handler) {
+	k := bindingKey{proto: proto, localPort: localPort, remoteHost: remote.Host, remotePort: remote.Port}
+	if _, ok := h.bindings[k]; ok {
+		h.bindings[k] = handler
+	}
+}
+
 // Output is the IP output routine. It invokes the CM transmit notifier (if
 // installed), looks up the route to the packet's destination and hands the
 // packet to the link. It returns false if the packet could not be sent

@@ -500,3 +500,31 @@ func TestInstallHierRoutesCountsChanges(t *testing.T) {
 		t.Fatalf("changed = %d, want 2 (p1 repointed, default cleared)", changed)
 	}
 }
+
+// RebindConn swaps the handler of a live connected binding in place and binds
+// nothing where no such binding exists (a connection that was unbound stays
+// unbound, and the wildcard listener keeps seeing its packets).
+func TestRebindConnReplacesOnlyExistingBindings(t *testing.T) {
+	s := simtime.NewScheduler()
+	h := NewHost("server", s)
+	var first, second, wildcard int
+	remote := netsim.Addr{Host: "client", Port: 1234}
+	if err := h.Bind(netsim.ProtoTCP, 80, HandlerFunc(func(*netsim.Packet) { wildcard++ })); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.BindConn(netsim.ProtoTCP, 80, remote, HandlerFunc(func(*netsim.Packet) { first++ })); err != nil {
+		t.Fatal(err)
+	}
+	deliver := func() {
+		h.Receive(&netsim.Packet{Proto: netsim.ProtoTCP, Src: remote, Dst: netsim.Addr{Host: "server", Port: 80}, Size: 40})
+	}
+	deliver()
+	h.RebindConn(netsim.ProtoTCP, 80, remote, HandlerFunc(func(*netsim.Packet) { second++ }))
+	deliver()
+	h.UnbindConn(netsim.ProtoTCP, 80, remote)
+	h.RebindConn(netsim.ProtoTCP, 80, remote, HandlerFunc(func(*netsim.Packet) { second++ }))
+	deliver()
+	if first != 1 || second != 1 || wildcard != 1 {
+		t.Fatalf("first=%d second=%d wildcard=%d, want 1/1/1", first, second, wildcard)
+	}
+}

@@ -116,7 +116,10 @@ type Result struct {
 
 // flowDriver tracks one declarative flow while the simulation runs.
 type flowDriver struct {
-	res       *FlowResult
+	res *FlowResult
+	// ep is the dialing endpoint while its connection lives; once it reaches
+	// TIME_WAIT its counters are folded into res and the handle is dropped,
+	// so a finished flow costs its result and nothing else.
 	ep        *tcp.Endpoint
 	wantBytes int64
 	// udpFinish, set for layered UDP workloads, folds the application's
@@ -124,6 +127,15 @@ type flowDriver struct {
 	// stream's (possibly delayed) start actually fired.
 	udpFinish  func(fr *FlowResult)
 	udpStarted bool
+}
+
+// setTCPStats copies the dialing endpoint's loss-recovery counters and RTT
+// estimate into the flow's result. None of them changes after TIME_WAIT.
+func (fr *FlowResult) setTCPStats(ep *tcp.Endpoint) {
+	st := ep.Stats()
+	fr.Retransmissions = st.Retransmissions
+	fr.Timeouts = st.Timeouts
+	fr.SRTT = st.SRTT
 }
 
 // Run builds the spec and executes its workloads for the configured
@@ -196,6 +208,9 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 		if w.Kind == KindWebMix {
 			web = planWebMix(s.Spec.Seed, wi, w)
 		}
+		// Dials delayed past the start of the run go out from one pending
+		// event per workload (see dialChain), not one event per flow.
+		chain := &dialChain{clock: s.clockFor(w.From)}
 		for fi := 0; fi < w.Flows; fi++ {
 			port := w.Port + fi
 			d := &flowDriver{
@@ -229,7 +244,12 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 				tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow},
 				func(ep *tcp.Endpoint) {
 					ep.OnReceive(func(n int) { d.res.Delivered += int64(n) })
-					ep.OnClosed(func() { d.res.Finished = toClock.Now() })
+					// The peer's FIN is answered with our own: both ends reach
+					// TIME_WAIT and the dialer's CM flow is closed (cm_close).
+					ep.OnClosed(func() {
+						d.res.Finished = toClock.Now()
+						ep.Close()
+					})
 				})
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: workload %d flow %d: %w", s.Spec.Name, wi, fi, err)
@@ -253,6 +273,10 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 					return err
 				}
 				d.ep = ep
+				ep.OnTimeWait(func() {
+					d.res.setTCPStats(d.ep)
+					d.ep = nil
+				})
 				ep.OnEstablished(func() {
 					d.res.Established = fromClock.Now()
 					switch kind {
@@ -270,13 +294,49 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 			if flowStart > 0 {
 				// The dial happens mid-run; a failure is recorded on the
 				// flow's result instead of aborting the whole scenario.
-				fromClock.AtKind(flowStart, simtime.KindWorkloadApp, func() { _ = dial() })
+				chain.add(flowStart, dial)
 			} else if err := dial(); err != nil {
 				return nil, fmt.Errorf("scenario %q: workload %d flow %d: %w", s.Spec.Name, wi, fi, err)
 			}
 		}
+		chain.arm()
 	}
 	return drivers, nil
+}
+
+// dialChain dials one workload's delayed flows in start order from a single
+// pending scheduler event: firing dials every flow that is due and schedules
+// the next start. Start times are nondecreasing in flow order (a web mix's
+// cumulative arrivals, or one Start shared by all flows), and flows due at the
+// same instant dial back to back in flow order, exactly as their separate
+// events did — those were consecutive in the scheduler's insertion order. A
+// web mix of n requests thus keeps one event in the heap instead of n.
+type dialChain struct {
+	clock *simtime.Scheduler
+	start []time.Duration
+	dial  []func() error
+	next  int
+}
+
+func (c *dialChain) add(start time.Duration, dial func() error) {
+	c.start = append(c.start, start)
+	c.dial = append(c.dial, dial)
+}
+
+// arm schedules the next due dial, if any is left.
+func (c *dialChain) arm() {
+	if c.next < len(c.dial) {
+		c.clock.AtArgKind(c.start[c.next], simtime.KindWorkloadApp, fireDialChain, c)
+	}
+}
+
+func fireDialChain(x any) {
+	c := x.(*dialChain)
+	for now := c.clock.Now(); c.next < len(c.dial) && c.start[c.next] <= now; c.next++ {
+		_ = c.dial[c.next]()
+		c.dial[c.next] = nil // the closure holds the flow's whole dial state
+	}
+	c.arm()
 }
 
 // webMixPlan holds the pre-sampled arrivals and sizes of one KindWebMix
@@ -377,10 +437,7 @@ func (s *Sim) collect(drivers []*flowDriver) *Result {
 			}
 		}
 		if d.ep != nil {
-			st := d.ep.Stats()
-			fr.Retransmissions = st.Retransmissions
-			fr.Timeouts = st.Timeouts
-			fr.SRTT = st.SRTT
+			fr.setTCPStats(d.ep)
 		}
 		if fr.Elapsed > 0 {
 			fr.ThroughputKBps = float64(fr.Delivered) / fr.Elapsed.Seconds() / 1024

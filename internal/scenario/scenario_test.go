@@ -135,7 +135,8 @@ func TestDumbbellEnsembleSharingPerDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Scheduler().RunUntil(spec.Duration)
+	// Mid-transfer every connection is open: the CM knows all of them.
+	sim.Scheduler().RunUntil(500 * time.Millisecond)
 
 	for _, sender := range []string{"s0", "s1"} {
 		c := sim.CM(sender)
@@ -143,7 +144,7 @@ func TestDumbbellEnsembleSharingPerDestination(t *testing.T) {
 			t.Fatalf("no CM on %s", sender)
 		}
 		if c.FlowCount() != 4 {
-			t.Fatalf("%s: FlowCount = %d, want 4 (2 flows x 2 destinations)", sender, c.FlowCount())
+			t.Fatalf("%s: FlowCount = %d mid-transfer, want 4 (2 flows x 2 destinations)", sender, c.FlowCount())
 		}
 		if c.MacroflowCount() != 2 {
 			t.Fatalf("%s: MacroflowCount = %d, want 2 (one per destination)", sender, c.MacroflowCount())
@@ -180,10 +181,29 @@ func TestDumbbellEnsembleSharingPerDestination(t *testing.T) {
 
 	// The shared state must actually carry traffic: every bulk flow
 	// completes within the run.
+	sim.Scheduler().RunUntil(spec.Duration)
 	res := sim.collect(drivers)
 	for _, f := range res.Flows {
 		if !f.Completed {
 			t.Errorf("flow %d.%d %s->%s incomplete: %+v", f.Workload, f.Flow, f.From, f.To, f)
+		}
+	}
+	// A completed connection is closed on both sides: cm_close released every
+	// flow, the driver dropped its endpoint, and the macroflows stay behind
+	// with their congestion state for the next connection.
+	for _, sender := range []string{"s0", "s1"} {
+		c := sim.CM(sender)
+		if acct := c.Accounting(); c.FlowCount() != 0 || acct.Opens != 4 || acct.Closes != 4 {
+			t.Errorf("%s: %d open flows after %d opens and %d closes, want 0 after 4 and 4",
+				sender, c.FlowCount(), acct.Opens, acct.Closes)
+		}
+		if c.MacroflowCount() != 2 {
+			t.Errorf("%s: MacroflowCount = %d after the flows closed, want 2", sender, c.MacroflowCount())
+		}
+	}
+	for _, d := range drivers {
+		if d.ep != nil {
+			t.Errorf("flow %d.%d still holds its endpoint (%v)", d.res.Workload, d.res.Flow, d.ep.State())
 		}
 	}
 }

@@ -69,6 +69,43 @@ func TestWebMixWorkload(t *testing.T) {
 	}
 }
 
+// Delayed dials go out from one pending event per workload, which dials what
+// is due and schedules the next start: a web mix of any size — and a bulk
+// workload whose flows share one Start — holds one slot in the event heap,
+// and every flow still dials at its own planned time.
+func TestDelayedDialsChainFromOnePendingEvent(t *testing.T) {
+	spec := PointToPoint(PointToPointParams{
+		Link: netsim.LinkConfig{Bandwidth: 10 * netsim.Mbps, Delay: 5 * time.Millisecond, QueuePackets: 120},
+		Workloads: []Workload{
+			{Kind: KindWebMix, From: "sender", To: "receiver", Flows: 20, Rate: 10, Bytes: 8 << 10, CC: CCCM},
+			{Kind: KindBulk, From: "sender", To: "receiver", Flows: 3, Bytes: 8 << 10, Start: time.Second},
+		},
+		Duration: 20 * time.Second,
+	})
+	sim := MustBuild(spec)
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.Scheduler().Len(); n != 2 {
+		t.Fatalf("%d events pending after Start, want one per workload", n)
+	}
+	plan := planWebMix(sim.Spec.Seed, 0, &sim.Spec.Workloads[0])
+	sim.RunToEnd()
+	res := sim.Finish()
+	// Establishment is one handshake after the dial: 2 x 5 ms of propagation
+	// plus serialisation and whatever the SYN queues behind.
+	const handshake, slack = 10 * time.Millisecond, 5 * time.Millisecond
+	for i, f := range res.Flows {
+		start := time.Second
+		if f.Workload == 0 {
+			start = plan.start[i]
+		}
+		if d := f.Established - start; d < handshake || d > handshake+slack {
+			t.Errorf("flow %d.%d planned at %v established at %v, want one handshake later", f.Workload, f.Flow, start, f.Established)
+		}
+	}
+}
+
 // TestWebMixSharesMacroflow: a CM-managed web mix aggregates all its short
 // requests into the sender's macroflow to the destination — the ensemble
 // story the workload exists to tell.

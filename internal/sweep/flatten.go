@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/probe"
 	"repro/internal/scenario"
@@ -150,6 +151,12 @@ func (f *flattener) value(v reflect.Value) {
 			f.key = f.key[:base]
 		}
 	case reflect.Slice, reflect.Array:
+		if v.Kind() == reflect.Slice && v.Len() > 0 {
+			if plan := flatPlanOf(v.Type().Elem()); plan != nil {
+				f.planned(v, plan)
+				return
+			}
+		}
 		for i := 0; i < v.Len(); i++ {
 			f.key = append(f.key, '[')
 			f.key = strconv.AppendInt(f.key, int64(i), 10)
@@ -221,6 +228,135 @@ func flatFieldsOf(t reflect.Type) []flatField {
 	}
 	flatFields.Store(t, fields)
 	return fields
+}
+
+// flatPlan is the walk of a struct type compiled to offsets: when every value
+// the walk would reach sits at a fixed place inside the struct (numbers,
+// bools and nested structs of them; strings and other unwalked kinds are
+// skipped as always), a slice of such structs is read with plain loads
+// instead of one reflect.Value per field. A 10 000-host result is 47 000
+// structs of three such types, and the invariant checker walks all of them
+// to keep, normally, nothing.
+type flatPlan struct {
+	size   uintptr
+	leaves []flatLeaf
+}
+
+// flatLeaf is one number of a planned struct: where it is, how to read it,
+// and what its key adds to the element's ("\.name" per named level).
+type flatLeaf struct {
+	offset   uintptr
+	kind     reflect.Kind
+	duration bool
+	suffix   string
+}
+
+var flatPlans sync.Map // reflect.Type -> *flatPlan, nil for a type that has none
+
+// flatPlanOf returns the plan for slices of t, or nil if t is not a struct
+// or holds a slice, array or pointer the walk would have to follow.
+func flatPlanOf(t reflect.Type) *flatPlan {
+	if t.Kind() != reflect.Struct {
+		return nil
+	}
+	if c, ok := flatPlans.Load(t); ok {
+		return c.(*flatPlan)
+	}
+	plan := &flatPlan{size: t.Size()}
+	if !plan.add(t, 0, "") {
+		plan = nil
+	}
+	flatPlans.Store(t, plan)
+	return plan
+}
+
+func (p *flatPlan) add(t reflect.Type, base uintptr, prefix string) bool {
+	for _, fld := range flatFieldsOf(t) {
+		sf := t.Field(fld.index)
+		suffix := prefix
+		if !fld.inline {
+			suffix += "." + fld.name
+		}
+		switch sf.Type.Kind() {
+		case reflect.Struct:
+			if !p.add(sf.Type, base+sf.Offset, suffix) {
+				return false
+			}
+		case reflect.Slice, reflect.Array, reflect.Pointer:
+			return false
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			p.leaves = append(p.leaves, flatLeaf{
+				offset:   base + sf.Offset,
+				kind:     sf.Type.Kind(),
+				duration: sf.Type == durationType,
+				suffix:   suffix,
+			})
+		}
+	}
+	return true
+}
+
+// planned walks a non-empty slice of planned structs.
+func (f *flattener) planned(v reflect.Value, plan *flatPlan) {
+	base := len(f.key)
+	first := v.UnsafePointer()
+	for i, n := 0, v.Len(); i < n; i++ {
+		elem := unsafe.Add(first, uintptr(i)*plan.size)
+		for li := range plan.leaves {
+			leaf := &plan.leaves[li]
+			x := leaf.load(unsafe.Add(elem, leaf.offset))
+			if !f.kept(x) {
+				continue
+			}
+			f.key = append(f.key, '[')
+			f.key = strconv.AppendInt(f.key, int64(i), 10)
+			f.key = append(f.key, ']')
+			f.key = append(f.key, leaf.suffix...)
+			f.out[string(f.key)] = x
+			f.key = f.key[:base]
+		}
+	}
+}
+
+// load reads the leaf at p with the conversion value applies to its kind.
+func (l *flatLeaf) load(p unsafe.Pointer) float64 {
+	switch l.kind {
+	case reflect.Bool:
+		if *(*bool)(p) {
+			return 1
+		}
+		return 0
+	case reflect.Int:
+		return float64(*(*int)(p))
+	case reflect.Int8:
+		return float64(*(*int8)(p))
+	case reflect.Int16:
+		return float64(*(*int16)(p))
+	case reflect.Int32:
+		return float64(*(*int32)(p))
+	case reflect.Int64:
+		if l.duration {
+			return (*(*time.Duration)(p)).Seconds()
+		}
+		return float64(*(*int64)(p))
+	case reflect.Uint:
+		return float64(*(*uint)(p))
+	case reflect.Uint8:
+		return float64(*(*uint8)(p))
+	case reflect.Uint16:
+		return float64(*(*uint16)(p))
+	case reflect.Uint32:
+		return float64(*(*uint32)(p))
+	case reflect.Uint64:
+		return float64(*(*uint64)(p))
+	case reflect.Float32:
+		return float64(*(*float32)(p))
+	default: // reflect.Float64
+		return *(*float64)(p)
+	}
 }
 
 // selectKeys returns, sorted, every key present in any of the flattened maps

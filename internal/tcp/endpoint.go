@@ -109,6 +109,7 @@ type Endpoint struct {
 	onEstablished func()
 	onReceive     func(n int)
 	onClosed      func()
+	onTimeWait    func()
 
 	// Send sequence state.
 	iss       int64
@@ -149,6 +150,10 @@ type Endpoint struct {
 	stats Stats
 
 	closedFired bool
+
+	// tw is the record that took over the host binding at TIME_WAIT (nil
+	// before); the endpoint keeps it only to fold its counters into Stats.
+	tw *timeWait
 }
 
 func newEndpoint(h *node.Host, local, remote netsim.Addr, cfg Config) *Endpoint {
@@ -196,10 +201,15 @@ func (e *Endpoint) Remote() netsim.Addr { return e.remote }
 // State returns the connection state.
 func (e *Endpoint) State() State { return e.state }
 
-// Stats returns a copy of the endpoint counters.
+// Stats returns a copy of the endpoint counters, including what the
+// connection's time-wait record has counted since it took over.
 func (e *Endpoint) Stats() Stats {
 	s := e.stats
 	s.SRTT = e.srtt
+	if e.tw != nil {
+		s.SegmentsRcvd += e.tw.segmentsRcvd
+		s.AcksSent += e.tw.acksSent
+	}
 	return s
 }
 
@@ -217,6 +227,14 @@ func (e *Endpoint) OnReceive(fn func(n int)) { e.onReceive = fn }
 // OnClosed registers a callback invoked when the peer's FIN has been received
 // and all data delivered.
 func (e *Endpoint) OnClosed(fn func()) { e.onClosed = fn }
+
+// OnTimeWait registers a callback invoked once when the connection has fully
+// closed: both FINs are acknowledged and a time-wait record has taken over
+// the host binding. Every counter except SegmentsRcvd and AcksSent is final
+// then, and the simulator itself no longer references the endpoint — a caller
+// that copies what it needs and drops its handle lets the endpoint be
+// collected.
+func (e *Endpoint) OnTimeWait(fn func()) { e.onTimeWait = fn }
 
 // connect starts the active-open handshake.
 func (e *Endpoint) connect() {
@@ -276,10 +294,14 @@ func (e *Endpoint) mss() int { return e.cfg.MSS }
 // ---------- segment construction and transmission ----------
 
 func (e *Endpoint) basePacket(seg *Segment, control bool) *netsim.Packet {
+	return newPacket(e.local, e.remote, seg, control)
+}
+
+func newPacket(local, remote netsim.Addr, seg *Segment, control bool) *netsim.Packet {
 	pkt := netsim.NewPacket()
 	pkt.Proto = netsim.ProtoTCP
-	pkt.Src = e.local
-	pkt.Dst = e.remote
+	pkt.Src = local
+	pkt.Dst = remote
 	pkt.Size = wireSize(seg)
 	pkt.Payload = seg
 	pkt.Control = control
@@ -313,16 +335,21 @@ func (e *Endpoint) sendSYN(synAck bool) {
 func (e *Endpoint) sendAck() {
 	e.ackTimer.Stop()
 	e.unackedSegs = 0
-	seg := newSegment(Segment{
-		Seq:   e.sndNxt,
-		ACK:   true,
-		Ack:   e.rcvNxt,
-		Wnd:   e.availableRecvWindow(),
-		TSVal: e.sched.Now(),
-		TSEcr: e.lastTSVal,
-	})
 	e.stats.AcksSent++
-	e.host.Output(e.basePacket(seg, true))
+	outputAck(e.host, e.local, e.remote, e.sndNxt, e.rcvNxt, e.availableRecvWindow(), e.lastTSVal)
+}
+
+// outputAck builds and sends a pure acknowledgement; a live endpoint and a
+// time-wait record answer through the same code.
+func outputAck(h *node.Host, local, remote netsim.Addr, seq, ack int64, wnd int, tsEcr time.Duration) {
+	h.Output(newPacket(local, remote, newSegment(Segment{
+		Seq:   seq,
+		ACK:   true,
+		Ack:   ack,
+		Wnd:   wnd,
+		TSVal: h.Clock().Now(),
+		TSEcr: tsEcr,
+	}), true))
 }
 
 func (e *Endpoint) availableRecvWindow() int {
@@ -536,6 +563,12 @@ func (e *Endpoint) addRTTSample(rtt time.Duration) {
 
 // Handle implements node.Handler: it processes one incoming segment.
 func (e *Endpoint) Handle(pkt *netsim.Packet) {
+	if e.tw != nil {
+		// The host delivers to the record from TIME_WAIT on; only a caller
+		// still holding the endpoint gets here.
+		e.tw.Handle(pkt)
+		return
+	}
 	seg, ok := pkt.Payload.(*Segment)
 	if !ok {
 		return
@@ -548,11 +581,9 @@ func (e *Endpoint) Handle(pkt *netsim.Packet) {
 		e.handleSynReceived(seg)
 	case StateEstablished, StateFinWait, StateCloseWait, StateClosing:
 		e.handleEstablished(seg, pkt.CE)
-	case StateTimeWait, StateClosed:
-		// Late segments are acknowledged so the peer can finish cleanly.
-		if seg.Len > 0 || seg.FIN {
-			e.sendAck()
-		}
+	}
+	if e.state == StateTimeWait {
+		e.handOver()
 	}
 }
 
@@ -699,6 +730,28 @@ func (e *Endpoint) enterTimeWait() {
 	e.cc.onClose()
 }
 
+// handOver ends the endpoint's part in a connection that reached TIME_WAIT:
+// from here on the connection only counts late segments and re-ACKs late data
+// or a late FIN, and a timeWait record does that with a fifth of the memory.
+// Handle calls it once the segment that closed the connection is fully
+// processed, so the record freezes exactly the state a TIME_WAIT endpoint
+// would have answered from.
+func (e *Endpoint) handOver() {
+	e.tw = &timeWait{
+		host:      e.host,
+		local:     e.local,
+		remote:    e.remote,
+		sndNxt:    e.sndNxt,
+		rcvNxt:    e.rcvNxt,
+		wnd:       e.availableRecvWindow(),
+		lastTSVal: e.lastTSVal,
+	}
+	e.host.RebindConn(netsim.ProtoTCP, e.local.Port, e.remote, e.tw)
+	if e.onTimeWait != nil {
+		e.onTimeWait()
+	}
+}
+
 func (e *Endpoint) processData(seg *Segment) {
 	e.lastTSVal = seg.TSVal
 	start, end := seg.Seq, seg.Seq+int64(seg.Len)
@@ -835,29 +888,25 @@ type Listener struct {
 	port   int
 	cfg    Config
 	accept func(*Endpoint)
-	conns  map[netsim.Addr]*Endpoint
 }
 
 // Listen binds a listener to (host, port). The accept callback runs when a
 // SYN creates a new connection; the endpoint it receives is in SYN-RECEIVED
 // and becomes established once the handshake completes.
 func Listen(h *node.Host, port int, cfg Config, accept func(*Endpoint)) (*Listener, error) {
-	l := &Listener{host: h, port: port, cfg: cfg, accept: accept, conns: make(map[netsim.Addr]*Endpoint)}
+	l := &Listener{host: h, port: port, cfg: cfg, accept: accept}
 	if err := h.Bind(netsim.ProtoTCP, port, l); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// Handle implements node.Handler for the listening socket: only SYNs that do
-// not match an existing connection arrive here.
+// Handle implements node.Handler for the listening socket. A connection's own
+// binding (the endpoint, later its time-wait record) takes precedence over
+// this wildcard one, so only SYNs of new connections arrive here.
 func (l *Listener) Handle(pkt *netsim.Packet) {
 	seg, ok := pkt.Payload.(*Segment)
 	if !ok || !seg.SYN || seg.ACK {
-		return
-	}
-	if ep, exists := l.conns[pkt.Src]; exists {
-		ep.Handle(pkt)
 		return
 	}
 	local := netsim.Addr{Host: l.host.Name(), Port: l.port}
@@ -865,7 +914,6 @@ func (l *Listener) Handle(pkt *netsim.Packet) {
 	if err := l.host.BindConn(netsim.ProtoTCP, l.port, pkt.Src, e); err != nil {
 		return
 	}
-	l.conns[pkt.Src] = e
 	// Passive open: record the peer's SYN and answer with SYN-ACK.
 	e.iss = 1
 	e.sndUna = e.iss

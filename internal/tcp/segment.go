@@ -15,6 +15,34 @@
 //     cmapp_send callbacks, ACK arrivals call cm_update, duplicate ACKs and
 //     timeouts report transient/persistent congestion, and the IP output hook
 //     charges transmissions with cm_notify.
+//
+// # Closing
+//
+// The close state machine is simplified to five states. Close queues a FIN
+// behind the data (a half-close: the endpoint keeps receiving and
+// acknowledging). The side that closes first goes ESTABLISHED → FIN-WAIT when
+// its FIN leaves (FIN-WAIT covers both FIN_WAIT_1 and FIN_WAIT_2) and, once
+// its FIN is acknowledged and the peer's FIN has arrived, → TIME-WAIT; if the
+// peer's FIN arrives first it passes through CLOSING. The side that receives
+// a FIN first goes ESTABLISHED → CLOSE-WAIT, fires OnClosed, and stays there
+// until the application calls Close; then its FIN takes it to CLOSING (which
+// thus doubles as LAST_ACK) and the acknowledgement of that FIN to TIME-WAIT.
+// Both sides end in TIME-WAIT — there is no separate CLOSED after LAST_ACK —
+// and an application that never answers the peer's FIN keeps its endpoint in
+// CLOSE-WAIT and the peer's in FIN-WAIT for the rest of the run. There are no
+// resets, no simultaneous open, and no 2MSL timer.
+//
+// Entering TIME-WAIT is where a connection's cost ends: the retransmission
+// and delayed-ACK timers are stopped, the CM client calls cm_close (the
+// macroflow keeps its congestion state for the next connection), and the
+// endpoint hands its host binding to a timeWait record that does the only two
+// things a TIME-WAIT connection does: count a late segment, and re-acknowledge
+// late data or a late FIN. OnTimeWait fires then; nothing in this package or
+// in the host refers to the Endpoint afterwards, and Stats on a handle that is
+// still held folds in the record's counters. Records are never reaped within
+// a run: a late segment must draw the same ACK at whatever time it arrives
+// (no timer makes the answer depend on when), and a run's connections are
+// bounded by its workload.
 package tcp
 
 import (
@@ -142,10 +170,10 @@ const (
 	StateSynSent
 	StateSynReceived
 	StateEstablished
-	StateFinWait   // our FIN sent, not yet acknowledged
+	StateFinWait   // our FIN sent; its ACK or the peer's FIN still to come
 	StateCloseWait // peer's FIN received, we may still send
-	StateClosing   // both FINs in flight
-	StateTimeWait  // fully closed
+	StateClosing   // both FINs seen, ours not yet acknowledged (also LAST_ACK)
+	StateTimeWait  // fully closed; a timeWait record holds the binding
 )
 
 // String names the state.
