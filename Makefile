@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-test cmperf-compare perf bench-smoke sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke trend
+.PHONY: ci vet build test race bench bench-test fuzz-smoke cmperf-compare perf bench-smoke sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke trend
 
-ci: vet build race bench bench-test
+ci: vet build race bench bench-test fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -30,6 +30,14 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
+# Ten seconds of the scheduler's native fuzz target: random operation traces,
+# callbacks included, checked step by step against the container/heap
+# reference (internal/simtime/reference_test.go). The seed corpus is in
+# internal/simtime/testdata/fuzz/; a failing input is written there too.
+# Minimising each coverage-expanding input would otherwise eat the budget.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOps -fuzztime=10s -fuzzminimizetime=1s ./internal/simtime
+
 # Judge the working tree against a parent revision with cmperf: PAIRS
 # alternating pairs of end-to-end runs, each side built from its own exported
 # copy, then `cmperf -compare` over both lists (exit status non-zero on a
@@ -45,11 +53,13 @@ perf:
 
 # Per-PR perf trajectory point: the core-loop + sharded-scenario + fat-tree
 # (oracle and protocol control plane) and 100k-host ISP build benchmarks
-# written to BENCH_9.json (CI uploads it as an artifact) and diffed against
-# the newest committed BENCH_*.json — any shared benchmark regressing >25%
-# in ns/op fails the target.
+# written to BENCH_$(PR).json (CI uploads it as an artifact) and diffed
+# against the newest other committed BENCH_*.json — any shared benchmark
+# regressing >25% in ns/op fails the target. A PR that commits its snapshot
+# moves the default PR number here.
+PR ?= 15
 bench-smoke:
-	$(GO) run ./cmd/cmbench -experiment perf -pr 9 -perfout BENCH_9.json -compare latest
+	$(GO) run ./cmd/cmbench -experiment perf -pr $(PR) -perfout BENCH_$(PR).json -compare latest
 
 # Tiny two-axis sweep campaign through the sweep engine: an end-to-end smoke
 # of expansion, the parallel runner, aggregation and the CSV emitter. CI

@@ -6,23 +6,27 @@
 // reproduction is deterministic and runs in milliseconds of real time.
 //
 // The central type is Scheduler. Events are scheduled at absolute virtual
-// times or after relative delays and are executed in timestamp order; ties are
-// broken by scheduling order (FIFO), which keeps runs reproducible. Each event
-// additionally records the virtual time it was *inserted* (its stamp) and an
-// optional caller-chosen sort key and sub-sequence, and the full heap order is
-// (time, stamp, key, sub, seq). For ordinary scheduling the extra keys are
-// redundant — stamps are nondecreasing in seq — but they are what lets a
+// times or after relative delays and fire in one total order, the same for
+// every scheduler and every event: (time, stamp, key, sub, seq). The stamp is
+// the virtual time the event was *inserted*, key and sub are optional
+// caller-chosen tie-breaks, and seq is the scheduling order, so plain
+// scheduling is FIFO among equal timestamps. The middle keys are what lets a
 // sharded simulation inject events from another scheduler (InjectAt) into
 // exactly the position a single-scheduler run would have given them: the
 // stamp recovers the insertion instant, and the sort key breaks the residual
 // tie between events inserted at the same instant on different shards, where
 // no insertion order exists that both runs could observe.
 //
-// The scheduler is built for the inner loop of large experiments: the event
-// queue is a specialized 4-ary min-heap (no container/heap interface
-// dispatch), fired and cancelled events are recycled through a freelist so
-// steady-state scheduling allocates nothing, and Cancel removes the event
-// from the heap immediately instead of leaking it until its timestamp.
+// The scheduler is the inner loop of every experiment — each packet-hop
+// crosses it twice — and is built for that: the queue is a 4-ary min-heap of
+// 16-byte {time, *Event} entries, so ordering is decided on the timestamps in
+// the array and an event is dereferenced only when timestamps tie; the
+// earliest of four siblings is chosen with conditional moves; the root slot of
+// a firing event stays open for the first event its callback schedules (Step);
+// a pending timer is re-keyed in place (Timer.Reset); fired and cancelled
+// events are recycled through a freelist so steady-state scheduling allocates
+// nothing; and Cancel removes the event from the heap immediately instead of
+// leaking it until its timestamp. docs/PERF.md has the measurements.
 package simtime
 
 import (
@@ -82,36 +86,34 @@ func NewKindTimer(tf TimerFactory, kind Kind, fn func()) Timer {
 // later scheduling, so callers must not retain or Cancel a handle past that
 // point (the Timer type wraps this protocol for the common rearm pattern).
 type Event struct {
+	// The firing order, most significant key first, is (at, stamp, key, sub,
+	// seq); the four tie-breaks lie together so that a tie on at costs one
+	// cache line.
 	at time.Duration
 	// stamp is the virtual time the event was inserted: Now for local
-	// scheduling, the remote sender's insertion time for InjectAt. It is the
-	// second heap key, before key and seq, so injected events sort exactly
-	// where a single-scheduler run would have placed them.
+	// scheduling, the remote sender's insertion time for InjectAt, so injected
+	// events sort exactly where a single-scheduler run would have placed them.
 	stamp time.Duration
-	seq   uint64
-	// key is a caller-chosen sort key breaking ties among events scheduled at
-	// the same (at, stamp); zero for ordinary scheduling. Keyed events exist
-	// for sharded determinism: two same-instant insertions on different
-	// schedulers have no common insertion order, so the key (derived from
-	// stable content — in practice the delivering link's identity) supplies
-	// one that serial and sharded runs agree on.
-	key uint32
-	// sub is a second caller-chosen tie-break after key: a per-key sequence
-	// number breaking ties among same-(at, stamp, key) events. In practice it
+	// seq is the scheduler-wide scheduling order, the last tie-break.
+	seq uint64
+	// keysub is key<<32 | sub, the two caller-chosen tie-breaks among events
+	// scheduled at the same (at, stamp), compared as one word; zero for
+	// ordinary scheduling. Keyed events exist for sharded determinism: two
+	// same-instant insertions on different schedulers have no common
+	// insertion order, so the key (derived from stable content — in practice
+	// the delivering link's identity) supplies one that serial and sharded
+	// runs agree on. The sub-sequence orders same-key events: in practice it
 	// is the link-local delivery sequence netsim assigns per link direction,
-	// which makes the serial/sharded agreement on hand-up order explicit
-	// instead of leaning on scheduler insertion order (seq); zero for
-	// ordinary scheduling.
-	sub uint32
+	// which makes the agreement on hand-up order explicit instead of leaning
+	// on seq.
+	keysub uint64
 	// index is the heap position while queued, notQueued after firing or
 	// recycling, and canceledIdx once Cancel has run (folding the canceled
-	// flag into the index saves a separate bool). Adding the sub and kind
-	// fields grew the Event from 72 to 80 bytes — a measurable but small cost
-	// on the tie-heavy churn benchmark, accepted in exchange for the explicit
-	// delivery sequence and per-kind cost attribution.
+	// flag into the index saves a separate bool).
 	index int32
 	// kind classifies the event for the optional profiler (KindOther when
-	// untagged); it packs into padding next to index.
+	// untagged); it packs into padding next to index, which keeps the Event at
+	// 80 bytes (TestEventAndEntrySizes).
 	kind  Kind
 	s     *Scheduler
 	fn    func()
@@ -138,7 +140,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	if e.index >= 0 && e.s != nil {
-		e.s.removeEvent(int(e.index))
+		e.s.removeAt(int(e.index))
 		e.s.recycle(e)
 	}
 	e.index = canceledIdx
@@ -158,8 +160,17 @@ func (e *Event) fire() {
 // goroutine, which mirrors the paper's single-host kernel module and keeps the
 // reproduction deterministic.
 type Scheduler struct {
-	now      time.Duration
-	events   []*Event // 4-ary min-heap ordered by (at, seq) / (at, stamp, key, sub, seq)
+	now time.Duration
+	// events is a 4-ary min-heap ordered by (at, stamp, key, sub, seq). While
+	// open is set, slot 0 is not part of it (see Step).
+	events []entry
+	// open is set while Step runs a callback: the fired event has left slot 0
+	// but nothing has filled it yet. The sub-heaps under slots 1..4 stay valid
+	// on their own, the first insertion takes the slot with a single
+	// sift-down, and nothing else may move an entry into it (siftUp stops
+	// below it). Every path that reads events[0] goes through head, which
+	// closes a slot left open, so the flag never outlives the callback.
+	open     bool
 	free     []*Event // recycled events; bounds steady-state allocation at zero
 	seq      uint64
 	executed uint64
@@ -167,15 +178,14 @@ type Scheduler struct {
 	// prof, when non-nil, receives per-kind wall-clock aggregates for every
 	// fired event (see EnableProfile). Disarmed cost: one nil check in Step.
 	prof *Profile
-	// stamped selects the multi-key comparator that orders same-timestamp
-	// events by insertion stamp, then sort key and sub-sequence, before seq.
-	// It flips on the
-	// first InjectAt or AtArgKeyed and never back: until then stamps are
-	// nondecreasing in seq and every key is zero, so both comparators
-	// produce the same order (which also makes the mid-run flip safe — the
-	// heap is valid under either), and simulations that use neither keyed
-	// scheduling nor injection never pay for the extra comparisons.
-	stamped bool
+}
+
+// entry is one slot of the heap array. The timestamp sits beside the pointer
+// so that the four children of a node share one cache line and are ordered
+// without touching the events; only entries that tie on at are dereferenced.
+type entry struct {
+	at time.Duration
+	ev *Event
 }
 
 // NewScheduler returns a scheduler with the virtual clock at zero.
@@ -187,8 +197,9 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events. Cancelled events are removed
-// eagerly and do not count.
-func (s *Scheduler) Len() int { return len(s.events) }
+// eagerly and do not count, and neither does an event whose callback is
+// running.
+func (s *Scheduler) Len() int { return len(s.events) - b2i(s.open) }
 
 // Executed returns the total number of events that have run.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -200,191 +211,159 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 func (s *Scheduler) SetEventLimit(n uint64) { s.limit = n }
 
 // ---------------------------------------------------------------------------
-// 4-ary min-heap keyed by (at, seq), with all comparisons inlined.
-//
-// A 4-ary heap halves the tree depth of a binary heap, trading slightly more
-// comparisons per level for far fewer cache-missing levels — the standard
-// choice for timer wheels backing discrete-event simulators.
+// 4-ary min-heap of entries. The pending set is small (tens to a thousand
+// events), so a sift costs what its compares mispredict and its loads miss,
+// not its depth: four children per node keep a level inside one cache line,
+// and their minimum is chosen on at with conditional moves.
 // ---------------------------------------------------------------------------
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func eventLessStamped(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
+// tieLess orders two events that share a timestamp by the rest of the key:
+// insertion stamp, sort key, sub-sequence, then scheduling order.
+func tieLess(a, b *Event) bool {
 	if a.stamp != b.stamp {
 		return a.stamp < b.stamp
 	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.sub != b.sub {
-		return a.sub < b.sub
+	if a.keysub != b.keysub {
+		return a.keysub < b.keysub
 	}
 	return a.seq < b.seq
 }
 
-func (s *Scheduler) heapPush(ev *Event) {
-	ev.index = int32(len(s.events))
-	s.events = append(s.events, ev)
-	s.siftUp(int(ev.index))
-}
-
-// heapPop removes and returns the minimum event. The caller guarantees the
-// heap is non-empty.
-func (s *Scheduler) heapPop() *Event {
-	h := s.events
-	ev := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.events = h[:n]
-	ev.index = notQueued
-	if n > 0 {
-		last.index = 0
-		s.events[0] = last
-		s.siftDown(0)
+func entryLess(a, b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ev
+	return tieLess(a.ev, b.ev)
 }
 
-// removeEvent deletes the event at heap index i (used by Cancel).
-func (s *Scheduler) removeEvent(i int) {
+// siftUp places e at slot i or above, moving later ancestors down. It never
+// moves an entry into an open root.
+func (s *Scheduler) siftUp(i int, e entry) {
+	h := s.events
+	top := 0
+	if s.open {
+		top = 4
+	}
+	for i > top {
+		parent := (i - 1) / 4
+		p := h[parent]
+		if !entryLess(e, p) {
+			break
+		}
+		h[i] = p
+		p.ev.index = int32(i)
+		i = parent
+	}
+	h[i] = e
+	e.ev.index = int32(i)
+}
+
+// siftDown places e at slot i or below, moving earlier descendants up.
+func (s *Scheduler) siftDown(i int, e entry) {
+	h := s.events
+	n := len(h)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		var k int // the earliest child is h[first+k]
+		if first+4 <= n {
+			// Full group: a two-round tournament, first on the timestamps
+			// alone. Selecting by comparison results instead of branching on
+			// them lets the compiler use conditional moves.
+			c := h[first : first+4 : first+4]
+			a0, a1, a2, a3 := c[0].at, c[1].at, c[2].at, c[3].at
+			lo, hi := min(a0, a1), min(a2, a3)
+			at := min(lo, hi)
+			if at > e.at {
+				break
+			}
+			if b2i(a0 == at)+b2i(a1 == at)+b2i(a2 == at)+b2i(a3 == at) == 1 {
+				// One child is strictly earliest; only e can still tie it.
+				k = b2i(a1 < a0)
+				if hi < lo {
+					k = 2 + b2i(a3 < a2)
+				}
+				if at == e.at && !tieLess(c[k].ev, e.ev) {
+					break
+				}
+			} else {
+				// Siblings share that timestamp: the same tournament under
+				// the full order.
+				k = b2i(entryLess(c[1], c[0]))
+				if k23 := 2 + b2i(entryLess(c[3], c[2])); entryLess(c[k23], c[k]) {
+					k = k23
+				}
+				if !entryLess(c[k], e) {
+					break
+				}
+			}
+		} else {
+			for j := 1; first+j < n; j++ {
+				if entryLess(h[first+j], h[first+k]) {
+					k = j
+				}
+			}
+			if !entryLess(h[first+k], e) {
+				break
+			}
+		}
+		child := h[first+k]
+		h[i] = child
+		child.ev.index = int32(i)
+		i = first + k
+	}
+	h[i] = e
+	e.ev.index = int32(i)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// fix restores heap order around slot i after its entry changed to e.
+func (s *Scheduler) fix(i int, e entry) {
+	s.siftUp(i, e)
+	if int(e.ev.index) == i {
+		s.siftDown(i, e)
+	}
+}
+
+// removeAt deletes slot i by moving the last entry into it.
+func (s *Scheduler) removeAt(i int) {
 	h := s.events
 	n := len(h) - 1
-	removed := h[i]
 	last := h[n]
-	h[n] = nil
+	h[n] = entry{}
 	s.events = h[:n]
-	removed.index = notQueued
 	if i != n {
-		last.index = int32(i)
-		s.events[i] = last
-		// The moved element may need to go either direction.
-		s.siftDown(i)
-		s.siftUp(int(last.index))
+		s.fix(i, last)
 	}
 }
 
-// The sift loops exist twice — once per comparator — because the comparison
-// sits in the innermost loop of the whole simulator: dispatching through a
-// function value (or loading the unused stamp field on every compare) costs
-// ~20% on tie-heavy workloads, measured by BenchmarkScaleEventChurn. The
-// bodies must stay textually identical apart from the eventLess call.
-
-func (s *Scheduler) siftUp(i int) {
-	if s.stamped {
-		s.siftUpStamped(i)
-		return
+// head returns the heap with its earliest entry in slot 0, closing a root
+// slot that is still open (the callback scheduled nothing, or is calling back
+// into Step or a Run loop).
+func (s *Scheduler) head() []entry {
+	if s.open {
+		s.open = false
+		s.removeAt(0)
 	}
-	h := s.events
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := h[parent]
-		if !eventLess(ev, p) {
-			break
-		}
-		h[i] = p
-		p.index = int32(i)
-		i = parent
-	}
-	h[i] = ev
-	ev.index = int32(i)
+	return s.events
 }
 
-func (s *Scheduler) siftDown(i int) {
-	if s.stamped {
-		s.siftDownStamped(i)
-		return
+// insert is the one way into the queue: it takes an event from the freelist
+// (or allocates one), fills in the whole key and the callback, and places it
+// — in the open root slot if there is one, else at the bottom. Every entry
+// point is a single call of it, so that each inlines into its caller.
+func (s *Scheduler) insert(t, stamp time.Duration, key, sub uint32, kind Kind, fn func(), argFn func(any), arg any) *Event {
+	if fn == nil && argFn == nil {
+		panic("simtime: event scheduled with nil function")
 	}
-	h := s.events
-	n := len(h)
-	ev := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		child := h[min]
-		if !eventLess(child, ev) {
-			break
-		}
-		h[i] = child
-		child.index = int32(i)
-		i = min
-	}
-	h[i] = ev
-	ev.index = int32(i)
-}
-
-func (s *Scheduler) siftUpStamped(i int) {
-	h := s.events
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := h[parent]
-		if !eventLessStamped(ev, p) {
-			break
-		}
-		h[i] = p
-		p.index = int32(i)
-		i = parent
-	}
-	h[i] = ev
-	ev.index = int32(i)
-}
-
-func (s *Scheduler) siftDownStamped(i int) {
-	h := s.events
-	n := len(h)
-	ev := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLessStamped(h[c], h[min]) {
-				min = c
-			}
-		}
-		child := h[min]
-		if !eventLessStamped(child, ev) {
-			break
-		}
-		h[i] = child
-		child.index = int32(i)
-		i = min
-	}
-	h[i] = ev
-	ev.index = int32(i)
-}
-
-// newEvent takes an event from the freelist (or allocates one) and resets it.
-func (s *Scheduler) newEvent(t time.Duration) *Event {
 	var ev *Event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -393,15 +372,18 @@ func (s *Scheduler) newEvent(t time.Duration) *Event {
 	} else {
 		ev = &Event{}
 	}
-	ev.at = t
-	ev.stamp = s.now
-	ev.key = 0
-	ev.sub = 0
-	ev.kind = KindOther
-	ev.seq = s.seq
-	ev.index = notQueued
-	ev.s = s
+	ev.at, ev.stamp, ev.seq = t, stamp, s.seq
+	ev.keysub, ev.kind = uint64(key)<<32|uint64(sub), kind
+	ev.s, ev.fn, ev.argFn, ev.arg = s, fn, argFn, arg
 	s.seq++
+	e := entry{t, ev}
+	if s.open {
+		s.open = false
+		s.siftDown(0, e)
+	} else {
+		s.events = append(s.events, e)
+		s.siftUp(len(s.events)-1, e)
+	}
 	return ev
 }
 
@@ -417,24 +399,14 @@ func (s *Scheduler) recycle(ev *Event) {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // runs the event at the current time (it is clamped to Now).
 func (s *Scheduler) At(t time.Duration, fn func()) *Event {
-	if fn == nil {
-		panic("simtime: At called with nil function")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	ev := s.newEvent(t)
-	ev.fn = fn
-	s.heapPush(ev)
-	return ev
+	return s.insert(max(t, s.now), s.now, 0, 0, KindOther, fn, nil, nil)
 }
 
-// After schedules fn to run after delay d from the current virtual time.
+// After schedules fn to run after delay d from the current virtual time. A
+// negative delay, or one so large that Now+d overflows, runs the event at the
+// current time; so do the other After variants and Timer.Reset.
 func (s *Scheduler) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	return s.insert(max(s.now+d, s.now), s.now, 0, 0, KindOther, fn, nil, nil)
 }
 
 // AtArg schedules fn(arg) at absolute virtual time t. Passing the argument
@@ -442,55 +414,34 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 // packet) schedule without allocating: a pointer-shaped arg boxes into the
 // interface for free.
 func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) *Event {
-	if fn == nil {
-		panic("simtime: AtArg called with nil function")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	ev := s.newEvent(t)
-	ev.argFn = fn
-	ev.arg = arg
-	s.heapPush(ev)
-	return ev
+	return s.insert(max(t, s.now), s.now, 0, 0, KindOther, nil, fn, arg)
 }
 
 // AfterArg schedules fn(arg) after delay d from the current virtual time.
 func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtArg(s.now+d, fn, arg)
+	return s.insert(max(s.now+d, s.now), s.now, 0, 0, KindOther, nil, fn, arg)
 }
 
 // AtKind schedules fn at absolute virtual time t, tagged with an event kind
 // for the profiler (see Kind). Ordering is identical to At.
 func (s *Scheduler) AtKind(t time.Duration, kind Kind, fn func()) *Event {
-	ev := s.At(t, fn)
-	ev.kind = kind
-	return ev
+	return s.insert(max(t, s.now), s.now, 0, 0, kind, fn, nil, nil)
 }
 
 // AfterKind schedules fn after delay d, tagged with an event kind.
 func (s *Scheduler) AfterKind(d time.Duration, kind Kind, fn func()) *Event {
-	ev := s.After(d, fn)
-	ev.kind = kind
-	return ev
+	return s.insert(max(s.now+d, s.now), s.now, 0, 0, kind, fn, nil, nil)
 }
 
 // AtArgKind schedules fn(arg) at absolute virtual time t, tagged with an
 // event kind.
 func (s *Scheduler) AtArgKind(t time.Duration, kind Kind, fn func(any), arg any) *Event {
-	ev := s.AtArg(t, fn, arg)
-	ev.kind = kind
-	return ev
+	return s.insert(max(t, s.now), s.now, 0, 0, kind, nil, fn, arg)
 }
 
 // AfterArgKind schedules fn(arg) after delay d, tagged with an event kind.
 func (s *Scheduler) AfterArgKind(d time.Duration, kind Kind, fn func(any), arg any) *Event {
-	ev := s.AfterArg(d, fn, arg)
-	ev.kind = kind
-	return ev
+	return s.insert(max(s.now+d, s.now), s.now, 0, 0, kind, nil, fn, arg)
 }
 
 // AtArgKeyed schedules fn(arg) at absolute virtual time t with a sort key and
@@ -505,35 +456,13 @@ func (s *Scheduler) AfterArgKind(d time.Duration, kind Kind, fn func(any), arg a
 // packet-delivery hand-up with the link direction's identity and delivery
 // sequence; see Link.SortKey. The event is tagged with kind for the profiler.
 func (s *Scheduler) AtArgKeyed(t time.Duration, key, sub uint32, kind Kind, fn func(any), arg any) *Event {
-	if fn == nil {
-		panic("simtime: AtArgKeyed called with nil function")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	// Keys carry information only under the multi-key comparator; switch to
-	// it permanently, exactly as InjectAt does (see Scheduler.stamped — the
-	// flip is safe because every already-queued event has key zero and local
-	// stamps are nondecreasing in seq, so the heap is valid under both
-	// comparators at the moment of the flip).
-	s.stamped = true
-	ev := s.newEvent(t)
-	ev.key = key
-	ev.sub = sub
-	ev.kind = kind
-	ev.argFn = fn
-	ev.arg = arg
-	s.heapPush(ev)
-	return ev
+	return s.insert(max(t, s.now), s.now, key, sub, kind, nil, fn, arg)
 }
 
 // AfterArgKeyed schedules fn(arg) after delay d with a sort key and
 // sub-sequence (AtArgKeyed).
 func (s *Scheduler) AfterArgKeyed(d time.Duration, key, sub uint32, kind Kind, fn func(any), arg any) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtArgKeyed(s.now+d, key, sub, kind, fn, arg)
+	return s.insert(max(s.now+d, s.now), s.now, key, sub, kind, nil, fn, arg)
 }
 
 // InjectAt schedules fn(arg) at absolute time t with an explicit insertion
@@ -558,36 +487,27 @@ func (s *Scheduler) AfterArgKeyed(d time.Duration, key, sub uint32, kind Kind, f
 // clock) was violated, and executing the event would silently diverge from
 // the serial run instead.
 func (s *Scheduler) InjectAt(t, stamp time.Duration, key, sub uint32, kind Kind, fn func(any), arg any) *Event {
-	if fn == nil {
-		panic("simtime: InjectAt called with nil function")
-	}
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: InjectAt(%v) into the past at t=%v (conservative sync violated)", t, s.now))
 	}
-	if stamp > t {
-		stamp = t
-	}
-	// Injection is what makes stamps carry information; switch to the
-	// stamp-aware comparator from here on (see Scheduler.stamped).
-	s.stamped = true
-	ev := s.newEvent(t)
-	ev.stamp = stamp
-	ev.key = key
-	ev.sub = sub
-	ev.kind = kind
-	ev.argFn = fn
-	ev.arg = arg
-	s.heapPush(ev)
-	return ev
+	return s.insert(t, min(stamp, t), key, sub, kind, nil, fn, arg)
 }
 
 // Step executes the earliest pending event, advancing the virtual clock to its
 // timestamp. It returns false if no events remain.
+//
+// The fired event's root slot stays open while its callback runs, because the
+// usual callback schedules a successor: that insertion then costs one
+// sift-down from the root, where closing the slot first would cost the same
+// sift-down for the last leaf plus a sift-up for the successor.
 func (s *Scheduler) Step() bool {
-	if len(s.events) == 0 {
+	h := s.head()
+	if len(h) == 0 {
 		return false
 	}
-	ev := s.heapPop()
+	ev := h[0].ev
+	ev.index = notQueued
+	s.open = true
 	if ev.at > s.now {
 		s.now = ev.at
 	}
@@ -600,6 +520,7 @@ func (s *Scheduler) Step() bool {
 	} else {
 		s.fireProfiled(ev)
 	}
+	s.head()
 	// Recycle only after the callback: an executing event is never in the
 	// freelist, so a callback that schedules new work cannot be handed its
 	// own still-running event.
@@ -619,7 +540,7 @@ func (s *Scheduler) Run() {
 // clock to exactly t. Events scheduled during execution are honoured if they
 // fall within the horizon.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	for len(s.events) > 0 && s.events[0].at <= t {
+	for h := s.head(); len(h) > 0 && h[0].at <= t; h = s.head() {
 		s.Step()
 	}
 	if t > s.now {
@@ -638,7 +559,7 @@ func (s *Scheduler) RunFor(d time.Duration) {
 // t may fire network dynamics that must order before them), so the clock is
 // advanced to t separately with AdvanceTo once the barrier completes.
 func (s *Scheduler) RunUntilBefore(t time.Duration) {
-	for len(s.events) > 0 && s.events[0].at < t {
+	for h := s.head(); len(h) > 0 && h[0].at < t; h = s.head() {
 		s.Step()
 	}
 }
@@ -648,8 +569,8 @@ func (s *Scheduler) RunUntilBefore(t time.Duration) {
 // would skip it — so it doubles as the end-of-window assertion that
 // RunUntilBefore really drained the window.
 func (s *Scheduler) AdvanceTo(t time.Duration) {
-	if len(s.events) > 0 && s.events[0].at < t {
-		panic(fmt.Sprintf("simtime: AdvanceTo(%v) over pending event at %v", t, s.events[0].at))
+	if h := s.head(); len(h) > 0 && h[0].at < t {
+		panic(fmt.Sprintf("simtime: AdvanceTo(%v) over pending event at %v", t, h[0].at))
 	}
 	if t > s.now {
 		s.now = t
@@ -688,9 +609,21 @@ func fireTimer(arg any) {
 	t.fn()
 }
 
+// Reset of a pending timer re-keys its event in place. The keys are the ones
+// Stop followed by a fresh AfterArgKind would give it — new time, stamp Now,
+// the next seq — so the firing order is the same, for one sift instead of a
+// removal and an insertion.
 func (t *simTimer) Reset(d time.Duration) {
-	t.Stop()
-	t.ev = t.s.AfterArgKind(d, t.kind, fireTimer, t)
+	s, ev := t.s, t.ev
+	if ev == nil {
+		t.ev = s.AfterArgKind(d, t.kind, fireTimer, t)
+		return
+	}
+	ev.at = max(s.now+d, s.now)
+	ev.stamp = s.now
+	ev.seq = s.seq
+	s.seq++
+	s.fix(int(ev.index), entry{ev.at, ev})
 }
 
 func (t *simTimer) Stop() {
