@@ -166,7 +166,13 @@ type Link struct {
 	// started serialising, so a set-delay event applies only to packets
 	// serialised after it.
 	txDelay time.Duration
-	stats   LinkStats
+	// txEnd is when the packet on the wire finishes serialising, txEv its
+	// pending tx-done event, txPkt the packet and txDup its duplicate draw.
+	txEnd time.Duration
+	txEv  *simtime.Event
+	txPkt *Packet
+	txDup bool
+	stats LinkStats
 
 	// tap, when non-nil, observes every packet that is delivered (after
 	// loss and queueing). Experiments use taps to trace rates.
@@ -372,12 +378,24 @@ func (l *Link) IsDown() bool { return l.down }
 // sides of the ownership split, so under sharded execution it may only be
 // taken at quiescence (a barrier, or after the run); mid-run samplers use
 // the single-side accessors below instead.
-func (l *Link) Stats() LinkStats { return l.stats }
+func (l *Link) Stats() LinkStats {
+	st := l.stats
+	st.SentPackets, st.SentBytes = l.SentCounters()
+	return st
+}
 
 // SentCounters returns the transmit-side packet and byte counters. Written
 // only by the sending side's scheduler, so a sampler there may read mid-run.
+//
+// A packet is sent once the clock has reached the end of its serialisation,
+// whether or not the tx-done event of that instant has fired yet.
 func (l *Link) SentCounters() (packets int, bytes int64) {
-	return l.stats.SentPackets, l.stats.SentBytes
+	packets, bytes = l.stats.SentPackets, l.stats.SentBytes
+	if l.busy && l.sched.Now() >= l.txEnd {
+		packets++
+		bytes += int64(l.txPkt.Size)
+	}
+	return packets, bytes
 }
 
 // DropCount returns queue + loss-process + down drops, all written by the
@@ -468,6 +486,12 @@ func (l *Link) Send(pkt *Packet) bool {
 	}
 	if !l.busy {
 		l.startTransmit()
+	} else if l.queue.Len() == 1 && l.sched.Now() == l.txEnd {
+		// Tie rule: a packet offered at exactly txEnd with nothing queued finds
+		// the transmitter free, whichever side of the pending tx-done event the
+		// offering event happens to sort on.
+		l.txEv.Cancel()
+		l.txDone(l.txPkt)
 	}
 	return true
 }
@@ -491,20 +515,12 @@ func (l *Link) startTransmit() {
 	l.busy = true
 	txTime := l.cfg.Bandwidth.TransmitTime(pkt.Size)
 	l.stats.BusyTime += txTime
+	// The delay (and the reorder and duplicate draws) are fixed at
+	// serialisation start: a set-delay event never retimes the packet that was
+	// already on the wire. (A delay reduction can still deliver a later packet
+	// before an earlier one — two packets really are in flight on
+	// different-length paths, as after a route change.)
 	l.txDelay = l.cfg.Delay
-	// Delivery happens after serialisation plus propagation; the link is
-	// free to serialise the next packet as soon as this one has left.
-	l.sched.AfterArgKind(txTime, simtime.KindPktTransmit, l.txDone, pkt)
-}
-
-func (l *Link) deliver(pkt *Packet) {
-	l.stats.SentPackets++
-	l.stats.SentBytes += int64(pkt.Size)
-	// The delay captured at serialisation start: a set-delay event never
-	// retimes the packet that was already on the wire. (A delay reduction can
-	// still deliver a later packet before an earlier one — two packets really
-	// are in flight on different-length paths, as after a route change.)
-	delay := l.txDelay
 	if l.cfg.ReorderRate > 0 && l.random().Float64() < l.cfg.ReorderRate {
 		extra := l.cfg.ReorderDelay
 		if extra <= 0 {
@@ -513,11 +529,28 @@ func (l *Link) deliver(pkt *Packet) {
 		if extra <= 0 {
 			extra = time.Millisecond
 		}
-		delay += extra
+		l.txDelay += extra
 		l.stats.Reordered++
 	}
+	l.txDup = l.cfg.DuplicateRate > 0 && l.random().Float64() < l.cfg.DuplicateRate
+	// Delivery happens after serialisation plus propagation; the link is
+	// free to serialise the next packet as soon as this one has left.
+	// The tx-done event carries the link's key as its sub-sequence (key zero):
+	// among events tied on time and stamp it fires after every unkeyed event,
+	// before every hand-up, and by link identity among tx-dones — a position
+	// that does not depend on when it was put in the queue.
+	l.txPkt = pkt
+	now := l.sched.Now()
+	l.txEnd = now + txTime
+	l.txEv = l.sched.InjectAt(l.txEnd, now, 0, l.key, simtime.KindPktTransmit, l.txDone, pkt)
+}
+
+func (l *Link) deliver(pkt *Packet) {
+	l.stats.SentPackets++
+	l.stats.SentBytes += int64(pkt.Size)
+	delay := l.txDelay
 	var dup *Packet
-	if l.cfg.DuplicateRate > 0 && l.random().Float64() < l.cfg.DuplicateRate {
+	if l.txDup {
 		// The clone must be taken before the original is handed up: the
 		// receiver may release the original back to the pool.
 		dup = pkt.Clone()

@@ -7,10 +7,12 @@
 // drop counters — needs an instant where no shard is mid-window. The
 // observation schedule provides exactly that: RunToEnd pauses at each
 // registered time t with every event strictly before t executed and no event
-// at t executed yet. A serial run realises the pause with RunUntilBefore(t);
-// a sharded run folds t into the synchronization-barrier schedule and fires
-// after the drain, before same-instant dynamics events. Both paths observe
-// identical state, so results remain byte-identical across execution modes.
+// at t executed yet. A serial run realises the pause with RunUntilBefore(t)
+// and AdvanceTo(t); a sharded run folds t into the synchronization-barrier
+// schedule and fires after the drain, before same-instant dynamics events.
+// Both paths observe identical state with every clock reading t (a link counts
+// a packet as sent by the clock, see netsim.Link.SentCounters), so results
+// remain byte-identical across execution modes.
 //
 // Observers are observation-only by contract: they must not mutate
 // simulation state or consume randomness. Runs driven manually (Build +

@@ -456,6 +456,7 @@ func (s *Sim) RunToEnd() {
 	run := func() {
 		for _, t := range s.obsTimes {
 			s.sched.RunUntilBefore(t)
+			s.sched.AdvanceTo(t)
 			s.fireObservers(t)
 		}
 		s.sched.RunUntil(s.Spec.Duration)
