@@ -114,6 +114,29 @@ type LinkStats struct {
 // queued, serialised in FIFO order at the link rate, and delivered to the
 // destination Receiver after the propagation delay.
 //
+// Everything about a packet's trip is fixed the moment it goes on the wire:
+// serialisation time, propagation delay, the reorder and duplicate draws and
+// its link-local delivery number. So its hand-up event is scheduled right
+// then, for txEnd + delay with the insertion stamp txEnd, and the transmitter
+// itself needs an event only when somebody waits for it. It is in one of
+// three states:
+//
+//   - free (Now >= txEnd): a Send, or SetDown(false) with a held backlog,
+//     starts serialising at once. A hop on an idle link is one event.
+//   - busy (Now < txEnd, nothing queued): no event is pending for txEnd; the
+//     transmitter becomes free by the clock.
+//   - armed (a packet waits): the first packet to queue behind the wire puts
+//     a tx-done event at txEnd, which starts the next packet and re-arms
+//     itself while the queue is non-empty. A saturated link is two events a
+//     hop.
+//
+// The tie rule follows: a packet offered at exactly txEnd finds the
+// transmitter free if nothing was queued, and queues behind the pending
+// tx-done otherwise. That event is stamped txStart and keyed (0, link key), so
+// among the events of its instant it has a place that does not depend on when
+// it was armed: after events inserted before the serialisation started and
+// unkeyed ones inserted in its first instant, before every hand-up.
+//
 // Links are mutable mid-run: the dynamics subsystem may take a link down,
 // bring it back up, or swap bandwidth/delay/loss parameters while packets are
 // in flight. Parameter changes apply to packets serialised after the change;
@@ -160,19 +183,15 @@ type Link struct {
 	geTickGen uint64
 	geTickRNG *rand.Rand
 
-	busy bool
-	down bool
-	// txDelay is the propagation delay captured when the in-flight packet
-	// started serialising, so a set-delay event applies only to packets
-	// serialised after it.
-	txDelay time.Duration
-	// txEnd is when the packet on the wire finishes serialising, txEv its
-	// pending tx-done event, txPkt the packet and txDup its duplicate draw.
-	txEnd time.Duration
-	txEv  *simtime.Event
-	txPkt *Packet
-	txDup bool
-	stats LinkStats
+	// The transmitter. txStart and txEnd bracket the serialisation of the most
+	// recent packet and txSize is its wire size; the clock against txEnd says
+	// whether the wire is free, and armed says whether a tx-done event is
+	// pending at txEnd (see the type comment).
+	txStart, txEnd time.Duration
+	txSize         int
+	down           bool
+	armed          bool
+	stats          LinkStats
 
 	// tap, when non-nil, observes every packet that is delivered (after
 	// loss and queueing). Experiments use taps to trace rates.
@@ -192,9 +211,8 @@ type Link struct {
 	// later calls DeliverRemote. See docs/PERF.md, "Sharded execution".
 	remote RemoteDeliver
 
-	// txDone and handUpArg are built once so the per-packet transmit and
-	// delivery events schedule with AfterArg instead of a fresh closure,
-	// keeping the steady-state path allocation-free.
+	// txDone and handUpArg are built once so the per-packet events schedule
+	// without a fresh closure, keeping the steady-state path allocation-free.
 	txDone    func(any)
 	handUpArg func(any)
 }
@@ -221,8 +239,8 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 			l.armGETick()
 		}
 	}
-	l.txDone = func(x any) {
-		l.deliver(x.(*Packet))
+	l.txDone = func(any) {
+		l.armed = false
 		l.startTransmit()
 	}
 	l.handUpArg = func(x any) { l.handUp(x.(*Packet)) }
@@ -366,7 +384,7 @@ func (l *Link) SetDown(down bool) {
 		return
 	}
 	l.down = down
-	if !down && !l.busy {
+	if !down && !l.armed && l.sched.Now() >= l.txEnd {
 		l.startTransmit()
 	}
 }
@@ -387,13 +405,13 @@ func (l *Link) Stats() LinkStats {
 // SentCounters returns the transmit-side packet and byte counters. Written
 // only by the sending side's scheduler, so a sampler there may read mid-run.
 //
-// A packet is sent once the clock has reached the end of its serialisation,
-// whether or not the tx-done event of that instant has fired yet.
+// A packet counts as sent once the clock has reached the end of its
+// serialisation; until then the one on the wire is left out.
 func (l *Link) SentCounters() (packets int, bytes int64) {
 	packets, bytes = l.stats.SentPackets, l.stats.SentBytes
-	if l.busy && l.sched.Now() >= l.txEnd {
-		packets++
-		bytes += int64(l.txPkt.Size)
+	if l.sched.Now() < l.txEnd {
+		packets--
+		bytes -= int64(l.txSize)
 	}
 	return packets, bytes
 }
@@ -470,7 +488,8 @@ func (l *Link) Send(pkt *Packet) bool {
 		pkt.Release()
 		return false
 	}
-	pkt.Enqueued = l.sched.Now()
+	now := l.sched.Now()
+	pkt.Enqueued = now
 	if victim := l.buffer().Enqueue(pkt); victim != nil {
 		l.stats.QueueDrops++
 		if l.dropTap != nil {
@@ -484,43 +503,49 @@ func (l *Link) Send(pkt *Packet) bool {
 	if l.sendTap != nil {
 		l.sendTap(pkt)
 	}
-	if !l.busy {
-		l.startTransmit()
-	} else if l.queue.Len() == 1 && l.sched.Now() == l.txEnd {
-		// Tie rule: a packet offered at exactly txEnd with nothing queued finds
-		// the transmitter free, whichever side of the pending tx-done event the
-		// offering event happens to sort on.
-		l.txEv.Cancel()
-		l.txDone(l.txPkt)
+	if !l.armed {
+		if now >= l.txEnd {
+			l.startTransmit()
+		} else {
+			l.arm()
+		}
 	}
 	return true
 }
 
-// startTransmit serialises the head-of-line packet and schedules its delivery
-// and the next transmission. A down link does not serialise: queued packets
-// wait for SetDown(false).
+// arm schedules the tx-done event for the packet on the wire, with the stamp
+// and key that place it among the events of txEnd wherever it is armed from.
+func (l *Link) arm() {
+	l.armed = true
+	l.sched.InjectAt(l.txEnd, l.txStart, 0, l.key, simtime.KindPktTransmit, l.txDone, nil)
+}
+
+// startTransmit puts the head-of-line packet on the wire: the caller has seen
+// the clock at or past txEnd. It books the packet, schedules its hand-up and,
+// if more packets wait, the tx-done that will start the next one. A down link
+// does not serialise: queued packets wait for SetDown(false).
 func (l *Link) startTransmit() {
-	if l.down {
-		l.busy = false
+	if l.down || l.queue == nil {
 		return
 	}
-	var pkt *Packet
-	if l.queue != nil {
-		pkt = l.queue.Dequeue()
-	}
+	pkt := l.queue.Dequeue()
 	if pkt == nil {
-		l.busy = false
 		return
 	}
-	l.busy = true
+	now := l.sched.Now()
 	txTime := l.cfg.Bandwidth.TransmitTime(pkt.Size)
+	l.txStart, l.txEnd, l.txSize = now, max(now+txTime, now), pkt.Size
 	l.stats.BusyTime += txTime
-	// The delay (and the reorder and duplicate draws) are fixed at
-	// serialisation start: a set-delay event never retimes the packet that was
-	// already on the wire. (A delay reduction can still deliver a later packet
-	// before an earlier one — two packets really are in flight on
+	l.stats.SentPackets++
+	l.stats.SentBytes += int64(pkt.Size)
+	if l.queue.Len() > 0 {
+		l.arm()
+	}
+	// The delay is the one configured now: a set-delay event never retimes a
+	// packet already on the wire. (A delay reduction can still deliver a later
+	// packet before an earlier one — two packets really are in flight on
 	// different-length paths, as after a route change.)
-	l.txDelay = l.cfg.Delay
+	delay := l.cfg.Delay
 	if l.cfg.ReorderRate > 0 && l.random().Float64() < l.cfg.ReorderRate {
 		extra := l.cfg.ReorderDelay
 		if extra <= 0 {
@@ -529,52 +554,34 @@ func (l *Link) startTransmit() {
 		if extra <= 0 {
 			extra = time.Millisecond
 		}
-		l.txDelay += extra
+		delay += extra
 		l.stats.Reordered++
 	}
-	l.txDup = l.cfg.DuplicateRate > 0 && l.random().Float64() < l.cfg.DuplicateRate
-	// Delivery happens after serialisation plus propagation; the link is
-	// free to serialise the next packet as soon as this one has left.
-	// The tx-done event carries the link's key as its sub-sequence (key zero):
-	// among events tied on time and stamp it fires after every unkeyed event,
-	// before every hand-up, and by link identity among tx-dones — a position
-	// that does not depend on when it was put in the queue.
-	l.txPkt = pkt
-	now := l.sched.Now()
-	l.txEnd = now + txTime
-	l.txEv = l.sched.InjectAt(l.txEnd, now, 0, l.key, simtime.KindPktTransmit, l.txDone, pkt)
-}
-
-func (l *Link) deliver(pkt *Packet) {
-	l.stats.SentPackets++
-	l.stats.SentBytes += int64(pkt.Size)
-	delay := l.txDelay
 	var dup *Packet
-	if l.txDup {
-		// The clone must be taken before the original is handed up: the
-		// receiver may release the original back to the pool.
+	if l.cfg.DuplicateRate > 0 && l.random().Float64() < l.cfg.DuplicateRate {
 		dup = pkt.Clone()
 	}
 	// Every serialised packet takes the next link-local delivery sequence
 	// number; it rides on the hand-up event (or the cross-shard injection) as
-	// the sub-sequence tie-break. Assigned in serialisation-completion order,
-	// which is exactly the insertion order a serial run would use.
+	// the sub-sequence tie-break.
 	l.deliverSeq++
 	sub := l.deliverSeq
+	// The hand-up is inserted now but stamped txEnd, the instant a tx-done
+	// event would have inserted it, so it fires exactly where it always has.
+	arrive := max(l.txEnd+delay, l.txEnd)
 	if l.remote != nil {
 		// Cross-scheduler delivery: the destination's shard performs the
 		// hand-up (DeliverRemote) at the arrival time.
-		now := l.sched.Now()
-		l.remote(pkt, dup, now+delay, now, sub)
+		l.remote(pkt, dup, arrive, l.txEnd, sub)
 		return
 	}
 	if dup != nil {
 		// Duplication is rare; the closure here is off the steady-state path.
 		// (d rebinds dup so the closure captures a never-reassigned local by
 		// value — capturing dup itself would heap-allocate its cell on every
-		// deliver call and break the zero-alloc gate.)
+		// call and break the zero-alloc gate.)
 		d := dup
-		l.sched.AfterArgKeyed(delay, l.key, sub, simtime.KindPktDeliver, func(any) {
+		l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, func(any) {
 			l.handUp(pkt)
 			l.stats.Duplicated++
 			l.handUp(d)
@@ -585,7 +592,7 @@ func (l *Link) deliver(pkt *Packet) {
 	// from different links order by link identity — the only tie-break that
 	// serial and sharded executions can both compute (see SortKey) — and
 	// sub-sequenced by the delivery number within the direction.
-	l.sched.AfterArgKeyed(delay, l.key, sub, simtime.KindPktDeliver, l.handUpArg, pkt)
+	l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, l.handUpArg, pkt)
 }
 
 // DeliverRemote is the receiving-side half of a cross-scheduler delivery: the
