@@ -30,13 +30,17 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Ten seconds of the scheduler's native fuzz target: random operation traces,
-# callbacks included, checked step by step against the container/heap
-# reference (internal/simtime/reference_test.go). The seed corpus is in
-# internal/simtime/testdata/fuzz/; a failing input is written there too.
-# Minimising each coverage-expanding input would otherwise eat the budget.
+# Ten seconds of native fuzzing, shared by the two targets. Both feed random
+# operation traces, callbacks included, to the real thing and to a plain
+# reference, and compare step by step: FuzzSchedulerOps holds the scheduler to
+# a container/heap one (internal/simtime/reference_test.go), FuzzLinkOps holds
+# netsim.Link to the two-event transmitter it replaced
+# (internal/netsim/reference_test.go). The seed corpora are in each package's
+# testdata/fuzz/; a failing input is written there too. Minimising each
+# coverage-expanding input would otherwise eat the budget.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOps -fuzztime=10s -fuzzminimizetime=1s ./internal/simtime
+	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOps -fuzztime=5s -fuzzminimizetime=1s ./internal/simtime
+	$(GO) test -run='^$$' -fuzz=FuzzLinkOps -fuzztime=5s -fuzzminimizetime=1s ./internal/netsim
 
 # Judge the working tree against a parent revision with cmperf: PAIRS
 # alternating pairs of end-to-end runs, each side built from its own exported
@@ -57,7 +61,7 @@ perf:
 # against the newest other committed BENCH_*.json — any shared benchmark
 # regressing >25% in ns/op fails the target. A PR that commits its snapshot
 # moves the default PR number here.
-PR ?= 15
+PR ?= 16
 bench-smoke:
 	$(GO) run ./cmd/cmbench -experiment perf -pr $(PR) -perfout BENCH_$(PR).json -compare latest
 

@@ -205,16 +205,11 @@ type Link struct {
 
 	// remote, when non-nil, replaces local delivery scheduling: instead of
 	// putting the delivery event on this link's (sending-side) scheduler, the
-	// serialised packet is handed to the hook with its arrival time and the
-	// sender-side time it left the wire. Sharded execution installs it on
+	// packet is handed to the hook as it goes on the wire, with its arrival
+	// time and the sender-side time it will have left the wire. Sharded execution installs it on
 	// links whose destination lives on another shard; the receiving shard
 	// later calls DeliverRemote. See docs/PERF.md, "Sharded execution".
 	remote RemoteDeliver
-
-	// txDone and handUpArg are built once so the per-packet events schedule
-	// without a fresh closure, keeping the steady-state path allocation-free.
-	txDone    func(any)
-	handUpArg func(any)
 }
 
 // NewLink creates a link delivering to dst. The destination may be changed
@@ -239,11 +234,6 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 			l.armGETick()
 		}
 	}
-	l.txDone = func(any) {
-		l.armed = false
-		l.startTransmit()
-	}
-	l.handUpArg = func(x any) { l.handUp(x.(*Packet)) }
 	return l
 }
 
@@ -317,10 +307,11 @@ func (l *Link) SetDropTap(fn func(pkt *Packet, reason string)) { l.dropTap = fn 
 // transmit queue (after the loss draws and any drop-tail eviction).
 func (l *Link) SetSendTap(fn func(pkt *Packet)) { l.sendTap = fn }
 
-// RemoteDeliver receives a serialised packet whose delivery belongs to
-// another scheduler: the packet arrives at the destination at time arrive;
-// sent is the sender-side virtual time serialisation completed (the insertion
-// stamp for deterministic ordering) and seq the link-local delivery sequence
+// RemoteDeliver receives a packet whose delivery belongs to another
+// scheduler, at the moment it starts serialising: the packet arrives at the
+// destination at time arrive; sent is the sender-side virtual time its
+// serialisation ends (the insertion stamp for deterministic ordering, possibly
+// later than the sender's clock) and seq the link-local delivery sequence
 // (the sub-sequence tie-break; see Link.deliverSeq). dup is the
 // duplication-impairment clone to hand up immediately after pkt, or nil.
 type RemoteDeliver func(pkt, dup *Packet, arrive, sent time.Duration, seq uint32)
@@ -444,12 +435,14 @@ func (l *Link) QueueLen() int {
 
 // Utilization returns the fraction of virtual time the link spent
 // serialising packets, measured against the elapsed time on the scheduler.
+// BusyTime books a packet in full when it goes on the wire; the part not yet
+// serialised is left out here, so the fraction never exceeds 1.
 func (l *Link) Utilization() float64 {
 	now := l.sched.Now()
 	if now <= 0 {
 		return 0
 	}
-	return float64(l.stats.BusyTime) / float64(now)
+	return float64(l.stats.BusyTime-max(0, l.txEnd-now)) / float64(now)
 }
 
 // Send presents a packet to the link. It applies random loss, enqueues the
@@ -517,7 +510,22 @@ func (l *Link) Send(pkt *Packet) bool {
 // and key that place it among the events of txEnd wherever it is armed from.
 func (l *Link) arm() {
 	l.armed = true
-	l.sched.InjectAt(l.txEnd, l.txStart, 0, l.key, simtime.KindPktTransmit, l.txDone, nil)
+	l.sched.InjectAt(l.txEnd, l.txStart, 0, l.key, simtime.KindPktTransmit, txDone, l)
+}
+
+// txDone and handUp are the callbacks of the two per-packet events. They are
+// package-level functions, the link travelling as the event argument or on the
+// packet, so that a link owns no closures: most directions of an
+// internet-scale topology never carry a packet.
+func txDone(x any) {
+	l := x.(*Link)
+	l.armed = false
+	l.startTransmit()
+}
+
+func handUp(x any) {
+	pkt := x.(*Packet)
+	pkt.via.handUpAt(pkt, pkt.via.sched.Now())
 }
 
 // startTransmit puts the head-of-line packet on the wire: the caller has seen
@@ -582,9 +590,7 @@ func (l *Link) startTransmit() {
 		// call and break the zero-alloc gate.)
 		d := dup
 		l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, func(any) {
-			l.handUp(pkt)
-			l.stats.Duplicated++
-			l.handUp(d)
+			l.DeliverRemote(pkt, d, l.sched.Now())
 		}, nil)
 		return
 	}
@@ -592,7 +598,8 @@ func (l *Link) startTransmit() {
 	// from different links order by link identity — the only tie-break that
 	// serial and sharded executions can both compute (see SortKey) — and
 	// sub-sequenced by the delivery number within the direction.
-	l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, l.handUpArg, pkt)
+	pkt.via = l
+	l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, handUp, pkt)
 }
 
 // DeliverRemote is the receiving-side half of a cross-scheduler delivery: the
@@ -609,8 +616,6 @@ func (l *Link) DeliverRemote(pkt, dup *Packet, now time.Duration) {
 		l.handUpAt(dup, now)
 	}
 }
-
-func (l *Link) handUp(pkt *Packet) { l.handUpAt(pkt, l.sched.Now()) }
 
 func (l *Link) handUpAt(pkt *Packet, now time.Duration) {
 	l.stats.DeliveredAt = now

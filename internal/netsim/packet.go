@@ -128,6 +128,10 @@ type Packet struct {
 	// queueing-delay statistics.
 	Enqueued time.Duration
 
+	// via is the link whose hand-up event currently carries the packet; the
+	// event's callback finds the link there (see handUp in link.go).
+	via *Link
+
 	// pooled marks packets obtained from the pool; only those are returned
 	// to it by Release, and the flag doubles as a double-release guard.
 	pooled bool

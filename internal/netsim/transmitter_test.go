@@ -1,0 +1,104 @@
+package netsim
+
+import (
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/simtime"
+)
+
+// An internet-scale topology holds tens of thousands of link directions, most
+// of which never carry a packet: the struct stays at what it was before the
+// transmitter learned the time, and owns no closures (the only allocation of
+// NewLink is the Link itself).
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got > 368 {
+		t.Errorf("Link is %d bytes, want <= 368", got)
+	}
+	sched := simtime.NewScheduler()
+	if allocs := testing.AllocsPerRun(100, func() { NewLink(sched, LinkConfig{Name: "l"}, nil) }); allocs != 1 {
+		t.Errorf("NewLink allocated %.0f objects, want 1", allocs)
+	}
+}
+
+// The events-per-hop gate: a packet that finds the wire free costs one event,
+// its hand-up; only a packet that had to wait costs a second, the tx-done that
+// started it.
+func TestEventsPerHop(t *testing.T) {
+	const n = 50
+	cfg := LinkConfig{Name: "hop", Bandwidth: 10 * Mbps, Delay: time.Millisecond, QueuePackets: n}
+	txTime := cfg.Bandwidth.TransmitTime(1000)
+	send := func(l *Link) {
+		p := NewPacket()
+		p.Size = 1000
+		if !l.Send(p) {
+			t.Fatal("send failed")
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		gap  time.Duration
+		want uint64
+	}{
+		{"spaced wider than a serialisation", txTime + time.Nanosecond, n},
+		{"offered exactly as the wire frees", txTime, n},
+		{"one back-to-back burst", 0, 2*n - 1},
+	} {
+		sched := simtime.NewScheduler()
+		delivered := 0
+		l := NewLink(sched, cfg, ReceiverFunc(func(p *Packet) { delivered++; p.Release() }))
+		for i := 0; i < n; i++ {
+			sched.RunUntil(time.Duration(i) * tc.gap)
+			send(l)
+		}
+		sched.Run()
+		if delivered != n {
+			t.Errorf("%s: delivered %d packets, want %d", tc.name, delivered, n)
+		}
+		if got := sched.Executed(); got != tc.want {
+			t.Errorf("%s: %d packets fired %d events, want %d", tc.name, n, got, tc.want)
+		}
+	}
+}
+
+// Utilization never reads above 1, even mid-packet on a saturated link where
+// BusyTime already holds the whole packet, and equals BusyTime / Now whenever
+// the wire is idle.
+func TestUtilizationNeverExceedsOne(t *testing.T) {
+	sched := simtime.NewScheduler()
+	l := NewLink(sched, LinkConfig{Name: "sat", Bandwidth: 10 * Mbps, Delay: time.Millisecond, QueuePackets: 8},
+		ReceiverFunc(func(p *Packet) { p.Release() }))
+	// A source that keeps the queue full for 50 ms, then stops.
+	var refill func()
+	refill = func() {
+		for l.QueueLen() < 8 {
+			p := NewPacket()
+			p.Size = 1500
+			l.Send(p)
+		}
+		if sched.Now() < 50*time.Millisecond {
+			sched.After(700*time.Microsecond, refill)
+		}
+	}
+	sched.After(time.Millisecond, refill)
+	samples, busy := 0, 0
+	for sched.Step() {
+		u := l.Utilization()
+		if u > 1 {
+			t.Fatalf("t=%v: Utilization = %v", sched.Now(), u)
+		}
+		samples++
+		if sched.Now() < l.txEnd {
+			busy++
+		} else if want := float64(l.Stats().BusyTime) / float64(sched.Now()); u != want {
+			t.Fatalf("t=%v, wire idle: Utilization = %v, want BusyTime/Now = %v", sched.Now(), u, want)
+		}
+	}
+	if busy == 0 || busy == samples {
+		t.Fatalf("%d of %d samples taken mid-packet: the test did not see both states", busy, samples)
+	}
+	if u := l.Utilization(); u < 0.5 {
+		t.Fatalf("Utilization = %v after a saturated run", u)
+	}
+}
