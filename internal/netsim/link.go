@@ -189,8 +189,7 @@ type Link struct {
 	// pending at txEnd (see the type comment).
 	txStart, txEnd time.Duration
 	txSize         int
-	down           bool
-	armed          bool
+	down, armed    bool
 	stats          LinkStats
 
 	// tap, when non-nil, observes every packet that is delivered (after
@@ -206,9 +205,10 @@ type Link struct {
 	// remote, when non-nil, replaces local delivery scheduling: instead of
 	// putting the delivery event on this link's (sending-side) scheduler, the
 	// packet is handed to the hook as it goes on the wire, with its arrival
-	// time and the sender-side time it will have left the wire. Sharded execution installs it on
-	// links whose destination lives on another shard; the receiving shard
-	// later calls DeliverRemote. See docs/PERF.md, "Sharded execution".
+	// time and the sender-side time it will have left the wire. Sharded
+	// execution installs it on links whose destination lives on another shard;
+	// the receiving shard later calls DeliverRemote. See docs/PERF.md, "Sharded
+	// execution".
 	remote RemoteDeliver
 }
 
@@ -399,12 +399,10 @@ func (l *Link) Stats() LinkStats {
 // A packet counts as sent once the clock has reached the end of its
 // serialisation; until then the one on the wire is left out.
 func (l *Link) SentCounters() (packets int, bytes int64) {
-	packets, bytes = l.stats.SentPackets, l.stats.SentBytes
 	if l.sched.Now() < l.txEnd {
-		packets--
-		bytes -= int64(l.txSize)
+		return l.stats.SentPackets - 1, l.stats.SentBytes - int64(l.txSize)
 	}
-	return packets, bytes
+	return l.stats.SentPackets, l.stats.SentBytes
 }
 
 // DropCount returns queue + loss-process + down drops, all written by the
@@ -481,8 +479,7 @@ func (l *Link) Send(pkt *Packet) bool {
 		pkt.Release()
 		return false
 	}
-	now := l.sched.Now()
-	pkt.Enqueued = now
+	pkt.Enqueued = l.sched.Now()
 	if victim := l.buffer().Enqueue(pkt); victim != nil {
 		l.stats.QueueDrops++
 		if l.dropTap != nil {
@@ -496,12 +493,10 @@ func (l *Link) Send(pkt *Packet) bool {
 	if l.sendTap != nil {
 		l.sendTap(pkt)
 	}
-	if !l.armed {
-		if now >= l.txEnd {
-			l.startTransmit()
-		} else {
-			l.arm()
-		}
+	if !l.armed && l.sched.Now() >= l.txEnd {
+		l.startTransmit()
+	} else if !l.armed {
+		l.arm()
 	}
 	return true
 }
@@ -517,11 +512,7 @@ func (l *Link) arm() {
 // package-level functions, the link travelling as the event argument or on the
 // packet, so that a link owns no closures: most directions of an
 // internet-scale topology never carry a packet.
-func txDone(x any) {
-	l := x.(*Link)
-	l.armed = false
-	l.startTransmit()
-}
+func txDone(x any) { x.(*Link).startTransmit() }
 
 func handUp(x any) {
 	pkt := x.(*Packet)
@@ -529,17 +520,16 @@ func handUp(x any) {
 }
 
 // startTransmit puts the head-of-line packet on the wire: the caller has seen
-// the clock at or past txEnd. It books the packet, schedules its hand-up and,
-// if more packets wait, the tx-done that will start the next one. A down link
-// does not serialise: queued packets wait for SetDown(false).
+// the clock at or past txEnd, and is the tx-done event if one was pending. It
+// books the packet, schedules its hand-up and, if more packets wait, the
+// tx-done that will start the next one. A down link does not serialise: queued
+// packets wait for SetDown(false).
 func (l *Link) startTransmit() {
-	if l.down || l.queue == nil {
+	l.armed = false
+	if l.down || l.QueueLen() == 0 {
 		return
 	}
 	pkt := l.queue.Dequeue()
-	if pkt == nil {
-		return
-	}
 	now := l.sched.Now()
 	txTime := l.cfg.Bandwidth.TransmitTime(pkt.Size)
 	l.txStart, l.txEnd, l.txSize = now, max(now+txTime, now), pkt.Size
@@ -573,33 +563,31 @@ func (l *Link) startTransmit() {
 	// number; it rides on the hand-up event (or the cross-shard injection) as
 	// the sub-sequence tie-break.
 	l.deliverSeq++
-	sub := l.deliverSeq
 	// The hand-up is inserted now but stamped txEnd, the instant a tx-done
 	// event would have inserted it, so it fires exactly where it always has.
 	arrive := max(l.txEnd+delay, l.txEnd)
-	if l.remote != nil {
+	switch {
+	case l.remote != nil:
 		// Cross-scheduler delivery: the destination's shard performs the
 		// hand-up (DeliverRemote) at the arrival time.
-		l.remote(pkt, dup, arrive, l.txEnd, sub)
-		return
-	}
-	if dup != nil {
+		l.remote(pkt, dup, arrive, l.txEnd, l.deliverSeq)
+	case dup != nil:
 		// Duplication is rare; the closure here is off the steady-state path.
 		// (d rebinds dup so the closure captures a never-reassigned local by
 		// value — capturing dup itself would heap-allocate its cell on every
 		// call and break the zero-alloc gate.)
 		d := dup
-		l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, func(any) {
+		l.sched.InjectAt(arrive, l.txEnd, l.key, l.deliverSeq, simtime.KindPktDeliver, func(any) {
 			l.DeliverRemote(pkt, d, l.sched.Now())
 		}, nil)
-		return
+	default:
+		// Hand-ups are keyed by the link direction so same-instant deliveries
+		// from different links order by link identity — the only tie-break
+		// that serial and sharded executions can both compute (see SortKey) —
+		// and sub-sequenced by the delivery number within the direction.
+		pkt.via = l
+		l.sched.InjectAt(arrive, l.txEnd, l.key, l.deliverSeq, simtime.KindPktDeliver, handUp, pkt)
 	}
-	// Hand-ups are keyed by the link direction so same-instant deliveries
-	// from different links order by link identity — the only tie-break that
-	// serial and sharded executions can both compute (see SortKey) — and
-	// sub-sequenced by the delivery number within the direction.
-	pkt.via = l
-	l.sched.InjectAt(arrive, l.txEnd, l.key, sub, simtime.KindPktDeliver, handUp, pkt)
 }
 
 // DeliverRemote is the receiving-side half of a cross-scheduler delivery: the

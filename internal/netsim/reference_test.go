@@ -443,7 +443,7 @@ func checkLinkTrace(t testing.TB, data []byte) {
 // packet on the wire not left out of SentCounters, or left out a nanosecond
 // too long; a Send behind an armed tx-done at txEnd starting at once;
 // startTransmit not re-arming over a backlog, or serialising on a down link;
-// SetDown(false) ignoring a pending tx-done; txDone leaving armed set.
+// SetDown(false) ignoring a pending tx-done; startTransmit leaving armed set.
 func TestLinkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trace := 0; trace < 2000; trace++ {

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/probe"
 )
 
 // The events-per-hop gate. A packet-hop costs one scheduler event, its
@@ -46,5 +49,42 @@ func TestEventsPerPacketHop(t *testing.T) {
 				t.Logf("%s, %d shard(s): %.3f events per packet-hop", name, shards, ratio)
 			}
 		}
+	}
+}
+
+// A link counts a packet as sent by the clock, with no event at the end of a
+// serialisation to carry the clock there; an aggregate probe must therefore
+// read every clock at its sampling instant in serial and sharded runs alike.
+// Sampled every 100 µs, under a tenth of a serialisation, most samples land
+// mid-packet.
+func TestAggregateSentCountersSerialEqualsSharded(t *testing.T) {
+	spec, err := Lookup("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Duration = time.Second
+	spec.Probes = []probe.Spec{
+		{Target: "links.*.sent_packets", Interval: 100 * time.Microsecond},
+		{Target: "links.*.sent_bytes", Interval: 100 * time.Microsecond},
+	}
+	serial, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Shards = 2
+	sharded, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial.Series, sharded.Series) {
+		t.Fatal("aggregate sent counters differ between the serial and the 2-shard run")
+	}
+	sent := 0
+	for _, l := range serial.Links {
+		sent += l.SentPackets
+	}
+	pts := serial.Series[0].Points
+	if last := pts[len(pts)-1].V; last != float64(sent) {
+		t.Fatalf("the sample at the end of the run reads %v packets sent, the result %d", last, sent)
 	}
 }

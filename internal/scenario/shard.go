@@ -8,7 +8,8 @@
 // simulator's one guarantee: every cross-shard interaction is a packet on a
 // link whose propagation delay is at least the lookahead L. All shards
 // execute events in [W, W') concurrently, where W' - W <= L; a packet handed
-// off during the window was serialised at some t >= W, so it arrives at
+// off during the window started serialising at some t >= W (the link hands it
+// over as it goes on the wire), so it arrives at or after
 // t + delay >= W + L >= W' — never inside the window that produced it. At the
 // barrier the coordinator advances every clock to W', drains the handoff
 // queues into the destination schedulers (InjectAt, which panics if the
@@ -16,7 +17,7 @@
 // at W', and opens the next window.
 //
 // Determinism is the design constraint. Each injected delivery carries the
-// sender-side serialisation time as its insertion stamp and its link
+// sender-side end of serialisation as its insertion stamp and its link
 // direction's sort key, and the scheduler orders same-timestamp events by
 // (stamp, key, seq) — which is exactly the order a single shared scheduler
 // produces (it keys its local hand-ups the same way), so a K-shard run
@@ -44,7 +45,7 @@ type shardMsg struct {
 	link     *netsim.Link
 	pkt, dup *netsim.Packet
 	arrive   time.Duration // destination-side delivery time
-	sent     time.Duration // sender-side serialisation-complete time (stamp)
+	sent     time.Duration // sender-side end of serialisation (stamp)
 	key      uint32        // link-direction sort key (Link.SortKey)
 	sub      uint32        // link-local delivery sequence (sub-sequence tie-break)
 }

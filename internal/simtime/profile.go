@@ -13,7 +13,9 @@ type Kind uint8
 const (
 	// KindOther is the default for untagged events.
 	KindOther Kind = iota
-	// KindPktTransmit is a link finishing the serialization of a packet.
+	// KindPktTransmit is a link finishing the serialization of a packet with
+	// another one waiting: the tx-done event exists only then, so its count
+	// over KindPktDeliver's is the share of packet-hops that queued.
 	KindPktTransmit
 	// KindPktDeliver is a packet hand-up at the far end of a link (including
 	// cross-shard injected deliveries).

@@ -90,9 +90,10 @@ type Event struct {
 	// seq); the four tie-breaks lie together so that a tie on at costs one
 	// cache line.
 	at time.Duration
-	// stamp is the virtual time the event was inserted: Now for local
-	// scheduling, the remote sender's insertion time for InjectAt, so injected
-	// events sort exactly where a single-scheduler run would have placed them.
+	// stamp is the virtual time the event counts as inserted: Now for local
+	// scheduling, the caller's choice for InjectAt, so that an event computed
+	// early or on another scheduler sorts where an insertion at that instant
+	// would have placed it.
 	stamp time.Duration
 	// seq is the scheduler-wide scheduling order, the last tie-break.
 	seq uint64
@@ -466,14 +467,26 @@ func (s *Scheduler) AfterArgKeyed(d time.Duration, key, sub uint32, kind Kind, f
 }
 
 // InjectAt schedules fn(arg) at absolute time t with an explicit insertion
-// stamp, sort key and sub-sequence. It is the cross-scheduler handoff used by sharded
-// execution: the sending shard computed the event (a packet delivery) at
-// virtual time stamp, and the receiving shard schedules it during a
-// synchronization barrier. The stamp slots the event among same-timestamp
-// local events exactly where a single-scheduler run would have placed it —
-// local events inserted earlier than stamp sort first, later ones after — and
-// the key breaks the remaining tie against events inserted at *exactly* the
-// stamp instant, provided those were scheduled with the same key discipline
+// stamp, sort key and sub-sequence: the caller names the whole position
+// (t, stamp, key, sub) of the event in the firing order instead of taking
+// stamp = Now. It serves whoever computes an event at one virtual time and
+// inserts it at another, and wants it to fire where an insertion at stamp
+// would have put it:
+//
+//   - netsim schedules a packet's hand-up when its serialisation starts, for
+//     the end of serialisation plus the propagation delay, stamped with the
+//     end of serialisation — the instant an event there would have inserted
+//     it — and arms a link's tx-done event, only once a packet waits for it,
+//     with the stamp of the serialisation start.
+//   - sharded execution hands such a delivery across schedulers: the sending
+//     shard computed it, the receiving shard inserts it during a
+//     synchronization barrier.
+//
+// The stamp slots the event among same-timestamp events exactly where a
+// single scheduler inserting at that instant would have placed it — events
+// inserted earlier than stamp sort first, later ones after — and the key
+// breaks the remaining tie against events inserted at *exactly* the stamp
+// instant, provided those were scheduled with the same key discipline
 // (AtArgKeyed): a serial run orders such double-ties by key too, so both
 // executions agree without either observing the other's insertion order.
 // (Unkeyed local events at the double-tie instant sort by key zero, i.e.
@@ -481,6 +494,13 @@ func (s *Scheduler) AfterArgKeyed(d time.Duration, key, sub uint32, kind Kind, f
 // multiple same-instant deliveries carrying the same key — the sender
 // assigns it from the link direction's own delivery counter, so serial and
 // sharded runs read off the same value.
+//
+// The stamp may lie in the future of this scheduler's clock; it is only ever
+// compared, and it is capped at t (an event cannot have been inserted after it
+// fires). What the order guarantees is relative: against an event inserted
+// locally at some time u for the same t, the injected one sorts first if
+// stamp < u, after if stamp > u, by key at stamp == u — whether u has already
+// passed or not.
 //
 // Injecting into the past (t < Now) panics: it means the conservative
 // synchronization invariant (arrival >= sender clock + lookahead >= receiver
