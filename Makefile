@@ -1,11 +1,12 @@
-# Tier-1 verification plus the perf gates. `make ci` is what every PR must
-# keep green.
+# Tier-1 verification plus the smokes CI runs. `make ci` is what every PR must
+# keep green; performance is judged by cmperf (`bash bench/run.sh`,
+# `make cmperf-compare`, docs/PERF.md).
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-test fuzz-smoke cmperf-compare perf bench-smoke sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke trend
+.PHONY: ci vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke
 
-ci: vet build race bench bench-test fuzz-smoke
+ci: vet build race bench-test fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -18,11 +19,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Compile-and-run every benchmark once so perf regressions that break the
-# harness itself are caught on each PR; real measurements use `make perf`.
-bench:
-	$(GO) test -bench=. -benchtime=1x ./...
 
 # cmperf (bench/) is its own module, so `go test ./...` at the root never sees
 # its tests; they also prove that every exported signature cmperf calls still
@@ -51,25 +47,10 @@ cmperf-compare:
 	@test -n "$(PARENT)" || { echo "usage: make cmperf-compare PARENT=<rev> [PAIRS=10] [ARGS='-workload ...']"; exit 2; }
 	bash tools/cmperf-compare.sh $(PARENT) $(PAIRS) $(ARGS)
 
-# Regenerate the perf snapshot of the simulation core's hot loops.
-perf:
-	$(GO) run ./cmd/cmbench -experiment perf -perfout BENCH_1.json
-
-# Per-PR perf trajectory point: the core-loop + sharded-scenario + fat-tree
-# (oracle and protocol control plane) and 100k-host ISP build benchmarks
-# written to BENCH_$(PR).json (CI uploads it as an artifact) and diffed
-# against the newest other committed BENCH_*.json — any shared benchmark
-# regressing >25% in ns/op fails the target. A PR that commits its snapshot
-# moves the default PR number here.
-PR ?= 16
-bench-smoke:
-	$(GO) run ./cmd/cmbench -experiment perf -pr $(PR) -perfout BENCH_$(PR).json -compare latest
-
 # Tiny two-axis sweep campaign through the sweep engine: an end-to-end smoke
 # of expansion, the parallel runner, aggregation and the CSV emitter. CI
-# uploads SWEEP_SMOKE.csv as an artifact next to the bench snapshot; the
-# emitter is deterministic, so the artifact's bytes are stable per commit
-# whatever -parallel is.
+# uploads SWEEP_SMOKE.csv as an artifact; the emitter is deterministic, so
+# the artifact's bytes are stable per commit whatever -parallel is.
 sweep-smoke:
 	$(GO) run ./cmd/cmsim -scenario p2p -parallel 8 -replicates 2 \
 		-sweep "link[0].loss=0,0.01" -sweep "workload[0].flows=1,2" \
@@ -103,12 +84,6 @@ probe-smoke:
 		-report RUN_REPORT.json -report-md RUN_REPORT.md > /dev/null
 	$(GO) run ./cmd/cmsim -scenario p2p -replicates 2 \
 		-sweep "link[0].loss=0,0.01,0.02" -plot-dir plots -csv > /dev/null
-
-# Per-benchmark ns/op trajectory across every committed BENCH_*.json perf
-# snapshot (one per PR): the markdown table to stdout, the long-format CSV to
-# TREND.csv. CI uploads TREND.csv as an artifact.
-trend:
-	$(GO) run ./cmd/cmbench -trend -trend-csv TREND.csv
 
 # Routing-convergence smoke: the fat-tree route-flap scenario under the
 # distance-vector control plane, swept over the routing-message drop rate

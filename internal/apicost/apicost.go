@@ -12,8 +12,8 @@
 // copy, gettimeofday, select descriptor, control-socket ioctl, kernel packet
 // processing) and derives the per-packet cost of every API variant from its
 // operation counts. The experiment harness uses it to regenerate Table 1 and
-// Figures 5–6; bench_test.go additionally measures the real cost of our CM
-// operations with testing.B, mirroring the paper's microbenchmarks.
+// Figures 5–6; cmperf's api.cm.* loops (bench/) measure the real cost of our
+// CM operations, mirroring the paper's microbenchmarks.
 package apicost
 
 import (

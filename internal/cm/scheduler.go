@@ -46,8 +46,8 @@ type Scheduler interface {
 // the previous implementation's scan over *all* flows would have found — and
 // advances along the eligible ring. The scan cost moved to MarkEligible
 // (a sorted insert, O(eligible flows)), which in the workload that motivated
-// the change (a handful of eligible flows in a huge rotation,
-// BenchmarkScaleSparseEligibility1kFlows) is O(1) in practice.
+// the change (a handful of eligible flows in a huge rotation) is O(1) in
+// practice.
 type roundRobinScheduler struct {
 	head  *flowState // insertion-order anchor; nil when empty
 	count int

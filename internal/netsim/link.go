@@ -240,7 +240,7 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 // nameKey hashes a link-direction name (FNV-32a) into a scheduler sort key.
 // The key orders same-instant delivery events from different links
 // identically in serial and sharded executions, where no shared insertion
-// order exists — see simtime.AtArgKeyed. Zero is reserved to mean "unkeyed",
+// order exists — see simtime.InjectAt. Zero is reserved to mean "unkeyed",
 // so a hash of zero is bumped; distinct names colliding on one key merely
 // falls back to the insertion-order tie-break for that pair.
 func nameKey(name string) uint32 {

@@ -172,11 +172,11 @@ func (r *refLink) txDone(any) {
 		dup = pkt.Clone()
 	}
 	r.deliverSeq++
+	now := r.sched.Now()
 	if r.remote != nil {
-		now := r.sched.Now()
 		r.remote(pkt, dup, now+r.txDelay, now, r.deliverSeq)
 	} else {
-		r.sched.AfterArgKeyed(r.txDelay, r.key, r.deliverSeq, simtime.KindPktDeliver, func(any) {
+		r.sched.InjectAt(max(now+r.txDelay, now), now, r.key, r.deliverSeq, simtime.KindPktDeliver, func(any) {
 			r.DeliverRemote(pkt, dup, r.sched.Now())
 		}, nil)
 	}

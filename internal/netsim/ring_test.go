@@ -322,19 +322,3 @@ func TestReleaseReturnsPayloadOnce(t *testing.T) {
 		t.Fatal("Release of a literal packet touched its payload")
 	}
 }
-
-// BenchmarkLinkTransmitDeliver measures the full pooled per-packet path:
-// allocate from pool, enqueue, serialise, deliver, release.
-func BenchmarkLinkTransmitDeliver(b *testing.B) {
-	sched := simtime.NewScheduler()
-	sink := ReceiverFunc(func(p *Packet) { p.Release() })
-	l := NewLink(sched, LinkConfig{Bandwidth: 100 * Mbps, Delay: time.Millisecond, QueuePackets: 64}, sink)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := NewPacket()
-		p.Size = 1500
-		l.Send(p)
-		sched.Run()
-	}
-}

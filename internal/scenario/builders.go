@@ -459,7 +459,7 @@ type GridParams struct {
 // transfer to host 0 of the next cluster (wrapping), so backbone links carry
 // real transit traffic. With its many mostly-independent clusters joined by
 // high-delay links it is the reference workload for sharded execution
-// (`BenchmarkShardedDumbbellGrid`): delay-weighted partitioning keeps whole
+// (cmperf's `grid64_cm_shards2`): delay-weighted partitioning keeps whole
 // clusters on one shard and the 10 ms backbone becomes the lookahead.
 func DumbbellGrid(p GridParams) Spec {
 	if p.Rows <= 0 {

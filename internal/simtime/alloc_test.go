@@ -75,10 +75,10 @@ func TestAtArgPassesArgument(t *testing.T) {
 	type box struct{ n int }
 	b := &box{n: 7}
 	var got *box
-	s.AtArg(time.Millisecond, func(x any) { got = x.(*box) }, b)
+	s.AtArgKind(time.Millisecond, KindOther, func(x any) { got = x.(*box) }, b)
 	s.Run()
 	if got != b {
-		t.Fatalf("AtArg delivered %v, want %v", got, b)
+		t.Fatalf("AtArgKind delivered %v, want %v", got, b)
 	}
 }
 
@@ -86,12 +86,12 @@ func TestAfterArgOrderingMatchesAfter(t *testing.T) {
 	s := NewScheduler()
 	var order []int
 	s.After(time.Millisecond, func() { order = append(order, 1) })
-	s.AfterArg(time.Millisecond, func(x any) { order = append(order, x.(int)) }, 2)
+	s.AfterArgKind(time.Millisecond, KindOther, func(x any) { order = append(order, x.(int)) }, 2)
 	s.After(time.Millisecond, func() { order = append(order, 3) })
 	s.Run()
 	for i, v := range order {
 		if v != i+1 {
-			t.Fatalf("FIFO tie-break violated across After/AfterArg: %v", order)
+			t.Fatalf("FIFO tie-break violated across After/AfterArgKind: %v", order)
 		}
 	}
 }

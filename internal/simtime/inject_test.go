@@ -43,9 +43,9 @@ func TestKeyedTieOrdering(t *testing.T) {
 
 	at := 10 * time.Millisecond
 	s.RunUntil(2 * time.Millisecond) // all insertions below share stamp 2ms
-	s.AtArgKeyed(at, 30, 0, KindOther, rec("key30"), nil)
-	s.AtArgKeyed(at, 10, 0, KindOther, rec("key10"), nil)
-	s.AtArg(at, rec("unkeyed"), nil) // key 0: ahead of every keyed event
+	s.InjectAt(at, s.Now(), 30, 0, KindOther, rec("key30"), nil)
+	s.InjectAt(at, s.Now(), 10, 0, KindOther, rec("key10"), nil)
+	s.AtArgKind(at, KindOther, rec("unkeyed"), nil) // key 0: ahead of every keyed event
 	// An injection stamped at the same 2ms instant with a key between the two
 	// local keyed events lands between them.
 	s.InjectAt(at, 2*time.Millisecond, 20, 0, KindOther, rec("injected20"), nil)
@@ -71,12 +71,12 @@ func TestSubSequenceTieOrdering(t *testing.T) {
 
 	at := 10 * time.Millisecond
 	s.RunUntil(2 * time.Millisecond) // all insertions below share stamp 2ms
-	s.AtArgKeyed(at, 7, 3, KindOther, rec("sub3"), nil)
-	s.AtArgKeyed(at, 7, 1, KindOther, rec("sub1"), nil)
+	s.InjectAt(at, s.Now(), 7, 3, KindOther, rec("sub3"), nil)
+	s.InjectAt(at, s.Now(), 7, 1, KindOther, rec("sub1"), nil)
 	// Same key, sub between the two local ones, injected from "elsewhere".
 	s.InjectAt(at, 2*time.Millisecond, 7, 2, KindOther, rec("sub2"), nil)
 	// A different (higher) key sorts after regardless of its low sub.
-	s.AtArgKeyed(at, 9, 0, KindOther, rec("key9"), nil)
+	s.InjectAt(at, s.Now(), 9, 0, KindOther, rec("key9"), nil)
 	s.Run()
 
 	want := []string{"sub1", "sub2", "sub3", "key9"}

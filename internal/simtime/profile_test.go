@@ -19,7 +19,7 @@ func TestProfileAttributesKinds(t *testing.T) {
 	s.AfterKind(2*time.Millisecond, KindRouteUpdate, func() {})
 	s.AtArgKind(3*time.Millisecond, KindPktDeliver, fn, nil)
 	s.AfterArgKind(3*time.Millisecond, KindPktDeliver, fn, nil)
-	s.AtArgKeyed(4*time.Millisecond, 1, 1, KindPktDeliver, fn, nil)
+	s.InjectAt(4*time.Millisecond, s.Now(), 1, 1, KindPktDeliver, fn, nil)
 	s.InjectAt(5*time.Millisecond, 0, 1, 2, KindPktDeliver, fn, nil)
 	s.At(6*time.Millisecond, func() {}) // untagged
 	tm := s.NewKindTimer(KindCMGrant, func() {})

@@ -135,7 +135,7 @@ func (w *realWorld) argFn(arg any)                 { w.fired(arg.(int)) }
 func (w *realWorld) at(id int, t time.Duration)    { w.events[id] = w.s.At(t, w.fn(id)) }
 func (w *realWorld) after(id int, d time.Duration) { w.events[id] = w.s.After(d, w.fn(id)) }
 func (w *realWorld) keyed(id int, t time.Duration, key, sub uint32) {
-	w.events[id] = w.s.AtArgKeyed(t, key, sub, KindOther, w.argFn, id)
+	w.events[id] = w.s.InjectAt(max(t, w.s.Now()), w.s.Now(), key, sub, KindOther, w.argFn, id)
 }
 func (w *realWorld) inject(id int, t, stamp time.Duration, key, sub uint32) {
 	w.events[id] = w.s.InjectAt(t, stamp, key, sub, KindPktDeliver, w.argFn, id)

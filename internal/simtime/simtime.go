@@ -410,19 +410,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 	return s.insert(max(s.now+d, s.now), s.now, 0, 0, KindOther, fn, nil, nil)
 }
 
-// AtArg schedules fn(arg) at absolute virtual time t. Passing the argument
-// through the event instead of a closure lets hot paths (one event per
-// packet) schedule without allocating: a pointer-shaped arg boxes into the
-// interface for free.
-func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) *Event {
-	return s.insert(max(t, s.now), s.now, 0, 0, KindOther, nil, fn, arg)
-}
-
-// AfterArg schedules fn(arg) after delay d from the current virtual time.
-func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) *Event {
-	return s.insert(max(s.now+d, s.now), s.now, 0, 0, KindOther, nil, fn, arg)
-}
-
 // AtKind schedules fn at absolute virtual time t, tagged with an event kind
 // for the profiler (see Kind). Ordering is identical to At.
 func (s *Scheduler) AtKind(t time.Duration, kind Kind, fn func()) *Event {
@@ -435,7 +422,9 @@ func (s *Scheduler) AfterKind(d time.Duration, kind Kind, fn func()) *Event {
 }
 
 // AtArgKind schedules fn(arg) at absolute virtual time t, tagged with an
-// event kind.
+// event kind. Passing the argument through the event instead of a closure
+// lets hot paths (one event per packet) schedule without allocating: a
+// pointer-shaped arg boxes into the interface for free.
 func (s *Scheduler) AtArgKind(t time.Duration, kind Kind, fn func(any), arg any) *Event {
 	return s.insert(max(t, s.now), s.now, 0, 0, kind, nil, fn, arg)
 }
@@ -443,27 +432,6 @@ func (s *Scheduler) AtArgKind(t time.Duration, kind Kind, fn func(any), arg any)
 // AfterArgKind schedules fn(arg) after delay d, tagged with an event kind.
 func (s *Scheduler) AfterArgKind(d time.Duration, kind Kind, fn func(any), arg any) *Event {
 	return s.insert(max(s.now+d, s.now), s.now, 0, 0, kind, nil, fn, arg)
-}
-
-// AtArgKeyed schedules fn(arg) at absolute virtual time t with a sort key and
-// sub-sequence: among events sharing both timestamp and insertion stamp,
-// lower keys run first, then lower subs, before any seq (insertion-order)
-// consideration. It exists for events that must order identically in serial
-// and sharded executions — two events inserted at the same instant on
-// different shards have no common insertion order, so a key derived from
-// stable content (the delivering link) supplies the order both runs agree on,
-// and the sub-sequence (the link-local delivery number) orders multiple
-// same-instant hand-ups of the same link direction. netsim keys every
-// packet-delivery hand-up with the link direction's identity and delivery
-// sequence; see Link.SortKey. The event is tagged with kind for the profiler.
-func (s *Scheduler) AtArgKeyed(t time.Duration, key, sub uint32, kind Kind, fn func(any), arg any) *Event {
-	return s.insert(max(t, s.now), s.now, key, sub, kind, nil, fn, arg)
-}
-
-// AfterArgKeyed schedules fn(arg) after delay d with a sort key and
-// sub-sequence (AtArgKeyed).
-func (s *Scheduler) AfterArgKeyed(d time.Duration, key, sub uint32, kind Kind, fn func(any), arg any) *Event {
-	return s.insert(max(s.now+d, s.now), s.now, key, sub, kind, nil, fn, arg)
 }
 
 // InjectAt schedules fn(arg) at absolute time t with an explicit insertion
@@ -484,16 +452,18 @@ func (s *Scheduler) AfterArgKeyed(d time.Duration, key, sub uint32, kind Kind, f
 //
 // The stamp slots the event among same-timestamp events exactly where a
 // single scheduler inserting at that instant would have placed it — events
-// inserted earlier than stamp sort first, later ones after — and the key
-// breaks the remaining tie against events inserted at *exactly* the stamp
-// instant, provided those were scheduled with the same key discipline
-// (AtArgKeyed): a serial run orders such double-ties by key too, so both
-// executions agree without either observing the other's insertion order.
-// (Unkeyed local events at the double-tie instant sort by key zero, i.e.
-// before any keyed injection, in both runs alike.) The sub-sequence orders
-// multiple same-instant deliveries carrying the same key — the sender
-// assigns it from the link direction's own delivery counter, so serial and
-// sharded runs read off the same value.
+// inserted earlier than stamp sort first, later ones after. Among events
+// sharing both timestamp and stamp, lower keys run first, then lower subs,
+// before any seq (insertion-order) consideration: two events inserted at the
+// same instant on different shards have no common insertion order, so a key
+// derived from stable content supplies the order serial and sharded runs
+// agree on without either observing the other's insertion order, provided
+// every event that can land in such a double tie is keyed the same way.
+// netsim keys each packet hand-up with the delivering link direction's
+// identity (Link.SortKey) and, as sub, that direction's own delivery number,
+// which orders several same-instant hand-ups of one direction. Unkeyed local
+// events in the double tie sort by key zero, i.e. before any keyed one, in
+// both runs alike.
 //
 // The stamp may lie in the future of this scheduler's clock; it is only ever
 // compared, and it is capped at t (an event cannot have been inserted after it
@@ -672,9 +642,8 @@ func FromSeconds(s float64) time.Duration {
 	return time.Duration(f)
 }
 
-// WallClock adapts the host's real clock to the Clock interface. It is used by
-// the Go micro-benchmarks (bench_test.go) that measure the real cost of CM
-// operations, mirroring the paper's CPU-overhead experiments.
+// WallClock adapts the host's real clock to the Clock interface, for driving
+// the CM against real time the way the paper's CPU-overhead experiments did.
 type WallClock struct {
 	start time.Time
 }
