@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"repro/internal/simtime"
 )
@@ -215,13 +216,21 @@ type Link struct {
 // NewLink creates a link delivering to dst. The destination may be changed
 // later with SetDestination (used while wiring up topologies).
 func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
+	l := new(Link)
+	l.init(sched, cfg, dst)
+	return l
+}
+
+// init builds the link in place; the Duplex, which holds both directions by
+// value, uses it on its own memory.
+func (l *Link) init(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) {
 	if sched == nil {
 		panic("netsim: NewLink requires a scheduler")
 	}
 	if cfg.QueuePackets < 0 || cfg.QueueBytes < 0 {
 		panic("netsim: negative queue limit")
 	}
-	l := &Link{
+	*l = Link{
 		cfg:   cfg,
 		sched: sched,
 		dst:   dst,
@@ -234,7 +243,6 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 			l.armGETick()
 		}
 	}
-	return l
 }
 
 // nameKey hashes a link-direction name (FNV-32a) into a scheduler sort key.
@@ -619,11 +627,25 @@ func (l *Link) handUpAt(pkt *Packet, now time.Duration) {
 }
 
 // Duplex is a pair of links forming a bidirectional channel between two
-// receivers, the common case when wiring two hosts together.
+// receivers, the common case when wiring two hosts together. It is one object:
+// Forward and Reverse point at the two directions it holds by value, so a
+// topology can lay its duplexes out in one slab (see Init).
+//
+// Under sharded execution the two directions are written by different shards.
+// The layout keeps them on cache lines of their own wherever the duplex starts
+// on one (every Go size class a duplex or a slab of them falls into does): the
+// forward link shares its first line only with the two pointers, which nobody
+// writes after construction, the reverse link starts on a line boundary, and
+// the struct is padded to a whole number of lines (TestDuplexLayout).
 type Duplex struct {
 	Forward *Link
 	Reverse *Link
+	fwd     Link
+	rev     Link
+	_       [cacheLine - (2*unsafe.Sizeof(uintptr(0))+2*unsafe.Sizeof(Link{}))%cacheLine]byte
 }
+
+const cacheLine = 64
 
 // NewDuplex builds a bidirectional channel using the same configuration for
 // both directions (destination receivers are set separately with Connect).
@@ -636,17 +658,27 @@ func NewDuplex(sched *simtime.Scheduler, cfg LinkConfig) *Duplex {
 // the host that transmits on it, so fwd is the A-side scheduler and rev the
 // B-side one. NewDuplex is the single-scheduler special case.
 func NewDuplexOn(fwd, rev *simtime.Scheduler, cfg LinkConfig) *Duplex {
+	d := new(Duplex)
+	d.Init(fwd, rev, cfg, cfg.Name+"-fwd", cfg.Name+"-rev")
+	return d
+}
+
+// Init builds the duplex in place, on memory the caller owns — an element of a
+// slab that lives as long as the topology. The directions take the given names
+// (NewDuplexOn derives them from cfg.Name; a caller with many duplexes cuts
+// them from one buffer) and cfg's Seed and Seed+1. A Duplex must not be copied
+// after Init: Forward and Reverse point into it.
+func (d *Duplex) Init(fwd, rev *simtime.Scheduler, cfg LinkConfig, fwdName, revName string) {
 	fcfg := cfg
 	rcfg := cfg
-	fcfg.Name = cfg.Name + "-fwd"
-	rcfg.Name = cfg.Name + "-rev"
+	fcfg.Name = fwdName
+	rcfg.Name = revName
 	if cfg.Seed != 0 {
 		rcfg.Seed = cfg.Seed + 1
 	}
-	return &Duplex{
-		Forward: NewLink(fwd, fcfg, nil),
-		Reverse: NewLink(rev, rcfg, nil),
-	}
+	d.fwd.init(fwd, fcfg, nil)
+	d.rev.init(rev, rcfg, nil)
+	d.Forward, d.Reverse = &d.fwd, &d.rev
 }
 
 // Connect points the forward link at b and the reverse link at a.

@@ -74,6 +74,11 @@ type HostStats struct {
 // destination host, and transport-endpoint demultiplexing. A Host with
 // forwarding enabled doubles as a router: packets arriving for other
 // destinations are relayed hop-by-hop through the routing table.
+//
+// The three tables — routes, domains, bindings — are created by their first
+// insert: most hosts of an internet-scale topology are leaves that reach
+// everything over the default route and never bind a port, and a nil map
+// reads as an empty one.
 type Host struct {
 	name   string
 	sched  *simtime.Scheduler
@@ -99,19 +104,20 @@ type Host struct {
 
 // NewHost creates a host with the given name attached to the scheduler.
 func NewHost(name string, sched *simtime.Scheduler) *Host {
+	h := new(Host)
+	h.init(name, sched)
+	return h
+}
+
+// init builds the host in place; a Network uses it on its slab.
+func (h *Host) init(name string, sched *simtime.Scheduler) {
 	if sched == nil {
 		panic("node: NewHost requires a scheduler")
 	}
 	if name == "" {
 		panic("node: NewHost requires a name")
 	}
-	return &Host{
-		name:     name,
-		sched:    sched,
-		routes:   make(map[string]*netsim.Link),
-		bindings: make(map[bindingKey]Handler),
-		nextPort: 10000,
-	}
+	*h = Host{name: name, sched: sched, nextPort: 10000}
 }
 
 // Name returns the host name (its "IP address" in the simulation).
@@ -151,6 +157,13 @@ func (h *Host) AddRoute(dstHost string, link *netsim.Link) {
 	if link == nil {
 		panic("node: AddRoute with nil link")
 	}
+	h.setRoute(dstHost, link)
+}
+
+func (h *Host) setRoute(dstHost string, link *netsim.Link) {
+	if h.routes == nil {
+		h.routes = make(map[string]*netsim.Link)
+	}
 	h.routes[dstHost] = link
 }
 
@@ -163,23 +176,28 @@ func (h *Host) SetDefaultRoute(link *netsim.Link) { h.def = link }
 // which is what lets the dynamics subsystem recompute routes mid-run while
 // packets are in flight. It returns the number of table entries that changed
 // (added, removed or repointed), the per-host measure of a routing event's
-// blast radius. The caller must not retain the map.
+// blast radius. A nil map installs the empty table. The caller must not retain
+// the map.
 func (h *Host) InstallRoutes(routes map[string]*netsim.Link) int {
-	if routes == nil {
-		routes = make(map[string]*netsim.Link)
-	}
-	changed := 0
-	for dst, l := range routes {
-		if old, ok := h.routes[dst]; !ok || old != l {
-			changed++
-		}
-	}
-	for dst := range h.routes {
-		if _, ok := routes[dst]; !ok {
-			changed++
-		}
-	}
+	changed := tableDiff(h.routes, routes)
 	h.routes = routes
+	return changed
+}
+
+// tableDiff counts the entries that differ between two tables: added, removed
+// or repointed.
+func tableDiff(old, table map[string]*netsim.Link) int {
+	changed := 0
+	for dst, l := range table {
+		if was, ok := old[dst]; !ok || was != l {
+			changed++
+		}
+	}
+	for dst := range old {
+		if _, ok := table[dst]; !ok {
+			changed++
+		}
+	}
 	return changed
 }
 
@@ -199,7 +217,7 @@ func (h *Host) SetRoute(dstHost string, link *netsim.Link) bool {
 	if old, ok := h.routes[dstHost]; ok && old == link {
 		return false
 	}
-	h.routes[dstHost] = link
+	h.setRoute(dstHost, link)
 	return true
 }
 
@@ -248,20 +266,7 @@ func (h *Host) RemoveDomainRoute(domain string) bool {
 // InstallRoutes; either map may be nil for empty. The caller must not retain
 // the maps.
 func (h *Host) InstallHierRoutes(routes, domains map[string]*netsim.Link, def *netsim.Link) int {
-	changed := h.InstallRoutes(routes)
-	if domains == nil {
-		domains = make(map[string]*netsim.Link)
-	}
-	for d, l := range domains {
-		if old, ok := h.domains[d]; !ok || old != l {
-			changed++
-		}
-	}
-	for d := range h.domains {
-		if _, ok := domains[d]; !ok {
-			changed++
-		}
-	}
+	changed := h.InstallRoutes(routes) + tableDiff(h.domains, domains)
 	h.domains = domains
 	if h.def != def {
 		h.def = def
@@ -318,6 +323,9 @@ func (h *Host) bind(k bindingKey, handler Handler) error {
 	}
 	if _, ok := h.bindings[k]; ok {
 		return fmt.Errorf("node: %s port %d already bound on %s", k.proto, k.localPort, h.name)
+	}
+	if h.bindings == nil {
+		h.bindings = make(map[bindingKey]Handler)
 	}
 	h.bindings[k] = handler
 	return nil
@@ -446,10 +454,23 @@ var _ netsim.Receiver = (*Host)(nil)
 
 // Network is a convenience container that creates hosts and wires them
 // together with duplex links, maintaining routing tables.
+//
+// A caller that knows the size of its topology says so with Reserve, and the
+// hosts, the duplexes and the link names then come from one allocation each.
+// Those slabs live exactly as long as the Network: nothing is ever returned
+// to them, and nothing that dies sooner (a connection, a packet) is ever
+// placed in one.
 type Network struct {
 	sched    *simtime.Scheduler
 	schedFor func(host string) *simtime.Scheduler
 	hosts    map[string]*Host
+
+	// hostSlab and duplexSlab hold reserved, not yet handed-out elements; they
+	// are only ever resliced, never grown, so element addresses are stable.
+	// names is the buffer link-direction names are cut from.
+	hostSlab   []Host
+	duplexSlab []netsim.Duplex
+	names      strings.Builder
 }
 
 // NewNetwork returns an empty topology bound to the scheduler.
@@ -471,6 +492,20 @@ func NewShardedNetwork(schedFor func(host string) *simtime.Scheduler) *Network {
 	return &Network{schedFor: schedFor, hosts: make(map[string]*Host)}
 }
 
+// Reserve sizes the network for hosts more hosts and duplexes more duplex
+// links whose direction names total nameBytes bytes (for a link left unnamed,
+// 2*(len(a)+len(b)+len("<->")+len("-fwd"))). It is an allocation hint only:
+// whatever exceeds a reservation, or comes without one, is allocated singly.
+func (n *Network) Reserve(hosts, duplexes, nameBytes int) {
+	n.hostSlab = make([]Host, hosts)
+	n.duplexSlab = make([]netsim.Duplex, duplexes)
+	n.names = strings.Builder{}
+	n.names.Grow(nameBytes)
+	if len(n.hosts) == 0 {
+		n.hosts = make(map[string]*Host, hosts)
+	}
+}
+
 // Scheduler returns the shared scheduler, or nil for a sharded network.
 func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 
@@ -487,7 +522,13 @@ func (n *Network) Host(name string) *Host {
 	if h, ok := n.hosts[name]; ok {
 		return h
 	}
-	h := NewHost(name, n.schedOf(name))
+	var h *Host
+	if len(n.hostSlab) > 0 {
+		h, n.hostSlab = &n.hostSlab[0], n.hostSlab[1:]
+	} else {
+		h = new(Host)
+	}
+	h.init(name, n.schedOf(name))
 	n.hosts[name] = h
 	return h
 }
@@ -530,13 +571,51 @@ func (n *Network) Rename(old, newName string) *Host {
 // installs routes in both directions. It returns the duplex so experiments
 // can inspect per-direction statistics or install taps.
 func (n *Network) ConnectDuplex(a, b string, cfg netsim.LinkConfig) *netsim.Duplex {
-	ha, hb := n.Host(a), n.Host(b)
-	if cfg.Name == "" {
-		cfg.Name = a + "<->" + b
-	}
-	d := netsim.NewDuplexOn(ha.Clock(), hb.Clock(), cfg)
-	d.Connect(ha, hb)
-	ha.AddRoute(b, d.Forward)
-	hb.AddRoute(a, d.Reverse)
+	d := n.Link(a, b, cfg)
+	n.Host(a).AddRoute(b, d.Forward)
+	n.Host(b).AddRoute(a, d.Reverse)
 	return d
+}
+
+// Link joins hosts a and b with a duplex link built from cfg, forward from a
+// to b, and installs no routes: it is ConnectDuplex for a caller that computes
+// every table itself. An unnamed link is called "a<->b"; its directions are
+// that name plus "-fwd" and "-rev".
+func (n *Network) Link(a, b string, cfg netsim.LinkConfig) *netsim.Duplex {
+	ha, hb := n.Host(a), n.Host(b)
+	var d *netsim.Duplex
+	if len(n.duplexSlab) > 0 {
+		d, n.duplexSlab = &n.duplexSlab[0], n.duplexSlab[1:]
+	} else {
+		d = new(netsim.Duplex)
+	}
+	var fwd, rev string
+	if cfg.Name == "" {
+		fwd, rev = n.cutName(a, "<->", b, "-fwd"), n.cutName(a, "<->", b, "-rev")
+	} else {
+		fwd, rev = n.cutName(cfg.Name, "-fwd"), n.cutName(cfg.Name, "-rev")
+	}
+	d.Init(ha.Clock(), hb.Clock(), cfg, fwd, rev)
+	d.Connect(ha, hb)
+	return d
+}
+
+// cutName returns the concatenation of parts as a string cut from the name
+// buffer. A strings.Builder never moves bytes it has handed out as long as it
+// does not grow, so when the reservation is used up the buffer is abandoned to
+// the names already cut from it and a new one, of just this name, takes over.
+func (n *Network) cutName(parts ...string) string {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	if n.names.Cap()-n.names.Len() < size {
+		n.names = strings.Builder{}
+		n.names.Grow(size)
+	}
+	start := n.names.Len()
+	for _, p := range parts {
+		n.names.WriteString(p)
+	}
+	return n.names.String()[start:]
 }

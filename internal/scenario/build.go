@@ -129,6 +129,18 @@ func Build(spec Spec) (*Sim, error) {
 		nw = node.NewNetwork(sim.sched)
 	}
 	sim.net = nw
+	// The spec says how many hosts and links there will be and how long the
+	// link names are, so each kind comes from one allocation.
+	nameBytes := 0
+	for _, ls := range spec.Links {
+		if ls.Name == "" {
+			nameBytes += 2 * (len(ls.A) + len("<->") + len(ls.B) + len("-fwd"))
+		} else {
+			nameBytes += 2 * (len(ls.Name) + len("-fwd"))
+		}
+	}
+	nw.Reserve(len(sim.nodeNames), len(spec.Links), nameBytes)
+	sim.duplexes = make([]*netsim.Duplex, 0, len(spec.Links))
 	for _, r := range spec.Routers {
 		nw.Router(r)
 	}
@@ -174,13 +186,11 @@ func Build(spec Spec) (*Sim, error) {
 	}
 	for _, ls := range spec.Links {
 		cfg := ls.LinkConfig
-		if cfg.Name == "" {
-			cfg.Name = ls.A + "<->" + ls.B
-		}
 		if cfg.Seed == 0 {
 			cfg.Seed = deriveSeed()
 		}
-		d := nw.ConnectDuplex(ls.A, ls.B, cfg)
+		// No routes here: the route engine installs every table below.
+		d := nw.Link(ls.A, ls.B, cfg)
 		sim.duplexes = append(sim.duplexes, d)
 		if err := direction(ls.A, ls.B, d.Forward); err != nil {
 			return nil, err

@@ -324,7 +324,7 @@ func (pp *protoPlane) topologyChanged() int {
 func (pp *protoPlane) hierLocal(u int32) {
 	e := pp.eng
 	lv := e.level[u]
-	routes := make(map[string]*netsim.Link)
+	var routes map[string]*netsim.Link
 	var def *netsim.Link
 	up := e.queue[:0]
 	for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
@@ -335,6 +335,9 @@ func (pp *protoPlane) hierLocal(u int32) {
 		}
 		if e.adjLink[k].IsDown() {
 			continue
+		}
+		if routes == nil {
+			routes = make(map[string]*netsim.Link, e.adjOff[u+1]-e.adjOff[u])
 		}
 		routes[e.names[v]] = e.adjLink[k]
 	}

@@ -328,7 +328,7 @@ func (e *routeEngine) installExactNode(src int32) int {
 		row = e.dist[int(src)*e.n : (int(src)+1)*e.n]
 	}
 	e.bfs(src, row)
-	table := make(map[string]*netsim.Link)
+	table := make(map[string]*netsim.Link, e.n-1)
 	for v := 0; v < e.n; v++ {
 		if int32(v) == src || row[v] < 0 {
 			continue // unreachable; Output will count a NoRouteDrop
@@ -378,11 +378,13 @@ func (e *routeEngine) bfs(src int32, dist []int32) {
 // (so redundant up links — a fat-tree edge switch's k/2 aggregations — are
 // spread across sources instead of all picking the first). A node's table
 // depends on nothing beyond its own adjacency, which is what makes the
-// incremental path O(flipped links).
+// incremental path O(flipped links). Each table is made by its first entry, at
+// the size the adjacency bounds it to: a leaf, whose only link goes up, gets
+// none, and the host takes the nil for an empty table.
 func (e *routeEngine) installHierNode(u int32) int {
 	lv := e.level[u]
-	routes := make(map[string]*netsim.Link)
-	var domains map[string]*netsim.Link
+	degree := int(e.adjOff[u+1] - e.adjOff[u])
+	var routes, domains map[string]*netsim.Link
 	var def *netsim.Link
 	up := e.queue[:0] // borrow the BFS scratch for the up-slot list
 	for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
@@ -394,10 +396,13 @@ func (e *routeEngine) installHierNode(u int32) int {
 		if e.adjLink[k].IsDown() {
 			continue
 		}
+		if routes == nil {
+			routes = make(map[string]*netsim.Link, degree)
+		}
 		routes[e.names[v]] = e.adjLink[k]
 		if e.isRouter[v] {
 			if domains == nil {
-				domains = make(map[string]*netsim.Link)
+				domains = make(map[string]*netsim.Link, degree)
 			}
 			if _, claimed := domains[e.domains[v]]; !claimed {
 				domains[e.domains[v]] = e.adjLink[k]
