@@ -41,9 +41,9 @@ func main() {
 	// 3. A TCP transfer whose congestion control is performed by the CM.
 	const fileSize = 300 * 1024
 	var delivered int
-	_, err := tcp.Listen(network.Host("receiver"), 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint) {
-		ep.OnReceive(func(n int) { delivered += n })
-	})
+	_, err := tcp.Listen(network.Host("receiver"), 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint, _ any) {
+		ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) { delivered += n })
+	}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	conn.OnEstablished(func() {
+	conn.OnEstablished(func(*tcp.Endpoint, any) {
 		conn.Send(fileSize)
 		conn.Close()
 	})

@@ -29,7 +29,7 @@ type FileServer struct {
 // fileSize bytes.
 func NewFileServer(h *node.Host, port, fileSize int, cfg tcp.Config) (*FileServer, error) {
 	fs := &FileServer{host: h, fileSize: fileSize, cfg: cfg}
-	l, err := tcp.Listen(h, port, cfg, fs.accept)
+	l, err := tcp.Listen(h, port, cfg, fs.accept, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -37,9 +37,9 @@ func NewFileServer(h *node.Host, port, fileSize int, cfg tcp.Config) (*FileServe
 	return fs, nil
 }
 
-func (fs *FileServer) accept(ep *tcp.Endpoint) {
+func (fs *FileServer) accept(ep *tcp.Endpoint, _ any) {
 	responded := false
-	ep.OnReceive(func(n int) {
+	ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) {
 		if responded || n <= 0 {
 			return
 		}
@@ -125,11 +125,11 @@ func (c *FetchClient) fetch(index, count int, spacing time.Duration) {
 		return
 	}
 	var received int64
-	ep.OnEstablished(func() {
+	ep.OnEstablished(func(*tcp.Endpoint, any) {
 		ep.Send(c.requestSize)
 	})
-	ep.OnReceive(func(n int) { received += int64(n) })
-	ep.OnClosed(func() {
+	ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) { received += int64(n) })
+	ep.OnClosed(func(*tcp.Endpoint, any) {
 		end := sched.Now()
 		c.results = append(c.results, FetchResult{
 			Index:   index,

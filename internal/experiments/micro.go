@@ -24,7 +24,7 @@ type ConnSetupResult struct {
 func RunConnSetup() ConnSetupResult {
 	measure := func(cc tcp.CongestionControl) time.Duration {
 		w := newTestbed(testbedLAN(), cc == tcp.CCCM)
-		if _, err := tcp.Listen(w.rcvr, 80, tcp.Config{}, nil); err != nil {
+		if _, err := tcp.Listen(w.rcvr, 80, tcp.Config{}, nil, nil); err != nil {
 			return 0
 		}
 		start := w.sched.Now()
@@ -33,7 +33,7 @@ func RunConnSetup() ConnSetupResult {
 		if err != nil {
 			return 0
 		}
-		ep.OnEstablished(func() { established = w.sched.Now() })
+		ep.OnEstablished(func(*tcp.Endpoint, any) { established = w.sched.Now() })
 		w.sched.RunFor(time.Second)
 		return established - start
 	}

@@ -59,9 +59,9 @@ func TestMixedClientsShareOneMacroflow(t *testing.T) {
 
 	// 1. TCP/CM bulk transfer.
 	var tcpDelivered int64
-	if _, err := tcp.Listen(rcvr, 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint) {
-		ep.OnReceive(func(n int) { tcpDelivered += int64(n) })
-	}); err != nil {
+	if _, err := tcp.Listen(rcvr, 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint, _ any) {
+		ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) { tcpDelivered += int64(n) })
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := tcp.Dial(e.sender, netsim.Addr{Host: "receiver", Port: 80},
@@ -69,7 +69,7 @@ func TestMixedClientsShareOneMacroflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.OnEstablished(func() {
+	conn.OnEstablished(func(*tcp.Endpoint, any) {
 		conn.Send(600_000)
 		conn.Close()
 	})
@@ -161,10 +161,10 @@ func TestMacroflowsToDifferentHostsAreIndependent(t *testing.T) {
 	run := func(host string, port int) (*int64, *time.Duration) {
 		delivered := new(int64)
 		doneAt := new(time.Duration)
-		if _, err := tcp.Listen(e.net.Host(host), port, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint) {
-			ep.OnReceive(func(n int) { *delivered += int64(n) })
-			ep.OnClosed(func() { *doneAt = e.sched.Now() })
-		}); err != nil {
+		if _, err := tcp.Listen(e.net.Host(host), port, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint, _ any) {
+			ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) { *delivered += int64(n) })
+			ep.OnClosed(func(*tcp.Endpoint, any) { *doneAt = e.sched.Now() })
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		ep, err := tcp.Dial(e.sender, netsim.Addr{Host: host, Port: port},
@@ -172,7 +172,7 @@ func TestMacroflowsToDifferentHostsAreIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep.OnEstablished(func() {
+		ep.OnEstablished(func(*tcp.Endpoint, any) {
 			ep.Send(1_000_000)
 			ep.Close()
 		})
@@ -207,9 +207,9 @@ func TestVatAndTCPShareABottleneck(t *testing.T) {
 	rcvr := e.net.Host("receiver")
 
 	var tcpDelivered int64
-	if _, err := tcp.Listen(rcvr, 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint) {
-		ep.OnReceive(func(n int) { tcpDelivered += int64(n) })
-	}); err != nil {
+	if _, err := tcp.Listen(rcvr, 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint, _ any) {
+		ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) { tcpDelivered += int64(n) })
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := tcp.Dial(e.sender, netsim.Addr{Host: "receiver", Port: 80},
@@ -217,7 +217,7 @@ func TestVatAndTCPShareABottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.OnEstablished(func() { conn.Send(1 << 20) }) // stays backlogged
+	conn.OnEstablished(func(*tcp.Endpoint, any) { conn.Send(1 << 20) }) // stays backlogged
 
 	callee, err := app.NewReceiver(rcvr, 5004, app.FeedbackPolicy{EveryPackets: 1}, time.Second)
 	if err != nil {
@@ -262,9 +262,9 @@ func TestSequentialConnectionsAcrossApplications(t *testing.T) {
 	rcvr := e.net.Host("receiver")
 
 	var tcpDelivered int64
-	if _, err := tcp.Listen(rcvr, 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint) {
-		ep.OnReceive(func(n int) { tcpDelivered += int64(n) })
-	}); err != nil {
+	if _, err := tcp.Listen(rcvr, 80, tcp.Config{DelayedAck: true}, func(ep *tcp.Endpoint, _ any) {
+		ep.OnReceive(func(_ *tcp.Endpoint, _ any, n int) { tcpDelivered += int64(n) })
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := tcp.Dial(e.sender, netsim.Addr{Host: "receiver", Port: 80},
@@ -272,7 +272,7 @@ func TestSequentialConnectionsAcrossApplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.OnEstablished(func() {
+	conn.OnEstablished(func(*tcp.Endpoint, any) {
 		conn.Send(400_000)
 		conn.Close()
 	})

@@ -114,19 +114,42 @@ type Result struct {
 	Perf *Perf `json:"perf,omitempty"`
 }
 
-// flowDriver tracks one declarative flow while the simulation runs.
+// flowDriver tracks one declarative flow while the simulation runs: its result
+// in the making, the listener waiting for its one connection and the dialing
+// endpoint while that connection lives. The drivers of a workload are one slab
+// (workloadRun.flows) that lives as long as the Sim; the endpoints are not part
+// of it — each is its own object and goes when its connection has closed.
 type flowDriver struct {
-	res *FlowResult
+	res FlowResult
+	wl  *workloadRun
 	// ep is the dialing endpoint while its connection lives; once it reaches
 	// TIME_WAIT its counters are folded into res and the handle is dropped,
-	// so a finished flow costs its result and nothing else.
-	ep        *tcp.Endpoint
+	// so a finished flow costs its slab entry and nothing else.
+	ep *tcp.Endpoint
+	// lis accepts the flow's connection and unbinds when it has.
+	lis tcp.Listener
+	// start is when the flow dials (zero: when the workloads start) and
+	// wantBytes what a bulk or web flow transfers before it closes (zero for a
+	// stream, which stays backlogged).
+	start     time.Duration
 	wantBytes int64
 	// udpFinish, set for layered UDP workloads, folds the application's
 	// end-of-run counters into the flow result; udpStarted records that the
 	// stream's (possibly delayed) start actually fired.
 	udpFinish  func(fr *FlowResult)
 	udpStarted bool
+}
+
+// workloadRun is what the flows of one TCP workload share: where they run, how
+// they dial, and the position of the dial chain (see armDials).
+type workloadRun struct {
+	sim                *Sim
+	w                  *Workload
+	fromClock, toClock *simtime.Scheduler
+	dialCfg            tcp.Config
+	flows              []flowDriver
+	// next is the first flow that has not dialed yet.
+	next int
 }
 
 // setTCPStats copies the dialing endpoint's loss-recovery counters and RTT
@@ -198,7 +221,11 @@ func (s *Sim) Finish() *Result {
 // host, a dialer on the From host (delayed by Start), and the send/close
 // behaviour of the workload kind.
 func (s *Sim) startWorkloads() ([]*flowDriver, error) {
-	var drivers []*flowDriver
+	total := 0
+	for wi := range s.Spec.Workloads {
+		total += s.Spec.Workloads[wi].Flows
+	}
+	drivers := make([]*flowDriver, 0, total)
 	for wi := range s.Spec.Workloads {
 		w := &s.Spec.Workloads[wi]
 		// A web mix pre-samples every request's arrival time and size with a
@@ -208,135 +235,139 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 		if w.Kind == KindWebMix {
 			web = planWebMix(s.Spec.Seed, wi, w)
 		}
-		// Dials delayed past the start of the run go out from one pending
-		// event per workload (see dialChain), not one event per flow.
-		chain := &dialChain{clock: s.clockFor(w.From)}
-		for fi := 0; fi < w.Flows; fi++ {
+		// Each side of a flow timestamps with its own host's clock: the two
+		// differ only in a sharded build, where the receive-side callbacks run
+		// on the To host's shard and the dial-side ones on the From host's.
+		wl := &workloadRun{
+			sim: s, w: w,
+			fromClock: s.clockFor(w.From), toClock: s.clockFor(w.To),
+			dialCfg: tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow, CongestionControl: tcp.CCNative},
+			flows:   make([]flowDriver, w.Flows),
+		}
+		if w.CC == CCCM {
+			wl.dialCfg.CongestionControl = tcp.CCCM
+			wl.dialCfg.CM = s.cms[w.From]
+		}
+		for fi := range wl.flows {
 			port := w.Port + fi
-			d := &flowDriver{
-				res: &FlowResult{
-					Workload: wi, Flow: fi,
-					From: w.From, To: w.To, Port: port, CC: w.CC,
-				},
+			d := &wl.flows[fi]
+			d.wl = wl
+			d.res = FlowResult{
+				Workload: wi, Flow: fi,
+				From: w.From, To: w.To, Port: port, CC: w.CC,
 			}
-			flowBytes, flowStart := w.Bytes, w.Start
+			flowBytes := w.Bytes
+			d.start = w.Start
 			if web != nil {
-				flowBytes, flowStart = web.bytes[fi], web.start[fi]
+				flowBytes, d.start = web.bytes[fi], web.start[fi]
 			}
 			if w.Kind == KindBulk || w.Kind == KindWebMix {
 				d.wantBytes = int64(flowBytes)
 			}
 			drivers = append(drivers, d)
 
+			var err error
 			if udpKind(w.Kind) {
-				if err := s.startUDPFlow(w, d, port); err != nil {
-					return nil, fmt.Errorf("scenario %q: workload %d flow %d: %w", s.Spec.Name, wi, fi, err)
-				}
-				continue
+				err = s.startUDPFlow(w, d, port)
+			} else if err = d.lis.Listen(s.net.Host(w.To), port,
+				tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow}, flowAccepted, d); err == nil && d.start <= 0 {
+				// A dial delayed past the start of the run records a failure
+				// on the flow's result (see armDials); one now aborts the run.
+				wl.next = fi + 1
+				err = d.dial()
 			}
-
-			// Each side of the flow timestamps with its own host's clock: the
-			// two differ only in a sharded build, where the receive-side
-			// callbacks run on the To host's shard and the dial-side ones on
-			// the From host's.
-			fromClock, toClock := s.clockFor(w.From), s.clockFor(w.To)
-			_, err := tcp.Listen(s.net.Host(w.To), port,
-				tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow},
-				func(ep *tcp.Endpoint) {
-					ep.OnReceive(func(n int) { d.res.Delivered += int64(n) })
-					// The peer's FIN is answered with our own: both ends reach
-					// TIME_WAIT and the dialer's CM flow is closed (cm_close).
-					ep.OnClosed(func() {
-						d.res.Finished = toClock.Now()
-						ep.Close()
-					})
-				})
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: workload %d flow %d: %w", s.Spec.Name, wi, fi, err)
 			}
-
-			cfg := tcp.Config{
-				DelayedAck: true,
-				RecvWindow: w.RecvWindow,
-			}
-			if w.CC == CCCM {
-				cfg.CongestionControl = tcp.CCCM
-				cfg.CM = s.cms[w.From]
-			} else {
-				cfg.CongestionControl = tcp.CCNative
-			}
-			bytes, kind := flowBytes, w.Kind
-			dial := func() error {
-				ep, err := tcp.Dial(s.net.Host(w.From), netsim.Addr{Host: w.To, Port: port}, cfg)
-				if err != nil {
-					d.res.Error = err.Error()
-					return err
-				}
-				d.ep = ep
-				ep.OnTimeWait(func() {
-					d.res.setTCPStats(d.ep)
-					d.ep = nil
-				})
-				ep.OnEstablished(func() {
-					d.res.Established = fromClock.Now()
-					switch kind {
-					case KindStream:
-						// Effectively unbounded: backlogged for the whole
-						// run (1 GB, an int even on 32-bit platforms).
-						ep.Send(1 << 30)
-					default:
-						ep.Send(bytes)
-						ep.Close()
-					}
-				})
-				return nil
-			}
-			if flowStart > 0 {
-				// The dial happens mid-run; a failure is recorded on the
-				// flow's result instead of aborting the whole scenario.
-				chain.add(flowStart, dial)
-			} else if err := dial(); err != nil {
-				return nil, fmt.Errorf("scenario %q: workload %d flow %d: %w", s.Spec.Name, wi, fi, err)
-			}
 		}
-		chain.arm()
+		if !udpKind(w.Kind) {
+			wl.armDials()
+		}
 	}
 	return drivers, nil
 }
 
-// dialChain dials one workload's delayed flows in start order from a single
-// pending scheduler event: firing dials every flow that is due and schedules
-// the next start. Start times are nondecreasing in flow order (a web mix's
-// cumulative arrivals, or one Start shared by all flows), and flows due at the
-// same instant dial back to back in flow order, exactly as their separate
-// events did — those were consecutive in the scheduler's insertion order. A
-// web mix of n requests thus keeps one event in the heap instead of n.
-type dialChain struct {
-	clock *simtime.Scheduler
-	start []time.Duration
-	dial  []func() error
-	next  int
+// dial opens the flow's connection from the From host.
+func (d *flowDriver) dial() error {
+	wl := d.wl
+	ep, err := tcp.Dial(wl.sim.net.Host(wl.w.From), netsim.Addr{Host: wl.w.To, Port: d.res.Port}, wl.dialCfg)
+	if err != nil {
+		d.res.Error = err.Error()
+		return err
+	}
+	d.ep = ep
+	ep.SetOwner(d)
+	ep.OnTimeWait(flowTimeWait)
+	ep.OnEstablished(flowEstablished)
+	return nil
 }
 
-func (c *dialChain) add(start time.Duration, dial func() error) {
-	c.start = append(c.start, start)
-	c.dial = append(c.dial, dial)
+// The callbacks of a flow's two endpoints. They are shared by every flow and
+// find theirs through the owner word, which is the flow's driver: a slab entry
+// that outlives both endpoints, so an endpoint pointing at it pins nothing, and
+// the driver lets go of the dialing endpoint in flowTimeWait and never holds
+// the accepted one.
+
+func flowAccepted(ep *tcp.Endpoint, owner any) {
+	d := owner.(*flowDriver)
+	// A flow is one connection: the listener has done its work.
+	d.lis.Close()
+	ep.SetOwner(d)
+	ep.OnReceive(flowReceived)
+	ep.OnClosed(flowPeerClosed)
 }
 
-// arm schedules the next due dial, if any is left.
-func (c *dialChain) arm() {
-	if c.next < len(c.dial) {
-		c.clock.AtArgKind(c.start[c.next], simtime.KindWorkloadApp, fireDialChain, c)
+func flowReceived(_ *tcp.Endpoint, owner any, n int) {
+	owner.(*flowDriver).res.Delivered += int64(n)
+}
+
+// flowPeerClosed answers the peer's FIN with our own: both ends reach
+// TIME_WAIT and the dialer's CM flow is closed (cm_close).
+func flowPeerClosed(ep *tcp.Endpoint, owner any) {
+	d := owner.(*flowDriver)
+	d.res.Finished = d.wl.toClock.Now()
+	ep.Close()
+}
+
+func flowTimeWait(ep *tcp.Endpoint, owner any) {
+	d := owner.(*flowDriver)
+	d.res.setTCPStats(ep)
+	d.ep = nil
+}
+
+func flowEstablished(ep *tcp.Endpoint, owner any) {
+	d := owner.(*flowDriver)
+	d.res.Established = d.wl.fromClock.Now()
+	if d.wl.w.Kind == KindStream {
+		// Effectively unbounded: backlogged for the whole run (1 GB, an int
+		// even on 32-bit platforms).
+		ep.Send(1 << 30)
+		return
+	}
+	ep.Send(int(d.wantBytes))
+	ep.Close()
+}
+
+// armDials keeps one pending scheduler event for all of a workload's delayed
+// dials: firing it dials every flow that is due and schedules the next start.
+// Start times are nondecreasing in flow order (a web mix's cumulative arrivals,
+// or one Start shared by all flows), and flows due at the same instant dial
+// back to back in flow order, exactly as separate events would — they would be
+// consecutive in the scheduler's insertion order. A web mix of n requests thus
+// keeps one event in the heap instead of n. A dial that fails mid-run is
+// recorded on the flow's result instead of aborting the whole scenario.
+func (wl *workloadRun) armDials() {
+	if wl.next < len(wl.flows) {
+		wl.fromClock.AtArgKind(wl.flows[wl.next].start, simtime.KindWorkloadApp, fireDials, wl)
 	}
 }
 
-func fireDialChain(x any) {
-	c := x.(*dialChain)
-	for now := c.clock.Now(); c.next < len(c.dial) && c.start[c.next] <= now; c.next++ {
-		_ = c.dial[c.next]()
-		c.dial[c.next] = nil // the closure holds the flow's whole dial state
+func fireDials(x any) {
+	wl := x.(*workloadRun)
+	for now := wl.fromClock.Now(); wl.next < len(wl.flows) && wl.flows[wl.next].start <= now; wl.next++ {
+		_ = wl.flows[wl.next].dial()
 	}
-	c.arm()
+	wl.armDials()
 }
 
 // webMixPlan holds the pre-sampled arrivals and sizes of one KindWebMix
@@ -410,42 +441,45 @@ func (s *Sim) startUDPFlow(w *Workload, d *flowDriver, port int) error {
 
 // collect freezes the simulation state into a Result.
 func (s *Sim) collect(drivers []*flowDriver) *Result {
-	res := &Result{Scenario: s.Spec.Name, EndTime: s.now()}
-	for _, d := range drivers {
-		fr := *d.res
+	res := &Result{
+		Scenario: s.Spec.Name, EndTime: s.now(),
+		Links: make([]LinkResult, 0, 2*len(s.duplexes)),
+		Hosts: make([]HostResult, 0, len(s.nodeNames)),
+	}
+	if len(drivers) > 0 { // a run without workloads reports no flows, not an empty list
+		res.Flows = make([]FlowResult, len(drivers))
+	}
+	for i, d := range drivers {
+		fr := &res.Flows[i]
+		*fr = d.res
 		if d.udpFinish != nil {
 			// A layered UDP stream: fold in the application counters. The
 			// stream never completes; it runs from its start time to the end.
 			// A stream whose delayed start never fired reports zero elapsed.
-			d.udpFinish(&fr)
+			d.udpFinish(fr)
 			if d.udpStarted {
 				fr.Elapsed = s.now() - fr.Established
 			}
-			if fr.Elapsed > 0 {
-				fr.ThroughputKBps = float64(fr.Delivered) / fr.Elapsed.Seconds() / 1024
-			}
-			res.Flows = append(res.Flows, fr)
-			continue
-		}
-		if d.wantBytes > 0 && fr.Delivered >= d.wantBytes && fr.Finished > 0 {
-			fr.Completed = true
-			fr.Elapsed = fr.Finished - fr.Established
 		} else {
-			fr.Finished = 0
-			if fr.Established > 0 {
-				fr.Elapsed = s.now() - fr.Established
+			if d.wantBytes > 0 && fr.Delivered >= d.wantBytes && fr.Finished > 0 {
+				fr.Completed = true
+				fr.Elapsed = fr.Finished - fr.Established
+			} else {
+				fr.Finished = 0
+				if fr.Established > 0 {
+					fr.Elapsed = s.now() - fr.Established
+				}
 			}
-		}
-		if d.ep != nil {
-			fr.setTCPStats(d.ep)
+			if d.ep != nil {
+				fr.setTCPStats(d.ep)
+			}
 		}
 		if fr.Elapsed > 0 {
 			fr.ThroughputKBps = float64(fr.Delivered) / fr.Elapsed.Seconds() / 1024
 		}
-		res.Flows = append(res.Flows, fr)
 	}
 	for _, d := range s.duplexes {
-		for _, l := range []*netsim.Link{d.Forward, d.Reverse} {
+		for _, l := range [2]*netsim.Link{d.Forward, d.Reverse} {
 			res.Links = append(res.Links, LinkResult{
 				Name:      l.Config().Name,
 				LinkStats: l.Stats(),

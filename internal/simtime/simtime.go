@@ -575,35 +575,56 @@ func (s *Scheduler) NewTimer(fn func()) Timer {
 }
 
 // NewKindTimer implements KindTimerFactory: like NewTimer, but every firing
-// of the returned timer is tagged with kind for the profiler.
+// of the returned timer is tagged with kind for the profiler. It is an
+// EventTimer of its own: one object, fn riding as the argument.
 func (s *Scheduler) NewKindTimer(kind Kind, fn func()) Timer {
 	if fn == nil {
 		panic("simtime: NewTimer called with nil function")
 	}
-	return &simTimer{s: s, kind: kind, fn: fn}
+	t := new(EventTimer)
+	t.Init(s, kind, callFunc, fn)
+	return t
 }
 
-type simTimer struct {
+func callFunc(fn any) { fn.(func())() }
+
+// EventTimer is the scheduler's Timer as a value, for embedding in the object
+// whose timer it is: a connection that embeds its timers and passes itself as
+// arg creates them with no allocation of their own. Init must run before any
+// other method, and an EventTimer must not be copied once it has been armed
+// (its pending event points at it).
+type EventTimer struct {
 	s    *Scheduler
 	kind Kind
-	fn   func()
+	fn   func(any)
+	arg  any
 	ev   *Event
+}
+
+// Init binds the timer to the scheduler: when it fires it calls fn(arg), the
+// event tagged with kind — the callback shape of AtArgKind, so fn can be a
+// package-level function and arg the owner.
+func (t *EventTimer) Init(s *Scheduler, kind Kind, fn func(any), arg any) {
+	if fn == nil {
+		panic("simtime: EventTimer.Init called with nil function")
+	}
+	*t = EventTimer{s: s, kind: kind, fn: fn, arg: arg}
 }
 
 // fireTimer is the callback of every timer event: the timer rides along as
 // the event's argument, so neither creating nor rearming a timer needs a
 // closure.
 func fireTimer(arg any) {
-	t := arg.(*simTimer)
+	t := arg.(*EventTimer)
 	t.ev = nil
-	t.fn()
+	t.fn(t.arg)
 }
 
 // Reset of a pending timer re-keys its event in place. The keys are the ones
 // Stop followed by a fresh AfterArgKind would give it — new time, stamp Now,
 // the next seq — so the firing order is the same, for one sift instead of a
 // removal and an insertion.
-func (t *simTimer) Reset(d time.Duration) {
+func (t *EventTimer) Reset(d time.Duration) {
 	s, ev := t.s, t.ev
 	if ev == nil {
 		t.ev = s.AfterArgKind(d, t.kind, fireTimer, t)
@@ -616,14 +637,16 @@ func (t *simTimer) Reset(d time.Duration) {
 	s.fix(int(ev.index), entry{ev.at, ev})
 }
 
-func (t *simTimer) Stop() {
+// Stop implements Timer.
+func (t *EventTimer) Stop() {
 	if t.ev != nil {
 		t.ev.Cancel()
 		t.ev = nil
 	}
 }
 
-func (t *simTimer) Pending() bool { return t.ev != nil && !t.ev.Canceled() }
+// Pending implements Timer.
+func (t *EventTimer) Pending() bool { return t.ev != nil && !t.ev.Canceled() }
 
 // Seconds converts a duration to floating-point seconds. It is a convenience
 // used throughout the experiment harness when reporting rates.
@@ -693,4 +716,5 @@ var (
 	_ KindTimerFactory = (*Scheduler)(nil)
 	_ Clock            = (*WallClock)(nil)
 	_ TimerFactory     = (*WallClock)(nil)
+	_ Timer            = (*EventTimer)(nil)
 )

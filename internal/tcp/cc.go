@@ -51,10 +51,6 @@ type nativeCC struct {
 	ssthresh int
 }
 
-func newNativeCC(e *Endpoint) *nativeCC {
-	return &nativeCC{e: e}
-}
-
 func (c *nativeCC) name() string { return "native" }
 func (c *nativeCC) window() int  { return c.cwnd }
 
@@ -156,10 +152,6 @@ type cmCC struct {
 	// means the CM lost the flow and it must be re-opened (paper §3.2's
 	// in-kernel client, surviving the module being reloaded).
 	epoch int64
-}
-
-func newCMCC(e *Endpoint, c *cm.CM) *cmCC {
-	return &cmCC{e: e, cm: c}
 }
 
 func (c *cmCC) name() string { return "cm" }

@@ -96,7 +96,12 @@ type Stats struct {
 // by the receiver.
 type interval struct{ start, end int64 }
 
-// Endpoint is one end of a TCP connection.
+// Endpoint is one end of a TCP connection, and one object: its two timers and
+// its congestion controller live inside it, and its application callbacks are
+// plain functions that get the endpoint and the owner word back, so opening a
+// connection allocates the Endpoint and nothing else. It is a per-connection
+// object — never pooled, never part of a slab — and is collected once the
+// connection has reached TIME_WAIT and the application has let go of it.
 type Endpoint struct {
 	host  *node.Host
 	sched *simtime.Scheduler
@@ -105,11 +110,12 @@ type Endpoint struct {
 	local, remote netsim.Addr
 	state         State
 
-	// Application callbacks.
-	onEstablished func()
-	onReceive     func(n int)
-	onClosed      func()
-	onTimeWait    func()
+	// Application callbacks, and the word each of them is handed (SetOwner).
+	owner         any
+	onEstablished func(e *Endpoint, owner any)
+	onReceive     func(e *Endpoint, owner any, n int)
+	onClosed      func(e *Endpoint, owner any)
+	onTimeWait    func(e *Endpoint, owner any)
 
 	// Send sequence state.
 	iss       int64
@@ -136,8 +142,8 @@ type Endpoint struct {
 	dataSegs    int64 // data segments received (drives quick-ACK mode)
 
 	// Timers.
-	rtoTimer   simtime.Timer
-	ackTimer   simtime.Timer
+	rtoTimer   simtime.EventTimer
+	ackTimer   simtime.EventTimer
 	rtoBackoff int
 
 	// RTT estimation (endpoint-local; the CM provider also feeds the shared
@@ -146,8 +152,12 @@ type Endpoint struct {
 	rttvar time.Duration
 	hasRTT bool
 
-	cc    ccProvider
-	stats Stats
+	// cc is the active congestion controller: a pointer to native or to viaCM,
+	// whichever the configuration selected.
+	cc     ccProvider
+	native nativeCC
+	viaCM  cmCC
+	stats  Stats
 
 	closedFired bool
 
@@ -170,16 +180,23 @@ func newEndpoint(h *node.Host, local, remote netsim.Addr, cfg Config) *Endpoint 
 		state:   StateClosed,
 		peerWnd: cfg.RecvWindow,
 	}
-	e.rtoTimer = e.sched.NewKindTimer(simtime.KindWorkloadApp, e.onRTO)
-	e.ackTimer = e.sched.NewKindTimer(simtime.KindWorkloadApp, e.onDelayedAckTimer)
+	e.rtoTimer.Init(e.sched, simtime.KindWorkloadApp, fireRTO, e)
+	e.ackTimer.Init(e.sched, simtime.KindWorkloadApp, fireDelayedAck, e)
 	switch cfg.CongestionControl {
 	case CCCM:
-		e.cc = newCMCC(e, cfg.CM)
+		e.viaCM = cmCC{e: e, cm: cfg.CM}
+		e.cc = &e.viaCM
 	default:
-		e.cc = newNativeCC(e)
+		e.native = nativeCC{e: e}
+		e.cc = &e.native
 	}
 	return e
 }
+
+// The timer callbacks are package-level functions with the endpoint as their
+// argument, so an endpoint owns no closures.
+func fireRTO(e any)        { e.(*Endpoint).onRTO() }
+func fireDelayedAck(e any) { e.(*Endpoint).onDelayedAckTimer() }
 
 // Dial opens an active connection from host h to remote, allocating an
 // ephemeral local port. The returned endpoint is in SYN-SENT; OnEstablished
@@ -217,16 +234,25 @@ func (e *Endpoint) Stats() Stats {
 // the active provider (for experiments and tests).
 func (e *Endpoint) CongestionWindow() int { return e.cc.window() }
 
+// SetOwner sets the word every application callback receives beside the
+// endpoint: whatever the application needs to find its own state for this
+// connection. With it the callbacks can be package-level functions shared by
+// all connections, and an application with thousands of short connections
+// allocates no closure per connection. The endpoint only stores the word; it
+// refers to the owner, never the other way round through the simulator, so
+// the owner decides how long it keeps the endpoint (see OnTimeWait).
+func (e *Endpoint) SetOwner(owner any) { e.owner = owner }
+
 // OnEstablished registers a callback invoked when the handshake completes.
-func (e *Endpoint) OnEstablished(fn func()) { e.onEstablished = fn }
+func (e *Endpoint) OnEstablished(fn func(e *Endpoint, owner any)) { e.onEstablished = fn }
 
 // OnReceive registers a callback invoked with the number of new in-order
 // payload bytes delivered to the application.
-func (e *Endpoint) OnReceive(fn func(n int)) { e.onReceive = fn }
+func (e *Endpoint) OnReceive(fn func(e *Endpoint, owner any, n int)) { e.onReceive = fn }
 
 // OnClosed registers a callback invoked when the peer's FIN has been received
 // and all data delivered.
-func (e *Endpoint) OnClosed(fn func()) { e.onClosed = fn }
+func (e *Endpoint) OnClosed(fn func(e *Endpoint, owner any)) { e.onClosed = fn }
 
 // OnTimeWait registers a callback invoked once when the connection has fully
 // closed: both FINs are acknowledged and a time-wait record has taken over
@@ -234,7 +260,7 @@ func (e *Endpoint) OnClosed(fn func()) { e.onClosed = fn }
 // then, and the simulator itself no longer references the endpoint — a caller
 // that copies what it needs and drops its handle lets the endpoint be
 // collected.
-func (e *Endpoint) OnTimeWait(fn func()) { e.onTimeWait = fn }
+func (e *Endpoint) OnTimeWait(fn func(e *Endpoint, owner any)) { e.onTimeWait = fn }
 
 // connect starts the active-open handshake.
 func (e *Endpoint) connect() {
@@ -632,7 +658,7 @@ func (e *Endpoint) becomeEstablished() {
 	e.rtoTimer.Stop()
 	e.cc.onEstablished()
 	if e.onEstablished != nil {
-		e.onEstablished()
+		e.onEstablished(e, e.owner)
 	}
 	if e.pendingData() {
 		e.cc.trySend()
@@ -748,7 +774,7 @@ func (e *Endpoint) handOver() {
 	}
 	e.host.RebindConn(netsim.ProtoTCP, e.local.Port, e.remote, e.tw)
 	if e.onTimeWait != nil {
-		e.onTimeWait()
+		e.onTimeWait(e, e.owner)
 	}
 }
 
@@ -822,7 +848,7 @@ func (e *Endpoint) fireClosed() {
 		e.stats.ClosedAt = e.sched.Now()
 	}
 	if e.onClosed != nil {
-		e.onClosed()
+		e.onClosed(e, e.owner)
 	}
 }
 
@@ -832,7 +858,7 @@ func (e *Endpoint) deliver(n int) {
 	}
 	e.stats.BytesDelivered += int64(n)
 	if e.onReceive != nil {
-		e.onReceive(n)
+		e.onReceive(e, e.owner, n)
 	}
 }
 
@@ -887,18 +913,27 @@ type Listener struct {
 	host   *node.Host
 	port   int
 	cfg    Config
-	accept func(*Endpoint)
+	accept func(e *Endpoint, owner any)
+	owner  any
 }
 
 // Listen binds a listener to (host, port). The accept callback runs when a
-// SYN creates a new connection; the endpoint it receives is in SYN-RECEIVED
-// and becomes established once the handshake completes.
-func Listen(h *node.Host, port int, cfg Config, accept func(*Endpoint)) (*Listener, error) {
-	l := &Listener{host: h, port: port, cfg: cfg, accept: accept}
-	if err := h.Bind(netsim.ProtoTCP, port, l); err != nil {
+// SYN creates a new connection, with the new endpoint and the listener's owner
+// word (see Endpoint.SetOwner; accept typically passes it on); the endpoint is
+// in SYN-RECEIVED and becomes established once the handshake completes.
+func Listen(h *node.Host, port int, cfg Config, accept func(e *Endpoint, owner any), owner any) (*Listener, error) {
+	l := new(Listener)
+	if err := l.Listen(h, port, cfg, accept, owner); err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// Listen is the package-level Listen on a Listener the caller provides, such
+// as an element of a slab that lives as long as the simulation.
+func (l *Listener) Listen(h *node.Host, port int, cfg Config, accept func(e *Endpoint, owner any), owner any) error {
+	*l = Listener{host: h, port: port, cfg: cfg, accept: accept, owner: owner}
+	return h.Bind(netsim.ProtoTCP, port, l)
 }
 
 // Handle implements node.Handler for the listening socket. A connection's own
@@ -924,12 +959,15 @@ func (l *Listener) Handle(pkt *netsim.Packet) {
 	e.peerWnd = seg.Wnd
 	e.state = StateSynReceived
 	if l.accept != nil {
-		l.accept(e)
+		l.accept(e, l.owner)
 	}
 	e.sendSYN(true)
 }
 
-// Close removes the listener binding; existing connections are unaffected.
+// Close removes the listener binding; existing connections are unaffected, and
+// a connection being accepted (Close called from the accept callback, by a
+// listener that serves a single connection) completes. The host no longer
+// refers to the listener afterwards.
 func (l *Listener) Close() { l.host.Unbind(netsim.ProtoTCP, l.port) }
 
 var (

@@ -51,11 +51,11 @@ type sink struct {
 func listenSink(t *testing.T, e *env, port int, cfg Config) *sink {
 	t.Helper()
 	sk := &sink{}
-	_, err := Listen(e.net.Host("server"), port, cfg, func(ep *Endpoint) {
+	_, err := Listen(e.net.Host("server"), port, cfg, func(ep *Endpoint, _ any) {
 		sk.ep = ep
-		ep.OnReceive(func(n int) { sk.delivered += int64(n) })
-		ep.OnClosed(func() { sk.closed = true })
-	})
+		ep.OnReceive(func(_ *Endpoint, _ any, n int) { sk.delivered += int64(n) })
+		ep.OnClosed(func(*Endpoint, any) { sk.closed = true })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func transfer(t *testing.T, e *env, clientCfg, serverCfg Config, nbytes int, dea
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.OnEstablished(func() {
+	ep.OnEstablished(func(*Endpoint, any) {
 		ep.Send(nbytes)
 		ep.Close()
 	})
@@ -90,7 +90,7 @@ func nativeCfg() Config {
 func TestHandshakeEstablishesBothEnds(t *testing.T) {
 	e := newEnv(t, lan(), false)
 	var serverEp *Endpoint
-	_, err := Listen(e.net.Host("server"), 80, nativeCfg(), func(ep *Endpoint) { serverEp = ep })
+	_, err := Listen(e.net.Host("server"), 80, nativeCfg(), func(ep *Endpoint, _ any) { serverEp = ep }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestHandshakeEstablishesBothEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.OnEstablished(func() { established = true })
+	ep.OnEstablished(func(*Endpoint, any) { established = true })
 	if ep.State() != StateSynSent {
 		t.Fatalf("client state = %v, want syn-sent", ep.State())
 	}
@@ -121,10 +121,10 @@ func TestHandshakeEstablishesBothEnds(t *testing.T) {
 func TestDialPortConflict(t *testing.T) {
 	e := newEnv(t, lan(), false)
 	h := e.net.Host("server")
-	if _, err := Listen(h, 80, nativeCfg(), nil); err != nil {
+	if _, err := Listen(h, 80, nativeCfg(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Listen(h, 80, nativeCfg(), nil); err == nil {
+	if _, err := Listen(h, 80, nativeCfg(), nil, nil); err == nil {
 		t.Fatal("second listener on the same port should fail")
 	}
 }
@@ -265,7 +265,7 @@ func TestReceiverWindowLimitsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxInFlight := 0
-	ep.OnEstablished(func() {
+	ep.OnEstablished(func(*Endpoint, any) {
 		ep.Send(200_000)
 		ep.Close()
 	})
@@ -305,8 +305,8 @@ func TestConnectionCloseReachesTimeWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientSawClose := false
-	ep.OnClosed(func() { clientSawClose = true })
-	ep.OnEstablished(func() {
+	ep.OnClosed(func(*Endpoint, any) { clientSawClose = true })
+	ep.OnEstablished(func(*Endpoint, any) {
 		ep.Send(10_000)
 		ep.Close()
 	})
@@ -338,7 +338,7 @@ func TestCMFlowLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.OnEstablished(func() {
+	ep.OnEstablished(func(*Endpoint, any) {
 		if e.cm.FlowCount() != 1 {
 			t.Error("cm_open should have been called at connection establishment")
 		}
@@ -375,7 +375,7 @@ func TestCMWindowSharedAcrossSequentialConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1.OnEstablished(func() {
+	ep1.OnEstablished(func(*Endpoint, any) {
 		ep1.Send(256 * 1024)
 		ep1.Close()
 	})
@@ -405,7 +405,7 @@ func TestCMWindowSharedAcrossSequentialConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	var initialWindow int
-	ep2.OnEstablished(func() { initialWindow = ep2.CongestionWindow() })
+	ep2.OnEstablished(func(*Endpoint, any) { initialWindow = ep2.CongestionWindow() })
 	e.sched.RunFor(2 * time.Second)
 	if initialWindow != mfWindow {
 		t.Fatalf("second connection should inherit the macroflow window: got %d, want %d", initialWindow, mfWindow)
@@ -421,7 +421,7 @@ func TestTwoConcurrentCMConnectionsShareOneMacroflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep.OnEstablished(func() {
+		ep.OnEstablished(func(*Endpoint, any) {
 			ep.Send(n)
 			ep.Close()
 		})
@@ -509,11 +509,11 @@ func TestPropertyReliableDelivery(t *testing.T) {
 		}
 		e := newEnvQuiet(link, useCM)
 		sk := &sink{}
-		if _, err := Listen(e.net.Host("server"), 80, nativeCfg(), func(ep *Endpoint) {
+		if _, err := Listen(e.net.Host("server"), 80, nativeCfg(), func(ep *Endpoint, _ any) {
 			sk.ep = ep
-			ep.OnReceive(func(k int) { sk.delivered += int64(k) })
-			ep.OnClosed(func() { sk.closed = true })
-		}); err != nil {
+			ep.OnReceive(func(_ *Endpoint, _ any, k int) { sk.delivered += int64(k) })
+			ep.OnClosed(func(*Endpoint, any) { sk.closed = true })
+		}, nil); err != nil {
 			return false
 		}
 		cfg := nativeCfg()
@@ -524,7 +524,7 @@ func TestPropertyReliableDelivery(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ep.OnEstablished(func() {
+		ep.OnEstablished(func(*Endpoint, any) {
 			ep.Send(n)
 			ep.Close()
 		})

@@ -16,10 +16,10 @@ func closedPair(t *testing.T, e *env, clientCfg Config) (client, server *Endpoin
 	// The listener outlives the connection and keeps this closure: accepted
 	// is cleared below so the closure does not keep the endpoint.
 	var accepted *Endpoint
-	_, err := Listen(e.net.Host("server"), 80, Config{DelayedAck: true}, func(ep *Endpoint) {
+	_, err := Listen(e.net.Host("server"), 80, Config{DelayedAck: true}, func(ep *Endpoint, _ any) {
 		accepted = ep
-		ep.OnClosed(ep.Close)
-	})
+		ep.OnClosed(func(ep *Endpoint, _ any) { ep.Close() })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func closedPair(t *testing.T, e *env, clientCfg Config) (client, server *Endpoin
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.OnEstablished(func() {
+	client.OnEstablished(func(*Endpoint, any) {
 		client.Send(20_000)
 		client.Close()
 	})
