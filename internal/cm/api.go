@@ -11,8 +11,18 @@ import (
 // cm_register_send() during implementation to give clients flexibility over
 // which function receives the grant.
 func (cm *CM) RegisterSend(f FlowID, cb SendCallback) {
+	if cb == nil {
+		cm.RegisterSender(f, nil)
+		return
+	}
+	cm.RegisterSender(f, cb)
+}
+
+// RegisterSender is RegisterSend for a client that receives the upcall as a
+// method (see Sender). Nil unregisters.
+func (cm *CM) RegisterSender(f FlowID, to Sender) {
 	if fl, ok := cm.flows[f]; ok {
-		fl.sendCB = cb
+		fl.sender = to
 	} else {
 		cm.acct.StaleFlowCalls++
 	}

@@ -105,6 +105,17 @@ type Status struct {
 // up to MTU bytes.
 type SendCallback func(f FlowID)
 
+// Sender is who receives a flow's cmapp_send upcall. A client that is an
+// object already — TCP's CM congestion controller, one per connection —
+// registers itself with RegisterSender and pays for no closure per flow; a
+// SendCallback is the Sender that calls a plain function.
+type Sender interface {
+	CMAppSend(f FlowID)
+}
+
+// CMAppSend implements Sender.
+func (cb SendCallback) CMAppSend(f FlowID) { cb(f) }
+
 // UpdateCallback is the cmapp_update upcall: notification that network
 // conditions changed beyond the thresholds set with Thresh.
 type UpdateCallback func(f FlowID, st Status)
@@ -114,14 +125,14 @@ type UpdateCallback func(f FlowID, st Status)
 // user-space clients register a libcm dispatcher that models the
 // kernel-to-user notification path.
 type Dispatcher interface {
-	DeliverSend(f FlowID, cb SendCallback)
+	DeliverSend(f FlowID, to Sender)
 	DeliverUpdate(f FlowID, st Status, cb UpdateCallback)
 }
 
 // directDispatcher calls back synchronously in the same "protection domain".
 type directDispatcher struct{}
 
-func (directDispatcher) DeliverSend(f FlowID, cb SendCallback) { cb(f) }
+func (directDispatcher) DeliverSend(f FlowID, to Sender) { to.CMAppSend(f) }
 func (directDispatcher) DeliverUpdate(f FlowID, st Status, cb UpdateCallback) {
 	cb(f, st)
 }

@@ -13,7 +13,7 @@ type flowState struct {
 
 	// Client interface state.
 	dispatcher Dispatcher
-	sendCB     SendCallback
+	sender     Sender
 	updateCB   UpdateCallback
 
 	// Rate-callback thresholds (cm_thresh): a cmapp_update is delivered when

@@ -185,8 +185,8 @@ func (m *Macroflow) pump() {
 		if m.cm.rec != nil {
 			m.cm.rec.Append(probe.Event{At: g.issued, Kind: probe.EvGrant, Flow: int64(fl.id), Size: int64(g.bytes)})
 		}
-		if fl.sendCB != nil {
-			fl.dispatcher.DeliverSend(fl.id, fl.sendCB)
+		if fl.sender != nil {
+			fl.dispatcher.DeliverSend(fl.id, fl.sender)
 		} else {
 			// A request with no registered callback cannot be honoured;
 			// reclaim the grant immediately so other flows can proceed.

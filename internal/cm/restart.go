@@ -141,7 +141,7 @@ func (cm *CM) Audit() AuditReport {
 		if fl.pendingRequests < 0 {
 			r.NegativePending++
 		}
-		if fl.pendingRequests > 0 && fl.sendCB != nil && fl.mf.windowOpen() {
+		if fl.pendingRequests > 0 && fl.sender != nil && fl.mf.windowOpen() {
 			r.StrandedFlows++
 		}
 	}

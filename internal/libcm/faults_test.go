@@ -1,6 +1,7 @@
 package libcm
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -145,4 +146,52 @@ func TestLibResyncsAfterCMRestart(t *testing.T) {
 		t.Fatal("the stale Request should have been counted")
 	}
 	_ = s
+}
+
+// The injector's random source is created by the first verdict that draws,
+// from the seed fixed at construction. A host that turns faults on in the
+// middle of a run — after any number of fault-free notifications, which draw
+// nothing — must get the verdicts an injector that built its source up front
+// gave: the stream of rand.NewSource(seed), from its beginning.
+func TestInjectorLazyRNGMatchesEagerStream(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7} {
+		in := NewInjector(seed)
+		for i := 0; i < 1000; i++ {
+			if v := in.verdict(); v != faultDeliver {
+				t.Fatalf("seed %d: disabled injector returned verdict %d", seed, v)
+			}
+		}
+		if in.rng != nil {
+			t.Fatalf("seed %d: a disabled injector built its random source", seed)
+		}
+		const drop, delay = 0.3, 0.4
+		in.SetRates(drop, delay, time.Millisecond)
+		eagerSeed := seed
+		if eagerSeed == 0 {
+			eagerSeed = 1
+		}
+		eager := rand.New(rand.NewSource(eagerSeed))
+		for i := 0; i < 1000; i++ {
+			want := faultDeliver
+			if r := eager.Float64(); r < drop {
+				want = faultDrop
+			} else if r < drop+delay {
+				want = faultDelay
+			}
+			if got := in.verdict(); got != want {
+				t.Fatalf("seed %d: verdict %d is %d, an eager source gives %d", seed, i, got, want)
+			}
+			if i == 500 {
+				// Turning faults off and on again neither restarts nor
+				// advances the stream.
+				in.SetRates(0, 0, 0)
+				in.verdict()
+				in.SetRates(drop, delay, time.Millisecond)
+			}
+		}
+	}
+	var kept *Injector
+	if allocs := testing.AllocsPerRun(100, func() { kept = NewInjector(7) }); allocs != 1 || kept.rng != nil {
+		t.Errorf("NewInjector allocated %.0f objects, want the Injector alone", allocs)
+	}
 }

@@ -24,21 +24,25 @@ type InjectorStats struct {
 // single deterministic RNG stream; rates are adjusted mid-run by the
 // set-notify-faults dynamics event.
 type Injector struct {
+	// rng is created by the first verdict that draws: a rand.Rand source is
+	// ~5 KB and almost no host ever has faults enabled. The seed is fixed at
+	// construction, so the stream is the same whenever it starts.
 	rng       *rand.Rand
+	seed      int64
 	dropRate  float64
 	delayRate float64
 	delay     time.Duration
 	stats     InjectorStats
 }
 
-// NewInjector creates an injector with its own seeded RNG. With both rates
-// zero it passes every notification through (but still consumes no
+// NewInjector creates an injector with its own seeded random stream. With
+// both rates zero it passes every notification through (but still consumes no
 // randomness, so enabling faults mid-run is deterministic).
 func NewInjector(seed int64) *Injector {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Injector{rng: rand.New(rand.NewSource(seed))}
+	return &Injector{seed: seed}
 }
 
 // SetRates updates the drop/delay probabilities and the delay applied to
@@ -79,6 +83,9 @@ const (
 func (in *Injector) verdict() faultVerdict {
 	if in.dropRate == 0 && in.delayRate == 0 {
 		return faultDeliver
+	}
+	if in.rng == nil {
+		in.rng = rand.New(rand.NewSource(in.seed))
 	}
 	r := in.rng.Float64()
 	if r < in.dropRate {

@@ -275,7 +275,7 @@ func (l *Lib) SetWeight(f cm.FlowID, w float64) {
 // runs later, when the socket is drained. A fault injector may drop the
 // notification (the grant dies and is reclaimed by the CM's grant timeout; a
 // robust application re-requests) or delay it.
-func (l *Lib) DeliverSend(f cm.FlowID, _ cm.SendCallback) {
+func (l *Lib) DeliverSend(f cm.FlowID, _ cm.Sender) {
 	if l.injector != nil {
 		switch l.injector.verdict() {
 		case faultDrop:

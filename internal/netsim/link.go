@@ -631,16 +631,16 @@ func (l *Link) handUpAt(pkt *Packet, now time.Duration) {
 // Forward and Reverse point at the two directions it holds by value, so a
 // topology can lay its duplexes out in one slab (see Init).
 //
-// Under sharded execution the two directions are written by different shards.
-// The layout keeps them on cache lines of their own wherever the duplex starts
-// on one (every Go size class a duplex or a slab of them falls into does): the
-// forward link shares its first line only with the two pointers, which nobody
-// writes after construction, the reverse link starts on a line boundary, and
-// the struct is padded to a whole number of lines (TestDuplexLayout).
+// Under sharded execution the two directions are written by different shards,
+// so no cache line may hold bytes of both. A slab starts on a line (a large
+// allocation) or eight bytes past one (a small one, behind its allocation
+// header); either way the line boundaries that fall between two directions
+// fall inside the pointer pair or the tail padding, which nobody writes after
+// Init (TestDuplexLayout).
 type Duplex struct {
+	fwd     Link
 	Forward *Link
 	Reverse *Link
-	fwd     Link
 	rev     Link
 	_       [cacheLine - (2*unsafe.Sizeof(uintptr(0))+2*unsafe.Sizeof(Link{}))%cacheLine]byte
 }

@@ -102,3 +102,43 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 		t.Fatalf("Utilization = %v after a saturated run", u)
 	}
 }
+
+// A duplex is one object holding both directions, laid out so that a slab of
+// them never puts bytes of two directions on one cache line, wherever within
+// the first 16 bytes of a line the slab starts: under sharded execution the
+// forward link is written by one shard and the reverse link by another.
+func TestDuplexLayout(t *testing.T) {
+	var d Duplex
+	size, link := unsafe.Sizeof(d), unsafe.Sizeof(d.fwd)
+	fwd, rev := unsafe.Offsetof(d.fwd), unsafe.Offsetof(d.rev)
+	if size > 2*384+16 {
+		t.Errorf("Duplex is %d bytes, more than the two Links and the Duplex it replaces", size)
+	}
+	line := func(b uintptr) uintptr { return b / cacheLine }
+	for start := uintptr(0); start <= 16; start += 8 {
+		if line(start+fwd+link-1) >= line(start+rev) || line(start+rev+link-1) >= line(start+size+fwd) {
+			t.Errorf("in a slab starting %d bytes into a cache line, directions at %d and %d of %d bytes share a line",
+				start, fwd, rev, size)
+		}
+	}
+	sched := simtime.NewScheduler()
+	if allocs := testing.AllocsPerRun(100, func() { NewDuplexOn(sched, sched, LinkConfig{Name: "d"}) }); allocs != 3 {
+		t.Errorf("NewDuplexOn allocated %.0f objects, want 3 (the duplex and two names)", allocs)
+	}
+	for _, n := range []int{1, 8, 100} {
+		slab := make([]Duplex, n)
+		if off := uintptr(unsafe.Pointer(&slab[0])) % cacheLine; off > 16 {
+			t.Errorf("a slab of %d duplexes starts %d bytes into a cache line", n, off)
+		}
+		last := &slab[n-1]
+		if allocs := testing.AllocsPerRun(100, func() { last.Init(sched, sched, LinkConfig{}, "a-fwd", "a-rev") }); allocs != 0 {
+			t.Errorf("Duplex.Init allocated %.0f objects, want 0", allocs)
+		}
+		if last.Forward != &last.fwd || last.Reverse != &last.rev {
+			t.Error("Forward and Reverse must point at the duplex's own directions")
+		}
+		if last.Forward.SortKey() != nameKey("a-fwd") || last.Reverse.SortKey() != nameKey("a-rev") {
+			t.Error("direction sort keys must hash the names Init was given")
+		}
+	}
+}

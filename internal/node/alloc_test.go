@@ -62,3 +62,69 @@ func TestOwnershipCheckEnforced(t *testing.T) {
 	}()
 	h.Receive(&netsim.Packet{Dst: netsim.Addr{Host: "a", Port: 1}})
 }
+
+// A reserved network hands out hosts, duplexes and link names from the three
+// allocations Reserve made: an idle host or link is a slab entry, not an
+// object. Whatever exceeds the reservation is allocated singly and behaves the
+// same. Addresses handed out stay valid: the slabs are only ever resliced.
+func TestReservedNetworkAllocatesPerKind(t *testing.T) {
+	const n = 200
+	names := make([]string, n+1)
+	for i := range names {
+		names[i] = "h" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+	}
+	cfg := netsim.LinkConfig{Bandwidth: netsim.Mbps, QueuePackets: 10}
+	nameBytes := 0
+	for i := 0; i < n; i++ {
+		nameBytes += 2 * (len(names[0]) + len("<->") + len(names[i+1]) + len("-fwd"))
+	}
+	build := func(reserve bool) (*Network, []*netsim.Duplex) {
+		nw := NewNetwork(simtime.NewScheduler())
+		if reserve {
+			nw.Reserve(n+1, n, nameBytes)
+		}
+		ds := make([]*netsim.Duplex, 0, n)
+		for i := 0; i < n; i++ {
+			ds = append(ds, nw.Link(names[0], names[i+1], cfg))
+		}
+		return nw, ds
+	}
+	// A star of n leaves: the host map (sized by Reserve), three slabs, the
+	// network and the duplex list; nothing that grows with n.
+	allocs := testing.AllocsPerRun(10, func() { build(true) })
+	t.Logf("a reserved star of %d links: %.0f objects", n, allocs)
+	if allocs > 16 {
+		t.Errorf("a reserved star of %d links allocated %.0f objects, want a constant handful", n, allocs)
+	}
+	nw, ds := build(true)
+	loose, looseDs := build(false)
+	for i, d := range ds {
+		a, b := names[0], names[i+1]
+		for _, dir := range []struct {
+			l    *netsim.Link
+			want string
+			twin *netsim.Link
+		}{{d.Forward, a + "<->" + b + "-fwd", looseDs[i].Forward}, {d.Reverse, a + "<->" + b + "-rev", looseDs[i].Reverse}} {
+			if got := dir.l.Config().Name; got != dir.want {
+				t.Fatalf("link %d is called %q, want %q", i, got, dir.want)
+			}
+			if dir.l.SortKey() != dir.twin.SortKey() || dir.twin.Config().Name != dir.want {
+				t.Fatalf("link %d: reserved and unreserved networks disagree on %q", i, dir.want)
+			}
+		}
+		if nw.Host(b).RouteTo(a) != nil || loose.Host(b).RouteTo(a) != nil {
+			t.Fatalf("Link installed a route on %s", b)
+		}
+	}
+	// Past the reservation: one more host and link, named and wired alike.
+	extra := nw.ConnectDuplex(names[1], "late", netsim.LinkConfig{Name: "tail"})
+	if extra.Forward.Config().Name != "tail-fwd" || extra.Reverse.Config().Name != "tail-rev" {
+		t.Errorf("named link past the reservation: %q, %q", extra.Forward.Config().Name, extra.Reverse.Config().Name)
+	}
+	if nw.Host("late").RouteTo(names[1]) != extra.Reverse || nw.Hosts() != n+2 {
+		t.Error("host past the reservation is not wired like the others")
+	}
+	if ds[0].Forward.Config().Name != names[0]+"<->"+names[1]+"-fwd" || nw.Host(names[1]).Name() != names[1] {
+		t.Error("growing past the reservation moved what was handed out before")
+	}
+}

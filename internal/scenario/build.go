@@ -98,11 +98,12 @@ func Build(spec Spec) (*Sim, error) {
 	sim := &Sim{Spec: spec, cms: make(map[string]*cm.CM)}
 
 	// Node order is the first mention in Links; it is needed up front because
-	// a sharded build must know every host's shard before creating it.
-	seen := make(map[string]bool)
+	// a sharded build must know every host's shard before creating it. id is
+	// the interning the route engine's adjacency is built on.
+	id := make(map[string]int, len(spec.Links)+1)
 	addNode := func(name string) {
-		if !seen[name] {
-			seen[name] = true
+		if _, seen := id[name]; !seen {
+			id[name] = len(sim.nodeNames)
 			sim.nodeNames = append(sim.nodeNames, name)
 		}
 	}
@@ -147,10 +148,6 @@ func Build(spec Spec) (*Sim, error) {
 	// Directional edges accumulate in insertion order for the route engine's
 	// interned adjacency. Parallel links between a pair would make next-hop
 	// routing ambiguous, so duplicates are rejected.
-	id := make(map[string]int, len(sim.nodeNames))
-	for i, name := range sim.nodeNames {
-		id[name] = i
-	}
 	edges := make([]dirEdge, 0, 2*len(spec.Links))
 	wired := make(map[[2]int32]bool, 2*len(spec.Links))
 	direction := func(from, to string, l *netsim.Link) error {
@@ -163,24 +160,25 @@ func Build(spec Spec) (*Sim, error) {
 		return nil
 	}
 	// Links with Seed zero get derived seeds. Each duplex consumes two seeds
-	// (NewDuplex uses Seed and Seed+1); derived pairs skip over any seed an
-	// explicitly seeded link already claimed, so no two links ever share a
-	// random stream.
-	usedSeeds := make(map[int64]bool)
+	// (NewDuplex uses Seed and Seed+1); derived pairs count up from the spec
+	// seed and skip over any seed an explicitly seeded link claimed, so no two
+	// links ever share a random stream.
+	var claimed map[int64]bool
 	for _, ls := range spec.Links {
 		if ls.Seed != 0 {
-			usedSeeds[ls.Seed] = true
-			usedSeeds[ls.Seed+1] = true
+			if claimed == nil {
+				claimed = make(map[int64]bool)
+			}
+			claimed[ls.Seed] = true
+			claimed[ls.Seed+1] = true
 		}
 	}
 	nextSeed := spec.Seed
 	deriveSeed := func() int64 {
-		for usedSeeds[nextSeed] || usedSeeds[nextSeed+1] {
+		for claimed[nextSeed] || claimed[nextSeed+1] {
 			nextSeed++
 		}
 		s := nextSeed
-		usedSeeds[s] = true
-		usedSeeds[s+1] = true
 		nextSeed += 2
 		return s
 	}

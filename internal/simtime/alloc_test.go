@@ -153,6 +153,49 @@ func TestNewTimerAllocatesOneObject(t *testing.T) {
 	}
 }
 
+// An EventTimer embedded in its owner is no object at all: Init, arming,
+// firing and stopping allocate nothing, the owner riding as the argument to a
+// package-level callback. NewKindTimer is the same timer in an allocation of
+// its own (the test above), so the two cannot drift apart.
+type timerOwner struct {
+	fired int
+	rto   EventTimer
+	ack   EventTimer
+}
+
+func ownerFired(o any) { o.(*timerOwner).fired++ }
+
+func TestEmbeddedTimerZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	o := new(timerOwner)
+	arm := func() {
+		o.rto.Init(s, KindWorkloadApp, ownerFired, o)
+		o.ack.Init(s, KindWorkloadApp, ownerFired, o)
+		o.rto.Reset(time.Millisecond)
+		o.ack.Reset(2 * time.Millisecond)
+		o.rto.Reset(3 * time.Millisecond) // re-keyed in place
+		s.Step()
+		o.rto.Stop()
+	}
+	arm() // the two events come from the freelist from now on
+	if o.fired != 1 || o.rto.Pending() || o.ack.Pending() {
+		t.Fatalf("fired %d, rto pending %v, ack pending %v: want the ack timer alone to have fired",
+			o.fired, o.rto.Pending(), o.ack.Pending())
+	}
+	if allocs := testing.AllocsPerRun(1000, arm); allocs != 0 {
+		t.Fatalf("embedded timers allocated %.1f objects per Init+Reset+fire+Stop, want 0", allocs)
+	}
+	var tm Timer = &o.rto // an embedded timer is a Timer like any other
+	tm.Reset(time.Millisecond)
+	if !tm.Pending() || s.Len() != 1 {
+		t.Fatal("Reset through the Timer interface did not arm the embedded timer")
+	}
+	s.Run()
+	if tm.Pending() || s.Len() != 0 {
+		t.Fatal("the timer stayed pending after it fired")
+	}
+}
+
 // Cancel must recycle the event: a schedule/cancel churn loop holds the heap
 // at a bounded size and allocates nothing.
 func TestScheduleCancelZeroAlloc(t *testing.T) {

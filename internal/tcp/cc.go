@@ -174,7 +174,7 @@ func (c *cmCC) FlowID() cm.FlowID { return c.flow }
 func (c *cmCC) onEstablished() {
 	// cm_open is called when the connection is created (accept or connect).
 	c.flow = c.cm.Open(netsim.ProtoTCP, c.e.local, c.e.remote)
-	c.cm.RegisterSend(c.flow, c.cmappSend)
+	c.cm.RegisterSender(c.flow, c)
 	c.opened = true
 	c.epoch = c.cm.Epoch()
 }
@@ -201,7 +201,7 @@ func (c *cmCC) ensureLive() {
 	}
 	if e := c.cm.Epoch(); e != c.epoch {
 		c.flow = c.cm.Open(netsim.ProtoTCP, c.e.local, c.e.remote)
-		c.cm.RegisterSend(c.flow, c.cmappSend)
+		c.cm.RegisterSender(c.flow, c)
 		c.pendingRequests = 0
 		c.epoch = e
 	}
@@ -232,8 +232,9 @@ func (c *cmCC) trySend() {
 	}
 }
 
-// cmappSend is the grant callback: permission to send up to one MTU.
-func (c *cmCC) cmappSend(_ cm.FlowID) {
+// CMAppSend is the grant callback (cm.Sender): permission to send up to one
+// MTU.
+func (c *cmCC) CMAppSend(_ cm.FlowID) {
 	c.pendingRequests--
 	n, sent := c.e.sendOneSegment()
 	if !sent || n == 0 {

@@ -7,6 +7,7 @@ import (
 	"weak"
 
 	"repro/internal/netsim"
+	"repro/internal/race"
 )
 
 // closedPair runs a small transfer to a server that answers the client's FIN
@@ -183,5 +184,137 @@ func TestFullCloseUnderTotalDuplication(t *testing.T) {
 	if a := e.cm.Accounting(); a.Opens != 1 || a.Closes != 1 || a.StaleFlowCalls != 0 || e.cm.FlowCount() != 0 {
 		t.Errorf("CM accounting after the close: %d opens, %d closes, %d stale calls, %d flows left",
 			a.Opens, a.Closes, a.StaleFlowCalls, e.cm.FlowCount())
+	}
+}
+
+// oneShot is an application with one connection to serve: the owner word of
+// its listener and of the connection it accepts.
+type oneShot struct {
+	lis      *Listener
+	accepted *Endpoint
+	got      int64
+}
+
+func oneShotAccept(ep *Endpoint, owner any) {
+	o := owner.(*oneShot)
+	o.lis.Close() // the one connection is here
+	o.accepted = ep
+	ep.SetOwner(o)
+	ep.OnReceive(func(_ *Endpoint, owner any, n int) { owner.(*oneShot).got += int64(n) })
+	ep.OnClosed(func(ep *Endpoint, _ any) { ep.Close() })
+	ep.OnTimeWait(func(_ *Endpoint, owner any) { owner.(*oneShot).accepted = nil })
+}
+
+// A listener that closes itself from its accept callback still completes that
+// connection, and is then garbage like the endpoints: the host binds only the
+// two time-wait records, the endpoints' timers and congestion controllers are
+// part of them, and the owner word points from the endpoint to the application,
+// not back. All three are collected while the hosts, the CM and the application
+// state (the "Sim") live on; a second SYN to the port finds no listener.
+func TestOneShotListenerAndEndpointsCollectable(t *testing.T) {
+	for _, useCM := range []bool{false, true} {
+		e := newEnv(t, lan(), useCM)
+		app := new(oneShot)
+		var lis weak.Pointer[Listener]
+		var client, server weak.Pointer[Endpoint]
+		func() {
+			l, err := Listen(e.net.Host("server"), 80, Config{DelayedAck: true}, oneShotAccept, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.lis = l
+			cfg := nativeCfg()
+			if useCM {
+				cfg = cmClientCfg(e)
+			}
+			c, err := Dial(e.net.Host("client"), netsim.Addr{Host: "server", Port: 80}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.OnEstablished(func(c *Endpoint, _ any) {
+				c.Send(20_000)
+				c.Close()
+			})
+			e.sched.RunFor(5 * time.Millisecond)
+			if app.accepted == nil {
+				t.Fatal("no connection accepted")
+			}
+			lis, client, server = weak.Make(l), weak.Make(c), weak.Make(app.accepted)
+			e.sched.RunFor(time.Second)
+			if c.State() != StateTimeWait || app.accepted != nil || app.got != 20_000 {
+				t.Fatalf("cm=%v: client %v, server in time-wait %v, %d bytes delivered", useCM, c.State(), app.accepted == nil, app.got)
+			}
+			app.lis = nil
+		}()
+		runtime.GC()
+		runtime.GC()
+		if lis.Value() != nil || client.Value() != nil || server.Value() != nil {
+			t.Errorf("cm=%v: still reachable: listener %v, client %v, server %v",
+				useCM, lis.Value() != nil, client.Value() != nil, server.Value() != nil)
+		}
+		drops := e.net.Host("server").Stats().NoListenerDrops
+		if _, err := Dial(e.net.Host("client"), netsim.Addr{Host: "server", Port: 80}, nativeCfg()); err != nil {
+			t.Fatal(err)
+		}
+		e.sched.RunFor(5 * time.Millisecond)
+		if got := e.net.Host("server").Stats().NoListenerDrops - drops; got != 1 {
+			t.Errorf("cm=%v: a SYN after the one-shot listener closed met %d no-listener drops, want 1", useCM, got)
+		}
+		runtime.KeepAlive(e)
+		runtime.KeepAlive(app)
+	}
+}
+
+// What a connection allocates: an Endpoint at each end and, once closed, a
+// time-wait record at each end, plus the CM's flow record. Timers, congestion
+// controllers and callbacks are inside the Endpoint or shared functions. The
+// host binding tables grow too, by fewer objects than they gain entries.
+func TestConnectionIsOneObjectPerEndpoint(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates shadow state of its own")
+	}
+	for _, tc := range []struct {
+		useCM bool
+		want  float64
+	}{{false, 4}, {true, 5}} {
+		e := newEnv(t, lan(), tc.useCM)
+		accept := func(ep *Endpoint, _ any) { ep.OnClosed(func(ep *Endpoint, _ any) { ep.Close() }) }
+		if _, err := Listen(e.net.Host("server"), 80, Config{DelayedAck: true}, accept, nil); err != nil {
+			t.Fatal(err)
+		}
+		cfg := nativeCfg()
+		if tc.useCM {
+			cfg = cmClientCfg(e)
+		}
+		established := func(c *Endpoint, _ any) {
+			c.Send(3000)
+			c.Close()
+		}
+		connect := func() {
+			c, err := Dial(e.net.Host("client"), netsim.Addr{Host: "server", Port: 80}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.OnEstablished(established)
+			e.sched.RunFor(50 * time.Millisecond)
+			if c.State() != StateTimeWait {
+				t.Fatalf("connection ended in %v", c.State())
+			}
+		}
+		for i := 0; i < 100; i++ {
+			connect() // pools, freelists and the first map growth steps
+		}
+		const n = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			connect()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("cm=%v: %.2f objects per connection opened, used and closed", tc.useCM, per)
+		if per < tc.want || per > tc.want+0.5 {
+			t.Errorf("cm=%v: a connection allocated %.2f objects, want %.0f plus binding-table growth (< 0.5)", tc.useCM, per, tc.want)
+		}
 	}
 }
