@@ -11,11 +11,11 @@ import (
 // cm_register_send() during implementation to give clients flexibility over
 // which function receives the grant.
 func (cm *CM) RegisterSend(f FlowID, cb SendCallback) {
-	if cb == nil {
-		cm.RegisterSender(f, nil)
-		return
+	var to Sender // a nil callback must not become a non-nil Sender
+	if cb != nil {
+		to = cb
 	}
-	cm.RegisterSender(f, cb)
+	cm.RegisterSender(f, to)
 }
 
 // RegisterSender is RegisterSend for a client that receives the upcall as a

@@ -76,7 +76,7 @@ func TestReservedNetworkAllocatesPerKind(t *testing.T) {
 	cfg := netsim.LinkConfig{Bandwidth: netsim.Mbps, QueuePackets: 10}
 	nameBytes := 0
 	for i := 0; i < n; i++ {
-		nameBytes += 2 * (len(names[0]) + len("<->") + len(names[i+1]) + len("-fwd"))
+		nameBytes += LinkNameBytes(names[0], names[i+1], "")
 	}
 	build := func(reserve bool) (*Network, []*netsim.Duplex) {
 		nw := NewNetwork(simtime.NewScheduler())

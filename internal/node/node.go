@@ -493,9 +493,9 @@ func NewShardedNetwork(schedFor func(host string) *simtime.Scheduler) *Network {
 }
 
 // Reserve sizes the network for hosts more hosts and duplexes more duplex
-// links whose direction names total nameBytes bytes (for a link left unnamed,
-// 2*(len(a)+len(b)+len("<->")+len("-fwd"))). It is an allocation hint only:
-// whatever exceeds a reservation, or comes without one, is allocated singly.
+// links whose direction names total nameBytes bytes (the sum of LinkNameBytes
+// over the links). It is an allocation hint only: whatever exceeds a
+// reservation, or comes without one, is allocated singly.
 func (n *Network) Reserve(hosts, duplexes, nameBytes int) {
 	n.hostSlab = make([]Host, hosts)
 	n.duplexSlab = make([]netsim.Duplex, duplexes)
@@ -522,12 +522,7 @@ func (n *Network) Host(name string) *Host {
 	if h, ok := n.hosts[name]; ok {
 		return h
 	}
-	var h *Host
-	if len(n.hostSlab) > 0 {
-		h, n.hostSlab = &n.hostSlab[0], n.hostSlab[1:]
-	} else {
-		h = new(Host)
-	}
+	h := take(&n.hostSlab)
 	h.init(name, n.schedOf(name))
 	n.hosts[name] = h
 	return h
@@ -583,12 +578,7 @@ func (n *Network) ConnectDuplex(a, b string, cfg netsim.LinkConfig) *netsim.Dupl
 // that name plus "-fwd" and "-rev".
 func (n *Network) Link(a, b string, cfg netsim.LinkConfig) *netsim.Duplex {
 	ha, hb := n.Host(a), n.Host(b)
-	var d *netsim.Duplex
-	if len(n.duplexSlab) > 0 {
-		d, n.duplexSlab = &n.duplexSlab[0], n.duplexSlab[1:]
-	} else {
-		d = new(netsim.Duplex)
-	}
+	d := take(&n.duplexSlab)
 	var fwd, rev string
 	if cfg.Name == "" {
 		fwd, rev = n.cutName(a, "<->", b, "-fwd"), n.cutName(a, "<->", b, "-rev")
@@ -598,6 +588,28 @@ func (n *Network) Link(a, b string, cfg netsim.LinkConfig) *netsim.Duplex {
 	d.Init(ha.Clock(), hb.Clock(), cfg, fwd, rev)
 	d.Connect(ha, hb)
 	return d
+}
+
+// LinkNameBytes returns how many bytes the two direction names of a link
+// between a and b take: name (or "a<->b" for an unnamed link) plus "-fwd" and
+// plus "-rev".
+func LinkNameBytes(a, b, name string) int {
+	if name == "" {
+		return 2 * (len(a) + len("<->") + len(b) + len("-fwd"))
+	}
+	return 2 * (len(name) + len("-fwd"))
+}
+
+// take hands out the next element of a reserved slab, or a fresh one when
+// the reservation is used up. A slab is only ever resliced, so the addresses
+// handed out stay valid.
+func take[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		return new(T)
+	}
+	e := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return e
 }
 
 // cutName returns the concatenation of parts as a string cut from the name

@@ -134,11 +134,7 @@ func Build(spec Spec) (*Sim, error) {
 	// link names are, so each kind comes from one allocation.
 	nameBytes := 0
 	for _, ls := range spec.Links {
-		if ls.Name == "" {
-			nameBytes += 2 * (len(ls.A) + len("<->") + len(ls.B) + len("-fwd"))
-		} else {
-			nameBytes += 2 * (len(ls.Name) + len("-fwd"))
-		}
+		nameBytes += node.LinkNameBytes(ls.A, ls.B, ls.Name)
 	}
 	nw.Reserve(len(sim.nodeNames), len(spec.Links), nameBytes)
 	sim.duplexes = make([]*netsim.Duplex, 0, len(spec.Links))

@@ -172,16 +172,7 @@ func TestFinishedConnectionsRetainLittle(t *testing.T) {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	liveHeap := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := liveHeap()
-	sim.RunToEnd()
-	after := liveHeap()
+	retained := measure(sim.RunToEnd).live
 	completed := 0
 	for _, f := range sim.Finish().Flows {
 		if f.Completed {
@@ -191,7 +182,7 @@ func TestFinishedConnectionsRetainLittle(t *testing.T) {
 	if completed < len(sim.drivers)*9/10 {
 		t.Fatalf("only %d of %d requests completed", completed, len(sim.drivers))
 	}
-	perRequest := (float64(after) - float64(before)) / float64(completed)
+	perRequest := retained / float64(completed)
 	t.Logf("%d completed requests, %.0f bytes retained each", completed, perRequest)
 	if perRequest > 500 {
 		t.Errorf("a completed request retains %.0f bytes between Start and Finish, budget 500", perRequest)

@@ -140,13 +140,12 @@ type flowDriver struct {
 	udpStarted bool
 }
 
-// workloadRun is what the flows of one TCP workload share: where they run, how
-// they dial, and the position of the dial chain (see armDials).
+// workloadRun is what the flows of one TCP workload share: what they are,
+// where they run, and the position of the dial chain (see armDials).
 type workloadRun struct {
 	sim                *Sim
 	w                  *Workload
 	fromClock, toClock *simtime.Scheduler
-	dialCfg            tcp.Config
 	flows              []flowDriver
 	// next is the first flow that has not dialed yet.
 	next int
@@ -241,12 +240,7 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 		wl := &workloadRun{
 			sim: s, w: w,
 			fromClock: s.clockFor(w.From), toClock: s.clockFor(w.To),
-			dialCfg: tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow, CongestionControl: tcp.CCNative},
-			flows:   make([]flowDriver, w.Flows),
-		}
-		if w.CC == CCCM {
-			wl.dialCfg.CongestionControl = tcp.CCCM
-			wl.dialCfg.CM = s.cms[w.From]
+			flows: make([]flowDriver, w.Flows),
 		}
 		for fi := range wl.flows {
 			port := w.Port + fi
@@ -269,12 +263,16 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 			var err error
 			if udpKind(w.Kind) {
 				err = s.startUDPFlow(w, d, port)
-			} else if err = d.lis.Listen(s.net.Host(w.To), port,
-				tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow}, flowAccepted, d); err == nil && d.start <= 0 {
-				// A dial delayed past the start of the run records a failure
-				// on the flow's result (see armDials); one now aborts the run.
-				wl.next = fi + 1
-				err = d.dial()
+			} else {
+				err = d.lis.Listen(s.net.Host(w.To), port,
+					tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow}, flowAccepted, d)
+				if err == nil && d.start <= 0 {
+					// A dial delayed past the start of the run records a
+					// failure on the flow's result (see armDials); one that
+					// fails now aborts the run.
+					wl.next = fi + 1
+					err = d.dial()
+				}
 			}
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: workload %d flow %d: %w", s.Spec.Name, wi, fi, err)
@@ -289,8 +287,13 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 
 // dial opens the flow's connection from the From host.
 func (d *flowDriver) dial() error {
-	wl := d.wl
-	ep, err := tcp.Dial(wl.sim.net.Host(wl.w.From), netsim.Addr{Host: wl.w.To, Port: d.res.Port}, wl.dialCfg)
+	s, w := d.wl.sim, d.wl.w
+	cfg := tcp.Config{DelayedAck: true, RecvWindow: w.RecvWindow, CongestionControl: tcp.CCNative}
+	if w.CC == CCCM {
+		cfg.CongestionControl = tcp.CCCM
+		cfg.CM = s.cms[w.From]
+	}
+	ep, err := tcp.Dial(s.net.Host(w.From), netsim.Addr{Host: w.To, Port: d.res.Port}, cfg)
 	if err != nil {
 		d.res.Error = err.Error()
 		return err

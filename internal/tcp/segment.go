@@ -43,6 +43,22 @@
 // a run: a late segment must draw the same ACK at whatever time it arrives
 // (no timer makes the answer depend on when), and a run's connections are
 // bounded by its workload.
+//
+// # Objects and owners
+//
+// An Endpoint is one allocation: both timers and the congestion controller
+// are fields, and the timer and grant callbacks are package-level functions or
+// methods that get the endpoint back as their argument. Application callbacks
+// (OnEstablished, OnReceive, OnClosed, OnTimeWait, a Listener's accept) take
+// the endpoint and one owner word the application set with SetOwner (Listen
+// takes the listener's), so an application with many connections registers the
+// same functions on all of them and allocates no closure per connection. The
+// references run one way: endpoint → owner. Nothing in the simulator holds an
+// endpoint past TIME-WAIT, so it lives exactly as long as its owner keeps the
+// handle; an owner that outlives its connections (a slab entry, an
+// application) drops the handle in OnTimeWait. Endpoints are never pooled or
+// placed in a slab. A Listener that serves one connection calls Close from its
+// accept callback and is collectable from then on.
 package tcp
 
 import (
