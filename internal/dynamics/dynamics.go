@@ -6,10 +6,11 @@
 // loss turning bursty — instead of freezing every parameter at Build time.
 //
 // An Event names a link of the scenario's topology (by index into
-// Spec.Links), a virtual time and a change to apply. The Timeline schedules
-// every event on the simulation's scheduler; events with At <= 0 are applied
-// during installation, before any packet is sent, so static asymmetries can
-// be declared as time-zero events. Link up/down events additionally trigger
+// Spec.Links), a virtual time and a change to apply. Events with At <= 0 are
+// applied during installation, before any packet is sent, so static
+// asymmetries can be declared as time-zero events; the owner fires the rest
+// by calling Advance at their virtual times, with the simulation stopped
+// before any same-instant event has run. Link up/down events additionally trigger
 // the owner's route-recomputation hook, and each event's outcome (fired,
 // routes changed) is recorded so results can report the timeline that
 // actually executed.
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/simtime"
 )
 
 // Event kinds.
@@ -300,7 +300,6 @@ type RouteFaultHook func(ev Event)
 
 // Timeline owns a scenario's scheduled events and their execution records.
 type Timeline struct {
-	sched        *simtime.Scheduler
 	resolve      Resolver
 	onChange     TopologyHook
 	onHost       HostHook
@@ -309,15 +308,15 @@ type Timeline struct {
 }
 
 // NewTimeline builds a timeline over the given events. resolve is required;
-// onChange may be nil when the owner has no routing to maintain. A nil sched
-// selects the externally-driven mode: Install applies only time-zero events
-// and the owner fires the rest by calling Advance at the right virtual times
-// (sharded execution does this at its synchronization barriers).
-func NewTimeline(sched *simtime.Scheduler, events []Event, resolve Resolver, onChange TopologyHook) *Timeline {
+// onChange may be nil when the owner has no routing to maintain. Install
+// applies the time-zero events; the owner fires the rest by calling Advance
+// at the right virtual times (the scenario executor does this at its
+// synchronization barriers).
+func NewTimeline(events []Event, resolve Resolver, onChange TopologyHook) *Timeline {
 	if resolve == nil {
 		panic("dynamics: NewTimeline requires a resolver")
 	}
-	t := &Timeline{sched: sched, resolve: resolve, onChange: onChange}
+	t := &Timeline{resolve: resolve, onChange: onChange}
 	t.recs = make([]Record, len(events))
 	for i, ev := range events {
 		t.recs[i] = Record{Event: ev}
@@ -344,30 +343,19 @@ func (t *Timeline) SetHorizon(d time.Duration) {
 	}
 }
 
-// Install schedules every event. Events with At <= 0 are applied immediately
-// (before the scheduler runs), so time-zero events configure the network
-// before the first packet. Install must be called exactly once. On an
-// externally-driven timeline (nil scheduler) the positive-time events are
-// left for Advance.
+// Install applies every event with At <= 0, before any traffic, so time-zero
+// events configure the network before the first packet. Install must be
+// called exactly once, after the hooks are set.
 func (t *Timeline) Install() {
 	for i := range t.recs {
 		if t.recs[i].At <= 0 {
 			t.fire(i)
-			continue
 		}
-		if t.sched == nil {
-			continue
-		}
-		idx := i
-		t.sched.AtKind(t.recs[i].At, simtime.KindDynamics, func() { t.fire(idx) })
 	}
 }
 
 // Advance fires every not-yet-fired event with At <= now, in declaration
-// order — the same order the scheduler mode produces, since Install inserts
-// the events in declaration order before any traffic is scheduled. It is the
-// drive for externally-clocked owners; calling it on a scheduler-backed
-// timeline would double-fire events, so don't.
+// order.
 func (t *Timeline) Advance(now time.Duration) {
 	for i := range t.recs {
 		if !t.recs[i].Fired && t.recs[i].At <= now {

@@ -83,7 +83,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 func TestTimelineFiresInOrder(t *testing.T) {
 	sched := simtime.NewScheduler()
 	d, resolve := testLinks(sched)
-	tl := NewTimeline(sched, []Event{
+	tl := NewTimeline([]Event{
 		{At: 0, Kind: SetBandwidth, Link: 0, Direction: DirReverse, Bandwidth: 64 * netsim.Kbps},
 		{At: time.Second, Kind: LinkDown, Link: 0},
 		{At: 2 * time.Second, Kind: LinkUp, Link: 0},
@@ -91,7 +91,7 @@ func TestTimelineFiresInOrder(t *testing.T) {
 	}, resolve, nil)
 	tl.Install()
 
-	// The time-zero event applied during Install, before the scheduler ran.
+	// The time-zero event applied during Install, before any Advance.
 	if got := d.Reverse.Config().Bandwidth; got != 64*netsim.Kbps {
 		t.Fatalf("reverse bandwidth %v before run, want 64Kbps", got)
 	}
@@ -99,11 +99,11 @@ func TestTimelineFiresInOrder(t *testing.T) {
 		t.Fatalf("forward bandwidth %v changed by a reverse-only event", got)
 	}
 
-	sched.RunUntil(1500 * time.Millisecond)
+	tl.Advance(1500 * time.Millisecond)
 	if !d.Forward.IsDown() || !d.Reverse.IsDown() {
 		t.Fatal("both directions should be down at t=1.5s")
 	}
-	sched.RunUntil(3 * time.Second)
+	tl.Advance(3 * time.Second)
 	if d.Forward.IsDown() || d.Reverse.IsDown() {
 		t.Fatal("both directions should be up at t=3s")
 	}
@@ -122,7 +122,7 @@ func TestTimelineTopologyHook(t *testing.T) {
 	sched := simtime.NewScheduler()
 	_, resolve := testLinks(sched)
 	var hookCalls int
-	tl := NewTimeline(sched, []Event{
+	tl := NewTimeline([]Event{
 		{At: time.Second, Kind: SetLoss, Link: 0, LossRate: 0.2},
 		{At: 2 * time.Second, Kind: LinkDown, Link: 0},
 		{At: 3 * time.Second, Kind: LinkUp, Link: 0},
@@ -131,7 +131,7 @@ func TestTimelineTopologyHook(t *testing.T) {
 		return 7
 	})
 	tl.Install()
-	sched.RunUntil(5 * time.Second)
+	tl.Advance(5 * time.Second)
 
 	if hookCalls != 2 {
 		t.Fatalf("topology hook called %d times, want 2 (down+up only)", hookCalls)

@@ -75,7 +75,7 @@ func TestHostEventsFireThroughHook(t *testing.T) {
 	sched := simtime.NewScheduler()
 	_, resolve := testLinks(sched)
 	var fired []Event
-	tl := NewTimeline(sched, []Event{
+	tl := NewTimeline([]Event{
 		{At: time.Second, Kind: CMRestart, Host: "a"},
 		{At: 2 * time.Second, Kind: SetNotifyFaults, Host: "b", DropRate: 0.5},
 	}, resolve, nil)
@@ -84,7 +84,7 @@ func TestHostEventsFireThroughHook(t *testing.T) {
 		return HostOutcome{FlowsWiped: 3, RoutesChanged: 1}
 	})
 	tl.Install()
-	sched.RunFor(3 * time.Second)
+	tl.Advance(3 * time.Second)
 	if len(fired) != 2 || fired[0].Host != "a" || fired[1].Host != "b" {
 		t.Fatalf("host hook saw %+v", fired)
 	}
@@ -100,14 +100,14 @@ func TestHostEventsFireThroughHook(t *testing.T) {
 func TestPastEndEventsAreFlagged(t *testing.T) {
 	sched := simtime.NewScheduler()
 	_, resolve := testLinks(sched)
-	tl := NewTimeline(sched, []Event{
+	tl := NewTimeline([]Event{
 		{At: time.Second, Kind: LinkDown, Link: 0},
 		{At: time.Minute, Kind: CMRestart, Host: "a"},
 	}, resolve, nil)
 	tl.SetHostHook(func(Event) HostOutcome { return HostOutcome{} })
 	tl.SetHorizon(10 * time.Second)
 	tl.Install()
-	sched.RunFor(10 * time.Second)
+	tl.Advance(10 * time.Second)
 	recs := tl.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))

@@ -95,7 +95,7 @@ func RunAdaptation(cfg AdaptationConfig) AdaptationResult {
 		Seed:         cfg.Seed,
 	}
 	w := newTestbed(path, true)
-	lib := libcm.New(w.cm, w.sched, libcm.ModeAuto)
+	lib := libcm.New(w.cm, w.clock, libcm.ModeAuto)
 
 	client, err := app.NewLayeredClient(w.rcvr, 7000, cfg.Feedback, cfg.TraceWindow)
 	if err != nil {
@@ -117,11 +117,11 @@ func RunAdaptation(cfg AdaptationConfig) AdaptationResult {
 		if err == nil {
 			// Cross traffic starts after a few seconds so the trace shows the
 			// application ramping up, losing bandwidth, and recovering.
-			w.sched.After(3*time.Second, cross.Start)
+			w.clock.After(3*time.Second, cross.Start)
 		}
 	}
 	srv.Start()
-	w.sched.RunUntil(cfg.Duration)
+	w.sim.RunUntil(cfg.Duration)
 	srv.Stop()
 	if cross != nil {
 		cross.Stop()

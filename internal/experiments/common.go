@@ -72,10 +72,11 @@ func (p Path) spec(withCM bool, cmOpts ...cm.Option) scenario.Spec {
 // testbed is an experiment's view of a built scenario: the two-host topology
 // with an optional Congestion Manager on the sender. Every runner constructs
 // its topology through the scenario engine and attaches its workload (bulk
-// transfers, file servers, layered streams) programmatically.
+// transfers, file servers, layered streams) programmatically on the hosts'
+// clock, and advances the run with sim.RunUntil.
 type testbed struct {
 	sim    *scenario.Sim
-	sched  *simtime.Scheduler
+	clock  *simtime.Scheduler
 	cm     *cm.CM
 	sender *node.Host
 	rcvr   *node.Host
@@ -88,7 +89,7 @@ func newTestbed(p Path, withCM bool, cmOpts ...cm.Option) *testbed {
 	sim := scenario.MustBuild(p.spec(withCM, cmOpts...))
 	w := &testbed{
 		sim:    sim,
-		sched:  sim.Scheduler(),
+		clock:  sim.Host("sender").Clock(),
 		cm:     sim.CM("sender"),
 		sender: sim.Host("sender"),
 		rcvr:   sim.Host("receiver"),

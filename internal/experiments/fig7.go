@@ -88,7 +88,7 @@ func runFetches(w *testbed, cfg Fig7Config) []float64 {
 		tcp.Config{DelayedAck: true, RecvWindow: 1 << 20})
 	var results []app.FetchResult
 	client.RunSequential(cfg.Requests, cfg.Spacing, func(rs []app.FetchResult) { results = rs })
-	w.sched.RunUntil(cfg.Deadline)
+	w.sim.RunUntil(cfg.Deadline)
 	if results == nil {
 		results = client.Results()
 	}

@@ -27,14 +27,14 @@ func RunConnSetup() ConnSetupResult {
 		if _, err := tcp.Listen(w.rcvr, 80, tcp.Config{}, nil, nil); err != nil {
 			return 0
 		}
-		start := w.sched.Now()
+		start := w.clock.Now()
 		var established time.Duration
 		ep, err := tcp.Dial(w.sender, netsim.Addr{Host: "receiver", Port: 80}, w.senderTCPConfig(cc))
 		if err != nil {
 			return 0
 		}
-		ep.OnEstablished(func(*tcp.Endpoint, any) { established = w.sched.Now() })
-		w.sched.RunFor(time.Second)
+		ep.OnEstablished(func(*tcp.Endpoint, any) { established = w.clock.Now() })
+		w.sim.RunUntil(start + time.Second)
 		return established - start
 	}
 	return ConnSetupResult{CM: measure(tcp.CCCM), Linux: measure(tcp.CCNative)}

@@ -506,9 +506,6 @@ func (n *Network) Reserve(hosts, duplexes, nameBytes int) {
 	}
 }
 
-// Scheduler returns the shared scheduler, or nil for a sharded network.
-func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
-
 // schedOf resolves the scheduler owning the named host.
 func (n *Network) schedOf(name string) *simtime.Scheduler {
 	if n.schedFor != nil {

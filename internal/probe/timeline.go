@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// Span is one wall-clock execution interval on a timeline lane: a shard
-// worker's synchronization window, a coordinator barrier, or a whole serial
-// run.
+// Span is one wall-clock execution interval on a timeline lane: a shard's
+// synchronization window or a coordinator barrier.
 type Span struct {
-	// Name labels the span ("window", "barrier", "run").
+	// Name labels the span ("window", "barrier").
 	Name string
 	// Lane is the worker the span belongs to (shard index; the coordinator
 	// gets its own lane).

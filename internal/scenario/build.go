@@ -14,15 +14,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// Sim is a built scenario: the wired topology, its scheduler and the
+// Sim is a built scenario: the wired topology, its executor and the
 // Congestion Managers, ready to run. Experiments that need programmatic
-// workloads (custom applications, taps, ablations) use Build directly and
-// drive the scheduler themselves; declarative workloads go through Run (or
-// Start + Finish when the caller drives the clock).
+// workloads (custom applications, taps, ablations) use Build directly, attach
+// them to a host's Clock and advance the run with RunUntil; declarative
+// workloads go through Run (or Start + RunUntil/RunToEnd + Finish).
 type Sim struct {
-	Spec  Spec
-	sched *simtime.Scheduler
-	net   *node.Network
+	Spec Spec
+	net  *node.Network
 	// nodeNames is every node in deterministic (first-mention) order.
 	nodeNames []string
 	// duplexes[i] realises Spec.Links[i].
@@ -41,9 +40,9 @@ type Sim struct {
 	proto    *protoPlane
 	timeline *dynamics.Timeline
 
-	// shard is the sharded-execution coordinator, nil for a serial build
-	// (Spec.Shards <= 1, a degenerate partition, or zero lookahead). When
-	// set, sched is nil: every component is bound to its shard's scheduler.
+	// shard is the executor: one shard for a serial build (Spec.Shards <= 1,
+	// a degenerate partition, or zero lookahead), K for a sharded one. Every
+	// component is bound to its shard's scheduler.
 	shard *shardRun
 
 	// drivers track the declarative workloads once Start has run.
@@ -64,9 +63,9 @@ type Sim struct {
 	profiled bool
 
 	// obsTimes/obsFns are the barrier observation schedule (see observers.go):
-	// instants where RunToEnd pauses the whole simulation — between all events
-	// strictly before and any event at the instant — and runs the registered
-	// observers. Aggregate probes and the protocol convergence baseline use
+	// instants where the executor pauses the whole simulation — between all
+	// events strictly before and any event at the instant — and runs the
+	// registered observers. Aggregate probes and the protocol convergence baseline use
 	// it; empty for runs without either.
 	obsTimes []time.Duration
 	obsFns   []func(time.Duration)
@@ -114,21 +113,17 @@ func Build(spec Spec) (*Sim, error) {
 
 	// Sharded execution needs at least two shards after partitioning and a
 	// positive lookahead (a zero-delay cross-shard link admits no safe
-	// concurrent window); anything else degrades to the serial path.
-	var nw *node.Network
+	// concurrent window); anything else runs as one shard, whose plan maps
+	// every host to shard 0 and sets no lookahead limit.
+	plan := shardPlan{nshards: 1}
 	if spec.Shards > 1 {
-		plan := planShards(&spec, sim.nodeNames)
-		if plan.nshards > 1 && plan.lookahead > 0 {
-			sim.shard = newShardRun(plan)
-			nw = node.NewShardedNetwork(func(host string) *simtime.Scheduler {
-				return sim.shard.states[plan.shardOf[host]].sched
-			})
+		if p := planShards(&spec, sim.nodeNames); p.nshards > 1 && p.lookahead > 0 {
+			plan = p
 		}
 	}
-	if nw == nil {
-		sim.sched = simtime.NewScheduler()
-		nw = node.NewNetwork(sim.sched)
-	}
+	sim.shard = newShardRun(plan)
+	sharded := plan.nshards > 1
+	nw := node.NewShardedNetwork(sim.clockFor)
 	sim.net = nw
 	// The spec says how many hosts and links there will be and how long the
 	// link names are, so each kind comes from one allocation.
@@ -192,17 +187,15 @@ func Build(spec Spec) (*Sim, error) {
 		if err := direction(ls.B, ls.A, d.Reverse); err != nil {
 			return nil, err
 		}
-		if sim.shard != nil {
-			sa, sb := sim.shard.plan.shardOf[ls.A], sim.shard.plan.shardOf[ls.B]
-			if sa != sb {
-				sim.shard.connectRemote(d.Forward, sa, sb)
-				sim.shard.connectRemote(d.Reverse, sb, sa)
-			}
+		if sa, sb := plan.shardOf[ls.A], plan.shardOf[ls.B]; sa != sb {
+			sim.shard.connectRemote(d.Forward, sa, sb)
+			sim.shard.connectRemote(d.Reverse, sb, sa)
 		}
 	}
-	if sim.shard != nil {
+	// Ownership checks guard cross-shard drives; one shard has none to catch.
+	if sharded {
 		for _, name := range sim.nodeNames {
-			nw.Host(name).SetOwnershipCheck(sim.shard.ownerCheck(sim.shard.plan.shardOf[name]))
+			nw.Host(name).SetOwnershipCheck(sim.shard.ownerCheck(plan.shardOf[name]))
 		}
 	}
 
@@ -236,8 +229,8 @@ func Build(spec Spec) (*Sim, error) {
 		sim.cms[h] = c
 		sim.cmHosts = append(sim.cmHosts, h)
 		nw.Host(h).SetTransmitNotifier(c)
-		if sim.shard != nil {
-			c.SetOwnershipCheck(sim.shard.ownerCheck(sim.shard.plan.shardOf[h]))
+		if sharded {
+			c.SetOwnershipCheck(sim.shard.ownerCheck(plan.shardOf[h]))
 		}
 	}
 	// One fault injector per CM host, seeded from the spec seed and the
@@ -253,11 +246,10 @@ func Build(spec Spec) (*Sim, error) {
 	sim.installTrace()
 
 	// The dynamics timeline is installed last so its time-zero events (static
-	// asymmetries and initial loss modes) see the fully wired topology. A
-	// sharded build uses the externally-driven mode: positive-time events
-	// fire at synchronization barriers instead of on a scheduler.
+	// asymmetries and initial loss modes) see the fully wired topology; the
+	// executor fires the positive-time events at barriers (shard.go).
 	if len(spec.Events) > 0 {
-		sim.timeline = dynamics.NewTimeline(sim.sched, spec.Events, sim.resolveEventLinks,
+		sim.timeline = dynamics.NewTimeline(spec.Events, sim.resolveEventLinks,
 			func(ev dynamics.Event) int {
 				changed := sim.recomputeRoutes()
 				sim.recordRouteEvent(ev, changed)
@@ -269,6 +261,14 @@ func Build(spec Spec) (*Sim, error) {
 		}
 		sim.timeline.SetHorizon(spec.Duration)
 		sim.timeline.Install()
+		// Declared events need not be in time order; the barrier cursor is.
+		sim.shard.tl = sim.timeline
+		for _, ev := range spec.Events {
+			if ev.At > 0 {
+				sim.shard.dyn = append(sim.shard.dyn, ev.At)
+			}
+		}
+		sort.Slice(sim.shard.dyn, func(i, j int) bool { return sim.shard.dyn[i] < sim.shard.dyn[j] })
 	}
 	return sim, nil
 }
@@ -315,7 +315,7 @@ func expandHostMoves(events []dynamics.Event) []dynamics.Event {
 
 // recordRouteEvent notes a fired link-dynamics event — and the routing churn
 // it caused — in the flight recorders of the affected link's endpoints. The
-// hook runs in single-threaded phases (build, serial scheduler, barriers),
+// hook runs in single-threaded phases (build, barriers),
 // so writing both rings here is race-free.
 func (s *Sim) recordRouteEvent(ev dynamics.Event, changed int) {
 	if s.recorders == nil || ev.Link < 0 || ev.Link >= len(s.Spec.Links) {
@@ -390,7 +390,7 @@ func (s *Sim) renameHost(old, newName string) {
 		s.routing.rename(int32(i), newName)
 		break
 	}
-	if s.shard != nil {
+	if s.shard.plan.nshards > 1 {
 		s.shard.plan.shardOf[newName] = s.shard.plan.shardOf[old]
 	}
 	if s.recorders != nil {
@@ -453,54 +453,31 @@ func expandGenerators(spec *Spec) ([]dynamics.Event, error) {
 // k-1 of point p+1: adjacent sweep points draw fully independent churn.
 const subSeedStride = 2_654_435_761 // 2^32 / golden ratio, odd
 
-// clockFor returns the scheduler owning the named host: the single scheduler
-// of a serial build, or the host's shard scheduler of a sharded one.
+// clockFor returns the scheduler of the shard owning the named host (a
+// serial build's plan has no shardOf map, so every host reads shard 0).
 func (s *Sim) clockFor(host string) *simtime.Scheduler {
-	if s.shard != nil {
-		return s.shard.states[s.shard.plan.shardOf[host]].sched
-	}
-	return s.sched
+	return s.shard.states[s.shard.plan.shardOf[host]].sched
 }
 
 // now returns the current virtual time. All shard clocks agree outside
 // windows (the coordinator advances them in lockstep), so the first shard
-// speaks for a sharded run.
-func (s *Sim) now() time.Duration {
-	if s.shard != nil {
-		return s.shard.states[0].sched.Now()
-	}
-	return s.sched.Now()
-}
+// speaks for the run.
+func (s *Sim) now() time.Duration { return s.shard.states[0].sched.Now() }
 
-// Sharded reports whether the build runs on shard workers; ShardCount and
-// Lookahead describe the partition (1 and 0 for a serial build), and ShardOf
-// returns the shard owning a host (0 for a serial build).
-func (s *Sim) Sharded() bool { return s.shard != nil }
+// Sharded reports whether the build runs on more than one shard; ShardCount
+// and Lookahead describe the partition (1 and 0 for a serial build), and
+// ShardOf returns the shard owning a host (0 for a serial build).
+func (s *Sim) Sharded() bool { return s.shard.plan.nshards > 1 }
 
 // ShardCount returns the number of shards executing the simulation.
-func (s *Sim) ShardCount() int {
-	if s.shard == nil {
-		return 1
-	}
-	return s.shard.plan.nshards
-}
+func (s *Sim) ShardCount() int { return s.shard.plan.nshards }
 
 // Lookahead returns the conservative synchronization window of a sharded
 // build, zero for a serial one.
-func (s *Sim) Lookahead() time.Duration {
-	if s.shard == nil {
-		return 0
-	}
-	return s.shard.plan.lookahead
-}
+func (s *Sim) Lookahead() time.Duration { return s.shard.plan.lookahead }
 
 // ShardOf returns the shard index owning the named host.
-func (s *Sim) ShardOf(host string) int {
-	if s.shard == nil {
-		return 0
-	}
-	return s.shard.plan.shardOf[host]
-}
+func (s *Sim) ShardOf(host string) int { return s.shard.plan.shardOf[host] }
 
 // resolveEventLinks maps an event's (link index, direction) onto the built
 // duplexes — the dynamics.Resolver for this simulation.
@@ -543,11 +520,6 @@ func (s *Sim) recomputeRoutes() int {
 	}
 	return s.routing.recompute()
 }
-
-// Scheduler returns the simulation's private scheduler, or nil for a sharded
-// build (each shard owns one; see clockFor). Experiments that drive the
-// clock themselves run serial builds.
-func (s *Sim) Scheduler() *simtime.Scheduler { return s.sched }
 
 // Network returns the wired topology.
 func (s *Sim) Network() *node.Network { return s.net }

@@ -28,11 +28,10 @@ func TestFlakyDumbbellMacroflowCollapseAndReprobe(t *testing.T) {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sched := sim.Scheduler()
 
 	// Just before the outage the stream has opened its window well beyond
 	// the initial one.
-	sched.RunUntil(5900 * time.Millisecond)
+	sim.RunUntil(5900 * time.Millisecond)
 	mf := sim.CM("s0").MacroflowTo("d0")
 	if mf == nil {
 		t.Fatal("no macroflow s0->d0")
@@ -40,7 +39,7 @@ func TestFlakyDumbbellMacroflowCollapseAndReprobe(t *testing.T) {
 	wBefore := mf.Window()
 
 	// Late in the outage the window has collapsed.
-	sched.RunUntil(9900 * time.Millisecond)
+	sim.RunUntil(9900 * time.Millisecond)
 	wDuring := mf.Window()
 	if wDuring >= wBefore {
 		t.Fatalf("window did not collapse on link-down: before=%d during=%d", wBefore, wDuring)
@@ -52,7 +51,7 @@ func TestFlakyDumbbellMacroflowCollapseAndReprobe(t *testing.T) {
 
 	// Well after recovery the window has been probed back open and data
 	// flows again.
-	sched.RunUntil(spec.Duration)
+	sim.RunUntil(spec.Duration)
 	wAfter := mf.Window()
 	if wAfter <= wDuring {
 		t.Fatalf("window did not re-probe after link-up: during=%d after=%d", wDuring, wAfter)
@@ -81,6 +80,31 @@ func TestFlakyDumbbellMacroflowCollapseAndReprobe(t *testing.T) {
 	}
 	if missDrops == 0 {
 		t.Fatal("no route-miss/no-route drops recorded across the outage")
+	}
+}
+
+// TestEventsDeclaredOutOfOrderFireOnTime declares the flaky dumbbell's
+// link-up before its link-down: each still fires at its own time.
+func TestEventsDeclaredOutOfOrderFireOnTime(t *testing.T) {
+	spec := FlakyDumbbell(FlakyDumbbellParams{
+		DownAt:   2 * time.Second,
+		UpAt:     4 * time.Second,
+		Dumbbell: DumbbellParams{Duration: 5 * time.Second},
+	})
+	spec.Events[0], spec.Events[1] = spec.Events[1], spec.Events[0]
+	sim := MustBuild(spec)
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	bottleneck := sim.Duplex(spec.Events[0].Link).Forward
+	for _, step := range []struct {
+		at   time.Duration
+		down bool
+	}{{1900 * time.Millisecond, false}, {3 * time.Second, true}, {spec.Duration, false}} {
+		sim.RunUntil(step.at)
+		if got := bottleneck.IsDown(); got != step.down {
+			t.Fatalf("at %v: bottleneck down=%v, want %v", step.at, got, step.down)
+		}
 	}
 }
 

@@ -194,14 +194,16 @@ func TestFlightRecorderCapturesChurn(t *testing.T) {
 	}
 }
 
-// TestSnapshotsSerialAndSharded checks mid-run snapshot capture on both
-// execution paths: same capture times, monotonic progress, and interior
-// state consistent with the end state.
+// TestSnapshotsSerialAndSharded checks mid-run snapshot capture serial and on
+// four shards: same capture times, monotonic progress, interior state
+// consistent with the end state, and each serial snapshot's Result equal to
+// the 4-shard one byte for byte.
 func TestSnapshotsSerialAndSharded(t *testing.T) {
 	spec := churnProbeSpec(t)
 	spec.Probes = nil
 	spec.SnapshotEvery = time.Second
 
+	var serial []Snapshot
 	for _, shards := range []int{0, 4} {
 		sp := spec
 		sp.Shards = shards
@@ -240,13 +242,33 @@ func TestSnapshotsSerialAndSharded(t *testing.T) {
 			t.Fatalf("shards=%d: final snapshot delivered %d, end state %d (snapshot at t=duration must equal the end state)",
 				shards, prev, endDelivered)
 		}
+		if shards == 0 {
+			serial = snaps
+			continue
+		}
+		if !sim.Sharded() {
+			t.Fatal("the churn spec must really shard")
+		}
+		for i, sn := range snaps {
+			sj, err := json.Marshal(serial[i].Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kj, err := json.Marshal(sn.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(sj) != string(kj) {
+				t.Errorf("snapshot at %v: serial and 4-shard Results differ", sn.At)
+			}
+		}
 	}
 }
 
-// TestExecutionTimeline checks the trace_event export on both paths: a
-// 4-shard grid run yields window spans on every shard lane plus coordinator
-// barriers, a serial run yields a single run span, and both serialize to
-// valid trace_event JSON.
+// TestExecutionTimeline checks the trace_event export: a 4-shard grid run
+// yields window spans on every shard lane plus coordinator barriers, a serial
+// run is the one-shard layout with a single window span and no barrier, and
+// the export is valid trace_event JSON.
 func TestExecutionTimeline(t *testing.T) {
 	spec, err := Lookup("grid")
 	if err != nil {
@@ -310,7 +332,8 @@ func TestExecutionTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2.RunToEnd()
-	if got := tl2.SpanCount(); got != 1 {
-		t.Fatalf("serial lane has %d spans, want the single run span", got)
+	spans := tl2.Spans()
+	if len(spans) != 1 || spans[0].Lane != 0 || spans[0].Name != "window" || spans[0].VirtEnd != spec.Duration {
+		t.Fatalf("serial spans %+v, want one window span on lane 0 through %v", spans, spec.Duration)
 	}
 }

@@ -1,22 +1,19 @@
-// Barrier observers: whole-simulation sampling instants shared by serial and
-// sharded execution.
+// Barrier observers: whole-simulation sampling instants.
 //
 // A per-host probe can sample on its owner's scheduler, but an observer that
 // reads *across* the whole simulation — an aggregate probe summing links on
 // different shards, the protocol convergence baseline summing every host's
 // drop counters — needs an instant where no shard is mid-window. The
-// observation schedule provides exactly that: RunToEnd pauses at each
-// registered time t with every event strictly before t executed and no event
-// at t executed yet. A serial run realises the pause with RunUntilBefore(t)
-// and AdvanceTo(t); a sharded run folds t into the synchronization-barrier
-// schedule and fires after the drain, before same-instant dynamics events.
-// Both paths observe identical state with every clock reading t (a link counts
-// a packet as sent by the clock, see netsim.Link.SentCounters), so results
-// remain byte-identical across execution modes.
+// observation schedule provides exactly that: each registered time t is a
+// barrier of the executor (shard.go), where every event strictly before t
+// has executed and none at t has; observers fire after the barrier's drain,
+// before same-instant dynamics events. A serial run is one shard and pauses
+// at the same barriers, so every shard count observes identical state with
+// every clock reading t (a link counts a packet as sent by the clock, see
+// netsim.Link.SentCounters), and results remain byte-identical.
 //
 // Observers are observation-only by contract: they must not mutate
-// simulation state or consume randomness. Runs driven manually (Build +
-// Start + a caller-owned scheduler loop) never fire observers.
+// simulation state or consume randomness.
 package scenario
 
 import (
@@ -25,8 +22,8 @@ import (
 )
 
 // addObserver registers fire to run at each of the given instants (values
-// outside (0, Duration] are ignored). Call before RunToEnd; Start finalises
-// the schedule.
+// outside (0, Duration] are ignored). Call before the run; Start finalises
+// the schedule and hands it to the executor.
 func (s *Sim) addObserver(times []time.Duration, fire func(at time.Duration)) {
 	var mine []time.Duration
 	for _, t := range times {
@@ -51,8 +48,9 @@ func (s *Sim) addObserver(times []time.Duration, fire func(at time.Duration)) {
 	})
 }
 
-// finishObservers sorts and dedupes the merged schedule. Called once from
-// Start after every registration.
+// finishObservers sorts and dedupes the merged schedule and hands it to the
+// executor as barrier instants. Called once from Start after every
+// registration.
 func (s *Sim) finishObservers() {
 	if len(s.obsTimes) == 0 {
 		return
@@ -65,6 +63,7 @@ func (s *Sim) finishObservers() {
 		}
 	}
 	s.obsTimes = uniq
+	s.shard.obs, s.shard.obsFire = s.obsTimes, s.fireObservers
 }
 
 // fireObservers runs every registered observer for instant at; each observer

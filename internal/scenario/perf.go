@@ -28,37 +28,27 @@ type Perf struct {
 	Kinds   []PerfKind `json:"kinds"`
 }
 
-// EnableProfiling arms the per-event-kind profiler on every scheduler of the
-// build (the single serial scheduler, or each shard's). Must be called after
+// EnableProfiling arms the per-event-kind profiler on every shard's
+// scheduler (the one of a serial build). Must be called after
 // Build and before the run. Profiling observes event execution only — it
 // never reads or writes simulation state, consumes no randomness and
 // schedules nothing — so an armed run produces the identical Result (minus
 // the Perf block itself).
 func (s *Sim) EnableProfiling() {
 	s.profiled = true
-	if s.shard != nil {
-		for _, ss := range s.shard.states {
-			ss.prof = ss.sched.EnableProfile()
-		}
-		return
+	for _, ss := range s.shard.states {
+		ss.prof, ss.lastProf = ss.sched.EnableProfile(), new(simtime.ProfileSnapshot)
 	}
-	s.sched.EnableProfile()
 }
 
-// profileTotal sums the armed profilers across schedulers; zero if profiling
+// profileTotal sums the armed profilers across shards; zero if profiling
 // was never enabled.
 func (s *Sim) profileTotal() simtime.ProfileSnapshot {
 	var total simtime.ProfileSnapshot
-	if s.shard != nil {
-		for _, ss := range s.shard.states {
-			if ss.prof != nil {
-				total = total.Add(ss.prof.Snapshot())
-			}
+	for _, ss := range s.shard.states {
+		if ss.prof != nil {
+			total = total.Add(ss.prof.Snapshot())
 		}
-		return total
-	}
-	if p := s.sched.Profiling(); p != nil {
-		total = p.Snapshot()
 	}
 	return total
 }

@@ -1,18 +1,21 @@
 // In-run observability for scenarios: declarative sampling probes compiled
 // from Spec.Probes, the per-host flight recorder enabled by Spec.TraceDepth,
 // mid-run Result snapshots driven by Spec.SnapshotEvery, and the wall-clock
-// execution timeline (EnableExecutionTimeline). Everything here is
-// observation-only: nothing consumes randomness or mutates simulation state,
-// so a run's Result is byte-identical with all of it on or off — serial,
-// parallel or sharded (pinned by TestShardedRunsAreByteIdentical and
-// TestProbeSeriesDeterministic).
+// execution timeline (EnableExecutionTimeline). All of it rides the one
+// executor (shard.go): per-target probes are events on the scheduler of the
+// shard owning the sampled state, snapshots and aggregate probes fire at its
+// barriers, and the timeline records each shard's windows and the
+// coordinator's barriers. Everything here is observation-only: nothing
+// consumes randomness or mutates simulation state, so a run's Result is
+// byte-identical with all of it on or off and on any shard count (pinned by
+// TestShardedRunsAreByteIdentical and TestProbeSeriesDeterministic).
 //
 // Determinism of mid-run sampling deserves a note. A probe's sample at time
 // t is a self-rescheduling event inserted at t-interval, so in a sharded run
 // its insertion stamp is t-interval while a same-time packet delivery
 // carries its sender-side serialisation time as stamp; the scheduler's
 // (time, stamp, seq) order therefore places the sample exactly where the
-// serial run's insertion order would have. The only ambiguous case is a
+// one-shard run's insertion order would have. The only ambiguous case is a
 // delivery whose propagation delay equals the probe interval to the
 // nanosecond — the reason DefaultInterval (250 ms) dwarfs every link delay
 // in the canned scenarios.
@@ -31,11 +34,11 @@ import (
 )
 
 // Snapshot is one mid-run capture of the full Result, taken every
-// Spec.SnapshotEvery of virtual time. Snapshots exist for invariant checking
-// (faults.CheckSnapshot); unlike probe series they are not part of the
-// Result, because a sharded run takes them at synchronization barriers and
-// a serial run on scheduler events — same times, slightly different
-// interleaving with same-instant packet events.
+// Spec.SnapshotEvery of virtual time at a barrier: every event before At has
+// run and none at At (the capture at Spec.Duration comes after the run's last
+// events, so it equals the end state). Serial and sharded runs take the same
+// snapshots byte for byte. Snapshots exist for invariant checking
+// (faults.CheckSnapshot) and are not part of the Result.
 type Snapshot struct {
 	At     time.Duration
 	Result *Result
@@ -296,40 +299,27 @@ func (s *Sim) compileProbe(t probe.Target) (func() float64, *simtime.Scheduler, 
 		case "lookahead":
 			fn = func() float64 { return s.Lookahead().Seconds() }
 		}
-		clock := s.sched
-		if s.shard != nil {
-			clock = s.shard.states[0].sched
-		}
-		return fn, clock, nil
+		return fn, s.shard.states[0].sched, nil
 	}
 	return nil, nil, fmt.Errorf("unknown probe target kind %q", t.Kind)
 }
 
-// takeSnapshot captures the full current Result. Serial runs drive it from a
-// self-rescheduling event (installSnapshots); sharded runs call it at the
-// synchronization barrier aligned with each snapshot time, when every worker
-// is quiescent and cross-shard reads are safe.
+// takeSnapshot captures the full current Result. The executor calls it at
+// the barrier aligned with each snapshot time, when every shard is quiescent
+// and cross-shard reads are safe, and at the end of the run for a snapshot
+// due exactly then.
 func (s *Sim) takeSnapshot(at time.Duration) {
 	s.snaps = append(s.snaps, Snapshot{At: at, Result: s.collect(s.drivers)})
 }
 
-// installSnapshots schedules the serial-mode snapshot chain.
-func (s *Sim) installSnapshots() {
+// armSnapshots hands the Spec.SnapshotEvery schedule to the executor.
+func (s *Sim) armSnapshots() {
 	every := s.Spec.SnapshotEvery
-	if every <= 0 || s.shard != nil {
+	if every <= 0 || every > s.Spec.Duration {
 		return
 	}
-	var fire func(any)
-	fire = func(any) {
-		now := s.sched.Now()
-		s.takeSnapshot(now)
-		if next := now + every; next <= s.Spec.Duration {
-			s.sched.AtArgKind(next, simtime.KindProbeSample, fire, nil)
-		}
-	}
-	if every <= s.Spec.Duration {
-		s.sched.AtArgKind(every, simtime.KindProbeSample, fire, nil)
-	}
+	sr := s.shard
+	sr.snapEvery, sr.nextSnap, sr.end, sr.snap = every, every, s.Spec.Duration, s.takeSnapshot
 }
 
 // installTrace enables the flight recorder: one ring per host plus taps on
@@ -407,77 +397,45 @@ func (s *Sim) DumpTrace(w io.Writer) int {
 	return n
 }
 
-// EnableExecutionTimeline attaches a wall-clock execution timeline: one lane
-// per shard worker plus a coordinator lane (a single "serial" lane for an
-// unsharded build). Must be called after Build and before the run starts;
-// the returned timeline is exported with probe.Timeline.WriteJSON. The
-// timeline records wall-clock spans only — it never appears in the Result,
-// so enabling it cannot perturb determinism.
+// EnableExecutionTimeline attaches a wall-clock execution timeline: one
+// "window" lane per shard plus a coordinator lane of "barrier" spans (a
+// serial run without barriers is one window span on lane "shard 0"). Must be
+// called after Build and before the run starts; the returned timeline is
+// exported with probe.Timeline.WriteJSON. The timeline records wall-clock
+// spans only — it never appears in the Result, so enabling it cannot perturb
+// determinism.
 func (s *Sim) EnableExecutionTimeline() *probe.Timeline {
-	if s.shard != nil {
-		names := make([]string, s.shard.plan.nshards+1)
-		for i := 0; i < s.shard.plan.nshards; i++ {
-			names[i] = fmt.Sprintf("shard %d", i)
-		}
-		names[s.shard.plan.nshards] = "coordinator"
-		tl := probe.NewTimeline(names...)
-		s.shard.timeline = tl
-		for i, ss := range s.shard.states {
-			ss.lane, ss.tl = i, tl
-		}
-		s.execTL = tl
-		return tl
+	n := s.shard.plan.nshards
+	names := make([]string, n+1)
+	for i := 0; i < n; i++ {
+		names[i] = fmt.Sprintf("shard %d", i)
 	}
-	s.execTL = probe.NewTimeline("serial")
-	return s.execTL
+	names[n] = "coordinator"
+	tl := probe.NewTimeline(names...)
+	s.shard.timeline = tl
+	for i, ss := range s.shard.states {
+		ss.lane, ss.tl = i, tl
+	}
+	s.execTL = tl
+	return tl
 }
 
 // ExecutionTimeline returns the timeline attached by
 // EnableExecutionTimeline, or nil.
 func (s *Sim) ExecutionTimeline() *probe.Timeline { return s.execTL }
 
-// RunToEnd advances the simulation from the current virtual time to
-// Spec.Duration: the shard coordinator loop for a sharded build, a plain
-// RunUntil for a serial one. Run composes Build + Start + RunToEnd + Finish;
-// callers needing mid-run artifacts (snapshots, traces, timelines) use the
-// pieces directly.
+// RunUntil advances the simulation to virtual time t, executing every event
+// at or before t; the observers, dynamics events and snapshots due on the
+// way fire at their barriers. It may be called repeatedly with increasing t,
+// also past Spec.Duration; a caller attaching its own workloads to a host's
+// Clock drives the run this way.
+func (s *Sim) RunUntil(t time.Duration) { s.shard.runUntil(t) }
+
+// RunToEnd runs the simulation to Spec.Duration and releases the cross-shard
+// deliveries that would arrive after it. Run composes Build + Start +
+// RunToEnd + Finish; callers needing mid-run artifacts (snapshots, traces,
+// timelines) use the pieces directly.
 func (s *Sim) RunToEnd() {
-	if s.shard != nil {
-		s.shard.snapEvery = s.Spec.SnapshotEvery
-		s.shard.snap = s.takeSnapshot
-		s.shard.obs = s.obsTimes
-		s.shard.obsFire = s.fireObservers
-		s.shard.run(s.Spec.Duration, s.timeline, s.Spec.Events)
-		return
-	}
-	// The serial realisation of the barrier-observation schedule: pause just
-	// before each registered instant (events < t executed, none at t), fire
-	// the observers, resume. See observers.go.
-	run := func() {
-		for _, t := range s.obsTimes {
-			s.sched.RunUntilBefore(t)
-			s.sched.AdvanceTo(t)
-			s.fireObservers(t)
-		}
-		s.sched.RunUntil(s.Spec.Duration)
-	}
-	if s.execTL != nil {
-		t0 := s.execTL.Since()
-		v0 := s.sched.Now()
-		var prev simtime.ProfileSnapshot
-		if p := s.sched.Profiling(); p != nil {
-			prev = p.Snapshot()
-		}
-		run()
-		span := probe.Span{
-			Name: "run", Start: t0, Dur: s.execTL.Since() - t0,
-			VirtStart: v0, VirtEnd: s.Spec.Duration,
-		}
-		if p := s.sched.Profiling(); p != nil {
-			span.Kinds = kindCosts(p.Snapshot().Delta(prev))
-		}
-		s.execTL.Add(0, span)
-		return
-	}
-	run()
+	s.RunUntil(s.Spec.Duration)
+	s.shard.release()
 }

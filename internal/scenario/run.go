@@ -177,9 +177,9 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // Start instantiates the spec's declarative workloads without running the
-// scheduler. Callers that need to observe the simulation mid-run (the
-// adaptation-under-failure experiment, the CM dynamics tests) use
-// Build + Start, drive the scheduler themselves, and then call Finish.
+// simulation. Callers that need to observe the simulation mid-run (the CM
+// dynamics tests) use Build + Start, advance it with RunUntil, and then call
+// Finish.
 func (s *Sim) Start() error {
 	if s.started {
 		return fmt.Errorf("scenario %q: Start called twice", s.Spec.Name)
@@ -196,7 +196,7 @@ func (s *Sim) Start() error {
 	if err := s.installProbes(); err != nil {
 		return err
 	}
-	s.installSnapshots()
+	s.armSnapshots()
 	// The protocol convergence deadline depends on the fully expanded event
 	// list; arming it registers its baseline capture on the observation
 	// schedule, which is then frozen.

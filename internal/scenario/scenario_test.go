@@ -136,7 +136,7 @@ func TestDumbbellEnsembleSharingPerDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mid-transfer every connection is open: the CM knows all of them.
-	sim.Scheduler().RunUntil(500 * time.Millisecond)
+	sim.RunUntil(500 * time.Millisecond)
 
 	for _, sender := range []string{"s0", "s1"} {
 		c := sim.CM(sender)
@@ -181,7 +181,7 @@ func TestDumbbellEnsembleSharingPerDestination(t *testing.T) {
 
 	// The shared state must actually carry traffic: every bulk flow
 	// completes within the run.
-	sim.Scheduler().RunUntil(spec.Duration)
+	sim.RunUntil(spec.Duration)
 	res := sim.collect(drivers)
 	for _, f := range res.Flows {
 		if !f.Completed {

@@ -1,7 +1,9 @@
-// Sharded single-simulation execution: one huge scenario is partitioned into
-// K shards (planShards), each shard owns a private simtime.Scheduler driving
-// its hosts, links and CMs on its own worker goroutine, and the shards
-// advance in conservative lookahead windows.
+// The one executor of a scenario: the topology is partitioned into K shards
+// (planShards), each shard owns a private simtime.Scheduler driving its
+// hosts, links and CMs, and the shards advance in conservative windows
+// separated by barriers. A serial build is the K = 1 case: one shard, no cut
+// links, no lookahead limit, so its windows end only at barrier instants and
+// a run without dynamics, observers or snapshots is one window.
 //
 // The synchronization protocol is the classic conservative (window/barrier)
 // scheme of parallel discrete-event simulation, specialised to this
@@ -10,28 +12,31 @@
 // execute events in [W, W') concurrently, where W' - W <= L; a packet handed
 // off during the window started serialising at some t >= W (the link hands it
 // over as it goes on the wire), so it arrives at or after
-// t + delay >= W + L >= W' — never inside the window that produced it. At the
-// barrier the coordinator advances every clock to W', drains the handoff
-// queues into the destination schedulers (InjectAt, which panics if the
-// invariant ever fails), fires any network-dynamics events scheduled exactly
-// at W', and opens the next window.
+// t + delay >= W + L >= W' — never inside the window that produced it. The
+// coordinator executes shard 0's window itself and shards 1..K-1 run on
+// worker goroutines. At the barrier the coordinator advances every clock to
+// W', drains the handoff queues into the destination schedulers (InjectAt,
+// which panics if the invariant ever fails), fires the observers, network
+// dynamics and snapshot due exactly at W', and opens the next window.
 //
 // Determinism is the design constraint. Each injected delivery carries the
 // sender-side end of serialisation as its insertion stamp and its link
 // direction's sort key, and the scheduler orders same-timestamp events by
 // (stamp, key, seq) — which is exactly the order a single shared scheduler
 // produces (it keys its local hand-ups the same way), so a K-shard run
-// executes every host's events in the serial order and the Result is
-// byte-identical to the serial run (enforced by TestShardedRuns*).
-// Handoff queues are single-producer/single-consumer slices: only the source
-// shard's worker appends (during a window), only the coordinator drains (at a
-// barrier), and the window channels provide the happens-before edges.
+// executes every host's events in the one-shard order and the Result is
+// byte-identical to the serial run (enforced by TestShardedRuns* and
+// TestDigestLedger). Handoff queues are single-producer/single-consumer
+// slices: only the source shard appends (during a window), only the
+// coordinator drains (at a barrier), and the window channels provide the
+// happens-before edges.
 package scenario
 
 import (
-	"sort"
+	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/dynamics"
 	"repro/internal/netsim"
@@ -48,74 +53,85 @@ type shardMsg struct {
 	sent     time.Duration // sender-side end of serialisation (stamp)
 	key      uint32        // link-direction sort key (Link.SortKey)
 	sub      uint32        // link-local delivery sequence (sub-sequence tie-break)
+	to       *shardState   // destination shard, set when injected
 }
 
-// handoff is the SPSC queue for one (source shard, destination shard) pair.
+// handoff is the SPSC queue for one (source shard, destination shard) pair,
+// padded to a cache line: shards append to neighbouring queues concurrently.
 type handoff struct {
 	msgs []shardMsg
+	_    [64 - unsafe.Sizeof([]shardMsg{})]byte
 }
 
-// windowReq asks a shard worker to execute one synchronization window.
+// windowReq asks a shard to execute one synchronization window.
 type windowReq struct {
 	until     time.Duration
-	inclusive bool // final window: run events at exactly until as RunUntil does
+	inclusive bool // last window of a RunUntil: run events at exactly until too
 }
 
-// shardState is one shard: its scheduler, its worker goroutine's channels,
-// and the recycled injection arguments for deliveries into this shard.
+// shardState is one shard: its scheduler, its worker goroutine's channels
+// (shards 1..K-1; the coordinator runs shard 0 itself), and the recycled
+// injection arguments for deliveries into this shard.
 type shardState struct {
 	sched   *simtime.Scheduler
-	running atomic.Bool // true while the worker executes a window
+	running atomic.Bool // true while the shard executes a window
 	cmd     chan windowReq
 	done    chan struct{}
 	free    []*shardMsg // recycled InjectAt arguments, owned by this shard
-	fire    func(any)   // built once: delivers a *shardMsg on this shard
 
 	// tl, when set by EnableExecutionTimeline, records one wall-clock span
 	// per executed window on this shard's lane. Each lane is written only by
-	// its own worker, so no synchronization beyond the window channels.
+	// the goroutine executing its shard, so no synchronization beyond the
+	// window channels.
 	tl   *probe.Timeline
 	lane int
 	// prof, when armed (EnableProfiling), is this shard's per-event-kind
 	// profiler; lastProf is the snapshot at the previous window boundary, so
 	// each window span carries the per-kind cost delta of exactly that
-	// window. Written only by this shard's worker during windows.
+	// window. Written only while this shard executes a window.
 	prof     *simtime.Profile
-	lastProf simtime.ProfileSnapshot
+	lastProf *simtime.ProfileSnapshot
 }
 
+// loop is a worker goroutine: it executes windows until the coordinator
+// closes cmd at the end of a RunUntil.
 func (ss *shardState) loop() {
 	for req := range ss.cmd {
-		ss.running.Store(true)
-		var t0, v0 time.Duration
-		if ss.tl != nil {
-			t0, v0 = ss.tl.Since(), ss.sched.Now()
-		}
-		if req.inclusive {
-			ss.sched.RunUntil(req.until)
-		} else {
-			ss.sched.RunUntilBefore(req.until)
-		}
-		if ss.tl != nil {
-			span := probe.Span{
-				Name: "window", Start: t0, Dur: ss.tl.Since() - t0,
-				VirtStart: v0, VirtEnd: req.until,
-			}
-			if ss.prof != nil {
-				snap := ss.prof.Snapshot()
-				span.Kinds = kindCosts(snap.Delta(ss.lastProf))
-				ss.lastProf = snap
-			}
-			ss.tl.Add(ss.lane, span)
-		}
-		ss.running.Store(false)
+		ss.execute(req)
 		ss.done <- struct{}{}
 	}
 }
 
+// execute runs one window on this shard's scheduler.
+func (ss *shardState) execute(req windowReq) {
+	ss.running.Store(true)
+	var t0, v0 time.Duration
+	if ss.tl != nil {
+		t0, v0 = ss.tl.Since(), ss.sched.Now()
+	}
+	if req.inclusive {
+		ss.sched.RunUntil(req.until)
+	} else {
+		ss.sched.RunUntilBefore(req.until)
+	}
+	if ss.tl != nil {
+		span := probe.Span{
+			Name: "window", Start: t0, Dur: ss.tl.Since() - t0,
+			VirtStart: v0, VirtEnd: req.until,
+		}
+		if ss.prof != nil {
+			snap := ss.prof.Snapshot()
+			span.Kinds = kindCosts(snap.Delta(*ss.lastProf))
+			*ss.lastProf = snap
+		}
+		ss.tl.Add(ss.lane, span)
+	}
+	ss.running.Store(false)
+}
+
 // getMsg pops a recycled injection argument (or allocates one). Called by the
-// coordinator at barriers; recycleMsg is called by the shard worker when the
-// delivery fires. The two never run concurrently — barriers exclude windows.
+// coordinator at barriers; deliverMsg recycles the argument when the
+// delivery runs. The two never run concurrently — barriers exclude windows.
 func (ss *shardState) getMsg() *shardMsg {
 	if n := len(ss.free); n > 0 {
 		m := ss.free[n-1]
@@ -125,50 +141,56 @@ func (ss *shardState) getMsg() *shardMsg {
 	return new(shardMsg)
 }
 
-// shardRun coordinates the K shard workers of one sharded simulation.
+// deliverMsg is the event function of an injected cross-shard delivery: it
+// hands the packet up on the destination shard and recycles the argument.
+func deliverMsg(x any) {
+	m := x.(*shardMsg)
+	ss := m.to
+	m.link.DeliverRemote(m.pkt, m.dup, ss.sched.Now())
+	*m = shardMsg{}
+	ss.free = append(ss.free, m)
+}
+
+// shardRun coordinates the K shards of one simulation and keeps the barrier
+// cursors between RunUntil calls.
 type shardRun struct {
 	plan    shardPlan
 	states  []*shardState
-	queues  [][]*handoff // [source shard][destination shard]
-	control atomic.Bool  // single-threaded coordinator phase (build, barriers)
+	queues  []handoff   // [source shard * nshards + destination shard]
+	control atomic.Bool // single-threaded coordinator phase (build, barriers)
 
-	// snap, when set, captures a mid-run snapshot at every multiple of
-	// snapEvery; the coordinator folds those instants into the barrier
-	// schedule so every shard is quiescent exactly then (see probes.go).
-	snapEvery time.Duration
-	snap      func(at time.Duration)
+	// last is the latest barrier instant. Deliveries handed off since then
+	// arrive at or after last + lookahead, which bounds the next window even
+	// when a RunUntil ended between barriers.
+	last time.Duration
+	// dyn holds the pending instants of the dynamics timeline tl, sorted;
+	// each is a barrier where tl.Advance fires the events due then.
+	dyn []time.Duration
+	tl  *dynamics.Timeline
 	// obs/obsFire realise the barrier-observation schedule (observers.go):
-	// each obs instant becomes a barrier, and obsFire runs after the drain —
-	// before same-instant dynamics events and snapshots, matching the serial
-	// path's RunUntilBefore placement.
+	// each obs instant becomes a barrier, and obsFire runs after the drain,
+	// before same-instant dynamics events and snapshots.
 	obs     []time.Duration
 	obsFire func(at time.Duration)
+	// snap captures a snapshot at every multiple of snapEvery up to end;
+	// nextSnap is the next one due (zero when none is). Instants before end
+	// are barriers; the one at end is taken once the run has executed the
+	// events at end, so it equals the end state (see probes.go).
+	snapEvery, nextSnap, end time.Duration
+	snap                     func(at time.Duration)
 	// timeline, when set, gets one "barrier" span on the coordinator lane
 	// (index nshards) per synchronization barrier.
 	timeline *probe.Timeline
 }
 
 func newShardRun(plan shardPlan) *shardRun {
-	sr := &shardRun{plan: plan}
+	n := plan.nshards
+	sr := &shardRun{plan: plan, states: make([]*shardState, n), queues: make([]handoff, n*n)}
 	sr.control.Store(true)
-	sr.states = make([]*shardState, plan.nshards)
-	sr.queues = make([][]*handoff, plan.nshards)
 	for i := range sr.states {
-		ss := &shardState{
-			sched: simtime.NewScheduler(),
-			cmd:   make(chan windowReq),
-			done:  make(chan struct{}),
-		}
-		ss.fire = func(x any) {
-			m := x.(*shardMsg)
-			m.link.DeliverRemote(m.pkt, m.dup, ss.sched.Now())
-			*m = shardMsg{}
-			ss.free = append(ss.free, m)
-		}
-		sr.states[i] = ss
-		sr.queues[i] = make([]*handoff, plan.nshards)
-		for j := range sr.queues[i] {
-			sr.queues[i][j] = &handoff{}
+		sr.states[i] = &shardState{sched: simtime.NewScheduler()}
+		if i > 0 {
+			sr.states[i].done = make(chan struct{}, 1)
 		}
 	}
 	return sr
@@ -191,21 +213,34 @@ func (sr *shardRun) ownerCheck(i int) func() bool {
 // connectRemote installs the cross-shard handoff on a directional link whose
 // transmitter lives on shard src and whose receiver lives on shard dst.
 func (sr *shardRun) connectRemote(l *netsim.Link, src, dst int) {
-	q := sr.queues[src][dst]
+	q := &sr.queues[src*sr.plan.nshards+dst]
 	key := l.SortKey()
 	l.SetRemoteDeliver(func(pkt, dup *netsim.Packet, arrive, sent time.Duration, seq uint32) {
 		q.msgs = append(q.msgs, shardMsg{link: l, pkt: pkt, dup: dup, arrive: arrive, sent: sent, key: key, sub: seq})
 	})
 }
 
-// window runs every shard up to (or through, if inclusive) until, in
-// parallel, and returns when all workers are quiescent again.
+// window runs every shard up to (or through, if inclusive) until — shard 0
+// on the calling goroutine, the others on their workers — and returns when
+// all of them are quiescent again.
+//
+// A woken worker waits in its waker's run slot, which an idle P steals only
+// after a pause, so the coordinator yields its P to the workers before it
+// takes shard 0 up from the global queue; without the yield every window of
+// grid64_cm_shards2 starts its second shard late (-30% sim_pkts_per_s on two
+// cores). The window channels hold one message each, so neither side blocks
+// on a send.
 func (sr *shardRun) window(until time.Duration, inclusive bool) {
+	req := windowReq{until: until, inclusive: inclusive}
 	sr.control.Store(false)
-	for _, ss := range sr.states {
-		ss.cmd <- windowReq{until: until, inclusive: inclusive}
+	for _, ss := range sr.states[1:] {
+		ss.cmd <- req
 	}
-	for _, ss := range sr.states {
+	if len(sr.states) > 1 {
+		runtime.Gosched()
+	}
+	sr.states[0].execute(req)
+	for _, ss := range sr.states[1:] {
 		<-ss.done
 	}
 	sr.control.Store(true)
@@ -225,17 +260,17 @@ func (sr *shardRun) window(until time.Duration, inclusive bool) {
 // nanosecond instants, pinned by routeflap in TestShardedRunsAreByteIdentical.)
 // Two same-instant deliveries on the *same* link direction order by the
 // link-local delivery sequence (shardMsg.sub, assigned by the sender in
-// serialisation order) — explicit since PR 10, where it used to lean on seq
-// (scheduler insertion order) plus the queue's FIFO discipline.
+// serialisation order).
 func (sr *shardRun) drain() int {
 	n := 0
 	for dst, ds := range sr.states {
 		for src := range sr.states {
-			q := sr.queues[src][dst]
+			q := &sr.queues[src*sr.plan.nshards+dst]
 			for i := range q.msgs {
 				m := ds.getMsg()
 				*m = q.msgs[i]
-				ds.sched.InjectAt(m.arrive, m.sent, m.key, m.sub, simtime.KindPktDeliver, ds.fire, m)
+				m.to = ds
+				ds.sched.InjectAt(m.arrive, m.sent, m.key, m.sub, simtime.KindPktDeliver, deliverMsg, m)
 			}
 			n += len(q.msgs)
 			q.msgs = q.msgs[:0]
@@ -244,104 +279,106 @@ func (sr *shardRun) drain() int {
 	return n
 }
 
-// run executes the sharded simulation for duration d, firing the dynamics
-// timeline (if any) at barriers. It matches the serial path's
-// RunUntil(duration): the final window is inclusive so events scheduled at
-// exactly d still execute.
-func (sr *shardRun) run(d time.Duration, tl *dynamics.Timeline, events []dynamics.Event) {
+// nextBarrier returns the first barrier instant in (now, t]: the end of the
+// lookahead window opened at the last barrier (sharded builds only), the next dynamics event, observer
+// instant or snapshot before the end of the run. ok is false when the
+// window can run straight through t.
+func (sr *shardRun) nextBarrier(t time.Duration) (at time.Duration, ok bool) {
+	now := sr.states[0].sched.Now()
+	at = t + 1
+	if la := sr.plan.lookahead; la > 0 {
+		at = sr.last + la
+	}
+	for len(sr.dyn) > 0 && sr.dyn[0] <= now {
+		sr.dyn = sr.dyn[1:]
+	}
+	if len(sr.dyn) > 0 && sr.dyn[0] < at {
+		at = sr.dyn[0]
+	}
+	for len(sr.obs) > 0 && sr.obs[0] <= now {
+		sr.obs = sr.obs[1:]
+	}
+	if len(sr.obs) > 0 && sr.obs[0] < at {
+		at = sr.obs[0]
+	}
+	if sr.nextSnap > now && sr.nextSnap < sr.end && sr.nextSnap < at {
+		at = sr.nextSnap
+	}
+	return at, at <= t
+}
+
+// barrier runs with every shard stopped at at, every event before it
+// executed and none at it: clocks advance, cross-shard deliveries drain, and
+// the observers, dynamics events and snapshot due at at fire, in that order.
+func (sr *shardRun) barrier(at time.Duration) {
+	sr.last = at
+	var t0 time.Duration
+	if sr.timeline != nil {
+		t0 = sr.timeline.Since()
+	}
 	for _, ss := range sr.states {
+		ss.sched.AdvanceTo(at)
+	}
+	injected := sr.drain()
+	if sr.timeline != nil {
+		sr.timeline.Add(sr.plan.nshards, probe.Span{
+			Name: "barrier", Start: t0, Dur: sr.timeline.Since() - t0,
+			VirtStart: at, VirtEnd: at, Count: injected,
+		})
+	}
+	if len(sr.obs) > 0 && sr.obs[0] == at {
+		sr.obsFire(at)
+	}
+	if len(sr.dyn) > 0 && sr.dyn[0] == at {
+		sr.tl.Advance(at)
+	}
+	if sr.nextSnap == at && at < sr.end {
+		sr.snap(at)
+		sr.nextSnap += sr.snapEvery
+	}
+}
+
+// runUntil advances the simulation to t, executing every event at or before
+// t: windows up to each barrier instant, then one inclusive window through
+// t. Cross-shard deliveries handed off in that last window wait in their
+// queues for the next barrier; they cannot arrive before t + lookahead.
+func (sr *shardRun) runUntil(t time.Duration) {
+	if sr.nextSnap > 0 && sr.nextSnap == sr.end && t > sr.end {
+		sr.runUntil(sr.end) // the end-of-run snapshot sees the state at end
+	}
+	for _, ss := range sr.states[1:] {
+		ss.cmd = make(chan windowReq, 1)
 		go ss.loop()
 	}
-	// Barrier times of the dynamics timeline: windows never straddle an
-	// event, so each event fires with every shard stopped exactly at its
-	// timestamp, before any same-timestamp packet event — the order the
-	// serial scheduler produces for the timeline's build-time insertions.
-	var dyn []time.Duration
-	for _, ev := range events {
-		if ev.At > 0 && ev.At <= d {
-			dyn = append(dyn, ev.At)
+	for {
+		at, ok := sr.nextBarrier(t)
+		if !ok {
+			break
 		}
+		sr.window(at, false)
+		sr.barrier(at)
 	}
-	sort.Slice(dyn, func(i, j int) bool { return dyn[i] < dyn[j] })
-
-	// Snapshot instants join the barrier schedule like dynamics events:
-	// windows never straddle one, so the capture sees every shard stopped
-	// exactly at its timestamp. A snapshot due at exactly d waits for the
-	// final inclusive window, matching the serial path where the snapshot
-	// event at d fires within RunUntil(d).
-	nextSnap := time.Duration(0)
-	if sr.snapEvery > 0 && sr.snap != nil {
-		nextSnap = sr.snapEvery
+	sr.window(t, true)
+	if sr.nextSnap > 0 && sr.nextSnap == t && t == sr.end {
+		sr.snap(t)
+		sr.nextSnap = 0
 	}
-	obs := sr.obs // sorted, deduped, within (0, d] by construction
-
-	w := time.Duration(0)
-	for w < d {
-		end := d
-		if sr.plan.lookahead < d-w {
-			end = w + sr.plan.lookahead
-		}
-		for len(dyn) > 0 && dyn[0] <= w {
-			dyn = dyn[1:]
-		}
-		if len(dyn) > 0 && dyn[0] < end {
-			end = dyn[0]
-		}
-		for len(obs) > 0 && obs[0] <= w {
-			obs = obs[1:]
-		}
-		if len(obs) > 0 && obs[0] < end {
-			end = obs[0]
-		}
-		if nextSnap > 0 && nextSnap > w && nextSnap < end {
-			end = nextSnap
-		}
-		sr.window(end, false)
-		var t0 time.Duration
-		if sr.timeline != nil {
-			t0 = sr.timeline.Since()
-		}
-		for _, ss := range sr.states {
-			ss.sched.AdvanceTo(end)
-		}
-		injected := sr.drain()
-		if sr.timeline != nil {
-			sr.timeline.Add(sr.plan.nshards, probe.Span{
-				Name: "barrier", Start: t0, Dur: sr.timeline.Since() - t0,
-				VirtStart: end, VirtEnd: end, Count: injected,
-			})
-		}
-		if sr.obsFire != nil && len(obs) > 0 && obs[0] == end {
-			sr.obsFire(end)
-			obs = obs[1:]
-		}
-		if tl != nil && len(dyn) > 0 && dyn[0] == end {
-			tl.Advance(end)
-		}
-		if nextSnap > 0 && nextSnap == end && end < d {
-			sr.snap(end)
-			nextSnap += sr.snapEvery
-		}
-		w = end
-	}
-	sr.window(d, true)
-	if nextSnap > 0 && nextSnap == d {
-		sr.snap(d)
-	}
-	for _, ss := range sr.states {
+	for _, ss := range sr.states[1:] {
 		close(ss.cmd)
 	}
-	// Deliveries scheduled past the end of the run never execute; release
-	// their packets so the pool gets them back.
-	for _, row := range sr.queues {
-		for _, q := range row {
-			for i := range q.msgs {
-				q.msgs[i].pkt.Release()
-				if q.msgs[i].dup != nil {
-					q.msgs[i].dup.Release()
-				}
+}
+
+// release drops the cross-shard deliveries still queued at the end of the
+// run, which would arrive after it, and returns their packets to the pool.
+func (sr *shardRun) release() {
+	for j := range sr.queues {
+		q := &sr.queues[j]
+		for i := range q.msgs {
+			q.msgs[i].pkt.Release()
+			if q.msgs[i].dup != nil {
+				q.msgs[i].dup.Release()
 			}
-			q.msgs = nil
 		}
+		q.msgs = nil
 	}
 }

@@ -213,8 +213,8 @@ func TestShardedFallsBackToSerial(t *testing.T) {
 	if sim.Sharded() {
 		t.Fatal("zero-delay topology must fall back to serial execution")
 	}
-	if sim.Scheduler() == nil {
-		t.Fatal("serial fallback must expose its scheduler")
+	if n := sim.ShardCount(); n != 1 {
+		t.Fatalf("serial fallback runs on %d shards, want 1", n)
 	}
 
 	one := DumbbellGrid(GridParams{})
@@ -276,5 +276,33 @@ func TestShardedRepeatedRunsIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two sharded runs of the same spec differ")
+	}
+}
+
+// TestShardedRunUntilInSteps drives a sharded run with RunUntil in steps
+// that fall inside lookahead windows: deliveries handed off in the last
+// window of one call must still be injected before they are due in the
+// next, so the Result equals a serial RunToEnd.
+func TestShardedRunUntilInSteps(t *testing.T) {
+	spec := DumbbellGrid(GridParams{Duration: time.Second})
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Shards = 2
+	sim := MustBuild(spec)
+	if !sim.Sharded() {
+		t.Fatal("grid did not shard")
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for at := 7 * time.Millisecond; at < spec.Duration; at += 7 * time.Millisecond {
+		sim.RunUntil(at)
+	}
+	sim.RunToEnd()
+	got := sim.Finish()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("stepped 2-shard run differs from the serial run")
 	}
 }

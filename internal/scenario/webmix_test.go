@@ -86,7 +86,7 @@ func TestDelayedDialsChainFromOnePendingEvent(t *testing.T) {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if n := sim.Scheduler().Len(); n != 2 {
+	if n := sim.Host("sender").Clock().Len(); n != 2 {
 		t.Fatalf("%d events pending after Start, want one per workload", n)
 	}
 	plan := planWebMix(sim.Spec.Seed, 0, &sim.Spec.Workloads[0])

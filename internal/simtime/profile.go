@@ -29,10 +29,11 @@ const (
 	// KindRouteUpdate is routing control-plane work (advertisement exchange,
 	// triggered updates, convergence timers).
 	KindRouteUpdate
-	// KindProbeSample is a declarative probe or snapshot sampling event.
+	// KindProbeSample is a declarative per-target probe sampling event.
 	KindProbeSample
-	// KindDynamics is a scheduled network-dynamics event (link down/up,
-	// parameter change, Gilbert-Elliott ticks).
+	// KindDynamics is scheduled network-dynamics work (Gilbert-Elliott
+	// ticks); a dynamics.Timeline's events are applied between events, not
+	// scheduled.
 	KindDynamics
 	// KindWorkloadApp is application/transport workload machinery (flow
 	// starts, TCP timers, app-layer timers).

@@ -175,7 +175,6 @@ type Scheduler struct {
 	free     []*Event // recycled events; bounds steady-state allocation at zero
 	seq      uint64
 	executed uint64
-	limit    uint64 // safety valve against runaway simulations; 0 = no limit
 	// prof, when non-nil, receives per-kind wall-clock aggregates for every
 	// fired event (see EnableProfile). Disarmed cost: one nil check in Step.
 	prof *Profile
@@ -204,12 +203,6 @@ func (s *Scheduler) Len() int { return len(s.events) - b2i(s.open) }
 
 // Executed returns the total number of events that have run.
 func (s *Scheduler) Executed() uint64 { return s.executed }
-
-// SetEventLimit sets a safety limit on the number of events executed by Run
-// and RunUntil; 0 disables the limit. Exceeding the limit causes a panic,
-// which in practice indicates a livelocked simulation (for example a
-// zero-delay event loop).
-func (s *Scheduler) SetEventLimit(n uint64) { s.limit = n }
 
 // ---------------------------------------------------------------------------
 // 4-ary min-heap of entries. The pending set is small (tens to a thousand
@@ -502,9 +495,6 @@ func (s *Scheduler) Step() bool {
 		s.now = ev.at
 	}
 	s.executed++
-	if s.limit != 0 && s.executed > s.limit {
-		panic(fmt.Sprintf("simtime: event limit %d exceeded at t=%v", s.limit, s.now))
-	}
 	if s.prof == nil {
 		ev.fire()
 	} else {

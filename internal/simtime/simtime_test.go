@@ -191,20 +191,6 @@ func TestRunUntilHonoursEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestEventLimitPanics(t *testing.T) {
-	s := NewScheduler()
-	s.SetEventLimit(10)
-	var loop func()
-	loop = func() { s.After(time.Microsecond, loop) }
-	s.After(time.Microsecond, loop)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from event limit")
-		}
-	}()
-	s.Run()
-}
-
 func TestNilFunctionPanics(t *testing.T) {
 	s := NewScheduler()
 	defer func() {
