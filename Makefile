@@ -67,20 +67,24 @@ soak-smoke:
 	$(GO) run ./cmd/cmsim -campaign examples/campaigns/churn-soak.json \
 		-parallel 8 -check-invariants -csv > CHURN_SOAK.csv
 
-# In-run observability smoke: re-run the flight recorder's zero-alloc gate
-# and the probes-active byte-identity/determinism checks, then a sharded
-# churn run with declarative probes, the flight recorder, mid-run snapshot
-# invariant checking, the shard-execution timeline and the structured run
-# report all armed (-report exits nonzero on a non-clean faults verdict, like
-# -check-invariants), then one small sweep with plot emission. CI uploads
-# PROBE_SMOKE.csv, SHARD_TIMELINE.json, RUN_REPORT.{json,md} and plots/ (see
+# In-run observability smoke: re-run the flight recorder's zero-alloc gate,
+# the probes-active byte-identity/determinism checks, the one-sampling-rule
+# check (per-target probes equal their aggregate twins) and the past-end
+# dynamics check, then a sharded churn run with per-target and aggregate
+# probes, the flight recorder, mid-run snapshot invariant checking, the
+# shard-execution timeline and the structured run report all armed (-report
+# exits nonzero on a non-clean faults verdict, like -check-invariants), then
+# one small sweep with plot emission. CI uploads PROBE_SMOKE.csv,
+# SHARD_TIMELINE.json, RUN_REPORT.{json,md} and plots/ (see
 # docs/OBSERVABILITY.md).
 probe-smoke:
 	$(GO) test -run TestRecorderAppendZeroAlloc ./internal/probe/
-	$(GO) test -short -run 'TestShardedRunsAreByteIdentical|TestProbeSeriesDeterministic' ./internal/scenario/
+	$(GO) test -short -run 'TestShardedRunsAreByteIdentical|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration' \
+		./internal/scenario/ ./internal/faults/
 	$(GO) run ./cmd/cmsim -scenario churn -shards 4 \
 		-probe "link[0].queue_depth" -probe "link[0].utilization" \
-		-probe "cm[s0].cwnd" -trace-depth 512 -snapshot-every 1s \
+		-probe "cm[s0].cwnd" -probe "links.*-fwd.drops" \
+		-trace-depth 512 -snapshot-every 1s \
 		-check-invariants -probe-csv PROBE_SMOKE.csv \
 		-timeline-out SHARD_TIMELINE.json \
 		-report RUN_REPORT.json -report-md RUN_REPORT.md > /dev/null

@@ -355,13 +355,24 @@ func (t *Timeline) Install() {
 }
 
 // Advance fires every not-yet-fired event with At <= now, in declaration
-// order.
+// order. An event past the horizon never fires, however far now runs.
 func (t *Timeline) Advance(now time.Duration) {
 	for i := range t.recs {
-		if !t.recs[i].Fired && t.recs[i].At <= now {
+		if r := &t.recs[i]; !r.Fired && !r.PastEnd && r.At <= now {
 			t.fire(i)
 		}
 	}
+}
+
+// Next returns the instant of the earliest event Advance would still fire;
+// ok is false when there is none.
+func (t *Timeline) Next() (at time.Duration, ok bool) {
+	for i := range t.recs {
+		if r := &t.recs[i]; !r.Fired && !r.PastEnd && (!ok || r.At < at) {
+			at, ok = r.At, true
+		}
+	}
+	return at, ok
 }
 
 // fire applies event i to its resolved links (or, for a host-level event,

@@ -96,7 +96,7 @@ func TestHostEventsFireThroughHook(t *testing.T) {
 
 // TestPastEndEventsAreFlagged checks SetHorizon: events scheduled beyond the
 // run's duration are recorded as PastEnd and never fire, while in-horizon
-// events are untouched.
+// events are untouched, even when Advance runs past the horizon.
 func TestPastEndEventsAreFlagged(t *testing.T) {
 	sched := simtime.NewScheduler()
 	_, resolve := testLinks(sched)
@@ -107,7 +107,13 @@ func TestPastEndEventsAreFlagged(t *testing.T) {
 	tl.SetHostHook(func(Event) HostOutcome { return HostOutcome{} })
 	tl.SetHorizon(10 * time.Second)
 	tl.Install()
-	tl.Advance(10 * time.Second)
+	if at, ok := tl.Next(); !ok || at != time.Second {
+		t.Fatalf("Next() = %v, %v before the run, want 1s", at, ok)
+	}
+	tl.Advance(time.Hour)
+	if at, ok := tl.Next(); ok {
+		t.Fatalf("Next() = %v after every in-horizon event fired, want none", at)
+	}
 	recs := tl.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))

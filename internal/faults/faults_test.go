@@ -98,6 +98,30 @@ func mustLookup(t *testing.T, name string) scenario.Spec {
 	return spec
 }
 
+// TestPastEndEventStaysUnfiredPastDuration: Sim.RunUntil may run past
+// Spec.Duration, but an event scheduled after the horizon stays what its
+// record says it is, past-end and unfired, and the end state checks clean.
+func TestPastEndEventStaysUnfiredPastDuration(t *testing.T) {
+	spec := scenario.PointToPoint(scenario.PointToPointParams{Duration: time.Second})
+	spec.Events = []dynamics.Event{{At: 2 * time.Second, Kind: dynamics.LinkDown, Link: 0}}
+	sim, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntil(3 * time.Second)
+	res := sim.Finish()
+	if ev := res.Events[0]; ev.Fired || !ev.PastEnd {
+		t.Fatalf("event at %v after a %v run: fired=%v past_end=%v, want unfired and past-end",
+			ev.At, spec.Duration, ev.Fired, ev.PastEnd)
+	}
+	if vs := Check(res); len(vs) != 0 {
+		t.Fatalf("run past the horizon violated invariants: %v", vs)
+	}
+}
+
 // TestChurnSoakCampaign runs the canned soak serially and in parallel: zero
 // violations either way, and byte-identical CSV output.
 func TestChurnSoakCampaign(t *testing.T) {

@@ -201,12 +201,6 @@ func tableDiff(old, table map[string]*netsim.Link) int {
 	return changed
 }
 
-// DeleteRoute removes the explicit route to dstHost (the default route is
-// untouched). It exists for tests that need to carve a hole in a wired
-// topology; the simulation proper replaces tables wholesale with
-// InstallRoutes / InstallHierRoutes.
-func (h *Host) DeleteRoute(dstHost string) { delete(h.routes, dstHost) }
-
 // SetRoute points the route to dstHost at link, reporting whether the table
 // changed. Unlike AddRoute, a nil link is legal and installs a reject entry:
 // the exact match wins the RouteTo lookup and returns nil, so packets for

@@ -344,7 +344,7 @@ func TestForwardingDefaultRouteFallback(t *testing.T) {
 	net.Host("c").Bind(netsim.ProtoUDP, 5, HandlerFunc(func(p *netsim.Packet) { got++ }))
 	// Delete r's explicit route to c installed by ConnectDuplex so the
 	// default route is what carries the packet.
-	net.Host("r").DeleteRoute("c")
+	net.Host("r").RemoveRoute("c")
 	net.Host("a").Output(&netsim.Packet{Proto: netsim.ProtoUDP, Dst: netsim.Addr{Host: "c", Port: 5}, Size: 10})
 	s.Run()
 	if got != 1 {

@@ -11,9 +11,7 @@ import (
 
 // DefaultInterval is the sampling period of a probe that leaves Interval
 // zero. 250 ms matches the coarsest granularity visible in the paper's
-// adaptation figures and is deliberately much larger than any link delay, so
-// a probe's self-rescheduling event never ties a packet delivery on both
-// time and insertion stamp (see the determinism note in internal/scenario).
+// adaptation figures.
 const DefaultInterval = 250 * time.Millisecond
 
 // Spec declares one mid-run sampling probe. The target path addresses the
@@ -75,7 +73,7 @@ var (
 		"queue_depth":     true, // packets queued right now
 		"sent_packets":    true,
 		"sent_bytes":      true,
-		"delivered_bytes": true, // sampled on the receiving host's shard
+		"delivered_bytes": true, // counted on the receiving side
 		"drops":           true, // queue + loss + burst + down drops
 		"utilization":     true, // busy fraction of elapsed virtual time
 	}

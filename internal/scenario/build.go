@@ -49,26 +49,18 @@ type Sim struct {
 	drivers []*flowDriver
 	started bool
 
-	// samplers are the compiled Spec.Probes sampling chains (installed by
-	// Start); recorders the per-host flight-recorder rings (nil unless
-	// Spec.TraceDepth > 0); snaps the mid-run snapshots accumulated when
-	// Spec.SnapshotEvery > 0; execTL the wall-clock execution timeline
+	// series are the Spec.Probes series, filled at barriers by the probes
+	// Start schedules; recorders the per-host flight-recorder rings (nil
+	// unless Spec.TraceDepth > 0); snaps the mid-run snapshots accumulated
+	// when Spec.SnapshotEvery > 0; execTL the wall-clock execution timeline
 	// attached by EnableExecutionTimeline. See probes.go.
-	samplers  []*probeSampler
+	series    []*probe.Series
 	recorders map[string]*probe.Recorder
 	snaps     []Snapshot
 	execTL    *probe.Timeline
 	// profiled records that EnableProfiling armed the per-event-kind
 	// profiler(s); Finish then attaches the Result.Perf block.
 	profiled bool
-
-	// obsTimes/obsFns are the barrier observation schedule (see observers.go):
-	// instants where the executor pauses the whole simulation — between all
-	// events strictly before and any event at the instant — and runs the
-	// registered observers. Aggregate probes and the protocol convergence baseline use
-	// it; empty for runs without either.
-	obsTimes []time.Duration
-	obsFns   []func(time.Duration)
 }
 
 // Build validates the spec, creates the hosts, routers and links, computes
@@ -247,7 +239,8 @@ func Build(spec Spec) (*Sim, error) {
 
 	// The dynamics timeline is installed last so its time-zero events (static
 	// asymmetries and initial loss modes) see the fully wired topology; the
-	// executor fires the positive-time events at barriers (shard.go).
+	// positive-time events fire at barriers, through one barrier action that
+	// asks the timeline for the next one (observers.go).
 	if len(spec.Events) > 0 {
 		sim.timeline = dynamics.NewTimeline(spec.Events, sim.resolveEventLinks,
 			func(ev dynamics.Event) int {
@@ -261,16 +254,25 @@ func Build(spec Spec) (*Sim, error) {
 		}
 		sim.timeline.SetHorizon(spec.Duration)
 		sim.timeline.Install()
-		// Declared events need not be in time order; the barrier cursor is.
-		sim.shard.tl = sim.timeline
-		for _, ev := range spec.Events {
-			if ev.At > 0 {
-				sim.shard.dyn = append(sim.shard.dyn, ev.At)
-			}
-		}
-		sort.Slice(sim.shard.dyn, func(i, j int) bool { return sim.shard.dyn[i] < sim.shard.dyn[j] })
+		sim.shard.schedule(barrierAction{at: sim.nextEvent(), rank: rankDynamics, fire: sim.advanceTimeline})
 	}
 	return sim, nil
+}
+
+// advanceTimeline is the dynamics timeline's barrier action: it fires the
+// events due at at and returns when the next one is.
+func (s *Sim) advanceTimeline(at time.Duration) time.Duration {
+	s.timeline.Advance(at)
+	return s.nextEvent()
+}
+
+// nextEvent returns the instant of the timeline's next event within the
+// horizon, or never. Declared events need not be in time order.
+func (s *Sim) nextEvent() time.Duration {
+	if at, ok := s.timeline.Next(); ok {
+		return at
+	}
+	return never
 }
 
 // expandHostMoves splits every host-move into its two observable halves: the

@@ -85,6 +85,57 @@ func TestProbeSeriesDeterministic(t *testing.T) {
 	}
 }
 
+// TestProbeTargetsMatchAggregateTwins: every probe samples by one rule and
+// reads a field through one reader, so link[0].<f> equals links.<link 0's
+// forward name>.<f> and host[h].<f> equals hosts.h.<f>, sample for sample,
+// with dynamics and churn active, serial and on four shards. The hosts are
+// the TCP sender s0 and the layered-UDP sender s1, whose application timers
+// send at whole milliseconds, the instants a 1 ms probe samples at.
+func TestProbeTargetsMatchAggregateTwins(t *testing.T) {
+	spec := churnProbeSpec(t)
+	fwd := MustBuild(spec).Duplex(0).Forward.Config().Name
+	var pairs [][2]string
+	for _, f := range []string{"queue_depth", "sent_packets", "sent_bytes", "delivered_bytes", "drops"} {
+		pairs = append(pairs, [2]string{"link[0]." + f, "links." + fwd + "." + f})
+	}
+	for _, host := range []string{"s0", "s1"} {
+		for _, f := range []string{
+			"sent_packets", "sent_bytes", "received_packets", "received_bytes", "forwarded_packets",
+			"no_route_drops", "route_miss_drops", "forward_miss_drops", "ttl_expired_drops",
+		} {
+			pairs = append(pairs, [2]string{"host[" + host + "]." + f, "hosts." + host + "." + f})
+		}
+	}
+	spec.Probes = nil
+	for _, p := range pairs {
+		spec.Probes = append(spec.Probes,
+			probe.Spec{Target: p[0], Interval: time.Millisecond},
+			probe.Spec{Target: p[1], Interval: time.Millisecond})
+	}
+	for _, shards := range []int{0, 4} {
+		spec.Shards = shards
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pairs {
+			one, agg := res.Series[2*i].Points, res.Series[2*i+1].Points
+			if len(one) != 6000 || len(agg) != len(one) {
+				t.Fatalf("shards=%d: %s has %d samples, %s %d; want 6000 each", shards, p[0], len(one), p[1], len(agg))
+			}
+			for j := range one {
+				if one[j] != agg[j] {
+					t.Errorf("shards=%d: at %v %s reads %v, %s %v", shards, one[j].T, p[0], one[j].V, p[1], agg[j].V)
+					break
+				}
+			}
+		}
+		if sent := res.Series[2].Points; sent[len(sent)-1].V == 0 {
+			t.Fatalf("shards=%d: link[0] never sent a packet; the comparison is vacuous", shards)
+		}
+	}
+}
+
 // TestProbeSeriesNamesAndCadence pins the series naming rules (explicit Name
 // overrides the target path) and the default/explicit sampling cadence.
 func TestProbeSeriesNamesAndCadence(t *testing.T) {

@@ -1,75 +1,73 @@
-// Barrier observers: whole-simulation sampling instants.
+// The barrier schedule: every piece of work the executor does between
+// windows rather than inside one.
 //
-// A per-host probe can sample on its owner's scheduler, but an observer that
-// reads *across* the whole simulation — an aggregate probe summing links on
-// different shards, the protocol convergence baseline summing every host's
-// drop counters — needs an instant where no shard is mid-window. The
-// observation schedule provides exactly that: each registered time t is a
-// barrier of the executor (shard.go), where every event strictly before t
-// has executed and none at t has; observers fire after the barrier's drain,
-// before same-instant dynamics events. A serial run is one shard and pauses
-// at the same barriers, so every shard count observes identical state with
-// every clock reading t (a link counts a packet as sent by the clock, see
-// netsim.Link.SentCounters), and results remain byte-identical.
+// Probes read state that may live on several shards (a link's transmit side
+// and receive side, a sum over a fabric), the protocol convergence baseline
+// sums every host's drop counters, dynamics events rewire links that several
+// shards use, and a snapshot reads everything. Each needs an instant where no
+// shard is mid-window, and a barrier of the executor (shard.go) is exactly
+// that: every event strictly before the instant has executed and none at it
+// has, and every clock reads the instant (a link counts a packet as sent by
+// the clock, see netsim.Link.SentCounters). A serial run is one shard and
+// pauses at the same barriers, so every shard count sees identical state and
+// results remain byte-identical.
 //
-// Observers are observation-only by contract: they must not mutate
-// simulation state or consume randomness.
+// All of this work is one list of barrier actions. An action holds the next
+// instant it is due and, when it fires, computes the one after; an instant
+// any action is due at is a barrier. Nothing lists an action's future
+// instants up front, so a 1 ns probe over a 30 s run costs one entry.
+//
+// Observers (probes, the protocol baseline) are observation-only by contract:
+// they must not mutate simulation state or consume randomness.
 package scenario
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"time"
 )
 
-// addObserver registers fire to run at each of the given instants (values
-// outside (0, Duration] are ignored). Call before the run; Start finalises
-// the schedule and hands it to the executor.
-func (s *Sim) addObserver(times []time.Duration, fire func(at time.Duration)) {
-	var mine []time.Duration
-	for _, t := range times {
-		if t > 0 && t <= s.Spec.Duration {
-			mine = append(mine, t)
-		}
-	}
-	if len(mine) == 0 {
-		return
-	}
-	sort.Slice(mine, func(i, j int) bool { return mine[i] < mine[j] })
-	s.obsTimes = append(s.obsTimes, mine...)
-	idx := 0
-	s.obsFns = append(s.obsFns, func(at time.Duration) {
-		for idx < len(mine) && mine[idx] < at {
-			idx++
-		}
-		if idx < len(mine) && mine[idx] == at {
-			fire(at)
-			idx++
-		}
-	})
+// barrierAction is one entry of the barrier schedule: fire runs at the
+// barrier at instant at and returns the next instant the action is due, or
+// never once it is done.
+type barrierAction struct {
+	at   time.Duration
+	rank int
+	fire func(at time.Duration) (next time.Duration)
 }
 
-// finishObservers sorts and dedupes the merged schedule and hands it to the
-// executor as barrier instants. Called once from Start after every
-// registration.
-func (s *Sim) finishObservers() {
-	if len(s.obsTimes) == 0 {
-		return
+// never is the due instant of an action that has finished.
+const never = time.Duration(math.MaxInt64)
+
+// Actions due at the same barrier fire in rank order: observers first, so
+// they see the state before that instant's dynamics events, then the dynamics
+// timeline, then the snapshot, which sees the events applied.
+const (
+	rankObserve = iota
+	rankDynamics
+	rankSnapshot
+)
+
+// schedule adds an action to the barrier schedule, behind every action of
+// its rank or a lower one.
+func (sr *shardRun) schedule(a barrierAction) {
+	i := len(sr.actions)
+	for i > 0 && sr.actions[i-1].rank > a.rank {
+		i--
 	}
-	sort.Slice(s.obsTimes, func(i, j int) bool { return s.obsTimes[i] < s.obsTimes[j] })
-	uniq := s.obsTimes[:1]
-	for _, t := range s.obsTimes[1:] {
-		if t != uniq[len(uniq)-1] {
-			uniq = append(uniq, t)
-		}
-	}
-	s.obsTimes = uniq
-	s.shard.obs, s.shard.obsFire = s.obsTimes, s.fireObservers
+	sr.actions = slices.Insert(sr.actions, i, a)
 }
 
-// fireObservers runs every registered observer for instant at; each observer
-// ignores instants outside its own schedule.
-func (s *Sim) fireObservers(at time.Duration) {
-	for _, fn := range s.obsFns {
+// repeat schedules fn at every multiple of period (positive) in (0, last].
+func (sr *shardRun) repeat(rank int, period, last time.Duration, fn func(at time.Duration)) {
+	if period > last {
+		return
+	}
+	sr.schedule(barrierAction{at: period, rank: rank, fire: func(at time.Duration) time.Duration {
 		fn(at)
-	}
+		if at <= last-period {
+			return at + period
+		}
+		return never
+	}})
 }

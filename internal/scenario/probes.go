@@ -2,23 +2,13 @@
 // from Spec.Probes, the per-host flight recorder enabled by Spec.TraceDepth,
 // mid-run Result snapshots driven by Spec.SnapshotEvery, and the wall-clock
 // execution timeline (EnableExecutionTimeline). All of it rides the one
-// executor (shard.go): per-target probes are events on the scheduler of the
-// shard owning the sampled state, snapshots and aggregate probes fire at its
-// barriers, and the timeline records each shard's windows and the
+// executor (shard.go): probes and snapshots are barrier actions
+// (observers.go), so a sample or snapshot at t sees every event before t and
+// none at t, and the timeline records each shard's windows and the
 // coordinator's barriers. Everything here is observation-only: nothing
 // consumes randomness or mutates simulation state, so a run's Result is
 // byte-identical with all of it on or off and on any shard count (pinned by
 // TestShardedRunsAreByteIdentical and TestProbeSeriesDeterministic).
-//
-// Determinism of mid-run sampling deserves a note. A probe's sample at time
-// t is a self-rescheduling event inserted at t-interval, so in a sharded run
-// its insertion stamp is t-interval while a same-time packet delivery
-// carries its sender-side serialisation time as stamp; the scheduler's
-// (time, stamp, seq) order therefore places the sample exactly where the
-// one-shard run's insertion order would have. The only ambiguous case is a
-// delivery whose propagation delay equals the probe interval to the
-// nanosecond — the reason DefaultInterval (250 ms) dwarfs every link delay
-// in the canned scenarios.
 package scenario
 
 import (
@@ -30,7 +20,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/node"
 	"repro/internal/probe"
-	"repro/internal/simtime"
 )
 
 // Snapshot is one mid-run capture of the full Result, taken every
@@ -48,104 +37,44 @@ type Snapshot struct {
 // Spec.SnapshotEvery is zero).
 func (s *Sim) Snapshots() []Snapshot { return s.snaps }
 
-// probeSampler is one compiled probe: a closure reading the target value,
-// bound to the scheduler of the shard that owns the sampled state.
-type probeSampler struct {
-	series *probe.Series
-	sched  *simtime.Scheduler
-	sample func() float64
-	every  time.Duration
-	until  time.Duration
-	fire   func(any)
-}
-
-// installProbes compiles Spec.Probes into self-rescheduling sampling events.
-// Called once from Start, after the workloads are wired, so the per-scheduler
-// insertion order is identical in serial and sharded builds.
+// installProbes compiles Spec.Probes into barrier actions, each sampling its
+// target at every multiple of its interval up to Spec.Duration.
 func (s *Sim) installProbes() error {
 	for i, ps := range s.Spec.Probes {
-		t, err := probe.ParseTarget(ps.Target)
+		sample, err := s.compileProbe(ps.Target)
 		if err != nil {
 			return fmt.Errorf("scenario %q: probe %d: %w", s.Spec.Name, i, err)
 		}
-		if t.Kind == probe.TargetLinks || t.Kind == probe.TargetHosts {
-			if err := s.installAggregateProbe(ps, t); err != nil {
-				return fmt.Errorf("scenario %q: probe %d: %w", s.Spec.Name, i, err)
-			}
-			continue
+		series := probe.NewSeries(ps.SeriesName())
+		s.series = append(s.series, series)
+		every := ps.Interval
+		if every <= 0 {
+			every = probe.DefaultInterval
 		}
-		sample, sched, err := s.compileProbe(t)
-		if err != nil {
-			return fmt.Errorf("scenario %q: probe %d: %w", s.Spec.Name, i, err)
-		}
-		sp := &probeSampler{
-			series: probe.NewSeries(ps.SeriesName()),
-			sched:  sched,
-			sample: sample,
-			every:  ps.Interval,
-			until:  s.Spec.Duration,
-		}
-		if sp.every <= 0 {
-			sp.every = probe.DefaultInterval
-		}
-		sp.fire = func(any) {
-			now := sp.sched.Now()
-			sp.series.Add(now, sp.sample())
-			if next := now + sp.every; next <= sp.until {
-				sp.sched.AtArgKind(next, simtime.KindProbeSample, sp.fire, nil)
-			}
-		}
-		if sp.every <= sp.until {
-			sp.sched.AtArgKind(sp.every, simtime.KindProbeSample, sp.fire, nil)
-		}
-		s.samplers = append(s.samplers, sp)
+		s.shard.repeat(rankObserve, every, s.Spec.Duration, func(at time.Duration) { series.Add(at, sample()) })
 	}
 	return nil
 }
 
-// installAggregateProbe compiles a links.<glob>.<field> / hosts.<glob>.<field>
-// probe: the glob resolves against directional link names (node names for
-// hosts.*) at install time, and the sampler sums the field across every
-// match. An aggregate reads state owned by many shards, so it samples on the
-// barrier-observation schedule instead of a single scheduler — same instants
-// and values in serial and sharded runs, but unlike per-target probes the
-// sample excludes packet events at exactly the sampling instant.
-func (s *Sim) installAggregateProbe(ps probe.Spec, t probe.Target) error {
-	sample, err := s.compileAggregate(t)
+// compileProbe resolves a probe target against the built topology and
+// returns its reader. link[i] and host[h] are the one-member cases of the
+// links.<glob> and hosts.<glob> sums. Spec.Validate has checked the target
+// and its link index, host or CM, and ParseTarget the glob; a glob that
+// matches nothing is an error here, since a silently-empty series would read
+// as "nothing happened".
+func (s *Sim) compileProbe(target string) (func() float64, error) {
+	t, err := probe.ParseTarget(target)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sp := &probeSampler{
-		series: probe.NewSeries(ps.SeriesName()),
-		sample: sample,
-		every:  ps.Interval,
-		until:  s.Spec.Duration,
-	}
-	if sp.every <= 0 {
-		sp.every = probe.DefaultInterval
-	}
-	var times []time.Duration
-	for at := sp.every; at <= sp.until; at += sp.every {
-		times = append(times, at)
-	}
-	s.addObserver(times, func(at time.Duration) { sp.series.Add(at, sp.sample()) })
-	s.samplers = append(s.samplers, sp)
-	return nil
-}
-
-// compileAggregate resolves an aggregate target's glob and returns the
-// summing closure. An empty match set is an error: a silently-empty series
-// would read as "nothing happened".
-func (s *Sim) compileAggregate(t probe.Target) (func() float64, error) {
-	if t.Kind == probe.TargetLinks {
+	switch t.Kind {
+	case probe.TargetLink:
+		return sum([]*netsim.Link{s.duplexes[t.Index].Forward}, linkField(t.Field)), nil
+	case probe.TargetLinks:
 		var links []*netsim.Link
 		for _, d := range s.duplexes {
-			for _, l := range []*netsim.Link{d.Forward, d.Reverse} {
-				ok, err := path.Match(t.Pattern, l.Config().Name)
-				if err != nil {
-					return nil, fmt.Errorf("links pattern %q: %w", t.Pattern, err)
-				}
-				if ok {
+			for _, l := range [2]*netsim.Link{d.Forward, d.Reverse} {
+				if ok, _ := path.Match(t.Pattern, l.Config().Name); ok {
 					links = append(links, l)
 				}
 			}
@@ -153,52 +82,87 @@ func (s *Sim) compileAggregate(t probe.Target) (func() float64, error) {
 		if len(links) == 0 {
 			return nil, fmt.Errorf("links pattern %q matches no link direction", t.Pattern)
 		}
-		var per func(l *netsim.Link) float64
-		switch t.Field {
-		case "queue_depth":
-			per = func(l *netsim.Link) float64 { return float64(l.QueueLen()) }
-		case "sent_packets":
-			per = func(l *netsim.Link) float64 { p, _ := l.SentCounters(); return float64(p) }
-		case "sent_bytes":
-			per = func(l *netsim.Link) float64 { _, b := l.SentCounters(); return float64(b) }
-		case "delivered_bytes":
-			per = func(l *netsim.Link) float64 { return float64(l.DeliveredBytes()) }
-		case "drops":
-			per = func(l *netsim.Link) float64 { return float64(l.DropCount()) }
-		}
-		return func() float64 {
-			sum := 0.0
-			for _, l := range links {
-				sum += per(l)
+		return sum(links, linkField(t.Field)), nil
+	case probe.TargetHost:
+		return sum([]*node.Host{s.net.Host(t.Host)}, hostField(t.Field)), nil
+	case probe.TargetHosts:
+		var hosts []*node.Host
+		for _, name := range s.nodeNames {
+			if ok, _ := path.Match(t.Pattern, name); ok {
+				hosts = append(hosts, s.net.Host(name))
 			}
-			return sum
-		}, nil
-	}
-	var hosts []*node.Host
-	for _, name := range s.nodeNames {
-		ok, err := path.Match(t.Pattern, name)
-		if err != nil {
-			return nil, fmt.Errorf("hosts pattern %q: %w", t.Pattern, err)
 		}
-		if ok {
-			hosts = append(hosts, s.net.Host(name))
+		if len(hosts) == 0 {
+			return nil, fmt.Errorf("hosts pattern %q matches no node", t.Pattern)
+		}
+		return sum(hosts, hostField(t.Field)), nil
+	case probe.TargetCM:
+		c := s.cms[t.Host]
+		switch t.Field {
+		case "rate":
+			return func() float64 { return c.AggregateStatus().Rate }, nil
+		case "cwnd":
+			return func() float64 { return float64(c.AggregateStatus().CWND) }, nil
+		case "srtt":
+			return func() float64 { return c.AggregateStatus().SRTT.Seconds() }, nil
+		case "loss_rate":
+			return func() float64 { return c.AggregateStatus().LossRate }, nil
+		case "outstanding":
+			return func() float64 { return float64(c.AggregateStatus().Outstanding) }, nil
+		case "flows":
+			return func() float64 { return float64(c.FlowCount()) }, nil
+		case "macroflows":
+			return func() float64 { return float64(c.MacroflowCount()) }, nil
+		}
+	case probe.TargetShard:
+		// Execution-plan values: identical at every sample, but as a series
+		// they flow into sweep aggregation like any other probe. They
+		// describe the execution (not the simulated system), so they are the
+		// one probe family whose values differ between a serial and a
+		// sharded run of the same spec.
+		switch t.Field {
+		case "count":
+			return func() float64 { return float64(s.ShardCount()) }, nil
+		case "lookahead":
+			return func() float64 { return s.Lookahead().Seconds() }, nil
 		}
 	}
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("hosts pattern %q matches no node", t.Pattern)
-	}
-	per := hostField(t.Field)
+	return nil, fmt.Errorf("probe target %q: no reader", target)
+}
+
+// sum returns the reader adding field over every member of set.
+func sum[T any](set []T, field func(T) float64) func() float64 {
 	return func() float64 {
-		sum := 0.0
-		for _, h := range hosts {
-			sum += per(h)
+		total := 0.0
+		for _, x := range set {
+			total += field(x)
 		}
-		return sum
-	}, nil
+		return total
+	}
+}
+
+// linkField returns the reader for one link-level probe field (shared by the
+// link[i] and links.<glob> families).
+func linkField(field string) func(l *netsim.Link) float64 {
+	switch field {
+	case "queue_depth":
+		return func(l *netsim.Link) float64 { return float64(l.QueueLen()) }
+	case "sent_packets":
+		return func(l *netsim.Link) float64 { p, _ := l.SentCounters(); return float64(p) }
+	case "sent_bytes":
+		return func(l *netsim.Link) float64 { _, b := l.SentCounters(); return float64(b) }
+	case "delivered_bytes":
+		return func(l *netsim.Link) float64 { return float64(l.DeliveredBytes()) }
+	case "drops":
+		return func(l *netsim.Link) float64 { return float64(l.DropCount()) }
+	case "utilization":
+		return (*netsim.Link).Utilization
+	}
+	return nil
 }
 
 // hostField returns the reader for one host-level probe field (shared by the
-// per-host and aggregate probe families).
+// host[h] and hosts.<glob> families).
 func hostField(field string) func(h *node.Host) float64 {
 	switch field {
 	case "sent_packets":
@@ -223,103 +187,26 @@ func hostField(field string) func(h *node.Host) float64 {
 	return nil
 }
 
-// compileProbe resolves a parsed target against the built topology: the
-// value closure plus the scheduler it must sample on (the shard owning the
-// sampled state, so no probe ever reads across a shard boundary).
-func (s *Sim) compileProbe(t probe.Target) (func() float64, *simtime.Scheduler, error) {
-	switch t.Kind {
-	case probe.TargetLink:
-		if t.Index < 0 || t.Index >= len(s.duplexes) {
-			return nil, nil, fmt.Errorf("link index %d out of range (%d links)", t.Index, len(s.duplexes))
-		}
-		ls := s.Spec.Links[t.Index]
-		l := s.duplexes[t.Index].Forward
-		// Transmit-side state belongs to the A-side shard; delivery-side
-		// counters are only ever written by the receiving (B-side) shard.
-		clock := s.clockFor(ls.A)
-		if t.Field == "delivered_bytes" {
-			clock = s.clockFor(ls.B)
-		}
-		var fn func() float64
-		switch t.Field {
-		case "queue_depth":
-			fn = func() float64 { return float64(l.QueueLen()) }
-		case "sent_packets":
-			fn = func() float64 { p, _ := l.SentCounters(); return float64(p) }
-		case "sent_bytes":
-			fn = func() float64 { _, b := l.SentCounters(); return float64(b) }
-		case "delivered_bytes":
-			fn = func() float64 { return float64(l.DeliveredBytes()) }
-		case "drops":
-			fn = func() float64 { return float64(l.DropCount()) }
-		case "utilization":
-			fn = func() float64 { return l.Utilization() }
-		}
-		return fn, clock, nil
-	case probe.TargetHost:
-		h := s.net.Host(t.Host)
-		if h == nil {
-			return nil, nil, fmt.Errorf("host %q not in topology", t.Host)
-		}
-		per := hostField(t.Field)
-		return func() float64 { return per(h) }, s.clockFor(t.Host), nil
-	case probe.TargetCM:
-		c := s.cms[t.Host]
-		if c == nil {
-			return nil, nil, fmt.Errorf("host %q runs no Congestion Manager", t.Host)
-		}
-		var fn func() float64
-		switch t.Field {
-		case "rate":
-			fn = func() float64 { return c.AggregateStatus().Rate }
-		case "cwnd":
-			fn = func() float64 { return float64(c.AggregateStatus().CWND) }
-		case "srtt":
-			fn = func() float64 { return c.AggregateStatus().SRTT.Seconds() }
-		case "loss_rate":
-			fn = func() float64 { return c.AggregateStatus().LossRate }
-		case "outstanding":
-			fn = func() float64 { return float64(c.AggregateStatus().Outstanding) }
-		case "flows":
-			fn = func() float64 { return float64(c.FlowCount()) }
-		case "macroflows":
-			fn = func() float64 { return float64(c.MacroflowCount()) }
-		}
-		return fn, s.clockFor(t.Host), nil
-	case probe.TargetShard:
-		// Execution-plan values: identical at every sample, but as a series
-		// they flow into sweep aggregation like any other probe. They
-		// describe the execution (not the simulated system), so they are the
-		// one probe family whose values differ between a serial and a
-		// sharded run of the same spec.
-		var fn func() float64
-		switch t.Field {
-		case "count":
-			fn = func() float64 { return float64(s.ShardCount()) }
-		case "lookahead":
-			fn = func() float64 { return s.Lookahead().Seconds() }
-		}
-		return fn, s.shard.states[0].sched, nil
-	}
-	return nil, nil, fmt.Errorf("unknown probe target kind %q", t.Kind)
-}
-
 // takeSnapshot captures the full current Result. The executor calls it at
-// the barrier aligned with each snapshot time, when every shard is quiescent
-// and cross-shard reads are safe, and at the end of the run for a snapshot
-// due exactly then.
+// the barrier at each snapshot time, when every shard is quiescent and
+// cross-shard reads are safe, and at the end of the run for a snapshot due
+// exactly then.
 func (s *Sim) takeSnapshot(at time.Duration) {
 	s.snaps = append(s.snaps, Snapshot{At: at, Result: s.collect(s.drivers)})
 }
 
-// armSnapshots hands the Spec.SnapshotEvery schedule to the executor.
+// armSnapshots schedules Spec.SnapshotEvery: a barrier action for the
+// snapshots before Spec.Duration, and the executor's final hook for the one
+// due exactly at it.
 func (s *Sim) armSnapshots() {
-	every := s.Spec.SnapshotEvery
-	if every <= 0 || every > s.Spec.Duration {
+	every, end := s.Spec.SnapshotEvery, s.Spec.Duration
+	if every <= 0 {
 		return
 	}
-	sr := s.shard
-	sr.snapEvery, sr.nextSnap, sr.end, sr.snap = every, every, s.Spec.Duration, s.takeSnapshot
+	s.shard.repeat(rankSnapshot, every, end-1, s.takeSnapshot)
+	if end%every == 0 {
+		s.shard.end, s.shard.final = end, s.takeSnapshot
+	}
 }
 
 // installTrace enables the flight recorder: one ring per host plus taps on

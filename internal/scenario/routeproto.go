@@ -441,10 +441,11 @@ func (pp *protoPlane) arm() {
 	pp.bound = pp.convergenceBound()
 	pp.deadline = last + pp.bound
 	if pp.deadline <= pp.sim.Spec.Duration {
-		pp.sim.addObserver([]time.Duration{pp.deadline}, func(time.Duration) {
+		pp.sim.shard.schedule(barrierAction{at: pp.deadline, rank: rankObserve, fire: func(time.Duration) time.Duration {
 			pp.baseDrops = pp.routeDrops()
 			pp.baseTaken = true
-		})
+			return never
+		}})
 	}
 }
 

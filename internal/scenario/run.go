@@ -98,11 +98,10 @@ type Result struct {
 	// events fired and how many routing-table entries each changed.
 	Events []dynamics.Record `json:"events,omitempty"`
 	// Series holds the sampled time series of the spec's declarative probes,
-	// one per Spec.Probes entry in declaration order. Sampling runs on the
-	// simulation's virtual clock, so the series — like every other Result
-	// field — are byte-identical across serial, parallel and sharded
-	// execution (shard.* probes excepted: they describe the execution plan
-	// itself).
+	// one per Spec.Probes entry in declaration order. Every sample is taken
+	// at an executor barrier, so the series — like every other Result field —
+	// are byte-identical across serial, parallel and sharded execution
+	// (shard.* probes excepted: they describe the execution plan itself).
 	Series []probe.Series `json:"series,omitempty"`
 	// Routing summarises the distance-vector control plane of a protocol-mode
 	// run (RouteSync: "protocol"): message statistics, the convergence
@@ -190,20 +189,17 @@ func (s *Sim) Start() error {
 		return err
 	}
 	s.drivers = drivers
-	// Probes install after the workloads so their sampling events land behind
-	// every workload event in per-scheduler insertion order — the same
-	// relative order in serial and sharded builds.
+	// Probes, the protocol convergence baseline (its deadline depends on the
+	// fully expanded event list) and snapshots join the barrier schedule,
+	// which Build started with the dynamics timeline; the rank of each action,
+	// not this order, decides what fires first at a shared barrier.
 	if err := s.installProbes(); err != nil {
 		return err
 	}
-	s.armSnapshots()
-	// The protocol convergence deadline depends on the fully expanded event
-	// list; arming it registers its baseline capture on the observation
-	// schedule, which is then frozen.
 	if s.proto != nil {
 		s.proto.arm()
 	}
-	s.finishObservers()
+	s.armSnapshots()
 	return nil
 }
 
@@ -517,8 +513,8 @@ func (s *Sim) collect(drivers []*flowDriver) *Result {
 	if s.timeline != nil {
 		res.Events = s.timeline.Records()
 	}
-	for _, sp := range s.samplers {
-		res.Series = append(res.Series, sp.series.Freeze())
+	for _, ser := range s.series {
+		res.Series = append(res.Series, ser.Freeze())
 	}
 	if s.proto != nil {
 		res.Routing = s.proto.result()

@@ -16,8 +16,9 @@
 // coordinator executes shard 0's window itself and shards 1..K-1 run on
 // worker goroutines. At the barrier the coordinator advances every clock to
 // W', drains the handoff queues into the destination schedulers (InjectAt,
-// which panics if the invariant ever fails), fires the observers, network
-// dynamics and snapshot due exactly at W', and opens the next window.
+// which panics if the invariant ever fails), fires the barrier actions due
+// exactly at W' (probes, dynamics events, snapshots: observers.go), and opens
+// the next window.
 //
 // Determinism is the design constraint. Each injected delivery carries the
 // sender-side end of serialisation as its insertion stamp and its link
@@ -38,7 +39,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/dynamics"
 	"repro/internal/netsim"
 	"repro/internal/probe"
 	"repro/internal/simtime"
@@ -152,7 +152,7 @@ func deliverMsg(x any) {
 }
 
 // shardRun coordinates the K shards of one simulation and keeps the barrier
-// cursors between RunUntil calls.
+// schedule between RunUntil calls.
 type shardRun struct {
 	plan    shardPlan
 	states  []*shardState
@@ -163,21 +163,14 @@ type shardRun struct {
 	// arrive at or after last + lookahead, which bounds the next window even
 	// when a RunUntil ended between barriers.
 	last time.Duration
-	// dyn holds the pending instants of the dynamics timeline tl, sorted;
-	// each is a barrier where tl.Advance fires the events due then.
-	dyn []time.Duration
-	tl  *dynamics.Timeline
-	// obs/obsFire realise the barrier-observation schedule (observers.go):
-	// each obs instant becomes a barrier, and obsFire runs after the drain,
-	// before same-instant dynamics events and snapshots.
-	obs     []time.Duration
-	obsFire func(at time.Duration)
-	// snap captures a snapshot at every multiple of snapEvery up to end;
-	// nextSnap is the next one due (zero when none is). Instants before end
-	// are barriers; the one at end is taken once the run has executed the
-	// events at end, so it equals the end state (see probes.go).
-	snapEvery, nextSnap, end time.Duration
-	snap                     func(at time.Duration)
+	// actions is the barrier schedule in rank order (observers.go): every
+	// instant an action is due at is a barrier, where the action fires.
+	actions []barrierAction
+	// final, when set, runs once the run has executed the events at end: the
+	// snapshot due exactly at Spec.Duration, which equals the end state (see
+	// probes.go).
+	final func(at time.Duration)
+	end   time.Duration
 	// timeline, when set, gets one "barrier" span on the coordinator lane
 	// (index nshards) per synchronization barrier.
 	timeline *probe.Timeline
@@ -279,37 +272,24 @@ func (sr *shardRun) drain() int {
 	return n
 }
 
-// nextBarrier returns the first barrier instant in (now, t]: the end of the
-// lookahead window opened at the last barrier (sharded builds only), the next dynamics event, observer
-// instant or snapshot before the end of the run. ok is false when the
-// window can run straight through t.
+// nextBarrier returns the first barrier instant up to t: the end of the
+// lookahead window opened at the last barrier (sharded builds only) or the
+// earliest instant a barrier action is due. ok is false when the window can
+// run straight through t.
 func (sr *shardRun) nextBarrier(t time.Duration) (at time.Duration, ok bool) {
-	now := sr.states[0].sched.Now()
 	at = t + 1
 	if la := sr.plan.lookahead; la > 0 {
 		at = sr.last + la
 	}
-	for len(sr.dyn) > 0 && sr.dyn[0] <= now {
-		sr.dyn = sr.dyn[1:]
-	}
-	if len(sr.dyn) > 0 && sr.dyn[0] < at {
-		at = sr.dyn[0]
-	}
-	for len(sr.obs) > 0 && sr.obs[0] <= now {
-		sr.obs = sr.obs[1:]
-	}
-	if len(sr.obs) > 0 && sr.obs[0] < at {
-		at = sr.obs[0]
-	}
-	if sr.nextSnap > now && sr.nextSnap < sr.end && sr.nextSnap < at {
-		at = sr.nextSnap
+	for _, a := range sr.actions {
+		at = min(at, a.at)
 	}
 	return at, at <= t
 }
 
 // barrier runs with every shard stopped at at, every event before it
 // executed and none at it: clocks advance, cross-shard deliveries drain, and
-// the observers, dynamics events and snapshot due at at fire, in that order.
+// the actions due at at fire in rank order.
 func (sr *shardRun) barrier(at time.Duration) {
 	sr.last = at
 	var t0 time.Duration
@@ -326,15 +306,10 @@ func (sr *shardRun) barrier(at time.Duration) {
 			VirtStart: at, VirtEnd: at, Count: injected,
 		})
 	}
-	if len(sr.obs) > 0 && sr.obs[0] == at {
-		sr.obsFire(at)
-	}
-	if len(sr.dyn) > 0 && sr.dyn[0] == at {
-		sr.tl.Advance(at)
-	}
-	if sr.nextSnap == at && at < sr.end {
-		sr.snap(at)
-		sr.nextSnap += sr.snapEvery
+	for i := range sr.actions {
+		if a := &sr.actions[i]; a.at == at {
+			a.at = a.fire(at)
+		}
 	}
 }
 
@@ -343,7 +318,7 @@ func (sr *shardRun) barrier(at time.Duration) {
 // t. Cross-shard deliveries handed off in that last window wait in their
 // queues for the next barrier; they cannot arrive before t + lookahead.
 func (sr *shardRun) runUntil(t time.Duration) {
-	if sr.nextSnap > 0 && sr.nextSnap == sr.end && t > sr.end {
+	if sr.final != nil && t > sr.end {
 		sr.runUntil(sr.end) // the end-of-run snapshot sees the state at end
 	}
 	for _, ss := range sr.states[1:] {
@@ -359,9 +334,9 @@ func (sr *shardRun) runUntil(t time.Duration) {
 		sr.barrier(at)
 	}
 	sr.window(t, true)
-	if sr.nextSnap > 0 && sr.nextSnap == t && t == sr.end {
-		sr.snap(t)
-		sr.nextSnap = 0
+	if sr.final != nil && t == sr.end {
+		sr.final(t)
+		sr.final = nil
 	}
 	for _, ss := range sr.states[1:] {
 		close(ss.cmd)

@@ -167,10 +167,11 @@ type Spec struct {
 	RouteProto *routeproto.Config `json:"route_proto,omitempty"`
 	// Probes declares mid-run sampling probes. Each probe samples its target
 	// (see probe.ParseTarget for the path grammar) every Interval of virtual
-	// time via a self-rescheduling scheduler event and yields one entry of
-	// Result.Series. Probes are observation-only: they consume no randomness
-	// and mutate nothing, so results stay byte-identical with or without
-	// them, serial or sharded (see docs/OBSERVABILITY.md).
+	// time at an executor barrier, seeing every event before the sampling
+	// instant and none at it, and yields one entry of Result.Series. Probes
+	// are observation-only: they consume no randomness and mutate nothing, so
+	// results stay byte-identical with or without them, serial or sharded
+	// (see docs/OBSERVABILITY.md).
 	Probes []probe.Spec `json:"probes,omitempty"`
 	// TraceDepth, when positive, enables the flight recorder: every host
 	// gets a fixed ring of the last TraceDepth structured trace events

@@ -29,7 +29,10 @@ const (
 	// KindRouteUpdate is routing control-plane work (advertisement exchange,
 	// triggered updates, convergence timers).
 	KindRouteUpdate
-	// KindProbeSample is a declarative per-target probe sampling event.
+	// KindProbeSample has no producer: probes sample at executor barriers,
+	// not as scheduler events. It stays, always zero, because cmperf's
+	// metric set lists simtime.kind.probe-sample.* and iterates NumKinds;
+	// it goes when that set next changes.
 	KindProbeSample
 	// KindDynamics is scheduled network-dynamics work (Gilbert-Elliott
 	// ticks); a dynamics.Timeline's events are applied between events, not
