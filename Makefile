@@ -4,9 +4,15 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke
+.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke
 
-ci: vet build race bench-test fuzz-smoke
+ci: fmt vet build race bench-test fuzz-smoke
+
+# Fails when gofmt would reformat any tracked .go file, bench/ included. It
+# only lists the files; it never rewrites them.
+fmt:
+	@out=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -133,70 +133,80 @@ func (p paramFlags) Set(s string) error {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's body on its own flag set and streams, returning the exit
+// status, so that tests can call it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var sweeps sweepFlags
 	var probes probeFlags
 	params := make(paramFlags)
 	var (
-		list     = flag.Bool("list", false, "print the registered scenarios and exit")
-		names    = flag.String("scenario", "", "comma-separated scenario names to run (see -list)")
-		parallel = flag.Int("parallel", 1, "worker goroutines for the batch (0 = GOMAXPROCS)")
-		runs     = flag.Int("runs", 1, "replicas of each scenario (for determinism and sweep checks)")
-		shards   = flag.Int("shards", 0, "shard one simulation across this many worker goroutines (0/1 = serial; results are byte-identical)")
-		jsonOut  = flag.Bool("json", false, "emit results as JSON")
+		list     = fs.Bool("list", false, "print the registered scenarios and exit")
+		names    = fs.String("scenario", "", "comma-separated scenario names to run (see -list)")
+		parallel = fs.Int("parallel", 1, "worker goroutines for the batch (0 = GOMAXPROCS)")
+		runs     = fs.Int("runs", 1, "replicas of each scenario (for determinism and sweep checks)")
+		shards   = fs.Int("shards", 0, "shard one simulation across this many worker goroutines (0/1 = serial; results are byte-identical)")
+		jsonOut  = fs.Bool("json", false, "emit results as JSON")
 
-		campaign   = flag.String("campaign", "", "run a sweep campaign from this JSON file (see docs/SWEEPS.md)")
-		replicates = flag.Int("replicates", 1, "sweep mode: seed replicates per sweep point")
-		csvOut     = flag.Bool("csv", false, "sweep mode: emit the aggregated results as CSV")
-		checkInv   = flag.Bool("check-invariants", false, "run the faults invariant checker over every result; violations go to stderr and exit nonzero (see docs/ROBUSTNESS.md); with -snapshot-every the checker also runs over every mid-run snapshot and reports the first-violation time")
+		campaign   = fs.String("campaign", "", "run a sweep campaign from this JSON file (see docs/SWEEPS.md)")
+		replicates = fs.Int("replicates", 1, "sweep mode: seed replicates per sweep point")
+		csvOut     = fs.Bool("csv", false, "sweep mode: emit the aggregated results as CSV")
+		checkInv   = fs.Bool("check-invariants", false, "run the faults invariant checker over every result; violations go to stderr and exit nonzero (see docs/ROBUSTNESS.md); with -snapshot-every the checker also runs over every mid-run snapshot and reports the first-violation time")
 
-		probeCSV    = flag.String("probe-csv", "", "write the first run's probe series as CSV to this file (\"-\" = stdout); declare probes with -probe (see docs/OBSERVABILITY.md)")
-		traceDepth  = flag.Int("trace-depth", 0, "per-host flight-recorder ring depth in events (0 = tracing off)")
-		traceOut    = flag.String("trace-out", "", "dump the flight-recorder rings to this file after the first run (\"-\" = stdout); implies -trace-depth 1024 when unset")
-		timelineOut = flag.String("timeline-out", "", "write the first run's execution timeline as Chrome trace_event JSON to this file (load in chrome://tracing or Perfetto)")
-		snapEvery   = flag.Duration("snapshot-every", 0, "capture a full mid-run result snapshot at this virtual-time interval")
-		reportOut   = flag.String("report", "", "write the first run's structured run report as JSON to this file (\"-\" = stdout); arms per-event-kind cost attribution and exits nonzero on a non-clean faults verdict")
-		reportMD    = flag.String("report-md", "", "write the first run's structured run report as markdown to this file (\"-\" = stdout)")
-		plotDir     = flag.String("plot-dir", "", "sweep mode: render the campaign's plots (or derived defaults) as SVG files into this directory (see docs/SWEEPS.md)")
+		probeCSV    = fs.String("probe-csv", "", "write the first run's probe series as CSV to this file (\"-\" = stdout); declare probes with -probe (see docs/OBSERVABILITY.md)")
+		traceDepth  = fs.Int("trace-depth", 0, "per-host flight-recorder ring depth in events (0 = tracing off)")
+		traceOut    = fs.String("trace-out", "", "dump the flight-recorder rings to this file after the first run (\"-\" = stdout); implies -trace-depth 1024 when unset")
+		timelineOut = fs.String("timeline-out", "", "write the first run's execution timeline as Chrome trace_event JSON to this file (load in chrome://tracing or Perfetto)")
+		snapEvery   = fs.Duration("snapshot-every", 0, "capture a full mid-run result snapshot at this virtual-time interval")
+		reportOut   = fs.String("report", "", "write the first run's structured run report as JSON to this file (\"-\" = stdout); arms per-event-kind cost attribution and exits nonzero on a non-clean faults verdict")
+		reportMD    = fs.String("report-md", "", "write the first run's structured run report as markdown to this file (\"-\" = stdout)")
+		plotDir     = fs.String("plot-dir", "", "sweep mode: render the campaign's plots (or derived defaults) as SVG files into this directory (see docs/SWEEPS.md)")
 
-		bw       = flag.Float64("bw", 10e6, "legacy mode: bottleneck bandwidth in bits/second")
-		rtt      = flag.Duration("rtt", 60*time.Millisecond, "legacy mode: round-trip propagation delay")
-		lossPct  = flag.Float64("loss", 0, "legacy mode: random loss rate in percent")
-		queue    = flag.Int("queue", 120, "legacy mode: bottleneck queue length in packets")
-		ccName   = flag.String("cc", "cm", "legacy mode: congestion control (cm or native)")
-		bytes    = flag.Int("bytes", 2_000_000, "legacy mode: transfer size in bytes")
-		flows    = flag.Int("flows", 1, "legacy mode: concurrent connections to one receiver")
-		seed     = flag.Int64("seed", 1, "legacy mode: random seed for the loss process")
-		deadline = flag.Duration("deadline", time.Hour, "legacy mode: virtual-time deadline")
+		bw       = fs.Float64("bw", 10e6, "legacy mode: bottleneck bandwidth in bits/second")
+		rtt      = fs.Duration("rtt", 60*time.Millisecond, "legacy mode: round-trip propagation delay")
+		lossPct  = fs.Float64("loss", 0, "legacy mode: random loss rate in percent")
+		queue    = fs.Int("queue", 120, "legacy mode: bottleneck queue length in packets")
+		ccName   = fs.String("cc", "cm", "legacy mode: congestion control (cm or native)")
+		bytes    = fs.Int("bytes", 2_000_000, "legacy mode: transfer size in bytes")
+		flows    = fs.Int("flows", 1, "legacy mode: concurrent connections to one receiver")
+		seed     = fs.Int64("seed", 1, "legacy mode: random seed for the loss process")
+		deadline = fs.Duration("deadline", time.Hour, "legacy mode: virtual-time deadline")
 	)
-	flag.Var(&sweeps, "sweep", "sweep mode: one axis as param=values (repeatable): v1,v2,... | min:max:steps | log:min:max:steps")
-	flag.Var(&probes, "probe", "declarative sampling probe as target[@interval] (repeatable), e.g. link[0].queue_depth@100ms; series land in results and sweep aggregation (see docs/OBSERVABILITY.md)")
-	flag.Var(params, "param", "builder parameter for a parameterised -scenario as name=value (repeatable), e.g. -scenario fattree -param k=8")
-	buildProfile := flag.String("buildprofile", "", "build the -scenario topology under profiling, write <prefix>.cpu.pprof and <prefix>.heap.pprof, report build time, and exit without running")
-	flag.Parse()
+	fs.Var(&sweeps, "sweep", "sweep mode: one axis as param=values (repeatable): v1,v2,... | min:max:steps | log:min:max:steps")
+	fs.Var(&probes, "probe", "declarative sampling probe as target[@interval] (repeatable), e.g. link[0].queue_depth@100ms; series land in results and sweep aggregation (see docs/OBSERVABILITY.md)")
+	fs.Var(params, "param", "builder parameter for a parameterised -scenario as name=value (repeatable), e.g. -scenario fattree -param k=8")
+	buildProfile := fs.String("buildprofile", "", "build the -scenario topology under profiling, write <prefix>.cpu.pprof and <prefix>.heap.pprof, report build time, and exit without running")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, name := range scenario.List() {
-			fmt.Printf("%-18s %s\n", name, scenario.Describe(name))
+			fmt.Fprintf(stdout, "%-18s %s\n", name, scenario.Describe(name))
 		}
-		return
+		return 0
 	}
 
 	if *buildProfile != "" {
-		if err := profileBuild(*buildProfile, *names, params, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := profileBuild(stdout, *buildProfile, *names, params, *shards); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	if *campaign != "" || len(sweeps) > 0 {
 		set := make(map[string]bool)
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if err := runCampaign(*campaign, sweeps, probes, *names, params, *replicates, *shards, *parallel, *jsonOut, *csvOut, *checkInv, *plotDir, set); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if err := runCampaign(stdout, stderr, *campaign, sweeps, probes, *names, params, *replicates, *shards, *parallel, *jsonOut, *csvOut, *checkInv, *plotDir, set); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	if *runs < 1 {
@@ -208,8 +218,8 @@ func main() {
 			name = strings.TrimSpace(name)
 			spec, err := scenario.LookupParams(name, params)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 			spec.Shards = *shards
 			for r := 0; r < *runs; r++ {
@@ -219,8 +229,8 @@ func main() {
 	} else {
 		spec, err := legacySpec(*ccName, *bw, *rtt, *lossPct, *queue, *bytes, *flows, *seed, *deadline)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		for r := 0; r < *runs; r++ {
 			specs = append(specs, spec)
@@ -277,43 +287,43 @@ func main() {
 		}
 	}
 	if *timelineOut != "" && firstSim != nil {
-		if err := writeArtifact(*timelineOut, firstSim.ExecutionTimeline().WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := writeArtifact(stdout, *timelineOut, firstSim.ExecutionTimeline().WriteJSON); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 	if *traceOut != "" && firstSim != nil {
-		err := writeArtifact(*traceOut, func(w io.Writer) error {
+		err := writeArtifact(stdout, *traceOut, func(w io.Writer) error {
 			firstSim.DumpTrace(w)
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 	var runReport *report.Report
 	if wantReport {
 		if firstSim == nil || firstRes == nil {
-			fmt.Fprintln(os.Stderr, "-report: no successful run to report")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-report: no successful run to report")
+			return 2
 		}
 		runReport = report.Build(firstSim, firstRes)
 		if *reportOut != "" {
-			if err := writeArtifact(*reportOut, runReport.WriteJSON); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+			if err := writeArtifact(stdout, *reportOut, runReport.WriteJSON); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 		}
 		if *reportMD != "" {
-			if err := writeArtifact(*reportMD, runReport.WriteMarkdown); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+			if err := writeArtifact(stdout, *reportMD, runReport.WriteMarkdown); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 		}
 	}
 	if *probeCSV != "" {
-		err := writeArtifact(*probeCSV, func(w io.Writer) error {
+		err := writeArtifact(stdout, *probeCSV, func(w io.Writer) error {
 			for _, o := range outcomes {
 				if o.Result == nil {
 					continue
@@ -328,24 +338,24 @@ func main() {
 			return fmt.Errorf("-probe-csv: no successful run to report")
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(outcomes); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	} else {
 		for i, o := range outcomes {
 			if i > 0 {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
-			printResult(o)
+			printResult(stdout, o)
 		}
 	}
 	if *checkInv {
@@ -366,28 +376,29 @@ func main() {
 			}
 		}
 		if firstAt >= 0 {
-			fmt.Fprintf(os.Stderr, "first invariant violation at t=%v\n", time.Duration(firstAt))
+			fmt.Fprintf(stderr, "first invariant violation at t=%v\n", time.Duration(firstAt))
 		}
-		if reportViolations(violations) {
+		if reportViolations(stderr, violations) {
 			// A violation with the flight recorder armed but no -trace-out:
 			// dump the rings to stderr so the evidence isn't lost.
 			if *traceOut == "" && *traceDepth > 0 && firstSim != nil {
-				firstSim.DumpTrace(os.Stderr)
+				firstSim.DumpTrace(stderr)
 			}
-			os.Exit(1)
+			return 1
 		}
 	}
 	// The run report's verdict carries the same weight as -check-invariants:
 	// a non-clean report is a failed run.
 	if runReport != nil && !runReport.Faults.Clean {
-		reportViolations(runReport.Faults.Violations)
-		os.Exit(1)
+		reportViolations(stderr, runReport.Faults.Violations)
+		return 1
 	}
 	for _, o := range outcomes {
 		if o.Err != "" {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // runInstrumentedSpec builds and runs one spec in-process, keeping the Sim
@@ -412,9 +423,9 @@ func runInstrumentedSpec(spec scenario.Spec, timeline, profile bool) (*scenario.
 }
 
 // writeArtifact writes one output file ("-" = stdout) through fn.
-func writeArtifact(path string, fn func(io.Writer) error) error {
+func writeArtifact(stdout io.Writer, path string, fn func(io.Writer) error) error {
 	if path == "-" {
-		return fn(os.Stdout)
+		return fn(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -429,12 +440,12 @@ func writeArtifact(path string, fn func(io.Writer) error) error {
 
 // reportViolations prints invariant violations to stderr, returning whether
 // there were any.
-func reportViolations(violations []faults.Violation) bool {
+func reportViolations(stderr io.Writer, violations []faults.Violation) bool {
 	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "invariant violation: %s\n", v)
+		fmt.Fprintf(stderr, "invariant violation: %s\n", v)
 	}
 	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "%d invariant violation(s)\n", len(violations))
+		fmt.Fprintf(stderr, "%d invariant violation(s)\n", len(violations))
 		return true
 	}
 	return false
@@ -444,7 +455,7 @@ func reportViolations(violations []faults.Violation) bool {
 // one assembled from -scenario plus repeated -sweep axes. With -campaign,
 // explicitly passed -replicates/-shards override the file's values; a
 // -scenario alongside -campaign is rejected rather than silently ignored.
-func runCampaign(file string, sweeps []string, probes []probe.Spec, names string, params map[string]float64, replicates, shards, parallel int, jsonOut, csvOut, checkInv bool, plotDir string, set map[string]bool) error {
+func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes []probe.Spec, names string, params map[string]float64, replicates, shards, parallel int, jsonOut, csvOut, checkInv bool, plotDir string, set map[string]bool) error {
 	var camp sweep.Campaign
 	switch {
 	case file != "" && len(sweeps) > 0:
@@ -491,15 +502,15 @@ func runCampaign(file string, sweeps []string, probes []probe.Spec, names string
 	}
 	switch {
 	case csvOut:
-		fmt.Print(res.CSV())
+		fmt.Fprint(stdout, res.CSV())
 	case jsonOut:
 		data, err := res.JSON()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s\n", data)
+		fmt.Fprintf(stdout, "%s\n", data)
 	default:
-		fmt.Print(res.Table())
+		fmt.Fprint(stdout, res.Table())
 	}
 	if plotDir != "" {
 		if err := os.MkdirAll(plotDir, 0o755); err != nil {
@@ -509,9 +520,9 @@ func runCampaign(file string, sweeps []string, probes []probe.Spec, names string
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d plot(s) to %s: %s\n", len(files), plotDir, strings.Join(files, " "))
+		fmt.Fprintf(stderr, "wrote %d plot(s) to %s: %s\n", len(files), plotDir, strings.Join(files, " "))
 	}
-	if checkInv && reportViolations(faults.CheckCampaign(res)) {
+	if checkInv && reportViolations(stderr, faults.CheckCampaign(res)) {
 		return fmt.Errorf("campaign %s failed invariant checking", camp.Name)
 	}
 	return nil
@@ -521,7 +532,7 @@ func runCampaign(file string, sweeps []string, probes []probe.Spec, names string
 // around scenario.Build only — no traffic runs — so the profiles isolate
 // topology construction and route installation. It writes <prefix>.cpu.pprof
 // and <prefix>.heap.pprof and reports wall-clock build time and heap use.
-func profileBuild(prefix, name string, params map[string]float64, shards int) error {
+func profileBuild(stdout io.Writer, prefix, name string, params map[string]float64, shards int) error {
 	if name == "" || strings.Contains(name, ",") {
 		return fmt.Errorf("-buildprofile needs exactly one -scenario")
 	}
@@ -562,9 +573,9 @@ func profileBuild(prefix, name string, params map[string]float64, shards int) er
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Printf("built %s: %d nodes, %d links in %v (heap in use %d MB)\n",
+	fmt.Fprintf(stdout, "built %s: %d nodes, %d links in %v (heap in use %d MB)\n",
 		spec.Name, len(sim.Nodes()), len(spec.Links), elapsed.Round(time.Millisecond), ms.HeapInuse>>20)
-	fmt.Printf("profiles: %s.cpu.pprof %s.heap.pprof (go tool pprof <file>)\n", prefix, prefix)
+	fmt.Fprintf(stdout, "profiles: %s.cpu.pprof %s.heap.pprof (go tool pprof <file>)\n", prefix, prefix)
 	return nil
 }
 
@@ -649,28 +660,28 @@ func legacySpec(cc string, bw float64, rtt time.Duration, lossPct float64, queue
 }
 
 // printResult renders one outcome for the terminal.
-func printResult(o scenario.RunOutcome) {
+func printResult(w io.Writer, o scenario.RunOutcome) {
 	if o.Err != "" {
-		fmt.Printf("error: %s\n", o.Err)
+		fmt.Fprintf(w, "error: %s\n", o.Err)
 		return
 	}
 	r := o.Result
-	fmt.Printf("scenario %s: %d flow(s), virtual time %v\n", r.Scenario, len(r.Flows), r.EndTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "scenario %s: %d flow(s), virtual time %v\n", r.Scenario, len(r.Flows), r.EndTime.Round(time.Millisecond))
 	if rr := r.Routing; rr != nil {
 		converged := "converged"
 		if !rr.Converged {
 			converged = "NOT converged by end of run"
 		}
-		fmt.Printf("  routing [%s protocol]: %d agent(s), %d msgs (%d triggered, %d refreshes), %d table change(s), %s (deadline %v), post-convergence drops=%d\n",
+		fmt.Fprintf(w, "  routing [%s protocol]: %d agent(s), %d msgs (%d triggered, %d refreshes), %d table change(s), %s (deadline %v), post-convergence drops=%d\n",
 			rr.Mode, rr.Agents, rr.MessagesSent, rr.TriggeredUpdates, rr.Refreshes,
 			rr.TableChanges, converged, rr.ConvergenceDeadline.Round(time.Millisecond),
 			rr.PostConvergenceRouteDrops)
 		if rr.FaultDropped+rr.FaultDelayed+rr.FaultDuplicated > 0 {
-			fmt.Printf("    control-faults: dropped=%d delayed=%d duplicated=%d holddown-suppressed=%d\n",
+			fmt.Fprintf(w, "    control-faults: dropped=%d delayed=%d duplicated=%d holddown-suppressed=%d\n",
 				rr.FaultDropped, rr.FaultDelayed, rr.FaultDuplicated, rr.HolddownSuppressed)
 		}
 		if rr.AuditedPairs > 0 {
-			fmt.Printf("    audit: %d pair(s), loops=%d unreached=%d partitioned=%d pending-at-end=%d\n",
+			fmt.Fprintf(w, "    audit: %d pair(s), loops=%d unreached=%d partitioned=%d pending-at-end=%d\n",
 				rr.AuditedPairs, rr.LoopPairs, rr.UnreachedPairs, rr.PartitionedPairs, rr.PendingAtEnd)
 		}
 	}
@@ -694,7 +705,7 @@ func printResult(o scenario.RunOutcome) {
 		if ev.FlowsWiped > 0 {
 			extra = fmt.Sprintf(" flows-wiped=%d", ev.FlowsWiped)
 		}
-		fmt.Printf("  event t=%v %s %s %s routes-changed=%d%s\n",
+		fmt.Fprintf(w, "  event t=%v %s %s %s routes-changed=%d%s\n",
 			ev.At, ev.Kind, target, fired, ev.RoutesChanged, extra)
 	}
 	for _, f := range r.Flows {
@@ -706,7 +717,7 @@ func printResult(o scenario.RunOutcome) {
 		if f.LayerSwitches > 0 {
 			extra = fmt.Sprintf(" layer-switches=%d", f.LayerSwitches)
 		}
-		fmt.Printf("  flow %d.%d %s->%s:%d [%s] %s delivered=%d elapsed=%v throughput=%.0f KB/s rtx=%d timeouts=%d srtt=%v%s\n",
+		fmt.Fprintf(w, "  flow %d.%d %s->%s:%d [%s] %s delivered=%d elapsed=%v throughput=%.0f KB/s rtx=%d timeouts=%d srtt=%v%s\n",
 			f.Workload, f.Flow, f.From, f.To, f.Port, f.CC, status,
 			f.Delivered, f.Elapsed.Round(time.Millisecond), f.ThroughputKBps,
 			f.Retransmissions, f.Timeouts, f.SRTT.Round(time.Millisecond), extra)
@@ -715,29 +726,29 @@ func printResult(o scenario.RunOutcome) {
 		if l.SentPackets == 0 && l.DownDrops == 0 {
 			continue
 		}
-		fmt.Printf("  link %s: sent=%d drops(queue/bernoulli/burst/down)=%d/%d/%d/%d delivered=%dB",
+		fmt.Fprintf(w, "  link %s: sent=%d drops(queue/bernoulli/burst/down)=%d/%d/%d/%d delivered=%dB",
 			l.Name, l.SentPackets, l.QueueDrops, l.BernoulliDrops, l.BurstDrops, l.DownDrops, l.DeliveredOctets)
 		if l.GEGoodPackets+l.GEBadPackets > 0 {
-			fmt.Printf(" ge(good/bad/transitions)=%d/%d/%d", l.GEGoodPackets, l.GEBadPackets, l.GETransitions)
+			fmt.Fprintf(w, " ge(good/bad/transitions)=%d/%d/%d", l.GEGoodPackets, l.GEBadPackets, l.GETransitions)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, h := range r.Hosts {
 		if !h.Router {
 			continue
 		}
-		fmt.Printf("  router %s: forwarded=%d (%dB) forward-miss=%d route-miss=%d ttl-expired=%d\n",
+		fmt.Fprintf(w, "  router %s: forwarded=%d (%dB) forward-miss=%d route-miss=%d ttl-expired=%d\n",
 			h.Name, h.ForwardedPackets, h.ForwardedBytes, h.ForwardMissDrops, h.RouteMissDrops, h.TTLExpiredDrops)
 	}
 	for _, c := range r.CMs {
-		fmt.Printf("  cm %s: %d macroflow(s), %d flows, %d grants, %d updates, %d notifies, %d queries\n",
+		fmt.Fprintf(w, "  cm %s: %d macroflow(s), %d flows, %d grants, %d updates, %d notifies, %d queries\n",
 			c.Host, c.Macroflows, c.Flows, c.GrantsIssued, c.Updates, c.Notifies, c.Queries)
 		if c.Restarts > 0 || c.StaleFlowCalls > 0 || c.MacroflowResets > 0 {
-			fmt.Printf("    churn: restarts=%d stale-calls=%d macroflow-resets=%d stranded=%d\n",
+			fmt.Fprintf(w, "    churn: restarts=%d stale-calls=%d macroflow-resets=%d stranded=%d\n",
 				c.Restarts, c.StaleFlowCalls, c.MacroflowResets, c.StrandedFlows)
 		}
 		if c.DroppedSends+c.DelayedSends+c.DroppedUpdates+c.DelayedUpdates > 0 {
-			fmt.Printf("    notify-faults: dropped-sends=%d delayed-sends=%d dropped-updates=%d delayed-updates=%d stale-updates-dropped=%d\n",
+			fmt.Fprintf(w, "    notify-faults: dropped-sends=%d delayed-sends=%d dropped-updates=%d delayed-updates=%d stale-updates-dropped=%d\n",
 				c.DroppedSends, c.DelayedSends, c.DroppedUpdates, c.DelayedUpdates, c.StaleUpdatesDropped)
 		}
 	}

@@ -107,7 +107,7 @@ type Receiver struct {
 	highestSeq   int64
 	lastEcho     time.Duration
 	unreported   int
-	reportTimer  simtime.Timer
+	reportTimer  simtime.EventTimer
 	dataSource   netsim.Addr
 	haveSource   bool
 
@@ -136,9 +136,11 @@ func NewReceiver(h *node.Host, port int, policy FeedbackPolicy, rateWindow time.
 	// macroflow on the receiving host (which typically has no CM at all).
 	sock.MarkControl()
 	sock.OnReceive(r.onDatagram)
-	r.reportTimer = h.Clock().NewKindTimer(simtime.KindWorkloadApp, r.flushReport)
+	r.reportTimer.Init(r.sched, simtime.KindWorkloadApp, fireReport, r)
 	return r, nil
 }
+
+func fireReport(r any) { r.(*Receiver).flushReport() }
 
 // OnData registers an optional observer for every received datagram.
 func (r *Receiver) OnData(fn func(d *udp.Datagram)) { r.onData = fn }
@@ -222,7 +224,7 @@ type UpdateFunc func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration)
 // OnReport.
 type SenderFeedback struct {
 	update UpdateFunc
-	clock  simtime.Clock
+	sched  *simtime.Scheduler
 
 	// log of (seq, cumulative bytes sent including that seq), in send order.
 	log          []sentRecord
@@ -242,11 +244,11 @@ type sentRecord struct {
 
 // NewSenderFeedback builds a feedback converter that calls update for every
 // report.
-func NewSenderFeedback(clock simtime.Clock, update UpdateFunc) *SenderFeedback {
-	if clock == nil || update == nil {
-		panic("app: NewSenderFeedback requires a clock and an update function")
+func NewSenderFeedback(sched *simtime.Scheduler, update UpdateFunc) *SenderFeedback {
+	if sched == nil || update == nil {
+		panic("app: NewSenderFeedback requires a scheduler and an update function")
 	}
-	return &SenderFeedback{update: update, clock: clock}
+	return &SenderFeedback{update: update, sched: sched}
 }
 
 // OnSend records a transmission of size bytes with the given sequence number.
@@ -294,7 +296,7 @@ func (f *SenderFeedback) OnReport(rep Report) {
 	}
 	var rtt time.Duration
 	if rep.EchoSentAt > 0 {
-		rtt = f.clock.Now() - rep.EchoSentAt
+		rtt = f.sched.Now() - rep.EchoSentAt
 		if rtt < 0 {
 			rtt = 0
 		}

@@ -124,9 +124,9 @@ type LayeredServer struct {
 	layer         int
 	seq           int64
 	running       bool
-	sendTimer     simtime.Timer
-	pollTimer     simtime.Timer
-	watchdogTimer simtime.Timer
+	sendTimer     simtime.EventTimer
+	pollTimer     simtime.EventTimer
+	watchdogTimer simtime.EventTimer
 
 	txRate       *probe.RateEstimator
 	reportedRate *probe.Series
@@ -158,7 +158,7 @@ func NewLayeredServer(h *node.Host, lib *libcm.Lib, dst netsim.Addr, cfg Layered
 	// Layered applications "open their usual UDP socket, and call cm_open()
 	// to obtain a control socket" (§3.4).
 	s.flow = lib.Open(netsim.ProtoUDP, sock.Local(), dst)
-	s.fb = NewSenderFeedback(h.Clock(), func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
+	s.fb = NewSenderFeedback(s.sched, func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
 		s.lib.Update(s.flow, nsent, nrecd, mode, rtt)
 	})
 	// Feedback reports come back to the data socket.
@@ -167,12 +167,16 @@ func NewLayeredServer(h *node.Host, lib *libcm.Lib, dst netsim.Addr, cfg Layered
 			s.stats.FeedbackReports++
 		}
 	})
-	s.sendTimer = h.Clock().NewKindTimer(simtime.KindWorkloadApp, s.onSendTimer)
-	s.pollTimer = h.Clock().NewKindTimer(simtime.KindWorkloadApp, s.onPoll)
-	s.watchdogTimer = h.Clock().NewKindTimer(simtime.KindWorkloadApp, s.onWatchdog)
+	s.sendTimer.Init(s.sched, simtime.KindWorkloadApp, fireSend, s)
+	s.pollTimer.Init(s.sched, simtime.KindWorkloadApp, firePoll, s)
+	s.watchdogTimer.Init(s.sched, simtime.KindWorkloadApp, fireWatchdog, s)
 	lib.SetRestartHandler(s.onCMRestart)
 	return s, nil
 }
+
+func fireSend(s any)     { s.(*LayeredServer).onSendTimer() }
+func firePoll(s any)     { s.(*LayeredServer).onPoll() }
+func fireWatchdog(s any) { s.(*LayeredServer).onWatchdog() }
 
 // Flow returns the server's CM flow.
 func (s *LayeredServer) Flow() cm.FlowID { return s.flow }

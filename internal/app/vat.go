@@ -86,7 +86,7 @@ type VatSource struct {
 	appBuf  []*udp.Datagram
 	seq     int64
 	running bool
-	frameTk simtime.Timer
+	frameTk simtime.EventTimer
 
 	sentRate *probe.RateEstimator
 	stats    VatStats
@@ -107,7 +107,7 @@ func NewVatSource(h *node.Host, cmgr *cm.CM, dst netsim.Addr, cfg VatConfig) (*V
 		cc:       cc,
 		sentRate: probe.NewRateEstimator("vat-sent-rate", cfg.TraceWindow),
 	}
-	v.fb = NewSenderFeedback(h.Clock(), func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
+	v.fb = NewSenderFeedback(v.sched, func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
 		cc.Update(nsent, nrecd, mode, rtt)
 	})
 	// Feedback reports arrive on the data socket.
@@ -120,7 +120,7 @@ func NewVatSource(h *node.Host, cmgr *cm.CM, dst netsim.Addr, cfg VatConfig) (*V
 	})
 	// The kernel buffer pulls from the application buffer on demand.
 	cc.OnSpace(func() { v.fillKernel() })
-	v.frameTk = h.Clock().NewKindTimer(simtime.KindWorkloadApp, v.onFrame)
+	v.frameTk.Init(v.sched, simtime.KindWorkloadApp, fireFrame, v)
 	// Start with whatever the CM currently estimates.
 	if st, ok := cmgr.Query(cc.Flow()); ok {
 		v.policerRate = st.Rate
@@ -187,6 +187,8 @@ func (v *VatSource) refillTokens() {
 		v.lastTokenFill = now
 	}
 }
+
+func fireFrame(v any) { v.(*VatSource).onFrame() }
 
 // onFrame generates one CBR audio frame and pushes it through the policer and
 // buffers.

@@ -140,7 +140,7 @@ func (c *FetchClient) fetch(index, count int, spacing time.Duration) {
 		})
 		// Finish our side of the connection, then schedule the next fetch.
 		ep.Close()
-		sched.AfterKind(spacing, simtime.KindWorkloadApp, func() { c.fetch(index+1, count, spacing) })
+		sched.Schedule(sched.Now()+spacing, simtime.KindWorkloadApp, func(any) { c.fetch(index+1, count, spacing) }, nil)
 	})
 }
 
@@ -162,7 +162,7 @@ type OnOffSource struct {
 	on       bool
 	running  bool
 	phaseEnd time.Duration
-	timer    simtime.Timer
+	timer    simtime.EventTimer
 	seq      int64
 	sent     int64
 }
@@ -186,9 +186,11 @@ func NewOnOffSource(h *node.Host, dst netsim.Addr, rate float64, packetSize int,
 		onPeriod:   onPeriod,
 		offPeriod:  offPeriod,
 	}
-	s.timer = h.Clock().NewKindTimer(simtime.KindWorkloadApp, s.tick)
+	s.timer.Init(s.sched, simtime.KindWorkloadApp, fireTick, s)
 	return s, nil
 }
+
+func fireTick(s any) { s.(*OnOffSource).tick() }
 
 // Start begins generating traffic (starting with an on-period).
 func (s *OnOffSource) Start() {

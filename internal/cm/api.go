@@ -75,7 +75,7 @@ func (cm *CM) Request(f FlowID) {
 	}
 	cm.acct.Requests++
 	if cm.rec != nil {
-		cm.rec.Append(probe.Event{At: cm.clock.Now(), Kind: probe.EvRequest, Flow: int64(f)})
+		cm.rec.Append(probe.Event{At: cm.sched.Now(), Kind: probe.EvRequest, Flow: int64(f)})
 	}
 	fl.pendingRequests++
 	if fl.pendingRequests == 1 {
@@ -128,7 +128,7 @@ func (cm *CM) notifyFlow(fl *flowState, nsent int) {
 		nsent = 0
 	}
 	if cm.rec != nil {
-		cm.rec.Append(probe.Event{At: cm.clock.Now(), Kind: probe.EvNotify, Flow: int64(fl.id), Size: int64(nsent)})
+		cm.rec.Append(probe.Event{At: cm.sched.Now(), Kind: probe.EvNotify, Flow: int64(fl.id), Size: int64(nsent)})
 	}
 	fl.mf.notify(fl, nsent)
 }

@@ -240,9 +240,8 @@ func WithMaxWindow(bytes int) Option {
 
 // CM is one host's Congestion Manager instance.
 type CM struct {
-	cfg    Config
-	clock  simtime.Clock
-	timers simtime.TimerFactory
+	cfg   Config
+	sched *simtime.Scheduler
 
 	nextFlowID FlowID
 	nextMFTag  int
@@ -271,12 +270,13 @@ type CM struct {
 	acct Accounting
 }
 
-// New creates a Congestion Manager bound to the given clock and timer
-// factory. Under simulation both are provided by *simtime.Scheduler; the Go
-// micro-benchmarks use a wall clock.
-func New(clock simtime.Clock, timers simtime.TimerFactory, opts ...Option) *CM {
-	if clock == nil || timers == nil {
-		panic("cm: New requires a clock and a timer factory")
+// New creates a Congestion Manager on its host's scheduler, which is both
+// its clock and where its timers run. clock and timers must be that one
+// scheduler: the pair is the signature cmperf compiles against, and New
+// panics on nil or on two different schedulers.
+func New(clock, timers *simtime.Scheduler, opts ...Option) *CM {
+	if clock == nil || clock != timers {
+		panic("cm: New requires one non-nil scheduler as clock and timers")
 	}
 	var cfg Config
 	for _, o := range opts {
@@ -285,8 +285,7 @@ func New(clock simtime.Clock, timers simtime.TimerFactory, opts ...Option) *CM {
 	cfg.fillDefaults()
 	return &CM{
 		cfg:        cfg,
-		clock:      clock,
-		timers:     timers,
+		sched:      clock,
 		flows:      make(map[FlowID]*flowState),
 		byKey:      make(map[netsim.FlowKey]*flowState),
 		macroflows: make(map[macroflowKey]*Macroflow),
@@ -306,7 +305,7 @@ func (cm *CM) SetOwnershipCheck(fn func() bool) { cm.owned = fn }
 func (cm *CM) SetRecorder(r *probe.Recorder) { cm.rec = r }
 
 // Now returns the CM's current time.
-func (cm *CM) Now() time.Duration { return cm.clock.Now() }
+func (cm *CM) Now() time.Duration { return cm.sched.Now() }
 
 // Accounting returns a copy of the API-call counters, used by the API-cost
 // model when reproducing the overhead experiments.

@@ -24,6 +24,7 @@ func TestNewRequiresClockAndTimers(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(nil, s) },
 		func() { New(s, nil) },
+		func() { New(s, simtime.NewScheduler()) },
 	} {
 		func() {
 			defer func() {

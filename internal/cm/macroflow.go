@@ -56,16 +56,8 @@ type Macroflow struct {
 	lastActivity time.Duration
 
 	pumping    bool
-	background simTimer
+	background simtime.EventTimer
 	stats      MacroflowStats
-}
-
-// simTimer is the minimal timer surface the macroflow needs; satisfied by
-// simtime.Timer.
-type simTimer interface {
-	Reset(d time.Duration)
-	Stop()
-	Pending() bool
 }
 
 func newMacroflow(cm *CM, key macroflowKey) *Macroflow {
@@ -80,11 +72,13 @@ func newMacroflow(cm *CM, key macroflowKey) *Macroflow {
 		MaxWindowBytes:    cm.cfg.MaxWindowBytes,
 	})
 	mf.sched = cm.cfg.NewScheduler()
-	mf.background = simtime.NewKindTimer(cm.timers, simtime.KindCMGrant, mf.onBackgroundTimer)
-	mf.lastFeedback = cm.clock.Now()
-	mf.lastActivity = cm.clock.Now()
+	mf.background.Init(cm.sched, simtime.KindCMGrant, fireBackground, mf)
+	mf.lastFeedback = cm.sched.Now()
+	mf.lastActivity = cm.sched.Now()
 	return mf
 }
+
+func fireBackground(m any) { m.(*Macroflow).onBackgroundTimer() }
 
 // Key fields exposed for tests and experiments.
 
@@ -176,12 +170,12 @@ func (m *Macroflow) pump() {
 		}
 		fl.unclaimedGrants++
 		fl.grantsReceived++
-		g := grant{flow: fl, issued: m.cm.clock.Now(), bytes: m.mtu()}
+		g := grant{flow: fl, issued: m.cm.sched.Now(), bytes: m.mtu()}
 		m.grants = append(m.grants, g)
 		m.grantedBytes += g.bytes
 		m.stats.GrantsIssued++
 		m.cm.acct.GrantsIssued++
-		m.lastActivity = m.cm.clock.Now()
+		m.lastActivity = m.cm.sched.Now()
 		if m.cm.rec != nil {
 			m.cm.rec.Append(probe.Event{At: g.issued, Kind: probe.EvGrant, Flow: int64(fl.id), Size: int64(g.bytes)})
 		}
@@ -239,7 +233,7 @@ func (m *Macroflow) notify(fl *flowState, nbytes int) {
 		fl.bytesCharged += int64(nbytes)
 		m.stats.BytesCharged += int64(nbytes)
 	}
-	m.lastActivity = m.cm.clock.Now()
+	m.lastActivity = m.cm.sched.Now()
 	m.pump()
 }
 
@@ -249,8 +243,8 @@ func (m *Macroflow) update(fl *flowState, nsent, nrecd int, mode LossMode, rtt t
 		nsent = nrecd
 	}
 	m.stats.Updates++
-	m.lastFeedback = m.cm.clock.Now()
-	m.lastActivity = m.cm.clock.Now()
+	m.lastFeedback = m.cm.sched.Now()
+	m.lastActivity = m.cm.sched.Now()
 
 	// RTT estimation (Jacobson/Karels), shared across every flow of the
 	// macroflow so each connection benefits from the others' samples.
@@ -398,7 +392,7 @@ func (m *Macroflow) armBackgroundTimer() {
 // claimed with a cm_notify, and treats long feedback starvation with data
 // outstanding as persistent congestion so the macroflow cannot deadlock.
 func (m *Macroflow) onBackgroundTimer() {
-	now := m.cm.clock.Now()
+	now := m.cm.sched.Now()
 
 	// Expire stale grants.
 	expired := 0

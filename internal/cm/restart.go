@@ -85,7 +85,7 @@ func (cm *CM) resetMacroflows(match func(macroflowKey) bool) int {
 // Pending requests survive, so the pump immediately starts regranting from
 // the initial window.
 func (m *Macroflow) reset() {
-	now := m.cm.clock.Now()
+	now := m.cm.sched.Now()
 	n := int64(len(m.grants))
 	m.stats.GrantsReclaimed += n
 	m.cm.acct.GrantsReclaimed += n

@@ -152,9 +152,7 @@ func (c *checker) standing(res *scenario.Result, final bool) {
 	negative := sweep.FlattenWhere(res, func(v float64) bool { return v < 0 })
 	keys := make([]string, 0, len(negative))
 	for k := range negative {
-		if !signedField(k) {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
@@ -226,17 +224,6 @@ func seedAt(seeds []int64, i int) int64 {
 		return seeds[i]
 	}
 	return -1
-}
-
-// signedField reports whether the flattened result field is legitimately
-// signed and exempt from the non-negativity rule. Durations derived from
-// uninitialised timestamps can be negative only through bugs elsewhere, so
-// only genuinely signed quantities are listed.
-func signedField(key string) bool {
-	// No signed result fields today; RTT estimators, counters and byte
-	// totals are all non-negative by construction.
-	_ = key
-	return false
 }
 
 // Soak runs one scenario spec and checks it, returning the result and any

@@ -69,16 +69,16 @@ type Stats struct {
 // Lib is one application's instance of the CM library. It implements
 // cm.Dispatcher for the flows it manages.
 type Lib struct {
-	cm     *cm.CM
-	timers simtime.TimerFactory
-	mode   Mode
+	cm    *cm.CM
+	sched *simtime.Scheduler
+	mode  Mode
 
 	pendingSend   []cm.FlowID
 	pendingStatus map[cm.FlowID]cm.Status
 	sendCBs       map[cm.FlowID]cm.SendCallback
 	updateCBs     map[cm.FlowID]cm.UpdateCallback
 
-	dispatchTimer     simtime.Timer
+	dispatchTimer     simtime.EventTimer
 	dispatchScheduled bool
 	signalHandler     func()
 	signalPending     bool
@@ -100,15 +100,16 @@ type Lib struct {
 	stats Stats
 }
 
-// New creates a library instance bound to a CM and a timer factory (used to
-// schedule automatic dispatches in ModeAuto).
-func New(c *cm.CM, timers simtime.TimerFactory, mode Mode) *Lib {
-	if c == nil || timers == nil {
-		panic("libcm: New requires a CM and a timer factory")
+// New creates a library instance bound to a CM and to the scheduler of the
+// CM's host (used to schedule automatic dispatches in ModeAuto and
+// fault-delayed notifications).
+func New(c *cm.CM, sched *simtime.Scheduler, mode Mode) *Lib {
+	if c == nil || sched == nil {
+		panic("libcm: New requires a CM and a scheduler")
 	}
 	l := &Lib{
 		cm:            c,
-		timers:        timers,
+		sched:         sched,
 		mode:          mode,
 		pendingStatus: make(map[cm.FlowID]cm.Status),
 		sendCBs:       make(map[cm.FlowID]cm.SendCallback),
@@ -117,13 +118,16 @@ func New(c *cm.CM, timers simtime.TimerFactory, mode Mode) *Lib {
 		updateSeq:     make(map[cm.FlowID]uint64),
 		queuedSeq:     make(map[cm.FlowID]uint64),
 	}
-	l.dispatchTimer = simtime.NewKindTimer(timers, simtime.KindCMNotify, func() {
-		l.dispatchScheduled = false
-		l.Dispatch()
-	})
+	l.dispatchTimer.Init(sched, simtime.KindCMNotify, fireDispatch, l)
 	// Creating the per-application control socket costs one system call.
 	l.stats.Syscalls++
 	return l
+}
+
+func fireDispatch(x any) {
+	l := x.(*Lib)
+	l.dispatchScheduled = false
+	l.Dispatch()
 }
 
 // Stats returns a copy of the boundary-crossing counters.
@@ -283,10 +287,10 @@ func (l *Lib) DeliverSend(f cm.FlowID, _ cm.Sender) {
 			return
 		case faultDelay:
 			l.injector.stats.DelayedSends++
-			simtime.NewKindTimer(l.timers, simtime.KindCMNotify, func() {
+			l.sched.Schedule(l.sched.Now()+l.injector.delay, simtime.KindCMNotify, func(any) {
 				l.pendingSend = append(l.pendingSend, f)
 				l.becameReady()
-			}).Reset(l.injector.delay)
+			}, nil)
 			return
 		}
 	}
@@ -309,9 +313,9 @@ func (l *Lib) DeliverUpdate(f cm.FlowID, st cm.Status, _ cm.UpdateCallback) {
 			return
 		case faultDelay:
 			l.injector.stats.DelayedUpdates++
-			simtime.NewKindTimer(l.timers, simtime.KindCMNotify, func() {
+			l.sched.Schedule(l.sched.Now()+l.injector.delay, simtime.KindCMNotify, func(any) {
 				l.queueStatus(f, st, seq)
-			}).Reset(l.injector.delay)
+			}, nil)
 			return
 		}
 	}

@@ -109,8 +109,8 @@ func (l *Link) armGETick() {
 		l.geTickRNG = rand.New(rand.NewSource(seed + geTickSeedOffset))
 	}
 	gen := l.geTickGen
-	var fire func()
-	fire = func() {
+	var fire func(any)
+	fire = func(any) {
 		g := l.gilbert
 		if l.geTickGen != gen || g == nil || g.Tick <= 0 {
 			return
@@ -123,9 +123,9 @@ func (l *Link) armGETick() {
 			l.geBad = !l.geBad
 			l.stats.GETransitions++
 		}
-		l.sched.AfterKind(g.Tick, simtime.KindDynamics, fire)
+		l.sched.Schedule(l.sched.Now()+g.Tick, simtime.KindDynamics, fire, nil)
 	}
-	l.sched.AfterKind(l.gilbert.Tick, simtime.KindDynamics, fire)
+	l.sched.Schedule(l.sched.Now()+l.gilbert.Tick, simtime.KindDynamics, fire, nil)
 }
 
 // geTickSeedOffset derives the tick RNG's seed from the link seed. The

@@ -123,8 +123,8 @@ func (h *Host) init(name string, sched *simtime.Scheduler) {
 // Name returns the host name (its "IP address" in the simulation).
 func (h *Host) Name() string { return h.name }
 
-// Clock returns the host's scheduler, which also serves as its clock and
-// timer factory.
+// Clock returns the host's scheduler: its clock, and where everything on the
+// host schedules its events and timers.
 func (h *Host) Clock() *simtime.Scheduler { return h.sched }
 
 // Stats returns a copy of the host's IP-layer counters.

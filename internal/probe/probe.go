@@ -99,7 +99,7 @@ var (
 		"drops":           true,
 	}
 	hostsAggFields = hostFields
-	cmFields = map[string]bool{
+	cmFields       = map[string]bool{
 		"rate":        true, // sum of macroflow rates, bytes/s
 		"cwnd":        true, // sum of macroflow congestion windows, bytes
 		"srtt":        true, // max macroflow smoothed RTT, seconds

@@ -398,7 +398,7 @@ func (a *Agent) Start() error {
 	// Seeded phase offset: agents refresh at the same period but different
 	// phases, so the fleet's refresh traffic is spread out.
 	phase := time.Duration(a.rng.Int63n(int64(a.cfg.RefreshInterval)/4 + 1))
-	a.sched.AfterKind(a.cfg.RefreshInterval+phase, simtime.KindRouteUpdate, a.refreshTick)
+	a.sched.Schedule(a.sched.Now()+a.cfg.RefreshInterval+phase, simtime.KindRouteUpdate, fireRefresh, a)
 	return nil
 }
 
@@ -524,7 +524,7 @@ func (a *Agent) learn(j int, dest string, metric int, now time.Duration) {
 		}
 		e.adv[j] = cost
 		e.heard[j] = now
-		a.armHold(dest, e, now)
+		a.armHold(dest, e)
 		return
 	}
 	if cost >= a.inf {
@@ -542,12 +542,12 @@ func (a *Agent) learn(j int, dest string, metric int, now time.Duration) {
 // armHold schedules the deferred re-selection at the entry's holddown
 // expiry. One timer per entry at a time; if the holddown re-arms while the
 // timer is in flight, holdExpired reschedules for the remainder.
-func (a *Agent) armHold(dest string, e *ribEntry, now time.Duration) {
+func (a *Agent) armHold(dest string, e *ribEntry) {
 	if e.holdArmed {
 		return
 	}
 	e.holdArmed = true
-	a.sched.AfterKind(e.holdUntil-now, simtime.KindRouteUpdate, func() { a.holdExpired(dest) })
+	a.sched.Schedule(e.holdUntil, simtime.KindRouteUpdate, func(any) { a.holdExpired(dest) }, nil)
 }
 
 // holdExpired re-evaluates a destination whose holddown window closed, so
@@ -561,7 +561,7 @@ func (a *Agent) holdExpired(dest string) {
 	e.holdArmed = false
 	now := a.sched.Now()
 	if now < e.holdUntil {
-		a.armHold(dest, e, now)
+		a.armHold(dest, e)
 		return
 	}
 	a.evaluate(dest, e, now)
@@ -587,8 +587,10 @@ func (a *Agent) scheduleFlush() {
 	if span := a.cfg.TriggerDelayMax - a.cfg.TriggerDelayMin; span > 0 {
 		d += time.Duration(a.rng.Int63n(int64(span) + 1))
 	}
-	a.sched.AfterKind(d, simtime.KindRouteUpdate, a.flush)
+	a.sched.Schedule(a.sched.Now()+d, simtime.KindRouteUpdate, fireFlush, a)
 }
+
+func fireFlush(a any) { a.(*Agent).flush() }
 
 // flush sends the pending triggered update: changed destinations to every
 // live neighbor, or the full table to neighbors owed one after a link-up.
@@ -624,6 +626,8 @@ func (a *Agent) flush() {
 	}
 }
 
+func fireRefresh(a any) { a.(*Agent).refreshTick() }
+
 // refreshTick is the periodic safety net: age out silent routes,
 // garbage-collect fully dead entries, and re-advertise the whole table to
 // every live neighbor.
@@ -654,7 +658,7 @@ func (a *Agent) refreshTick() {
 			a.sendTo(j, full)
 		}
 	}
-	a.sched.AfterKind(a.cfg.RefreshInterval, simtime.KindRouteUpdate, a.refreshTick)
+	a.sched.Schedule(a.sched.Now()+a.cfg.RefreshInterval, simtime.KindRouteUpdate, fireRefresh, a)
 }
 
 func allUnheard(adv []int32) bool {
@@ -709,7 +713,7 @@ func (a *Agent) sendTo(j int, dests []string) bool {
 	size := msg.WireSize()
 	src := netsim.Addr{Host: msg.From, Port: a.cfg.Port}
 	dst := netsim.Addr{Host: nb.name, Port: a.cfg.Port}
-	send := func() {
+	send := func(any) {
 		for c := 0; c < copies; c++ {
 			pkt := netsim.NewPacket()
 			pkt.Proto = netsim.ProtoRoute
@@ -723,9 +727,9 @@ func (a *Agent) sendTo(j int, dests []string) bool {
 		}
 	}
 	if delay > 0 {
-		a.sched.AfterKind(delay, simtime.KindRouteUpdate, send)
+		a.sched.Schedule(a.sched.Now()+delay, simtime.KindRouteUpdate, send, nil)
 	} else {
-		send()
+		send(nil)
 	}
 	return true
 }

@@ -357,7 +357,7 @@ func flowEstablished(ep *tcp.Endpoint, owner any) {
 // recorded on the flow's result instead of aborting the whole scenario.
 func (wl *workloadRun) armDials() {
 	if wl.next < len(wl.flows) {
-		wl.fromClock.AtArgKind(wl.flows[wl.next].start, simtime.KindWorkloadApp, fireDials, wl)
+		wl.fromClock.Schedule(wl.flows[wl.next].start, simtime.KindWorkloadApp, fireDials, wl)
 	}
 }
 
@@ -425,15 +425,15 @@ func (s *Sim) startUDPFlow(w *Workload, d *flowDriver, port int) error {
 		fr.Delivered = client.TotalBytes()
 		fr.LayerSwitches = srv.Stats().LayerSwitches
 	}
-	start := func() {
+	start := func(any) {
 		d.udpStarted = true
 		d.res.Established = fromClock.Now()
 		srv.Start()
 	}
 	if w.Start > 0 {
-		fromClock.AtKind(w.Start, simtime.KindWorkloadApp, start)
+		fromClock.Schedule(w.Start, simtime.KindWorkloadApp, start, nil)
 	} else {
-		start()
+		start(nil)
 	}
 	return nil
 }

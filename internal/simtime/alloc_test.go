@@ -75,10 +75,10 @@ func TestAtArgPassesArgument(t *testing.T) {
 	type box struct{ n int }
 	b := &box{n: 7}
 	var got *box
-	s.AtArgKind(time.Millisecond, KindOther, func(x any) { got = x.(*box) }, b)
+	s.Schedule(time.Millisecond, KindOther, func(x any) { got = x.(*box) }, b)
 	s.Run()
 	if got != b {
-		t.Fatalf("AtArgKind delivered %v, want %v", got, b)
+		t.Fatalf("Schedule delivered %v, want %v", got, b)
 	}
 }
 
@@ -86,12 +86,12 @@ func TestAfterArgOrderingMatchesAfter(t *testing.T) {
 	s := NewScheduler()
 	var order []int
 	s.After(time.Millisecond, func() { order = append(order, 1) })
-	s.AfterArgKind(time.Millisecond, KindOther, func(x any) { order = append(order, x.(int)) }, 2)
+	s.Schedule(s.Now()+time.Millisecond, KindOther, func(x any) { order = append(order, x.(int)) }, 2)
 	s.After(time.Millisecond, func() { order = append(order, 3) })
 	s.Run()
 	for i, v := range order {
 		if v != i+1 {
-			t.Fatalf("FIFO tie-break violated across After/AfterArgKind: %v", order)
+			t.Fatalf("FIFO tie-break violated across After/Schedule: %v", order)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestAfterAndFireZeroAlloc(t *testing.T) {
 // allocation-free once the timer exists.
 func TestTimerResetFireZeroAlloc(t *testing.T) {
 	s := NewScheduler()
-	tm := s.NewTimer(func() {})
+	tm := newTimer(s, func() {})
 	tm.Reset(time.Microsecond)
 	s.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -131,32 +131,10 @@ func TestTimerResetFireZeroAlloc(t *testing.T) {
 	}
 }
 
-// A timer is one object: its events carry it as their argument to a shared
-// callback, so there is no per-timer wrapper closure. Every TCP endpoint
-// creates two, which is what short-flow workloads pay per connection.
-func TestNewTimerAllocatesOneObject(t *testing.T) {
-	s := NewScheduler()
-	fn := func() {}
-	var tm Timer
-	allocs := testing.AllocsPerRun(1000, func() {
-		tm = s.NewKindTimer(KindWorkloadApp, fn)
-	})
-	if allocs != 1 {
-		t.Fatalf("NewKindTimer allocated %.1f objects, want 1", allocs)
-	}
-	fired := false
-	tm = s.NewKindTimer(KindWorkloadApp, func() { fired = !tm.Pending() })
-	tm.Reset(time.Millisecond)
-	s.Run()
-	if !fired {
-		t.Fatal("timer did not fire, or was still pending inside its own callback")
-	}
-}
-
 // An EventTimer embedded in its owner is no object at all: Init, arming,
 // firing and stopping allocate nothing, the owner riding as the argument to a
-// package-level callback. NewKindTimer is the same timer in an allocation of
-// its own (the test above), so the two cannot drift apart.
+// package-level callback. Every TCP endpoint embeds two, which is what
+// short-flow workloads would otherwise pay per connection.
 type timerOwner struct {
 	fired int
 	rto   EventTimer
@@ -164,6 +142,20 @@ type timerOwner struct {
 }
 
 func ownerFired(o any) { o.(*timerOwner).fired++ }
+
+// A timer is no longer pending inside its own callback, so the callback may
+// rearm it.
+func TestNewTimerAllocatesOneObject(t *testing.T) {
+	s := NewScheduler()
+	o := new(timerOwner)
+	pendingInside := true
+	o.rto.Init(s, KindWorkloadApp, func(any) { pendingInside = o.rto.Pending() }, nil)
+	o.rto.Reset(time.Millisecond)
+	s.Run()
+	if pendingInside {
+		t.Fatal("timer did not fire, or was still pending inside its own callback")
+	}
+}
 
 func TestEmbeddedTimerZeroAlloc(t *testing.T) {
 	s := NewScheduler()
@@ -185,13 +177,12 @@ func TestEmbeddedTimerZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, arm); allocs != 0 {
 		t.Fatalf("embedded timers allocated %.1f objects per Init+Reset+fire+Stop, want 0", allocs)
 	}
-	var tm Timer = &o.rto // an embedded timer is a Timer like any other
-	tm.Reset(time.Millisecond)
-	if !tm.Pending() || s.Len() != 1 {
-		t.Fatal("Reset through the Timer interface did not arm the embedded timer")
+	o.rto.Reset(time.Millisecond)
+	if !o.rto.Pending() || s.Len() != 1 {
+		t.Fatal("Reset did not arm the embedded timer")
 	}
 	s.Run()
-	if tm.Pending() || s.Len() != 0 {
+	if o.rto.Pending() || s.Len() != 0 {
 		t.Fatal("the timer stayed pending after it fired")
 	}
 }

@@ -45,7 +45,7 @@ func TestKeyedTieOrdering(t *testing.T) {
 	s.RunUntil(2 * time.Millisecond) // all insertions below share stamp 2ms
 	s.InjectAt(at, s.Now(), 30, 0, KindOther, rec("key30"), nil)
 	s.InjectAt(at, s.Now(), 10, 0, KindOther, rec("key10"), nil)
-	s.AtArgKind(at, KindOther, rec("unkeyed"), nil) // key 0: ahead of every keyed event
+	s.Schedule(at, KindOther, rec("unkeyed"), nil) // key 0: ahead of every keyed event
 	// An injection stamped at the same 2ms instant with a key between the two
 	// local keyed events lands between them.
 	s.InjectAt(at, 2*time.Millisecond, 20, 0, KindOther, rec("injected20"), nil)

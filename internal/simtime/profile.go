@@ -3,8 +3,8 @@ package simtime
 import "time"
 
 // Kind classifies a scheduled event for the optional per-kind wall-clock
-// profiler. Call sites tag events via the *Kind scheduling variants (AtKind,
-// AfterArgKind, ...); untagged events are KindOther. The kind never affects
+// profiler. Call sites tag events through Schedule, InjectAt and
+// EventTimer.Init; At and After schedule KindOther. The kind never affects
 // event ordering or execution — it exists purely so an armed profiler can
 // attribute where a run's real time goes (link delivery vs. CM grants vs.
 // route recomputation, etc.).
@@ -173,6 +173,6 @@ func (s *Scheduler) Profiling() *Profile { return s.prof }
 // out of Step's inline budget so the disarmed path stays as tight as before.
 func (s *Scheduler) fireProfiled(ev *Event) {
 	start := time.Now()
-	ev.fire()
+	ev.fn(ev.arg)
 	s.prof.record(ev.kind, int64(time.Since(start)))
 }

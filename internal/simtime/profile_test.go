@@ -15,14 +15,15 @@ func TestProfileAttributesKinds(t *testing.T) {
 	}
 
 	fn := func(any) {}
-	s.AtKind(time.Millisecond, KindRouteUpdate, func() {})
-	s.AfterKind(2*time.Millisecond, KindRouteUpdate, func() {})
-	s.AtArgKind(3*time.Millisecond, KindPktDeliver, fn, nil)
-	s.AfterArgKind(3*time.Millisecond, KindPktDeliver, fn, nil)
+	s.Schedule(time.Millisecond, KindRouteUpdate, fn, nil)
+	s.Schedule(s.Now()+2*time.Millisecond, KindRouteUpdate, fn, nil)
+	s.Schedule(3*time.Millisecond, KindPktDeliver, fn, nil)
+	s.Schedule(s.Now()+3*time.Millisecond, KindPktDeliver, fn, nil)
 	s.InjectAt(4*time.Millisecond, s.Now(), 1, 1, KindPktDeliver, fn, nil)
 	s.InjectAt(5*time.Millisecond, 0, 1, 2, KindPktDeliver, fn, nil)
 	s.At(6*time.Millisecond, func() {}) // untagged
-	tm := s.NewKindTimer(KindCMGrant, func() {})
+	var tm EventTimer
+	tm.Init(s, KindCMGrant, fn, nil)
 	tm.Reset(7 * time.Millisecond)
 	s.Run()
 
@@ -99,11 +100,11 @@ func TestProfiledFireZeroAlloc(t *testing.T) {
 	fn := func(any) {}
 	var arg struct{}
 	for i := 0; i < 64; i++ {
-		s.AfterArgKind(time.Microsecond, KindPktTransmit, fn, &arg)
+		s.Schedule(s.Now()+time.Microsecond, KindPktTransmit, fn, &arg)
 		s.Step()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		s.AfterArgKind(time.Microsecond, KindPktTransmit, fn, &arg)
+		s.Schedule(s.Now()+time.Microsecond, KindPktTransmit, fn, &arg)
 		s.Step()
 	})
 	if allocs != 0 {

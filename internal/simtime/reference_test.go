@@ -92,6 +92,7 @@ const traceTimers = 4
 type driven interface {
 	at(id int, t time.Duration)
 	after(id int, d time.Duration)
+	schedule(id int, t time.Duration)
 	keyed(id int, t time.Duration, key, sub uint32)
 	inject(id int, t, stamp time.Duration, key, sub uint32)
 	cancel(id int)
@@ -110,7 +111,7 @@ type realWorld struct {
 	t      testing.TB
 	s      *Scheduler
 	events map[int]*Event
-	timers [traceTimers]Timer
+	timers [traceTimers]EventTimer
 	fire   func(id int)
 	firing []*Event // handles of the callbacks on the stack, nil for timers
 }
@@ -118,7 +119,7 @@ type realWorld struct {
 func newRealWorld(t testing.TB, fire func(id int)) *realWorld {
 	w := &realWorld{t: t, s: NewScheduler(), events: map[int]*Event{}, fire: fire}
 	for i := range w.timers {
-		w.timers[i] = w.s.NewTimer(func() { w.fired(-(i + 1)) })
+		w.timers[i].Init(w.s, KindOther, w.argFn, -(i + 1))
 	}
 	return w
 }
@@ -134,6 +135,9 @@ func (w *realWorld) fn(id int) func()              { return func() { w.fired(id)
 func (w *realWorld) argFn(arg any)                 { w.fired(arg.(int)) }
 func (w *realWorld) at(id int, t time.Duration)    { w.events[id] = w.s.At(t, w.fn(id)) }
 func (w *realWorld) after(id int, d time.Duration) { w.events[id] = w.s.After(d, w.fn(id)) }
+func (w *realWorld) schedule(id int, t time.Duration) {
+	w.events[id] = w.s.Schedule(t, KindCMGrant, w.argFn, id)
+}
 func (w *realWorld) keyed(id int, t time.Duration, key, sub uint32) {
 	w.events[id] = w.s.InjectAt(max(t, w.s.Now()), w.s.Now(), key, sub, KindOther, w.argFn, id)
 }
@@ -195,7 +199,8 @@ func newRefWorld(fire func(id int)) *refWorld {
 func (w *refWorld) at(id int, t time.Duration) {
 	w.events[id] = w.r.push(id, max(t, w.r.now), w.r.now, 0, 0)
 }
-func (w *refWorld) after(id int, d time.Duration) { w.at(id, w.r.now+max(d, 0)) }
+func (w *refWorld) after(id int, d time.Duration)    { w.at(id, w.r.now+max(d, 0)) }
+func (w *refWorld) schedule(id int, t time.Duration) { w.at(id, t) }
 func (w *refWorld) keyed(id int, t time.Duration, key, sub uint32) {
 	w.events[id] = w.r.push(id, max(t, w.r.now), w.r.now, key, sub)
 }
@@ -342,10 +347,14 @@ func (in *interp) op(firingKey uint32) {
 	inCallback := len(in.firing) > 0
 	code := in.byte() % 16
 	switch code {
-	case 0, 1:
+	case 0:
 		id := in.newID(0)
 		in.w.at(id, now+time.Duration(in.byte()%8-2)*tick)
 		in.note("at", id)
+	case 1:
+		id := in.newID(0)
+		in.w.schedule(id, now+time.Duration(in.byte()%8-2)*tick)
+		in.note("schedule", id)
 	case 2, 3:
 		id := in.newID(0)
 		in.w.after(id, time.Duration(in.byte()%8-1)*tick)
@@ -473,11 +482,11 @@ func FuzzSchedulerOps(f *testing.F) {
 	})
 }
 
-// The Event comment promises 80 bytes (bytes_per_pkt is bounded), and four
+// The Event comment promises 72 bytes (bytes_per_pkt is bounded), and four
 // heap entries must fill exactly one cache line.
 func TestEventAndEntrySizes(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got > 80 {
-		t.Errorf("Event is %d bytes, want <= 80", got)
+	if got := unsafe.Sizeof(Event{}); got > 72 {
+		t.Errorf("Event is %d bytes, want <= 72", got)
 	}
 	if got := unsafe.Sizeof(entry{}); got != 16 {
 		t.Errorf("heap entry is %d bytes, want 16", got)

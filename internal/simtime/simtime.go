@@ -5,8 +5,12 @@
 // wall-clock time with a virtual clock so that every experiment in the
 // reproduction is deterministic and runs in milliseconds of real time.
 //
-// The central type is Scheduler. Events are scheduled at absolute virtual
-// times or after relative delays and fire in one total order, the same for
+// The central type is Scheduler, the only clock: every layer above it reads
+// Now from it and schedules on it. There are four ways onto the queue — At
+// and After for a plain func(), Schedule for a callback that takes its
+// argument and carries an event Kind, and InjectAt for a caller that names
+// the whole position of the event — and one timer, EventTimer, which its
+// owner embeds. Events fire in one total order, the same for
 // every scheduler and every event: (time, stamp, key, sub, seq). The stamp is
 // the virtual time the event was *inserted*, key and sub are optional
 // caller-chosen tie-breaks, and seq is the scheduling order, so plain
@@ -23,7 +27,7 @@
 // the array and an event is dereferenced only when timestamps tie; the
 // earliest of four siblings is chosen with conditional moves; the root slot of
 // a firing event stays open for the first event its callback schedules (Step);
-// a pending timer is re-keyed in place (Timer.Reset); fired and cancelled
+// a pending timer is re-keyed in place (EventTimer.Reset); fired and cancelled
 // events are recycled through a freelist so steady-state scheduling allocates
 // nothing; and Cancel removes the event from the heap immediately instead of
 // leaking it until its timestamp. docs/PERF.md has the measurements.
@@ -35,56 +39,12 @@ import (
 	"time"
 )
 
-// Clock exposes the current virtual time. The Congestion Manager core and the
-// protocol implementations depend only on this interface (plus TimerFactory),
-// so they can also run against wall-clock time in micro-benchmarks.
-type Clock interface {
-	// Now returns the current virtual time measured from the start of the
-	// simulation.
-	Now() time.Duration
-}
-
-// Timer is a cancellable, resettable one-shot timer bound to a Clock.
-type Timer interface {
-	// Reset (re)arms the timer to fire after d. A zero or negative d fires
-	// the timer at the current time.
-	Reset(d time.Duration)
-	// Stop cancels the timer if it is pending. Stopping an already-fired or
-	// already-stopped timer is a no-op.
-	Stop()
-	// Pending reports whether the timer is currently armed.
-	Pending() bool
-}
-
-// TimerFactory creates timers that invoke fn when they fire.
-type TimerFactory interface {
-	NewTimer(fn func()) Timer
-}
-
-// KindTimerFactory is optionally implemented by timer factories whose timers
-// can be tagged with an event Kind for the profiler (Scheduler implements
-// it). Use the package-level NewKindTimer helper to fall back to plain,
-// untagged timers for factories that do not.
-type KindTimerFactory interface {
-	NewKindTimer(kind Kind, fn func()) Timer
-}
-
-// NewKindTimer creates a timer from tf tagged with kind when tf supports
-// tagging (KindTimerFactory), and an ordinary untagged timer otherwise. The
-// tag only feeds the profiler; timer semantics are identical either way.
-func NewKindTimer(tf TimerFactory, kind Kind, fn func()) Timer {
-	if ktf, ok := tf.(KindTimerFactory); ok {
-		return ktf.NewKindTimer(kind, fn)
-	}
-	return tf.NewTimer(fn)
-}
-
 // Event is a handle to a scheduled callback.
 //
-// Lifetime: a handle is valid from the At/After call until the event fires or
-// is cancelled. Once either has happened the Event may be recycled for a
+// Lifetime: a handle is valid from the scheduling call until the event fires
+// or is cancelled. Once either has happened the Event may be recycled for a
 // later scheduling, so callers must not retain or Cancel a handle past that
-// point (the Timer type wraps this protocol for the common rearm pattern).
+// point (EventTimer wraps this protocol for the common rearm pattern).
 type Event struct {
 	// The firing order, most significant key first, is (at, stamp, key, sub,
 	// seq); the four tie-breaks lie together so that a tie on at costs one
@@ -114,12 +74,14 @@ type Event struct {
 	index int32
 	// kind classifies the event for the optional profiler (KindOther when
 	// untagged); it packs into padding next to index, which keeps the Event at
-	// 80 bytes (TestEventAndEntrySizes).
-	kind  Kind
-	s     *Scheduler
-	fn    func()
-	argFn func(any)
-	arg   any
+	// 72 bytes (TestEventAndEntrySizes).
+	kind Kind
+	s    *Scheduler
+	// fn(arg) is the callback, the one shape of every event: a pointer-shaped
+	// arg boxes into the interface for free, so hot paths (one event per
+	// packet) pass their object with a package-level fn and allocate nothing.
+	fn  func(any)
+	arg any
 }
 
 const (
@@ -145,15 +107,6 @@ func (e *Event) Cancel() {
 		e.s.recycle(e)
 	}
 	e.index = canceledIdx
-}
-
-// fire invokes the event's callback.
-func (e *Event) fire() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.argFn(e.arg)
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe for
@@ -352,10 +305,10 @@ func (s *Scheduler) head() []entry {
 
 // insert is the one way into the queue: it takes an event from the freelist
 // (or allocates one), fills in the whole key and the callback, and places it
-// — in the open root slot if there is one, else at the bottom. Every entry
-// point is a single call of it, so that each inlines into its caller.
-func (s *Scheduler) insert(t, stamp time.Duration, key, sub uint32, kind Kind, fn func(), argFn func(any), arg any) *Event {
-	if fn == nil && argFn == nil {
+// — in the open root slot if there is one, else at the bottom. Every
+// scheduling call reaches it through Schedule or InjectAt.
+func (s *Scheduler) insert(t, stamp time.Duration, key, sub uint32, kind Kind, fn func(any), arg any) *Event {
+	if fn == nil {
 		panic("simtime: event scheduled with nil function")
 	}
 	var ev *Event
@@ -368,7 +321,7 @@ func (s *Scheduler) insert(t, stamp time.Duration, key, sub uint32, kind Kind, f
 	}
 	ev.at, ev.stamp, ev.seq = t, stamp, s.seq
 	ev.keysub, ev.kind = uint64(key)<<32|uint64(sub), kind
-	ev.s, ev.fn, ev.argFn, ev.arg = s, fn, argFn, arg
+	ev.s, ev.fn, ev.arg = s, fn, arg
 	s.seq++
 	e := entry{t, ev}
 	if s.open {
@@ -385,46 +338,41 @@ func (s *Scheduler) insert(t, stamp time.Duration, key, sub uint32, kind Kind, f
 // argument references are dropped so recycled events retain nothing.
 func (s *Scheduler) recycle(ev *Event) {
 	ev.fn = nil
-	ev.argFn = nil
 	ev.arg = nil
 	s.free = append(s.free, ev)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// runs the event at the current time (it is clamped to Now).
+// At schedules fn to run at absolute virtual time t, untagged (KindOther):
+// Schedule(t, KindOther, ...) for a plain func().
 func (s *Scheduler) At(t time.Duration, fn func()) *Event {
-	return s.insert(max(t, s.now), s.now, 0, 0, KindOther, fn, nil, nil)
+	return s.Schedule(t, KindOther, callFunc, funcArg(fn))
 }
 
-// After schedules fn to run after delay d from the current virtual time. A
-// negative delay, or one so large that Now+d overflows, runs the event at the
-// current time; so do the other After variants and Timer.Reset.
+// After schedules fn to run after delay d from the current virtual time: At
+// Now+d. A negative delay, or one so large that Now+d overflows, runs the
+// event at the current time; so does EventTimer.Reset.
 func (s *Scheduler) After(d time.Duration, fn func()) *Event {
-	return s.insert(max(s.now+d, s.now), s.now, 0, 0, KindOther, fn, nil, nil)
+	return s.Schedule(s.now+d, KindOther, callFunc, funcArg(fn))
 }
 
-// AtKind schedules fn at absolute virtual time t, tagged with an event kind
-// for the profiler (see Kind). Ordering is identical to At.
-func (s *Scheduler) AtKind(t time.Duration, kind Kind, fn func()) *Event {
-	return s.insert(max(t, s.now), s.now, 0, 0, kind, fn, nil, nil)
+func callFunc(fn any) { fn.(func())() }
+
+// funcArg refuses a nil func() where it is scheduled, as insert refuses a nil
+// callback, instead of where it would fire.
+func funcArg(fn func()) any {
+	if fn == nil {
+		panic("simtime: event scheduled with nil function")
+	}
+	return fn
 }
 
-// AfterKind schedules fn after delay d, tagged with an event kind.
-func (s *Scheduler) AfterKind(d time.Duration, kind Kind, fn func()) *Event {
-	return s.insert(max(s.now+d, s.now), s.now, 0, 0, kind, fn, nil, nil)
-}
-
-// AtArgKind schedules fn(arg) at absolute virtual time t, tagged with an
-// event kind. Passing the argument through the event instead of a closure
-// lets hot paths (one event per packet) schedule without allocating: a
-// pointer-shaped arg boxes into the interface for free.
-func (s *Scheduler) AtArgKind(t time.Duration, kind Kind, fn func(any), arg any) *Event {
-	return s.insert(max(t, s.now), s.now, 0, 0, kind, nil, fn, arg)
-}
-
-// AfterArgKind schedules fn(arg) after delay d, tagged with an event kind.
-func (s *Scheduler) AfterArgKind(d time.Duration, kind Kind, fn func(any), arg any) *Event {
-	return s.insert(max(s.now+d, s.now), s.now, 0, 0, kind, nil, fn, arg)
+// Schedule schedules fn(arg) at absolute virtual time t, tagged with kind for
+// the profiler (see Kind), and returns its handle. A t in the past (before
+// Now) runs the event at the current time, so a delay d is scheduled as
+// Schedule(Now()+d, ...). The event is stamped Now and unkeyed, so among
+// events for the same instant it fires in scheduling order.
+func (s *Scheduler) Schedule(t time.Duration, kind Kind, fn func(any), arg any) *Event {
+	return s.insert(max(t, s.now), s.now, 0, 0, kind, fn, arg)
 }
 
 // InjectAt schedules fn(arg) at absolute time t with an explicit insertion
@@ -473,7 +421,7 @@ func (s *Scheduler) InjectAt(t, stamp time.Duration, key, sub uint32, kind Kind,
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: InjectAt(%v) into the past at t=%v (conservative sync violated)", t, s.now))
 	}
-	return s.insert(t, min(stamp, t), key, sub, kind, nil, fn, arg)
+	return s.insert(t, min(stamp, t), key, sub, kind, fn, arg)
 }
 
 // Step executes the earliest pending event, advancing the virtual clock to its
@@ -496,7 +444,7 @@ func (s *Scheduler) Step() bool {
 	}
 	s.executed++
 	if s.prof == nil {
-		ev.fire()
+		ev.fn(ev.arg)
 	} else {
 		s.fireProfiled(ev)
 	}
@@ -557,32 +505,11 @@ func (s *Scheduler) AdvanceTo(t time.Duration) {
 	}
 }
 
-// NewTimer implements TimerFactory: the returned timer schedules fn on the
-// scheduler when it fires. Timer events are untagged (KindOther); use
-// NewKindTimer to classify them for the profiler.
-func (s *Scheduler) NewTimer(fn func()) Timer {
-	return s.NewKindTimer(KindOther, fn)
-}
-
-// NewKindTimer implements KindTimerFactory: like NewTimer, but every firing
-// of the returned timer is tagged with kind for the profiler. It is an
-// EventTimer of its own: one object, fn riding as the argument.
-func (s *Scheduler) NewKindTimer(kind Kind, fn func()) Timer {
-	if fn == nil {
-		panic("simtime: NewTimer called with nil function")
-	}
-	t := new(EventTimer)
-	t.Init(s, kind, callFunc, fn)
-	return t
-}
-
-func callFunc(fn any) { fn.(func())() }
-
-// EventTimer is the scheduler's Timer as a value, for embedding in the object
-// whose timer it is: a connection that embeds its timers and passes itself as
-// arg creates them with no allocation of their own. Init must run before any
-// other method, and an EventTimer must not be copied once it has been armed
-// (its pending event points at it).
+// EventTimer is the scheduler's one timer: a cancellable, resettable
+// one-shot, kept as a value in the object whose timer it is. The owner passes
+// a package-level callback and itself as arg, so a timer costs no allocation
+// of its own. Init must run before any other method, and an EventTimer must
+// not be copied once it has been armed (its pending event points at it).
 type EventTimer struct {
 	s    *Scheduler
 	kind Kind
@@ -592,8 +519,7 @@ type EventTimer struct {
 }
 
 // Init binds the timer to the scheduler: when it fires it calls fn(arg), the
-// event tagged with kind — the callback shape of AtArgKind, so fn can be a
-// package-level function and arg the owner.
+// event tagged with kind — the callback shape of Schedule.
 func (t *EventTimer) Init(s *Scheduler, kind Kind, fn func(any), arg any) {
 	if fn == nil {
 		panic("simtime: EventTimer.Init called with nil function")
@@ -610,14 +536,15 @@ func fireTimer(arg any) {
 	t.fn(t.arg)
 }
 
-// Reset of a pending timer re-keys its event in place. The keys are the ones
-// Stop followed by a fresh AfterArgKind would give it — new time, stamp Now,
-// the next seq — so the firing order is the same, for one sift instead of a
-// removal and an insertion.
+// Reset (re)arms the timer to fire after d; a zero or negative d fires it at
+// the current time. A pending timer's event is re-keyed in place with the keys
+// Stop followed by a fresh Schedule(Now+d) would give it — new time, stamp
+// Now, the next seq — so the firing order is the same, for one sift instead of
+// a removal and an insertion.
 func (t *EventTimer) Reset(d time.Duration) {
 	s, ev := t.s, t.ev
 	if ev == nil {
-		t.ev = s.AfterArgKind(d, t.kind, fireTimer, t)
+		t.ev = s.Schedule(s.now+d, t.kind, fireTimer, t)
 		return
 	}
 	ev.at = max(s.now+d, s.now)
@@ -627,7 +554,8 @@ func (t *EventTimer) Reset(d time.Duration) {
 	s.fix(int(ev.index), entry{ev.at, ev})
 }
 
-// Stop implements Timer.
+// Stop cancels the timer if it is pending; stopping a fired or stopped timer
+// is a no-op.
 func (t *EventTimer) Stop() {
 	if t.ev != nil {
 		t.ev.Cancel()
@@ -635,7 +563,7 @@ func (t *EventTimer) Stop() {
 	}
 }
 
-// Pending implements Timer.
+// Pending reports whether the timer is armed.
 func (t *EventTimer) Pending() bool { return t.ev != nil && !t.ev.Canceled() }
 
 // Seconds converts a duration to floating-point seconds. It is a convenience
@@ -654,57 +582,3 @@ func FromSeconds(s float64) time.Duration {
 	}
 	return time.Duration(f)
 }
-
-// WallClock adapts the host's real clock to the Clock interface, for driving
-// the CM against real time the way the paper's CPU-overhead experiments did.
-type WallClock struct {
-	start time.Time
-}
-
-// NewWallClock returns a WallClock whose zero is the moment of the call.
-func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
-
-// Now returns the elapsed wall-clock time since the WallClock was created.
-func (w *WallClock) Now() time.Duration { return time.Since(w.start) }
-
-// NewTimer implements TimerFactory using real time.AfterFunc timers.
-func (w *WallClock) NewTimer(fn func()) Timer {
-	return &wallTimer{fn: fn}
-}
-
-type wallTimer struct {
-	fn func()
-	t  *time.Timer
-}
-
-func (t *wallTimer) Reset(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	if t.t == nil {
-		t.t = time.AfterFunc(d, t.fn)
-		return
-	}
-	t.t.Reset(d)
-}
-
-func (t *wallTimer) Stop() {
-	if t.t != nil {
-		t.t.Stop()
-	}
-}
-
-func (t *wallTimer) Pending() bool {
-	// The standard library does not expose pending state; callers in the
-	// wall-clock configuration do not rely on it.
-	return false
-}
-
-var (
-	_ Clock            = (*Scheduler)(nil)
-	_ TimerFactory     = (*Scheduler)(nil)
-	_ KindTimerFactory = (*Scheduler)(nil)
-	_ Clock            = (*WallClock)(nil)
-	_ TimerFactory     = (*WallClock)(nil)
-	_ Timer            = (*EventTimer)(nil)
-)

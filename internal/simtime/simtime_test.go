@@ -201,10 +201,17 @@ func TestNilFunctionPanics(t *testing.T) {
 	s.At(time.Second, nil)
 }
 
+// newTimer returns a timer on s whose callback is fn.
+func newTimer(s *Scheduler, fn func()) *EventTimer {
+	t := new(EventTimer)
+	t.Init(s, KindOther, callFunc, fn)
+	return t
+}
+
 func TestTimerFiresOnce(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	tm := s.NewTimer(func() { count++ })
+	tm := newTimer(s, func() { count++ })
 	tm.Reset(10 * time.Millisecond)
 	if !tm.Pending() {
 		t.Fatal("timer not pending after Reset")
@@ -221,7 +228,7 @@ func TestTimerFiresOnce(t *testing.T) {
 func TestTimerResetReplacesPrevious(t *testing.T) {
 	s := NewScheduler()
 	var fired []time.Duration
-	tm := s.NewTimer(func() { fired = append(fired, s.Now()) })
+	tm := newTimer(s, func() { fired = append(fired, s.Now()) })
 	tm.Reset(10 * time.Millisecond)
 	tm.Reset(20 * time.Millisecond)
 	s.Run()
@@ -233,7 +240,7 @@ func TestTimerResetReplacesPrevious(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	tm := s.NewTimer(func() { count++ })
+	tm := newTimer(s, func() { count++ })
 	tm.Reset(10 * time.Millisecond)
 	tm.Stop()
 	if tm.Pending() {
@@ -250,8 +257,8 @@ func TestTimerStop(t *testing.T) {
 func TestTimerRearmAfterFire(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	var tm Timer
-	tm = s.NewTimer(func() {
+	var tm *EventTimer
+	tm = newTimer(s, func() {
 		count++
 		if count < 3 {
 			tm.Reset(5 * time.Millisecond)
@@ -290,40 +297,6 @@ func TestSecondsRoundTrip(t *testing.T) {
 	}
 	if FromSeconds(1e300) <= 0 {
 		t.Error("FromSeconds(huge) should saturate to a positive duration")
-	}
-}
-
-func TestWallClockMonotone(t *testing.T) {
-	w := NewWallClock()
-	a := w.Now()
-	b := w.Now()
-	if b < a {
-		t.Fatalf("wall clock went backwards: %v then %v", a, b)
-	}
-}
-
-func TestWallTimerFires(t *testing.T) {
-	w := NewWallClock()
-	ch := make(chan struct{})
-	tm := w.NewTimer(func() { close(ch) })
-	tm.Reset(time.Millisecond)
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wall timer did not fire")
-	}
-	tm.Stop()
-}
-
-func TestWallTimerNegativeReset(t *testing.T) {
-	w := NewWallClock()
-	ch := make(chan struct{})
-	tm := w.NewTimer(func() { close(ch) })
-	tm.Reset(-time.Second)
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wall timer with negative delay did not fire")
 	}
 }
 
