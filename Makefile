@@ -32,19 +32,22 @@ race:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Ten seconds of native fuzzing over every fuzz target, 3 s each. Each feeds
-# random operation traces, callbacks included, to the real thing and to a
-# plain reference, and compares step by step: FuzzSchedulerOps holds the
+# Twelve seconds of native fuzzing over every fuzz target, 3 s each. Each
+# feeds random operation traces, callbacks included, to the real thing and to
+# a plain reference, and compares step by step: FuzzSchedulerOps holds the
 # scheduler to a container/heap one (internal/simtime/reference_test.go),
 # FuzzLinkOps holds netsim.Link to the two-event transmitter it replaced
 # (internal/netsim/reference_test.go), FuzzHostOps holds node.Host's tables to
-# a map-backed host (internal/node/reference_test.go). The seed corpora are in
-# each package's testdata/fuzz/; a failing input is written there too.
+# a map-backed host (internal/node/reference_test.go), FuzzCMOps holds the
+# CM's slot-table flow handles to map-keyed ones (internal/cm/reference_test.go).
+# The seed corpora are in each package's testdata/fuzz/; a failing input is
+# written there too.
 # Minimising each coverage-expanding input would otherwise eat the budget.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOps -fuzztime=3s -fuzzminimizetime=1s ./internal/simtime
 	$(GO) test -run='^$$' -fuzz=FuzzLinkOps -fuzztime=3s -fuzzminimizetime=1s ./internal/netsim
 	$(GO) test -run='^$$' -fuzz=FuzzHostOps -fuzztime=3s -fuzzminimizetime=1s ./internal/node
+	$(GO) test -run='^$$' -fuzz=FuzzCMOps -fuzztime=3s -fuzzminimizetime=1s ./internal/cm
 
 # Judge the working tree against a parent revision with cmperf: PAIRS
 # alternating pairs of end-to-end runs, each side built from its own exported

@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/probe"
@@ -21,20 +22,16 @@ func (cm *CM) RegisterSend(f FlowID, cb SendCallback) {
 // RegisterSender is RegisterSend for a client that receives the upcall as a
 // method (see Sender). Nil unregisters.
 func (cm *CM) RegisterSender(f FlowID, to Sender) {
-	if fl, ok := cm.flows[f]; ok {
+	if fl := cm.flow(f); fl != nil {
 		fl.sender = to
-	} else {
-		cm.acct.StaleFlowCalls++
 	}
 }
 
 // RegisterUpdate registers the cmapp_update callback used by the rate-callback
 // API (cm_register_update in the paper).
 func (cm *CM) RegisterUpdate(f FlowID, cb UpdateCallback) {
-	if fl, ok := cm.flows[f]; ok {
+	if fl := cm.flow(f); fl != nil {
 		fl.updateCB = cb
-	} else {
-		cm.acct.StaleFlowCalls++
 	}
 }
 
@@ -42,12 +39,8 @@ func (cm *CM) RegisterUpdate(f FlowID, cb UpdateCallback) {
 // clients keep the default direct dispatcher; libcm installs its own to model
 // the kernel-to-user notification path.
 func (cm *CM) SetDispatcher(f FlowID, d Dispatcher) {
-	if fl, ok := cm.flows[f]; ok {
-		if d != nil {
-			fl.dispatcher = d
-		}
-	} else {
-		cm.acct.StaleFlowCalls++
+	if fl := cm.flow(f); fl != nil && d != nil {
+		fl.dispatcher = d
 	}
 }
 
@@ -55,12 +48,8 @@ func (cm *CM) SetDispatcher(f FlowID, d Dispatcher) {
 // and for apportioning the advertised per-flow rate). Weights must be
 // positive; invalid weights are ignored.
 func (cm *CM) SetWeight(f FlowID, w float64) {
-	if fl, ok := cm.flows[f]; ok {
-		if w > 0 {
-			fl.weight = w
-		}
-	} else {
-		cm.acct.StaleFlowCalls++
+	if fl := cm.flow(f); fl != nil && w > 0 {
+		fl.weight = w
 	}
 }
 
@@ -68,9 +57,8 @@ func (cm *CM) SetWeight(f FlowID, w float64) {
 // (cm_request). Permission arrives later through the cmapp_send callback;
 // each call is an implicit request for one MTU-sized grant.
 func (cm *CM) Request(f FlowID) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
+	fl := cm.flow(f)
+	if fl == nil {
 		return
 	}
 	cm.acct.Requests++
@@ -87,24 +75,33 @@ func (cm *CM) Request(f FlowID) {
 // BulkRequest queues requests for several flows with a single call,
 // corresponding to cm_bulk_request (§5, Optimizations): servers with many
 // concurrent clients batch control operations to reduce boundary crossings.
+//
+// The touched macroflows are pumped once each, in the order the list first
+// names them. The list of them is a scratch slice the CM keeps between calls;
+// a BulkRequest made from inside a grant callback finds it taken and builds
+// its own.
 func (cm *CM) BulkRequest(flows []FlowID) {
 	cm.acct.BulkRequests++
-	touched := make(map[*Macroflow]bool)
+	touched := cm.bulkTouched[:0]
+	cm.bulkTouched = nil
 	for _, f := range flows {
-		fl, ok := cm.flows[f]
-		if !ok {
-			cm.acct.StaleFlowCalls++
+		fl := cm.flow(f)
+		if fl == nil {
 			continue
 		}
 		fl.pendingRequests++
 		if fl.pendingRequests == 1 {
 			fl.mf.sched.MarkEligible(fl)
 		}
-		touched[fl.mf] = true
+		if !slices.Contains(touched, fl.mf) {
+			touched = append(touched, fl.mf)
+		}
 	}
-	for mf := range touched {
+	for _, mf := range touched {
 		mf.pump()
 	}
+	clear(touched)
+	cm.bulkTouched = touched[:0]
 }
 
 // Notify charges nsent bytes of an actual transmission to the flow's
@@ -112,16 +109,14 @@ func (cm *CM) BulkRequest(flows []FlowID) {
 // client that declines a grant calls it with zero so other flows on the
 // macroflow can transmit.
 func (cm *CM) Notify(f FlowID, nsent int) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
-		return
+	if fl := cm.flow(f); fl != nil {
+		cm.notifyFlow(fl, nsent)
 	}
-	cm.notifyFlow(fl, nsent)
 }
 
 // notifyFlow is the shared cm_notify body for callers that have already
-// resolved the flow state (Notify by ID, NotifyTransmit by key).
+// resolved the flow state (Notify by ID, the IP output hook by the packet's
+// handle or key).
 func (cm *CM) notifyFlow(fl *flowState, nsent int) {
 	cm.acct.Notifies++
 	if nsent < 0 {
@@ -146,9 +141,8 @@ type UpdateArgs struct {
 // feedback covers, how many arrived, the kind of congestion observed, and a
 // round-trip time sample (cm_update).
 func (cm *CM) Update(f FlowID, nsent, nrecd int, mode LossMode, rtt time.Duration) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
+	fl := cm.flow(f)
+	if fl == nil {
 		return
 	}
 	cm.acct.Updates++
@@ -165,9 +159,8 @@ func (cm *CM) Update(f FlowID, nsent, nrecd int, mode LossMode, rtt time.Duratio
 func (cm *CM) BulkUpdate(updates []UpdateArgs) {
 	cm.acct.BulkUpdates++
 	for _, u := range updates {
-		fl, ok := cm.flows[u.Flow]
-		if !ok {
-			cm.acct.StaleFlowCalls++
+		fl := cm.flow(u.Flow)
+		if fl == nil {
 			continue
 		}
 		nsent, nrecd := u.Sent, u.Received
@@ -186,9 +179,8 @@ func (cm *CM) BulkUpdate(updates []UpdateArgs) {
 // down or rises by a factor of up since the last report (cm_thresh).
 // Factors at or below 1 are rejected and leave the previous setting.
 func (cm *CM) Thresh(f FlowID, down, up float64) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
+	fl := cm.flow(f)
+	if fl == nil {
 		return
 	}
 	if down > 1 {
@@ -203,9 +195,8 @@ func (cm *CM) Thresh(f FlowID, down, up float64) {
 // round-trip time and loss rate (cm_query). Applications use it at stream
 // start to pick an encoding and inside cmapp_send callbacks to adapt content.
 func (cm *CM) Query(f FlowID) (Status, bool) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
+	fl := cm.flow(f)
+	if fl == nil {
 		return Status{}, false
 	}
 	cm.acct.Queries++
@@ -217,9 +208,8 @@ func (cm *CM) Query(f FlowID) (Status, bool) {
 // cases where the default per-destination aggregation is unsuitable (for
 // example differentiated-services paths).
 func (cm *CM) SplitFlow(f FlowID) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
+	fl := cm.flow(f)
+	if fl == nil {
 		return
 	}
 	if fl.mf.FlowCount() == 1 {
@@ -235,15 +225,8 @@ func (cm *CM) SplitFlow(f FlowID) {
 // MergeFlows moves flow b into flow a's macroflow so they share congestion
 // state, overriding the default aggregation.
 func (cm *CM) MergeFlows(a, b FlowID) {
-	fa, okA := cm.flows[a]
-	fb, okB := cm.flows[b]
-	if !okA {
-		cm.acct.StaleFlowCalls++
-	}
-	if !okB {
-		cm.acct.StaleFlowCalls++
-	}
-	if !okA || !okB || fa.mf == fb.mf {
+	fa, fb := cm.flow(a), cm.flow(b)
+	if fa == nil || fb == nil || fa.mf == fb.mf {
 		return
 	}
 	fb.mf.removeFlow(fb)

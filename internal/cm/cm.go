@@ -36,8 +36,20 @@ import (
 )
 
 // FlowID is the handle returned by Open and used in all subsequent calls,
-// corresponding to cm_flowid in the paper.
+// corresponding to cm_flowid in the paper. Its low 32 bits name a slot of the
+// CM's flow table and the bits above them the slot's generation, which Close
+// and Restart advance: a handle outlives its flow only as one that misses. A
+// flow in a slot never used before has generation zero, so the first flows a
+// CM opens get the handles 0, 1, 2, ...
 type FlowID int
+
+// slotBits is the width of a FlowID's slot index; genStep advances a handle to
+// the next generation of the same slot.
+const (
+	slotBits        = 32
+	slotMask        = 1<<slotBits - 1
+	genStep  FlowID = 1 << slotBits
+)
 
 // InvalidFlow is returned by lookups that fail.
 const InvalidFlow FlowID = -1
@@ -243,14 +255,21 @@ type CM struct {
 	cfg   Config
 	sched *simtime.Scheduler
 
-	nextFlowID FlowID
-	nextMFTag  int
-	flows      map[FlowID]*flowState
-	// byKey indexes flows by their transport 5-tuple so the IP output hook's
-	// per-packet charge path (NotifyTransmit) reaches the flow — and through
-	// it the macroflow — with a single map lookup.
+	nextMFTag int
+	// flows is the slot table FlowIDs index (see FlowID). Its free slots
+	// form a list through the table, popped last-in first-out from
+	// freeHead, 1 + the index of the first free slot (0: none is free).
+	flows    []flowSlot
+	freeHead int
+	nflows   int
+	// byKey indexes open flows by their transport 5-tuple. It serves Open's
+	// idempotence, Lookup, and the charge path for packets that carry no
+	// flow handle (NotifyTransmit, and NotifyPacket for unstamped traffic).
 	byKey      map[netsim.FlowKey]*flowState
 	macroflows map[macroflowKey]*Macroflow
+	// bulkTouched is BulkRequest's scratch list of the macroflows a call
+	// touched, kept between calls so a call allocates nothing.
+	bulkTouched []*Macroflow
 
 	// owned, when non-nil, must report true whenever CM code runs; sharded
 	// scenario execution installs a shard-affinity check (a CM belongs to its
@@ -284,9 +303,11 @@ func New(clock, timers *simtime.Scheduler, opts ...Option) *CM {
 	}
 	cfg.fillDefaults()
 	return &CM{
-		cfg:        cfg,
-		sched:      clock,
-		flows:      make(map[FlowID]*flowState),
+		cfg:   cfg,
+		sched: clock,
+		// Room for the first flows up front: one allocation, as the map
+		// the slot table replaced took, instead of one per doubling.
+		flows:      make([]flowSlot, 0, 8),
 		byKey:      make(map[netsim.FlowKey]*flowState),
 		macroflows: make(map[macroflowKey]*Macroflow),
 	}
@@ -311,6 +332,17 @@ func (cm *CM) Now() time.Duration { return cm.sched.Now() }
 // model when reproducing the overhead experiments.
 func (cm *CM) Accounting() Accounting { return cm.acct }
 
+// flowSlot is one entry of the CM's flow table.
+type flowSlot struct {
+	fl *flowState // nil while the slot is free
+	// id is fl's handle, or while the slot is free the handle it issues
+	// next. A lookup compares it here, without touching the flow record.
+	id FlowID
+	// nextFree is, while the slot is free, 1 + the index of the next free
+	// slot (0 ends the list).
+	nextFree int
+}
+
 // macroflowKey identifies a macroflow: by default all flows to the same
 // destination host share one macroflow. The tag distinguishes macroflows
 // created by SplitFlow.
@@ -331,8 +363,14 @@ func (cm *CM) Open(proto netsim.Protocol, src, dst netsim.Addr) FlowID {
 		// idempotent behaviour of the kernel module.
 		return fl.id
 	}
-	id := cm.nextFlowID
-	cm.nextFlowID++
+	var id FlowID
+	if cm.freeHead != 0 {
+		free := &cm.flows[cm.freeHead-1]
+		id, cm.freeHead = free.id, free.nextFree
+	} else {
+		id = FlowID(len(cm.flows))
+		cm.flows = append(cm.flows, flowSlot{})
+	}
 	mf := cm.macroflowFor(macroflowKey{dstHost: dst.Host})
 	fl := &flowState{
 		id:         id,
@@ -344,15 +382,15 @@ func (cm *CM) Open(proto netsim.Protocol, src, dst netsim.Addr) FlowID {
 		weight:     1,
 		open:       true,
 	}
-	cm.flows[id] = fl
+	cm.flows[id&slotMask] = flowSlot{fl: fl, id: id}
+	cm.nflows++
 	cm.byKey[key] = fl
 	mf.addFlow(fl)
 	return id
 }
 
 // Lookup returns the flow ID for a transport flow key, or InvalidFlow if the
-// flow is not managed by the CM. The IP output hook uses it to find the flow
-// to charge.
+// flow is not managed by the CM.
 func (cm *CM) Lookup(key netsim.FlowKey) FlowID {
 	if fl, ok := cm.byKey[key]; ok {
 		return fl.id
@@ -364,28 +402,58 @@ func (cm *CM) Lookup(key netsim.FlowKey) FlowID {
 // persist so that later flows to the same destination start with the learned
 // window and RTT — the behaviour that Figure 7 of the paper demonstrates.
 func (cm *CM) Close(f FlowID) {
-	fl, ok := cm.flows[f]
-	if !ok {
-		cm.acct.StaleFlowCalls++
+	fl := cm.flow(f)
+	if fl == nil {
 		return
 	}
 	cm.acct.Closes++
 	fl.open = false
 	fl.mf.removeFlow(fl)
 	delete(cm.byKey, fl.key)
-	delete(cm.flows, f)
+	cm.freeSlot(fl)
+}
+
+// flow resolves a handle to its open flow, or counts a StaleFlowCalls and
+// returns nil when the handle names no open flow: one from a closed flow or
+// an earlier epoch (its slot has moved on a generation), a negative one, or
+// one past the table.
+func (cm *CM) flow(f FlowID) *flowState {
+	if fl := cm.slot(f); fl != nil {
+		return fl
+	}
+	cm.acct.StaleFlowCalls++
+	return nil
+}
+
+// slot is flow without the accounting.
+func (cm *CM) slot(f FlowID) *flowState {
+	if i := uint64(f) & slotMask; i < uint64(len(cm.flows)) {
+		if s := &cm.flows[i]; s.fl != nil && s.id == f {
+			return s.fl
+		}
+	}
+	return nil
+}
+
+// freeSlot empties fl's slot and pushes it on the free list under its next
+// generation.
+func (cm *CM) freeSlot(fl *flowState) {
+	i := int(fl.id & slotMask)
+	cm.flows[i] = flowSlot{id: fl.id + genStep, nextFree: cm.freeHead}
+	cm.freeHead = i + 1
+	cm.nflows--
 }
 
 // MTU returns the maximum transmission unit for the flow's path (cm_mtu).
 func (cm *CM) MTU(f FlowID) int {
-	if fl, ok := cm.flows[f]; ok {
+	if fl := cm.slot(f); fl != nil {
 		return fl.mf.mtu()
 	}
 	return cm.cfg.MTU
 }
 
 // FlowCount returns the number of open flows.
-func (cm *CM) FlowCount() int { return len(cm.flows) }
+func (cm *CM) FlowCount() int { return cm.nflows }
 
 // MacroflowCount returns the number of macroflows (including idle ones that
 // retain congestion state).
@@ -394,7 +462,7 @@ func (cm *CM) MacroflowCount() int { return len(cm.macroflows) }
 // MacroflowOf returns the macroflow a flow currently belongs to, for tests
 // and experiments that inspect aggregation.
 func (cm *CM) MacroflowOf(f FlowID) *Macroflow {
-	if fl, ok := cm.flows[f]; ok {
+	if fl := cm.slot(f); fl != nil {
 		return fl.mf
 	}
 	return nil
@@ -436,7 +504,7 @@ func (cm *CM) AggregateStatus() AggregateStatus {
 		}
 		return keys[i].tag < keys[j].tag
 	})
-	st := AggregateStatus{Flows: len(cm.flows), Macroflows: len(cm.macroflows)}
+	st := AggregateStatus{Flows: cm.FlowCount(), Macroflows: len(cm.macroflows)}
 	for _, k := range keys {
 		m := cm.macroflows[k]
 		st.Rate += m.Rate()
@@ -462,22 +530,35 @@ func (cm *CM) macroflowFor(key macroflowKey) *Macroflow {
 	return mf
 }
 
-// NotifyTransmit implements node.TransmitNotifier: the IP output routine
-// reports every transmission so the CM can charge it to the right macroflow.
-// Transmissions for flows the CM does not manage are ignored. This is the
-// per-packet charge path, so it goes key -> flow -> macroflow with one map
-// lookup instead of chaining Lookup and Notify.
+// NotifyPacket implements node.TransmitNotifier: the IP output routine hands
+// over every transmission so the CM can charge it to the right macroflow. A
+// packet stamped with a flow handle (netsim.Packet.SetCMFlow) is charged to
+// that flow by a slot read; a stale stamp, from before a Close or a Restart,
+// charges nothing and counts no StaleFlowCalls, as a key that misses does.
+// Unstamped packets are charged by key, as NotifyTransmit does.
+func (cm *CM) NotifyPacket(pkt *netsim.Packet, nbytes int) {
+	if cm.owned != nil && !cm.owned() {
+		panic("cm: NotifyPacket outside the CM's owning shard")
+	}
+	var fl *flowState
+	if h, ok := pkt.CMFlow(); ok {
+		fl = cm.slot(FlowID(h))
+	} else {
+		fl = cm.byKey[pkt.Key()]
+	}
+	if fl != nil {
+		cm.notifyFlow(fl, nbytes)
+	}
+}
+
+// NotifyTransmit charges a transmission of the flow with the given key, the
+// way the IP output hook charges a packet that carries no flow handle.
+// Transmissions for flows the CM does not manage are ignored.
 func (cm *CM) NotifyTransmit(key netsim.FlowKey, nbytes int) {
 	if cm.owned != nil && !cm.owned() {
 		panic("cm: NotifyTransmit outside the CM's owning shard")
 	}
-	fl, ok := cm.byKey[key]
-	if !ok {
-		return
+	if fl := cm.byKey[key]; fl != nil {
+		cm.notifyFlow(fl, nbytes)
 	}
-	cm.notifyFlow(fl, nbytes)
 }
-
-var _ interface {
-	NotifyTransmit(key netsim.FlowKey, nbytes int)
-} = (*CM)(nil)

@@ -66,7 +66,7 @@ func TestThreshRejectsInvalidFactors(t *testing.T) {
 	src, dst := testAddrs("utah", 80)
 	f := c.Open(netsim.ProtoUDP, src, dst)
 	c.Thresh(f, 0.5, -1) // invalid, keep defaults
-	fl := c.flows[f]
+	fl := c.slot(f)
 	if fl.threshDown != c.Config().DefaultThreshDown || fl.threshUp != c.Config().DefaultThreshUp {
 		t.Fatal("invalid thresholds should be ignored")
 	}

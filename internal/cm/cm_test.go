@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -495,6 +496,115 @@ func TestNotifyTransmitHookChargesCorrectFlow(t *testing.T) {
 	}
 	if c.FlowInfo(f).BytesCharged != 700 {
 		t.Fatal("FlowInfo should reflect charged bytes")
+	}
+}
+
+// A packet stamped with a flow handle is charged to that flow by handle; one
+// stamped before a Restart charges nothing, not even a StaleFlowCalls, while
+// an unstamped packet with the same key reaches the re-opened flow by key.
+func TestNotifyPacketStaleStampChargesNothing(t *testing.T) {
+	_, c := newTestCM(t)
+	src, dst := testAddrs("utah", 80)
+	old := c.Open(netsim.ProtoTCP, src, dst)
+	stamped := func(f FlowID) *netsim.Packet {
+		p := &netsim.Packet{Proto: netsim.ProtoTCP, Src: src, Dst: dst}
+		p.SetCMFlow(int64(f))
+		return p
+	}
+	c.NotifyPacket(stamped(old), 700)
+	if got := c.FlowInfo(old).BytesCharged; got != 700 {
+		t.Fatalf("stamped packet charged %d bytes, want 700", got)
+	}
+
+	c.Restart()
+	fresh := c.Open(netsim.ProtoTCP, src, dst)
+	stale := c.Accounting().StaleFlowCalls
+	c.NotifyPacket(stamped(old), 500)
+	if got := c.FlowInfo(fresh).BytesCharged; got != 0 {
+		t.Fatalf("a pre-restart stamp charged the re-opened flow %d bytes", got)
+	}
+	if got := c.Accounting().StaleFlowCalls; got != stale {
+		t.Fatalf("a stale stamp counted %d StaleFlowCalls, want none", got-stale)
+	}
+
+	c.NotifyPacket(&netsim.Packet{Proto: netsim.ProtoTCP, Src: src, Dst: dst}, 300)
+	c.NotifyPacket(stamped(fresh), 200)
+	if got := c.FlowInfo(fresh).BytesCharged; got != 500 {
+		t.Fatalf("re-opened flow charged %d bytes by key and stamp, want 500", got)
+	}
+}
+
+// BulkRequest pumps the macroflows it touches in the order the list first
+// names them, and allocates nothing doing so.
+func TestBulkRequestPumpsInFirstTouchOrder(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		_, c := newTestCM(t)
+		sa, da := testAddrs("utah", 80)
+		sb, db := testAddrs("mit", 80)
+		a := c.Open(netsim.ProtoUDP, sa, da)
+		b := c.Open(netsim.ProtoUDP, sb, db)
+		var order []FlowID
+		for _, f := range []FlowID{a, b} {
+			c.RegisterSend(f, func(f FlowID) { order = append(order, f) })
+		}
+		c.BulkRequest([]FlowID{b, a})
+		if len(order) != 2 || order[0] != b || order[1] != a {
+			t.Fatalf("repetition %d: grants went to %v, want [%d %d] (b, a)", rep, order, b, a)
+		}
+	}
+
+	// Sixteen macroflows, twice as many as a map the compiler may keep on the
+	// stack holds.
+	_, c := newTestCM(t)
+	var flows []FlowID
+	for i := 0; i < 32; i++ {
+		src, d := testAddrs(fmt.Sprint("d", i%16), 80+i)
+		f := c.Open(netsim.ProtoUDP, src, d)
+		c.RegisterSend(f, func(f FlowID) { c.Notify(f, 0) })
+		flows = append(flows, f)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.BulkRequest(flows) }); allocs != 0 {
+		t.Fatalf("BulkRequest allocated %.1f objects per call, want 0", allocs)
+	}
+}
+
+// Rate callbacks go out in the order the flows were opened: a dispatcher that
+// draws randomness per callback (libcm's fault injector) must see the same
+// sequence every run.
+func TestRateCallbacksDeliveredInOpenOrder(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		_, c := newTestCM(t)
+		var opened, order []FlowID
+		for port := 80; port < 83; port++ {
+			src, dst := testAddrs("utah", port)
+			f := c.Open(netsim.ProtoUDP, src, dst)
+			c.RegisterUpdate(f, func(f FlowID, _ Status) { order = append(order, f) })
+			opened = append(opened, f)
+		}
+		c.Update(opened[0], 1000, 1000, NoLoss, 10*time.Millisecond)
+		if len(order) != 3 || order[0] != opened[0] || order[1] != opened[1] || order[2] != opened[2] {
+			t.Fatalf("repetition %d: rate callbacks in order %v, want Open order %v", rep, order, opened)
+		}
+	}
+
+	// A callback that closes its own flow does not cost the next flow its
+	// callback.
+	_, c := newTestCM(t)
+	var opened, order []FlowID
+	for port := 80; port < 83; port++ {
+		src, dst := testAddrs("utah", port)
+		f := c.Open(netsim.ProtoUDP, src, dst)
+		c.RegisterUpdate(f, func(f FlowID, _ Status) {
+			order = append(order, f)
+			if f == opened[0] {
+				c.Close(f)
+			}
+		})
+		opened = append(opened, f)
+	}
+	c.Update(opened[1], 1000, 1000, NoLoss, 10*time.Millisecond)
+	if len(order) != 3 || order[0] != opened[0] || order[1] != opened[1] || order[2] != opened[2] {
+		t.Fatalf("with the first flow closing itself: rate callbacks %v, want %v", order, opened)
 	}
 }
 

@@ -60,8 +60,8 @@ type FlowInfo struct {
 // FlowInfo returns a snapshot of a flow's state, or a zero value if the flow
 // does not exist.
 func (cm *CM) FlowInfo(f FlowID) FlowInfo {
-	fl, ok := cm.flows[f]
-	if !ok {
+	fl := cm.slot(f)
+	if fl == nil {
 		return FlowInfo{ID: InvalidFlow}
 	}
 	return FlowInfo{

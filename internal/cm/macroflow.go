@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/probe"
@@ -39,7 +40,9 @@ type Macroflow struct {
 	ctrl  Controller
 	sched Scheduler
 
-	flows map[FlowID]*flowState
+	// flows are the attached flows in the order they joined (Open order,
+	// unless SplitFlow or MergeFlows moved one here later).
+	flows []*flowState
 
 	// Window accounting (bytes).
 	outstanding  int // charged via Notify, not yet covered by feedback
@@ -62,9 +65,10 @@ type Macroflow struct {
 
 func newMacroflow(cm *CM, key macroflowKey) *Macroflow {
 	mf := &Macroflow{
-		cm:    cm,
-		key:   key,
-		flows: make(map[FlowID]*flowState),
+		cm:  cm,
+		key: key,
+		// Room for a few concurrent flows up front, as for CM.flows.
+		flows: make([]*flowState, 0, 4),
 	}
 	mf.ctrl = cm.cfg.NewController(ControllerConfig{
 		MTU:               cm.cfg.MTU,
@@ -115,7 +119,7 @@ func (m *Macroflow) FlowCount() int { return len(m.flows) }
 func (m *Macroflow) mtu() int { return m.cm.cfg.MTU }
 
 func (m *Macroflow) addFlow(fl *flowState) {
-	m.flows[fl.id] = fl
+	m.flows = append(m.flows, fl)
 	m.sched.Add(fl)
 }
 
@@ -134,7 +138,11 @@ func (m *Macroflow) removeFlow(fl *flowState) {
 		}
 		fl.unclaimedGrants = 0
 	}
-	delete(m.flows, fl.id)
+	if i := slices.Index(m.flows, fl); i >= 0 {
+		// Delete in place and clear the vacated last element, which would
+		// otherwise keep the departed flow reachable (see removeGrant).
+		m.flows = slices.Delete(m.flows, i, i+1)
+	}
 	m.sched.Remove(fl)
 	fl.pendingRequests = 0
 	m.pump()
@@ -344,9 +352,11 @@ func (m *Macroflow) status(fl *flowState) Status {
 }
 
 // deliverRateCallbacks notifies flows whose registered thresholds have been
-// crossed since the last report (cmapp_update + cm_thresh semantics).
+// crossed since the last report (cmapp_update + cm_thresh semantics), in the
+// order the flows joined the macroflow.
 func (m *Macroflow) deliverRateCallbacks() {
-	for _, fl := range m.flows {
+	for i := 0; i < len(m.flows); i++ {
+		fl := m.flows[i]
 		if fl.updateCB == nil {
 			continue
 		}
@@ -366,6 +376,11 @@ func (m *Macroflow) deliverRateCallbacks() {
 		m.stats.UpdateCallbacks++
 		m.cm.acct.UpdateCallbacks++
 		fl.dispatcher.DeliverUpdate(fl.id, m.status(fl), fl.updateCB)
+		// A callback that closed or moved flows has shifted the rest down:
+		// step back so the flow now at i is not skipped.
+		if i < len(m.flows) && m.flows[i] != fl {
+			i--
+		}
 	}
 }
 

@@ -20,14 +20,14 @@ func (cm *CM) Epoch() int64 { return cm.epoch }
 
 // Restart models the CM process dying and coming back empty: every flow,
 // macroflow, scheduler ring and grant is discarded and the epoch is bumped.
-// Flow IDs keep advancing across restarts (handles from the previous epoch
-// must never be reissued, so stale calls miss instead of corrupting a new
-// flow). Learned congestion state is lost — exactly the cost of crashing the
-// shared controller. Returns the number of flows wiped.
+// Every slot of the flow table moves on a generation (handles from the
+// previous epoch must never be reissued, so stale calls miss instead of
+// corrupting a new flow). Learned congestion state is lost — exactly the cost
+// of crashing the shared controller. Returns the number of flows wiped.
 func (cm *CM) Restart() int {
 	cm.acct.Restarts++
 	cm.epoch++
-	wiped := len(cm.flows)
+	wiped := cm.FlowCount()
 	for _, mf := range cm.macroflows {
 		mf.background.Stop()
 		// Grants die with the process; account them reclaimed so grant
@@ -36,7 +36,13 @@ func (cm *CM) Restart() int {
 		mf.stats.GrantsReclaimed += n
 		cm.acct.GrantsReclaimed += n
 	}
-	cm.flows = make(map[FlowID]*flowState)
+	// Free the highest slot first, so the free list hands slots back lowest
+	// first.
+	for i := len(cm.flows) - 1; i >= 0; i-- {
+		if fl := cm.flows[i].fl; fl != nil {
+			cm.freeSlot(fl)
+		}
+	}
 	cm.byKey = make(map[netsim.FlowKey]*flowState)
 	cm.macroflows = make(map[macroflowKey]*Macroflow)
 	return wiped
@@ -134,8 +140,12 @@ type AuditReport struct {
 // Audit walks the CM's tables and returns the invariant snapshot.
 func (cm *CM) Audit() AuditReport {
 	var r AuditReport
-	r.Flows = len(cm.flows)
-	for _, fl := range cm.flows {
+	r.Flows = cm.FlowCount()
+	for _, s := range cm.flows {
+		fl := s.fl
+		if fl == nil {
+			continue
+		}
 		r.PendingRequests += fl.pendingRequests
 		r.UnclaimedGrants += fl.unclaimedGrants
 		if fl.pendingRequests < 0 {

@@ -73,6 +73,39 @@ func TestStaleHandleCallsMissAndAreCounted(t *testing.T) {
 	}
 }
 
+// A slot freed by Close is reused under the next generation: the first flows
+// get the handles 0, 1, 2, and a handle of the closed flow, a negative one and
+// one past the table miss and are counted, never reaching the slot's new flow.
+func TestClosedHandleMissesAfterSlotReuse(t *testing.T) {
+	s := simtime.NewScheduler()
+	c := New(s, s, WithMTU(1000))
+	var ids []FlowID
+	for port := 0; port < 3; port++ {
+		src, dst := restartAddrs(90 + port)
+		ids = append(ids, c.Open(netsim.ProtoUDP, src, dst))
+	}
+	if ids[0] != 0 || ids[1] != 1 || ids[2] != 2 {
+		t.Fatalf("first handles %v, want [0 1 2]", ids)
+	}
+	c.Close(ids[1])
+	src, dst := restartAddrs(99)
+	reused := c.Open(netsim.ProtoUDP, src, dst)
+	if reused == ids[1] || c.FlowCount() != 3 {
+		t.Fatalf("reopened into handle %d with %d flows, want a new handle and 3 flows", reused, c.FlowCount())
+	}
+	c.RegisterSend(reused, func(FlowID) {})
+	before := c.Accounting().StaleFlowCalls
+	for _, f := range []FlowID{ids[1], InvalidFlow, -1 << 40, 3, 1<<31 - 1} {
+		c.Request(f)
+	}
+	if got := c.Accounting().StaleFlowCalls - before; got != 5 {
+		t.Fatalf("stale requests counted %d StaleFlowCalls, want 5", got)
+	}
+	if fi := c.FlowInfo(reused); fi.ID != reused || fi.GrantsReceived != 0 {
+		t.Fatalf("a stale request reached the slot's new flow: %+v", fi)
+	}
+}
+
 // TestGrantConservationAcrossRestart pins the churn-soak conservation
 // invariant at the unit level: issued == reclaimed + outstanding before,
 // across and after a restart that strands grants mid-flight.

@@ -114,8 +114,13 @@ type Packet struct {
 	// TTL is the remaining hop budget. The originating host's IP output
 	// routine sets it to DefaultTTL when zero; every forwarding hop decrements
 	// it and discards the packet when it reaches zero, so routing loops
-	// cannot circulate packets forever.
-	TTL int
+	// cannot circulate packets forever. It shares a word with the flags
+	// above, which keeps a Packet at 128 bytes.
+	TTL int32
+
+	// cmFlow is the sending transport's Congestion Manager flow handle plus
+	// one, so that a packet nobody stamped carries none (see SetCMFlow).
+	cmFlow int64
 
 	// ChargeBytes is the number of bytes the Congestion Manager should
 	// charge for this transmission (the transport payload). Zero means
@@ -185,6 +190,16 @@ func (p *Packet) Release() {
 	p.Payload = nil
 	packetPool.Put(p)
 }
+
+// SetCMFlow stamps the packet with the handle of the sending host's CM flow it
+// belongs to. A kernel hands ip_output the socket, and with it the flow; here
+// the stamp plays that part, so the IP output hook charges the flow by handle
+// instead of looking up its key. Traffic left unstamped is charged by key.
+func (p *Packet) SetCMFlow(h int64) { p.cmFlow = h + 1 }
+
+// CMFlow returns the CM flow handle stamped by SetCMFlow, and false when the
+// packet carries none.
+func (p *Packet) CMFlow() (int64, bool) { return p.cmFlow - 1, p.cmFlow != 0 }
 
 // Key returns the packet's flow key.
 func (p *Packet) Key() FlowKey {

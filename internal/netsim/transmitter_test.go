@@ -22,6 +22,23 @@ func TestLinkSize(t *testing.T) {
 	}
 }
 
+// A Packet stays within the 128-byte size class: TTL shares the flags' word,
+// which left a word for the CM flow handle.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 128 {
+		t.Errorf("Packet is %d bytes, want <= 128", got)
+	}
+	p := NewPacket()
+	defer p.Release()
+	if _, ok := p.CMFlow(); ok {
+		t.Error("a new packet carries a CM flow handle")
+	}
+	p.SetCMFlow(0)
+	if h, ok := p.CMFlow(); !ok || h != 0 {
+		t.Errorf("CMFlow() = %d, %v after SetCMFlow(0)", h, ok)
+	}
+}
+
 // The events-per-hop gate: a packet that finds the wire free costs one event,
 // its hand-up; only a packet that had to wait costs a second, the tx-done that
 // started it.

@@ -1,8 +1,10 @@
 // Package node models end hosts and their IP layer. A Host demultiplexes
 // received packets to bound transport endpoints and, on the send side,
 // implements the paper's modified IP output routine: every transmitted packet
-// is reported to the Congestion Manager through a TransmitNotifier so the CM
-// can charge the bytes to the right macroflow (cm_notify, paper §2.1.3).
+// is handed to the Congestion Manager through a TransmitNotifier so the CM
+// can charge the bytes to the right macroflow (cm_notify, paper §2.1.3). The
+// CM finds the flow by the handle its transport stamped on the packet, or by
+// the packet's flow key when it carries none.
 package node
 
 import (
@@ -15,10 +17,11 @@ import (
 )
 
 // TransmitNotifier is the hook the IP output routine calls on every
-// transmission. The Congestion Manager implements it; hosts without a CM run
-// with a nil notifier (the baseline TCP/Linux configuration).
+// transmission, with the packet and the bytes to charge. The Congestion
+// Manager implements it; hosts without a CM run with a nil notifier (the
+// baseline TCP/Linux configuration).
 type TransmitNotifier interface {
-	NotifyTransmit(key netsim.FlowKey, nbytes int)
+	NotifyPacket(pkt *netsim.Packet, nbytes int)
 }
 
 // Handler consumes packets demultiplexed to a bound endpoint. The packet and
@@ -367,16 +370,17 @@ func (h *Host) Output(pkt *netsim.Packet) bool {
 		return false
 	}
 	// The paper modifies ip_output to call cm_notify(flowid, nsent) on each
-	// transmission; the notifier performs the flow lookup from the packet's
-	// flow parameters. Transport control packets (pure ACKs, feedback) are
-	// not data transmissions and are not charged.
+	// transmission; the notifier reads the flow from the handle the transport
+	// stamped on the packet, or looks it up by the packet's flow key when
+	// there is none. Transport control packets (pure ACKs, feedback) are not
+	// data transmissions and are not charged.
 	if h.notifier != nil && !pkt.Control {
 		h.stats.NotifierUpcalled++
 		charge := pkt.ChargeBytes
 		if charge == 0 {
 			charge = pkt.Size
 		}
-		h.notifier.NotifyTransmit(pkt.Key(), charge)
+		h.notifier.NotifyPacket(pkt, charge)
 	}
 	h.stats.SentPackets++
 	h.stats.SentBytes += int64(pkt.Size)

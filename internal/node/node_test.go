@@ -201,8 +201,8 @@ type recordingNotifier struct {
 	bytes []int
 }
 
-func (r *recordingNotifier) NotifyTransmit(k netsim.FlowKey, n int) {
-	r.keys = append(r.keys, k)
+func (r *recordingNotifier) NotifyPacket(p *netsim.Packet, n int) {
+	r.keys = append(r.keys, p.Key())
 	r.bytes = append(r.bytes, n)
 }
 

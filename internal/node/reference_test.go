@@ -315,7 +315,7 @@ func (in *hostInterp) packet() *netsim.Packet {
 	p.Src = traceRemotes[in.byte()%len(traceRemotes)]
 	p.Dst = netsim.Addr{Host: traceDests[in.byte()%len(traceDests)], Port: tracePorts[in.byte()%len(tracePorts)]}
 	p.Size = 100 + in.byte()
-	p.TTL = in.byte() % 3 // 0 and 1 expire at a router; Output resets 0
+	p.TTL = int32(in.byte() % 3) // 0 and 1 expire at a router; Output resets 0
 	return p
 }
 

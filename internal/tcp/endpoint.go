@@ -319,8 +319,18 @@ func (e *Endpoint) mss() int { return e.cfg.MSS }
 
 // ---------- segment construction and transmission ----------
 
+// basePacket builds the packet carrying one of the endpoint's segments. A
+// data segment of a connection with an open CM flow carries the flow's handle
+// to the IP output hook, which charges the flow without a lookup (a kernel
+// hands ip_output the socket). The handle is read as the packet is built:
+// after a CM restart it is the re-opened flow's once ensureLive has run, and
+// until then a stale one the CM charges nothing for.
 func (e *Endpoint) basePacket(seg *Segment, control bool) *netsim.Packet {
-	return newPacket(e.local, e.remote, seg, control)
+	pkt := newPacket(e.local, e.remote, seg, control)
+	if !control && e.viaCM.opened {
+		pkt.SetCMFlow(int64(e.viaCM.flow))
+	}
+	return pkt
 }
 
 func newPacket(local, remote netsim.Addr, seg *Segment, control bool) *netsim.Packet {

@@ -366,6 +366,65 @@ func TestCMFlowLifecycle(t *testing.T) {
 	}
 }
 
+// A CM connection's data segments carry its live CM flow handle to the IP
+// output hook; the handshake and the other control segments carry none, and
+// after a CM restart the stamp is the handle ensureLive re-opened.
+func TestCMDataSegmentsCarryFlowHandle(t *testing.T) {
+	e := newEnv(t, lan(), true)
+	listenSink(t, e, 80, nativeCfg())
+	type sent struct {
+		syn, control, stamped bool
+		handle                cm.FlowID
+	}
+	var log []sent
+	e.duplex.Forward.SetSendTap(func(p *netsim.Packet) {
+		h, ok := p.CMFlow()
+		log = append(log, sent{syn: p.Payload.(*Segment).SYN, control: p.Control, stamped: ok, handle: cm.FlowID(h)})
+	})
+	ep, err := Dial(e.net.Host("client"), netsim.Addr{Host: "server", Port: 80}, cmClientCfg(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(phase string, want cm.FlowID) {
+		t.Helper()
+		data := 0
+		for i, s := range log {
+			switch {
+			case s.control && s.stamped:
+				t.Errorf("%s: control segment %d (syn=%v) carries handle %d", phase, i, s.syn, s.handle)
+			case !s.control && (!s.stamped || s.handle != want):
+				t.Errorf("%s: data segment %d carries handle %d (stamped %v), want %d", phase, i, s.handle, s.stamped, want)
+			case !s.control:
+				data++
+			}
+		}
+		if data == 0 {
+			t.Fatalf("%s: no data segment sent", phase)
+		}
+	}
+
+	ep.OnEstablished(func(*Endpoint, any) { ep.Send(50_000) })
+	e.sched.RunFor(2 * time.Second)
+	if len(log) == 0 || !log[0].syn {
+		t.Fatal("the connection's first segment was not its SYN")
+	}
+	first := ep.viaCM.flow
+	check("before restart", first)
+
+	log = nil
+	e.cm.Restart()
+	ep.Send(50_000)
+	e.sched.RunFor(2 * time.Second)
+	second := ep.viaCM.flow
+	if second == first {
+		t.Fatalf("the flow was not re-opened under a new handle after the restart: %d", second)
+	}
+	check("after restart", second)
+	if got := e.cm.FlowInfo(second).BytesCharged; got != 50_000 {
+		t.Fatalf("the re-opened flow was charged %d bytes, want 50000", got)
+	}
+}
+
 func TestCMWindowSharedAcrossSequentialConnections(t *testing.T) {
 	// The Figure 7 mechanism: a second connection to the same destination
 	// starts with the macroflow window learned by the first one.
