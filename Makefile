@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke
+.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke loc
 
 ci: fmt vet build race bench-test fuzz-smoke
 
@@ -48,6 +48,18 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLinkOps -fuzztime=3s -fuzzminimizetime=1s ./internal/netsim
 	$(GO) test -run='^$$' -fuzz=FuzzHostOps -fuzztime=3s -fuzzminimizetime=1s ./internal/node
 	$(GO) test -run='^$$' -fuzz=FuzzCMOps -fuzztime=3s -fuzzminimizetime=1s ./internal/cm
+
+# Tracked Go lines in three totals: non-test and _test.go files outside bench/,
+# and bench/ (its own module). "code" leaves out blank lines and lines holding
+# only a // comment, so a deletion is not counted twice over its comments.
+loc:
+	@git ls-files -z '*.go' | xargs -0 awk ' \
+		FNR == 1 { k = FILENAME ~ /^bench\// ? "bench/" : FILENAME ~ /_test\.go$$/ ? "_test.go" : "non-test" } \
+		{ lines[k]++ } \
+		!/^[ \t]*(\/\/.*)?$$/ { code[k]++ } \
+		END { printf "%-9s %7s %7s\n", "", "lines", "code"; \
+			n = split("non-test _test.go bench/", ks, " "); \
+			for (i = 1; i <= n; i++) printf "%-9s %7d %7d\n", ks[i], lines[ks[i]], code[ks[i]] }'
 
 # Judge the working tree against a parent revision with cmperf: PAIRS
 # alternating pairs of end-to-end runs, each side built from its own exported
