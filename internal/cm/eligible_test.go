@@ -2,17 +2,23 @@ package cm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// refRoundRobin replicates the previous round-robin implementation (scan the
-// full insertion-order rotation from the cursor for the first flow with a
-// pending request) as a straightforward slice model. It is the fairness
-// oracle: the eligible-only list is an index, not a policy change, so grant
-// order over any workload must match this scan exactly.
+// refRoundRobin is the rotation written as a naive slice scan: from the
+// cursor, walk the flows in join order to the first with a pending request.
+// A flow the cursor reaches gains its weight in credit; it is granted while
+// its credit is at least 1, and the cursor moves on when the credit drops
+// below 1 or the flow runs out of requests, which also forfeits its credit
+// (deficit round robin, Shreedhar & Varghese). With every weight 1 it is the
+// plain grant-and-advance scan. It is the fairness oracle: the eligible-only
+// ring is an index, not a policy change, so grant order over any workload
+// must match this scan exactly.
 type refRoundRobin struct {
 	flows  []*flowState
 	cursor int
+	credit map[*flowState]float64
 }
 
 func (r *refRoundRobin) Add(f *flowState) {
@@ -26,6 +32,7 @@ func (r *refRoundRobin) Remove(f *flowState) {
 	for i, fl := range r.flows {
 		if fl == f {
 			r.flows = append(r.flows[:i], r.flows[i+1:]...)
+			delete(r.credit, f)
 			if i < r.cursor {
 				r.cursor--
 			}
@@ -39,16 +46,35 @@ func (r *refRoundRobin) Remove(f *flowState) {
 	}
 }
 
+// Next returns the flow to grant without taking its request; the caller
+// takes it.
 func (r *refRoundRobin) Next() *flowState {
-	n := len(r.flows)
-	for i := 0; i < n; i++ {
-		f := r.flows[(r.cursor+i)%n]
-		if f.pendingRequests > 0 {
-			r.cursor = (r.cursor + i + 1) % n
-			return f
-		}
+	if !slices.ContainsFunc(r.flows, func(f *flowState) bool { return f.pendingRequests > 0 }) {
+		return nil
 	}
-	return nil
+	if r.credit == nil {
+		r.credit = map[*flowState]float64{}
+	}
+	for ; ; r.cursor = (r.cursor + 1) % len(r.flows) {
+		f := r.flows[r.cursor]
+		if f.pendingRequests == 0 {
+			continue
+		}
+		if r.credit[f] < 1 {
+			r.credit[f] += f.weight
+		}
+		if r.credit[f] < 1 {
+			continue
+		}
+		r.credit[f]--
+		if r.credit[f] < 1 || f.pendingRequests == 1 {
+			r.cursor = (r.cursor + 1) % len(r.flows)
+			if f.pendingRequests == 1 {
+				delete(r.credit, f)
+			}
+		}
+		return f
+	}
 }
 
 // TestEligibleListGrantOrderMatchesScan drives the intrusive eligible-only
@@ -65,7 +91,7 @@ func TestEligibleListGrantOrderMatchesScan(t *testing.T) {
 	var flows []*flowState
 	nextID := FlowID(1)
 	addFlow := func(pending int) {
-		f := &flowState{id: nextID, pendingRequests: pending}
+		f := &flowState{id: nextID, pendingRequests: pending, weight: 1}
 		nextID++
 		flows = append(flows, f)
 		real.Add(f)
@@ -84,7 +110,8 @@ func TestEligibleListGrantOrderMatchesScan(t *testing.T) {
 		}
 	}
 	grant := func() {
-		got, want := real.Next(), ref.Next()
+		want := ref.Next()
+		got := real.Next()
 		if got != want {
 			gid, wid := FlowID(-1), FlowID(-1)
 			if got != nil {
