@@ -162,8 +162,7 @@ type Config struct {
 	// window in MTUs. The CM uses 1 (the paper notes Linux used 2, which is
 	// one of the two deliberate differences in Figure 4).
 	InitialWindowMTUs int
-	// MaxWindowBytes caps the congestion window; 0 means no cap beyond the
-	// controller's own limits.
+	// MaxWindowBytes caps the congestion window; 0 means no cap.
 	MaxWindowBytes int
 	// GrantTimeout is how long an unclaimed send grant is held before the
 	// background task reclaims it so other flows are not starved.
@@ -177,9 +176,6 @@ type Config struct {
 	// trigger cmapp_update callbacks when the client has not called Thresh.
 	DefaultThreshDown float64
 	DefaultThreshUp   float64
-	// NewController builds the congestion controller for each macroflow.
-	// Defaults to NewAIMDController.
-	NewController func(cfg ControllerConfig) Controller
 	// NewScheduler builds the flow scheduler for each macroflow. Defaults
 	// to NewRoundRobinScheduler.
 	NewScheduler func() Scheduler
@@ -204,9 +200,6 @@ func (c *Config) fillDefaults() {
 	if c.DefaultThreshUp <= 1 {
 		c.DefaultThreshUp = 1.25
 	}
-	if c.NewController == nil {
-		c.NewController = func(cfg ControllerConfig) Controller { return NewAIMDController(cfg) }
-	}
 	if c.NewScheduler == nil {
 		c.NewScheduler = func() Scheduler { return NewRoundRobinScheduler() }
 	}
@@ -221,13 +214,6 @@ func WithMTU(mtu int) Option { return func(c *Config) { c.MTU = mtu } }
 // WithInitialWindow sets the initial window in MTUs.
 func WithInitialWindow(mtus int) Option {
 	return func(c *Config) { c.InitialWindowMTUs = mtus }
-}
-
-// WithController sets the congestion-controller factory, enabling the
-// experimentation with non-AIMD schemes that the paper's modularity argument
-// calls for.
-func WithController(f func(cfg ControllerConfig) Controller) Option {
-	return func(c *Config) { c.NewController = f }
 }
 
 // WithScheduler sets the flow-scheduler factory.

@@ -294,63 +294,27 @@ func TestClosePendingFlowDoesNotBlockOthers(t *testing.T) {
 }
 
 func TestControllerFactoriesDirectly(t *testing.T) {
-	cfg := ControllerConfig{MTU: 1000, InitialWindowMTUs: 2, MaxWindowBytes: 8000}
-	aimd := NewAIMDController(cfg)
-	if aimd.Name() != "aimd" || aimd.Window() != 2000 {
-		t.Fatalf("aimd initial state wrong: %s %d", aimd.Name(), aimd.Window())
+	cfg := Config{MTU: 1000, InitialWindowMTUs: 2, MaxWindowBytes: 8000}
+	aimd := newAIMD(&cfg)
+	if aimd.window() != 2000 {
+		t.Fatalf("aimd initial window = %d, want 2000", aimd.window())
 	}
 	for i := 0; i < 20; i++ {
-		aimd.OnFeedback(Feedback{SentBytes: 8000, ReceivedBytes: 8000, Mode: NoLoss, RTT: time.Millisecond})
+		aimd.onFeedback(Feedback{SentBytes: 8000, ReceivedBytes: 8000, Mode: NoLoss, RTT: time.Millisecond})
 	}
-	if aimd.Window() != 8000 {
-		t.Fatalf("window should be capped at MaxWindowBytes, got %d", aimd.Window())
+	if aimd.window() != 8000 {
+		t.Fatalf("window should be capped at MaxWindowBytes, got %d", aimd.window())
 	}
-	aimd.OnIdleRestart()
-	if aimd.Window() != 2000 {
-		t.Fatalf("idle restart should return to initial window, got %d", aimd.Window())
-	}
-
-	rate := NewRateController(ControllerConfig{MTU: 1000})
-	if rate.Name() != "smoothed-rate" || rate.InSlowStart() {
-		t.Fatal("rate controller metadata wrong")
-	}
-	w0 := rate.Window()
-	rate.OnFeedback(Feedback{SentBytes: 1000, ReceivedBytes: 1000, Mode: NoLoss})
-	if rate.Window() <= w0 {
-		t.Fatal("rate controller should grow on success")
-	}
-	grown := rate.Window()
-	rate.OnFeedback(Feedback{Mode: TransientLoss})
-	if rate.Window() >= grown {
-		t.Fatal("rate controller should shrink on congestion")
-	}
-	rate.OnFeedback(Feedback{Mode: PersistentLoss})
-	if rate.Window() < 1000 {
-		t.Fatal("rate controller window must stay >= 1 MTU")
-	}
-	rate.OnIdleRestart()
-	if rate.Window() < 1000 {
-		t.Fatal("rate controller idle restart must stay >= 1 MTU")
+	aimd.onIdleRestart()
+	if aimd.window() != 2000 {
+		t.Fatalf("idle restart should return to initial window, got %d", aimd.window())
 	}
 
-	// Zero-value configs get sane defaults.
-	if NewAIMDController(ControllerConfig{}).Window() <= 0 {
+	// A zero-value Config gets sane defaults.
+	var zero Config
+	zero.fillDefaults()
+	if w := newAIMD(&zero); w.window() <= 0 {
 		t.Fatal("default AIMD window must be positive")
-	}
-	if NewRateController(ControllerConfig{}).Window() <= 0 {
-		t.Fatal("default rate-controller window must be positive")
-	}
-}
-
-func TestCMWithAlternateControllerFactory(t *testing.T) {
-	_, c := newTestCM(t, WithController(NewRateController))
-	src, dst := testAddrs("utah", 80)
-	f := c.Open(netsim.ProtoUDP, src, dst)
-	if c.MacroflowOf(f).Controller().Name() != "smoothed-rate" {
-		t.Fatal("controller factory option not honoured")
-	}
-	if c.MacroflowOf(f).SchedulerName() != "round-robin" {
-		t.Fatal("default scheduler should be round-robin")
 	}
 }
 
@@ -411,16 +375,14 @@ func TestSchedulersDirectly(t *testing.T) {
 // exceeds the configured cap, no matter what feedback sequence arrives.
 func TestPropertyWindowBounds(t *testing.T) {
 	f := func(ops []uint16) bool {
-		cfg := ControllerConfig{MTU: 1000, InitialWindowMTUs: 1, MaxWindowBytes: 1 << 20}
-		for _, mk := range []func(ControllerConfig) Controller{NewAIMDController, NewRateController} {
-			ctrl := mk(cfg)
-			for _, op := range ops {
-				mode := LossMode(op % 4)
-				n := int(op%3000) * 10
-				ctrl.OnFeedback(Feedback{SentBytes: n, ReceivedBytes: n, Mode: mode, RTT: time.Millisecond})
-				if ctrl.Window() < cfg.MTU || ctrl.Window() > cfg.MaxWindowBytes {
-					return false
-				}
+		cfg := Config{MTU: 1000, InitialWindowMTUs: 1, MaxWindowBytes: 1 << 20}
+		ctrl := newAIMD(&cfg)
+		for _, op := range ops {
+			mode := LossMode(op % 4)
+			n := int(op%3000) * 10
+			ctrl.onFeedback(Feedback{SentBytes: n, ReceivedBytes: n, Mode: mode, RTT: time.Millisecond})
+			if ctrl.window() < cfg.MTU || ctrl.window() > cfg.MaxWindowBytes {
+				return false
 			}
 		}
 		return true

@@ -276,7 +276,7 @@ func TestWindowGrowthSlowStartAndCongestionAvoidance(t *testing.T) {
 	if mf.Window() != 1000 {
 		t.Fatalf("initial window = %d, want 1000", mf.Window())
 	}
-	if !mf.Controller().InSlowStart() {
+	if !mf.ctrl.inSlowStart() {
 		t.Fatal("controller should start in slow start")
 	}
 
@@ -297,7 +297,7 @@ func TestWindowGrowthSlowStartAndCongestionAvoidance(t *testing.T) {
 	if got := mf.Window(); got != 2000 {
 		t.Fatalf("window after transient loss = %d, want 2000", got)
 	}
-	if mf.Controller().InSlowStart() {
+	if mf.ctrl.inSlowStart() {
 		t.Fatal("transient loss should exit slow start")
 	}
 

@@ -4,17 +4,6 @@ import (
 	"time"
 )
 
-// ControllerConfig parameterises a congestion controller instance.
-type ControllerConfig struct {
-	// MTU is the segment size used for window arithmetic.
-	MTU int
-	// InitialWindowMTUs is the window used at start-up and after persistent
-	// congestion.
-	InitialWindowMTUs int
-	// MaxWindowBytes caps the window (0 = unlimited).
-	MaxWindowBytes int
-}
-
 // Feedback summarises one Update call as seen by the controller.
 type Feedback struct {
 	// SentBytes is the number of bytes covered by this feedback (delivered
@@ -27,7 +16,7 @@ type Feedback struct {
 	// RTT is a round-trip time sample, or zero if none was available.
 	RTT time.Duration
 	// AppLimited reports that the macroflow was using less than half of its
-	// window when the feedback arrived. Controllers should not grow the
+	// window when the feedback arrived. The controller does not grow the
 	// window on application-limited feedback (RFC 2861-style congestion
 	// window validation); otherwise a self-clocked sender such as the
 	// rate-callback streaming application would inflate the window — and the
@@ -35,58 +24,34 @@ type Feedback struct {
 	AppLimited bool
 }
 
-// Controller is the per-macroflow congestion control algorithm. The CM ships
-// a TCP-friendly AIMD window controller (the paper's default) and a smoothed
-// rate-based controller to demonstrate the modularity the paper argues for
-// (non-AIMD schemes better suited to audio/video).
-type Controller interface {
-	// Name identifies the algorithm.
-	Name() string
-	// Window returns the current congestion window in bytes. It is always
-	// at least one MTU.
-	Window() int
-	// OnFeedback applies an Update's effects to the window.
-	OnFeedback(fb Feedback)
-	// OnIdleRestart is invoked by the background task when the macroflow
-	// has been starved of feedback while data was outstanding; the
-	// controller should fall back to a conservative state.
-	OnIdleRestart()
-	// InSlowStart reports whether the controller is probing exponentially.
-	InSlowStart() bool
-}
-
-// aimdController is the window-based AIMD scheme with slow start and byte
-// counting described in §2 and §4 of the paper. It mimics TCP's
-// additive-increase / multiplicative-decrease behaviour so an ensemble of CM
-// flows is no more aggressive than a single TCP connection.
-type aimdController struct {
-	cfg      ControllerConfig
+// aimd is a macroflow's congestion controller: the window-based AIMD scheme
+// with slow start and byte counting described in §2 and §4 of the paper. It
+// mimics TCP's additive-increase / multiplicative-decrease behaviour so an
+// ensemble of CM flows is no more aggressive than a single TCP connection.
+// Its MTU, initial window and cap are the CM's Config.
+type aimd struct {
+	cfg      *Config
 	cwnd     int // bytes
 	ssthresh int // bytes
 }
 
-// NewAIMDController returns the default CM congestion controller.
-func NewAIMDController(cfg ControllerConfig) Controller {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 1500
-	}
-	if cfg.InitialWindowMTUs <= 0 {
-		cfg.InitialWindowMTUs = 1
-	}
-	c := &aimdController{cfg: cfg}
-	c.cwnd = cfg.InitialWindowMTUs * cfg.MTU
-	c.ssthresh = 1 << 30
+// newAIMD returns a controller in its start state: the initial window, slow
+// starting toward the window cap.
+func newAIMD(cfg *Config) aimd {
+	c := aimd{cfg: cfg, cwnd: cfg.InitialWindowMTUs * cfg.MTU, ssthresh: 1 << 30}
 	if cfg.MaxWindowBytes > 0 && c.ssthresh > cfg.MaxWindowBytes {
 		c.ssthresh = cfg.MaxWindowBytes
 	}
 	return c
 }
 
-func (c *aimdController) Name() string      { return "aimd" }
-func (c *aimdController) Window() int       { return c.cwnd }
-func (c *aimdController) InSlowStart() bool { return c.cwnd < c.ssthresh }
+// window returns the congestion window in bytes, always at least one MTU.
+func (c *aimd) window() int { return c.cwnd }
 
-func (c *aimdController) clampWindow() {
+// inSlowStart reports whether the window is growing exponentially.
+func (c *aimd) inSlowStart() bool { return c.cwnd < c.ssthresh }
+
+func (c *aimd) clampWindow() {
 	if c.cwnd < c.cfg.MTU {
 		c.cwnd = c.cfg.MTU
 	}
@@ -95,7 +60,8 @@ func (c *aimdController) clampWindow() {
 	}
 }
 
-func (c *aimdController) OnFeedback(fb Feedback) {
+// onFeedback applies an Update's effects to the window.
+func (c *aimd) onFeedback(fb Feedback) {
 	switch fb.Mode {
 	case NoLoss:
 		if fb.AppLimited {
@@ -124,11 +90,11 @@ func (c *aimdController) OnFeedback(fb Feedback) {
 // grow opens the window for acked bytes using byte counting (the CM counts
 // the actual bytes acknowledged rather than assuming one MTU per ACK, one of
 // the two differences from the Linux baseline noted in §4).
-func (c *aimdController) grow(ackedBytes int) {
+func (c *aimd) grow(ackedBytes int) {
 	if ackedBytes <= 0 {
 		return
 	}
-	if c.InSlowStart() {
+	if c.inSlowStart() {
 		// Exponential growth: window grows by the number of bytes acked.
 		c.cwnd += ackedBytes
 		if c.cwnd > c.ssthresh {
@@ -141,69 +107,18 @@ func (c *aimdController) grow(ackedBytes int) {
 
 // growCongestionAvoidance implements additive increase of roughly one MTU per
 // window's worth of acknowledged bytes.
-func (c *aimdController) growCongestionAvoidance(ackedBytes int) {
+func (c *aimd) growCongestionAvoidance(ackedBytes int) {
 	if ackedBytes <= 0 || c.cwnd <= 0 {
 		return
 	}
 	c.cwnd += int(int64(c.cfg.MTU) * int64(ackedBytes) / int64(c.cwnd))
 }
 
-func (c *aimdController) OnIdleRestart() {
+// onIdleRestart is the background task's fall-back when the macroflow has
+// been starved of feedback while data was outstanding: back to the initial
+// window, slow starting toward half the old one.
+func (c *aimd) onIdleRestart() {
 	c.ssthresh = max(c.cwnd/2, 2*c.cfg.MTU)
 	c.cwnd = c.cfg.InitialWindowMTUs * c.cfg.MTU
 	c.clampWindow()
 }
-
-// rateController is a smoothed, equation-free rate-based controller intended
-// for audio/video macroflows. It adjusts a target window gently (increase by
-// at most half an MTU per RTT of acknowledged data, decrease by 1/8 on
-// congestion) so the sending rate varies less abruptly than AIMD, at the cost
-// of slower convergence. It exists to exercise the controller modularity the
-// paper highlights; the ablation benchmark compares it against AIMD.
-type rateController struct {
-	cfg  ControllerConfig
-	cwnd int
-}
-
-// NewRateController returns the smoothed non-AIMD controller.
-func NewRateController(cfg ControllerConfig) Controller {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 1500
-	}
-	if cfg.InitialWindowMTUs <= 0 {
-		cfg.InitialWindowMTUs = 1
-	}
-	return &rateController{cfg: cfg, cwnd: cfg.InitialWindowMTUs * cfg.MTU}
-}
-
-func (c *rateController) Name() string      { return "smoothed-rate" }
-func (c *rateController) Window() int       { return c.cwnd }
-func (c *rateController) InSlowStart() bool { return false }
-
-func (c *rateController) OnFeedback(fb Feedback) {
-	switch fb.Mode {
-	case NoLoss:
-		if fb.ReceivedBytes > 0 && !fb.AppLimited {
-			c.cwnd += int(int64(c.cfg.MTU/2) * int64(fb.ReceivedBytes) / int64(max(c.cwnd, 1)))
-		}
-	case TransientLoss, ECNLoss:
-		c.cwnd -= c.cwnd / 8
-	case PersistentLoss:
-		c.cwnd /= 2
-	}
-	if c.cwnd < c.cfg.MTU {
-		c.cwnd = c.cfg.MTU
-	}
-	if c.cfg.MaxWindowBytes > 0 && c.cwnd > c.cfg.MaxWindowBytes {
-		c.cwnd = c.cfg.MaxWindowBytes
-	}
-}
-
-func (c *rateController) OnIdleRestart() {
-	c.cwnd = max(c.cwnd/2, c.cfg.MTU)
-}
-
-var (
-	_ Controller = (*aimdController)(nil)
-	_ Controller = (*rateController)(nil)
-)

@@ -37,7 +37,7 @@ type MacroflowStats struct {
 type Macroflow struct {
 	cm    *CM
 	key   macroflowKey
-	ctrl  Controller
+	ctrl  aimd
 	sched Scheduler
 
 	// flows are the attached flows in the order they joined (Open order,
@@ -70,11 +70,7 @@ func newMacroflow(cm *CM, key macroflowKey) *Macroflow {
 		// Room for a few concurrent flows up front, as for CM.flows.
 		flows: make([]*flowState, 0, 4),
 	}
-	mf.ctrl = cm.cfg.NewController(ControllerConfig{
-		MTU:               cm.cfg.MTU,
-		InitialWindowMTUs: cm.cfg.InitialWindowMTUs,
-		MaxWindowBytes:    cm.cfg.MaxWindowBytes,
-	})
+	mf.ctrl = newAIMD(&cm.cfg)
 	mf.sched = cm.cfg.NewScheduler()
 	mf.background.Init(cm.sched, simtime.KindCMGrant, fireBackground, mf)
 	mf.lastFeedback = cm.sched.Now()
@@ -90,7 +86,7 @@ func fireBackground(m any) { m.(*Macroflow).onBackgroundTimer() }
 func (m *Macroflow) DstHost() string { return m.key.dstHost }
 
 // Window returns the current congestion window in bytes.
-func (m *Macroflow) Window() int { return m.ctrl.Window() }
+func (m *Macroflow) Window() int { return m.ctrl.window() }
 
 // Outstanding returns the bytes charged but not yet covered by feedback.
 func (m *Macroflow) Outstanding() int { return m.outstanding }
@@ -103,9 +99,6 @@ func (m *Macroflow) RTTVar() time.Duration { return m.rttvar }
 
 // LossRate returns the exponentially weighted loss estimate.
 func (m *Macroflow) LossRate() float64 { return m.lossEWMA }
-
-// Controller returns the macroflow's congestion controller.
-func (m *Macroflow) Controller() Controller { return m.ctrl }
 
 // SchedulerName returns the name of the flow scheduler in use.
 func (m *Macroflow) SchedulerName() string { return m.sched.Name() }
@@ -151,7 +144,7 @@ func (m *Macroflow) removeFlow(fl *flowState) {
 // windowOpen reports whether the controller's window has room for another
 // MTU-sized grant, counting both charged bytes and unclaimed grants.
 func (m *Macroflow) windowOpen() bool {
-	return m.outstanding+m.grantedBytes+m.mtu() <= m.ctrl.Window() ||
+	return m.outstanding+m.grantedBytes+m.mtu() <= m.ctrl.window() ||
 		(m.outstanding == 0 && m.grantedBytes == 0)
 }
 
@@ -292,8 +285,8 @@ func (m *Macroflow) update(fl *flowState, nsent, nrecd int, mode LossMode, rtt t
 	// Congestion window validation: if the macroflow was using less than
 	// half of its window when this feedback was generated, the feedback does
 	// not justify further growth.
-	appLimited := outstandingBefore < m.ctrl.Window()/2
-	m.ctrl.OnFeedback(Feedback{SentBytes: nsent, ReceivedBytes: nrecd, Mode: mode, RTT: rtt, AppLimited: appLimited})
+	appLimited := outstandingBefore < m.ctrl.window()/2
+	m.ctrl.onFeedback(Feedback{SentBytes: nsent, ReceivedBytes: nrecd, Mode: mode, RTT: rtt, AppLimited: appLimited})
 
 	// Window state changed: hand out new grants and deliver threshold-based
 	// rate callbacks.
@@ -320,7 +313,7 @@ func (m *Macroflow) addRTTSample(rtt time.Duration) {
 // second: one congestion window per smoothed RTT. Before an RTT sample is
 // available a conservative default of one window per second is reported.
 func (m *Macroflow) Rate() float64 {
-	w := float64(m.ctrl.Window())
+	w := float64(m.ctrl.window())
 	if !m.hasRTT || m.srtt <= 0 {
 		return w
 	}
@@ -345,7 +338,7 @@ func (m *Macroflow) status(fl *flowState) Status {
 		SRTT:          m.srtt,
 		RTTVar:        m.rttvar,
 		LossRate:      m.lossEWMA,
-		CWND:          m.ctrl.Window(),
+		CWND:          m.ctrl.window(),
 		Outstanding:   m.outstanding,
 		MTU:           m.mtu(),
 	}
@@ -430,7 +423,7 @@ func (m *Macroflow) onBackgroundTimer() {
 	// long time; assume persistent congestion and restart conservatively.
 	if m.outstanding > 0 && now-m.lastFeedback >= m.cm.cfg.FeedbackStarvationTimeout {
 		m.outstanding = 0
-		m.ctrl.OnIdleRestart()
+		m.ctrl.onIdleRestart()
 		m.stats.IdleRestarts++
 		m.lastFeedback = now
 		m.deliverRateCallbacks()

@@ -101,11 +101,7 @@ func (m *Macroflow) reset() {
 	m.grants = nil
 	m.grantedBytes = 0
 	m.outstanding = 0
-	m.ctrl = m.cm.cfg.NewController(ControllerConfig{
-		MTU:               m.cm.cfg.MTU,
-		InitialWindowMTUs: m.cm.cfg.InitialWindowMTUs,
-		MaxWindowBytes:    m.cm.cfg.MaxWindowBytes,
-	})
+	m.ctrl = newAIMD(&m.cm.cfg)
 	m.srtt = 0
 	m.rttvar = 0
 	m.hasRTT = false
