@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -44,12 +45,14 @@ func (cm *CM) SetDispatcher(f FlowID, d Dispatcher) {
 	}
 }
 
-// SetWeight sets a flow's scheduling weight (used by the weighted scheduler
-// and for apportioning the advertised per-flow rate). Weights must be
-// positive; invalid weights are ignored.
+// SetWeight sets a flow's weight, 1 at Open: its share of its macroflow's
+// grants while it stays backlogged, and of the rate Query and the rate
+// callbacks advertise, is its weight over the sum of the weights of the
+// macroflow's flows. Weights must be positive and finite; other values are
+// ignored.
 func (cm *CM) SetWeight(f FlowID, w float64) {
-	if fl := cm.flow(f); fl != nil && w > 0 {
-		fl.weight = w
+	if fl := cm.flow(f); fl != nil && w > 0 && !math.IsInf(w, 1) {
+		fl.mf.rr.setWeight(fl, w)
 	}
 }
 
@@ -67,7 +70,7 @@ func (cm *CM) Request(f FlowID) {
 	}
 	fl.pendingRequests++
 	if fl.pendingRequests == 1 {
-		fl.mf.sched.MarkEligible(fl)
+		fl.mf.rr.markEligible(fl)
 	}
 	fl.mf.pump()
 }
@@ -91,7 +94,7 @@ func (cm *CM) BulkRequest(flows []FlowID) {
 		}
 		fl.pendingRequests++
 		if fl.pendingRequests == 1 {
-			fl.mf.sched.MarkEligible(fl)
+			fl.mf.rr.markEligible(fl)
 		}
 		if !slices.Contains(touched, fl.mf) {
 			touched = append(touched, fl.mf)

@@ -176,9 +176,6 @@ type Config struct {
 	// trigger cmapp_update callbacks when the client has not called Thresh.
 	DefaultThreshDown float64
 	DefaultThreshUp   float64
-	// NewScheduler builds the flow scheduler for each macroflow. Defaults
-	// to NewRoundRobinScheduler.
-	NewScheduler func() Scheduler
 }
 
 func (c *Config) fillDefaults() {
@@ -200,9 +197,6 @@ func (c *Config) fillDefaults() {
 	if c.DefaultThreshUp <= 1 {
 		c.DefaultThreshUp = 1.25
 	}
-	if c.NewScheduler == nil {
-		c.NewScheduler = func() Scheduler { return NewRoundRobinScheduler() }
-	}
 }
 
 // Option mutates the configuration at construction time.
@@ -214,11 +208,6 @@ func WithMTU(mtu int) Option { return func(c *Config) { c.MTU = mtu } }
 // WithInitialWindow sets the initial window in MTUs.
 func WithInitialWindow(mtus int) Option {
 	return func(c *Config) { c.InitialWindowMTUs = mtus }
-}
-
-// WithScheduler sets the flow-scheduler factory.
-func WithScheduler(f func() Scheduler) Option {
-	return func(c *Config) { c.NewScheduler = f }
 }
 
 // WithGrantTimeout sets how long unclaimed grants are held.

@@ -193,8 +193,7 @@ func TestWeightedSchedulerApportionsGrants(t *testing.T) {
 	s, c := newTestCM(t,
 		WithMTU(1000),
 		WithInitialWindow(4),
-		WithMaxWindow(20_000),
-		WithScheduler(NewWeightedRoundRobinScheduler))
+		WithMaxWindow(20_000))
 	dst := netsim.Addr{Host: "utah", Port: 80}
 	heavy := c.Open(netsim.ProtoUDP, netsim.Addr{Host: "s", Port: 1}, dst)
 	light := c.Open(netsim.ProtoUDP, netsim.Addr{Host: "s", Port: 2}, netsim.Addr{Host: "utah", Port: 81})
@@ -322,52 +321,47 @@ func TestSchedulersDirectly(t *testing.T) {
 	mk := func(id FlowID, pending int, w float64) *flowState {
 		return &flowState{id: id, pendingRequests: pending, weight: w}
 	}
-	rr := NewRoundRobinScheduler()
-	if rr.Next() != nil {
-		t.Fatal("empty scheduler should return nil")
+	rr := &roundRobin{}
+	if rr.next() != nil {
+		t.Fatal("empty rotation should return nil")
 	}
 	a, b, cf := mk(1, 1, 1), mk(2, 1, 1), mk(3, 0, 1)
-	rr.Add(a)
-	rr.Add(b)
-	rr.Add(cf)
-	if rr.TotalWeight() != 3 || rr.Weight(a) != 1 {
-		t.Fatal("round-robin weights should be unweighted")
+	rr.add(a)
+	rr.add(b)
+	rr.add(cf)
+	if rr.weightSum != 3 {
+		t.Fatalf("weightSum = %v, want 3", rr.weightSum)
 	}
-	first, second := rr.Next(), rr.Next()
+	first, second := rr.next(), rr.next()
 	if first == second || first == cf || second == cf {
 		t.Fatalf("rotation wrong: %v %v", first.id, second.id)
 	}
-	rr.Remove(b)
-	rr.Remove(mk(99, 0, 1)) // removing an unknown flow is a no-op
+	rr.remove(b)
+	rr.remove(mk(99, 0, 1)) // removing an unknown flow is a no-op
 	a.pendingRequests = 1
-	if rr.Next() != a {
+	rr.markEligible(a)
+	if rr.next() != a {
 		t.Fatal("after removal only a is eligible")
 	}
 
-	w := NewWeightedRoundRobinScheduler()
-	if w.Next() != nil || w.TotalWeight() != 1 {
-		t.Fatal("empty weighted scheduler defaults wrong")
-	}
-	h, l := mk(10, 1, 3), mk(11, 1, 1)
-	w.Add(h)
-	w.Add(l)
+	// The same rotation with weights 3:1.
+	w := &roundRobin{}
+	h, l := mk(10, 1000, 1), mk(11, 1000, 1) // backlogged throughout
+	w.add(h)
+	w.add(l)
+	w.setWeight(h, 3)
 	counts := map[FlowID]int{}
 	for i := 0; i < 400; i++ {
-		f := w.Next()
-		counts[f.id]++
-		f.pendingRequests = 1 // keep backlogged
+		counts[w.next().id]++
 	}
 	ratio := float64(counts[10]) / float64(counts[11])
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Fatalf("weighted rotation ratio = %.2f, want ~3", ratio)
 	}
-	if w.Weight(&flowState{weight: 0}) != 1 {
-		t.Fatal("zero weight should be treated as 1")
-	}
-	w.Remove(h)
-	w.Remove(l)
-	if w.Next() != nil {
-		t.Fatal("emptied scheduler should return nil")
+	w.remove(h)
+	w.remove(l)
+	if w.next() != nil || w.weightSum != 0 {
+		t.Fatal("emptied rotation should return nil and weigh nothing")
 	}
 }
 

@@ -78,40 +78,41 @@ func (r *refRoundRobin) Next() *flowState {
 }
 
 // TestEligibleListGrantOrderMatchesScan drives the intrusive eligible-only
-// scheduler and the reference scan through a long randomized mixed workload —
-// flows joining and leaving, requests arriving in bursts, grants draining —
-// and requires the two grant sequences to be identical at every step. This
+// rotation and the reference scan through a long randomized mixed workload —
+// flows joining and leaving, weights changing, requests arriving in bursts,
+// grants draining — and requires the two grant sequences to be identical at every step. This
 // is the fairness revalidation that allowed replacing the O(all flows) Next
 // scan with the O(1) eligible-ring cursor.
 func TestEligibleListGrantOrderMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	real := NewRoundRobinScheduler().(*roundRobinScheduler)
+	real := &roundRobin{}
 	ref := &refRoundRobin{}
 
 	var flows []*flowState
+	weights := []float64{0.5, 1, 2, 3}
 	nextID := FlowID(1)
 	addFlow := func(pending int) {
 		f := &flowState{id: nextID, pendingRequests: pending, weight: 1}
 		nextID++
 		flows = append(flows, f)
-		real.Add(f)
+		real.add(f)
 		ref.Add(f)
 	}
 	removeFlow := func(i int) {
 		f := flows[i]
 		flows = append(flows[:i], flows[i+1:]...)
-		real.Remove(f)
+		real.remove(f)
 		ref.Remove(f)
 	}
 	request := func(f *flowState) {
 		f.pendingRequests++
 		if f.pendingRequests == 1 {
-			real.MarkEligible(f)
+			real.markEligible(f)
 		}
 	}
 	grant := func() {
 		want := ref.Next()
-		got := real.Next()
+		got := real.next()
 		if got != want {
 			gid, wid := FlowID(-1), FlowID(-1)
 			if got != nil {
@@ -121,12 +122,6 @@ func TestEligibleListGrantOrderMatchesScan(t *testing.T) {
 				wid = want.id
 			}
 			t.Fatalf("grant order diverged: eligible-list granted flow %d, scan granted flow %d", gid, wid)
-		}
-		if got != nil {
-			got.pendingRequests--
-			if got.pendingRequests == 0 {
-				real.MarkIneligible(got)
-			}
 		}
 	}
 
@@ -141,6 +136,10 @@ func TestEligibleListGrantOrderMatchesScan(t *testing.T) {
 			addFlow(rng.Intn(2) * (1 + rng.Intn(3)))
 		case r < 14 && len(flows) > 1:
 			removeFlow(rng.Intn(len(flows)))
+		case r < 18 && len(flows) > 0:
+			// Weights other than 1 make the rotation grant a flow several
+			// times per arrival (2, 3) or only every other arrival (0.5).
+			real.setWeight(flows[rng.Intn(len(flows))], weights[rng.Intn(len(weights))])
 		case r < 55 && len(flows) > 0:
 			// Request bursts concentrate on a few flows: the sparse-eligibility
 			// shape the eligible list exists for.
@@ -156,17 +155,20 @@ func TestEligibleListGrantOrderMatchesScan(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		grant()
 	}
-	if real.eligible != 0 {
-		// Some flows may still hold requests if the drain loop granted them
-		// all; eligible must agree with the ground truth either way.
-		n := 0
-		for _, f := range flows {
-			if f.pendingRequests > 0 {
-				n++
-			}
+	// Some flows may still hold requests if the drain loop did not grant
+	// them all; the eligible ring and weightSum must agree with the ground
+	// truth either way.
+	n, sum := 0, 0.0
+	for _, f := range flows {
+		if f.pendingRequests > 0 {
+			n++
 		}
-		if n != real.eligible {
-			t.Fatalf("eligible count %d, ground truth %d", real.eligible, n)
-		}
+		sum += f.weight
+	}
+	if got := eligibleCount(real); got != n {
+		t.Fatalf("eligible count %d, ground truth %d", got, n)
+	}
+	if real.weightSum != sum {
+		t.Fatalf("weightSum %v, ground truth %v", real.weightSum, sum)
 	}
 }

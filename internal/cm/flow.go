@@ -24,21 +24,20 @@ type flowState struct {
 	lastReportedRate float64
 	everReported     bool
 
-	// Scheduling state.
+	// Scheduling state. weight is the flow's share of its macroflow's
+	// grants and rate (SetWeight); credit is what is left of the weight it
+	// gained when the rotation last arrived at it (see roundRobin).
 	pendingRequests int
 	unclaimedGrants int
 	weight          float64
+	credit          float64
 
-	// Intrusive links for the round-robin scheduler's circular rotation
-	// list (nil when not registered), and the weighted scheduler's running
-	// credit. Living on the flowState keeps Add/Remove/Next allocation-free.
-	schedNext, schedPrev *flowState
-	// Intrusive links for the round-robin scheduler's eligible-only ring
-	// (nil when the flow has no pending requests), and the flow's immutable
-	// insertion position, which orders both rings.
+	// Intrusive links for the rotation's eligible-only ring (nil when the
+	// flow has no pending requests), and the flow's join position in the
+	// rotation, which orders it. Living on the flowState keeps the rotation
+	// allocation-free.
 	eligNext, eligPrev *flowState
 	schedPos           uint64
-	wrrCredit          float64
 
 	// Statistics.
 	grantsReceived int64

@@ -1,7 +1,6 @@
 package cm
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/probe"
@@ -32,17 +31,15 @@ type MacroflowStats struct {
 }
 
 // Macroflow is the unit of congestion state sharing: all flows to the same
-// destination host share one macroflow, its congestion controller, scheduler
-// and RTT/loss estimates (paper §2).
+// destination host share one macroflow, its AIMD congestion controller, its
+// round-robin over the flows and its RTT/loss estimates (paper §2).
 type Macroflow struct {
-	cm    *CM
-	key   macroflowKey
-	ctrl  aimd
-	sched Scheduler
-
-	// flows are the attached flows in the order they joined (Open order,
-	// unless SplitFlow or MergeFlows moved one here later).
-	flows []*flowState
+	cm   *CM
+	key  macroflowKey
+	ctrl aimd
+	// rr is the rotation over the attached flows; rr.flows lists them in
+	// the order they joined.
+	rr roundRobin
 
 	// Window accounting (bytes).
 	outstanding  int // charged via Notify, not yet covered by feedback
@@ -65,13 +62,12 @@ type Macroflow struct {
 
 func newMacroflow(cm *CM, key macroflowKey) *Macroflow {
 	mf := &Macroflow{
-		cm:  cm,
-		key: key,
+		cm:   cm,
+		key:  key,
+		ctrl: newAIMD(&cm.cfg),
 		// Room for a few concurrent flows up front, as for CM.flows.
-		flows: make([]*flowState, 0, 4),
+		rr: roundRobin{flows: make([]*flowState, 0, 4)},
 	}
-	mf.ctrl = newAIMD(&cm.cfg)
-	mf.sched = cm.cfg.NewScheduler()
 	mf.background.Init(cm.sched, simtime.KindCMGrant, fireBackground, mf)
 	mf.lastFeedback = cm.sched.Now()
 	mf.lastActivity = cm.sched.Now()
@@ -100,21 +96,15 @@ func (m *Macroflow) RTTVar() time.Duration { return m.rttvar }
 // LossRate returns the exponentially weighted loss estimate.
 func (m *Macroflow) LossRate() float64 { return m.lossEWMA }
 
-// SchedulerName returns the name of the flow scheduler in use.
-func (m *Macroflow) SchedulerName() string { return m.sched.Name() }
-
 // Stats returns a copy of the macroflow counters.
 func (m *Macroflow) Stats() MacroflowStats { return m.stats }
 
 // FlowCount returns the number of currently attached flows.
-func (m *Macroflow) FlowCount() int { return len(m.flows) }
+func (m *Macroflow) FlowCount() int { return len(m.rr.flows) }
 
 func (m *Macroflow) mtu() int { return m.cm.cfg.MTU }
 
-func (m *Macroflow) addFlow(fl *flowState) {
-	m.flows = append(m.flows, fl)
-	m.sched.Add(fl)
-}
+func (m *Macroflow) addFlow(fl *flowState) { m.rr.add(fl) }
 
 func (m *Macroflow) removeFlow(fl *flowState) {
 	// Reclaim any window held by the departing flow so other flows are not
@@ -131,12 +121,7 @@ func (m *Macroflow) removeFlow(fl *flowState) {
 		}
 		fl.unclaimedGrants = 0
 	}
-	if i := slices.Index(m.flows, fl); i >= 0 {
-		// Delete in place and clear the vacated last element, which would
-		// otherwise keep the departed flow reachable (see removeGrant).
-		m.flows = slices.Delete(m.flows, i, i+1)
-	}
-	m.sched.Remove(fl)
+	m.rr.remove(fl)
 	fl.pendingRequests = 0
 	m.pump()
 }
@@ -149,25 +134,18 @@ func (m *Macroflow) windowOpen() bool {
 }
 
 // pump is the grant loop: while the window is open and some flow has a
-// pending request, pick the next flow (scheduler), issue a grant and deliver
-// the cmapp_send callback. Reentrant calls (from within callbacks) are
+// pending request, pick the next flow (the rotation), issue a grant and
+// deliver the cmapp_send callback. Reentrant calls (from within callbacks) are
 // flattened so the loop never recurses.
 func (m *Macroflow) pump() {
 	if m.pumping {
 		return
 	}
 	m.pumping = true
-	for {
-		if !m.windowOpen() {
-			break
-		}
-		fl := m.sched.Next()
+	for m.windowOpen() {
+		fl := m.rr.next()
 		if fl == nil {
 			break
-		}
-		fl.pendingRequests--
-		if fl.pendingRequests == 0 {
-			m.sched.MarkIneligible(fl)
 		}
 		fl.unclaimedGrants++
 		fl.grantsReceived++
@@ -320,14 +298,10 @@ func (m *Macroflow) Rate() float64 {
 	return w / m.srtt.Seconds()
 }
 
-// flowRate apportions the macroflow rate to one flow according to scheduler
-// weights.
+// flowRate apportions the macroflow rate to one of its flows in proportion
+// to its weight.
 func (m *Macroflow) flowRate(fl *flowState) float64 {
-	total := m.sched.TotalWeight()
-	if total <= 0 {
-		total = 1
-	}
-	return m.Rate() * m.sched.Weight(fl) / total
+	return m.Rate() * fl.weight / m.rr.weightSum
 }
 
 // status builds the Status snapshot for a flow.
@@ -348,8 +322,8 @@ func (m *Macroflow) status(fl *flowState) Status {
 // crossed since the last report (cmapp_update + cm_thresh semantics), in the
 // order the flows joined the macroflow.
 func (m *Macroflow) deliverRateCallbacks() {
-	for i := 0; i < len(m.flows); i++ {
-		fl := m.flows[i]
+	for i := 0; i < len(m.rr.flows); i++ {
+		fl := m.rr.flows[i]
 		if fl.updateCB == nil {
 			continue
 		}
@@ -371,7 +345,7 @@ func (m *Macroflow) deliverRateCallbacks() {
 		fl.dispatcher.DeliverUpdate(fl.id, m.status(fl), fl.updateCB)
 		// A callback that closed or moved flows has shifted the rest down:
 		// step back so the flow now at i is not skipped.
-		if i < len(m.flows) && m.flows[i] != fl {
+		if i < len(m.rr.flows) && m.rr.flows[i] != fl {
 			i--
 		}
 	}

@@ -2,6 +2,7 @@ package cm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -105,8 +106,8 @@ func (r *refCM) RegisterUpdate(f FlowID, cb UpdateCallback) {
 }
 
 func (r *refCM) SetWeight(f FlowID, w float64) {
-	if fl, ok := r.lookup(f); ok && w > 0 {
-		fl.weight = w
+	if fl, ok := r.lookup(f); ok && w > 0 && !math.IsInf(w, 1) {
+		fl.mf.rr.setWeight(fl, w)
 	}
 }
 
@@ -131,7 +132,7 @@ func (r *refCM) Request(f FlowID) {
 	r.eng.acct.Requests++
 	fl.pendingRequests++
 	if fl.pendingRequests == 1 {
-		fl.mf.sched.MarkEligible(fl)
+		fl.mf.rr.markEligible(fl)
 	}
 	fl.mf.pump()
 }
@@ -149,7 +150,7 @@ func (r *refCM) BulkRequest(flows []FlowID) {
 		}
 		fl.pendingRequests++
 		if fl.pendingRequests == 1 {
-			fl.mf.sched.MarkEligible(fl)
+			fl.mf.rr.markEligible(fl)
 		}
 		if !seen[fl.mf] {
 			seen[fl.mf] = true

@@ -95,7 +95,7 @@ func (m *Macroflow) reset() {
 	n := int64(len(m.grants))
 	m.stats.GrantsReclaimed += n
 	m.cm.acct.GrantsReclaimed += n
-	for _, fl := range m.flows {
+	for _, fl := range m.rr.flows {
 		fl.unclaimedGrants = 0
 	}
 	m.grants = nil

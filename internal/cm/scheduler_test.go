@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -16,41 +17,47 @@ func newFlows(n int) []*flowState {
 	return fls
 }
 
-// markAll gives every flow one pending request, informing the scheduler of
+// markAll gives every flow one pending request, informing the rotation of
 // the eligibility transition exactly as the CM core does.
-func markAll(s Scheduler, fls []*flowState) {
+func markAll(r *roundRobin, fls []*flowState) {
 	for _, f := range fls {
 		f.pendingRequests++
 		if f.pendingRequests == 1 {
-			s.MarkEligible(f)
+			r.markEligible(f)
 		}
 	}
 }
 
-// grantNext mimics the pump: take the scheduler's pick and consume one
-// request from it.
-func grantNext(t *testing.T, s Scheduler) *flowState {
+// grantNext is the pump's pick: the rotation's next flow, one request taken.
+func grantNext(t *testing.T, r *roundRobin) *flowState {
 	t.Helper()
-	f := s.Next()
+	f := r.next()
 	if f == nil {
-		t.Fatal("Next() = nil with eligible flows")
-	}
-	f.pendingRequests--
-	if f.pendingRequests == 0 {
-		s.MarkIneligible(f)
+		t.Fatal("next() = nil with eligible flows")
 	}
 	return f
 }
 
+// eligibleCount walks the eligible ring.
+func eligibleCount(r *roundRobin) int {
+	n := 0
+	if f := r.eligHead; f != nil {
+		for n = 1; f.eligNext != r.eligHead; f = f.eligNext {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRoundRobinRotatesFairly(t *testing.T) {
-	s := NewRoundRobinScheduler()
+	s := &roundRobin{}
 	fls := newFlows(3)
 	for _, f := range fls {
-		s.Add(f)
+		s.add(f)
 	}
 	for _, f := range fls {
 		f.pendingRequests = 2
-		s.MarkEligible(f)
+		s.markEligible(f)
 	}
 	var order []FlowID
 	for i := 0; i < 6; i++ {
@@ -62,17 +69,17 @@ func TestRoundRobinRotatesFairly(t *testing.T) {
 			t.Fatalf("rotation = %v, want %v", order, want)
 		}
 	}
-	if s.Next() != nil {
+	if s.next() != nil {
 		t.Fatal("Next() should be nil when no requests remain")
 	}
 }
 
 // Removing a flow positioned before the cursor must not skip or repeat flows.
 func TestRoundRobinRemoveBeforeCursor(t *testing.T) {
-	s := NewRoundRobinScheduler()
+	s := &roundRobin{}
 	fls := newFlows(4)
 	for _, f := range fls {
-		s.Add(f)
+		s.add(f)
 	}
 	markAll(s, fls)
 	markAll(s, fls) // two requests each
@@ -85,7 +92,7 @@ func TestRoundRobinRemoveBeforeCursor(t *testing.T) {
 	}
 	// Remove flow 0, which sits before the cursor (cursor is at flow 2).
 	fls[0].pendingRequests = 0
-	s.Remove(fls[0])
+	s.remove(fls[0])
 	var order []FlowID
 	for i := 0; i < 5; i++ {
 		order = append(order, grantNext(t, s).id)
@@ -101,33 +108,33 @@ func TestRoundRobinRemoveBeforeCursor(t *testing.T) {
 // Removing the flow the cursor points at must advance the cursor to its
 // successor, wrapping at the end of the rotation.
 func TestRoundRobinRemoveAtCursorAndLast(t *testing.T) {
-	s := NewRoundRobinScheduler()
+	s := &roundRobin{}
 	fls := newFlows(3)
 	for _, f := range fls {
-		s.Add(f)
+		s.add(f)
 	}
 	markAll(s, fls)
 	markAll(s, fls)
 	// Cursor starts at flow 0: removing it should hand the next grant to 1.
 	fls[0].pendingRequests = 0
-	s.Remove(fls[0])
+	s.remove(fls[0])
 	if got := grantNext(t, s); got.id != 1 {
 		t.Fatalf("grant after remove-at-cursor went to %d, want 1", got.id)
 	}
 	// Cursor now at flow 2 (the last); removing it must wrap the cursor to 1.
 	fls[2].pendingRequests = 0
-	s.Remove(fls[2])
+	s.remove(fls[2])
 	if got := grantNext(t, s); got.id != 1 {
 		t.Fatalf("grant after remove-last went to %d, want 1 (wrapped)", got.id)
 	}
 	// Removing the final flow empties the scheduler.
 	fls[1].pendingRequests = 0
-	s.Remove(fls[1])
-	if s.Next() != nil {
+	s.remove(fls[1])
+	if s.next() != nil {
 		t.Fatal("Next() on empty scheduler should be nil")
 	}
-	if s.TotalWeight() != 1 {
-		t.Fatalf("TotalWeight() on empty = %v, want 1", s.TotalWeight())
+	if s.weightSum != 0 {
+		t.Fatalf("weightSum on empty = %v, want 0", s.weightSum)
 	}
 }
 
@@ -135,14 +142,14 @@ func TestRoundRobinRemoveAtCursorAndLast(t *testing.T) {
 // case: close a flow between grants) must keep a coherent rotation among the
 // survivors.
 func TestRoundRobinRemoveWhileRotating(t *testing.T) {
-	s := NewRoundRobinScheduler()
+	s := &roundRobin{}
 	fls := newFlows(5)
 	for _, f := range fls {
-		s.Add(f)
+		s.add(f)
 	}
 	for _, f := range fls {
 		f.pendingRequests = 100
-		s.MarkEligible(f)
+		s.markEligible(f)
 	}
 	seen := make(map[FlowID]int)
 	for i := 0; i < 3; i++ {
@@ -150,7 +157,7 @@ func TestRoundRobinRemoveWhileRotating(t *testing.T) {
 	}
 	// Remove flow 3 mid-rotation (cursor is at 3 right now).
 	fls[3].pendingRequests = 0
-	s.Remove(fls[3])
+	s.remove(fls[3])
 	for i := 0; i < 8; i++ {
 		f := grantNext(t, s)
 		if f.id == 3 {
@@ -169,15 +176,15 @@ func TestRoundRobinRemoveWhileRotating(t *testing.T) {
 
 // Remove on a flow that was never added must be a no-op.
 func TestRoundRobinRemoveUnknownFlow(t *testing.T) {
-	s := NewRoundRobinScheduler()
-	f := &flowState{id: 9}
-	s.Remove(f) // must not panic
+	s := &roundRobin{}
+	f := &flowState{id: 9, weight: 1}
+	s.remove(f) // must not panic
 	fls := newFlows(2)
-	s.Add(fls[0])
-	s.Add(fls[1])
-	s.Remove(f) // still a no-op
-	if s.TotalWeight() != 2 {
-		t.Fatalf("TotalWeight() = %v, want 2", s.TotalWeight())
+	s.add(fls[0])
+	s.add(fls[1])
+	s.remove(f) // still a no-op
+	if s.weightSum != 2 {
+		t.Fatalf("weightSum = %v, want 2", s.weightSum)
 	}
 }
 
@@ -193,9 +200,9 @@ func TestRoundRobinEligibleCountViaCM(t *testing.T) {
 		ids = append(ids, c.Open(netsim.ProtoTCP, netsim.Addr{Host: "client", Port: 1000 + i}, dst))
 	}
 	mf := c.MacroflowOf(ids[0])
-	rr := mf.sched.(*roundRobinScheduler)
-	if rr.eligible != 0 {
-		t.Fatalf("eligible = %d after open, want 0", rr.eligible)
+	rr := &mf.rr
+	if n := eligibleCount(rr); n != 0 {
+		t.Fatalf("eligible = %d after open, want 0", n)
 	}
 	granted := 0
 	for _, id := range ids {
@@ -207,50 +214,56 @@ func TestRoundRobinEligibleCountViaCM(t *testing.T) {
 	if granted != 2 {
 		t.Fatalf("granted = %d, want 2", granted)
 	}
-	if rr.eligible != 0 {
-		t.Fatalf("eligible = %d after grants consumed, want 0", rr.eligible)
+	if n := eligibleCount(rr); n != 0 {
+		t.Fatalf("eligible = %d after grants consumed, want 0", n)
 	}
 	// Close the congestion window so a request stays pending: the eligible
 	// count must hold at 1 until the flow is closed, then drop with it.
 	c.Notify(ids[0], 1<<20)
 	c.Request(ids[5])
-	if rr.eligible != 1 {
-		t.Fatalf("eligible = %d with one request pending, want 1", rr.eligible)
+	if n := eligibleCount(rr); n != 1 {
+		t.Fatalf("eligible = %d with one request pending, want 1", n)
 	}
 	c.Close(ids[5])
-	if rr.eligible != 0 {
-		t.Fatalf("eligible = %d after closing the requesting flow, want 0", rr.eligible)
+	if n := eligibleCount(rr); n != 0 {
+		t.Fatalf("eligible = %d after closing the requesting flow, want 0", n)
 	}
 }
 
-// The weighted scheduler must still apportion grants by weight after the
-// credit bookkeeping moved onto flowState.
+// Weights 3:1 on two backlogged flows: the heavy flow is granted three times
+// per arrival of the rotation, the light one once, so 400 grants split
+// exactly 300:100, and weightSum follows every weight.
 func TestWeightedSchedulerProportions(t *testing.T) {
-	s := NewWeightedRoundRobinScheduler()
+	s := &roundRobin{}
 	fls := newFlows(2)
-	fls[0].weight = 3
-	fls[1].weight = 1
-	s.Add(fls[0])
-	s.Add(fls[1])
+	s.add(fls[0])
+	s.add(fls[1])
+	s.setWeight(fls[0], 3)
 	fls[0].pendingRequests = 1000
 	fls[1].pendingRequests = 1000
+	s.markEligible(fls[0])
+	s.markEligible(fls[1])
 	counts := map[FlowID]int{}
+	var order []FlowID
 	for i := 0; i < 400; i++ {
-		f := s.Next()
-		if f == nil {
-			t.Fatal("Next() = nil")
-		}
-		f.pendingRequests--
+		f := grantNext(t, s)
 		counts[f.id]++
+		if i < 8 {
+			order = append(order, f.id)
+		}
 	}
-	if counts[0] < 290 || counts[0] > 310 {
-		t.Fatalf("weight-3 flow got %d of 400 grants, want ~300", counts[0])
+	if counts[0] != 300 || counts[1] != 100 {
+		t.Fatalf("grants = %v, want 300:100", counts)
 	}
-	if s.TotalWeight() != 4 {
-		t.Fatalf("TotalWeight() = %v, want 4", s.TotalWeight())
+	if want := []FlowID{0, 0, 0, 1, 0, 0, 0, 1}; !slices.Equal(order, want) {
+		t.Fatalf("grant order = %v, want %v", order, want)
 	}
-	if w := s.Weight(fls[0]); w != 3 {
-		t.Fatalf("Weight = %v, want 3", w)
+	if s.weightSum != 4 {
+		t.Fatalf("weightSum = %v, want 4", s.weightSum)
+	}
+	s.remove(fls[0])
+	if s.weightSum != 1 {
+		t.Fatalf("weightSum after removing the heavy flow = %v, want 1", s.weightSum)
 	}
 }
 

@@ -302,8 +302,8 @@ func TestAblationBulkCalls(t *testing.T) {
 
 func TestAblationScheduler(t *testing.T) {
 	res := RunAblationScheduler()
-	if res.RoundRobinShare < 0.8 || res.RoundRobinShare > 1.25 {
-		t.Fatalf("unweighted round-robin should split grants evenly, ratio %.2f", res.RoundRobinShare)
+	if res.EqualShare < 0.8 || res.EqualShare > 1.25 {
+		t.Fatalf("equal weights should split grants evenly, ratio %.2f", res.EqualShare)
 	}
 	if res.WeightedShare < 2.0 || res.WeightedShare > 4.5 {
 		t.Fatalf("weighted round-robin should give ~3x to the heavy flow, ratio %.2f", res.WeightedShare)
