@@ -138,6 +138,36 @@ func TestRoundRobinRemoveAtCursorAndLast(t *testing.T) {
 	}
 }
 
+// Removing the last flow while the rotation points at it wraps the rotation to
+// the first flow, so a flow that joins afterwards queues behind the first
+// flow, as it would had the rotation reached the first flow by granting the
+// last one. A flow that left earlier leaves a gap in the join positions just
+// before the last flow, where the rotation then points.
+func TestRoundRobinJoinAfterLastRemovedAtCursor(t *testing.T) {
+	s := &roundRobin{}
+	fls := newFlows(5)
+	for _, f := range fls[:4] {
+		s.add(f)
+	}
+	s.remove(fls[2])
+	markAll(s, fls[:2])
+	markAll(s, fls[:2])
+	// Grant 0 then 1: the rotation points at 3, the last flow.
+	if a, b := grantNext(t, s), grantNext(t, s); a.id != 0 || b.id != 1 {
+		t.Fatalf("grants %d, %d, want 0, 1", a.id, b.id)
+	}
+	s.remove(fls[3])
+	fls[4].pendingRequests = 1
+	s.add(fls[4])
+	var order []FlowID
+	for i := 0; i < 3; i++ {
+		order = append(order, grantNext(t, s).id)
+	}
+	if want := []FlowID{0, 1, 4}; !slices.Equal(order, want) {
+		t.Fatalf("order after the last flow left and another joined = %v, want %v", order, want)
+	}
+}
+
 // Removing flows while the rotation is in flight (the remove-while-rotating
 // case: close a flow between grants) must keep a coherent rotation among the
 // survivors.
