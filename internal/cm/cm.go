@@ -172,11 +172,15 @@ type Config struct {
 	// silence as persistent congestion. It guards against clients that die
 	// or lose their feedback channel.
 	FeedbackStarvationTimeout time.Duration
-	// DefaultThreshDown / DefaultThreshUp are the rate-change factors that
-	// trigger cmapp_update callbacks when the client has not called Thresh.
-	DefaultThreshDown float64
-	DefaultThreshUp   float64
 }
+
+// defaultThreshDown and defaultThreshUp are the rate-change factors that
+// trigger cmapp_update callbacks for a flow whose client has not called
+// Thresh.
+const (
+	defaultThreshDown = 1.25
+	defaultThreshUp   = 1.25
+)
 
 func (c *Config) fillDefaults() {
 	if c.MTU <= 0 {
@@ -190,12 +194,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FeedbackStarvationTimeout <= 0 {
 		c.FeedbackStarvationTimeout = 3 * time.Second
-	}
-	if c.DefaultThreshDown <= 1 {
-		c.DefaultThreshDown = 1.25
-	}
-	if c.DefaultThreshUp <= 1 {
-		c.DefaultThreshUp = 1.25
 	}
 }
 
@@ -352,8 +350,8 @@ func (cm *CM) Open(proto netsim.Protocol, src, dst netsim.Addr) FlowID {
 		key:        key,
 		mf:         mf,
 		dispatcher: DirectDispatcher(),
-		threshDown: cm.cfg.DefaultThreshDown,
-		threshUp:   cm.cfg.DefaultThreshUp,
+		threshDown: defaultThreshDown,
+		threshUp:   defaultThreshUp,
 		weight:     1,
 		open:       true,
 	}

@@ -67,7 +67,7 @@ func TestThreshRejectsInvalidFactors(t *testing.T) {
 	f := c.Open(netsim.ProtoUDP, src, dst)
 	c.Thresh(f, 0.5, -1) // invalid, keep defaults
 	fl := c.slot(f)
-	if fl.threshDown != c.Config().DefaultThreshDown || fl.threshUp != c.Config().DefaultThreshUp {
+	if fl.threshDown != defaultThreshDown || fl.threshUp != defaultThreshUp {
 		t.Fatal("invalid thresholds should be ignored")
 	}
 	c.Thresh(f, 3, 1.5)

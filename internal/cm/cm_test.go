@@ -50,7 +50,8 @@ func TestDefaultsFilled(t *testing.T) {
 	if cfg.GrantTimeout <= 0 || cfg.FeedbackStarvationTimeout <= 0 {
 		t.Fatal("timeouts not defaulted")
 	}
-	if cfg.DefaultThreshDown <= 1 || cfg.DefaultThreshUp <= 1 {
+	fl := c.slot(c.Open(netsim.ProtoUDP, netsim.Addr{Host: "s", Port: 1}, netsim.Addr{Host: "d", Port: 1}))
+	if fl.threshDown <= 1 || fl.threshUp <= 1 {
 		t.Fatal("thresholds not defaulted")
 	}
 }

@@ -63,8 +63,8 @@ func (r *refCM) Open(proto netsim.Protocol, src, dst netsim.Addr) FlowID {
 		key:        key,
 		mf:         mf,
 		dispatcher: DirectDispatcher(),
-		threshDown: e.cfg.DefaultThreshDown,
-		threshUp:   e.cfg.DefaultThreshUp,
+		threshDown: defaultThreshDown,
+		threshUp:   defaultThreshUp,
 		weight:     1,
 		open:       true,
 	}
