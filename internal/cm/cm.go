@@ -6,8 +6,9 @@
 // Flows to the same destination host are aggregated into a macroflow that
 // shares one congestion controller (a TCP-friendly window-based AIMD scheme
 // with slow start and byte counting) and one set of path state (smoothed RTT,
-// loss estimate). A scheduler apportions the macroflow's window among its
-// constituent flows (round-robin by default, optionally weighted).
+// loss estimate). A round-robin apportions the macroflow's window among its
+// constituent flows in proportion to their weights (SetWeight); every flow
+// starts at weight 1, which is the paper's unweighted rotation.
 //
 // Clients use the API described in §2.1 of the paper:
 //
@@ -93,7 +94,8 @@ func (m LossMode) String() string {
 // rate callbacks (cmapp_update).
 type Status struct {
 	// Rate is the bandwidth available to this flow in bytes/second (the
-	// macroflow rate divided according to scheduler weights).
+	// macroflow rate divided among its flows in proportion to their
+	// weights).
 	Rate float64
 	// MacroflowRate is the aggregate rate of the macroflow in bytes/second.
 	MacroflowRate float64

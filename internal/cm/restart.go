@@ -19,7 +19,7 @@ import (
 func (cm *CM) Epoch() int64 { return cm.epoch }
 
 // Restart models the CM process dying and coming back empty: every flow,
-// macroflow, scheduler ring and grant is discarded and the epoch is bumped.
+// macroflow, rotation and grant is discarded and the epoch is bumped.
 // Every slot of the flow table moves on a generation (handles from the
 // previous epoch must never be reissued, so stale calls miss instead of
 // corrupting a new flow). Learned congestion state is lost — exactly the cost

@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -317,5 +318,31 @@ func TestRequestGrantNotifySteadyStateAllocs(t *testing.T) {
 	// the background timer's first arm after idle, which the warmup removes.
 	if allocs != 0 {
 		t.Fatalf("request/grant/notify/update allocated %.2f objects per op, want 0", allocs)
+	}
+}
+
+// A flow to a fresh destination costs three objects: its flowState, the new
+// Macroflow, and the macroflow's flow list. The controller and the rotation
+// are values inside the Macroflow, not objects of their own (five objects
+// when they were). The CM's maps are made large enough up front that no
+// insert grows them.
+func TestOpenFreshDestinationAllocs(t *testing.T) {
+	sched := simtime.NewScheduler()
+	c := New(sched, sched)
+	c.macroflows = make(map[macroflowKey]*Macroflow, 1024)
+	c.byKey = make(map[netsim.FlowKey]*flowState, 1024)
+	src := netsim.Addr{Host: "s", Port: 1}
+	dsts := make([]netsim.Addr, 201)
+	for i := range dsts {
+		dsts[i] = netsim.Addr{Host: fmt.Sprintf("d%d", i), Port: 80}
+	}
+	c.Close(c.Open(netsim.ProtoTCP, src, dsts[200]))
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Close(c.Open(netsim.ProtoTCP, src, dsts[i]))
+		i++
+	})
+	if allocs != 3 {
+		t.Fatalf("opening a flow to a fresh destination allocated %v objects, want 3", allocs)
 	}
 }
