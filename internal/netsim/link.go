@@ -294,7 +294,7 @@ func (l *Link) buffer() *Queue {
 		if qp == 0 && qb == 0 {
 			qp = 100
 		}
-		l.queue = NewQueue(qp, qb, DropTail)
+		l.queue = NewQueue(qp, qb)
 		l.queue.SetECNThreshold(l.cfg.ECNThresholdPackets)
 	}
 	return l.queue

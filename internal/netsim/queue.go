@@ -2,14 +2,16 @@ package netsim
 
 import "fmt"
 
-// DropPolicy selects which packet a full queue discards.
+// DropPolicy selects which packet a full buffer discards. A link's Queue is
+// always drop-tail; the policy is a choice for application-level buffers
+// (app.VatConfig).
 type DropPolicy int
 
 const (
-	// DropTail discards the arriving packet when the queue is full. This is
+	// DropTail discards the arriving packet when the buffer is full. This is
 	// the de-facto standard for router buffers that the paper calls out.
 	DropTail DropPolicy = iota
-	// DropHead discards the oldest queued packet to make room for the
+	// DropHead discards the oldest buffered packet to make room for the
 	// arriving one. The paper's adaptive vat application uses
 	// drop-from-head behaviour in its application-level buffer.
 	DropHead
@@ -54,8 +56,8 @@ type QueueStats struct {
 	MaxDepthBytes   int
 }
 
-// Queue is a finite FIFO packet buffer with configurable limits and drop
-// policy, standing in for a router or NIC transmit buffer.
+// Queue is a finite drop-tail FIFO packet buffer with configurable limits,
+// standing in for a router or NIC transmit buffer.
 //
 // Limits may be expressed in packets, bytes, or both; a zero limit means
 // "unlimited" in that dimension, but at least one limit must be set.
@@ -68,7 +70,6 @@ type QueueStats struct {
 type Queue struct {
 	limitPackets int
 	limitBytes   int
-	policy       DropPolicy
 
 	// ECN configuration: when ECNThresholdPackets > 0 and an arriving
 	// ECN-capable packet finds the queue at or above the threshold, the
@@ -85,7 +86,7 @@ type Queue struct {
 // NewQueue returns a queue limited to limitPackets packets and limitBytes
 // bytes (zero disables the respective limit). It panics if both limits are
 // zero or either is negative.
-func NewQueue(limitPackets, limitBytes int, policy DropPolicy) *Queue {
+func NewQueue(limitPackets, limitBytes int) *Queue {
 	if limitPackets < 0 || limitBytes < 0 {
 		panic("netsim: negative queue limit")
 	}
@@ -101,7 +102,6 @@ func NewQueue(limitPackets, limitBytes int, policy DropPolicy) *Queue {
 	return &Queue{
 		limitPackets: limitPackets,
 		limitBytes:   limitBytes,
-		policy:       policy,
 		buf:          make([]*Packet, cap),
 	}
 }
@@ -122,9 +122,6 @@ func (q *Queue) Bytes() int { return q.bytes }
 // Stats returns a copy of the cumulative counters.
 func (q *Queue) Stats() QueueStats { return q.stats }
 
-// Policy returns the queue's drop policy.
-func (q *Queue) Policy() DropPolicy { return q.policy }
-
 func (q *Queue) wouldOverflow(p *Packet) bool {
 	lp, lb := q.limitPackets, q.limitBytes
 	if p.Proto == ProtoRoute {
@@ -143,20 +140,6 @@ func (q *Queue) wouldOverflow(p *Packet) bool {
 		return true
 	}
 	return false
-}
-
-// popHead removes and returns the oldest packet without touching statistics.
-// The caller guarantees the queue is non-empty.
-func (q *Queue) popHead() *Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.count--
-	q.bytes -= p.Size
-	return p
 }
 
 // pushTail appends the packet, growing the ring if it is full. Growth is
@@ -184,15 +167,8 @@ func (q *Queue) pushTail(p *Packet) {
 	q.bytes += p.Size
 }
 
-// Enqueue appends the packet, applying the drop policy on overflow. It
-// returns the dropped packet (which may be the argument itself under
-// drop-tail, or an older packet under drop-head) or nil if nothing was
-// dropped.
-//
-// A drop-head overflow on a byte-limited queue can evict several packets to
-// admit one large arrival; only the last victim is returned, and the queue
-// releases the earlier ones back to the pool itself (they are still counted
-// in DroppedPackets/DroppedBytes).
+// Enqueue appends the packet, or drops it if the queue is full: it returns p
+// when p was dropped and nil when it was queued.
 func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
 	if p == nil {
 		panic("netsim: Enqueue(nil)")
@@ -206,25 +182,10 @@ func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
 			q.stats.ECNMarked++
 		}
 	}
-	for q.wouldOverflow(p) {
-		switch q.policy {
-		case DropHead:
-			if q.count == 0 {
-				// The arriving packet alone exceeds the byte limit.
-				dropped.Release()
-				q.recordDrop(p)
-				return p
-			}
-			victim := q.popHead()
-			q.recordDrop(victim)
-			// Multiple evictions for one arrival: only the final victim is
-			// handed to the caller, so release the superseded one here.
-			dropped.Release()
-			dropped = victim
-		default: // DropTail
-			q.recordDrop(p)
-			return p
-		}
+	if q.wouldOverflow(p) {
+		q.stats.DroppedPackets++
+		q.stats.DroppedBytes += int64(p.Size)
+		return p
 	}
 	q.pushTail(p)
 	q.stats.EnqueuedPackets++
@@ -235,12 +196,7 @@ func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
 	if q.bytes > q.stats.MaxDepthBytes {
 		q.stats.MaxDepthBytes = q.bytes
 	}
-	return dropped
-}
-
-func (q *Queue) recordDrop(p *Packet) {
-	q.stats.DroppedPackets++
-	q.stats.DroppedBytes += int64(p.Size)
+	return nil
 }
 
 // Dequeue removes and returns the oldest packet, or nil if the queue is
@@ -249,7 +205,14 @@ func (q *Queue) Dequeue() *Packet {
 	if q.count == 0 {
 		return nil
 	}
-	p := q.popHead()
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.count--
+	q.bytes -= p.Size
 	q.stats.DequeuedPackets++
 	q.stats.DequeuedBytes += int64(p.Size)
 	return p

@@ -15,7 +15,7 @@ func mkpkt(size int) *Packet {
 }
 
 func TestQueueFIFOOrder(t *testing.T) {
-	q := NewQueue(10, 0, DropTail)
+	q := NewQueue(10, 0)
 	var in []*Packet
 	for i := 0; i < 5; i++ {
 		p := mkpkt(100 + i)
@@ -36,7 +36,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 }
 
 func TestQueuePacketLimitDropTail(t *testing.T) {
-	q := NewQueue(3, 0, DropTail)
+	q := NewQueue(3, 0)
 	for i := 0; i < 3; i++ {
 		if d := q.Enqueue(mkpkt(100)); d != nil {
 			t.Fatalf("drop before limit at %d", i)
@@ -56,7 +56,7 @@ func TestQueuePacketLimitDropTail(t *testing.T) {
 }
 
 func TestQueueByteLimit(t *testing.T) {
-	q := NewQueue(0, 250, DropTail)
+	q := NewQueue(0, 250)
 	if q.Enqueue(mkpkt(100)) != nil || q.Enqueue(mkpkt(100)) != nil {
 		t.Fatal("unexpected drops under byte limit")
 	}
@@ -73,25 +73,11 @@ func TestQueueByteLimit(t *testing.T) {
 	}
 }
 
-func TestQueueDropHeadEvictsOldest(t *testing.T) {
-	q := NewQueue(2, 0, DropHead)
-	a, b, c := mkpkt(10), mkpkt(20), mkpkt(30)
-	q.Enqueue(a)
-	q.Enqueue(b)
-	dropped := q.Enqueue(c)
-	if dropped != a {
-		t.Fatal("drop-head should evict the oldest packet")
-	}
-	if q.Dequeue() != b || q.Dequeue() != c {
-		t.Fatal("queue should now contain b then c")
-	}
-}
-
-func TestQueueDropHeadOversizedPacket(t *testing.T) {
-	q := NewQueue(0, 100, DropHead)
+func TestQueueOversizedPacketDropped(t *testing.T) {
+	q := NewQueue(0, 100)
 	big := mkpkt(500)
 	if q.Enqueue(big) != big {
-		t.Fatal("an oversized packet cannot be admitted even under drop-head")
+		t.Fatal("a packet larger than the byte limit cannot be admitted to an empty queue")
 	}
 	if q.Len() != 0 {
 		t.Fatal("queue should remain empty")
@@ -99,7 +85,7 @@ func TestQueueDropHeadOversizedPacket(t *testing.T) {
 }
 
 func TestQueueECNMarking(t *testing.T) {
-	q := NewQueue(10, 0, DropTail)
+	q := NewQueue(10, 0)
 	q.SetECNThreshold(2)
 	q.Enqueue(mkpkt(10))
 	q.Enqueue(mkpkt(10))
@@ -120,7 +106,7 @@ func TestQueueECNMarking(t *testing.T) {
 }
 
 func TestQueuePeekDoesNotRemove(t *testing.T) {
-	q := NewQueue(5, 0, DropTail)
+	q := NewQueue(5, 0)
 	if q.Peek() != nil {
 		t.Fatal("Peek on empty queue should be nil")
 	}
@@ -132,7 +118,7 @@ func TestQueuePeekDoesNotRemove(t *testing.T) {
 }
 
 func TestQueueStatsDepthTracking(t *testing.T) {
-	q := NewQueue(10, 0, DropTail)
+	q := NewQueue(10, 0)
 	q.Enqueue(mkpkt(100))
 	q.Enqueue(mkpkt(200))
 	q.Dequeue()
@@ -157,13 +143,13 @@ func TestQueueConstructorValidation(t *testing.T) {
 					t.Errorf("NewQueue(%d,%d) should panic", tc.p, tc.b)
 				}
 			}()
-			NewQueue(tc.p, tc.b, DropTail)
+			NewQueue(tc.p, tc.b)
 		}()
 	}
 }
 
 func TestEnqueueNilPanics(t *testing.T) {
-	q := NewQueue(1, 0, DropTail)
+	q := NewQueue(1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Enqueue(nil) should panic")
@@ -184,13 +170,9 @@ func TestDropPolicyString(t *testing.T) {
 // Property: conservation — every enqueued packet is eventually either dequeued
 // or counted as dropped, and byte accounting matches.
 func TestPropertyQueueConservation(t *testing.T) {
-	f := func(sizes []uint16, limit uint8, dropHead bool) bool {
+	f := func(sizes []uint16, limit uint8) bool {
 		lim := int(limit%20) + 1
-		policy := DropTail
-		if dropHead {
-			policy = DropHead
-		}
-		q := NewQueue(lim, 0, policy)
+		q := NewQueue(lim, 0)
 		var enq int
 		for _, s := range sizes {
 			size := int(s%1400) + 1
@@ -203,8 +185,7 @@ func TestPropertyQueueConservation(t *testing.T) {
 		}
 		st := q.Stats()
 		// Every packet presented to the queue ends up exactly once as either
-		// drained or dropped (under drop-head an admitted packet may later be
-		// evicted, in which case it counts as dropped, not drained).
+		// drained or dropped.
 		if deq+st.DroppedPackets != enq {
 			return false
 		}
@@ -223,7 +204,7 @@ func TestPropertyQueueLimitsRespected(t *testing.T) {
 		if pl == 0 && bl == 0 {
 			pl = 1
 		}
-		q := NewQueue(pl, bl, DropTail)
+		q := NewQueue(pl, bl)
 		for _, s := range sizes {
 			q.Enqueue(mkpkt(int(s%1400) + 1))
 			if pl > 0 && q.Len() > pl {

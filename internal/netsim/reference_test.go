@@ -55,7 +55,7 @@ func newRefLink(sched *simtime.Scheduler, cfg LinkConfig) *refLink {
 		qp = 100
 	}
 	r := &refLink{cfg: cfg, sched: sched, key: nameKey(cfg.Name), rng: rand.New(rand.NewSource(seed))}
-	r.queue = NewQueue(qp, cfg.QueueBytes, DropTail)
+	r.queue = NewQueue(qp, cfg.QueueBytes)
 	r.queue.SetECNThreshold(cfg.ECNThresholdPackets)
 	return r
 }

@@ -14,7 +14,7 @@ func pkt(size int) *Packet {
 // The ring must wrap cleanly: interleave enqueues and dequeues so head walks
 // around the backing array several times, and verify strict FIFO order.
 func TestQueueRingWraparoundFIFO(t *testing.T) {
-	q := NewQueue(4, 0, DropTail)
+	q := NewQueue(4, 0)
 	next := 0     // next packet id to enqueue
 	expected := 0 // next packet id we expect to dequeue
 	enq := func(n int) {
@@ -61,7 +61,7 @@ func TestQueueRingWraparoundFIFO(t *testing.T) {
 // A byte-limited queue has no packet bound, so the ring must grow while
 // preserving FIFO order, including when the contents wrap the old array.
 func TestQueueRingGrowthPreservesOrder(t *testing.T) {
-	q := NewQueue(0, 1<<20, DropTail)
+	q := NewQueue(0, 1<<20)
 	// Advance head so the ring is wrapped when growth happens.
 	for i := 0; i < 48; i++ {
 		if d := q.Enqueue(pkt(10)); d != nil {
@@ -93,9 +93,10 @@ func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 	}
 }
 
-// Drop-head under wraparound: victims must come off the logical head.
-func TestQueueRingDropHeadWrapped(t *testing.T) {
-	q := NewQueue(3, 0, DropHead)
+// Drop-tail under wraparound: a full wrapped ring drops the arrival and keeps
+// its logical head.
+func TestQueueRingDropTailWrapped(t *testing.T) {
+	q := NewQueue(3, 0)
 	// Wrap the ring first.
 	q.Enqueue(pkt(1))
 	q.Enqueue(pkt(1))
@@ -108,12 +109,13 @@ func TestQueueRingDropHeadWrapped(t *testing.T) {
 	}
 	p := pkt(1)
 	p.ChargeBytes = 99
-	dropped := q.Enqueue(p)
-	if dropped == nil || dropped.ChargeBytes != 0 {
-		t.Fatalf("drop-head victim = %+v, want the oldest (id 0)", dropped)
+	if dropped := q.Enqueue(p); dropped != p {
+		t.Fatalf("drop-tail victim = %+v, want the arrival (id 99)", dropped)
 	}
-	if got := q.Dequeue(); got == nil || got.ChargeBytes != 1 {
-		t.Fatalf("head after drop = %+v, want id 1", got)
+	for i := 0; i < 3; i++ {
+		if got := q.Dequeue(); got == nil || got.ChargeBytes != i {
+			t.Fatalf("dequeue %d after drop = %+v, want id %d", i, got, i)
+		}
 	}
 }
 
@@ -165,54 +167,6 @@ func TestPacketPoolReuseResetsState(t *testing.T) {
 	lit.Release() // no-op
 	if lit.Size != 1 {
 		t.Fatal("Release corrupted an unpooled packet")
-	}
-}
-
-// A single large arrival can evict several head victims from a byte-limited
-// drop-head queue; the queue must release the superseded victims to the pool
-// itself and hand the caller only the last one, still pooled.
-func TestQueueDropHeadMultiVictimReleases(t *testing.T) {
-	q := NewQueue(0, 1500, DropHead)
-	victims := make([]*Packet, 3)
-	for i := range victims {
-		victims[i] = NewPacket()
-		victims[i].Size = 500
-		if d := q.Enqueue(victims[i]); d != nil {
-			t.Fatal("unexpected drop while filling")
-		}
-	}
-	big := NewPacket()
-	big.Size = 1400
-	dropped := q.Enqueue(big)
-	if dropped != victims[2] {
-		t.Fatalf("returned victim = %p, want the last evicted (%p)", dropped, victims[2])
-	}
-	if victims[0].pooled || victims[1].pooled {
-		t.Fatal("superseded victims were not released to the pool")
-	}
-	if !dropped.pooled {
-		t.Fatal("returned victim must still be owned by the caller")
-	}
-	dropped.Release()
-	if got := q.Stats().DroppedPackets; got != 3 {
-		t.Fatalf("DroppedPackets = %d, want 3", got)
-	}
-	if q.Len() != 1 || q.Bytes() != 1400 {
-		t.Fatalf("queue holds %d pkts / %d bytes, want 1 / 1400", q.Len(), q.Bytes())
-	}
-	// Arrival alone exceeding the limit: earlier victims are released, the
-	// arriving packet itself is returned.
-	q2 := NewQueue(0, 1000, DropHead)
-	small := NewPacket()
-	small.Size = 600
-	q2.Enqueue(small)
-	huge := NewPacket()
-	huge.Size = 5000
-	if d := q2.Enqueue(huge); d != huge {
-		t.Fatalf("oversized arrival should be returned, got %p", d)
-	}
-	if small.pooled {
-		t.Fatal("evicted packet not released when arrival alone overflows")
 	}
 }
 
