@@ -112,7 +112,6 @@ type Receiver struct {
 	haveSource   bool
 
 	rate    *probe.RateEstimator
-	onData  func(d *udp.Datagram)
 	reports int64
 }
 
@@ -141,9 +140,6 @@ func NewReceiver(h *node.Host, port int, policy FeedbackPolicy, rateWindow time.
 }
 
 func fireReport(r any) { r.(*Receiver).flushReport() }
-
-// OnData registers an optional observer for every received datagram.
-func (r *Receiver) OnData(fn func(d *udp.Datagram)) { r.onData = fn }
 
 // Addr returns the receiver's bound address (where senders direct data).
 func (r *Receiver) Addr() netsim.Addr { return r.sock.Local() }
@@ -174,9 +170,6 @@ func (r *Receiver) onDatagram(from netsim.Addr, d *udp.Datagram) {
 	r.haveSource = true
 	r.unreported++
 	r.rate.Record(r.sched.Now(), d.Size)
-	if r.onData != nil {
-		r.onData(d)
-	}
 	if r.unreported >= r.policy.EveryPackets {
 		r.flushReport()
 		return

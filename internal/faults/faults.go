@@ -225,13 +225,3 @@ func seedAt(seeds []int64, i int) int64 {
 	}
 	return -1
 }
-
-// Soak runs one scenario spec and checks it, returning the result and any
-// violations. It is the single-run form of the churn soak.
-func Soak(spec scenario.Spec) (*scenario.Result, []Violation, error) {
-	res, err := scenario.Run(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, Check(res), nil
-}

@@ -11,8 +11,6 @@ package probe
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -250,61 +248,3 @@ func (r *RateEstimator) Finish() *Series {
 
 // Series returns the (possibly still growing) series.
 func (r *RateEstimator) Series() *Series { return r.series }
-
-// Summary holds order statistics for a sample set.
-type Summary struct {
-	Count          int
-	Mean, Min, Max float64
-	P50, P90, P99  float64
-	StdDev         float64
-}
-
-// Summarize computes summary statistics of vs.
-func Summarize(vs []float64) Summary {
-	if len(vs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	var sum, sqsum float64
-	for _, v := range sorted {
-		sum += v
-		sqsum += v * v
-	}
-	n := float64(len(sorted))
-	mean := sum / n
-	variance := sqsum/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		Count:  len(sorted),
-		Mean:   mean,
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		P50:    percentile(sorted, 0.50),
-		P90:    percentile(sorted, 0.90),
-		P99:    percentile(sorted, 0.99),
-		StdDev: math.Sqrt(variance),
-	}
-}
-
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := p * float64(len(sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// String formats the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f sd=%.2f",
-		s.Count, s.Mean, s.Min, s.P50, s.P90, s.P99, s.Max, s.StdDev)
-}
