@@ -48,13 +48,20 @@ func (cm *CM) SetDispatcher(f FlowID, d Dispatcher) {
 // SetWeight sets a flow's weight, 1 at Open: its share of its macroflow's
 // grants while it stays backlogged, and of the rate Query and the rate
 // callbacks advertise, is its weight over the sum of the weights of the
-// macroflow's flows. Weights must be positive and finite; other values are
-// ignored.
+// macroflow's flows. Weights must be finite and at least minWeight; other
+// values are ignored.
 func (cm *CM) SetWeight(f FlowID, w float64) {
-	if fl := cm.flow(f); fl != nil && w > 0 && !math.IsInf(w, 1) {
+	if fl := cm.flow(f); fl != nil && validWeight(w) {
 		fl.mf.rr.setWeight(fl, w)
 	}
 }
+
+// minWeight is the lightest weight SetWeight takes. A flow gains its weight
+// in credit each time the rotation arrives at it and is granted at 1, so one
+// grant walks the rotation at most 1/minWeight times.
+const minWeight = 1.0 / 64
+
+func validWeight(w float64) bool { return w >= minWeight && !math.IsInf(w, 1) }
 
 // Request asks for permission to send up to one MTU on the flow
 // (cm_request). Permission arrives later through the cmapp_send callback;

@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -231,6 +232,29 @@ func TestWeightedSchedulerApportionsGrants(t *testing.T) {
 	sl, _ := c.Query(light)
 	if sh.Rate <= sl.Rate {
 		t.Fatal("heavier flow should be advertised a larger share")
+	}
+}
+
+// SetWeight takes finite weights from 1/64 up and ignores the rest, so one
+// grant never walks the rotation more than 64 times.
+func TestSetWeightRange(t *testing.T) {
+	_, c := newTestCM(t)
+	src, dst := testAddrs("utah", 80)
+	f := c.Open(netsim.ProtoUDP, src, dst)
+	for _, w := range []float64{0, -1, 1e-300, 1.0 / 128, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c.SetWeight(f, w)
+		if got := c.FlowInfo(f).Weight; got != 1 {
+			t.Fatalf("SetWeight(%v) changed the weight to %v", w, got)
+		}
+	}
+	for _, w := range []float64{1.0 / 64, 0.5, 3, 1e9} {
+		c.SetWeight(f, w)
+		if got := c.FlowInfo(f).Weight; got != w {
+			t.Fatalf("SetWeight(%v) left the weight at %v", w, got)
+		}
+	}
+	if got := c.MacroflowOf(f).rr.weightSum; got != 1e9 {
+		t.Fatalf("weightSum = %v, want 1e9", got)
 	}
 }
 

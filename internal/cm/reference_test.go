@@ -106,7 +106,7 @@ func (r *refCM) RegisterUpdate(f FlowID, cb UpdateCallback) {
 }
 
 func (r *refCM) SetWeight(f FlowID, w float64) {
-	if fl, ok := r.lookup(f); ok && w > 0 && !math.IsInf(w, 1) {
+	if fl, ok := r.lookup(f); ok && w >= minWeight && !math.IsInf(w, 1) {
 		fl.mf.rr.setWeight(fl, w)
 	}
 }

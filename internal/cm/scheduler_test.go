@@ -322,10 +322,9 @@ func TestRequestGrantNotifySteadyStateAllocs(t *testing.T) {
 }
 
 // A flow to a fresh destination costs three objects: its flowState, the new
-// Macroflow, and the macroflow's flow list. The controller and the rotation
-// are values inside the Macroflow, not objects of their own (five objects
-// when they were). The CM's maps are made large enough up front that no
-// insert grows them.
+// Macroflow, and the macroflow's flow list; the controller and the rotation
+// are values inside the Macroflow. The CM's maps are made large enough up
+// front that no insert grows them.
 func TestOpenFreshDestinationAllocs(t *testing.T) {
 	sched := simtime.NewScheduler()
 	c := New(sched, sched)
