@@ -229,7 +229,7 @@ func (cm *CM) SplitFlow(f FlowID) {
 	cm.nextMFTag++
 	mf := cm.macroflowFor(macroflowKey{dstHost: fl.key.Dst.Host, tag: cm.nextMFTag})
 	fl.mf = mf
-	mf.addFlow(fl)
+	mf.rr.add(fl)
 }
 
 // MergeFlows moves flow b into flow a's macroflow so they share congestion
@@ -241,7 +241,7 @@ func (cm *CM) MergeFlows(a, b FlowID) {
 	}
 	fb.mf.removeFlow(fb)
 	fb.mf = fa.mf
-	fa.mf.addFlow(fb)
+	fa.mf.rr.add(fb)
 }
 
 // Accounting counts API invocations and callback deliveries. The API-cost

@@ -360,7 +360,7 @@ func (cm *CM) Open(proto netsim.Protocol, src, dst netsim.Addr) FlowID {
 	cm.flows[id&slotMask] = flowSlot{fl: fl, id: id}
 	cm.nflows++
 	cm.byKey[key] = fl
-	mf.addFlow(fl)
+	mf.rr.add(fl)
 	return id
 }
 

@@ -104,8 +104,6 @@ func (m *Macroflow) FlowCount() int { return len(m.rr.flows) }
 
 func (m *Macroflow) mtu() int { return m.cm.cfg.MTU }
 
-func (m *Macroflow) addFlow(fl *flowState) { m.rr.add(fl) }
-
 func (m *Macroflow) removeFlow(fl *flowState) {
 	// Reclaim any window held by the departing flow so other flows are not
 	// blocked by grants that will never be claimed.

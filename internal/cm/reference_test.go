@@ -70,7 +70,7 @@ func (r *refCM) Open(proto netsim.Protocol, src, dst netsim.Addr) FlowID {
 	}
 	r.flows[id] = fl
 	r.byKey[key] = fl
-	mf.addFlow(fl)
+	mf.rr.add(fl)
 	return id
 }
 
@@ -222,7 +222,7 @@ func (r *refCM) SplitFlow(f FlowID) {
 	e.nextMFTag++
 	mf := e.macroflowFor(macroflowKey{dstHost: fl.key.Dst.Host, tag: e.nextMFTag})
 	fl.mf = mf
-	mf.addFlow(fl)
+	mf.rr.add(fl)
 }
 
 func (r *refCM) MergeFlows(a, b FlowID) {
@@ -233,7 +233,7 @@ func (r *refCM) MergeFlows(a, b FlowID) {
 	}
 	fb.mf.removeFlow(fb)
 	fb.mf = fa.mf
-	fa.mf.addFlow(fb)
+	fa.mf.rr.add(fb)
 }
 
 // Restart lets the engine discard the macroflows and bump the epoch, then
