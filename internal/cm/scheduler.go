@@ -94,7 +94,9 @@ func (r *roundRobin) setWeight(f *flowState, w float64) {
 	f.weight = w
 }
 
-// successor returns the position of the flow after f in the rotation.
+// successor returns the position the rotation points at once it moves past
+// f: the one just after f's, which the next flow in flows holds or, if flows
+// left in between, follows; past the last flow, the first flow's.
 func (r *roundRobin) successor(f *flowState) uint64 {
 	if f == r.flows[len(r.flows)-1] {
 		return r.flows[0].schedPos
