@@ -32,20 +32,24 @@ race:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Twelve seconds of native fuzzing over every fuzz target, 3 s each. Each
+# Fifteen seconds of native fuzzing over every fuzz target, 3 s each. Each
 # feeds random operation traces, callbacks included, to the real thing and to
 # a plain reference, and compares step by step: FuzzSchedulerOps holds the
 # scheduler to a container/heap one (internal/simtime/reference_test.go),
 # FuzzLinkOps holds netsim.Link to the two-event transmitter it replaced
-# (internal/netsim/reference_test.go), FuzzHostOps holds node.Host's tables to
-# a map-backed host (internal/node/reference_test.go), FuzzCMOps holds the
-# CM's slot-table flow handles to map-keyed ones (internal/cm/reference_test.go).
+# (internal/netsim/reference_test.go), FuzzQueueOps holds netsim.Queue's ring
+# to a slice-backed drop-tail FIFO with the routing reserve and ECN marking
+# (internal/netsim/queue_reference_test.go), FuzzHostOps holds node.Host's
+# tables to a map-backed host (internal/node/reference_test.go), FuzzCMOps
+# holds the CM's slot-table flow handles to map-keyed ones
+# (internal/cm/reference_test.go).
 # The seed corpora are in each package's testdata/fuzz/; a failing input is
 # written there too.
 # Minimising each coverage-expanding input would otherwise eat the budget.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOps -fuzztime=3s -fuzzminimizetime=1s ./internal/simtime
 	$(GO) test -run='^$$' -fuzz=FuzzLinkOps -fuzztime=3s -fuzzminimizetime=1s ./internal/netsim
+	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=3s -fuzzminimizetime=1s ./internal/netsim
 	$(GO) test -run='^$$' -fuzz=FuzzHostOps -fuzztime=3s -fuzzminimizetime=1s ./internal/node
 	$(GO) test -run='^$$' -fuzz=FuzzCMOps -fuzztime=3s -fuzzminimizetime=1s ./internal/cm
 

@@ -1,7 +1,6 @@
 // Command cmsim runs simulation scenarios: a named scenario from the
-// registry (multi-hop topologies with routed forwarding), a parameter-sweep
-// campaign over one, or an ad-hoc point-to-point bulk transfer described by
-// flags.
+// registry (from the paper's two-host testbed to multi-hop topologies with
+// routed forwarding), or a parameter-sweep campaign over one.
 //
 // Scenario mode:
 //
@@ -12,6 +11,9 @@
 //	cmsim -scenario dumbbell -json               # machine-readable results
 //	cmsim -scenario grid -shards 4               # shard one simulation across workers
 //	cmsim -scenario fattree -param k=8           # parameterised builder scenarios
+//	cmsim -scenario p2p -param bandwidth=10e6 -param delay=0.03 \
+//	      -param loss=0.01 -param flows=4        # the paper's Fig 3 path
+//	cmsim -scenario p2p-native -param flows=2    # the same without the CM
 //	cmsim -scenario isp -param aggs=16 -param access=25 -param hosts=250 \
 //	      -buildprofile isp100k                  # profile a 100k-host Build and exit
 //
@@ -43,10 +45,6 @@
 // one deterministic document; a non-clean faults verdict exits nonzero, like
 // -check-invariants.
 //
-// Legacy point-to-point mode (no -scenario):
-//
-//	cmsim -bw 10e6 -rtt 60ms -loss 1 -cc cm -bytes 2000000
-//
 // Every simulation owns its scheduler and seeded random sources, so a batch
 // produces byte-identical results whether -parallel is 1 or 8.
 package main
@@ -64,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -165,16 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reportOut   = fs.String("report", "", "write the first run's structured run report as JSON to this file (\"-\" = stdout); arms per-event-kind cost attribution and exits nonzero on a non-clean faults verdict")
 		reportMD    = fs.String("report-md", "", "write the first run's structured run report as markdown to this file (\"-\" = stdout)")
 		plotDir     = fs.String("plot-dir", "", "sweep mode: render the campaign's plots (or derived defaults) as SVG files into this directory (see docs/SWEEPS.md)")
-
-		bw       = fs.Float64("bw", 10e6, "legacy mode: bottleneck bandwidth in bits/second")
-		rtt      = fs.Duration("rtt", 60*time.Millisecond, "legacy mode: round-trip propagation delay")
-		lossPct  = fs.Float64("loss", 0, "legacy mode: random loss rate in percent")
-		queue    = fs.Int("queue", 120, "legacy mode: bottleneck queue length in packets")
-		ccName   = fs.String("cc", "cm", "legacy mode: congestion control (cm or native)")
-		bytes    = fs.Int("bytes", 2_000_000, "legacy mode: transfer size in bytes")
-		flows    = fs.Int("flows", 1, "legacy mode: concurrent connections to one receiver")
-		seed     = fs.Int64("seed", 1, "legacy mode: random seed for the loss process")
-		deadline = fs.Duration("deadline", time.Hour, "legacy mode: virtual-time deadline")
 	)
 	fs.Var(&sweeps, "sweep", "sweep mode: one axis as param=values (repeatable): v1,v2,... | min:max:steps | log:min:max:steps")
 	fs.Var(&probes, "probe", "declarative sampling probe as target[@interval] (repeatable), e.g. link[0].queue_depth@100ms; series land in results and sweep aggregation (see docs/OBSERVABILITY.md)")
@@ -209,29 +196,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *names == "" {
+		fmt.Fprintln(stderr, "cmsim: nothing to run: name a -scenario (see -list) or a -campaign")
+		return 2
+	}
 	if *runs < 1 {
 		*runs = 1
 	}
 	var specs []scenario.Spec
-	if *names != "" {
-		for _, name := range strings.Split(*names, ",") {
-			name = strings.TrimSpace(name)
-			spec, err := scenario.LookupParams(name, params)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			spec.Shards = *shards
-			for r := 0; r < *runs; r++ {
-				specs = append(specs, spec)
-			}
-		}
-	} else {
-		spec, err := legacySpec(*ccName, *bw, *rtt, *lossPct, *queue, *bytes, *flows, *seed, *deadline)
+	for _, name := range strings.Split(*names, ",") {
+		name = strings.TrimSpace(name)
+		spec, err := scenario.LookupParams(name, params)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
+		spec.Shards = *shards
 		for r := 0; r < *runs; r++ {
 			specs = append(specs, spec)
 		}
@@ -625,38 +605,6 @@ func parseSweepAxis(s string) (sweep.Axis, error) {
 		axis.Strings = parts
 	}
 	return axis, nil
-}
-
-// legacySpec maps the original cmsim flags onto a point-to-point scenario.
-func legacySpec(cc string, bw float64, rtt time.Duration, lossPct float64, queue, bytes, flows int, seed int64, deadline time.Duration) (scenario.Spec, error) {
-	var ccMode string
-	switch cc {
-	case "cm":
-		ccMode = scenario.CCCM
-	case "native":
-		ccMode = scenario.CCNative
-	default:
-		return scenario.Spec{}, fmt.Errorf("unknown -cc %q (want cm or native)", cc)
-	}
-	return scenario.PointToPoint(scenario.PointToPointParams{
-		Link: netsim.LinkConfig{
-			Bandwidth:    netsim.Bandwidth(bw),
-			Delay:        rtt / 2,
-			LossRate:     lossPct / 100,
-			QueuePackets: queue,
-			Seed:         seed,
-		},
-		Workloads: []scenario.Workload{{
-			Kind:  scenario.KindBulk,
-			From:  "sender",
-			To:    "receiver",
-			Flows: flows,
-			Bytes: bytes,
-			CC:    ccMode,
-		}},
-		Duration: deadline,
-		Seed:     seed,
-	}), nil
 }
 
 // printResult renders one outcome for the terminal.

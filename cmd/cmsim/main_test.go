@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,6 +60,9 @@ func TestBadInputExitsTwo(t *testing.T) {
 	}{
 		{[]string{"-scenario", "p2p", "-probe", "nosuch[0].depth"}, `invalid value "nosuch[0].depth" for flag -probe`},
 		{[]string{"-scenario", "nosuch"}, `unknown scenario "nosuch"`},
+		{nil, "nothing to run"},
+		{[]string{"-scenario", "dumbbell", "-param", "k=4"}, `scenario "dumbbell": unknown parameter "k" (takes none)`},
+		{[]string{"-scenario", "p2p", "-param", "flows=1.5"}, `parameter "flows" must be an integer, got 1.5`},
 	} {
 		code, out, errOut := cmsim(tc.args...)
 		if code != 2 {
@@ -68,6 +73,40 @@ func TestBadInputExitsTwo(t *testing.T) {
 		}
 		if !strings.Contains(errOut, tc.says) {
 			t.Errorf("%q: stderr does not say %q:\n%s", tc.args, tc.says, errOut)
+		}
+	}
+}
+
+// The human-readable summary is pinned byte for byte. The p2p files were
+// made by the point-to-point mode the p2p scenarios replace (cmsim;
+// cmsim -flows 8 -loss 2 -bytes 500000; cmsim -cc native -flows 2 -loss 1
+// -seed 7), whose defaults were a 60 ms round trip, 2 000 000 bytes, a
+// one-hour deadline and seed 1; p2p_native.golden names its scenario
+// p2p-native, where that mode printed p2p.
+func TestHumanOutputGolden(t *testing.T) {
+	legacy := []string{"-param", "delay=0.03", "-param", "duration=3600"}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"p2p", append([]string{"-scenario", "p2p", "-param", "bytes=2000000", "-param", "seed=1"}, legacy...)},
+		{"p2p_lossy", append([]string{"-scenario", "p2p", "-param", "flows=8", "-param", "loss=0.02",
+			"-param", "bytes=500000", "-param", "seed=1"}, legacy...)},
+		{"p2p_native", append([]string{"-scenario", "p2p-native", "-param", "flows=2", "-param", "loss=0.01",
+			"-param", "bytes=2000000", "-param", "seed=7"}, legacy...)},
+		{"dumbbell", []string{"-scenario", "dumbbell"}},
+	} {
+		path := filepath.Join("testdata", tc.golden+".golden")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, errOut := cmsim(tc.args...)
+		if code != 0 || errOut != "" {
+			t.Fatalf("%q: exit status %d, stderr:\n%s", tc.args, code, errOut)
+		}
+		if out != string(want) {
+			t.Errorf("%q: output differs from %s:\n%s", tc.args, path, out)
 		}
 	}
 }

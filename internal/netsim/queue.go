@@ -71,9 +71,9 @@ type Queue struct {
 	limitPackets int
 	limitBytes   int
 
-	// ECN configuration: when ECNThresholdPackets > 0 and an arriving
-	// ECN-capable packet finds the queue at or above the threshold, the
-	// packet is marked CE instead of being dropped on overflow.
+	// ECN configuration: when ecnThresholdPackets > 0 and an arriving
+	// ECN-capable packet finds at least that many packets queued, the packet
+	// is marked CE. Marking does not admit it: a full queue still drops it.
 	ecnThresholdPackets int
 
 	buf   []*Packet // ring buffer of queued packets

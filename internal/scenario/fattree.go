@@ -262,77 +262,30 @@ func ISP(p ISPParams) (Spec, error) {
 	return spec, nil
 }
 
-// intParam converts a float-valued scenario parameter to an integer,
-// rejecting fractional values (a sweep axis like param.k=4.5 is a spec
-// error, not something to round silently).
-func intParam(name string, v float64) (int, error) {
-	if v != float64(int(v)) {
-		return 0, fmt.Errorf("parameter %q must be an integer, got %v", name, v)
-	}
-	return int(v), nil
-}
-
-// fatTreeFromParams adapts the generic name=value parameter map of the
-// registry/CLI/sweep layer onto FatTreeParams.
+// fatTreeFromParams adapts the registry's name=value parameters onto
+// FatTreeParams.
 func fatTreeFromParams(params map[string]float64) (Spec, error) {
 	var p FatTreeParams
-	for name, v := range params {
-		var err error
-		switch name {
-		case "k":
-			p.K, err = intParam(name, v)
-		case "hosts":
-			p.HostsPerEdge, err = intParam(name, v)
-		case "duration":
-			p.Duration = time.Duration(v * float64(time.Second))
-		case "seed":
-			var s int
-			s, err = intParam(name, v)
-			p.Seed = int64(s)
-		default:
-			return Spec{}, fmt.Errorf("unknown parameter %q (fattree takes k, hosts, duration, seed)", name)
-		}
-		if err != nil {
-			return Spec{}, err
-		}
+	err := decodeParams(params,
+		integer("k", &p.K), integer("hosts", &p.HostsPerEdge),
+		seconds("duration", &p.Duration), integer("seed", &p.Seed))
+	if err != nil {
+		return Spec{}, err
 	}
 	return FatTree(p)
 }
 
-// ispFromParams adapts the generic parameter map onto ISPParams.
+// ispFromParams adapts the registry's name=value parameters onto ISPParams.
 func ispFromParams(params map[string]float64) (Spec, error) {
 	var p ISPParams
-	for name, v := range params {
-		var err error
-		switch name {
-		case "aggs":
-			p.Aggs, err = intParam(name, v)
-		case "access":
-			p.AccessPerAgg, err = intParam(name, v)
-		case "hosts":
-			p.HostsPerAccess, err = intParam(name, v)
-		case "servers":
-			p.Servers, err = intParam(name, v)
-		case "clients":
-			p.Clients, err = intParam(name, v)
-		case "rate":
-			p.RatePerSec = v
-		case "requests":
-			p.Requests, err = intParam(name, v)
-		case "bytes":
-			p.MeanBytes, err = intParam(name, v)
-		case "duration":
-			p.Duration = time.Duration(v * float64(time.Second))
-		case "seed":
-			var s int
-			s, err = intParam(name, v)
-			p.Seed = int64(s)
-		default:
-			return Spec{}, fmt.Errorf("unknown parameter %q (isp takes aggs, access, hosts, servers, clients, rate, requests, bytes, duration, seed)", name)
-		}
-		if err != nil {
-			return Spec{}, err
-		}
+	err := decodeParams(params,
+		integer("aggs", &p.Aggs), integer("access", &p.AccessPerAgg),
+		integer("hosts", &p.HostsPerAccess), integer("servers", &p.Servers),
+		integer("clients", &p.Clients), number("rate", &p.RatePerSec),
+		integer("requests", &p.Requests), integer("bytes", &p.MeanBytes),
+		seconds("duration", &p.Duration), integer("seed", &p.Seed))
+	if err != nil {
+		return Spec{}, err
 	}
 	return ISP(p)
 }

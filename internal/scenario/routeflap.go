@@ -140,44 +140,19 @@ func RouteFlap(p RouteFlapParams) (Spec, error) {
 	return spec, nil
 }
 
-// routeFlapFromParams adapts the generic parameter map onto RouteFlapParams.
+// routeFlapFromParams adapts the registry's name=value parameters onto
+// RouteFlapParams.
 func routeFlapFromParams(params map[string]float64) (Spec, error) {
 	var p RouteFlapParams
-	for name, v := range params {
-		var err error
-		switch name {
-		case "k":
-			p.K, err = intParam(name, v)
-		case "hosts":
-			p.HostsPerEdge, err = intParam(name, v)
-		case "droprate":
-			p.DropRate = v
-		case "delayrate":
-			p.DelayRate = v
-		case "delay":
-			p.Delay = time.Duration(v * float64(time.Second))
-		case "duprate":
-			p.DuplicateRate = v
-		case "downat":
-			p.DownAt = time.Duration(v * float64(time.Second))
-		case "upat":
-			p.UpAt = time.Duration(v * float64(time.Second))
-		case "faultat":
-			p.FaultAt = time.Duration(v * float64(time.Second))
-		case "faultclear":
-			p.FaultClear = time.Duration(v * float64(time.Second))
-		case "duration":
-			p.Duration = time.Duration(v * float64(time.Second))
-		case "seed":
-			var s int
-			s, err = intParam(name, v)
-			p.Seed = int64(s)
-		default:
-			return Spec{}, fmt.Errorf("unknown parameter %q (routeflap takes k, hosts, droprate, delayrate, delay, duprate, downat, upat, faultat, faultclear, duration, seed)", name)
-		}
-		if err != nil {
-			return Spec{}, err
-		}
+	err := decodeParams(params,
+		integer("k", &p.K), integer("hosts", &p.HostsPerEdge),
+		number("droprate", &p.DropRate), number("delayrate", &p.DelayRate),
+		seconds("delay", &p.Delay), number("duprate", &p.DuplicateRate),
+		seconds("downat", &p.DownAt), seconds("upat", &p.UpAt),
+		seconds("faultat", &p.FaultAt), seconds("faultclear", &p.FaultClear),
+		seconds("duration", &p.Duration), integer("seed", &p.Seed))
+	if err != nil {
+		return Spec{}, err
 	}
 	return RouteFlap(p)
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -559,5 +560,48 @@ func TestParameterisedLookup(t *testing.T) {
 	}
 	if _, err := Lookup("isp"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A lookup with several bad parameters always reports the same one: unknown
+// names first (the smallest), then values in the builder's table order.
+func TestParameterErrorsAreDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		params map[string]float64
+		says   string
+	}{
+		{map[string]float64{"k": 4.5, "hosts": 1.5, "pods": 3, "links": 2}, `scenario "routeflap": unknown parameter "links" (takes k, hosts, `},
+		{map[string]float64{"seed": 0.5, "hosts": 1.5, "k": 4.5}, `scenario "routeflap": parameter "k" must be an integer, got 4.5`},
+	} {
+		for i := 0; i < 60; i++ {
+			_, err := LookupParams("routeflap", tc.params)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.says) {
+				t.Fatalf("lookup %d of %v: error %v, want %s…", i, tc.params, err, tc.says)
+			}
+		}
+	}
+}
+
+// The p2p knobs land in the sweep grammar's units, and p2p-native is the same
+// scenario without the CM.
+func TestPointToPointParams(t *testing.T) {
+	params := map[string]float64{"bandwidth": 2e6, "delay": 0.03, "loss": 0.02, "queue": 40,
+		"bytes": 500000, "flows": 8, "duration": 3600, "seed": 7}
+	for name, cc := range map[string]string{"p2p": CCCM, "p2p-native": CCNative} {
+		spec, err := LookupParams(name, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := netsim.LinkConfig{Bandwidth: 2 * netsim.Mbps, Delay: 30 * time.Millisecond, LossRate: 0.02, QueuePackets: 40}
+		if len(spec.Links) != 1 || spec.Links[0].LinkConfig != want {
+			t.Errorf("%s: links %+v, want one with %+v", name, spec.Links, want)
+		}
+		w := Workload{Kind: KindBulk, From: "sender", To: "receiver", Flows: 8, Bytes: 500000, CC: cc}
+		if len(spec.Workloads) != 1 || spec.Workloads[0] != w {
+			t.Errorf("%s: workloads %+v, want %+v", name, spec.Workloads, w)
+		}
+		if spec.Name != name || spec.Duration != time.Hour || spec.Seed != 7 {
+			t.Errorf("%s: name %q, duration %v, seed %d", name, spec.Name, spec.Duration, spec.Seed)
+		}
 	}
 }

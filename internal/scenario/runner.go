@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -57,17 +56,4 @@ func (r Runner) RunAll(specs []Spec) []RunOutcome {
 	close(idx)
 	wg.Wait()
 	return out
-}
-
-// RunNamed resolves each name through the registry and runs the batch.
-func (r Runner) RunNamed(names []string) ([]RunOutcome, error) {
-	specs := make([]Spec, len(names))
-	for i, n := range names {
-		spec, err := Lookup(n)
-		if err != nil {
-			return nil, fmt.Errorf("runner: %w", err)
-		}
-		specs[i] = spec
-	}
-	return r.RunAll(specs), nil
 }

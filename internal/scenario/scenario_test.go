@@ -276,9 +276,3 @@ func TestAutoPortsAvoidExplicitRanges(t *testing.T) {
 		t.Fatalf("spec with mixed auto/explicit ports failed to run: %v", err)
 	}
 }
-
-func TestRunNamedUnknownScenario(t *testing.T) {
-	if _, err := (Runner{}).RunNamed([]string{"dumbbell", "nope"}); err == nil {
-		t.Fatal("RunNamed should reject unknown names")
-	}
-}

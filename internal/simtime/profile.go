@@ -165,10 +165,6 @@ func (s *Scheduler) EnableProfile() *Profile {
 	return s.prof
 }
 
-// Profiling returns the armed profile, or nil if EnableProfile was never
-// called.
-func (s *Scheduler) Profiling() *Profile { return s.prof }
-
 // fireProfiled runs one event's callback under wall-clock measurement. Kept
 // out of Step's inline budget so the disarmed path stays as tight as before.
 func (s *Scheduler) fireProfiled(ev *Event) {
