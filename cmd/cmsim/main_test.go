@@ -63,6 +63,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{nil, "nothing to run"},
 		{[]string{"-scenario", "dumbbell", "-param", "k=4"}, `scenario "dumbbell": unknown parameter "k" (takes none)`},
 		{[]string{"-scenario", "p2p", "-param", "flows=1.5"}, `parameter "flows" must be an integer, got 1.5`},
+		{[]string{"-scenario", "p2p", "-param", "queue=-1"}, `link 0: negative queue limit`},
 	} {
 		code, out, errOut := cmsim(tc.args...)
 		if code != 2 {

@@ -327,6 +327,31 @@ func TestLayeredServerCloseReleasesFlow(t *testing.T) {
 	}
 }
 
+// A CM restart re-syncs a libcm application at the restart itself: the
+// library drops what named the dead flow and the server re-opens and
+// re-requests inside the restart event, with no call of its own in between,
+// and keeps streaming well before its grant watchdog would fire.
+func TestLayeredServerResyncsAtRestartInstant(t *testing.T) {
+	e := newAppEnv(t, bottleneck(1*netsim.Mbps, 20*time.Millisecond))
+	srv, _ := layeredSetup(t, e, ModeALF, FeedbackPolicy{})
+	srv.Start()
+	const at = 2 * time.Second
+	var resyncs, restarts int64
+	e.sched.At(at, func() {
+		e.cm.Restart()
+		resyncs, restarts = e.lib.Stats().Resyncs, srv.Stats().Restarts
+	})
+	e.sched.RunUntil(at)
+	if resyncs != 1 || restarts != 1 {
+		t.Errorf("at the restart: Resyncs = %d, server Restarts = %d, want 1 and 1", resyncs, restarts)
+	}
+	grants := srv.Stats().GrantsReceived
+	e.sched.RunFor(200 * time.Millisecond)
+	if srv.Stats().GrantsReceived == grants || srv.Stats().WatchdogFires != 0 {
+		t.Errorf("after the restart: %+v (%d grants before)", srv.Stats(), grants)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // vat interactive audio
 // ---------------------------------------------------------------------------

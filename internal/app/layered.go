@@ -59,8 +59,9 @@ type LayeredConfig struct {
 	// GrantWatchdog is the ALF-mode stall detector: if no grant arrives for
 	// this long while streaming, the server re-requests. The request/callback
 	// chain ("send, then request again") breaks permanently if one
-	// cmapp_send notification is lost, so a robust ALF client needs its own
-	// timer. Default 1s.
+	// cmapp_send notification is dropped on the way to the application, so a
+	// robust ALF client needs its own timer. A CM restart does not need it:
+	// the restart handler re-requests. Default 1s.
 	GrantWatchdog time.Duration
 }
 
@@ -103,8 +104,7 @@ type LayeredStats struct {
 	FeedbackReports int64
 	// Restarts counts CM restarts the server re-synced from (flow re-opened,
 	// callbacks re-registered). WatchdogFires counts ALF stall recoveries:
-	// grants that never arrived (dropped notification or wiped CM) where the
-	// watchdog re-requested.
+	// grants whose notification was dropped, where the watchdog re-requested.
 	Restarts      int64
 	WatchdogFires int64
 }
@@ -286,8 +286,8 @@ func (s *LayeredServer) onGrant(_ cm.FlowID) {
 }
 
 // onWatchdog fires when an ALF server has streamed nothing for GrantWatchdog:
-// the outstanding request's grant was lost (dropped notification, CM wipe),
-// so re-request rather than stay silent forever. The extra request is safe —
+// the outstanding request's grant notification was dropped, so re-request
+// rather than stay silent forever. The extra request is safe —
 // at worst an unexpected grant is declined via cm_notify(0).
 func (s *LayeredServer) onWatchdog() {
 	if !s.running || s.cfg.Mode != ModeALF {
@@ -298,10 +298,10 @@ func (s *LayeredServer) onWatchdog() {
 	s.watchdogTimer.Reset(s.cfg.GrantWatchdog)
 }
 
-// onCMRestart is the libcm re-sync hook: the CM lost our flow, so open a
-// fresh one and re-register per the current mode. Streaming state (layer,
-// sequence numbers, feedback tracking) survives; congestion state restarts
-// from the initial window.
+// onCMRestart is the libcm re-sync hook, run at the CM restart itself: the CM
+// lost our flow, so open a fresh one and re-register per the current mode.
+// Streaming state (layer, sequence numbers, feedback tracking) survives;
+// congestion state restarts from the initial window.
 func (s *LayeredServer) onCMRestart() {
 	s.stats.Restarts++
 	s.flow = s.lib.Open(netsim.ProtoUDP, s.sock.Local(), s.dst)

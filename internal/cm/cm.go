@@ -251,9 +251,7 @@ type CM struct {
 	// host's shard). Serial runs leave it nil.
 	owned func() bool
 
-	// epoch counts CM restarts. Clients cache it at attach time and compare
-	// on every call: a mismatch means the CM lost all state since they last
-	// spoke and they must re-open flows and re-register callbacks.
+	// epoch counts CM restarts (see Restart).
 	epoch int64
 
 	// rec, when non-nil, receives flight-recorder events for the request/

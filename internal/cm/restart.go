@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/netsim"
@@ -14,20 +15,45 @@ import (
 // misbehave at the host too.
 
 // Epoch returns the CM's restart epoch: zero at creation, incremented by
-// every Restart. Clients (libcm, in-kernel TCP) cache the epoch when they
-// attach and treat any change as "the CM forgot everything about me".
+// every Restart. Results report it, and the invariant checker holds it equal
+// to the restart count; clients learn of a restart from CMRestarted instead.
 func (cm *CM) Epoch() int64 { return cm.epoch }
+
+// RestartListener is a client that hears of a Restart. After the wipe the CM
+// calls CMRestarted once on each distinct client that held a live flow: the
+// dispatcher of a flow with its own dispatcher (libcm), the Sender of a flow
+// with the direct one (in-kernel TCP, the CM_BUF UDP socket). The client's
+// handles are dead by then, so it re-opens, re-registers and re-requests
+// inside the call.
+type RestartListener interface {
+	CMRestarted()
+}
 
 // Restart models the CM process dying and coming back empty: every flow,
 // macroflow, rotation and grant is discarded and the epoch is bumped.
 // Every slot of the flow table moves on a generation (handles from the
 // previous epoch must never be reissued, so stale calls miss instead of
 // corrupting a new flow). Learned congestion state is lost — exactly the cost
-// of crashing the shared controller. Returns the number of flows wiped.
+// of crashing the shared controller. Then the flows' clients are told, in
+// flow-slot order, so none waits for a grant the wipe took. Returns the
+// number of flows wiped.
 func (cm *CM) Restart() int {
 	cm.acct.Restarts++
 	cm.epoch++
 	wiped := cm.FlowCount()
+	var clients []RestartListener
+	for _, s := range cm.flows {
+		if s.fl == nil {
+			continue
+		}
+		var client any = s.fl.dispatcher
+		if _, direct := client.(directDispatcher); direct {
+			client = s.fl.sender
+		}
+		if c, ok := client.(RestartListener); ok && !slices.Contains(clients, c) {
+			clients = append(clients, c)
+		}
+	}
 	for _, mf := range cm.macroflows {
 		mf.background.Stop()
 		// Grants die with the process; account them reclaimed so grant
@@ -45,6 +71,9 @@ func (cm *CM) Restart() int {
 	}
 	cm.byKey = make(map[netsim.FlowKey]*flowState)
 	cm.macroflows = make(map[macroflowKey]*Macroflow)
+	for _, c := range clients {
+		c.CMRestarted()
+	}
 	return wiped
 }
 

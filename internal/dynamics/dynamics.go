@@ -59,9 +59,9 @@ const (
 // link/routing changes. See docs/ROBUSTNESS.md.
 const (
 	// CMRestart wipes the named host's Congestion Manager state mid-run —
-	// macroflows, flow table, scheduler rings — and bumps its epoch. Clients
-	// holding flow handles detect the epoch change and re-sync through the
-	// API (re-open, re-register, re-request).
+	// macroflows, flow table, scheduler rings — and bumps its epoch. The CM
+	// then tells each client that held a flow, which re-syncs inside the
+	// event (re-open, re-register, re-request).
 	CMRestart = "cm-restart"
 	// SetNotifyFaults configures the libcm notification path of the named
 	// host: DeliverSend/DeliverUpdate callbacks are dropped with probability

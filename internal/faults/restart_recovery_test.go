@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -101,5 +102,47 @@ func TestRestartCollapseAndRecovery(t *testing.T) {
 	}
 	if got := cmr.GrantsIssued - cmr.GrantsReclaimed - int64(cmr.OutstandingGrants); got != 0 {
 		t.Fatalf("grant conservation off by %d across the restart", got)
+	}
+}
+
+// TestChurnSeed15KeepsGoing is the churn soak's stall at scale: with seed 15
+// the s0→d0 stream used to stop for good at 37 131 632 bytes, when one of
+// s0's CM restarts landed while it waited for a grant with nothing in flight.
+// Over 500 s it must deliver more than that, with a clean invariant check,
+// and serial must equal two shards byte for byte.
+func TestChurnSeed15KeepsGoing(t *testing.T) {
+	spec := scenario.Churn(scenario.ChurnParams{Seed: 15, Duration: 500 * time.Second})
+	res, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := Check(res); len(vs) != 0 {
+		t.Fatalf("violations: %v", vs)
+	}
+	var stream int64
+	for _, f := range res.Flows {
+		if f.Workload == 0 {
+			stream += f.Delivered
+		}
+	}
+	t.Logf("s0→d0 stream delivered %d bytes", stream)
+	if stream <= 37_131_632 {
+		t.Errorf("s0→d0 stream delivered %d bytes in 500 s, stalled", stream)
+	}
+	spec.Shards = 2
+	sharded, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kj, err := json.Marshal(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sj) != string(kj) {
+		t.Error("serial and 2-shard results differ")
 	}
 }

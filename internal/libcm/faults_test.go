@@ -111,9 +111,9 @@ func TestDelayedUpdateNeverOverwritesNewerStatus(t *testing.T) {
 	}
 }
 
-// TestLibResyncsAfterCMRestart: any libcm call after a CM restart first
-// re-syncs the library (dead callbacks and queued notifications cleared, the
-// restart handler told to re-open), instead of operating on dead handles.
+// TestLibResyncsAfterCMRestart: a CM restart re-syncs the library at once
+// (dead callbacks and queued notifications cleared, the restart handler told
+// to re-open), so no later call operates on dead handles.
 func TestLibResyncsAfterCMRestart(t *testing.T) {
 	s, c, l := setup(t, ModeAuto)
 	src, dst := addrs(73)
@@ -130,7 +130,7 @@ func TestLibResyncsAfterCMRestart(t *testing.T) {
 
 	c.Restart()
 	// The queued pre-restart grant must not be dispatched after the resync.
-	l.Request(f) // triggers checkEpoch; f is stale and the call is a miss
+	l.Request(f) // f is stale: the call is a miss
 	s.RunFor(10 * time.Millisecond)
 
 	if restarts != 1 || l.Stats().Resyncs != 1 {

@@ -60,9 +60,9 @@ type Stats struct {
 	MaxSendBatch int
 	// Signals counts SIGIO-style notifications delivered in ModeSignal.
 	Signals int64
-	// Resyncs counts CM restarts this library detected (epoch bumps): each
-	// one cleared the queued notifications and cached registrations and
-	// invoked the application's restart handler.
+	// Resyncs counts CM restarts this library was told of: each one cleared
+	// the queued notifications and cached registrations and invoked the
+	// application's restart handler.
 	Resyncs int64
 }
 
@@ -83,10 +83,7 @@ type Lib struct {
 	signalHandler     func()
 	signalPending     bool
 
-	// epoch is the CM restart epoch this library last synchronized with;
-	// every client call compares it against cm.Epoch() and runs the re-sync
-	// protocol on mismatch. onRestart is the application's re-sync hook.
-	epoch     int64
+	// onRestart is the application's re-sync hook (see CMRestarted).
 	onRestart func()
 
 	// injector, when set, interposes on the kernel→user notification path
@@ -114,7 +111,6 @@ func New(c *cm.CM, sched *simtime.Scheduler, mode Mode) *Lib {
 		pendingStatus: make(map[cm.FlowID]cm.Status),
 		sendCBs:       make(map[cm.FlowID]cm.SendCallback),
 		updateCBs:     make(map[cm.FlowID]cm.UpdateCallback),
-		epoch:         c.Epoch(),
 		updateSeq:     make(map[cm.FlowID]uint64),
 		queuedSeq:     make(map[cm.FlowID]uint64),
 	}
@@ -141,34 +137,30 @@ func (l *Lib) CM() *cm.CM { return l.cm }
 // control socket becomes ready.
 func (l *Lib) SetSignalHandler(fn func()) { l.signalHandler = fn }
 
-// SetRestartHandler registers the application's re-sync hook, invoked after
-// the library detects a CM restart and has cleared its own state. The handler
-// is expected to re-open flows and re-register callbacks (old FlowIDs are
-// dead; calls on them count as StaleFlowCalls in the CM).
+// SetRestartHandler registers the application's re-sync hook, invoked at the
+// CM restart itself, once the library has cleared its own state. The handler
+// is expected to re-open flows, re-register callbacks and re-request (old
+// FlowIDs are dead; calls on them count as StaleFlowCalls in the CM).
 func (l *Lib) SetRestartHandler(fn func()) { l.onRestart = fn }
 
 // SetInjector installs a notification fault injector (nil removes it). The
 // same injector is shared by all library instances of one host.
 func (l *Lib) SetInjector(in *Injector) { l.injector = in }
 
-// checkEpoch runs at every client call: if the CM restarted since the library
-// last spoke to it, all queued notifications and cached registrations refer
-// to dead flow handles and are discarded, and the application's restart
-// handler is invoked to re-open and re-register. The epoch is synchronized
-// *before* the handler runs so the handler's own calls do not recurse.
-func (l *Lib) checkEpoch() {
-	e := l.cm.Epoch()
-	if e == l.epoch {
-		return
-	}
-	l.epoch = e
+// CMRestarted is the CM's restart notice (cm.RestartListener), delivered
+// once per library however many of its flows the restart wiped. Every queued
+// notification and cached registration names a dead flow handle, so all are
+// discarded, and the application's restart handler re-opens and
+// re-registers. A fault-delayed grant of a dead flow still lands on the send
+// list later; Dispatch finds no callback for it and skips it.
+func (l *Lib) CMRestarted() {
 	l.stats.Resyncs++
 	l.pendingSend = nil
-	l.pendingStatus = make(map[cm.FlowID]cm.Status)
-	l.sendCBs = make(map[cm.FlowID]cm.SendCallback)
-	l.updateCBs = make(map[cm.FlowID]cm.UpdateCallback)
-	l.updateSeq = make(map[cm.FlowID]uint64)
-	l.queuedSeq = make(map[cm.FlowID]uint64)
+	clear(l.pendingStatus)
+	clear(l.sendCBs)
+	clear(l.updateCBs)
+	clear(l.updateSeq)
+	clear(l.queuedSeq)
 	if l.onRestart != nil {
 		l.onRestart()
 	}
@@ -177,7 +169,6 @@ func (l *Lib) checkEpoch() {
 // Open creates a CM flow whose callbacks are delivered through this library
 // instance (cm_open via libcm).
 func (l *Lib) Open(proto netsim.Protocol, src, dst netsim.Addr) cm.FlowID {
-	l.checkEpoch()
 	l.stats.Syscalls++
 	f := l.cm.Open(proto, src, dst)
 	l.cm.SetDispatcher(f, l)
@@ -186,7 +177,6 @@ func (l *Lib) Open(proto netsim.Protocol, src, dst netsim.Addr) cm.FlowID {
 
 // Close releases the flow (cm_close).
 func (l *Lib) Close(f cm.FlowID) {
-	l.checkEpoch()
 	l.stats.Syscalls++
 	l.cm.Close(f)
 	delete(l.sendCBs, f)
@@ -202,21 +192,18 @@ func (l *Lib) MTU(f cm.FlowID) int { return l.cm.MTU(f) }
 
 // RegisterSend registers the application's cmapp_send callback.
 func (l *Lib) RegisterSend(f cm.FlowID, cb cm.SendCallback) {
-	l.checkEpoch()
 	l.sendCBs[f] = cb
 	l.cm.RegisterSend(f, cb)
 }
 
 // RegisterUpdate registers the application's cmapp_update callback.
 func (l *Lib) RegisterUpdate(f cm.FlowID, cb cm.UpdateCallback) {
-	l.checkEpoch()
 	l.updateCBs[f] = cb
 	l.cm.RegisterUpdate(f, cb)
 }
 
 // Request asks for permission to send (cm_request); one ioctl.
 func (l *Lib) Request(f cm.FlowID) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.Request(f)
 }
@@ -224,7 +211,6 @@ func (l *Lib) Request(f cm.FlowID) {
 // BulkRequest requests permission for several flows with a single ioctl
 // (cm_bulk_request, §5 Optimizations).
 func (l *Lib) BulkRequest(flows []cm.FlowID) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.BulkRequest(flows)
 }
@@ -234,42 +220,36 @@ func (l *Lib) BulkRequest(flows []cm.FlowID) {
 // transmission automatically — this is the extra cost of the ALF/noconnect
 // variant in Table 1.
 func (l *Lib) Notify(f cm.FlowID, nsent int) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.Notify(f, nsent)
 }
 
 // Update reports receiver feedback (cm_update); one ioctl.
 func (l *Lib) Update(f cm.FlowID, nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.Update(f, nsent, nrecd, mode, rtt)
 }
 
 // BulkUpdate reports feedback for several flows with a single ioctl.
 func (l *Lib) BulkUpdate(updates []cm.UpdateArgs) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.BulkUpdate(updates)
 }
 
 // Query reads the flow's network state (cm_query); one ioctl.
 func (l *Lib) Query(f cm.FlowID) (cm.Status, bool) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	return l.cm.Query(f)
 }
 
 // Thresh sets rate-callback thresholds (cm_thresh); one ioctl.
 func (l *Lib) Thresh(f cm.FlowID, down, up float64) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.Thresh(f, down, up)
 }
 
 // SetWeight sets the flow's scheduling weight; one ioctl.
 func (l *Lib) SetWeight(f cm.FlowID, w float64) {
-	l.checkEpoch()
 	l.stats.Ioctls++
 	l.cm.SetWeight(f, w)
 }
@@ -366,7 +346,6 @@ func (l *Lib) Ready() bool {
 // and one ioctl per flow whose status changed. It returns the number of
 // callbacks delivered.
 func (l *Lib) Dispatch() int {
-	l.checkEpoch()
 	l.signalPending = false
 	if !l.Ready() {
 		return 0

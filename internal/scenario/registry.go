@@ -50,6 +50,13 @@ func LookupParams(name string, params map[string]float64) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario %q: %w", name, err)
 	}
 	spec.Name = name
+	// Parameters can describe a spec Build would refuse (a negative queue
+	// limit, say); refuse it here, as a bad parameter is refused.
+	checked := spec
+	checked.fillDefaults()
+	if err := checked.Validate(); err != nil {
+		return Spec{}, err
+	}
 	return spec, nil
 }
 

@@ -25,6 +25,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}{
 		{"no links", func(s *Spec) { s.Links = nil }},
 		{"self link", func(s *Spec) { s.Links[0].B = "a" }},
+		{"negative queue packets", func(s *Spec) { s.Links[0].QueuePackets = -1 }},
+		{"negative queue bytes", func(s *Spec) { s.Links[0].QueueBytes = -1 }},
 		{"unknown router", func(s *Spec) { s.Routers = []string{"ghost"} }},
 		{"unknown cm host", func(s *Spec) { s.CMHosts = []string{"ghost"} }},
 		{"workload endpoint missing", func(s *Spec) { s.Workloads[0].To = "ghost" }},

@@ -299,10 +299,10 @@ func (s *Spec) fillDefaults() {
 	}
 }
 
-// Validate checks the spec for structural errors: empty topology, links or
-// workloads referring to unknown nodes, unknown workload kinds or congestion
-// controllers, and workloads sourced at routers (routers carry transit
-// traffic only).
+// Validate checks the spec for structural errors: empty topology, links with
+// invalid endpoints or negative queue limits, workloads referring to unknown
+// nodes, unknown workload kinds or congestion controllers, and workloads
+// sourced at routers (routers carry transit traffic only).
 func (s *Spec) Validate() error {
 	if len(s.Links) == 0 {
 		return fmt.Errorf("scenario %q: no links", s.Name)
@@ -311,6 +311,10 @@ func (s *Spec) Validate() error {
 	for i, l := range s.Links {
 		if l.A == "" || l.B == "" || l.A == l.B {
 			return fmt.Errorf("scenario %q: link %d endpoints %q-%q invalid", s.Name, i, l.A, l.B)
+		}
+		if l.QueuePackets < 0 || l.QueueBytes < 0 {
+			return fmt.Errorf("scenario %q: link %d: negative queue limit (queue_packets %d, queue_bytes %d)",
+				s.Name, i, l.QueuePackets, l.QueueBytes)
 		}
 		nodes[l.A] = true
 		nodes[l.B] = true

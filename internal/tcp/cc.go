@@ -148,10 +148,6 @@ type cmCC struct {
 	flow            cm.FlowID
 	opened          bool
 	pendingRequests int
-	// epoch is the CM restart epoch the flow handle belongs to; a mismatch
-	// means the CM lost the flow and it must be re-opened (paper §3.2's
-	// in-kernel client, surviving the module being reloaded).
-	epoch int64
 }
 
 func (c *cmCC) name() string { return "cm" }
@@ -160,7 +156,6 @@ func (c *cmCC) window() int {
 	if !c.opened {
 		return 0
 	}
-	c.ensureLive()
 	st, ok := c.cm.Query(c.flow)
 	if !ok {
 		return 0
@@ -168,50 +163,35 @@ func (c *cmCC) window() int {
 	return st.CWND
 }
 
-// FlowID exposes the CM flow for tests.
-func (c *cmCC) FlowID() cm.FlowID { return c.flow }
-
 func (c *cmCC) onEstablished() {
 	// cm_open is called when the connection is created (accept or connect).
 	c.flow = c.cm.Open(netsim.ProtoTCP, c.e.local, c.e.remote)
 	c.cm.RegisterSender(c.flow, c)
 	c.opened = true
-	c.epoch = c.cm.Epoch()
 }
 
 func (c *cmCC) onClose() {
 	if c.opened {
 		c.opened = false
-		if c.cm.Epoch() != c.epoch {
-			// The CM restarted since we opened; the handle is already dead.
-			return
-		}
 		c.cm.Close(c.flow)
 	}
 }
 
-// ensureLive re-opens the flow after a CM restart: the old handle is dead
-// (calls on it count as StaleFlowCalls), grants and requests are forgotten,
-// and congestion state restarts from the initial window. Recovery rides the
-// normal loss path — with the window gone our in-flight data eventually
-// times out, onTimeout reports persistent loss, and trySend re-requests.
-func (c *cmCC) ensureLive() {
-	if !c.opened {
-		return
-	}
-	if e := c.cm.Epoch(); e != c.epoch {
-		c.flow = c.cm.Open(netsim.ProtoTCP, c.e.local, c.e.remote)
-		c.cm.RegisterSender(c.flow, c)
-		c.pendingRequests = 0
-		c.epoch = e
-	}
+// CMRestarted is the CM's restart notice (cm.RestartListener), which the
+// paper's in-kernel client never needs: there TCP does not outlive its CM.
+// The old handle is dead and its grants and requests with it, so the flow
+// is re-opened as at establishment, with congestion state from the initial
+// window, and whatever data waits is requested again at once.
+func (c *cmCC) CMRestarted() {
+	c.onEstablished()
+	c.pendingRequests = 0
+	c.trySend()
 }
 
 func (c *cmCC) sharedRTT() (time.Duration, time.Duration, bool) {
 	if !c.opened {
 		return 0, 0, false
 	}
-	c.ensureLive()
 	st, ok := c.cm.Query(c.flow)
 	if !ok {
 		return 0, 0, false
@@ -225,7 +205,6 @@ func (c *cmCC) trySend() {
 	if !c.opened {
 		return
 	}
-	c.ensureLive()
 	if c.e.pendingData() && c.pendingRequests == 0 {
 		c.pendingRequests++
 		c.cm.Request(c.flow)
@@ -256,7 +235,6 @@ func (c *cmCC) onAck(acked int, rtt time.Duration, ecnCE bool) {
 	if !c.opened {
 		return
 	}
-	c.ensureLive()
 	mode := cm.NoLoss
 	if ecnCE {
 		mode = cm.ECNLoss
@@ -268,7 +246,6 @@ func (c *cmCC) onFastRetransmit() {
 	if !c.opened {
 		return
 	}
-	c.ensureLive()
 	// Three duplicate ACKs: a single, congestion-caused packet loss.
 	c.cm.Update(c.flow, c.e.mss(), 0, cm.TransientLoss, 0)
 }
@@ -277,7 +254,6 @@ func (c *cmCC) onDupAckInRecovery() {
 	if !c.opened {
 		return
 	}
-	c.ensureLive()
 	// A duplicate ACK beyond the third means another segment reached the
 	// receiver (paper §3.2: "It therefore calls cm_update()").
 	c.cm.Update(c.flow, c.e.mss(), c.e.mss(), cm.NoLoss, 0)
@@ -289,7 +265,6 @@ func (c *cmCC) onTimeout() {
 	if !c.opened {
 		return
 	}
-	c.ensureLive()
 	// The expiration of the retransmission timer signifies persistent
 	// congestion (CM_LOST_FEEDBACK).
 	c.cm.Update(c.flow, c.e.inFlight(), 0, cm.PersistentLoss, 0)

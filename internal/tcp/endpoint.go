@@ -322,9 +322,8 @@ func (e *Endpoint) mss() int { return e.cfg.MSS }
 // basePacket builds the packet carrying one of the endpoint's segments. A
 // data segment of a connection with an open CM flow carries the flow's handle
 // to the IP output hook, which charges the flow without a lookup (a kernel
-// hands ip_output the socket). The handle is read as the packet is built:
-// after a CM restart it is the re-opened flow's once ensureLive has run, and
-// until then a stale one the CM charges nothing for.
+// hands ip_output the socket). The handle is read as the packet is built, so
+// after a CM restart it is the one CMRestarted re-opened.
 func (e *Endpoint) basePacket(seg *Segment, control bool) *netsim.Packet {
 	pkt := newPacket(e.local, e.remote, seg, control)
 	if !control && e.viaCM.opened {

@@ -368,7 +368,7 @@ func TestCMFlowLifecycle(t *testing.T) {
 
 // A CM connection's data segments carry its live CM flow handle to the IP
 // output hook; the handshake and the other control segments carry none, and
-// after a CM restart the stamp is the handle ensureLive re-opened.
+// after a CM restart the stamp is the handle CMRestarted re-opened.
 func TestCMDataSegmentsCarryFlowHandle(t *testing.T) {
 	e := newEnv(t, lan(), true)
 	listenSink(t, e, 80, nativeCfg())

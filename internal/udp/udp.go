@@ -232,7 +232,7 @@ func NewCCSocket(h *node.Host, port int, dst netsim.Addr, cmgr *cm.CM, queueLimi
 	}
 	s := &CCSocket{sock: sock, cmgr: cmgr, dst: dst, limit: queueLimit}
 	s.flow = cmgr.Open(netsim.ProtoUDP, sock.Local(), dst)
-	cmgr.RegisterSend(s.flow, s.ccappSend)
+	cmgr.RegisterSender(s.flow, s)
 	return s, nil
 }
 
@@ -290,10 +290,10 @@ func (s *CCSocket) Send(d *Datagram) bool {
 	return true
 }
 
-// ccappSend is the CM grant callback (udp_ccappsend in the paper): transmit
-// one datagram from the packet queue and request another callback if packets
-// remain.
-func (s *CCSocket) ccappSend(_ cm.FlowID) {
+// CMAppSend is the CM grant callback (cm.Sender; udp_ccappsend in the
+// paper): transmit one datagram from the packet queue and request another
+// callback if packets remain.
+func (s *CCSocket) CMAppSend(_ cm.FlowID) {
 	s.pending = false
 	if s.closed || s.QueueLen() == 0 {
 		s.cmgr.Notify(s.flow, 0)
@@ -317,6 +317,17 @@ func (s *CCSocket) ccappSend(_ cm.FlowID) {
 	}
 	if s.QueueLen() > 0 && !s.pending {
 		s.pending = true
+		s.cmgr.Request(s.flow)
+	}
+}
+
+// CMRestarted is the CM's restart notice (cm.RestartListener): the flow and
+// its outstanding request died with the CM's state, so open a fresh flow and,
+// if datagrams wait in the queue, request for them again.
+func (s *CCSocket) CMRestarted() {
+	s.flow = s.cmgr.Open(netsim.ProtoUDP, s.sock.Local(), s.dst)
+	s.cmgr.RegisterSender(s.flow, s)
+	if s.pending = s.QueueLen() > 0; s.pending {
 		s.cmgr.Request(s.flow)
 	}
 }

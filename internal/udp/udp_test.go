@@ -287,3 +287,38 @@ func TestCCSocketSharesMacroflowWithTCPFlows(t *testing.T) {
 		t.Fatal("UDP and TCP flows to the same host must share a macroflow")
 	}
 }
+
+// A CM restart wipes the socket's flow and its outstanding request. The CM
+// tells the socket, which re-opens and, with datagrams still queued, requests
+// again at once: it keeps sending, without a call of its own to wake it.
+func TestCCSocketKeepsSendingAfterCMRestart(t *testing.T) {
+	e := newUDPEnv(t, fastLink())
+	cc, rx := newCCPair(t, e, 20)
+	rx.OnReceive(func(_ netsim.Addr, d *Datagram) {
+		size := d.Size
+		e.sched.After(10*time.Millisecond, func() {
+			cc.Update(size, size, cm.NoLoss, 10*time.Millisecond)
+		})
+	})
+	refill := func() {
+		for cc.QueueLen() < 20 {
+			cc.Send(&Datagram{Size: 1000})
+		}
+	}
+	cc.OnSpace(refill)
+	refill()
+	e.sched.RunFor(2 * time.Second)
+	before := cc.Stats().Sent
+	if before == 0 {
+		t.Fatal("nothing sent before the restart")
+	}
+	old := cc.Flow()
+	e.cm.Restart()
+	if cc.Flow() == old || e.cm.FlowCount() != 1 {
+		t.Errorf("flow not re-opened at the restart: %d (old %d), %d open", cc.Flow(), old, e.cm.FlowCount())
+	}
+	e.sched.RunFor(2 * time.Second)
+	if after := cc.Stats().Sent - before; after < before/2 {
+		t.Fatalf("sent %d datagrams in the 2 s after the restart, %d in the 2 s before", after, before)
+	}
+}
