@@ -1,23 +1,21 @@
-// Package dynamics is the network-dynamics subsystem of the reproduction: a
-// deterministic timeline of scheduled events that change the network while a
-// simulation is running. The Congestion Manager's value proposition is
-// adaptation, so scenarios must be able to declare the churn the CM adapts
-// to — links failing and recovering, bandwidth and delay renegotiating,
-// loss turning bursty — instead of freezing every parameter at Build time.
+// Package dynamics is the vocabulary of network dynamics: scheduled events
+// that change the network while a simulation is running. The Congestion
+// Manager's value proposition is adaptation, so scenarios must be able to
+// declare the churn the CM adapts to — links failing and recovering,
+// bandwidth and delay renegotiating, loss turning bursty — instead of
+// freezing every parameter at Build time.
 //
 // An Event names a link of the scenario's topology (by index into
-// Spec.Links), a virtual time and a change to apply. Events with At <= 0 are
-// applied during installation, before any packet is sent, so static
-// asymmetries can be declared as time-zero events; the owner fires the rest
-// by calling Advance at their virtual times, with the simulation stopped
-// before any same-instant event has run. Link up/down events additionally trigger
-// the owner's route-recomputation hook, and each event's outcome (fired,
-// routes changed) is recorded so results can report the timeline that
-// actually executed.
+// Spec.Links) or a host, a virtual time and a change to apply; a Generator
+// expands into Events; a Record is what one Event did. The scenario layer
+// fires the events: those with At <= 0 at Build, before any packet is sent,
+// so static asymmetries can be declared as time-zero events, and the rest at
+// their virtual times, with the simulation stopped before any same-instant
+// event has run.
 //
 // Everything is deterministic: events fire at declared virtual times in
 // declaration order, loss models draw from per-link seeded sources, and the
-// records are value types — a scenario with a timeline still produces
+// records are value types — a scenario with events still produces
 // byte-identical results whether it runs serially or in a parallel batch.
 package dynamics
 
@@ -53,10 +51,9 @@ const (
 	SetRouteFaults = "set-route-faults"
 )
 
-// Host-level event kinds. These name a host (Event.Host) instead of a link
-// and are applied through the owner's HostHook: the scenario layer maps them
-// onto Congestion Manager state wipes, libcm notification faults and
-// link/routing changes. See docs/ROBUSTNESS.md.
+// Host-level event kinds. These name a host (Event.Host) instead of a link:
+// the scenario layer maps them onto Congestion Manager state wipes, libcm
+// notification faults and link/routing changes. See docs/ROBUSTNESS.md.
 const (
 	// CMRestart wipes the named host's Congestion Manager state mid-run —
 	// macroflows, flow table, scheduler rings — and bumps its epoch. The CM
@@ -110,8 +107,8 @@ const (
 // Event is one scheduled change to the network. Exactly the parameter named
 // by Kind is consulted; the others are ignored.
 type Event struct {
-	// At is the virtual time the event fires. At <= 0 fires during Timeline
-	// installation, before any traffic.
+	// At is the virtual time the event fires. At <= 0 fires at Build, before
+	// any traffic.
 	At time.Duration `json:"at"`
 	// Kind is one of the event-kind constants.
 	Kind string `json:"kind"`
@@ -250,10 +247,6 @@ func (e Event) Validate(nlinks int) error {
 	return nil
 }
 
-// topologyEvent reports whether the event changes link reachability and so
-// requires a route recomputation.
-func (e Event) topologyEvent() bool { return e.Kind == LinkDown || e.Kind == LinkUp }
-
 // Record is the executed outcome of one event, reported in scenario results.
 // It contains only value types and serialises deterministically.
 type Record struct {
@@ -262,7 +255,7 @@ type Record struct {
 	Fired bool `json:"fired"`
 	// PastEnd flags an event scheduled after the run's horizon (At >
 	// duration): it can never fire, which is almost always a spec mistake.
-	// Set by SetHorizon; the scenario layer calls it with Spec.Duration.
+	// The scenario layer sets it at Build from Spec.Duration.
 	PastEnd bool `json:"past_end,omitempty"`
 	// RoutesChanged counts routing-table entries that changed across all
 	// hosts when the event triggered a route recomputation.
@@ -272,144 +265,9 @@ type Record struct {
 	FlowsWiped int `json:"flows_wiped,omitempty"`
 }
 
-// Resolver maps an event's (link index, direction) to the directional links
-// it applies to. The scenario layer supplies one backed by its duplexes.
-type Resolver func(link int, direction string) []*netsim.Link
-
-// TopologyHook is invoked after a link up/down event has been applied; it
-// recomputes and installs routes, returning the number of changed entries.
-type TopologyHook func(ev Event) int
-
-// HostOutcome reports what a host-level event did, for the execution record.
-type HostOutcome struct {
-	RoutesChanged int
-	FlowsWiped    int
-}
-
-// HostHook applies one host-level event (CMRestart, SetNotifyFaults,
-// HostMove, HostAttach). The scenario layer supplies one that reaches the
-// host's Congestion Manager, libcm fault injector and links; a timeline with
-// no hook records host events as fired no-ops.
-type HostHook func(ev Event) HostOutcome
-
-// RouteFaultHook applies a SetRouteFaults event. The scenario layer supplies
-// one that reaches the routing agents on the link's endpoints; a timeline
-// with no hook records the event as a fired no-op (oracle-mode runs have no
-// control plane to perturb).
-type RouteFaultHook func(ev Event)
-
-// Timeline owns a scenario's scheduled events and their execution records.
-type Timeline struct {
-	resolve      Resolver
-	onChange     TopologyHook
-	onHost       HostHook
-	onRouteFault RouteFaultHook
-	recs         []Record
-}
-
-// NewTimeline builds a timeline over the given events. resolve is required;
-// onChange may be nil when the owner has no routing to maintain. Install
-// applies the time-zero events; the owner fires the rest by calling Advance
-// at the right virtual times (the scenario executor does this at its
-// synchronization barriers).
-func NewTimeline(events []Event, resolve Resolver, onChange TopologyHook) *Timeline {
-	if resolve == nil {
-		panic("dynamics: NewTimeline requires a resolver")
-	}
-	t := &Timeline{resolve: resolve, onChange: onChange}
-	t.recs = make([]Record, len(events))
-	for i, ev := range events {
-		t.recs[i] = Record{Event: ev}
-	}
-	return t
-}
-
-// SetHostHook installs the host-level event handler. It must be called
-// before Install (host events applied at installation go through the hook).
-func (t *Timeline) SetHostHook(h HostHook) { t.onHost = h }
-
-// SetRouteFaultHook installs the SetRouteFaults handler. Like SetHostHook it
-// must be called before Install.
-func (t *Timeline) SetRouteFaultHook(h RouteFaultHook) { t.onRouteFault = h }
-
-// SetHorizon flags every event scheduled after the run's end (At > d) as
-// PastEnd in its execution record: such events sit silently unfired, which
-// the records now make visible instead of invisible.
-func (t *Timeline) SetHorizon(d time.Duration) {
-	for i := range t.recs {
-		if t.recs[i].At > d {
-			t.recs[i].PastEnd = true
-		}
-	}
-}
-
-// Install applies every event with At <= 0, before any traffic, so time-zero
-// events configure the network before the first packet. Install must be
-// called exactly once, after the hooks are set.
-func (t *Timeline) Install() {
-	for i := range t.recs {
-		if t.recs[i].At <= 0 {
-			t.fire(i)
-		}
-	}
-}
-
-// Advance fires every not-yet-fired event with At <= now, in declaration
-// order. An event past the horizon never fires, however far now runs.
-func (t *Timeline) Advance(now time.Duration) {
-	for i := range t.recs {
-		if r := &t.recs[i]; !r.Fired && !r.PastEnd && r.At <= now {
-			t.fire(i)
-		}
-	}
-}
-
-// Next returns the instant of the earliest event Advance would still fire;
-// ok is false when there is none.
-func (t *Timeline) Next() (at time.Duration, ok bool) {
-	for i := range t.recs {
-		if r := &t.recs[i]; !r.Fired && !r.PastEnd && (!ok || r.At < at) {
-			at, ok = r.At, true
-		}
-	}
-	return at, ok
-}
-
-// fire applies event i to its resolved links (or, for a host-level event,
-// through the host hook) and records the outcome.
-func (t *Timeline) fire(i int) {
-	rec := &t.recs[i]
-	rec.Fired = true
-	if rec.HostEvent() {
-		if t.onHost != nil {
-			out := t.onHost(rec.Event)
-			rec.RoutesChanged = out.RoutesChanged
-			rec.FlowsWiped = out.FlowsWiped
-		}
-		return
-	}
-	if rec.Kind == SetRouteFaults {
-		// Route faults live in the control-plane agents, not the link; the
-		// owner's hook maps (link, direction) onto the transmitting agents.
-		if t.onRouteFault != nil {
-			t.onRouteFault(rec.Event)
-		}
-		return
-	}
-	dir := rec.Direction
-	if dir == "" {
-		dir = DirBoth
-	}
-	for _, l := range t.resolve(rec.Link, dir) {
-		applyToLink(rec.Event, l)
-	}
-	if rec.topologyEvent() && t.onChange != nil {
-		rec.RoutesChanged = t.onChange(rec.Event)
-	}
-}
-
-// applyToLink performs the event's change on one directional link.
-func applyToLink(ev Event, l *netsim.Link) {
+// Apply performs a link event's change on one directional link. Host events
+// and SetRouteFaults change no link and are ignored.
+func (ev Event) Apply(l *netsim.Link) {
 	switch ev.Kind {
 	case LinkDown:
 		l.SetDown(true)
@@ -424,10 +282,4 @@ func applyToLink(ev Event, l *netsim.Link) {
 	case SetGilbert:
 		l.SetGilbert(ev.Gilbert)
 	}
-}
-
-// Records returns a copy of the per-event execution records, in declaration
-// order.
-func (t *Timeline) Records() []Record {
-	return append([]Record(nil), t.recs...)
 }

@@ -3,8 +3,6 @@ package dynamics
 import (
 	"testing"
 	"time"
-
-	"repro/internal/simtime"
 )
 
 func TestHostEventValidate(t *testing.T) {
@@ -66,62 +64,5 @@ func TestGenCMRestartsExpansion(t *testing.T) {
 	}
 	if err := (Generator{Kind: GenCMRestarts}).Validate(0); err == nil {
 		t.Error("cm-restarts generator without a host accepted")
-	}
-}
-
-// TestHostEventsFireThroughHook checks dispatch: host events reach the host
-// hook (not the link resolver), and their outcome lands in the record.
-func TestHostEventsFireThroughHook(t *testing.T) {
-	sched := simtime.NewScheduler()
-	_, resolve := testLinks(sched)
-	var fired []Event
-	tl := NewTimeline([]Event{
-		{At: time.Second, Kind: CMRestart, Host: "a"},
-		{At: 2 * time.Second, Kind: SetNotifyFaults, Host: "b", DropRate: 0.5},
-	}, resolve, nil)
-	tl.SetHostHook(func(ev Event) HostOutcome {
-		fired = append(fired, ev)
-		return HostOutcome{FlowsWiped: 3, RoutesChanged: 1}
-	})
-	tl.Install()
-	tl.Advance(3 * time.Second)
-	if len(fired) != 2 || fired[0].Host != "a" || fired[1].Host != "b" {
-		t.Fatalf("host hook saw %+v", fired)
-	}
-	recs := tl.Records()
-	if len(recs) != 2 || !recs[0].Fired || recs[0].FlowsWiped != 3 || recs[0].RoutesChanged != 1 {
-		t.Fatalf("records = %+v", recs)
-	}
-}
-
-// TestPastEndEventsAreFlagged checks SetHorizon: events scheduled beyond the
-// run's duration are recorded as PastEnd and never fire, while in-horizon
-// events are untouched, even when Advance runs past the horizon.
-func TestPastEndEventsAreFlagged(t *testing.T) {
-	sched := simtime.NewScheduler()
-	_, resolve := testLinks(sched)
-	tl := NewTimeline([]Event{
-		{At: time.Second, Kind: LinkDown, Link: 0},
-		{At: time.Minute, Kind: CMRestart, Host: "a"},
-	}, resolve, nil)
-	tl.SetHostHook(func(Event) HostOutcome { return HostOutcome{} })
-	tl.SetHorizon(10 * time.Second)
-	tl.Install()
-	if at, ok := tl.Next(); !ok || at != time.Second {
-		t.Fatalf("Next() = %v, %v before the run, want 1s", at, ok)
-	}
-	tl.Advance(time.Hour)
-	if at, ok := tl.Next(); ok {
-		t.Fatalf("Next() = %v after every in-horizon event fired, want none", at)
-	}
-	recs := tl.Records()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[0].PastEnd || !recs[0].Fired {
-		t.Fatalf("in-horizon event mis-flagged: %+v", recs[0])
-	}
-	if !recs[1].PastEnd || recs[1].Fired {
-		t.Fatalf("past-end event not flagged: %+v", recs[1])
 	}
 }

@@ -27,10 +27,10 @@ const (
 )
 
 // Generator is a seeded stochastic event source. It is declarative sugar over
-// the Timeline: Expand samples the whole process up front with a private
-// seeded RNG and returns ordinary deterministic Events, so a long churn trace
-// does not have to be declared event by event and every execution property of
-// declared timelines — serial/parallel byte-identity, sharded barrier firing,
+// Events: Expand samples the whole process up front with a private seeded RNG
+// and returns ordinary deterministic Events, so a long churn trace does not
+// have to be declared event by event and every execution property of
+// declared events — serial/parallel byte-identity, sharded barrier firing,
 // per-event records — is inherited for free.
 type Generator struct {
 	// Kind is GenPoissonFlaps, GenBandwidthWalk or GenCMRestarts.

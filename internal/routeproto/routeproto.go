@@ -403,7 +403,7 @@ func (a *Agent) Start() error {
 }
 
 // LinkState tells the agent its adjacency j flipped: the local failure
-// detector (the dynamics timeline) saw the attached link go down or come up.
+// detector (a dynamics event) saw the attached link go down or come up.
 // Down forgets everything learned via j and re-evaluates; up schedules a
 // full-table exchange.
 func (a *Agent) LinkState(j int, up bool) {

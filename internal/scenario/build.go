@@ -33,12 +33,14 @@ type Sim struct {
 	injectors map[string]*libcm.Injector
 
 	// routing is the interned-topology route engine, retained after Build so
-	// the dynamics timeline can recompute routes when links fail or recover.
+	// dynamics events can recompute routes when links fail or recover.
 	routing *routeEngine
 	// proto is the distance-vector control plane layered on the engine when
 	// Spec.RouteSync == RouteSyncProtocol, nil in (default) oracle mode.
-	proto    *protoPlane
-	timeline *dynamics.Timeline
+	proto *protoPlane
+	// events holds one execution record per Spec.Events entry, in
+	// declaration order; fireEvents fires them.
+	events []dynamics.Record
 
 	// shard is the executor: one shard for a serial build (Spec.Shards <= 1,
 	// a degenerate partition, or zero lookahead), K for a sharded one. Every
@@ -72,9 +74,9 @@ func Build(spec Spec) (*Sim, error) {
 		return nil, err
 	}
 	// Stochastic generators expand into ordinary deterministic events before
-	// anything looks at the timeline: the shard planner's lifetime-minimum
-	// delays, the sharded runner's barrier schedule and the Timeline all see
-	// one merged, time-sorted event list.
+	// anything looks at them: the shard planner's lifetime-minimum delays,
+	// the barrier schedule and the execution records all see one merged,
+	// time-sorted event list.
 	if len(spec.Generators) > 0 {
 		evs, err := expandGenerators(&spec)
 		if err != nil {
@@ -233,52 +235,71 @@ func Build(spec Spec) (*Sim, error) {
 		sim.injectors[h] = libcm.NewInjector(spec.Seed + int64(i+1)*subSeedStride + 0x5eed)
 	}
 
-	// The flight recorder attaches before the dynamics timeline so even
+	// The flight recorder attaches before the dynamics events so even
 	// time-zero events are captured.
 	sim.installTrace()
 
-	// The dynamics timeline is installed last so its time-zero events (static
+	// The dynamics events come last so the time-zero ones (static
 	// asymmetries and initial loss modes) see the fully wired topology; the
-	// positive-time events fire at barriers, through one barrier action that
-	// asks the timeline for the next one (observers.go).
+	// positive-time events fire at barriers, through one barrier action
+	// (observers.go). An event after Duration is flagged past_end and never
+	// fires.
 	if len(spec.Events) > 0 {
-		sim.timeline = dynamics.NewTimeline(spec.Events, sim.resolveEventLinks,
-			func(ev dynamics.Event) int {
-				changed := sim.recomputeRoutes()
-				sim.recordRouteEvent(ev, changed)
-				return changed
-			})
-		sim.timeline.SetHostHook(sim.applyHostEvent)
-		if sim.proto != nil {
-			sim.timeline.SetRouteFaultHook(sim.proto.applyRouteFaults)
+		sim.events = make([]dynamics.Record, len(spec.Events))
+		for i, ev := range spec.Events {
+			sim.events[i] = dynamics.Record{Event: ev, PastEnd: ev.At > spec.Duration}
 		}
-		sim.timeline.SetHorizon(spec.Duration)
-		sim.timeline.Install()
-		sim.shard.schedule(barrierAction{at: sim.nextEvent(), rank: rankDynamics, fire: sim.advanceTimeline})
+		sim.shard.schedule(barrierAction{at: sim.fireEvents(0), rank: rankDynamics, fire: sim.fireEvents})
 	}
 	return sim, nil
 }
 
-// advanceTimeline is the dynamics timeline's barrier action: it fires the
-// events due at at and returns when the next one is.
-func (s *Sim) advanceTimeline(at time.Duration) time.Duration {
-	s.timeline.Advance(at)
-	return s.nextEvent()
+// fireEvents is the dynamics barrier action: it fires every event due at or
+// before at, in declaration order, and returns the instant of the next one
+// (declared events need not be in time order), or never.
+func (s *Sim) fireEvents(at time.Duration) time.Duration {
+	next := never
+	for i := range s.events {
+		r := &s.events[i]
+		switch {
+		case r.Fired || r.PastEnd:
+		case r.At <= at:
+			s.fireEvent(r)
+		case r.At < next:
+			next = r.At
+		}
+	}
+	return next
 }
 
-// nextEvent returns the instant of the timeline's next event within the
-// horizon, or never. Declared events need not be in time order.
-func (s *Sim) nextEvent() time.Duration {
-	if at, ok := s.timeline.Next(); ok {
-		return at
+// fireEvent applies one event and records its outcome: a host event through
+// applyHostEvent, set-route-faults on the control plane (a no-op in oracle
+// mode, which has none), and a link event on its link directions, with
+// routes recomputed after link-down and link-up.
+func (s *Sim) fireEvent(r *dynamics.Record) {
+	r.Fired = true
+	switch {
+	case r.HostEvent():
+		r.RoutesChanged, r.FlowsWiped = s.applyHostEvent(r.Event)
+	case r.Kind == dynamics.SetRouteFaults:
+		if s.proto != nil {
+			s.proto.applyRouteFaults(r.Event)
+		}
+	default:
+		for _, l := range s.eventLinks(r.Event) {
+			r.Apply(l)
+		}
+		if r.Kind == dynamics.LinkDown || r.Kind == dynamics.LinkUp {
+			r.RoutesChanged = s.recomputeRoutes()
+			s.recordRouteEvent(r.Event, r.RoutesChanged)
+		}
 	}
-	return never
 }
 
 // expandHostMoves splits every host-move into its two observable halves: the
 // detach at At (links down, routes withdrawn, macroflow state handled per
 // policy) and a host-attach at At+Outage when the host reappears at its new
-// address. Both are ordinary timeline events, so the sharded runner's barrier
+// address. Both are ordinary events, so the sharded runner's barrier
 // schedule and the execution record see them like any other. The input slice
 // is returned untouched when there is nothing to expand.
 func expandHostMoves(events []dynamics.Event) []dynamics.Event {
@@ -316,9 +337,9 @@ func expandHostMoves(events []dynamics.Event) []dynamics.Event {
 }
 
 // recordRouteEvent notes a fired link-dynamics event — and the routing churn
-// it caused — in the flight recorders of the affected link's endpoints. The
-// hook runs in single-threaded phases (build, barriers),
-// so writing both rings here is race-free.
+// it caused — in the flight recorders of the affected link's endpoints. It
+// runs in single-threaded phases (build, barriers), so writing both rings
+// here is race-free.
 func (s *Sim) recordRouteEvent(ev dynamics.Event, changed int) {
 	if s.recorders == nil || ev.Link < 0 || ev.Link >= len(s.Spec.Links) {
 		return
@@ -329,15 +350,15 @@ func (s *Sim) recordRouteEvent(ev dynamics.Event, changed int) {
 	s.recordHostEvent(ls.B, e)
 }
 
-// applyHostEvent is the dynamics.HostHook of this simulation: it realises
-// host-level fault events against the built topology and CMs.
-func (s *Sim) applyHostEvent(ev dynamics.Event) dynamics.HostOutcome {
+// applyHostEvent realises a host-level fault event against the built
+// topology and CMs, returning the routing entries it changed and the CM flows
+// it discarded.
+func (s *Sim) applyHostEvent(ev dynamics.Event) (routesChanged, flowsWiped int) {
 	s.recordHostEvent(ev.Host, probe.Event{At: s.now(), Kind: probe.EvFault, Note: ev.Kind})
-	var out dynamics.HostOutcome
 	switch ev.Kind {
 	case dynamics.CMRestart:
 		if c := s.cms[ev.Host]; c != nil {
-			out.FlowsWiped = c.Restart()
+			flowsWiped = c.Restart()
 		}
 	case dynamics.SetNotifyFaults:
 		if inj := s.injectors[ev.Host]; inj != nil {
@@ -351,16 +372,16 @@ func (s *Sim) applyHostEvent(ev dynamics.Event) dynamics.HostOutcome {
 		// (its path knowledge is stale) and on every peer CM aggregating
 		// flows toward it.
 		s.setHostLinks(ev.Host, true)
-		out.RoutesChanged = s.recomputeRoutes()
+		routesChanged = s.recomputeRoutes()
 		if ev.Policy != dynamics.PolicyMigrate {
 			if c := s.cms[ev.Host]; c != nil {
-				out.FlowsWiped += c.ResetAllMacroflows()
+				flowsWiped += c.ResetAllMacroflows()
 			}
 			for _, h := range s.cmHosts {
 				if h == ev.Host {
 					continue
 				}
-				out.FlowsWiped += s.cms[h].ResetMacroflows(ev.Host)
+				flowsWiped += s.cms[h].ResetMacroflows(ev.Host)
 			}
 		}
 	case dynamics.HostAttach:
@@ -368,9 +389,9 @@ func (s *Sim) applyHostEvent(ev dynamics.Event) dynamics.HostOutcome {
 		if ev.NewName != "" {
 			s.renameHost(ev.Host, ev.NewName)
 		}
-		out.RoutesChanged = s.recomputeRoutes()
+		routesChanged = s.recomputeRoutes()
 	}
-	return out
+	return routesChanged, flowsWiped
 }
 
 // renameHost re-keys a renumbering host (host-move with the "renumber"
@@ -415,9 +436,8 @@ func (s *Sim) setHostLinks(host string, down bool) {
 // derives from the spec seed and the generator's position, End defaults to
 // the run duration, and a bandwidth walk starting rate defaults to the target
 // link's configured bandwidth. The merged list is stably sorted by time so
-// declaration order equals firing order — the property the sharded runner's
-// Advance relies on — and re-validated, since expansion happens after
-// Spec.Validate.
+// declaration order equals firing order, and re-validated, since expansion
+// happens after Spec.Validate.
 func expandGenerators(spec *Spec) ([]dynamics.Event, error) {
 	combined := append([]dynamics.Event(nil), spec.Events...)
 	for i, g := range spec.Generators {
@@ -481,11 +501,11 @@ func (s *Sim) Lookahead() time.Duration { return s.shard.plan.lookahead }
 // ShardOf returns the shard index owning the named host.
 func (s *Sim) ShardOf(host string) int { return s.shard.plan.shardOf[host] }
 
-// resolveEventLinks maps an event's (link index, direction) onto the built
-// duplexes — the dynamics.Resolver for this simulation.
-func (s *Sim) resolveEventLinks(link int, direction string) []*netsim.Link {
-	d := s.duplexes[link]
-	switch direction {
+// eventLinks maps a link event's (link index, direction) onto the built
+// link directions it changes.
+func (s *Sim) eventLinks(ev dynamics.Event) []*netsim.Link {
+	d := s.duplexes[ev.Link]
+	switch ev.Direction {
 	case dynamics.DirForward:
 		return []*netsim.Link{d.Forward}
 	case dynamics.DirReverse:
@@ -506,8 +526,8 @@ func MustBuild(spec Spec) *Sim {
 
 // recomputeRoutes rebuilds routing around the current link up/down state and
 // installs the new tables atomically, returning the total number of changed
-// entries. Build uses it for the initial installation; the dynamics timeline
-// calls it on link up/down, where packets already in flight toward a
+// entries. Build uses it for the initial installation; fireEvent calls it on
+// link up/down, where packets already in flight toward a
 // withdrawn route are dropped at the next hop and counted as route-miss (or
 // no-route) drops. After the initial installation the route engine works
 // incrementally — it touches only the state a flipped link can affect while
@@ -534,9 +554,6 @@ func (s *Sim) CM(host string) *cm.CM { return s.cms[host] }
 
 // Duplex returns the duplex realising Spec.Links[i].
 func (s *Sim) Duplex(i int) *netsim.Duplex { return s.duplexes[i] }
-
-// Timeline returns the dynamics timeline, or nil when the spec has no events.
-func (s *Sim) Timeline() *dynamics.Timeline { return s.timeline }
 
 // Nodes returns every node name in deterministic order.
 func (s *Sim) Nodes() []string { return append([]string(nil), s.nodeNames...) }

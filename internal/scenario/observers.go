@@ -40,8 +40,8 @@ type barrierAction struct {
 const never = time.Duration(math.MaxInt64)
 
 // Actions due at the same barrier fire in rank order: observers first, so
-// they see the state before that instant's dynamics events, then the dynamics
-// timeline, then the snapshot, which sees the events applied.
+// they see the state before that instant's dynamics events, then the events
+// (Sim.fireEvents), then the snapshot, which sees the events applied.
 const (
 	rankObserve = iota
 	rankDynamics

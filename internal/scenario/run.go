@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/app"
@@ -191,7 +192,7 @@ func (s *Sim) Start() error {
 	s.drivers = drivers
 	// Probes, the protocol convergence baseline (its deadline depends on the
 	// fully expanded event list) and snapshots join the barrier schedule,
-	// which Build started with the dynamics timeline; the rank of each action,
+	// which Build started with the dynamics events; the rank of each action,
 	// not this order, decides what fires first at a shared barrier.
 	if err := s.installProbes(); err != nil {
 		return err
@@ -510,9 +511,7 @@ func (s *Sim) collect(drivers []*flowDriver) *Result {
 		}
 		res.CMs = append(res.CMs, cr)
 	}
-	if s.timeline != nil {
-		res.Events = s.timeline.Records()
-	}
+	res.Events = slices.Clone(s.events)
 	for _, ser := range s.series {
 		res.Series = append(res.Series, ser.Freeze())
 	}

@@ -35,8 +35,8 @@ const (
 	// it goes when that set next changes.
 	KindProbeSample
 	// KindDynamics is scheduled network-dynamics work (Gilbert-Elliott
-	// ticks); a dynamics.Timeline's events are applied between events, not
-	// scheduled.
+	// ticks); a scenario's dynamics events are applied at barriers between
+	// events, not scheduled.
 	KindDynamics
 	// KindWorkloadApp is application/transport workload machinery (flow
 	// starts, TCP timers, app-layer timers).
