@@ -99,11 +99,16 @@ func mustLookup(t *testing.T, name string) scenario.Spec {
 }
 
 // TestPastEndEventStaysUnfiredPastDuration: Sim.RunUntil may run past
-// Spec.Duration, but an event scheduled after the horizon stays what its
-// record says it is, past-end and unfired, and the end state checks clean.
+// Spec.Duration, but an event scheduled after the horizon, link or host, stays
+// what its record says it is, past-end and unfired, while an event inside the
+// run fires; and the end state checks clean.
 func TestPastEndEventStaysUnfiredPastDuration(t *testing.T) {
-	spec := scenario.PointToPoint(scenario.PointToPointParams{Duration: time.Second})
-	spec.Events = []dynamics.Event{{At: 2 * time.Second, Kind: dynamics.LinkDown, Link: 0}}
+	spec := scenario.PointToPoint(scenario.PointToPointParams{Duration: time.Second, WithCM: true})
+	spec.Events = []dynamics.Event{
+		{At: 500 * time.Millisecond, Kind: dynamics.SetLoss, Link: 0},
+		{At: 2 * time.Second, Kind: dynamics.LinkDown, Link: 0},
+		{At: 2 * time.Second, Kind: dynamics.CMRestart, Host: "sender"},
+	}
 	sim, err := scenario.Build(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -113,9 +118,14 @@ func TestPastEndEventStaysUnfiredPastDuration(t *testing.T) {
 	}
 	sim.RunUntil(3 * time.Second)
 	res := sim.Finish()
-	if ev := res.Events[0]; ev.Fired || !ev.PastEnd {
-		t.Fatalf("event at %v after a %v run: fired=%v past_end=%v, want unfired and past-end",
-			ev.At, spec.Duration, ev.Fired, ev.PastEnd)
+	for i, ev := range res.Events {
+		if pastEnd := ev.At > spec.Duration; ev.Fired == pastEnd || ev.PastEnd != pastEnd {
+			t.Errorf("event %d (%s at %v) after a %v run: fired=%v past_end=%v",
+				i, ev.Kind, ev.At, spec.Duration, ev.Fired, ev.PastEnd)
+		}
+	}
+	if sim.CM("sender").Epoch() != 0 {
+		t.Fatal("a past-end cm-restart restarted the CM")
 	}
 	if vs := Check(res); len(vs) != 0 {
 		t.Fatalf("run past the horizon violated invariants: %v", vs)

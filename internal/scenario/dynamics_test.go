@@ -84,7 +84,8 @@ func TestFlakyDumbbellMacroflowCollapseAndReprobe(t *testing.T) {
 }
 
 // TestEventsDeclaredOutOfOrderFireOnTime declares the flaky dumbbell's
-// link-up before its link-down: each still fires at its own time.
+// link-up before its link-down: each still fires at its own time, on both
+// directions of the bottleneck, and both records say they fired.
 func TestEventsDeclaredOutOfOrderFireOnTime(t *testing.T) {
 	spec := FlakyDumbbell(FlakyDumbbellParams{
 		DownAt:   2 * time.Second,
@@ -96,14 +97,19 @@ func TestEventsDeclaredOutOfOrderFireOnTime(t *testing.T) {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	bottleneck := sim.Duplex(spec.Events[0].Link).Forward
+	bottleneck := sim.Duplex(spec.Events[0].Link)
 	for _, step := range []struct {
 		at   time.Duration
 		down bool
 	}{{1900 * time.Millisecond, false}, {3 * time.Second, true}, {spec.Duration, false}} {
 		sim.RunUntil(step.at)
-		if got := bottleneck.IsDown(); got != step.down {
-			t.Fatalf("at %v: bottleneck down=%v, want %v", step.at, got, step.down)
+		if fwd, rev := bottleneck.Forward.IsDown(), bottleneck.Reverse.IsDown(); fwd != step.down || rev != step.down {
+			t.Fatalf("at %v: bottleneck down=%v/%v (fwd/rev), want %v", step.at, fwd, rev, step.down)
+		}
+	}
+	for i, r := range sim.Finish().Events {
+		if !r.Fired {
+			t.Errorf("record %d (%s at %v) did not fire", i, r.Kind, r.At)
 		}
 	}
 }
@@ -149,14 +155,132 @@ func TestDynamicsDeterminismSerialVsParallel(t *testing.T) {
 
 // TestTimeZeroEventAppliesAtBuild checks that the asymmetric scenario's
 // time-zero reverse-bandwidth event reconfigures the link before any packet
-// is sent.
+// is sent, and that its record says it fired while the later squeeze's does
+// not yet.
 func TestTimeZeroEventAppliesAtBuild(t *testing.T) {
-	sim := MustBuild(Asymmetric(AsymmetricParams{}))
+	sim := MustBuild(Asymmetric(AsymmetricParams{SqueezeAt: time.Second}))
 	if got := sim.Duplex(0).Reverse.Config().Bandwidth; got != 128*netsim.Kbps {
 		t.Fatalf("reverse bandwidth %v at build, want 128Kbps", got)
 	}
 	if got := sim.Duplex(0).Forward.Config().Bandwidth; got != 10*netsim.Mbps {
 		t.Fatalf("forward bandwidth %v at build, want 10Mbps", got)
+	}
+	recs := sim.Finish().Events
+	if len(recs) != 2 || !recs[0].Fired || recs[1].Fired {
+		t.Fatalf("records at build = %+v, want the time-zero event fired and the squeeze not", recs)
+	}
+}
+
+// TestFiredEventRecords runs one small spec per row on a real Sim and checks
+// what its events changed and what their records say.
+func TestFiredEventRecords(t *testing.T) {
+	p2p := func(events ...dynamics.Event) Spec {
+		spec := PointToPoint(PointToPointParams{
+			Duration:  2 * time.Second,
+			Workloads: []Workload{{From: "sender", To: "receiver", CC: CCCM, Flows: 3, Bytes: 1 << 20}},
+		})
+		spec.Events = events
+		return spec
+	}
+	const restartAt = 500 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		spec  Spec
+		runTo time.Duration
+		check func(t *testing.T, sim *Sim, recs []dynamics.Record)
+	}{
+		{
+			name: "a reverse event changes only the reverse link",
+			spec: p2p(dynamics.Event{At: time.Second, Kind: dynamics.SetBandwidth, Link: 0,
+				Direction: dynamics.DirReverse, Bandwidth: 64 * netsim.Kbps}),
+			check: func(t *testing.T, sim *Sim, _ []dynamics.Record) {
+				d := sim.Duplex(0)
+				if fwd, rev := d.Forward.Config().Bandwidth, d.Reverse.Config().Bandwidth; fwd != 10*netsim.Mbps || rev != 64*netsim.Kbps {
+					t.Fatalf("bandwidth fwd=%v rev=%v, want 10Mbps and 64Kbps", fwd, rev)
+				}
+			},
+		},
+		{
+			name: "a forward event changes only the forward link",
+			spec: p2p(dynamics.Event{At: time.Second, Kind: dynamics.SetDelay, Link: 0,
+				Direction: dynamics.DirForward, Delay: 40 * time.Millisecond}),
+			check: func(t *testing.T, sim *Sim, _ []dynamics.Record) {
+				d := sim.Duplex(0)
+				if fwd, rev := d.Forward.Config().Delay, d.Reverse.Config().Delay; fwd != 40*time.Millisecond || rev == fwd {
+					t.Fatalf("delay fwd=%v rev=%v, want 40ms forward only", fwd, rev)
+				}
+			},
+		},
+		{
+			name: "only link-down and link-up records carry routes_changed",
+			spec: p2p(
+				dynamics.Event{At: 250 * time.Millisecond, Kind: dynamics.SetLoss, Link: 0, LossRate: 0.01},
+				dynamics.Event{At: 500 * time.Millisecond, Kind: dynamics.LinkDown, Link: 0},
+				dynamics.Event{At: 750 * time.Millisecond, Kind: dynamics.SetBandwidth, Link: 0, Bandwidth: netsim.Mbps},
+				dynamics.Event{At: time.Second, Kind: dynamics.LinkUp, Link: 0},
+			),
+			check: func(t *testing.T, sim *Sim, recs []dynamics.Record) {
+				for _, r := range recs {
+					topo := r.Kind == dynamics.LinkDown || r.Kind == dynamics.LinkUp
+					if !r.Fired || (r.RoutesChanged > 0) != topo {
+						t.Errorf("%s at %v: fired=%v routes_changed=%d", r.Kind, r.At, r.Fired, r.RoutesChanged)
+					}
+				}
+				if sim.Host("sender").RouteTo("receiver") == nil {
+					t.Error("no route sender->receiver after link-up")
+				}
+			},
+		},
+		{
+			name:  "a cm-restart record counts the flows it wiped",
+			spec:  p2p(dynamics.Event{At: restartAt, Kind: dynamics.CMRestart, Host: "sender"}),
+			runTo: restartAt - 1,
+			check: func(t *testing.T, sim *Sim, _ []dynamics.Record) {
+				live := sim.CM("sender").FlowCount()
+				if live == 0 {
+					t.Fatal("no CM flows open just before the restart")
+				}
+				sim.RunUntil(sim.Spec.Duration)
+				if r := sim.Finish().Events[0]; !r.Fired || r.FlowsWiped != live {
+					t.Fatalf("record %+v, want fired with flows_wiped=%d", r, live)
+				}
+			},
+		},
+		{
+			name: "an event after Duration is past_end and never fires",
+			spec: p2p(
+				dynamics.Event{At: time.Second, Kind: dynamics.SetLoss, Link: 0, LossRate: 0.01},
+				dynamics.Event{At: 3 * time.Second, Kind: dynamics.LinkDown, Link: 0},
+				dynamics.Event{At: time.Minute, Kind: dynamics.CMRestart, Host: "sender"},
+			),
+			runTo: time.Hour,
+			check: func(t *testing.T, sim *Sim, recs []dynamics.Record) {
+				if r := recs[0]; !r.Fired || r.PastEnd {
+					t.Errorf("in-run event: fired=%v past_end=%v", r.Fired, r.PastEnd)
+				}
+				for _, r := range recs[1:] {
+					if r.Fired || !r.PastEnd {
+						t.Errorf("%s at %v: fired=%v past_end=%v, want unfired and past-end", r.Kind, r.At, r.Fired, r.PastEnd)
+					}
+				}
+				if sim.Duplex(0).Forward.IsDown() || sim.CM("sender").Epoch() != 0 {
+					t.Error("a past-end event changed the network")
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := MustBuild(tc.spec)
+			if err := sim.Start(); err != nil {
+				t.Fatal(err)
+			}
+			runTo := tc.runTo
+			if runTo == 0 {
+				runTo = tc.spec.Duration
+			}
+			sim.RunUntil(runTo)
+			tc.check(t, sim, sim.Finish().Events)
+		})
 	}
 }
 
