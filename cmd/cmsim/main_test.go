@@ -64,6 +64,8 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{[]string{"-scenario", "dumbbell", "-param", "k=4"}, `scenario "dumbbell": unknown parameter "k" (takes none)`},
 		{[]string{"-scenario", "p2p", "-param", "flows=1.5"}, `parameter "flows" must be an integer, got 1.5`},
 		{[]string{"-scenario", "p2p", "-param", "queue=-1"}, `link 0: negative queue limit`},
+		{[]string{"-scenario", "p2p", "-param", "loss=2"}, `link 0: loss_rate 2 out of [0,1]`},
+		{[]string{"-scenario", "p2p", "-param", "bandwidth=-1"}, `link 0: bandwidth -1 negative`},
 	} {
 		code, out, errOut := cmsim(tc.args...)
 		if code != 2 {

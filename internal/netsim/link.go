@@ -82,6 +82,36 @@ type LinkConfig struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
+// Validate reports the first field out of range: a negative bandwidth, delay,
+// reorder delay, queue limit or ECN threshold, a loss, reorder or duplicate
+// rate outside [0, 1], or an invalid Gilbert-Elliott model.
+func (c LinkConfig) Validate() error {
+	if !(c.Bandwidth >= 0) {
+		return fmt.Errorf("bandwidth %v negative", float64(c.Bandwidth))
+	}
+	if c.Delay < 0 || c.ReorderDelay < 0 {
+		return fmt.Errorf("negative delay (delay %v, reorder_delay %v)", c.Delay, c.ReorderDelay)
+	}
+	if c.QueuePackets < 0 || c.QueueBytes < 0 {
+		return fmt.Errorf("negative queue limit (queue_packets %d, queue_bytes %d)", c.QueuePackets, c.QueueBytes)
+	}
+	if c.ECNThresholdPackets < 0 {
+		return fmt.Errorf("ecn_threshold_packets %d negative", c.ECNThresholdPackets)
+	}
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"loss_rate", c.LossRate}, {"reorder_rate", c.ReorderRate}, {"duplicate_rate", c.DuplicateRate}} {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("%s %v out of [0,1]", r.name, r.v)
+		}
+	}
+	if c.Gilbert != nil {
+		return c.Gilbert.Validate()
+	}
+	return nil
+}
+
 // LinkStats are cumulative counters for a link.
 type LinkStats struct {
 	SentPackets int

@@ -300,9 +300,9 @@ func (s *Spec) fillDefaults() {
 }
 
 // Validate checks the spec for structural errors: empty topology, links with
-// invalid endpoints or negative queue limits, workloads referring to unknown
-// nodes, unknown workload kinds or congestion controllers, and workloads
-// sourced at routers (routers carry transit traffic only).
+// invalid endpoints or an out-of-range LinkConfig, workloads referring to
+// unknown nodes, unknown workload kinds or congestion controllers, and
+// workloads sourced at routers (routers carry transit traffic only).
 func (s *Spec) Validate() error {
 	if len(s.Links) == 0 {
 		return fmt.Errorf("scenario %q: no links", s.Name)
@@ -312,9 +312,8 @@ func (s *Spec) Validate() error {
 		if l.A == "" || l.B == "" || l.A == l.B {
 			return fmt.Errorf("scenario %q: link %d endpoints %q-%q invalid", s.Name, i, l.A, l.B)
 		}
-		if l.QueuePackets < 0 || l.QueueBytes < 0 {
-			return fmt.Errorf("scenario %q: link %d: negative queue limit (queue_packets %d, queue_bytes %d)",
-				s.Name, i, l.QueuePackets, l.QueueBytes)
+		if err := l.LinkConfig.Validate(); err != nil {
+			return fmt.Errorf("scenario %q: link %d: %w", s.Name, i, err)
 		}
 		nodes[l.A] = true
 		nodes[l.B] = true

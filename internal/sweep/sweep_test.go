@@ -467,6 +467,33 @@ func TestCampaignRecordsErrors(t *testing.T) {
 	}
 }
 
+// TestCampaignRecordsOutOfRangeLink: a link value the spec refuses fails its
+// point, which then contributes no CSV row, and the in-range point runs.
+func TestCampaignRecordsOutOfRangeLink(t *testing.T) {
+	base := scenario.PointToPoint(scenario.PointToPointParams{
+		Workloads: []scenario.Workload{{Kind: scenario.KindBulk, From: "sender", To: "receiver", Bytes: 1000}},
+	})
+	camp := Campaign{
+		Base: &base,
+		Axes: []Axis{{Param: "link[0].loss", Values: []float64{0.01, 1.5}}},
+	}
+	res, err := camp.Run(scenario.Runner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Points[0].Failed != 0 || len(res.Points[0].Metrics) == 0 {
+		t.Fatalf("in-range point failed: %+v", res.Points[0])
+	}
+	if pt := res.Points[1]; pt.Failed != 1 || len(pt.Errors) != 1 || !strings.Contains(pt.Errors[0], "loss_rate 1.5 out of [0,1]") {
+		t.Fatalf("out-of-range point not recorded as failed: %+v", pt)
+	}
+	for _, row := range strings.Split(res.CSV(), "\n") {
+		if strings.HasPrefix(row, "1,") {
+			t.Fatalf("failed point emitted a CSV row: %s", row)
+		}
+	}
+}
+
 // TestCampaignProbeMetrics: campaign-level probes land on every expanded
 // spec, their series summarise into probe.* metrics under the default metric
 // selection, and the columns appear in the CSV.
