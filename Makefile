@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke artifacts-check loc
+.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke examples-smoke artifacts-check loc
 
 ci: fmt vet build race bench-test fuzz-smoke
 
@@ -127,15 +127,25 @@ route-smoke:
 	$(GO) run ./cmd/cmsim -campaign examples/campaigns/route-smoke.json \
 		-parallel 8 -check-invariants -csv > ROUTE_SMOKE.csv
 
-# The smokes' deterministic artifacts are committed: regenerate them and fail
-# when any differs from the committed copy or a file appears under plots/ that
-# is not committed. RUN_REPORT.* (a wall-clock Perf section) and
+# The smokes' deterministic artifacts and the examples' OUTPUT.txt files are
+# committed: regenerate them and fail when any differs from the committed copy
+# or a file appears under plots/ that is not committed. RUN_REPORT.* (a wall-clock Perf section) and
 # SHARD_TIMELINE.json (wall-clock spans) are not deterministic and stay out.
-ARTIFACTS = SWEEP_SMOKE.csv CHURN_SOAK.csv FATTREE_SMOKE.csv ROUTE_SMOKE.csv PROBE_SMOKE.csv plots/
-artifacts-check: sweep-smoke soak-smoke fattree-smoke route-smoke probe-smoke
+ARTIFACTS = SWEEP_SMOKE.csv CHURN_SOAK.csv FATTREE_SMOKE.csv ROUTE_SMOKE.csv PROBE_SMOKE.csv plots/ \
+	$(EXAMPLES:%=%/OUTPUT.txt)
+artifacts-check: sweep-smoke soak-smoke fattree-smoke route-smoke probe-smoke examples-smoke
 	@out=$$(git status --porcelain --untracked-files=all -- $(ARTIFACTS)); \
 	if [ -n "$$out" ]; then echo "smoke artifacts differ from the committed copy:"; echo "$$out"; \
 		git --no-pager diff --stat -- $(ARTIFACTS); exit 1; fi
+
+# Every example, run: each examples/<name> program's stdout goes to
+# examples/<name>/OUTPUT.txt, and a non-zero exit fails the target. The
+# examples are deterministic (virtual clock, seeded links), so artifacts-check
+# holds the files to their committed bytes.
+EXAMPLES = $(patsubst %/main.go,%,$(wildcard examples/*/main.go))
+examples-smoke:
+	@set -e; for d in $(EXAMPLES); do \
+		echo "$(GO) run ./$$d > $$d/OUTPUT.txt"; $(GO) run ./$$d > $$d/OUTPUT.txt; done
 
 # Hierarchical-routing smoke: sweep the fat-tree builder's k parameter
 # (param.* axes rebuild the topology per point), exercising suffix-domain
