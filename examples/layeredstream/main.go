@@ -34,13 +34,14 @@ func run(mode app.LayeredMode) {
 	lib := libcm.New(manager, sched, libcm.ModeAuto)
 
 	// The client acknowledges every packet so the server's CM gets feedback.
-	client, err := app.NewLayeredClient(network.Host("client"), 7000, app.FeedbackPolicy{EveryPackets: 1}, 500*time.Millisecond)
+	client, err := app.NewReceiver(network.Host("client"), 7000, app.FeedbackPolicy{EveryPackets: 1})
 	if err != nil {
 		panic(err)
 	}
+	layers := []float64{125_000, 250_000, 500_000, 1_000_000} // 1 - 8 Mbit/s
 	server, err := app.NewLayeredServer(network.Host("server"), lib, client.Addr(), app.LayeredConfig{
 		Mode:       mode,
-		Layers:     []float64{125_000, 250_000, 500_000, 1_000_000}, // 1 - 8 Mbit/s
+		Layers:     layers,
 		PacketSize: 1000,
 	})
 	if err != nil {
@@ -56,7 +57,12 @@ func run(mode app.LayeredMode) {
 
 	server.Start()
 	sched.After(5*time.Second, cross.Start)
-	sched.RunFor(30 * time.Second)
+	// A coarse adaptation trace: the layer being sent, sampled every 3 s.
+	var trace []float64
+	for t := 3 * time.Second; t <= 30*time.Second; t += 3 * time.Second {
+		sched.RunUntil(t)
+		trace = append(trace, layers[server.Layer()])
+	}
 	server.Stop()
 	cross.Stop()
 
@@ -65,11 +71,9 @@ func run(mode app.LayeredMode) {
 	fmt.Printf("%-14s packets=%6d layer-switches=%3d rate-callbacks=%4d grants=%6d goodput=%5.0f KB/s\n",
 		mode, stats.PacketsSent, stats.LayerSwitches, stats.RateCallbacks, stats.GrantsReceived, goodput)
 
-	// Print a coarse adaptation trace: the layer chosen over time.
-	layers := server.LayerRateSeries().Resample(0, 30*time.Second, 3*time.Second)
 	fmt.Print("    layer trace (KB/s every 3s): ")
-	for i := 0; i < layers.Len(); i++ {
-		fmt.Printf("%5.0f ", layers.At(i).V/1024)
+	for _, rate := range trace {
+		fmt.Printf("%5.0f ", rate/1024)
 	}
 	fmt.Println()
 }

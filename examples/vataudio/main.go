@@ -31,7 +31,7 @@ func run(bandwidth netsim.Bandwidth, label string) {
 	manager := cm.New(sched, sched)
 	network.Host("caller").SetTransmitNotifier(manager)
 
-	callee, err := app.NewReceiver(network.Host("callee"), 5004, app.FeedbackPolicy{EveryPackets: 1}, time.Second)
+	callee, err := app.NewReceiver(network.Host("callee"), 5004, app.FeedbackPolicy{EveryPackets: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -44,7 +44,7 @@ func bottleneck(bw netsim.Bandwidth, delay time.Duration) netsim.LinkConfig {
 
 func TestReceiverAcksEveryPacketByDefault(t *testing.T) {
 	e := newAppEnv(t, bottleneck(10*netsim.Mbps, 5*time.Millisecond))
-	rx, err := NewReceiver(e.net.Host("client"), 6000, FeedbackPolicy{}, time.Second)
+	rx, err := NewReceiver(e.net.Host("client"), 6000, FeedbackPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +69,6 @@ func TestReceiverAcksEveryPacketByDefault(t *testing.T) {
 	if rx.TotalBytes() != 2000 || rx.TotalPackets() != 5 || rx.ReportsSent() != 5 {
 		t.Fatal("receiver counters wrong")
 	}
-	if rx.RateSeries() == nil {
-		t.Fatal("rate series missing")
-	}
 }
 
 func TestReceiverDelayedFeedbackPolicy(t *testing.T) {
@@ -79,7 +76,7 @@ func TestReceiverDelayedFeedbackPolicy(t *testing.T) {
 	// comes first. With only 10 packets the timer must flush the report.
 	e := newAppEnv(t, bottleneck(10*netsim.Mbps, 5*time.Millisecond))
 	rx, err := NewReceiver(e.net.Host("client"), 6001,
-		FeedbackPolicy{EveryPackets: 500, MaxDelay: 2 * time.Second}, time.Second)
+		FeedbackPolicy{EveryPackets: 500, MaxDelay: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +103,7 @@ func TestReceiverDelayedFeedbackPolicy(t *testing.T) {
 
 func TestReceiverCountThresholdTriggersReport(t *testing.T) {
 	e := newAppEnv(t, bottleneck(10*netsim.Mbps, time.Millisecond))
-	rx, _ := NewReceiver(e.net.Host("client"), 6002, FeedbackPolicy{EveryPackets: 4}, time.Second)
+	rx, _ := NewReceiver(e.net.Host("client"), 6002, FeedbackPolicy{EveryPackets: 4})
 	tx, _ := udp.NewSocket(e.net.Host("server"), 0)
 	var reports int
 	tx.OnReceive(func(_ netsim.Addr, d *udp.Datagram) {
@@ -194,9 +191,9 @@ func TestSenderFeedbackValidation(t *testing.T) {
 // Layered streaming server
 // ---------------------------------------------------------------------------
 
-func layeredSetup(t *testing.T, e *appEnv, mode LayeredMode, policy FeedbackPolicy) (*LayeredServer, *LayeredClient) {
+func layeredSetup(t *testing.T, e *appEnv, mode LayeredMode, policy FeedbackPolicy) (*LayeredServer, *Receiver) {
 	t.Helper()
-	client, err := NewLayeredClient(e.net.Host("client"), 7000, policy, 500*time.Millisecond)
+	client, err := NewReceiver(e.net.Host("client"), 7000, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +231,8 @@ func TestLayeredALFAdaptsToBottleneck(t *testing.T) {
 	if goodput < 0.4*linkRate {
 		t.Fatalf("goodput %.0f is too far below the link rate %.0f", goodput, linkRate)
 	}
-	if srv.ReportedRateSeries().Len() == 0 || srv.LayerRateSeries().Len() == 0 {
-		t.Fatal("adaptation traces missing")
+	if srv.Stats().RateReports < srv.Stats().GrantsReceived || srv.ReportedRate() <= 0 {
+		t.Fatalf("every grant's query must be a rate report: %+v, last reported %.0f", srv.Stats(), srv.ReportedRate())
 	}
 	// The steady-state layer should be the one matching the bottleneck
 	// (125 kB/s), i.e. index 2.
@@ -269,10 +266,9 @@ func TestLayeredRateCallbackAdaptsViaThresholds(t *testing.T) {
 	if goodput > linkRate*1.05 {
 		t.Fatalf("goodput %.0f exceeds the link rate", goodput)
 	}
-	// Self-clocked transmission follows the chosen layer, so the sending
-	// rate should be close to one of the configured layers.
-	if srv.LayerRateSeries().Len() == 0 {
-		t.Fatal("layer trace missing")
+	// The start query, every callback and every poll are rate reports.
+	if st.RateReports <= st.RateCallbacks || srv.ReportedRate() <= 0 {
+		t.Fatalf("rate reports not counted: %+v, last reported %.0f", st, srv.ReportedRate())
 	}
 }
 
@@ -281,7 +277,7 @@ func TestLayeredALFObservesRateMoreOftenThanRateCallback(t *testing.T) {
 	// packet it sends and so observes (and can react to) many more rate
 	// samples, while the rate-callback application is "notified only in the
 	// rare event that their network conditions change significantly".
-	run := func(mode LayeredMode) (observations int, switches int64) {
+	run := func(mode LayeredMode) (observations, switches int64) {
 		e := newAppEnv(t, bottleneck(2*netsim.Mbps, 20*time.Millisecond))
 		srv, _ := layeredSetup(t, e, mode, FeedbackPolicy{})
 		cross, err := NewOnOffSource(e.net.Host("server"),
@@ -294,7 +290,7 @@ func TestLayeredALFObservesRateMoreOftenThanRateCallback(t *testing.T) {
 		e.sched.RunFor(30 * time.Second)
 		srv.Stop()
 		cross.Stop()
-		return srv.ReportedRateSeries().Len(), srv.Stats().LayerSwitches
+		return srv.Stats().RateReports, srv.Stats().LayerSwitches
 	}
 	alfObs, alfSwitches := run(ModeALF)
 	rcbObs, rcbSwitches := run(ModeRateCallback)
@@ -360,7 +356,7 @@ func TestVatSendsNearlyAllFramesWhenBandwidthIsAmple(t *testing.T) {
 	// 64 kbps audio over a 10 Mbps link: nothing should need dropping once
 	// the window has opened.
 	e := newAppEnv(t, bottleneck(10*netsim.Mbps, 10*time.Millisecond))
-	rx, err := NewReceiver(e.net.Host("client"), 8000, FeedbackPolicy{}, time.Second)
+	rx, err := NewReceiver(e.net.Host("client"), 8000, FeedbackPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +387,7 @@ func TestVatPolicerDropsWhenBandwidthIsScarce(t *testing.T) {
 	// 32 kbps bottleneck for a 64 kbps source: roughly half of the frames
 	// must be dropped preemptively rather than queued (bounding delay).
 	e := newAppEnv(t, bottleneck(32*netsim.Kbps, 20*time.Millisecond))
-	rx, err := NewReceiver(e.net.Host("client"), 8001, FeedbackPolicy{}, time.Second)
+	rx, err := NewReceiver(e.net.Host("client"), 8001, FeedbackPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,8 +414,8 @@ func TestVatPolicerDropsWhenBandwidthIsScarce(t *testing.T) {
 	if st.RateCallbacks == 0 {
 		t.Fatal("the policer should have been driven by rate callbacks")
 	}
-	if vat.SentRateSeries().Len() == 0 {
-		t.Fatal("sent-rate trace missing")
+	if rx.TotalBytes() == 0 {
+		t.Fatal("the receiver heard no audio")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/cm"
 	"repro/internal/netsim"
 	"repro/internal/node"
-	"repro/internal/probe"
 	"repro/internal/simtime"
 	"repro/internal/udp"
 )
@@ -93,8 +92,7 @@ func (p *FeedbackPolicy) fillDefaults() {
 }
 
 // Receiver is the receiving half of a UDP-based adaptive application: it
-// counts arriving data, maintains a received-rate trace, and returns Reports
-// to the data's source according to the feedback policy. No kernel or CM
+// counts arriving data and returns Reports to the data's source according to the feedback policy. No kernel or CM
 // support is needed on the receiving host, matching the paper's
 // no-receiver-changes deployment story.
 type Receiver struct {
@@ -111,25 +109,20 @@ type Receiver struct {
 	dataSource   netsim.Addr
 	haveSource   bool
 
-	rate    *probe.RateEstimator
 	reports int64
 }
 
 // NewReceiver binds a feedback-generating receiver to (host, port).
-func NewReceiver(h *node.Host, port int, policy FeedbackPolicy, rateWindow time.Duration) (*Receiver, error) {
+func NewReceiver(h *node.Host, port int, policy FeedbackPolicy) (*Receiver, error) {
 	policy.fillDefaults()
 	sock, err := udp.NewSocket(h, port)
 	if err != nil {
 		return nil, err
 	}
-	if rateWindow <= 0 {
-		rateWindow = time.Second
-	}
 	r := &Receiver{
 		sock:   sock,
 		sched:  h.Clock(),
 		policy: policy,
-		rate:   probe.NewRateEstimator("received-rate", rateWindow),
 	}
 	// Reports are transport control traffic; they are never charged to a CM
 	// macroflow on the receiving host (which typically has no CM at all).
@@ -153,9 +146,6 @@ func (r *Receiver) TotalPackets() int64 { return r.totalPackets }
 // ReportsSent returns the number of feedback reports transmitted.
 func (r *Receiver) ReportsSent() int64 { return r.reports }
 
-// RateSeries returns the received-rate trace (bytes/second samples).
-func (r *Receiver) RateSeries() *probe.Series { return r.rate.Series() }
-
 func (r *Receiver) onDatagram(from netsim.Addr, d *udp.Datagram) {
 	if _, isReport := d.App.(*Report); isReport {
 		return // a sender should not loop reports back, but be safe
@@ -169,7 +159,6 @@ func (r *Receiver) onDatagram(from netsim.Addr, d *udp.Datagram) {
 	r.dataSource = from
 	r.haveSource = true
 	r.unreported++
-	r.rate.Record(r.sched.Now(), d.Size)
 	if r.unreported >= r.policy.EveryPackets {
 		r.flushReport()
 		return

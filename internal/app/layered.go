@@ -8,7 +8,6 @@ import (
 	"repro/internal/libcm"
 	"repro/internal/netsim"
 	"repro/internal/node"
-	"repro/internal/probe"
 	"repro/internal/simtime"
 	"repro/internal/udp"
 )
@@ -54,8 +53,6 @@ type LayeredConfig struct {
 	// self-clocked sender that unused headroom has accumulated, because the
 	// CM stops raising its estimate for an application-limited flow.
 	PollInterval time.Duration
-	// TraceWindow is the bucketing interval for the rate traces.
-	TraceWindow time.Duration
 	// GrantWatchdog is the ALF-mode stall detector: if no grant arrives for
 	// this long while streaming, the server re-requests. The request/callback
 	// chain ("send, then request again") breaks permanently if one
@@ -86,9 +83,6 @@ func (c *LayeredConfig) fillDefaults() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = time.Second
 	}
-	if c.TraceWindow <= 0 {
-		c.TraceWindow = 500 * time.Millisecond
-	}
 	if c.GrantWatchdog <= 0 {
 		c.GrantWatchdog = time.Second
 	}
@@ -96,9 +90,12 @@ func (c *LayeredConfig) fillDefaults() {
 
 // LayeredStats are counters for a layered server.
 type LayeredStats struct {
-	PacketsSent     int64
-	BytesSent       int64
-	LayerSwitches   int64
+	PacketsSent   int64
+	BytesSent     int64
+	LayerSwitches int64
+	// RateReports counts the rates the server adapted to: one per query
+	// answer or rate callback. RateCallbacks counts the callbacks alone.
+	RateReports     int64
 	RateCallbacks   int64
 	GrantsReceived  int64
 	FeedbackReports int64
@@ -110,7 +107,9 @@ type LayeredStats struct {
 }
 
 // LayeredServer is the streaming layered audio/video server of §3.4/§3.5. It
-// is a user-space CM client: all CM interaction goes through libcm.
+// is a user-space CM client: all CM interaction goes through libcm. It keeps
+// counters (Stats) and gauges (Layer, ReportedRate), not traces: a caller
+// that wants a time series samples them.
 type LayeredServer struct {
 	lib   *libcm.Lib
 	sock  *udp.Socket
@@ -128,10 +127,8 @@ type LayeredServer struct {
 	pollTimer     simtime.EventTimer
 	watchdogTimer simtime.EventTimer
 
-	txRate       *probe.RateEstimator
-	reportedRate *probe.Series
-	layerRate    *probe.Series
-	stats        LayeredStats
+	reported float64
+	stats    LayeredStats
 }
 
 // NewLayeredServer creates a layered streaming server on host h sending to
@@ -146,14 +143,11 @@ func NewLayeredServer(h *node.Host, lib *libcm.Lib, dst netsim.Addr, cfg Layered
 		return nil, err
 	}
 	s := &LayeredServer{
-		lib:          lib,
-		sock:         sock,
-		sched:        h.Clock(),
-		dst:          dst,
-		cfg:          cfg,
-		txRate:       probe.NewRateEstimator("transmission-rate", cfg.TraceWindow),
-		reportedRate: probe.NewSeries("cm-reported-rate"),
-		layerRate:    probe.NewSeries("layer-rate"),
+		lib:   lib,
+		sock:  sock,
+		sched: h.Clock(),
+		dst:   dst,
+		cfg:   cfg,
 	}
 	// Layered applications "open their usual UDP socket, and call cm_open()
 	// to obtain a control socket" (§3.4).
@@ -187,15 +181,9 @@ func (s *LayeredServer) Layer() int { return s.layer }
 // Stats returns a copy of the server counters.
 func (s *LayeredServer) Stats() LayeredStats { return s.stats }
 
-// TransmissionRateSeries returns the measured transmission rate trace.
-func (s *LayeredServer) TransmissionRateSeries() *probe.Series { return s.txRate.Series() }
-
-// ReportedRateSeries returns the CM-reported rate trace (one sample per
-// query/callback).
-func (s *LayeredServer) ReportedRateSeries() *probe.Series { return s.reportedRate }
-
-// LayerRateSeries returns the trace of the chosen layer's nominal rate.
-func (s *LayeredServer) LayerRateSeries() *probe.Series { return s.layerRate }
+// ReportedRate returns the CM-reported rate, in bytes/second, that the
+// server last adapted to (0 before the first report).
+func (s *LayeredServer) ReportedRate() float64 { return s.reported }
 
 // Start begins streaming.
 func (s *LayeredServer) Start() {
@@ -213,7 +201,6 @@ func (s *LayeredServer) Start() {
 		s.lib.RegisterUpdate(s.flow, s.onRateCallback)
 		if st, ok := s.lib.Query(s.flow); ok {
 			s.pickLayer(st.Rate)
-			s.recordReported(st.Rate)
 		}
 		s.scheduleNextFrame()
 		s.pollTimer.Reset(s.cfg.PollInterval)
@@ -235,9 +222,11 @@ func (s *LayeredServer) Close() {
 	s.sock.Close()
 }
 
-// pickLayer chooses the highest layer whose rate fits within the available
-// rate (scaled by headroom); it records switches.
+// pickLayer adapts to a CM-reported rate: it chooses the highest layer whose
+// rate fits within it (scaled by headroom) and counts reports and switches.
 func (s *LayeredServer) pickLayer(rate float64) {
+	s.reported = rate
+	s.stats.RateReports++
 	budget := rate * s.cfg.Headroom
 	chosen := 0
 	for i, r := range s.cfg.Layers {
@@ -249,11 +238,6 @@ func (s *LayeredServer) pickLayer(rate float64) {
 		s.layer = chosen
 		s.stats.LayerSwitches++
 	}
-	s.layerRate.Add(s.sched.Now(), s.cfg.Layers[s.layer])
-}
-
-func (s *LayeredServer) recordReported(rate float64) {
-	s.reportedRate.Add(s.sched.Now(), rate)
 }
 
 func (s *LayeredServer) sendPacket() {
@@ -264,7 +248,6 @@ func (s *LayeredServer) sendPacket() {
 	s.fb.OnSend(s.seq, s.cfg.PacketSize)
 	s.stats.PacketsSent++
 	s.stats.BytesSent += int64(s.cfg.PacketSize)
-	s.txRate.Record(s.sched.Now(), s.cfg.PacketSize)
 }
 
 // onGrant is the ALF-mode cmapp_send callback: query, adapt, transmit, and
@@ -279,7 +262,6 @@ func (s *LayeredServer) onGrant(_ cm.FlowID) {
 	s.watchdogTimer.Reset(s.cfg.GrantWatchdog)
 	if st, ok := s.lib.Query(s.flow); ok {
 		s.pickLayer(st.Rate)
-		s.recordReported(st.Rate)
 	}
 	s.sendPacket()
 	s.lib.Request(s.flow)
@@ -321,7 +303,6 @@ func (s *LayeredServer) onCMRestart() {
 // onRateCallback is the rate-callback-mode cmapp_update callback.
 func (s *LayeredServer) onRateCallback(_ cm.FlowID, st cm.Status) {
 	s.stats.RateCallbacks++
-	s.recordReported(st.Rate)
 	s.pickLayer(st.Rate)
 }
 
@@ -334,7 +315,6 @@ func (s *LayeredServer) onPoll() {
 		return
 	}
 	if st, ok := s.lib.Query(s.flow); ok {
-		s.recordReported(st.Rate)
 		s.pickLayer(st.Rate)
 	}
 	s.pollTimer.Reset(s.cfg.PollInterval)
@@ -360,20 +340,4 @@ func (s *LayeredServer) scheduleNextFrame() {
 		interval = time.Millisecond
 	}
 	s.sendTimer.Reset(interval)
-}
-
-// LayeredClient is the receiving side: a feedback-generating Receiver plus a
-// rate trace, standing in for the buffering media client.
-type LayeredClient struct {
-	*Receiver
-}
-
-// NewLayeredClient creates the client on (host, port) with the given feedback
-// policy.
-func NewLayeredClient(h *node.Host, port int, policy FeedbackPolicy, traceWindow time.Duration) (*LayeredClient, error) {
-	r, err := NewReceiver(h, port, policy, traceWindow)
-	if err != nil {
-		return nil, err
-	}
-	return &LayeredClient{Receiver: r}, nil
 }

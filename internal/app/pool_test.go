@@ -18,7 +18,7 @@ func TestDuplicatedReportsArriveIntact(t *testing.T) {
 	link := bottleneck(10*netsim.Mbps, 5*time.Millisecond)
 	link.DuplicateRate = 1
 	e := newAppEnv(t, link)
-	rx, err := NewReceiver(e.net.Host("client"), 6000, FeedbackPolicy{}, time.Second)
+	rx, err := NewReceiver(e.net.Host("client"), 6000, FeedbackPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

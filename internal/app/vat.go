@@ -6,7 +6,6 @@ import (
 	"repro/internal/cm"
 	"repro/internal/netsim"
 	"repro/internal/node"
-	"repro/internal/probe"
 	"repro/internal/simtime"
 	"repro/internal/udp"
 )
@@ -27,8 +26,6 @@ type VatConfig struct {
 	DropPolicy netsim.DropPolicy
 	// KernelQueueFrames bounds the congestion-controlled socket's queue.
 	KernelQueueFrames int
-	// TraceWindow is the bucketing interval for rate traces.
-	TraceWindow time.Duration
 }
 
 func (c *VatConfig) fillDefaults() {
@@ -43,9 +40,6 @@ func (c *VatConfig) fillDefaults() {
 	}
 	if c.KernelQueueFrames <= 0 {
 		c.KernelQueueFrames = 4
-	}
-	if c.TraceWindow <= 0 {
-		c.TraceWindow = time.Second
 	}
 }
 
@@ -88,8 +82,7 @@ type VatSource struct {
 	running bool
 	frameTk simtime.EventTimer
 
-	sentRate *probe.RateEstimator
-	stats    VatStats
+	stats VatStats
 }
 
 // NewVatSource creates the adaptive vat sender on host h, streaming to dst
@@ -101,11 +94,10 @@ func NewVatSource(h *node.Host, cmgr *cm.CM, dst netsim.Addr, cfg VatConfig) (*V
 		return nil, err
 	}
 	v := &VatSource{
-		cfg:      cfg,
-		sched:    h.Clock(),
-		cmgr:     cmgr,
-		cc:       cc,
-		sentRate: probe.NewRateEstimator("vat-sent-rate", cfg.TraceWindow),
+		cfg:   cfg,
+		sched: h.Clock(),
+		cmgr:  cmgr,
+		cc:    cc,
 	}
 	v.fb = NewSenderFeedback(v.sched, func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
 		cc.Update(nsent, nrecd, mode, rtt)
@@ -134,9 +126,6 @@ func (v *VatSource) Flow() cm.FlowID { return v.cc.Flow() }
 
 // Stats returns a copy of the frame accounting counters.
 func (v *VatSource) Stats() VatStats { return v.stats }
-
-// SentRateSeries returns the transmitted-rate trace.
-func (v *VatSource) SentRateSeries() *probe.Series { return v.sentRate.Series() }
 
 // PolicerRate returns the current admission rate in bytes/second.
 func (v *VatSource) PolicerRate() float64 { return v.policerRate }
@@ -243,6 +232,5 @@ func (v *VatSource) fillKernel() {
 		v.fb.OnSend(seq, size)
 		v.stats.FramesSent++
 		v.stats.BytesSent += int64(size)
-		v.sentRate.Record(v.sched.Now(), size)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // AdaptationConfig parameterises the layered-streaming adaptation traces of
 // Figures 8, 9 and 10: a layered server streams to a client over a shared
 // path while on/off cross-traffic changes the available bandwidth, and the
-// experiment records the transmission rate and the rate the CM reports.
+// experiment samples the server's and the client's counters every
+// TraceWindow.
 type AdaptationConfig struct {
 	// Mode selects the ALF (Figure 8) or rate-callback (Figure 9/10) API.
 	Mode app.LayeredMode
@@ -32,7 +33,7 @@ type AdaptationConfig struct {
 	CrossRate float64
 	CrossOn   time.Duration
 	CrossOff  time.Duration
-	// TraceWindow is the resampling interval of the reported series.
+	// TraceWindow is the sampling interval of the traces.
 	TraceWindow time.Duration
 	Seed        int64
 }
@@ -68,16 +69,20 @@ func (c *AdaptationConfig) fillDefaults() {
 	}
 }
 
-// AdaptationResult holds the traces of one adaptation run.
+// AdaptationResult holds the traces of one adaptation run. Every trace has
+// one sample at 0 and one at the end of each TraceWindow, the last one at
+// Duration even when that window is shorter. A rate sample at t covers the
+// window that ends at t (the sample at 0 covers one TraceWindow before it):
+// the bytes counted in (t - width, t], divided by the width.
 type AdaptationResult struct {
 	Config AdaptationConfig
-	// TransmissionRate is the measured sending rate (bytes/second buckets).
+	// TransmissionRate is the server's sending rate (bytes/second).
 	TransmissionRate *probe.Series
-	// ReportedRate is the rate the CM reported to the application.
+	// ReportedRate is the rate the CM last reported to the application.
 	ReportedRate *probe.Series
-	// LayerRate is the nominal rate of the layer the application selected.
+	// LayerRate is the nominal rate of the layer the application is sending.
 	LayerRate *probe.Series
-	// ClientRate is the rate observed at the receiver.
+	// ClientRate is the rate the receiver took in (bytes/second).
 	ClientRate *probe.Series
 	// Stats are the server's counters.
 	Stats app.LayeredStats
@@ -97,15 +102,14 @@ func RunAdaptation(cfg AdaptationConfig) AdaptationResult {
 	w := newTestbed(path, true)
 	lib := libcm.New(w.cm, w.clock, libcm.ModeAuto)
 
-	client, err := app.NewLayeredClient(w.rcvr, 7000, cfg.Feedback, cfg.TraceWindow)
+	client, err := app.NewReceiver(w.rcvr, 7000, cfg.Feedback)
 	if err != nil {
 		return AdaptationResult{Config: cfg}
 	}
 	srv, err := app.NewLayeredServer(w.sender, lib, client.Addr(), app.LayeredConfig{
-		Mode:        cfg.Mode,
-		Layers:      cfg.Layers,
-		PacketSize:  1000,
-		TraceWindow: cfg.TraceWindow,
+		Mode:       cfg.Mode,
+		Layers:     cfg.Layers,
+		PacketSize: 1000,
 	})
 	if err != nil {
 		return AdaptationResult{Config: cfg}
@@ -120,22 +124,36 @@ func RunAdaptation(cfg AdaptationConfig) AdaptationResult {
 			w.clock.After(3*time.Second, cross.Start)
 		}
 	}
+	res := AdaptationResult{
+		Config:           cfg,
+		TransmissionRate: probe.NewSeries("transmission-rate"),
+		ReportedRate:     probe.NewSeries("cm-reported-rate"),
+		LayerRate:        probe.NewSeries("layer-rate"),
+		ClientRate:       probe.NewSeries("received-rate"),
+	}
 	srv.Start()
-	w.sim.RunUntil(cfg.Duration)
+	var sent, recd int64
+	width := cfg.TraceWindow // of the window that ends at t
+	for t := time.Duration(0); ; t += width {
+		w.sim.RunUntil(t)
+		nowSent, nowRecd := srv.Stats().BytesSent, client.TotalBytes()
+		res.TransmissionRate.Add(t, float64(nowSent-sent)/width.Seconds())
+		res.ClientRate.Add(t, float64(nowRecd-recd)/width.Seconds())
+		res.ReportedRate.Add(t, srv.ReportedRate())
+		res.LayerRate.Add(t, cfg.Layers[srv.Layer()])
+		sent, recd = nowSent, nowRecd
+		if t == cfg.Duration {
+			break
+		}
+		width = min(cfg.TraceWindow, cfg.Duration-t)
+	}
 	srv.Stop()
 	if cross != nil {
 		cross.Stop()
 	}
-
-	return AdaptationResult{
-		Config:           cfg,
-		TransmissionRate: srv.TransmissionRateSeries().Resample(0, cfg.Duration, cfg.TraceWindow),
-		ReportedRate:     srv.ReportedRateSeries().Resample(0, cfg.Duration, cfg.TraceWindow),
-		LayerRate:        srv.LayerRateSeries().Resample(0, cfg.Duration, cfg.TraceWindow),
-		ClientRate:       client.RateSeries().Resample(0, cfg.Duration, cfg.TraceWindow),
-		Stats:            srv.Stats(),
-		ReportsSent:      client.ReportsSent(),
-	}
+	res.Stats = srv.Stats()
+	res.ReportsSent = client.ReportsSent()
+	return res
 }
 
 // Fig8Config returns the configuration of Figure 8 (ALF API, per-packet

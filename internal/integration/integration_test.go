@@ -97,7 +97,7 @@ func TestMixedClientsShareOneMacroflow(t *testing.T) {
 
 	// 3. User-space layered streaming server through libcm.
 	lib := libcm.New(e.cm, e.sched, libcm.ModeAuto)
-	client, err := app.NewLayeredClient(rcvr, 7000, app.FeedbackPolicy{EveryPackets: 1}, time.Second)
+	client, err := app.NewReceiver(rcvr, 7000, app.FeedbackPolicy{EveryPackets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestVatAndTCPShareABottleneck(t *testing.T) {
 	}
 	conn.OnEstablished(func(*tcp.Endpoint, any) { conn.Send(1 << 20) }) // stays backlogged
 
-	callee, err := app.NewReceiver(rcvr, 5004, app.FeedbackPolicy{EveryPackets: 1}, time.Second)
+	callee, err := app.NewReceiver(rcvr, 5004, app.FeedbackPolicy{EveryPackets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ type Series struct {
 // NewSeries returns an empty series with the given name.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// Add appends a sample. Samples should be added in non-decreasing time order;
-// out-of-order samples are accepted but Resample assumes ordering.
+// Add appends a sample. Samples are kept in the order they are added, which
+// callers keep non-decreasing in time.
 func (s *Series) Add(t time.Duration, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
@@ -109,54 +109,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// Resample buckets the series into fixed-width intervals between start and
-// end, averaging the samples in each bucket. Empty buckets carry the previous
-// bucket's value (step interpolation), which matches how the paper's figures
-// present adaptation traces.
-func (s *Series) Resample(start, end, width time.Duration) *Series {
-	if width <= 0 {
-		panic("probe: Resample width must be positive")
-	}
-	out := NewSeries(s.Name)
-	if end < start {
-		return out
-	}
-	var prev float64
-	i := 0
-	pts := s.Points
-	for t := start; t <= end; t += width {
-		var sum float64
-		var n int
-		for i < len(pts) && pts[i].T < t+width {
-			if pts[i].T >= t {
-				sum += pts[i].V
-				n++
-			}
-			i++
-		}
-		v := prev
-		if n > 0 {
-			v = sum / float64(n)
-		}
-		out.Add(t, v)
-		prev = v
-	}
-	return out
-}
-
-// TransitionCount returns the number of adjacent samples whose values differ,
-// a measure of how often an adaptive application switched layers; used to
-// compare the ALF and rate-callback traces (Fig. 8 vs Fig. 9).
-func (s *Series) TransitionCount() int {
-	n := 0
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].V != s.Points[i-1].V {
-			n++
-		}
-	}
-	return n
-}
-
 // CSV renders the series (or several series sharing timestamps) as CSV with a
 // header row; times are in seconds.
 func CSV(series ...*Series) string {
@@ -196,55 +148,3 @@ func CSV(series ...*Series) string {
 	}
 	return b.String()
 }
-
-// RateEstimator converts byte-count events into a rate series by accumulating
-// bytes over fixed windows. The window width trades smoothing against
-// responsiveness; the experiments use 250–1000 ms windows, similar to the
-// granularity visible in the paper's figures.
-type RateEstimator struct {
-	window      time.Duration
-	windowStart time.Duration
-	bytes       int64
-	series      *Series
-	started     bool
-}
-
-// NewRateEstimator returns an estimator producing a series with the given
-// name from byte arrivals, in bytes per second.
-func NewRateEstimator(name string, window time.Duration) *RateEstimator {
-	if window <= 0 {
-		panic("probe: RateEstimator window must be positive")
-	}
-	return &RateEstimator{window: window, series: NewSeries(name)}
-}
-
-// Record accumulates n bytes observed at time t, closing windows as needed.
-func (r *RateEstimator) Record(t time.Duration, n int) {
-	if !r.started {
-		r.windowStart = t - t%r.window
-		r.started = true
-	}
-	for t >= r.windowStart+r.window {
-		r.flush()
-	}
-	r.bytes += int64(n)
-}
-
-func (r *RateEstimator) flush() {
-	rate := float64(r.bytes) / r.window.Seconds()
-	r.series.Add(r.windowStart+r.window, rate)
-	r.windowStart += r.window
-	r.bytes = 0
-}
-
-// Finish closes the current window (if any bytes are pending) and returns the
-// series of rates in bytes/second.
-func (r *RateEstimator) Finish() *Series {
-	if r.started && r.bytes > 0 {
-		r.flush()
-	}
-	return r.series
-}
-
-// Series returns the (possibly still growing) series.
-func (r *RateEstimator) Series() *Series { return r.series }

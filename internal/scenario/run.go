@@ -407,7 +407,7 @@ func planWebMix(specSeed int64, wi int, w *Workload) *webMixPlan {
 // (KindUDPALF) mode. Each flow gets its own libcm instance — one application,
 // one control socket — bound to the From host's Congestion Manager.
 func (s *Sim) startUDPFlow(w *Workload, d *flowDriver, port int) error {
-	client, err := app.NewLayeredClient(s.net.Host(w.To), port, app.FeedbackPolicy{}, 0)
+	client, err := app.NewReceiver(s.net.Host(w.To), port, app.FeedbackPolicy{})
 	if err != nil {
 		return err
 	}
