@@ -88,6 +88,9 @@ type AdaptationResult struct {
 	Stats app.LayeredStats
 	// ReportsSent is the number of feedback reports the receiver generated.
 	ReportsSent int64
+	// received is the client's byte count at the end, which ClientRate sums
+	// to.
+	received int64
 }
 
 // RunAdaptation runs one layered-streaming adaptation experiment.
@@ -152,7 +155,7 @@ func RunAdaptation(cfg AdaptationConfig) AdaptationResult {
 		cross.Stop()
 	}
 	res.Stats = srv.Stats()
-	res.ReportsSent = client.ReportsSent()
+	res.ReportsSent, res.received = client.ReportsSent(), client.TotalBytes()
 	return res
 }
 

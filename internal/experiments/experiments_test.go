@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apicost"
 	"repro/internal/app"
+	"repro/internal/probe"
 )
 
 // The experiment tests verify the *shape* requirements listed in DESIGN.md:
@@ -247,6 +249,41 @@ func TestFig10DelayedFeedbackIsBurstier(t *testing.T) {
 	}
 	if delayed.ReportsSent == 0 {
 		t.Fatal("some reports must still arrive (min(500 pkts, 2 s) policy)")
+	}
+}
+
+// The rate traces are sampled byte counters, so they conserve bytes: each
+// sample times the width of its window, summed, is every byte the server sent
+// and every byte the client took in, the last window included. The final
+// window of the odd-length run is 300 ms, not TraceWindow.
+func TestAdaptationTracesConserveBytes(t *testing.T) {
+	odd := adaptationTestConfig(app.ModeRateCallback, app.FeedbackPolicy{EveryPackets: 1})
+	odd.Duration += 300 * time.Millisecond
+	for name, cfg := range map[string]AdaptationConfig{
+		"fig8":  Fig8Config(),
+		"fig9":  Fig9Config(),
+		"fig10": Fig10Config(),
+		"test":  adaptationTestConfig(app.ModeALF, app.FeedbackPolicy{EveryPackets: 1}),
+		"odd":   odd,
+	} {
+		res := RunAdaptation(cfg)
+		sum := func(s *probe.Series) (bytes int64) {
+			prev := -res.Config.TraceWindow
+			for _, p := range s.Points {
+				bytes += int64(math.Round(p.V * (p.T - prev).Seconds()))
+				prev = p.T
+			}
+			return bytes
+		}
+		if last, _ := res.TransmissionRate.Last(); last.T != res.Config.Duration {
+			t.Errorf("%s: last sample at %v, want %v", name, last.T, res.Config.Duration)
+		}
+		if got := sum(res.TransmissionRate); got != res.Stats.BytesSent || got == 0 {
+			t.Errorf("%s: transmission trace sums to %d B, server sent %d", name, got, res.Stats.BytesSent)
+		}
+		if got := sum(res.ClientRate); got != res.received || got == 0 {
+			t.Errorf("%s: client trace sums to %d B, client took in %d", name, got, res.received)
+		}
 	}
 }
 
