@@ -182,29 +182,15 @@ func Fig10Config() AdaptationConfig {
 }
 
 // Table renders the adaptation trace as time series rows (KB/s), matching the
-// series plotted in Figures 8-10.
+// series plotted in Figures 8-10. The four series are sampled together, so
+// they have the same instants.
 func (r AdaptationResult) Table() string {
-	n := r.TransmissionRate.Len()
-	rows := make([][]string, 0, n)
-	for i := 0; i < n; i++ {
-		pt := r.TransmissionRate.At(i)
-		rep, layer, cli := 0.0, 0.0, 0.0
-		if i < r.ReportedRate.Len() {
-			rep = r.ReportedRate.At(i).V
+	rows := make([][]string, r.TransmissionRate.Len())
+	for i := range rows {
+		rows[i] = []string{fmt.Sprintf("%.1f", r.TransmissionRate.At(i).T.Seconds())}
+		for _, s := range []*probe.Series{r.TransmissionRate, r.ReportedRate, r.LayerRate, r.ClientRate} {
+			rows[i] = append(rows[i], fmt.Sprintf("%.0f", s.At(i).V/1024))
 		}
-		if i < r.LayerRate.Len() {
-			layer = r.LayerRate.At(i).V
-		}
-		if i < r.ClientRate.Len() {
-			cli = r.ClientRate.At(i).V
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f", pt.T.Seconds()),
-			fmt.Sprintf("%.0f", pt.V/1024),
-			fmt.Sprintf("%.0f", rep/1024),
-			fmt.Sprintf("%.0f", layer/1024),
-			fmt.Sprintf("%.0f", cli/1024),
-		})
 	}
 	title := fmt.Sprintf("Adaptation trace (%s API, %d layer switches, %d rate callbacks, %d reports)\n",
 		r.Config.Mode, r.Stats.LayerSwitches, r.Stats.RateCallbacks, r.ReportsSent)
