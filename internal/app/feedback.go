@@ -60,16 +60,6 @@ func (r *Report) ReleasePayload() {
 	reportPool.Put(r)
 }
 
-// ClonePayload implements netsim.PooledPayload.
-func (r *Report) ClonePayload() any {
-	if !r.pooled {
-		return r
-	}
-	c := reportPool.Get().(*Report)
-	*c = *r
-	return c
-}
-
 // reportSize is the wire payload size of a feedback report.
 const reportSize = 40
 

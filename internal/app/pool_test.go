@@ -8,16 +8,35 @@ import (
 	"repro/internal/udp"
 )
 
+// duplicator sits between a link and the host it delivers to and hands every
+// packet up twice: the second time as a literal (unpooled) packet carrying a
+// literal datagram and, for a feedback report, a literal report, copied
+// before the host releases the original.
+type duplicator struct{ dst netsim.Receiver }
+
+func (d duplicator) Receive(pkt *netsim.Packet) {
+	dg := *pkt.Payload.(*udp.Datagram)
+	if rep, ok := dg.App.(*Report); ok {
+		r := *rep
+		r.pooled = false
+		dg.App = &r
+	}
+	dup := &netsim.Packet{Proto: pkt.Proto, Src: pkt.Src, Dst: pkt.Dst, Size: pkt.Size, TTL: pkt.TTL,
+		Payload: &udp.Datagram{Seq: dg.Seq, SentAt: dg.SentAt, Size: dg.Size, App: dg.App}}
+	d.dst.Receive(pkt)
+	d.dst.Receive(dup)
+}
+
 // A feedback report is two pooled objects, the datagram and the *Report in
-// its App, and both die with the packet. With every packet duplicated in both
-// directions, each data datagram is acknowledged twice and each report
-// arrives twice: all four copies must read intact, because a duplicate owns a
-// clone of the datagram and of the report rather than sharing what the first
-// hand-up releases. A report kept past the callback reads as released.
+// its App, and both die with the packet. With every packet handed up twice in
+// both directions, each data datagram is acknowledged twice and each report
+// arrives twice: all four copies must read intact, the literal copy handed up
+// after the host released the pooled original included. A pooled report kept
+// past the callback reads as released.
 func TestDuplicatedReportsArriveIntact(t *testing.T) {
-	link := bottleneck(10*netsim.Mbps, 5*time.Millisecond)
-	link.DuplicateRate = 1
-	e := newAppEnv(t, link)
+	e := newAppEnv(t, bottleneck(10*netsim.Mbps, 5*time.Millisecond))
+	e.duplex.Forward.SetDestination(duplicator{e.net.Host("client")})
+	e.duplex.Reverse.SetDestination(duplicator{e.net.Host("server")})
 	rx, err := NewReceiver(e.net.Host("client"), 6000, FeedbackPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,13 +69,13 @@ func TestDuplicatedReportsArriveIntact(t *testing.T) {
 		// copy of the datagram), each delivered twice.
 		seq := int64(i/4 + 1)
 		wantPackets := 2*(seq-1) + int64(i%4)/2 + 1
-		if rep.HighestSeq != seq || rep.TotalPackets != wantPackets || rep.TotalBytes != 400*wantPackets || !rep.pooled {
+		if rep.HighestSeq != seq || rep.TotalPackets != wantPackets || rep.TotalBytes != 400*wantPackets || rep.pooled != (i%2 == 0) {
 			t.Fatalf("report copy %d reads %+v, want seq %d after %d packets", i, rep, seq, wantPackets)
 		}
 	}
 	for i, rep := range kept {
-		if rep.TotalPackets != -1 || rep.HighestSeq != -1 {
-			t.Fatalf("report %d kept past the callback reads %+v, want the released marker", i, *rep)
+		if released := rep.TotalPackets == -1 && rep.HighestSeq == -1; released != (i%2 == 0) {
+			t.Fatalf("report %d kept past the callback reads %+v: only a pooled one reads as released", i, *rep)
 		}
 	}
 }

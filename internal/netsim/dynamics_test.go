@@ -44,8 +44,8 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	if st.BernoulliDrops != 0 {
 		t.Fatalf("Bernoulli drops with LossRate 0: %+v", st)
 	}
-	if st.RandomDrops != st.BernoulliDrops+st.BurstDrops {
-		t.Fatalf("RandomDrops %d != Bernoulli %d + Burst %d", st.RandomDrops, st.BernoulliDrops, st.BurstDrops)
+	if l.DropCount() != st.BurstDrops {
+		t.Fatalf("DropCount %d != Burst %d on a lossless, unqueued, up link", l.DropCount(), st.BurstDrops)
 	}
 	if delivered+st.BurstDrops != offered {
 		t.Fatalf("delivered %d + dropped %d != offered %d", delivered, st.BurstDrops, offered)

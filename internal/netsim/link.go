@@ -60,19 +60,6 @@ type LinkConfig struct {
 	// LossRate is an independent Bernoulli drop probability applied to each
 	// packet before queueing — the random loss knob used for Figure 3.
 	LossRate float64 `json:"loss_rate,omitempty"`
-	// ReorderRate is the probability that a packet is held back and
-	// delivered after an extra ReorderDelay, arriving behind packets sent
-	// after it. Best-effort IP may reorder; the transports must cope.
-	ReorderRate float64 `json:"reorder_rate,omitempty"`
-	// ReorderDelay is the extra delay applied to reordered packets
-	// (default: four packet transmission times at the link rate).
-	ReorderDelay time.Duration `json:"reorder_delay,omitempty"`
-	// DuplicateRate is the probability that a delivered packet is delivered
-	// twice, modelling duplication in the network.
-	DuplicateRate float64 `json:"duplicate_rate,omitempty"`
-	// ECNThresholdPackets enables CE marking of ECN-capable packets when the
-	// queue depth reaches the threshold.
-	ECNThresholdPackets int `json:"ecn_threshold_packets,omitempty"`
 	// Gilbert enables the two-state bursty loss model alongside the Bernoulli
 	// LossRate knob. It advances on every offered packet (it is sampled
 	// before the Bernoulli draw). Nil disables it.
@@ -82,29 +69,21 @@ type LinkConfig struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Validate reports the first field out of range: a negative bandwidth, delay,
-// reorder delay, queue limit or ECN threshold, a loss, reorder or duplicate
-// rate outside [0, 1], or an invalid Gilbert-Elliott model.
+// Validate reports the first field out of range: a negative bandwidth, delay
+// or queue limit, a loss rate outside [0, 1], or an invalid Gilbert-Elliott
+// model.
 func (c LinkConfig) Validate() error {
 	if !(c.Bandwidth >= 0) {
 		return fmt.Errorf("bandwidth %v negative", float64(c.Bandwidth))
 	}
-	if c.Delay < 0 || c.ReorderDelay < 0 {
-		return fmt.Errorf("negative delay (delay %v, reorder_delay %v)", c.Delay, c.ReorderDelay)
+	if c.Delay < 0 {
+		return fmt.Errorf("delay %v negative", c.Delay)
 	}
 	if c.QueuePackets < 0 || c.QueueBytes < 0 {
 		return fmt.Errorf("negative queue limit (queue_packets %d, queue_bytes %d)", c.QueuePackets, c.QueueBytes)
 	}
-	if c.ECNThresholdPackets < 0 {
-		return fmt.Errorf("ecn_threshold_packets %d negative", c.ECNThresholdPackets)
-	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"loss_rate", c.LossRate}, {"reorder_rate", c.ReorderRate}, {"duplicate_rate", c.DuplicateRate}} {
-		if !(r.v >= 0 && r.v <= 1) {
-			return fmt.Errorf("%s %v out of [0,1]", r.name, r.v)
-		}
+	if !(c.LossRate >= 0 && c.LossRate <= 1) {
+		return fmt.Errorf("loss_rate %v out of [0,1]", c.LossRate)
 	}
 	if c.Gilbert != nil {
 		return c.Gilbert.Validate()
@@ -116,9 +95,6 @@ func (c LinkConfig) Validate() error {
 type LinkStats struct {
 	SentPackets int
 	SentBytes   int64
-	// RandomDrops is the sum of BernoulliDrops and BurstDrops, kept so the
-	// JSON encoding of results predating the split still reads the same.
-	RandomDrops int
 	// BernoulliDrops counts independent LossRate drops; BurstDrops counts
 	// drops by the Gilbert-Elliott model.
 	BernoulliDrops int
@@ -127,8 +103,6 @@ type LinkStats struct {
 	// down (a scheduled outage).
 	DownDrops  int
 	QueueDrops int
-	Reordered  int
-	Duplicated int
 	// GEGoodPackets / GEBadPackets count packet arrivals per Gilbert-Elliott
 	// state (the model's state occupancy, measured in offered packets);
 	// GETransitions counts state flips.
@@ -146,8 +120,7 @@ type LinkStats struct {
 // destination Receiver after the propagation delay.
 //
 // Everything about a packet's trip is fixed the moment it goes on the wire:
-// serialisation time, propagation delay, the reorder and duplicate draws and
-// its link-local delivery number. So its hand-up event is scheduled right
+// serialisation time, propagation delay and its link-local delivery number. So its hand-up event is scheduled right
 // then, for txEnd + delay with the insertion stamp txEnd, and the transmitter
 // itself needs an event only when somebody waits for it. It is in one of
 // three states:
@@ -196,23 +169,16 @@ type Link struct {
 	// direction could misorder only a pair tied at the same instant across
 	// the wrap — beyond any run this simulator performs.
 	deliverSeq uint32
-	// rng is the link's private random source for loss/reorder/duplicate
-	// draws, created lazily by random(): a rand.Rand source is ~5 KB, and in
+	// rng is the link's private random source for the loss draws, created lazily by random(): a rand.Rand source is ~5 KB, and in
 	// an internet-scale topology almost every link is lossless and never
 	// draws. Laziness is invisible to determinism — the seed is fixed at
 	// construction, so the stream is identical whenever it is first used.
 	rng *rand.Rand
 
 	// gilbert is the installed bursty-loss model (nil = disabled); geBad is
-	// its current state. geTickGen numbers time-driven installations so a
-	// replaced model's pending tick chain expires instead of double-driving
-	// the state, and geTickRNG is the tick chain's private random source,
-	// split from the packet RNG so traffic cannot shift the fade schedule
-	// (see armGETick).
-	gilbert   *GilbertElliott
-	geBad     bool
-	geTickGen uint64
-	geTickRNG *rand.Rand
+	// its current state.
+	gilbert *GilbertElliott
+	geBad   bool
 
 	// The transmitter. txStart and txEnd bracket the serialisation of the most
 	// recent packet and txSize is its wire size; the clock against txEnd says
@@ -269,9 +235,6 @@ func (l *Link) init(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) {
 	if cfg.Gilbert != nil {
 		g := cfg.Gilbert.withDefaults()
 		l.gilbert = &g
-		if g.Tick > 0 {
-			l.armGETick()
-		}
 	}
 }
 
@@ -325,7 +288,6 @@ func (l *Link) buffer() *Queue {
 			qp = 100
 		}
 		l.queue = NewQueue(qp, qb)
-		l.queue.SetECNThreshold(l.cfg.ECNThresholdPackets)
 	}
 	return l.queue
 }
@@ -350,13 +312,11 @@ func (l *Link) SetSendTap(fn func(pkt *Packet)) { l.sendTap = fn }
 // destination at time arrive; sent is the sender-side virtual time its
 // serialisation ends (the insertion stamp for deterministic ordering, possibly
 // later than the sender's clock) and seq the link-local delivery sequence
-// (the sub-sequence tie-break; see Link.deliverSeq). dup is the
-// duplication-impairment clone to hand up immediately after pkt, or nil.
-type RemoteDeliver func(pkt, dup *Packet, arrive, sent time.Duration, seq uint32)
+// (the sub-sequence tie-break; see Link.deliverSeq).
+type RemoteDeliver func(pkt *Packet, arrive, sent time.Duration, seq uint32)
 
 // SetRemoteDeliver diverts this link's deliveries to a cross-scheduler hook.
-// Serialisation, queueing and the loss/reorder/duplicate draws still run on
-// the sending side (they consume the link's private RNG in offered-packet
+// Serialisation, queueing and the loss draws still run on the sending side (they consume the link's private RNG in offered-packet
 // order); only the final hand-up moves to the receiving side, which performs
 // it by calling DeliverRemote at the packet's arrival time.
 func (l *Link) SetRemoteDeliver(fn RemoteDeliver) { l.remote = fn }
@@ -387,20 +347,15 @@ func (l *Link) SetDelay(d time.Duration) { l.cfg.Delay = d }
 func (l *Link) SetLossRate(p float64) { l.cfg.LossRate = p }
 
 // SetGilbert installs (or, with nil, removes) the bursty loss model. The model
-// starts in the Good state; replacing a model resets its state. A model with
-// Tick > 0 is time-driven: its transition clock starts (or restarts) here.
+// starts in the Good state; replacing a model resets its state.
 func (l *Link) SetGilbert(g *GilbertElliott) {
 	l.geBad = false
-	l.geTickGen++
 	if g == nil {
 		l.gilbert = nil
 		return
 	}
 	ng := g.withDefaults()
 	l.gilbert = &ng
-	if ng.Tick > 0 {
-		l.armGETick()
-	}
 }
 
 // SetDown takes the link down (true) or brings it back up (false). While down,
@@ -443,10 +398,10 @@ func (l *Link) SentCounters() (packets int, bytes int64) {
 	return l.stats.SentPackets, l.stats.SentBytes
 }
 
-// DropCount returns queue + loss-process + down drops, all written by the
-// sending side's scheduler.
+// DropCount returns queue + Bernoulli + burst + down drops, all written by
+// the sending side's scheduler.
 func (l *Link) DropCount() int {
-	return l.stats.QueueDrops + l.stats.RandomDrops + l.stats.DownDrops
+	return l.stats.QueueDrops + l.stats.BernoulliDrops + l.stats.BurstDrops + l.stats.DownDrops
 }
 
 // DeliveredBytes returns the delivered-octet counter, written only by the
@@ -500,7 +455,6 @@ func (l *Link) Send(pkt *Packet) bool {
 	// occupancy counters are defined over offered packets), so it is sampled
 	// before the memoryless Bernoulli knob.
 	if l.gilbert != nil && l.geStep() {
-		l.stats.RandomDrops++
 		l.stats.BurstDrops++
 		if l.dropTap != nil {
 			l.dropTap(pkt, "burst")
@@ -509,7 +463,6 @@ func (l *Link) Send(pkt *Packet) bool {
 		return false
 	}
 	if l.cfg.LossRate > 0 && l.random().Float64() < l.cfg.LossRate {
-		l.stats.RandomDrops++
 		l.stats.BernoulliDrops++
 		if l.dropTap != nil {
 			l.dropTap(pkt, "loss")
@@ -554,7 +507,7 @@ func txDone(x any) { x.(*Link).startTransmit() }
 
 func handUp(x any) {
 	pkt := x.(*Packet)
-	pkt.via.handUpAt(pkt, pkt.via.sched.Now())
+	pkt.via.DeliverRemote(pkt, pkt.via.sched.Now())
 }
 
 // startTransmit puts the head-of-line packet on the wire: the caller has seen
@@ -582,21 +535,6 @@ func (l *Link) startTransmit() {
 	// packet before an earlier one — two packets really are in flight on
 	// different-length paths, as after a route change.)
 	delay := l.cfg.Delay
-	if l.cfg.ReorderRate > 0 && l.random().Float64() < l.cfg.ReorderRate {
-		extra := l.cfg.ReorderDelay
-		if extra <= 0 {
-			extra = 4 * l.cfg.Bandwidth.TransmitTime(pkt.Size)
-		}
-		if extra <= 0 {
-			extra = time.Millisecond
-		}
-		delay += extra
-		l.stats.Reordered++
-	}
-	var dup *Packet
-	if l.cfg.DuplicateRate > 0 && l.random().Float64() < l.cfg.DuplicateRate {
-		dup = pkt.Clone()
-	}
 	// Every serialised packet takes the next link-local delivery sequence
 	// number; it rides on the hand-up event (or the cross-shard injection) as
 	// the sub-sequence tie-break.
@@ -604,46 +542,28 @@ func (l *Link) startTransmit() {
 	// The hand-up is inserted now but stamped txEnd, the instant a tx-done
 	// event would have inserted it, so it fires exactly where it always has.
 	arrive := max(l.txEnd+delay, l.txEnd)
-	switch {
-	case l.remote != nil:
+	if l.remote != nil {
 		// Cross-scheduler delivery: the destination's shard performs the
 		// hand-up (DeliverRemote) at the arrival time.
-		l.remote(pkt, dup, arrive, l.txEnd, l.deliverSeq)
-	case dup != nil:
-		// Duplication is rare; the closure here is off the steady-state path.
-		// (d rebinds dup so the closure captures a never-reassigned local by
-		// value — capturing dup itself would heap-allocate its cell on every
-		// call and break the zero-alloc gate.)
-		d := dup
-		l.sched.InjectAt(arrive, l.txEnd, l.key, l.deliverSeq, simtime.KindPktDeliver, func(any) {
-			l.DeliverRemote(pkt, d, l.sched.Now())
-		}, nil)
-	default:
-		// Hand-ups are keyed by the link direction so same-instant deliveries
-		// from different links order by link identity — the only tie-break
-		// that serial and sharded executions can both compute (see SortKey) —
-		// and sub-sequenced by the delivery number within the direction.
-		pkt.via = l
-		l.sched.InjectAt(arrive, l.txEnd, l.key, l.deliverSeq, simtime.KindPktDeliver, handUp, pkt)
+		l.remote(pkt, arrive, l.txEnd, l.deliverSeq)
+		return
 	}
+	// Hand-ups are keyed by the link direction so same-instant deliveries
+	// from different links order by link identity — the only tie-break that
+	// serial and sharded executions can both compute (see SortKey) — and
+	// sub-sequenced by the delivery number within the direction.
+	pkt.via = l
+	l.sched.InjectAt(arrive, l.txEnd, l.key, l.deliverSeq, simtime.KindPktDeliver, handUp, pkt)
 }
 
-// DeliverRemote is the receiving-side half of a cross-scheduler delivery: the
-// destination shard calls it when the injected delivery event fires, passing
-// its own clock as now. Delivery-side statistics (DeliveredAt,
-// DeliveredOctets, Duplicated) are therefore only ever written by the
-// destination shard, while the sending shard writes the serialisation-side
-// counters — the field-level ownership split that keeps a shared Link struct
-// race-free without locks.
-func (l *Link) DeliverRemote(pkt, dup *Packet, now time.Duration) {
-	l.handUpAt(pkt, now)
-	if dup != nil {
-		l.stats.Duplicated++
-		l.handUpAt(dup, now)
-	}
-}
-
-func (l *Link) handUpAt(pkt *Packet, now time.Duration) {
+// DeliverRemote hands a packet up to the destination at now: the hand-up
+// event of a local delivery calls it, and so does the destination shard of a
+// cross-scheduler one when its injected delivery event fires, passing its own
+// clock. Delivery-side statistics (DeliveredAt, DeliveredOctets) are
+// therefore only ever written by the destination shard, while the sending
+// shard writes the serialisation-side counters — the field-level ownership
+// split that keeps a shared Link struct race-free without locks.
+func (l *Link) DeliverRemote(pkt *Packet, now time.Duration) {
 	l.stats.DeliveredAt = now
 	l.stats.DeliveredOctets += int64(pkt.Size)
 	if l.tap != nil {
@@ -664,15 +584,18 @@ func (l *Link) handUpAt(pkt *Packet, now time.Duration) {
 // Under sharded execution the two directions are written by different shards,
 // so no cache line may hold bytes of both. A slab starts on a line (a large
 // allocation) or eight bytes past one (a small one, behind its allocation
-// header); either way the line boundaries that fall between two directions
-// fall inside the pointer pair or the tail padding, which nobody writes after
-// Init (TestDuplexLayout).
+// header). The middle padding puts rev a whole number of lines after fwd, past
+// the pointer pair, and the tail padding rounds the Duplex up to whole lines:
+// either way the line boundaries that fall between two directions fall inside
+// the pointer pair or the padding, which nobody writes after Init
+// (TestDuplexLayout).
 type Duplex struct {
 	fwd     Link
 	Forward *Link
 	Reverse *Link
+	_       [(cacheLine - (unsafe.Sizeof(Link{})+2*unsafe.Sizeof(uintptr(0)))%cacheLine) % cacheLine]byte
 	rev     Link
-	_       [cacheLine - (2*unsafe.Sizeof(uintptr(0))+2*unsafe.Sizeof(Link{}))%cacheLine]byte
+	_       [cacheLine - unsafe.Sizeof(Link{})%cacheLine]byte
 }
 
 const cacheLine = 64

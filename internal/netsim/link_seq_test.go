@@ -57,10 +57,7 @@ func TestRemoteDeliverySeqRestoresSendOrder(t *testing.T) {
 		seq          uint32
 	}
 	var caps []capture
-	l.SetRemoteDeliver(func(pkt, dup *Packet, arrive, sent time.Duration, seq uint32) {
-		if dup != nil {
-			t.Fatal("unexpected duplicate")
-		}
+	l.SetRemoteDeliver(func(pkt *Packet, arrive, sent time.Duration, seq uint32) {
 		caps = append(caps, capture{pkt, arrive, sent, seq})
 	})
 
@@ -86,7 +83,7 @@ func TestRemoteDeliverySeqRestoresSendOrder(t *testing.T) {
 	for i := len(caps) - 1; i >= 0; i-- { // worst-case insertion order
 		c := caps[i]
 		recv.InjectAt(c.arrive, c.sent, l.SortKey(), c.seq, simtime.KindPktDeliver,
-			func(x any) { l.DeliverRemote(x.(*Packet), nil, recv.Now()) }, c.pkt)
+			func(x any) { l.DeliverRemote(x.(*Packet), recv.Now()) }, c.pkt)
 	}
 	recv.Run()
 

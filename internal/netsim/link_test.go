@@ -144,7 +144,7 @@ func TestLinkLossRateApproximation(t *testing.T) {
 		l.Send(mkpkt(100))
 	}
 	s.Run()
-	lossFrac := float64(l.Stats().RandomDrops) / float64(n)
+	lossFrac := float64(l.Stats().BernoulliDrops) / float64(n)
 	if lossFrac < 0.08 || lossFrac > 0.12 {
 		t.Fatalf("observed loss %.3f, want ~0.10", lossFrac)
 	}
@@ -282,7 +282,7 @@ func TestPropertyLossyLinkAccounting(t *testing.T) {
 		}
 		s.Run()
 		st := l.Stats()
-		return len(dst.pkts)+st.RandomDrops+st.QueueDrops == count
+		return len(dst.pkts)+st.BernoulliDrops+st.QueueDrops == count && l.DropCount() == st.BernoulliDrops+st.QueueDrops
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -291,12 +291,12 @@ func TestPropertyLossyLinkAccounting(t *testing.T) {
 
 // A link builds its transmit queue on the first Send. Until then it reads as
 // a link with an empty queue, and bringing it up from down has nothing to
-// drain; afterwards the configured limits and ECN threshold apply as if the
-// queue had been there from the start.
+// drain; afterwards the configured limits apply as if the queue had been
+// there from the start.
 func TestLinkQueueIsBuiltOnFirstSend(t *testing.T) {
 	s := simtime.NewScheduler()
 	dst := &collector{sched: s}
-	l := NewLink(s, LinkConfig{Bandwidth: 1 * Mbps, QueuePackets: 3, ECNThresholdPackets: 2}, dst)
+	l := NewLink(s, LinkConfig{Bandwidth: 1 * Mbps, QueuePackets: 3}, dst)
 	if l.queue != nil {
 		t.Fatal("an idle link already holds a queue")
 	}
@@ -311,17 +311,14 @@ func TestLinkQueueIsBuiltOnFirstSend(t *testing.T) {
 	}
 
 	for i := 0; i < 6; i++ {
-		p := mkpkt(1250)
-		p.ECT = true
-		l.Send(p)
+		l.Send(mkpkt(1250))
 	}
-	// One in service, three queued (the last of them past the ECN threshold),
-	// two dropped at the limit.
+	// One in service, three queued, two dropped at the limit.
 	if l.QueueLen() != 3 || l.Stats().QueueDrops != 2 {
 		t.Fatalf("QueueLen = %d, QueueDrops = %d, want 3 and 2", l.QueueLen(), l.Stats().QueueDrops)
 	}
 	s.Run()
-	if qs := l.QueueStats(); len(dst.pkts) != 4 || qs.ECNMarked == 0 || qs.MaxDepthPackets != 3 {
+	if qs := l.QueueStats(); len(dst.pkts) != 4 || qs.MaxDepthPackets != 3 {
 		t.Fatalf("delivered %d, queue stats %+v", len(dst.pkts), qs)
 	}
 }

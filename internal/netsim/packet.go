@@ -1,8 +1,8 @@
 // Package netsim is the packet-level network substrate for the Congestion
 // Manager reproduction. It models what the paper's testbed provided in
 // hardware: hosts connected by links with configurable bandwidth, propagation
-// delay, drop-tail router queues, random (Dummynet-style) loss, and optional
-// ECN marking.
+// delay, drop-tail router queues, random (Dummynet-style) loss and optional
+// Gilbert-Elliott burst loss.
 //
 // All components are driven by a simtime.Scheduler; nothing in this package
 // uses wall-clock time, so experiments are deterministic.
@@ -78,8 +78,7 @@ func (k FlowKey) Reverse() FlowKey {
 // (headers plus payload) and is what links serialise and queues count.
 // Payload carries the transport-layer unit (a TCP segment, a UDP datagram)
 // and is opaque to the network, except that a payload implementing
-// PooledPayload shares the packet's lifetime: it is released with the packet
-// and cloned with it.
+// PooledPayload shares the packet's lifetime: it is released with the packet.
 //
 // Hot paths obtain packets from a pool with NewPacket and hand them back with
 // Release once consumed (see docs/PERF.md for the ownership rules). Packets
@@ -99,13 +98,6 @@ type Packet struct {
 	// keep no reference to it afterwards (see PooledPayload).
 	Payload any
 
-	// ECT marks the packet as ECN-capable transport (the sender supports
-	// RFC 2481-style marking, which the paper's cm_update can report).
-	ECT bool
-	// CE is the congestion-experienced mark set by a router queue instead
-	// of dropping when ECN is enabled.
-	CE bool
-
 	// Control marks transport control packets (pure TCP ACKs, application
 	// feedback packets) that are not data transmissions of a CM flow; the IP
 	// output hook does not charge them to a macroflow.
@@ -114,8 +106,8 @@ type Packet struct {
 	// TTL is the remaining hop budget. The originating host's IP output
 	// routine sets it to DefaultTTL when zero; every forwarding hop decrements
 	// it and discards the packet when it reaches zero, so routing loops
-	// cannot circulate packets forever. It shares a word with the flags
-	// above, which keeps a Packet at 128 bytes.
+	// cannot circulate packets forever. It shares a word with Control,
+	// which keeps a Packet at 128 bytes.
 	TTL int32
 
 	// cmFlow is the sending transport's Congestion Manager flow handle plus
@@ -150,18 +142,13 @@ var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
 // PooledPayload is implemented by payloads that are recycled through a pool of
 // their own (tcp.Segment, udp.Datagram). Such a payload lives and dies with
-// the pooled packet carrying it: Packet.Release hands it back exactly once,
-// and Packet.Clone gives the copy a payload of its own, because original and
-// duplicate are released independently. Payloads that do not implement the
-// interface (routeproto.Message, plain values in tests) are garbage collected
-// and shared between a packet and its clones.
+// the pooled packet carrying it: Packet.Release hands it back exactly once.
+// Payloads that do not implement the interface (routeproto.Message, plain
+// values in tests) are garbage collected.
 type PooledPayload interface {
 	// ReleasePayload returns the payload to its pool. It must be a no-op for
 	// a payload that was not drawn from the pool or was already released.
 	ReleasePayload()
-	// ClonePayload returns an independent copy with its own lifetime (or the
-	// payload itself when it is not pooled and so has nothing to release).
-	ClonePayload() any
 }
 
 // NewPacket returns a zeroed packet from the pool. The caller owns it until
@@ -204,20 +191,6 @@ func (p *Packet) CMFlow() (int64, bool) { return p.cmFlow - 1, p.cmFlow != 0 }
 // Key returns the packet's flow key.
 func (p *Packet) Key() FlowKey {
 	return FlowKey{Proto: p.Proto, Src: p.Src, Dst: p.Dst}
-}
-
-// Clone returns a copy of the packet drawn from the pool. The copy has an
-// independent lifetime: both it and the original must be released separately,
-// so a PooledPayload is cloned along with the packet; any other payload is
-// shared (links never modify payloads). A clone of an unpooled packet is
-// itself unpooled, so clones compare equal to their source.
-func (p *Packet) Clone() *Packet {
-	q := packetPool.Get().(*Packet)
-	*q = *p
-	if pp, ok := p.Payload.(PooledPayload); ok {
-		q.Payload = pp.ClonePayload()
-	}
-	return q
 }
 
 // String formats a short description of the packet.

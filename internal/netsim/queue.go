@@ -51,7 +51,6 @@ type QueueStats struct {
 	DroppedBytes    int64
 	DequeuedPackets int
 	DequeuedBytes   int64
-	ECNMarked       int
 	MaxDepthPackets int
 	MaxDepthBytes   int
 }
@@ -70,11 +69,6 @@ type QueueStats struct {
 type Queue struct {
 	limitPackets int
 	limitBytes   int
-
-	// ECN configuration: when ecnThresholdPackets > 0 and an arriving
-	// ECN-capable packet finds at least that many packets queued, the packet
-	// is marked CE. Marking does not admit it: a full queue still drops it.
-	ecnThresholdPackets int
 
 	buf   []*Packet // ring buffer of queued packets
 	head  int       // index of the oldest packet
@@ -104,13 +98,6 @@ func NewQueue(limitPackets, limitBytes int) *Queue {
 		limitBytes:   limitBytes,
 		buf:          make([]*Packet, cap),
 	}
-}
-
-// SetECNThreshold enables ECN marking: ECN-capable packets arriving when the
-// queue holds at least thresholdPackets packets are marked CE. A zero
-// threshold disables marking.
-func (q *Queue) SetECNThreshold(thresholdPackets int) {
-	q.ecnThresholdPackets = thresholdPackets
 }
 
 // Len returns the number of queued packets.
@@ -172,15 +159,6 @@ func (q *Queue) pushTail(p *Packet) {
 func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
 	if p == nil {
 		panic("netsim: Enqueue(nil)")
-	}
-	// ECN marking happens on arrival based on current occupancy, before any
-	// drop decision, so marked packets still convey congestion when the
-	// queue later drains.
-	if q.ecnThresholdPackets > 0 && p.ECT && q.count >= q.ecnThresholdPackets {
-		if !p.CE {
-			p.CE = true
-			q.stats.ECNMarked++
-		}
 	}
 	if q.wouldOverflow(p) {
 		q.stats.DroppedPackets++

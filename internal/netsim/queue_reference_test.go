@@ -6,23 +6,18 @@ import (
 )
 
 // refQueue is the reference drop-tail FIFO: a plain slice, with the rules of
-// Queue stated once each and nothing clever. An arriving ECN-capable packet is
-// marked CE when it finds at least the threshold queued, whether or not it is
-// then admitted. A packet is admitted when one more packet and its bytes stay
-// within the limits in force (zero is unlimited); a routing packet's limits
-// are raised by the control-plane reserve.
+// Queue stated once each and nothing clever. A packet is admitted when one
+// more packet and its bytes stay within the limits in force (zero is
+// unlimited); a routing packet's limits are raised by the control-plane
+// reserve.
 type refQueue struct {
-	limitPackets, limitBytes, ecn int
-	pkts                          []*Packet
-	bytes                         int
-	stats                         QueueStats
+	limitPackets, limitBytes int
+	pkts                     []*Packet
+	bytes                    int
+	stats                    QueueStats
 }
 
 func (r *refQueue) Enqueue(p *Packet) *Packet {
-	if r.ecn > 0 && p.ECT && len(r.pkts) >= r.ecn && !p.CE {
-		p.CE = true
-		r.stats.ECNMarked++
-	}
 	lp, lb := r.limitPackets, r.limitBytes
 	if p.Proto == ProtoRoute && lp > 0 {
 		lp += RouteReservePackets
@@ -63,8 +58,10 @@ func (r *refQueue) Peek() *Packet {
 	return r.pkts[0]
 }
 
-// Queue traces. A trace is a byte string: two bytes of configuration (packet
-// limit, byte limit, ECN threshold), then operations. The limits are small
+// Queue traces. A trace is a byte string: two bytes of configuration (the
+// first picks the packet and byte limits; the second once picked an ECN
+// threshold and is skipped, so the seed corpus keeps its meaning), then
+// operations. The limits are small
 // enough that traces fill a queue and its routing reserve, and wrap and grow
 // its ring, within a few dozen operations; packets are from 40 to 3000 bytes,
 // so a byte-limited queue drops on bytes alone.
@@ -101,11 +98,11 @@ func pktID(p *Packet) int {
 }
 
 // enqueue offers a twin packet to each queue: one byte chooses its size and
-// protocol, whether it is ECN-capable and whether it arrives marked already.
+// protocol.
 func (in *queueInterp) enqueue(b int) {
 	in.nextID++
 	twin := func() *Packet {
-		p := &Packet{Proto: ProtoTCP, Size: queueTraceSizes[b%4], Payload: in.nextID, ECT: b/8%2 == 1, CE: b/16%4 == 0}
+		p := &Packet{Proto: ProtoTCP, Size: queueTraceSizes[b%4], Payload: in.nextID}
 		if b/4%2 == 1 {
 			p.Proto = ProtoRoute
 		}
@@ -113,9 +110,9 @@ func (in *queueInterp) enqueue(b int) {
 	}
 	p, rp := twin(), twin()
 	dropped, refDropped := in.q.Enqueue(p), in.ref.Enqueue(rp)
-	if (dropped == p) != (refDropped == rp) || (dropped != nil && dropped != p) || p.CE != rp.CE {
-		in.t.Fatalf("trace %x op at %d: enqueue of packet %d (%+v): Queue dropped=%v CE=%v, reference dropped=%v CE=%v",
-			in.data, in.pos, in.nextID, *rp, dropped != nil, p.CE, refDropped != nil, rp.CE)
+	if (dropped == p) != (refDropped == rp) || (dropped != nil && dropped != p) {
+		in.t.Fatalf("trace %x op at %d: enqueue of packet %d (%+v): Queue dropped=%v, reference dropped=%v",
+			in.data, in.pos, in.nextID, *rp, dropped != nil, refDropped != nil)
 	}
 }
 
@@ -157,15 +154,14 @@ func (in *queueInterp) op() {
 func checkQueueTrace(t testing.TB, data []byte) {
 	t.Helper()
 	in := &queueInterp{t: t, data: data}
-	c0, c1 := in.byte(), in.byte()
+	c0 := in.byte()
+	in.byte()
 	lp, lb := queueTracePacketLimits[c0%8], queueTraceByteLimits[c0/8%4]
 	if lp == 0 && lb == 0 {
 		lp = 4
 	}
-	ecn := c1 % 6
 	in.q = NewQueue(lp, lb)
-	in.q.SetECNThreshold(ecn)
-	in.ref = &refQueue{limitPackets: lp, limitBytes: lb, ecn: ecn}
+	in.ref = &refQueue{limitPackets: lp, limitBytes: lb}
 	for in.pos < len(in.data) {
 		in.op()
 	}
@@ -177,10 +173,9 @@ func checkQueueTrace(t testing.TB, data []byte) {
 // TestQueueMatchesReference holds Queue to the slice-backed reference over
 // seeded random traces. Hand-made mutants of queue.go it was seen to catch:
 // the routing reserve dropped from the packet limit, or from the byte limit;
-// `>` for `>=` on the ECN threshold; the ring's growth capped one slot short
-// of the packet limit plus the reserve; MaxDepthBytes not tracked; a packet
-// that arrives marked counted again in ECNMarked; Dequeue's head wrap tested
-// with `>` for `==`.
+// the ring's growth capped one slot short of the packet limit plus the
+// reserve; MaxDepthBytes not tracked; Dequeue's head wrap tested with `>` for
+// `==`.
 func TestQueueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trace := 0; trace < 3000; trace++ {

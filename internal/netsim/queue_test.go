@@ -84,27 +84,6 @@ func TestQueueOversizedPacketDropped(t *testing.T) {
 	}
 }
 
-func TestQueueECNMarking(t *testing.T) {
-	q := NewQueue(10, 0)
-	q.SetECNThreshold(2)
-	q.Enqueue(mkpkt(10))
-	q.Enqueue(mkpkt(10))
-	ect := mkpkt(10)
-	ect.ECT = true
-	q.Enqueue(ect)
-	if !ect.CE {
-		t.Fatal("ECN-capable packet above threshold should be CE-marked")
-	}
-	nonEct := mkpkt(10)
-	q.Enqueue(nonEct)
-	if nonEct.CE {
-		t.Fatal("non-ECT packet must not be CE-marked")
-	}
-	if q.Stats().ECNMarked != 1 {
-		t.Fatalf("ECNMarked = %d, want 1", q.Stats().ECNMarked)
-	}
-}
-
 func TestQueuePeekDoesNotRemove(t *testing.T) {
 	q := NewQueue(5, 0)
 	if q.Peek() != nil {
@@ -241,14 +220,8 @@ func TestProtocolAndAddrStrings(t *testing.T) {
 	}
 }
 
-func TestPacketCloneAndKey(t *testing.T) {
-	p := mkpkt(77)
-	p.ECT = true
-	c := p.Clone()
-	if c == p || *c != *p {
-		t.Fatal("Clone should copy the packet value")
-	}
-	k := p.Key()
+func TestPacketKey(t *testing.T) {
+	k := mkpkt(77).Key()
 	if k.Proto != ProtoUDP || k.Src.Host != "a" || k.Dst.Host != "b" {
 		t.Fatalf("Key() = %+v", k)
 	}

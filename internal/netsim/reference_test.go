@@ -13,14 +13,13 @@ import (
 // The reference link: the two-event transmitter Link had before the tx-done
 // event was elided. Every serialisation schedules a tx-done event at its end,
 // and that event schedules the hand-up and starts the next packet. It carries
-// the four rules that fix what the two designs could otherwise disagree on
+// the three rules that fix what the two designs could otherwise disagree on
 // (see the Link type comment and docs/PERF.md, "Links"), and nothing clever:
 //
 //  1. a packet offered at exactly txEnd with nothing queued finds the
 //     transmitter free (Send runs the pending tx-done inline);
-//  2. the reorder and duplicate draws are taken when serialisation starts;
-//  3. the tx-done event is stamped with the start and keyed (0, link key);
-//  4. sent counters are read by the clock.
+//  2. the tx-done event is stamped with the start and keyed (0, link key);
+//  3. sent counters are read by the clock.
 //
 // No Gilbert-Elliott model and no taps: they sit in front of the transmitter
 // and are the same code either way.
@@ -41,7 +40,6 @@ type refLink struct {
 	txEv       *simtime.Event
 	txPkt      *Packet
 	txDelay    time.Duration
-	txDup      bool
 	stats      LinkStats
 }
 
@@ -56,7 +54,6 @@ func newRefLink(sched *simtime.Scheduler, cfg LinkConfig) *refLink {
 	}
 	r := &refLink{cfg: cfg, sched: sched, key: nameKey(cfg.Name), rng: rand.New(rand.NewSource(seed))}
 	r.queue = NewQueue(qp, cfg.QueueBytes)
-	r.queue.SetECNThreshold(cfg.ECNThresholdPackets)
 	return r
 }
 
@@ -68,13 +65,6 @@ func (r *refLink) SetLossRate(p float64)             { r.cfg.LossRate = p }
 func (r *refLink) QueueStats() QueueStats            { return r.queue.Stats() }
 func (r *refLink) QueueLen() int                     { return r.queue.Len() }
 func (r *refLink) wireEnd() time.Duration            { return r.txEnd }
-func (r *refLink) DeliverRemote(pkt, dup *Packet, now time.Duration) {
-	r.handUp(pkt, now)
-	if dup != nil {
-		r.stats.Duplicated++
-		r.handUp(dup, now)
-	}
-}
 
 func (r *refLink) SetDown(down bool) {
 	if r.down == down {
@@ -94,7 +84,7 @@ func (r *refLink) Stats() LinkStats {
 
 func (r *refLink) SentCounters() (int, int64) {
 	p, b := r.stats.SentPackets, r.stats.SentBytes
-	if r.busy && r.sched.Now() >= r.txEnd { // rule 4
+	if r.busy && r.sched.Now() >= r.txEnd { // rule 3
 		p++
 		b += int64(r.txPkt.Size)
 	}
@@ -108,7 +98,6 @@ func (r *refLink) Send(pkt *Packet) bool {
 		return false
 	}
 	if r.cfg.LossRate > 0 && r.rng.Float64() < r.cfg.LossRate {
-		r.stats.RandomDrops++
 		r.stats.BernoulliDrops++
 		pkt.Release()
 		return false
@@ -143,21 +132,9 @@ func (r *refLink) startTransmit() {
 	txTime := r.cfg.Bandwidth.TransmitTime(pkt.Size)
 	r.stats.BusyTime += txTime
 	r.txDelay = r.cfg.Delay
-	if r.cfg.ReorderRate > 0 && r.rng.Float64() < r.cfg.ReorderRate { // rule 2
-		extra := r.cfg.ReorderDelay
-		if extra <= 0 {
-			extra = 4 * txTime
-		}
-		if extra <= 0 {
-			extra = time.Millisecond
-		}
-		r.txDelay += extra
-		r.stats.Reordered++
-	}
-	r.txDup = r.cfg.DuplicateRate > 0 && r.rng.Float64() < r.cfg.DuplicateRate
 	now := r.sched.Now()
 	r.txPkt, r.txEnd = pkt, now+txTime
-	r.txEv = r.sched.InjectAt(r.txEnd, now, 0, r.key, simtime.KindPktTransmit, r.txDone, nil) // rule 3
+	r.txEv = r.sched.InjectAt(r.txEnd, now, 0, r.key, simtime.KindPktTransmit, r.txDone, nil) // rule 2
 }
 
 // txDone fires when the packet on the wire has been serialised: it is sent,
@@ -167,23 +144,19 @@ func (r *refLink) txDone(any) {
 	pkt := r.txPkt
 	r.stats.SentPackets++
 	r.stats.SentBytes += int64(pkt.Size)
-	var dup *Packet
-	if r.txDup {
-		dup = pkt.Clone()
-	}
 	r.deliverSeq++
 	now := r.sched.Now()
 	if r.remote != nil {
-		r.remote(pkt, dup, now+r.txDelay, now, r.deliverSeq)
+		r.remote(pkt, now+r.txDelay, now, r.deliverSeq)
 	} else {
 		r.sched.InjectAt(max(now+r.txDelay, now), now, r.key, r.deliverSeq, simtime.KindPktDeliver, func(any) {
-			r.DeliverRemote(pkt, dup, r.sched.Now())
+			r.DeliverRemote(pkt, r.sched.Now())
 		}, nil)
 	}
 	r.startTransmit()
 }
 
-func (r *refLink) handUp(pkt *Packet, now time.Duration) {
+func (r *refLink) DeliverRemote(pkt *Packet, now time.Duration) {
 	r.stats.DeliveredAt = now
 	r.stats.DeliveredOctets += int64(pkt.Size)
 	r.dst.Receive(pkt)
@@ -210,7 +183,7 @@ type testLink interface {
 	SetLossRate(float64)
 	SetDestination(Receiver)
 	SetRemoteDeliver(RemoteDeliver)
-	DeliverRemote(pkt, dup *Packet, now time.Duration)
+	DeliverRemote(pkt *Packet, now time.Duration)
 	Stats() LinkStats
 	QueueStats() QueueStats
 	QueueLen() int
@@ -222,8 +195,8 @@ type testLink interface {
 type linkRec struct {
 	op    string
 	now   time.Duration
-	pkt   int // packet id of a hand-up, else the operation's argument
-	ce    bool
+	pkt   int  // packet id of a hand-up, else the operation's argument
+	down  bool // the state a set-down set
 	stats LinkStats
 	queue QueueStats
 	qlen  int
@@ -261,16 +234,16 @@ func (in *linkInterp) byte() int {
 	return int(in.data[in.pos-1])
 }
 
-func (in *linkInterp) note(op string, pkt int, ce bool) {
+func (in *linkInterp) note(op string, pkt int, down bool) {
 	p, b := in.l.SentCounters()
-	in.log = append(in.log, linkRec{op, in.sched.Now(), pkt, ce,
+	in.log = append(in.log, linkRec{op, in.sched.Now(), pkt, down,
 		in.l.Stats(), in.l.QueueStats(), in.l.QueueLen(), p, b})
 }
 
 func (in *linkInterp) send(size int) {
 	in.nextID++
 	p := NewPacket()
-	p.Size, p.Payload, p.ECT, p.TTL = size, in.nextID, in.nextID%2 == 0, 2
+	p.Size, p.Payload, p.TTL = size, in.nextID, 2
 	in.l.Send(p)
 	in.note("send", in.nextID, false)
 }
@@ -289,10 +262,9 @@ func (in *linkInterp) callback() {
 // most, then runs operations of its own.
 func (in *linkInterp) Receive(pkt *Packet) {
 	id := pkt.Payload.(int)
-	in.note("hand-up", id, pkt.CE)
+	in.note("hand-up", id, false)
 	if pkt.TTL > 0 && in.pos < len(in.data) && in.byte()%4 == 0 {
 		pkt.TTL--
-		pkt.CE = false
 		in.l.Send(pkt) // the link releases what it drops
 		in.note("forward", id, false)
 	} else {
@@ -379,16 +351,12 @@ func runLinkTrace(data []byte, build func(*simtime.Scheduler, LinkConfig) testLi
 	in := &linkInterp{data: data, sched: simtime.NewScheduler()}
 	c0, c1, c2, c3 := in.byte(), in.byte(), in.byte(), in.byte()
 	cfg := LinkConfig{
-		Name:                "ref",
-		Bandwidth:           traceRates[c0%4],
-		Delay:               traceDelays[c0/4%4],
-		QueuePackets:        1 + c1%4,
-		ECNThresholdPackets: c1 / 4 % 3,
-		LossRate:            0.2 * float64(c2%2),
-		ReorderRate:         0.3 * float64(c2/2%2),
-		DuplicateRate:       0.3 * float64(c2/4%2),
-		ReorderDelay:        time.Duration(c2/8%2) * 150 * time.Microsecond,
-		Seed:                int64(c3),
+		Name:         "ref",
+		Bandwidth:    traceRates[c0%4],
+		Delay:        traceDelays[c0/4%4],
+		QueuePackets: 1 + c1%4,
+		LossRate:     0.2 * float64(c2%2),
+		Seed:         int64(c3),
 	}
 	in.l = build(in.sched, cfg)
 	in.l.SetDestination(in)
@@ -396,9 +364,9 @@ func runLinkTrace(data []byte, build func(*simtime.Scheduler, LinkConfig) testLi
 		// The sharded hand-off, on one scheduler: whenever the link hands a
 		// packet over, inject its delivery with the stamp and keys it gave.
 		key := nameKey(cfg.Name)
-		in.l.SetRemoteDeliver(func(pkt, dup *Packet, arrive, sent time.Duration, seq uint32) {
+		in.l.SetRemoteDeliver(func(pkt *Packet, arrive, sent time.Duration, seq uint32) {
 			in.sched.InjectAt(arrive, sent, key, seq, simtime.KindPktDeliver, func(any) {
-				in.l.DeliverRemote(pkt, dup, in.sched.Now())
+				in.l.DeliverRemote(pkt, in.sched.Now())
 			}, nil)
 		})
 	}

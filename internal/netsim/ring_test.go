@@ -152,11 +152,11 @@ func TestPacketPoolReuseResetsState(t *testing.T) {
 	p := NewPacket()
 	p.Proto = ProtoTCP
 	p.Size = 1234
-	p.CE = true
+	p.Control = true
 	p.Payload = "payload"
 	p.Release()
 	q := NewPacket()
-	if q.Proto != 0 || q.Size != 0 || q.CE || q.Payload != nil {
+	if q.Proto != 0 || q.Size != 0 || q.Control || q.Payload != nil {
 		t.Fatalf("reused packet not reset: %+v", q)
 	}
 	// Double release must be a no-op.
@@ -170,13 +170,12 @@ func TestPacketPoolReuseResetsState(t *testing.T) {
 	}
 }
 
-// pooledTag is a PooledPayload for tests: it counts releases and clones, and a
-// released one reads as "RELEASED", the way released segments and datagrams
-// read as values no live one has.
+// pooledTag is a PooledPayload for tests: it counts releases, and a released
+// one reads as "RELEASED", the way released segments and datagrams read as
+// values no live one has.
 type pooledTag struct {
 	tag      string
 	released int
-	clones   *int
 }
 
 func (p *pooledTag) ReleasePayload() {
@@ -184,84 +183,11 @@ func (p *pooledTag) ReleasePayload() {
 	p.released++
 }
 
-func (p *pooledTag) ClonePayload() any {
-	*p.clones++
-	return &pooledTag{tag: p.tag, clones: p.clones}
-}
-
-// Regression: with a receiver that releases packets (as node.Host does), a
-// duplicated delivery must carry the original payload — the clone has to be
-// taken before the first hand-up can release the packet to the pool. A plain
-// payload is shared by the two copies; a PooledPayload is cloned with the
-// packet, because the first hand-up releases the original's. Both on a serial
-// link and across a shard boundary (SetRemoteDeliver / DeliverRemote).
-func TestDuplicateDeliveryWithReleasingReceiver(t *testing.T) {
-	for _, remote := range []bool{false, true} {
-		for _, pooledPayload := range []bool{false, true} {
-			sched := simtime.NewScheduler()
-			var seen []string       // the payload as read at each delivery
-			var pooled []*pooledTag // the pooled payload objects delivered
-			sink := ReceiverFunc(func(p *Packet) {
-				switch pl := p.Payload.(type) {
-				case string:
-					seen = append(seen, pl)
-				case *pooledTag:
-					seen = append(seen, pl.tag)
-					pooled = append(pooled, pl)
-				}
-				p.Release()
-			})
-			l := NewLink(sched, LinkConfig{Bandwidth: 10 * Mbps, DuplicateRate: 1.0, QueuePackets: 8}, sink)
-			if remote {
-				// The destination shard performs the hand-up later, from its
-				// own event; here that is the same scheduler.
-				l.SetRemoteDeliver(func(pkt, dup *Packet, arrive, _ time.Duration, _ uint32) {
-					sched.At(arrive, func() { l.DeliverRemote(pkt, dup, arrive) })
-				})
-			}
-			clones := 0
-			p := NewPacket()
-			p.Size = 100
-			p.Payload = "DATA"
-			if pooledPayload {
-				p.Payload = &pooledTag{tag: "DATA", clones: &clones}
-			}
-			if !l.Send(p) {
-				t.Fatal("send failed")
-			}
-			sched.Run()
-			if len(seen) != 2 {
-				t.Fatalf("remote=%v pooled=%v: delivered %d packets, want 2 (original + duplicate)", remote, pooledPayload, len(seen))
-			}
-			for i, pl := range seen {
-				if pl != "DATA" {
-					t.Fatalf("remote=%v pooled=%v: delivery %d carried payload %q, want DATA", remote, pooledPayload, i, pl)
-				}
-			}
-			if l.Stats().Duplicated != 1 {
-				t.Fatalf("Duplicated = %d, want 1", l.Stats().Duplicated)
-			}
-			if !pooledPayload {
-				continue
-			}
-			if clones != 1 || pooled[0] == pooled[1] {
-				t.Fatalf("remote=%v: duplicate shares the original's pooled payload (%d clones)", remote, clones)
-			}
-			for i, pl := range pooled {
-				if pl.released != 1 || pl.tag != "RELEASED" {
-					t.Fatalf("remote=%v: payload %d released %d times, want exactly once", remote, i, pl.released)
-				}
-			}
-		}
-	}
-}
-
 // Release hands a pooled payload back exactly once, however often it is
 // called, and leaves the payload of a literal (unpooled) packet alone: such a
 // packet may be sent again.
 func TestReleaseReturnsPayloadOnce(t *testing.T) {
-	clones := 0
-	pl := &pooledTag{tag: "DATA", clones: &clones}
+	pl := &pooledTag{tag: "DATA"}
 	p := NewPacket()
 	p.Payload = pl
 	p.Release()
@@ -269,7 +195,7 @@ func TestReleaseReturnsPayloadOnce(t *testing.T) {
 	if pl.released != 1 {
 		t.Fatalf("payload released %d times by a double Release, want 1", pl.released)
 	}
-	lit := &pooledTag{tag: "DATA", clones: &clones}
+	lit := &pooledTag{tag: "DATA"}
 	q := &Packet{Size: 1, Payload: lit}
 	q.Release()
 	if lit.released != 0 || q.Payload != any(lit) {

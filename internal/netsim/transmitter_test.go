@@ -9,18 +9,21 @@ import (
 )
 
 // An internet-scale topology holds tens of thousands of link directions, most
-// of which never carry a packet: the struct stays at what it was before the
-// transmitter learned the time, and owns no closures (the only allocation of
-// NewLink is the Link itself).
+// of which never carry a packet: the struct stays at the size it reached when
+// the unused impairments went, and owns no closures (the only allocation of
+// NewLink is the Link itself). The link is kept in linkSink, as a topology
+// keeps its links: one that does not outlive the call may live on the stack.
 func TestLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got > 368 {
-		t.Errorf("Link is %d bytes, want <= 368", got)
+	if got := unsafe.Sizeof(Link{}); got > 296 {
+		t.Errorf("Link is %d bytes, want <= 296", got)
 	}
 	sched := simtime.NewScheduler()
-	if allocs := testing.AllocsPerRun(100, func() { NewLink(sched, LinkConfig{Name: "l"}, nil) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(100, func() { linkSink = NewLink(sched, LinkConfig{Name: "l"}, nil) }); allocs != 1 {
 		t.Errorf("NewLink allocated %.0f objects, want 1", allocs)
 	}
 }
+
+var linkSink *Link
 
 // A Packet stays within the 128-byte size class: TTL shares the flags' word,
 // which left a word for the CM flow handle.

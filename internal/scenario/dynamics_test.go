@@ -285,8 +285,7 @@ func TestFiredEventRecords(t *testing.T) {
 }
 
 // TestGilbertOccupancyReachesResults checks that a wireless run reports
-// Gilbert-Elliott state occupancy and the burst/Bernoulli drop split with
-// RandomDrops as their sum.
+// Gilbert-Elliott state occupancy and burst drops.
 func TestGilbertOccupancyReachesResults(t *testing.T) {
 	spec := Wireless(WirelessParams{Duration: 10 * time.Second})
 	res, err := Run(spec)
@@ -307,10 +306,6 @@ func TestGilbertOccupancyReachesResults(t *testing.T) {
 	}
 	if fwd.BurstDrops == 0 {
 		t.Fatalf("no burst drops over a 10s bursty channel: %+v", fwd.LinkStats)
-	}
-	if fwd.RandomDrops != fwd.BernoulliDrops+fwd.BurstDrops {
-		t.Fatalf("RandomDrops %d != Bernoulli %d + Burst %d",
-			fwd.RandomDrops, fwd.BernoulliDrops, fwd.BurstDrops)
 	}
 }
 

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -44,50 +43,5 @@ func TestCMFlowsEndWithTheirConnections(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d opens, %d closes", name, opens, closes)
-	}
-}
-
-// Connections close the same way on one scheduler and across shards, also
-// when every link duplicates every packet, so that each closing segment
-// arrives twice and the second copy meets a time-wait record: the results are
-// equal byte for byte, every flow completes and every CM flow is closed.
-func TestConnectionsCloseIdenticallyAcrossShardsUnderDuplication(t *testing.T) {
-	base := Dumbbell(DumbbellParams{
-		Senders: 2, Receivers: 2, FlowsPerPair: 2, CrossProduct: true,
-		Bytes: 128 << 10, Duration: 10 * time.Second,
-	})
-	for i := range base.Links {
-		base.Links[i].DuplicateRate = 1
-	}
-	sharded := base
-	sharded.Shards = 2
-	if n := MustBuild(sharded).ShardCount(); n != 2 {
-		t.Fatalf("want 2 shards, got %d", n)
-	}
-	var encoded [2]string
-	for i, spec := range []Spec{base, sharded} {
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range res.Flows {
-			if !f.Completed {
-				t.Errorf("shards=%d: flow %d.%d incomplete", spec.Shards, f.Workload, f.Flow)
-			}
-		}
-		for _, c := range res.CMs {
-			if c.Flows != 0 || c.Opens != c.Closes || c.Opens == 0 || c.StaleFlowCalls != 0 {
-				t.Errorf("shards=%d: cm[%s] ends with %d flows after %d opens, %d closes, %d stale calls",
-					spec.Shards, c.Host, c.Flows, c.Opens, c.Closes, c.StaleFlowCalls)
-			}
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		encoded[i] = string(b)
-	}
-	if encoded[0] != encoded[1] {
-		t.Fatal("serial and 2-shard results differ")
 	}
 }

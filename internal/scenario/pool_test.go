@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"runtime"
 	"testing"
 	"time"
@@ -93,59 +92,6 @@ func TestWholeRunAllocationBudget(t *testing.T) {
 				over = "Build..Finish"
 			}
 			t.Errorf("%s: %.4f mallocs per packet-hop over %s, budget %.2f", tc.spec.Name, got, over, tc.budget)
-		}
-	}
-}
-
-// Payload pools are package-level, so simulations running side by side — the
-// shards of one run, the workers of a campaign — share them. With every link
-// of the churn scenario (CM-controlled TCP, layered UDP in both modes and its
-// feedback reports) duplicating every packet, each copy must carry a payload
-// of its own on serial and on cross-shard links alike: the sharded runs equal
-// the serial ones byte for byte while two workers run them at the same time.
-// `go test -race` checks the hand-offs.
-func TestDuplicatedPayloadsAcrossShardsAndWorkers(t *testing.T) {
-	base := Churn(ChurnParams{Duration: 4 * time.Second})
-	for i := range base.Links {
-		base.Links[i].DuplicateRate = 1
-	}
-	sharded := base
-	sharded.Shards = 2
-	sim := MustBuild(sharded)
-	crossShard := false
-	for _, l := range base.Links {
-		crossShard = crossShard || sim.ShardOf(l.A) != sim.ShardOf(l.B)
-	}
-	if sim.ShardCount() != 2 || !crossShard {
-		t.Fatalf("want 2 shards and a link between them, got %d shards", sim.ShardCount())
-	}
-
-	out := Runner{Parallel: 2}.RunAll([]Spec{base, sharded, sharded, base})
-	var encoded []string
-	for i, o := range out {
-		if o.Err != "" {
-			t.Fatalf("run %d: %s", i, o.Err)
-		}
-		b, err := json.Marshal(o.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		encoded = append(encoded, string(b))
-	}
-	for i := 1; i < len(encoded); i++ {
-		if encoded[i] != encoded[0] {
-			t.Fatalf("run %d (of serial, sharded, sharded, serial) differs from run 0", i)
-		}
-	}
-	res := out[0].Result
-	for _, l := range res.Links {
-		if l.SentPackets > 0 && l.Duplicated != l.SentPackets {
-			t.Fatalf("link %s duplicated %d of %d packets", l.Name, l.Duplicated, l.SentPackets)
-		}
-	}
-	for _, f := range res.Flows {
-		if f.Delivered == 0 {
-			t.Fatalf("flow %d.%d %s->%s delivered nothing under total duplication", f.Workload, f.Flow, f.From, f.To)
 		}
 	}
 }

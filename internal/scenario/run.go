@@ -53,8 +53,6 @@ type FlowResult struct {
 type LinkResult struct {
 	Name string `json:"name"`
 	netsim.LinkStats
-	// ECNMarked counts CE marks applied by this link's queue.
-	ECNMarked int `json:"ecn_marked"`
 }
 
 // HostResult reports a node's IP-layer counters.
@@ -483,7 +481,6 @@ func (s *Sim) collect(drivers []*flowDriver) *Result {
 			res.Links = append(res.Links, LinkResult{
 				Name:      l.Config().Name,
 				LinkStats: l.Stats(),
-				ECNMarked: l.QueueStats().ECNMarked,
 			})
 		}
 	}

@@ -29,11 +29,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"negative queue bytes", func(s *Spec) { s.Links[0].QueueBytes = -1 }},
 		{"negative bandwidth", func(s *Spec) { s.Links[0].Bandwidth = -1 }},
 		{"negative delay", func(s *Spec) { s.Links[0].Delay = -10 * time.Millisecond }},
-		{"negative reorder delay", func(s *Spec) { s.Links[0].ReorderDelay = -time.Millisecond }},
 		{"loss rate above 1", func(s *Spec) { s.Links[0].LossRate = 2 }},
-		{"negative reorder rate", func(s *Spec) { s.Links[0].ReorderRate = -0.1 }},
-		{"duplicate rate above 1", func(s *Spec) { s.Links[0].DuplicateRate = 3 }},
-		{"negative ecn threshold", func(s *Spec) { s.Links[0].ECNThresholdPackets = -1 }},
+		{"negative loss rate", func(s *Spec) { s.Links[0].LossRate = -0.1 }},
 		{"gilbert p_good_bad above 1", func(s *Spec) { s.Links[0].Gilbert = &netsim.GilbertElliott{PGoodBad: 2} }},
 		{"unknown router", func(s *Spec) { s.Routers = []string{"ghost"} }},
 		{"unknown cm host", func(s *Spec) { s.CMHosts = []string{"ghost"} }},

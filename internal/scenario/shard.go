@@ -47,13 +47,13 @@ import (
 // shardMsg is one cross-shard packet delivery in flight between a source
 // shard's window and the destination shard's next window.
 type shardMsg struct {
-	link     *netsim.Link
-	pkt, dup *netsim.Packet
-	arrive   time.Duration // destination-side delivery time
-	sent     time.Duration // sender-side end of serialisation (stamp)
-	key      uint32        // link-direction sort key (Link.SortKey)
-	sub      uint32        // link-local delivery sequence (sub-sequence tie-break)
-	to       *shardState   // destination shard, set when injected
+	link   *netsim.Link
+	pkt    *netsim.Packet
+	arrive time.Duration // destination-side delivery time
+	sent   time.Duration // sender-side end of serialisation (stamp)
+	key    uint32        // link-direction sort key (Link.SortKey)
+	sub    uint32        // link-local delivery sequence (sub-sequence tie-break)
+	to     *shardState   // destination shard, set when injected
 }
 
 // handoff is the SPSC queue for one (source shard, destination shard) pair,
@@ -146,7 +146,7 @@ func (ss *shardState) getMsg() *shardMsg {
 func deliverMsg(x any) {
 	m := x.(*shardMsg)
 	ss := m.to
-	m.link.DeliverRemote(m.pkt, m.dup, ss.sched.Now())
+	m.link.DeliverRemote(m.pkt, ss.sched.Now())
 	*m = shardMsg{}
 	ss.free = append(ss.free, m)
 }
@@ -208,8 +208,8 @@ func (sr *shardRun) ownerCheck(i int) func() bool {
 func (sr *shardRun) connectRemote(l *netsim.Link, src, dst int) {
 	q := &sr.queues[src*sr.plan.nshards+dst]
 	key := l.SortKey()
-	l.SetRemoteDeliver(func(pkt, dup *netsim.Packet, arrive, sent time.Duration, seq uint32) {
-		q.msgs = append(q.msgs, shardMsg{link: l, pkt: pkt, dup: dup, arrive: arrive, sent: sent, key: key, sub: seq})
+	l.SetRemoteDeliver(func(pkt *netsim.Packet, arrive, sent time.Duration, seq uint32) {
+		q.msgs = append(q.msgs, shardMsg{link: l, pkt: pkt, arrive: arrive, sent: sent, key: key, sub: seq})
 	})
 }
 
@@ -350,9 +350,6 @@ func (sr *shardRun) release() {
 		q := &sr.queues[j]
 		for i := range q.msgs {
 			q.msgs[i].pkt.Release()
-			if q.msgs[i].dup != nil {
-				q.msgs[i].dup.Release()
-			}
 		}
 		q.msgs = nil
 	}

@@ -19,13 +19,13 @@ import (
 //	                param.k on a fattree campaign; resolved at expansion by
 //	                re-invoking the builder, since they reshape the topology)
 //	link[i].{loss | bandwidth | delay | queue | seed |
-//	         ge.p_good_bad | ge.p_bad_good | ge.loss_good | ge.loss_bad | ge.tick}
+//	         ge.p_good_bad | ge.p_bad_good | ge.loss_good | ge.loss_bad}
 //	workload[i].{flows | bytes | rate | start | recv_window | port | cc | kind}
 //	event[i].{at | drop_rate | delay_rate | duplicate_rate | delay | outage}
 //	generator[i].{seed | mean | mean_up | mean_down | start | end}
 //
 // i is a zero-based index or * for every element. Durations (duration, delay,
-// start, end, outage, mean*, ge.tick) are numeric seconds; bandwidth is bits
+// start, end, outage, mean*) are numeric seconds; bandwidth is bits
 // per second; loss and the notify-fault rates are rates in [0, 1]. cc and
 // kind are the only string-valued params.
 
@@ -158,8 +158,6 @@ func applyLink(l *scenario.LinkSpec, param, field string, v Value) error {
 			l.Gilbert.LossGood = n
 		case "loss_bad":
 			l.Gilbert.LossBad = n
-		case "tick":
-			l.Gilbert.Tick = seconds(n)
 		default:
 			return fmt.Errorf("sweep: unknown link param %q", param)
 		}

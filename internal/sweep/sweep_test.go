@@ -154,7 +154,7 @@ func TestApplyParams(t *testing.T) {
 		{"link[0].ge.p_good_bad", num(0.1), func() bool { return spec.Links[0].Gilbert.PGoodBad == 0.1 }},
 		{"link[0].ge.p_bad_good", num(0.2), func() bool { return spec.Links[0].Gilbert.PBadGood == 0.2 }},
 		{"link[0].ge.loss_bad", num(0.9), func() bool { return spec.Links[0].Gilbert.LossBad == 0.9 }},
-		{"link[0].ge.tick", num(0.05), func() bool { return spec.Links[0].Gilbert.Tick == 50*time.Millisecond }},
+		{"link[0].ge.loss_good", num(0.01), func() bool { return spec.Links[0].Gilbert.LossGood == 0.01 }},
 		{"workload[0].flows", num(8), func() bool { return spec.Workloads[0].Flows == 8 }},
 		{"workload[0].bytes", num(4096), func() bool { return spec.Workloads[0].Bytes == 4096 }},
 		{"workload[0].rate", num(12.5), func() bool { return spec.Workloads[0].Rate == 12.5 }},
@@ -192,6 +192,7 @@ func TestApplyErrors(t *testing.T) {
 		{"link.loss", Value{Num: 1}},
 		{"link[x].loss", Value{Num: 1}},
 		{"link[0].frobnicate", Value{Num: 1}},
+		{"link[0].ge.tick", Value{Num: 0.05}},
 		{"workload[0].cc", Value{Num: 1}},                 // string param, numeric value
 		{"link[0].loss", Value{Str: "a", IsString: true}}, // numeric param, string value
 		{"seed[0]", Value{Num: 1}},

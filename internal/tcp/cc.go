@@ -22,9 +22,8 @@ type ccProvider interface {
 	onEstablished()
 	// onClose runs when the connection is fully closed.
 	onClose()
-	// onAck reports acked bytes, an RTT sample (0 if none) and whether the
-	// ACK carried an ECN congestion-experienced echo.
-	onAck(acked int, rtt time.Duration, ecnCE bool)
+	// onAck reports acked bytes and an RTT sample (0 if none).
+	onAck(acked int, rtt time.Duration)
 	// onFastRetransmit runs when the third duplicate ACK arrives.
 	onFastRetransmit()
 	// onDupAckInRecovery runs for duplicate ACKs beyond the third.
@@ -79,12 +78,8 @@ func (c *nativeCC) trySend() {
 	}
 }
 
-func (c *nativeCC) onAck(acked int, rtt time.Duration, ecnCE bool) {
+func (c *nativeCC) onAck(acked int, rtt time.Duration) {
 	mss := c.e.mss()
-	if ecnCE {
-		c.halve()
-		return
-	}
 	if c.cwnd < c.ssthresh {
 		// Slow start, ACK counting: each ACK opens the window by one MSS.
 		c.cwnd += mss
@@ -97,19 +92,9 @@ func (c *nativeCC) onAck(acked int, rtt time.Duration, ecnCE bool) {
 	}
 }
 
-func (c *nativeCC) halve() {
-	mss := c.e.mss()
-	half := c.e.inFlight() / 2
-	if half < 2*mss {
-		half = 2 * mss
-	}
-	c.ssthresh = half
-	c.cwnd = half
-}
-
 func (c *nativeCC) onFastRetransmit() {
 	mss := c.e.mss()
-	c.halve()
+	c.ssthresh = max(c.e.inFlight()/2, 2*mss)
 	// Fast recovery window inflation for the three duplicate ACKs already
 	// received.
 	c.cwnd = c.ssthresh + 3*mss
@@ -231,15 +216,11 @@ func (c *cmCC) CMAppSend(_ cm.FlowID) {
 	}
 }
 
-func (c *cmCC) onAck(acked int, rtt time.Duration, ecnCE bool) {
+func (c *cmCC) onAck(acked int, rtt time.Duration) {
 	if !c.opened {
 		return
 	}
-	mode := cm.NoLoss
-	if ecnCE {
-		mode = cm.ECNLoss
-	}
-	c.cm.Update(c.flow, acked, acked, mode, rtt)
+	c.cm.Update(c.flow, acked, acked, cm.NoLoss, rtt)
 }
 
 func (c *cmCC) onFastRetransmit() {

@@ -615,7 +615,7 @@ func (e *Endpoint) Handle(pkt *netsim.Packet) {
 	case StateSynReceived:
 		e.handleSynReceived(seg)
 	case StateEstablished, StateFinWait, StateCloseWait, StateClosing:
-		e.handleEstablished(seg, pkt.CE)
+		e.handleEstablished(seg)
 	}
 	if e.state == StateTimeWait {
 		e.handOver()
@@ -652,7 +652,7 @@ func (e *Endpoint) handleSynReceived(seg *Segment) {
 		e.becomeEstablished()
 		// The ACK completing the handshake may carry data.
 		if seg.Len > 0 || seg.FIN {
-			e.handleEstablished(seg, false)
+			e.handleEstablished(seg)
 		}
 	}
 }
@@ -674,21 +674,21 @@ func (e *Endpoint) becomeEstablished() {
 	}
 }
 
-func (e *Endpoint) handleEstablished(seg *Segment, ce bool) {
+func (e *Endpoint) handleEstablished(seg *Segment) {
 	if seg.SYN {
 		// Duplicate handshake segment from the peer; re-acknowledge.
 		e.sendAck()
 		return
 	}
 	if seg.ACK {
-		e.processAck(seg, ce)
+		e.processAck(seg)
 	}
 	if seg.Len > 0 || seg.FIN {
 		e.processData(seg)
 	}
 }
 
-func (e *Endpoint) processAck(seg *Segment, ce bool) {
+func (e *Endpoint) processAck(seg *Segment) {
 	e.peerWnd = seg.Wnd
 	switch {
 	case seg.Ack > e.sndUna:
@@ -714,7 +714,7 @@ func (e *Endpoint) processAck(seg *Segment, ce bool) {
 				e.rtxPending = true
 			}
 		}
-		e.cc.onAck(acked, rtt, ce)
+		e.cc.onAck(acked, rtt)
 
 		if e.sndUna >= e.sndNxt {
 			e.rtoTimer.Stop()

@@ -132,15 +132,6 @@ func (s *Segment) ReleasePayload() {
 	segmentPool.Put(s)
 }
 
-// ClonePayload implements netsim.PooledPayload: a duplicated packet gets its
-// own segment, released independently of the original's.
-func (s *Segment) ClonePayload() any {
-	if !s.pooled {
-		return s
-	}
-	return newSegment(*s)
-}
-
 // seqLen returns the amount of sequence space the segment occupies.
 func (s *Segment) seqLen() int64 {
 	n := int64(s.Len)

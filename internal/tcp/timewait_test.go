@@ -172,7 +172,7 @@ func TestEndpointCollectableAfterTimeWait(t *testing.T) {
 // count them and re-acknowledge the FINs, and the CM flow is closed exactly
 // once.
 func TestFullCloseUnderTotalDuplication(t *testing.T) {
-	e := newEnv(t, impairedLink(0, 0, 1, 43), true)
+	e, _ := impairedEnv(t, 0, 0, 1, 43, true)
 	client, server := closedPair(t, e, cmClientCfg(e))
 	if client.tw.segmentsRcvd == 0 || client.tw.acksSent == 0 {
 		t.Errorf("client record saw %d segments and sent %d ACKs, want the duplicate FIN re-acknowledged",

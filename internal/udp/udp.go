@@ -31,8 +31,8 @@ type Datagram struct {
 	// Size is the application payload length in bytes.
 	Size int
 	// App carries application-defined content (for example feedback
-	// reports). If it implements netsim.PooledPayload it is released and
-	// cloned together with a pooled datagram.
+	// reports). If it implements netsim.PooledPayload it is released
+	// together with a pooled datagram.
 	App any
 
 	// pooled marks datagrams drawn from datagramPool; only those go back to
@@ -68,20 +68,6 @@ func (d *Datagram) ReleasePayload() {
 	}
 	*d = released
 	datagramPool.Put(d)
-}
-
-// ClonePayload implements netsim.PooledPayload: a duplicated packet gets its
-// own datagram, released independently of the original's.
-func (d *Datagram) ClonePayload() any {
-	if !d.pooled {
-		return d
-	}
-	c := datagramPool.Get().(*Datagram)
-	*c = *d
-	if app, ok := d.App.(netsim.PooledPayload); ok {
-		c.App = app.ClonePayload()
-	}
-	return c
 }
 
 // wireSize returns the on-the-wire size of a datagram.
