@@ -170,6 +170,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{{"runs", *runs, 1}, {"replicates", *replicates, 1}, {"shards", *shards, 0}} {
+		if f.v < f.least {
+			fmt.Fprintf(stderr, "cmsim: -%s %d: want at least %d\n", f.name, f.v, f.least)
+			return 2
+		}
+	}
 
 	if *list {
 		for _, name := range scenario.List() {
@@ -199,9 +208,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *names == "" {
 		fmt.Fprintln(stderr, "cmsim: nothing to run: name a -scenario (see -list) or a -campaign")
 		return 2
-	}
-	if *runs < 1 {
-		*runs = 1
 	}
 	var specs []scenario.Spec
 	for _, name := range strings.Split(*names, ",") {
@@ -451,7 +457,7 @@ func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes 
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, &camp); err != nil {
+		if camp, err = sweep.DecodeCampaign(data); err != nil {
 			return fmt.Errorf("campaign %s: %w", file, err)
 		}
 		if set["replicates"] {

@@ -53,11 +53,33 @@ func TestScenarioJSONDecodes(t *testing.T) {
 }
 
 // Input mistakes exit 2, like a bad flag, and say what was wrong on stderr.
+// A campaign file is input too: a misspelt field, or a link or Gilbert-Elliott
+// knob the simulator no longer has, is named rather than ignored.
 func TestBadInputExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	campaign := func(name, link string) string {
+		path := filepath.Join(dir, name+".json")
+		body := `{"base": {"links": [{"a": "s", "b": "r"` + link + `}],
+			"workloads": [{"kind": "bulk", "from": "s", "to": "r", "bytes": 1000}], "duration": 1000000000},
+			"axes": [{"param": "link[0].loss", "values": [0]}]`
+		if name == "typo" {
+			body += `, "replicate": 3`
+		}
+		if err := os.WriteFile(path, []byte(body+"}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	for _, tc := range []struct {
 		args []string
 		says string
 	}{
+		{[]string{"-scenario", "p2p", "-runs", "-3"}, "-runs -3: want at least 1"},
+		{[]string{"-scenario", "p2p", "-sweep", "link[0].loss=0", "-replicates", "-1"}, "-replicates -1: want at least 1"},
+		{[]string{"-scenario", "p2p", "-shards", "-2"}, "-shards -2: want at least 0"},
+		{[]string{"-campaign", campaign("typo", "")}, `unknown field "replicate"`},
+		{[]string{"-campaign", campaign("reorder", `, "reorder_rate": 0.1`)}, `unknown field "reorder_rate"`},
+		{[]string{"-campaign", campaign("tick", `, "gilbert": {"p_good_bad": 0.1, "p_bad_good": 0.5, "tick": 10000000}`)}, `unknown field "tick"`},
 		{[]string{"-scenario", "p2p", "-probe", "nosuch[0].depth"}, `invalid value "nosuch[0].depth" for flag -probe`},
 		{[]string{"-scenario", "nosuch"}, `unknown scenario "nosuch"`},
 		{nil, "nothing to run"},

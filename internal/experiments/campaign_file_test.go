@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -18,8 +17,8 @@ func TestFig3CampaignFileMatchesDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromFile sweep.Campaign
-	if err := json.Unmarshal(data, &fromFile); err != nil {
+	fromFile, err := sweep.DecodeCampaign(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := Fig3Campaign(Fig3Config{})

@@ -18,7 +18,10 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -180,6 +183,23 @@ type Campaign struct {
 	// Plots declares the figures to render from the executed campaign (see
 	// plot.go); WritePlots derives defaults from Metrics/Probes when empty.
 	Plots []Plot `json:"plots,omitempty"`
+}
+
+// DecodeCampaign parses a campaign file strictly: a field the Campaign, its
+// base Spec or anything nested in them does not have is an error naming it,
+// so a misspelt or removed knob fails instead of silently running the
+// defaults. So is anything after the one JSON object.
+func DecodeCampaign(data []byte) (Campaign, error) {
+	var c Campaign
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
+		return Campaign{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Campaign{}, fmt.Errorf("data after the campaign object")
+	}
+	return c, nil
 }
 
 // DefaultMetrics aggregates the derived whole-run totals plus the summaries
