@@ -38,7 +38,7 @@ bench-test:
 # scheduler to a container/heap one (internal/simtime/reference_test.go),
 # FuzzLinkOps holds netsim.Link to the two-event transmitter it replaced
 # (internal/netsim/reference_test.go), FuzzQueueOps holds netsim.Queue's ring
-# to a slice-backed drop-tail FIFO with the routing reserve and ECN marking
+# to a slice-backed drop-tail FIFO with the routing reserve
 # (internal/netsim/queue_reference_test.go), FuzzHostOps holds node.Host's
 # tables to a map-backed host (internal/node/reference_test.go), FuzzCMOps
 # holds the CM's slot-table flow handles to map-keyed ones
