@@ -120,10 +120,10 @@ type LinkStats struct {
 // destination Receiver after the propagation delay.
 //
 // Everything about a packet's trip is fixed the moment it goes on the wire:
-// serialisation time, propagation delay and its link-local delivery number. So its hand-up event is scheduled right
-// then, for txEnd + delay with the insertion stamp txEnd, and the transmitter
-// itself needs an event only when somebody waits for it. It is in one of
-// three states:
+// serialisation time, propagation delay and its link-local delivery number. So
+// its hand-up event is scheduled right then, for txEnd + delay with the
+// insertion stamp txEnd, and the transmitter itself needs an event only when
+// somebody waits for it. It is in one of three states:
 //
 //   - free (Now >= txEnd): a Send, or SetDown(false) with a held backlog,
 //     starts serialising at once. A hop on an idle link is one event.
@@ -169,9 +169,10 @@ type Link struct {
 	// direction could misorder only a pair tied at the same instant across
 	// the wrap — beyond any run this simulator performs.
 	deliverSeq uint32
-	// rng is the link's private random source for the loss draws, created lazily by random(): a rand.Rand source is ~5 KB, and in
-	// an internet-scale topology almost every link is lossless and never
-	// draws. Laziness is invisible to determinism — the seed is fixed at
+	// rng is the link's private random source for the loss draws, created
+	// lazily by random(): a rand.Rand source is ~5 KB, and in an
+	// internet-scale topology almost every link is lossless and never draws.
+	// Laziness is invisible to determinism — the seed is fixed at
 	// construction, so the stream is identical whenever it is first used.
 	rng *rand.Rand
 
@@ -316,9 +317,10 @@ func (l *Link) SetSendTap(fn func(pkt *Packet)) { l.sendTap = fn }
 type RemoteDeliver func(pkt *Packet, arrive, sent time.Duration, seq uint32)
 
 // SetRemoteDeliver diverts this link's deliveries to a cross-scheduler hook.
-// Serialisation, queueing and the loss draws still run on the sending side (they consume the link's private RNG in offered-packet
-// order); only the final hand-up moves to the receiving side, which performs
-// it by calling DeliverRemote at the packet's arrival time.
+// Serialisation, queueing and the loss draws still run on the sending side
+// (they consume the link's private RNG in offered-packet order); only the
+// final hand-up moves to the receiving side, which performs it by calling
+// DeliverRemote at the packet's arrival time.
 func (l *Link) SetRemoteDeliver(fn RemoteDeliver) { l.remote = fn }
 
 // Config returns a snapshot of the link configuration. For a link whose
@@ -530,18 +532,17 @@ func (l *Link) startTransmit() {
 	if l.queue.Len() > 0 {
 		l.arm()
 	}
-	// The delay is the one configured now: a set-delay event never retimes a
-	// packet already on the wire. (A delay reduction can still deliver a later
-	// packet before an earlier one — two packets really are in flight on
-	// different-length paths, as after a route change.)
-	delay := l.cfg.Delay
 	// Every serialised packet takes the next link-local delivery sequence
 	// number; it rides on the hand-up event (or the cross-shard injection) as
 	// the sub-sequence tie-break.
 	l.deliverSeq++
 	// The hand-up is inserted now but stamped txEnd, the instant a tx-done
 	// event would have inserted it, so it fires exactly where it always has.
-	arrive := max(l.txEnd+delay, l.txEnd)
+	// The delay is the one configured now: a set-delay event never retimes a
+	// packet already on the wire. (A delay reduction can still deliver a later
+	// packet before an earlier one — two packets really are in flight on
+	// different-length paths, as after a route change.)
+	arrive := max(l.txEnd+l.cfg.Delay, l.txEnd)
 	if l.remote != nil {
 		// Cross-scheduler delivery: the destination's shard performs the
 		// hand-up (DeliverRemote) at the arrival time.

@@ -9,10 +9,10 @@ import (
 )
 
 // An internet-scale topology holds tens of thousands of link directions, most
-// of which never carry a packet: the struct stays at the size it reached when
-// the unused impairments went, and owns no closures (the only allocation of
-// NewLink is the Link itself). The link is kept in linkSink, as a topology
-// keeps its links: one that does not outlive the call may live on the stack.
+// of which never carry a packet: the struct stays within 296 bytes and owns no
+// closures (the only allocation of NewLink is the Link itself). The link is
+// kept in linkSink, as a topology keeps its links: one that does not outlive
+// the call may live on the stack.
 func TestLinkSize(t *testing.T) {
 	if got := unsafe.Sizeof(Link{}); got > 296 {
 		t.Errorf("Link is %d bytes, want <= 296", got)
