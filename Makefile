@@ -131,12 +131,16 @@ route-smoke:
 # committed: regenerate them and fail when any differs from the committed copy
 # or a file appears under plots/ that is not committed. RUN_REPORT.* (a wall-clock Perf section) and
 # SHARD_TIMELINE.json (wall-clock spans) are not deterministic and stay out.
+# It also fails when a tracked file is over 512 KiB, which no source file or
+# artifact comes near and a committed build always exceeds.
 ARTIFACTS = SWEEP_SMOKE.csv CHURN_SOAK.csv FATTREE_SMOKE.csv ROUTE_SMOKE.csv PROBE_SMOKE.csv plots/ \
 	$(EXAMPLES:%=%/OUTPUT.txt)
 artifacts-check: sweep-smoke soak-smoke fattree-smoke route-smoke probe-smoke examples-smoke
 	@out=$$(git status --porcelain --untracked-files=all -- $(ARTIFACTS)); \
 	if [ -n "$$out" ]; then echo "smoke artifacts differ from the committed copy:"; echo "$$out"; \
 		git --no-pager diff --stat -- $(ARTIFACTS); exit 1; fi
+	@big=$$(git ls-files -z | xargs -0 -r stat -c '%s %n' 2>/dev/null | awk '$$1 > 512 * 1024'); \
+	if [ -n "$$big" ]; then echo "tracked files over 512 KiB:"; echo "$$big"; exit 1; fi
 
 # Every example, run: each examples/<name> program's stdout goes to
 # examples/<name>/OUTPUT.txt, and a non-zero exit fails the target. The

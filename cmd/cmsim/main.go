@@ -173,11 +173,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range []struct {
 		name     string
 		v, least int
-	}{{"runs", *runs, 1}, {"replicates", *replicates, 1}, {"shards", *shards, 0}} {
+	}{{"runs", *runs, 1}, {"replicates", *replicates, 1}, {"shards", *shards, 0},
+		{"parallel", *parallel, 0}, {"trace-depth", *traceDepth, 0}} {
 		if f.v < f.least {
 			fmt.Fprintf(stderr, "cmsim: -%s %d: want at least %d\n", f.name, f.v, f.least)
 			return 2
 		}
+	}
+	if *snapEvery < 0 {
+		fmt.Fprintf(stderr, "cmsim: -snapshot-every %v: want at least 0s\n", *snapEvery)
+		return 2
 	}
 
 	if *list {

@@ -57,15 +57,15 @@ func TestScenarioJSONDecodes(t *testing.T) {
 // knob the simulator no longer has, is named rather than ignored.
 func TestBadInputExitsTwo(t *testing.T) {
 	dir := t.TempDir()
-	campaign := func(name, link string) string {
+	// campaign writes a one-point campaign file with JSON members spliced
+	// into its link, its workload, its base spec and the campaign itself.
+	type splice struct{ link, workload, base, top string }
+	campaign := func(name string, sp splice) string {
 		path := filepath.Join(dir, name+".json")
-		body := `{"base": {"links": [{"a": "s", "b": "r"` + link + `}],
-			"workloads": [{"kind": "bulk", "from": "s", "to": "r", "bytes": 1000}], "duration": 1000000000},
-			"axes": [{"param": "link[0].loss", "values": [0]}]`
-		if name == "typo" {
-			body += `, "replicate": 3`
-		}
-		if err := os.WriteFile(path, []byte(body+"}"), 0o644); err != nil {
+		body := `{"base": {"links": [{"a": "s", "b": "r"` + sp.link + `}],
+			"workloads": [{"kind": "bulk", "from": "s", "to": "r", "bytes": 1000` + sp.workload + `}], "duration": 1000000000` + sp.base + `},
+			"axes": [{"param": "link[0].loss", "values": [0]}]` + sp.top + `}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -77,9 +77,18 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{[]string{"-scenario", "p2p", "-runs", "-3"}, "-runs -3: want at least 1"},
 		{[]string{"-scenario", "p2p", "-sweep", "link[0].loss=0", "-replicates", "-1"}, "-replicates -1: want at least 1"},
 		{[]string{"-scenario", "p2p", "-shards", "-2"}, "-shards -2: want at least 0"},
-		{[]string{"-campaign", campaign("typo", "")}, `unknown field "replicate"`},
-		{[]string{"-campaign", campaign("reorder", `, "reorder_rate": 0.1`)}, `unknown field "reorder_rate"`},
-		{[]string{"-campaign", campaign("tick", `, "gilbert": {"p_good_bad": 0.1, "p_bad_good": 0.5, "tick": 10000000}`)}, `unknown field "tick"`},
+		{[]string{"-scenario", "p2p", "-parallel", "-1"}, "-parallel -1: want at least 0"},
+		{[]string{"-scenario", "p2p", "-trace-depth", "-5"}, "-trace-depth -5: want at least 0"},
+		{[]string{"-scenario", "p2p", "-snapshot-every", "-1s"}, "-snapshot-every -1s: want at least 0s"},
+		{[]string{"-campaign", campaign("typo", splice{top: `, "replicate": 3`})}, `unknown field "replicate"`},
+		{[]string{"-campaign", campaign("replicates", splice{top: `, "replicates": -2`})}, "campaign replicates -2: want at least 0"},
+		{[]string{"-campaign", campaign("shards", splice{top: `, "shards": -1`})}, "campaign shards -1: want at least 0"},
+		{[]string{"-campaign", campaign("reorder", splice{link: `, "reorder_rate": 0.1`})}, `unknown field "reorder_rate"`},
+		{[]string{"-campaign", campaign("tick", splice{link: `, "gilbert": {"p_good_bad": 0.1, "p_bad_good": 0.5, "tick": 10000000}`})}, `unknown field "tick"`},
+		{[]string{"-campaign", campaign("route_proto", splice{base: `, "route_sync": "protocol", "route_proto": {"holddown": 1000000}`})}, `unknown field "route_proto"`},
+		{[]string{"-campaign", campaign("port", splice{workload: `, "port": 7000`})}, `unknown field "port"`},
+		{[]string{"-campaign", campaign("set-loss", splice{base: `, "events": [{"at": 500000000, "kind": "set-loss", "link": 0, "loss_rate": 0.1}]`})}, `unknown field "loss_rate"`},
+		{[]string{"-campaign", campaign("set-loss-kind", splice{base: `, "events": [{"at": 500000000, "kind": "set-loss", "link": 0}]`})}, `event kind "set-loss" unknown`},
 		{[]string{"-scenario", "p2p", "-probe", "nosuch[0].depth"}, `invalid value "nosuch[0].depth" for flag -probe`},
 		{[]string{"-scenario", "nosuch"}, `unknown scenario "nosuch"`},
 		{nil, "nothing to run"},

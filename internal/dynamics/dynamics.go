@@ -2,8 +2,8 @@
 // that change the network while a simulation is running. The Congestion
 // Manager's value proposition is adaptation, so scenarios must be able to
 // declare the churn the CM adapts to — links failing and recovering,
-// bandwidth and delay renegotiating, loss turning bursty — instead of
-// freezing every parameter at Build time.
+// bandwidth renegotiating, loss turning bursty, hosts moving and their CMs
+// restarting — instead of freezing every parameter at Build time.
 //
 // An Event names a link of the scenario's topology (by index into
 // Spec.Links) or a host, a virtual time and a change to apply; a Generator
@@ -36,10 +36,6 @@ const (
 	LinkUp = "link-up"
 	// SetBandwidth changes the link's serialisation rate to Bandwidth.
 	SetBandwidth = "set-bandwidth"
-	// SetDelay changes the link's propagation delay to Delay.
-	SetDelay = "set-delay"
-	// SetLoss changes the link's independent Bernoulli drop rate to LossRate.
-	SetLoss = "set-loss"
 	// SetGilbert installs (or with a nil Gilbert field, removes) the
 	// two-state bursty loss model.
 	SetGilbert = "set-gilbert"
@@ -66,32 +62,16 @@ const (
 	// seeded per-host fault RNG.
 	SetNotifyFaults = "set-notify-faults"
 	// HostMove is a mobile handoff: the named host detaches (all its links go
-	// down, in-flight packets die as route misses), macroflow state to and
-	// from the host is discarded or kept per Policy, and the host re-attaches
-	// Outage later (the scenario layer expands the event into a move/attach
-	// pair). Routes recompute live at both edges.
+	// down, in-flight packets die as route misses), macroflow congestion
+	// state to and from the host is discarded — the new path shares nothing
+	// with the old one, so transfers restart from the initial window — and
+	// the host re-attaches Outage later (the scenario layer expands the event
+	// into a move/attach pair). Routes recompute live at both edges.
 	HostMove = "host-move"
 	// HostAttach re-attaches a moved host: its links come back up and routes
 	// recompute. It is normally generated from a HostMove's Outage rather
 	// than declared directly.
 	HostAttach = "host-attach"
-)
-
-// Host-move policies.
-const (
-	// PolicyDiscard (the default) throws away macroflow congestion state to
-	// and from the moved host: the new path shares nothing with the old one,
-	// so transfers restart from the initial window.
-	PolicyDiscard = "discard"
-	// PolicyMigrate keeps the macroflow state across the move: the learned
-	// window and RTT survive (the optimistic same-subnet handoff).
-	PolicyMigrate = "migrate"
-	// PolicyRenumber discards macroflow state like PolicyDiscard and
-	// additionally gives the host a new name (Event.NewName) when it
-	// re-attaches: the host changed address, so routes to the old name age
-	// out through the routing protocol rather than by oracle rewrite.
-	// Requires RouteSync: "protocol".
-	PolicyRenumber = "renumber"
 )
 
 // Directions select which half of a duplex link an event applies to.
@@ -122,7 +102,6 @@ type Event struct {
 
 	Bandwidth netsim.Bandwidth       `json:"bandwidth,omitempty"`
 	Delay     time.Duration          `json:"delay,omitempty"`
-	LossRate  float64                `json:"loss_rate,omitempty"`
 	Gilbert   *netsim.GilbertElliott `json:"gilbert,omitempty"`
 
 	// DropRate and DelayRate are the SetNotifyFaults probabilities (in
@@ -135,13 +114,8 @@ type Event struct {
 	// routing message twice.
 	DuplicateRate float64 `json:"duplicate_rate,omitempty"`
 
-	// Policy is PolicyDiscard (default), PolicyMigrate or PolicyRenumber for
-	// a HostMove; Outage is how long the moved host stays detached (default
-	// 200 ms). NewName is the renumbered host's post-move name
-	// (PolicyRenumber only).
-	Policy  string        `json:"policy,omitempty"`
-	Outage  time.Duration `json:"outage,omitempty"`
-	NewName string        `json:"new_name,omitempty"`
+	// Outage is how long a HostMove's host stays detached (default 200 ms).
+	Outage time.Duration `json:"outage,omitempty"`
 }
 
 // HostEvent reports whether the event targets a host rather than a link.
@@ -179,21 +153,6 @@ func (e Event) Validate(nlinks int) error {
 			if e.At <= 0 {
 				return fmt.Errorf("dynamics: %s event must be scheduled mid-run (at > 0)", e.Kind)
 			}
-			switch e.Policy {
-			case "", PolicyDiscard, PolicyMigrate:
-				if e.NewName != "" {
-					return fmt.Errorf("dynamics: %s event: new_name requires the %s policy", e.Kind, PolicyRenumber)
-				}
-			case PolicyRenumber:
-				if e.NewName == "" {
-					return fmt.Errorf("dynamics: %s event with the %s policy needs new_name", e.Kind, PolicyRenumber)
-				}
-				if e.NewName == e.Host {
-					return fmt.Errorf("dynamics: %s event: new_name %q equals the old name", e.Kind, e.NewName)
-				}
-			default:
-				return fmt.Errorf("dynamics: %s event policy %q unknown", e.Kind, e.Policy)
-			}
 			if e.Outage < 0 {
 				return fmt.Errorf("dynamics: %s event needs outage >= 0", e.Kind)
 			}
@@ -213,14 +172,6 @@ func (e Event) Validate(nlinks int) error {
 	case SetBandwidth:
 		if e.Bandwidth <= 0 {
 			return fmt.Errorf("dynamics: %s event needs bandwidth > 0", e.Kind)
-		}
-	case SetDelay:
-		if e.Delay < 0 {
-			return fmt.Errorf("dynamics: %s event needs delay >= 0", e.Kind)
-		}
-	case SetLoss:
-		if e.LossRate < 0 || e.LossRate > 1 {
-			return fmt.Errorf("dynamics: %s event loss rate %v out of [0,1]", e.Kind, e.LossRate)
 		}
 	case SetGilbert:
 		if e.Gilbert != nil {
@@ -275,10 +226,6 @@ func (ev Event) Apply(l *netsim.Link) {
 		l.SetDown(false)
 	case SetBandwidth:
 		l.SetBandwidth(ev.Bandwidth)
-	case SetDelay:
-		l.SetDelay(ev.Delay)
-	case SetLoss:
-		l.SetLossRate(ev.LossRate)
 	case SetGilbert:
 		l.SetGilbert(ev.Gilbert)
 	}

@@ -13,8 +13,6 @@ func TestEventValidate(t *testing.T) {
 		{At: time.Second, Kind: LinkDown, Link: 0},
 		{Kind: LinkUp, Link: 1, Direction: DirReverse},
 		{Kind: SetBandwidth, Link: 0, Bandwidth: netsim.Mbps},
-		{Kind: SetDelay, Link: 0, Delay: 0},
-		{Kind: SetLoss, Link: 0, LossRate: 0.5},
 		{Kind: SetGilbert, Link: 0, Gilbert: &netsim.GilbertElliott{PGoodBad: 0.1, PBadGood: 0.5}},
 		{Kind: SetGilbert, Link: 0}, // nil Gilbert disables the model
 	}
@@ -30,8 +28,8 @@ func TestEventValidate(t *testing.T) {
 		{Kind: LinkDown, Link: -1},
 		{Kind: LinkDown, Link: 0, Direction: "sideways"},
 		{Kind: SetBandwidth, Link: 0},
-		{Kind: SetDelay, Link: 0, Delay: -time.Second},
-		{Kind: SetLoss, Link: 0, LossRate: 1.5},
+		{Kind: "set-loss", Link: 0}, // deleted kinds
+		{Kind: "set-delay", Link: 0},
 		{Kind: SetGilbert, Link: 0, Gilbert: &netsim.GilbertElliott{PGoodBad: 2}},
 	}
 	for i, ev := range bad {

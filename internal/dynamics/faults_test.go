@@ -11,7 +11,7 @@ func TestHostEventValidate(t *testing.T) {
 		{Kind: SetNotifyFaults, Host: "a", DropRate: 0.5, DelayRate: 0.5, Delay: time.Millisecond},
 		{Kind: SetNotifyFaults, Host: "a"}, // zero rates disable injection
 		{At: time.Second, Kind: HostMove, Host: "a"},
-		{At: time.Second, Kind: HostMove, Host: "a", Policy: PolicyMigrate, Outage: time.Second},
+		{At: time.Second, Kind: HostMove, Host: "a", Outage: time.Second},
 		{At: time.Second, Kind: HostAttach, Host: "a"},
 		// Host events ignore Link entirely: an out-of-range index must not
 		// trip the link check.
@@ -27,8 +27,7 @@ func TestHostEventValidate(t *testing.T) {
 		{Kind: SetNotifyFaults, Host: "a", DropRate: 1.5},   // rate > 1
 		{Kind: SetNotifyFaults, Host: "a", DelayRate: -0.1}, // rate < 0
 		{Kind: SetNotifyFaults, Host: "a", DelayRate: 0.5, Delay: -time.Second},
-		{Kind: HostMove, Host: "a"},                                      // a move at t=0 makes no sense
-		{At: time.Second, Kind: HostMove, Host: "a", Policy: "teleport"}, // unknown policy
+		{Kind: HostMove, Host: "a"}, // a move at t=0 makes no sense
 		{At: time.Second, Kind: HostMove, Host: "a", Outage: -time.Second},
 	}
 	for i, ev := range bad {

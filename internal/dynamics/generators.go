@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 // Generator kinds.
@@ -15,10 +13,6 @@ const (
 	// link stays up for Exp(MeanUp), fails, stays down for Exp(MeanDown),
 	// recovers, and so on until End.
 	GenPoissonFlaps = "poisson-flaps"
-	// GenBandwidthWalk performs a multiplicative Markov random walk on the
-	// link bandwidth: every Step the rate is multiplied or divided by Factor
-	// with equal probability, clamped to [Min, Max].
-	GenBandwidthWalk = "bandwidth-walk"
 	// GenCMRestarts is a Poisson process of CMRestart events on Host: the
 	// Congestion Manager crashes and restarts with exponentially distributed
 	// inter-failure times of mean Mean (a host-level churn source for the
@@ -33,7 +27,7 @@ const (
 // declared events — serial/parallel byte-identity, sharded barrier firing,
 // per-event records — is inherited for free.
 type Generator struct {
-	// Kind is GenPoissonFlaps, GenBandwidthWalk or GenCMRestarts.
+	// Kind is GenPoissonFlaps or GenCMRestarts.
 	Kind string `json:"kind"`
 	// Link indexes the scenario's Links slice (link generators only).
 	Link int `json:"link"`
@@ -55,16 +49,6 @@ type Generator struct {
 	MeanUp   time.Duration `json:"mean_up,omitempty"`
 	MeanDown time.Duration `json:"mean_down,omitempty"`
 
-	// Step is the walk interval of GenBandwidthWalk (default 1s); Factor is
-	// the multiplicative step (default 1.25). Initial is the walk's starting
-	// rate (zero: the owner substitutes the link's configured bandwidth);
-	// Min/Max clamp the walk (defaults Initial/8 and Initial*8).
-	Step    time.Duration    `json:"step,omitempty"`
-	Factor  float64          `json:"factor,omitempty"`
-	Initial netsim.Bandwidth `json:"initial,omitempty"`
-	Min     netsim.Bandwidth `json:"min,omitempty"`
-	Max     netsim.Bandwidth `json:"max,omitempty"`
-
 	// Mean is the expected inter-restart time of GenCMRestarts (default 10s).
 	Mean time.Duration `json:"mean,omitempty"`
 }
@@ -74,7 +58,7 @@ type Generator struct {
 func (g Generator) HostGenerator() bool { return g.Kind == GenCMRestarts }
 
 // Validate checks the generator against a topology with nlinks links. Fields
-// with defaults (seed, means, step, factor, clamps, End) may be zero.
+// with defaults (seed, means, End) may be zero.
 func (g Generator) Validate(nlinks int) error {
 	if !g.HostGenerator() {
 		if g.Link < 0 || g.Link >= nlinks {
@@ -97,13 +81,6 @@ func (g Generator) Validate(nlinks int) error {
 		if g.MeanUp < 0 || g.MeanDown < 0 {
 			return fmt.Errorf("dynamics: %s generator needs non-negative means", g.Kind)
 		}
-	case GenBandwidthWalk:
-		if g.Factor != 0 && g.Factor <= 1 {
-			return fmt.Errorf("dynamics: %s generator factor %v must be > 1", g.Kind, g.Factor)
-		}
-		if g.Min < 0 || g.Max < 0 || (g.Min > 0 && g.Max > 0 && g.Min > g.Max) {
-			return fmt.Errorf("dynamics: %s generator clamp [%v, %v] invalid", g.Kind, g.Min, g.Max)
-		}
 	case GenCMRestarts:
 		if g.Host == "" {
 			return fmt.Errorf("dynamics: %s generator needs a host", g.Kind)
@@ -118,7 +95,7 @@ func (g Generator) Validate(nlinks int) error {
 }
 
 // Expand samples the process and returns its events in time order. The caller
-// is expected to have substituted owner-level defaults (Seed, End, Initial);
+// is expected to have substituted owner-level defaults (Seed, End);
 // Expand applies the remaining per-kind ones. Expansion is a pure function of
 // the generator value: the same Generator always yields the same events.
 func (g Generator) Expand() []Event {
@@ -132,8 +109,6 @@ func (g Generator) Expand() []Event {
 	switch g.Kind {
 	case GenPoissonFlaps:
 		return g.expandFlaps(rng)
-	case GenBandwidthWalk:
-		return g.expandWalk(rng)
 	case GenCMRestarts:
 		return g.expandRestarts(rng)
 	}
@@ -190,41 +165,6 @@ func (g Generator) expandRestarts(rng *rand.Rand) []Event {
 			break
 		}
 		evs = append(evs, Event{At: t, Kind: CMRestart, Host: g.Host})
-	}
-	return evs
-}
-
-func (g Generator) expandWalk(rng *rand.Rand) []Event {
-	if g.Step == 0 {
-		g.Step = time.Second
-	}
-	if g.Factor == 0 {
-		g.Factor = 1.25
-	}
-	if g.Initial <= 0 {
-		return nil
-	}
-	if g.Min == 0 {
-		g.Min = g.Initial / 8
-	}
-	if g.Max == 0 {
-		g.Max = g.Initial * 8
-	}
-	var evs []Event
-	bw := g.Initial
-	for t := g.Start + g.Step; t < g.End; t += g.Step {
-		if rng.Float64() < 0.5 {
-			bw = netsim.Bandwidth(float64(bw) * g.Factor)
-		} else {
-			bw = netsim.Bandwidth(float64(bw) / g.Factor)
-		}
-		if bw < g.Min {
-			bw = g.Min
-		}
-		if bw > g.Max {
-			bw = g.Max
-		}
-		evs = append(evs, Event{At: t, Kind: SetBandwidth, Link: g.Link, Direction: g.Direction, Bandwidth: bw})
 	}
 	return evs
 }

@@ -4,15 +4,12 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 func TestGeneratorValidate(t *testing.T) {
 	good := []Generator{
 		{Kind: GenPoissonFlaps, Link: 0},
 		{Kind: GenPoissonFlaps, Link: 1, Direction: DirForward, Start: time.Second, End: 2 * time.Second},
-		{Kind: GenBandwidthWalk, Link: 0, Factor: 2, Min: netsim.Mbps, Max: 10 * netsim.Mbps},
 	}
 	for i, g := range good {
 		if err := g.Validate(2); err != nil {
@@ -25,8 +22,7 @@ func TestGeneratorValidate(t *testing.T) {
 		{Kind: GenPoissonFlaps, Link: -1},
 		{Kind: GenPoissonFlaps, Link: 0, Direction: "sideways"},
 		{Kind: GenPoissonFlaps, Link: 0, Start: 2 * time.Second, End: time.Second},
-		{Kind: GenBandwidthWalk, Link: 0, Factor: 0.5},
-		{Kind: GenBandwidthWalk, Link: 0, Min: 10 * netsim.Mbps, Max: netsim.Mbps},
+		{Kind: "bandwidth-walk", Link: 0}, // a deleted kind
 	}
 	for i, g := range bad {
 		if err := g.Validate(2); err == nil {
@@ -74,40 +70,6 @@ func TestPoissonFlapsExpand(t *testing.T) {
 		if err := ev.Validate(4); err != nil {
 			t.Fatalf("expanded event invalid: %v", err)
 		}
-	}
-}
-
-// TestBandwidthWalkExpand checks the walk stays clamped, steps on the step
-// grid and only ever moves by Factor.
-func TestBandwidthWalkExpand(t *testing.T) {
-	g := Generator{
-		Kind: GenBandwidthWalk, Link: 1, Seed: 11,
-		End: 30 * time.Second, Step: time.Second, Factor: 2,
-		Initial: 8 * netsim.Mbps, Min: 2 * netsim.Mbps, Max: 32 * netsim.Mbps,
-	}
-	evs := g.Expand()
-	if len(evs) != 29 { // steps at 1s..29s, End exclusive
-		t.Fatalf("events = %d, want 29", len(evs))
-	}
-	prev := g.Initial
-	for i, ev := range evs {
-		if ev.Kind != SetBandwidth || ev.Link != 1 {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
-		if want := g.Start + time.Duration(i+1)*g.Step; ev.At != want {
-			t.Fatalf("event %d at %v, want %v", i, ev.At, want)
-		}
-		if ev.Bandwidth < g.Min || ev.Bandwidth > g.Max {
-			t.Fatalf("event %d bandwidth %v outside clamp", i, ev.Bandwidth)
-		}
-		ratio := float64(ev.Bandwidth) / float64(prev)
-		if ratio > 2.000001 || ratio < 0.4999999 {
-			t.Fatalf("event %d moved by %v, want a factor-2 step (or clamp)", i, ratio)
-		}
-		prev = ev.Bandwidth
-	}
-	if !reflect.DeepEqual(evs, g.Expand()) {
-		t.Fatal("expansion not deterministic")
 	}
 }
 

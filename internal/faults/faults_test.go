@@ -105,7 +105,7 @@ func mustLookup(t *testing.T, name string) scenario.Spec {
 func TestPastEndEventStaysUnfiredPastDuration(t *testing.T) {
 	spec := scenario.PointToPoint(scenario.PointToPointParams{Duration: time.Second, WithCM: true})
 	spec.Events = []dynamics.Event{
-		{At: 500 * time.Millisecond, Kind: dynamics.SetLoss, Link: 0},
+		{At: 500 * time.Millisecond, Kind: dynamics.SetGilbert, Link: 0},
 		{At: 2 * time.Second, Kind: dynamics.LinkDown, Link: 0},
 		{At: 2 * time.Second, Kind: dynamics.CMRestart, Host: "sender"},
 	}

@@ -342,12 +342,6 @@ func (l *Link) Config() LinkConfig {
 // serialised (if any) completes at the old rate.
 func (l *Link) SetBandwidth(bw Bandwidth) { l.cfg.Bandwidth = bw }
 
-// SetDelay changes the propagation delay for packets delivered after the call.
-func (l *Link) SetDelay(d time.Duration) { l.cfg.Delay = d }
-
-// SetLossRate changes the independent Bernoulli drop probability.
-func (l *Link) SetLossRate(p float64) { l.cfg.LossRate = p }
-
 // SetGilbert installs (or, with nil, removes) the bursty loss model. The model
 // starts in the Good state; replacing a model resets its state.
 func (l *Link) SetGilbert(g *GilbertElliott) {
@@ -538,10 +532,6 @@ func (l *Link) startTransmit() {
 	l.deliverSeq++
 	// The hand-up is inserted now but stamped txEnd, the instant a tx-done
 	// event would have inserted it, so it fires exactly where it always has.
-	// The delay is the one configured now: a set-delay event never retimes a
-	// packet already on the wire. (A delay reduction can still deliver a later
-	// packet before an earlier one — two packets really are in flight on
-	// different-length paths, as after a route change.)
 	arrive := max(l.txEnd+l.cfg.Delay, l.txEnd)
 	if l.remote != nil {
 		// Cross-scheduler delivery: the destination's shard performs the

@@ -60,8 +60,6 @@ func newRefLink(sched *simtime.Scheduler, cfg LinkConfig) *refLink {
 func (r *refLink) SetDestination(dst Receiver)       { r.dst = dst }
 func (r *refLink) SetRemoteDeliver(fn RemoteDeliver) { r.remote = fn }
 func (r *refLink) SetBandwidth(bw Bandwidth)         { r.cfg.Bandwidth = bw }
-func (r *refLink) SetDelay(d time.Duration)          { r.cfg.Delay = d }
-func (r *refLink) SetLossRate(p float64)             { r.cfg.LossRate = p }
 func (r *refLink) QueueStats() QueueStats            { return r.queue.Stats() }
 func (r *refLink) QueueLen() int                     { return r.queue.Len() }
 func (r *refLink) wireEnd() time.Duration            { return r.txEnd }
@@ -179,8 +177,6 @@ type testLink interface {
 	Send(*Packet) bool
 	SetDown(bool)
 	SetBandwidth(Bandwidth)
-	SetDelay(time.Duration)
-	SetLossRate(float64)
 	SetDestination(Receiver)
 	SetRemoteDeliver(RemoteDeliver)
 	DeliverRemote(pkt *Packet, now time.Duration)
@@ -287,7 +283,7 @@ func (in *linkInterp) timer(t time.Duration, size int) {
 
 func (in *linkInterp) op() {
 	now := in.sched.Now()
-	switch code := in.byte() % 16; code {
+	switch code := in.byte() % 14; code {
 	case 0, 1, 2:
 		in.send(traceSizes[in.byte()%4])
 	case 3:
@@ -317,27 +313,19 @@ func (in *linkInterp) op() {
 		i := in.byte() % 4
 		in.l.SetBandwidth(traceRates[i])
 		in.note("set-bandwidth", i, false)
-	case 10:
-		i := in.byte() % 4
-		in.l.SetDelay(traceDelays[i])
-		in.note("set-delay", i, false)
-	case 11:
-		i := in.byte() % 2
-		in.l.SetLossRate(0.25 * float64(i))
-		in.note("set-loss", i, false)
-	case 12, 13:
+	case 10, 11:
 		if in.depth == 0 {
 			in.sched.RunUntil(now + time.Duration(in.byte()%8)*linkTick)
 			in.note("run", 0, false)
 		}
-	case 14:
+	case 12:
 		// Stop exactly where the wire frees, or a nanosecond either side: the
 		// operations that follow are offers and changes at that instant.
 		if t := in.l.wireEnd() + time.Duration(in.byte()%3-1); in.depth == 0 && t >= now {
 			in.sched.RunUntil(t)
 			in.note("run-to-txend", 0, false)
 		}
-	case 15:
+	case 13:
 		if in.depth == 0 {
 			in.sched.RunUntilBefore(in.l.wireEnd())
 			in.note("run-before-txend", 0, false)

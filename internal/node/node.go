@@ -534,29 +534,6 @@ func (n *Network) Router(name string) *Host {
 // Hosts returns the number of hosts created so far.
 func (n *Network) Hosts() int { return len(n.hosts) }
 
-// Rename gives an existing host a new name (a new "IP address"): the host is
-// re-keyed in the network and packets must now address it by the new name —
-// packets still carrying the old address no longer terminate at it. Routing
-// state at other hosts is deliberately untouched; with a routing protocol
-// active, stale routes to the old name age out on their own. It returns the
-// renamed host, or panics if old does not exist or newName is taken.
-func (n *Network) Rename(old, newName string) *Host {
-	h, ok := n.hosts[old]
-	if !ok {
-		panic(fmt.Sprintf("node: Rename(%q): no such host", old))
-	}
-	if newName == "" || newName == old {
-		panic(fmt.Sprintf("node: Rename(%q, %q): bad new name", old, newName))
-	}
-	if _, ok := n.hosts[newName]; ok {
-		panic(fmt.Sprintf("node: Rename(%q, %q): name taken", old, newName))
-	}
-	delete(n.hosts, old)
-	n.hosts[newName] = h
-	h.name = newName
-	return h
-}
-
 // ConnectDuplex joins hosts a and b with a duplex link built from cfg and
 // installs routes in both directions. It returns the duplex so experiments
 // can inspect per-direction statistics or install taps.

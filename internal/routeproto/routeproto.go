@@ -28,100 +28,42 @@ import (
 	"repro/internal/simtime"
 )
 
-// Config holds the protocol timers and constants. The zero value means "use
-// the default" for every field; call WithDefaults to resolve them.
-type Config struct {
-	// RefreshInterval is the period of the full-table refresh each agent
-	// sends to every live neighbor (with a seeded per-agent phase offset so
-	// the fleet does not tick in lockstep).
-	RefreshInterval time.Duration `json:"refresh_interval,omitempty"`
-	// ExpireAfter ages out a route whose advertising neighbor has not
-	// refreshed it. It must be at least twice RefreshInterval so one lost
-	// refresh does not flap the table.
-	ExpireAfter time.Duration `json:"expire_after,omitempty"`
-	// Holddown is how long, after losing a destination entirely, an agent
-	// defers selecting newly appearing routes to it that are no better than
-	// the one it lost — the standard suppression of count-to-infinity echoes
-	// that split horizon alone cannot catch on loops of three or more
+// Protocol timers and constants, tuned so a fat-tree heals in well under a
+// second while the refresh safety net still exercises within short scenario
+// runs.
+const (
+	// DefaultRefreshInterval is the period of the full-table refresh each
+	// agent sends to every live neighbor (with a seeded per-agent phase offset
+	// so the fleet does not tick in lockstep).
+	DefaultRefreshInterval = time.Second
+	// DefaultExpireAfter ages out a route whose advertising neighbor has not
+	// refreshed it: at least twice the refresh interval, so one lost refresh
+	// does not flap the table.
+	DefaultExpireAfter = 2500 * time.Millisecond
+	// DefaultHolddown is how long, after losing a destination entirely, an
+	// agent defers selecting newly appearing routes to it that are no better
+	// than the one it lost — the standard suppression of count-to-infinity
+	// echoes that split horizon alone cannot catch on loops of three or more
 	// routers. Deferred claims are recorded (and re-evaluated when the
 	// holddown expires), never discarded: discarding would leave the agent
 	// waiting for the claimant's next periodic refresh, turning every
 	// holddown into a refresh-length outage and breaking the convergence
 	// bound.
-	Holddown time.Duration `json:"holddown,omitempty"`
-	// TriggerDelayMin/Max bound the seeded jittered backoff between a table
-	// change and the triggered update announcing it; the jitter
+	DefaultHolddown = 500 * time.Millisecond
+	// DefaultTriggerDelayMin/Max bound the seeded jittered backoff between a
+	// table change and the triggered update announcing it; the jitter
 	// desynchronises update storms after a shared failure.
-	TriggerDelayMin time.Duration `json:"trigger_delay_min,omitempty"`
-	TriggerDelayMax time.Duration `json:"trigger_delay_max,omitempty"`
-	// Infinity is the unreachable metric (RIP uses 16). Paths of
-	// Infinity-1 hops or longer are unroutable.
-	Infinity int `json:"infinity,omitempty"`
-	// Port is the UDP-style port routing messages are bound to.
-	Port int `json:"port,omitempty"`
-}
-
-// Protocol defaults: timers tuned so a fat-tree heals in well under a second
-// while the refresh safety net still exercises within short scenario runs.
-const (
-	DefaultRefreshInterval = time.Second
-	DefaultExpireAfter     = 2500 * time.Millisecond
-	DefaultHolddown        = 500 * time.Millisecond
 	DefaultTriggerDelayMin = 20 * time.Millisecond
 	DefaultTriggerDelayMax = 80 * time.Millisecond
-	DefaultInfinity        = 16
-	DefaultPort            = 520
+	// DefaultInfinity is the unreachable metric (RIP's 16). Paths of
+	// Infinity-1 hops or longer are unroutable.
+	DefaultInfinity = 16
+	// DefaultPort is the UDP-style port routing messages are bound to.
+	DefaultPort = 520
 )
 
-// WithDefaults returns the config with every zero field resolved.
-func (c Config) WithDefaults() Config {
-	if c.RefreshInterval == 0 {
-		c.RefreshInterval = DefaultRefreshInterval
-	}
-	if c.ExpireAfter == 0 {
-		c.ExpireAfter = DefaultExpireAfter
-	}
-	if c.Holddown == 0 {
-		c.Holddown = DefaultHolddown
-	}
-	if c.TriggerDelayMin == 0 {
-		c.TriggerDelayMin = DefaultTriggerDelayMin
-	}
-	if c.TriggerDelayMax == 0 {
-		c.TriggerDelayMax = DefaultTriggerDelayMax
-	}
-	if c.Infinity == 0 {
-		c.Infinity = DefaultInfinity
-	}
-	if c.Port == 0 {
-		c.Port = DefaultPort
-	}
-	return c
-}
-
-// Validate rejects unusable timer combinations. It expects a config already
-// resolved by WithDefaults.
-func (c Config) Validate() error {
-	if c.RefreshInterval <= 0 {
-		return fmt.Errorf("routeproto: refresh_interval must be positive, got %v", c.RefreshInterval)
-	}
-	if c.ExpireAfter < 2*c.RefreshInterval {
-		return fmt.Errorf("routeproto: expire_after (%v) must be at least twice refresh_interval (%v)", c.ExpireAfter, c.RefreshInterval)
-	}
-	if c.Holddown < 0 {
-		return fmt.Errorf("routeproto: holddown must be non-negative, got %v", c.Holddown)
-	}
-	if c.TriggerDelayMin <= 0 || c.TriggerDelayMax < c.TriggerDelayMin {
-		return fmt.Errorf("routeproto: trigger delay window [%v, %v] invalid", c.TriggerDelayMin, c.TriggerDelayMax)
-	}
-	if c.Infinity < 2 || c.Infinity > 255 {
-		return fmt.Errorf("routeproto: infinity must be in [2, 255], got %d", c.Infinity)
-	}
-	if c.Port <= 0 || c.Port > 65535 {
-		return fmt.Errorf("routeproto: port %d out of range", c.Port)
-	}
-	return nil
-}
+// inf is DefaultInfinity in the RIB's metric type.
+const inf int32 = DefaultInfinity
 
 // Entry advertises one destination at a metric. Metric == Infinity is a
 // withdraw.
@@ -232,7 +174,6 @@ type InstallFunc func(dest string, link *netsim.Link, metric int)
 type Agent struct {
 	host    *node.Host
 	sched   *simtime.Scheduler
-	cfg     Config
 	rng     *rand.Rand
 	install InstallFunc
 
@@ -243,33 +184,29 @@ type Agent struct {
 	dirty        map[string]bool
 	pendingFlush bool
 	started      bool
-	inf          int32
 
 	stats Stats
 }
 
-// NewAgent creates an idle agent on host. cfg must already be resolved with
-// WithDefaults and validated; seed derives the agent's private jitter and
+// NewAgent creates an idle agent on host. seed derives the agent's private jitter and
 // fault-injection stream; install receives every converged route change (nil
 // disables installation, for tests).
-func NewAgent(host *node.Host, sched *simtime.Scheduler, cfg Config, seed int64, install InstallFunc) *Agent {
+func NewAgent(host *node.Host, sched *simtime.Scheduler, seed int64, install InstallFunc) *Agent {
 	if host == nil || sched == nil {
 		panic("routeproto: NewAgent requires a host and scheduler")
 	}
 	return &Agent{
 		host:    host,
 		sched:   sched,
-		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(seed)),
 		install: install,
 		nbIndex: make(map[string]int),
 		rib:     make(map[string]*ribEntry),
 		dirty:   make(map[string]bool),
-		inf:     int32(cfg.Infinity),
 	}
 }
 
-// Name returns the agent's current host name (it follows host renames).
+// Name returns the agent's host name.
 func (a *Agent) Name() string { return a.host.Name() }
 
 // Stats returns a copy of the agent's counters.
@@ -298,16 +235,6 @@ func (a *Agent) AddNeighbor(name string, out *netsim.Link) int {
 	return j
 }
 
-// RenameNeighbor updates the peer name of adjacency j (the interface itself
-// is unchanged); messages from the new name demultiplex to the same RIB
-// column. Used when the peer host is renumbered.
-func (a *Agent) RenameNeighbor(j int, newName string) {
-	nb := a.neighbors[j]
-	delete(a.nbIndex, nb.name)
-	nb.name = newName
-	a.nbIndex[newName] = j
-}
-
 // SetFaults configures the control-plane fault injector for messages sent to
 // neighbor j: each message is independently dropped with probability drop,
 // delayed by delay with probability delayRate, and duplicated with
@@ -323,7 +250,7 @@ func (a *Agent) entry(dest string) *ribEntry {
 		e = &ribEntry{
 			adv:     make([]int32, len(a.neighbors)),
 			heard:   make([]time.Duration, len(a.neighbors)),
-			best:    a.inf,
+			best:    inf,
 			bestVia: -1,
 		}
 		for j := range e.adv {
@@ -335,35 +262,18 @@ func (a *Agent) entry(dest string) *ribEntry {
 }
 
 // Originate declares dest as locally attached at metric 0 (a host's own
-// name, or a router's covering domain). After Start it also triggers an
-// advertisement.
+// name, or a router's covering domain), before Start.
 func (a *Agent) Originate(dest string) {
 	e := a.entry(dest)
 	e.origin = true
 	e.best, e.bestVia = 0, -1
-	if a.started {
-		a.markDirty(dest)
-	}
-}
-
-// Unoriginate silently stops originating dest (a renumbered host's old
-// name). No withdraw is sent: peers age the route out via ExpireAfter and
-// propagate the withdraw themselves — the protocol, not an oracle, retires
-// the old address.
-func (a *Agent) Unoriginate(dest string) {
-	e := a.rib[dest]
-	if e == nil || !e.origin {
-		return
-	}
-	delete(a.rib, dest)
-	delete(a.dirty, dest)
 }
 
 // SeedRoute warm-starts the RIB before Start: neighbor via advertises dest
 // at metric (already including the hop to that neighbor). Metrics at or
 // above Infinity are ignored.
 func (a *Agent) SeedRoute(dest string, via int, metric int) {
-	if metric >= int(a.inf) {
+	if metric >= int(inf) {
 		return
 	}
 	e := a.entry(dest)
@@ -380,7 +290,7 @@ func (a *Agent) Start() error {
 	if a.started {
 		return fmt.Errorf("routeproto: %s already started", a.host.Name())
 	}
-	if err := a.host.Bind(netsim.ProtoRoute, a.cfg.Port, node.HandlerFunc(a.handle)); err != nil {
+	if err := a.host.Bind(netsim.ProtoRoute, DefaultPort, node.HandlerFunc(a.handle)); err != nil {
 		return err
 	}
 	for _, dest := range a.sortedRib() {
@@ -397,8 +307,8 @@ func (a *Agent) Start() error {
 	a.started = true
 	// Seeded phase offset: agents refresh at the same period but different
 	// phases, so the fleet's refresh traffic is spread out.
-	phase := time.Duration(a.rng.Int63n(int64(a.cfg.RefreshInterval)/4 + 1))
-	a.sched.Schedule(a.sched.Now()+a.cfg.RefreshInterval+phase, simtime.KindRouteUpdate, fireRefresh, a)
+	phase := time.Duration(a.rng.Int63n(int64(DefaultRefreshInterval)/4 + 1))
+	a.sched.Schedule(a.sched.Now()+DefaultRefreshInterval+phase, simtime.KindRouteUpdate, fireRefresh, a)
 	return nil
 }
 
@@ -434,7 +344,7 @@ func (a *Agent) bestOf(e *ribEntry) (int32, int32) {
 	if e.origin {
 		return 0, -1
 	}
-	bm, bv := a.inf, int32(-1)
+	bm, bv := inf, int32(-1)
 	for i, nb := range a.neighbors {
 		if !nb.up {
 			continue
@@ -454,8 +364,8 @@ func (a *Agent) evaluate(dest string, e *ribEntry, now time.Duration) {
 	if bm == e.best && bv == e.bestVia {
 		return
 	}
-	if e.best < a.inf && bm >= a.inf {
-		e.holdUntil = now + a.cfg.Holddown
+	if e.best < inf && bm >= inf {
+		e.holdUntil = now + DefaultHolddown
 		e.holdMetric = e.best
 	}
 	e.best, e.bestVia = bm, bv
@@ -500,12 +410,12 @@ func (a *Agent) learn(j int, dest string, metric int, now time.Duration) {
 		return
 	}
 	cost := int32(metric) + 1
-	if cost > a.inf {
-		cost = a.inf
+	if cost > inf {
+		cost = inf
 	}
 	e := a.rib[dest]
 	if e == nil {
-		if cost >= a.inf {
+		if cost >= inf {
 			return // a withdraw for something we never knew
 		}
 		e = a.entry(dest)
@@ -513,7 +423,7 @@ func (a *Agent) learn(j int, dest string, metric int, now time.Duration) {
 	if e.origin {
 		return
 	}
-	if cost < a.inf && now < e.holdUntil && cost >= e.holdMetric {
+	if cost < inf && now < e.holdUntil && cost >= e.holdMetric {
 		// Holddown: a claim no better than the route we just lost — likely
 		// our own reachability echoing back around a loop. Record it but
 		// defer the selection to the holddown's expiry: the information is
@@ -527,7 +437,7 @@ func (a *Agent) learn(j int, dest string, metric int, now time.Duration) {
 		a.armHold(dest, e)
 		return
 	}
-	if cost >= a.inf {
+	if cost >= inf {
 		if e.adv[j] < 0 {
 			return
 		}
@@ -583,8 +493,8 @@ func (a *Agent) scheduleFlush() {
 		return
 	}
 	a.pendingFlush = true
-	d := a.cfg.TriggerDelayMin
-	if span := a.cfg.TriggerDelayMax - a.cfg.TriggerDelayMin; span > 0 {
+	d := DefaultTriggerDelayMin
+	if span := DefaultTriggerDelayMax - DefaultTriggerDelayMin; span > 0 {
 		d += time.Duration(a.rng.Int63n(int64(span) + 1))
 	}
 	a.sched.Schedule(a.sched.Now()+d, simtime.KindRouteUpdate, fireFlush, a)
@@ -640,7 +550,7 @@ func (a *Agent) refreshTick() {
 		}
 		changed := false
 		for j := range e.adv {
-			if e.adv[j] >= 0 && now-e.heard[j] > a.cfg.ExpireAfter {
+			if e.adv[j] >= 0 && now-e.heard[j] > DefaultExpireAfter {
 				e.adv[j] = -1
 				changed = true
 			}
@@ -648,7 +558,7 @@ func (a *Agent) refreshTick() {
 		if changed {
 			a.evaluate(dest, e, now)
 		}
-		if e.best >= a.inf && !a.dirty[dest] && now >= e.holdUntil && allUnheard(e.adv) {
+		if e.best >= inf && !a.dirty[dest] && now >= e.holdUntil && allUnheard(e.adv) {
 			delete(a.rib, dest)
 		}
 	}
@@ -658,7 +568,7 @@ func (a *Agent) refreshTick() {
 			a.sendTo(j, full)
 		}
 	}
-	a.sched.Schedule(a.sched.Now()+a.cfg.RefreshInterval, simtime.KindRouteUpdate, fireRefresh, a)
+	a.sched.Schedule(a.sched.Now()+DefaultRefreshInterval, simtime.KindRouteUpdate, fireRefresh, a)
 }
 
 func allUnheard(adv []int32) bool {
@@ -686,7 +596,7 @@ func (a *Agent) sendTo(j int, dests []string) bool {
 		if e.bestVia == int32(j) {
 			// Poisoned reverse: routes via this neighbor advertise as
 			// unreachable to it, killing two-node loops outright.
-			m = int(a.inf)
+			m = int(inf)
 		}
 		entries = append(entries, Entry{Dest: d, Metric: m})
 	}
@@ -711,8 +621,8 @@ func (a *Agent) sendTo(j int, dests []string) bool {
 	}
 	msg := &Message{From: a.host.Name(), Entries: entries}
 	size := msg.WireSize()
-	src := netsim.Addr{Host: msg.From, Port: a.cfg.Port}
-	dst := netsim.Addr{Host: nb.name, Port: a.cfg.Port}
+	src := netsim.Addr{Host: msg.From, Port: DefaultPort}
+	dst := netsim.Addr{Host: nb.name, Port: DefaultPort}
 	send := func(any) {
 		for c := 0; c < copies; c++ {
 			pkt := netsim.NewPacket()
@@ -738,7 +648,7 @@ func (a *Agent) sendTo(j int, dests []string) bool {
 // audits): ok is false when dest is unknown or unreachable.
 func (a *Agent) Route(dest string) (metric int, via string, ok bool) {
 	e := a.rib[dest]
-	if e == nil || e.best >= a.inf {
+	if e == nil || e.best >= inf {
 		return 0, "", false
 	}
 	if e.bestVia >= 0 {

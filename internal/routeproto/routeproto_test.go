@@ -22,7 +22,7 @@ type rig struct {
 	links map[[2]string]*netsim.Link
 }
 
-func newRig(t *testing.T, cfg Config, edges [][2]string) *rig {
+func newRig(t *testing.T, edges [][2]string) *rig {
 	t.Helper()
 	r := &rig{
 		sched:  simtime.NewScheduler(),
@@ -50,7 +50,7 @@ func newRig(t *testing.T, cfg Config, edges [][2]string) *rig {
 	for _, n := range names {
 		host := r.net.Router(n)
 		h := host
-		ag := NewAgent(host, r.sched, cfg, seed, func(dest string, l *netsim.Link, metric int) {
+		ag := NewAgent(host, r.sched, seed, func(dest string, l *netsim.Link, metric int) {
 			if l == nil {
 				h.RemoveRoute(dest)
 			} else {
@@ -121,8 +121,7 @@ func (r *rig) flip(a, b string, down bool) {
 }
 
 func TestLineFailureAndRecovery(t *testing.T) {
-	cfg := Config{}.WithDefaults()
-	r := newRig(t, cfg, [][2]string{{"a", "b"}, {"b", "c"}})
+	r := newRig(t, [][2]string{{"a", "b"}, {"b", "c"}})
 
 	ha, hc := r.net.Host("a"), r.net.Host("c")
 	if got := ha.RouteTo("c"); got != r.links[[2]string{"a", "b"}] {
@@ -157,8 +156,7 @@ func TestLineFailureAndRecovery(t *testing.T) {
 // must conclude "unreachable" in a bounded number of route changes instead
 // of counting the metric up to Infinity around the cycle.
 func TestNoCountToInfinity(t *testing.T) {
-	cfg := Config{}.WithDefaults()
-	r := newRig(t, cfg, [][2]string{{"a", "b"}, {"b", "c"}, {"a", "c"}, {"c", "d"}})
+	r := newRig(t, [][2]string{{"a", "b"}, {"b", "c"}, {"a", "c"}, {"c", "d"}})
 
 	r.sched.At(100*time.Millisecond, func() { r.flip("c", "d", true) })
 	r.sched.RunUntil(6 * time.Second)
@@ -175,7 +173,7 @@ func TestNoCountToInfinity(t *testing.T) {
 	}
 	// A count-to-infinity episode would touch the metric Infinity times per
 	// router; a clean withdraw changes each RIB a handful of times.
-	if total > 4*cfg.Infinity {
+	if total > 4*DefaultInfinity {
 		t.Errorf("%d route changes across the fleet, suspicious of count-to-infinity", total)
 	}
 }
@@ -184,8 +182,7 @@ func TestNoCountToInfinity(t *testing.T) {
 // twice and requires identical protocol statistics and tables.
 func TestFaultInjectionDeterministic(t *testing.T) {
 	run := func() (map[string]Stats, map[string]string) {
-		cfg := Config{}.WithDefaults()
-		r := newRig(t, cfg, [][2]string{{"a", "b"}, {"b", "c"}, {"a", "c"}})
+		r := newRig(t, [][2]string{{"a", "b"}, {"b", "c"}, {"a", "c"}})
 		for n, ag := range r.agents {
 			for _, idx := range r.nbIdx[n] {
 				ag.SetFaults(idx, 0.3, 0.2, 5*time.Millisecond, 0.1)
@@ -222,11 +219,10 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 // a loss, a fresh advertisement no better than the lost route is rejected
 // until the timer expires, while a strictly better one is accepted.
 func TestHolddownSuppressesEcho(t *testing.T) {
-	cfg := Config{}.WithDefaults()
 	sched := simtime.NewScheduler()
 	net := node.NewNetwork(sched)
 	host := net.Router("r")
-	ag := NewAgent(host, sched, cfg, 7, nil)
+	ag := NewAgent(host, sched, 7, nil)
 	lcfg := netsim.LinkConfig{Bandwidth: 10 * netsim.Mbps, Delay: time.Millisecond}
 	d1 := net.ConnectDuplex("r", "n1", lcfg)
 	d2 := net.ConnectDuplex("r", "n2", lcfg)
@@ -240,7 +236,7 @@ func TestHolddownSuppressesEcho(t *testing.T) {
 	sched.RunUntil(10 * time.Millisecond)
 
 	// n1's path to x dies.
-	ag.learn(j1, "x", cfg.Infinity, sched.Now())
+	ag.learn(j1, "x", DefaultInfinity, sched.Now())
 	if _, _, ok := ag.Route("x"); ok {
 		t.Fatal("x should be unreachable after the withdraw")
 	}

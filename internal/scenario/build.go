@@ -74,9 +74,8 @@ func Build(spec Spec) (*Sim, error) {
 		return nil, err
 	}
 	// Stochastic generators expand into ordinary deterministic events before
-	// anything looks at them: the shard planner's lifetime-minimum delays,
-	// the barrier schedule and the execution records all see one merged,
-	// time-sorted event list.
+	// anything looks at them: the barrier schedule and the execution records
+	// both see one merged, time-sorted event list.
 	if len(spec.Generators) > 0 {
 		evs, err := expandGenerators(&spec)
 		if err != nil {
@@ -297,11 +296,11 @@ func (s *Sim) fireEvent(r *dynamics.Record) {
 }
 
 // expandHostMoves splits every host-move into its two observable halves: the
-// detach at At (links down, routes withdrawn, macroflow state handled per
-// policy) and a host-attach at At+Outage when the host reappears at its new
-// address. Both are ordinary events, so the sharded runner's barrier
-// schedule and the execution record see them like any other. The input slice
-// is returned untouched when there is nothing to expand.
+// detach at At (links down, routes withdrawn, macroflow state discarded) and
+// a host-attach at At+Outage when the host reappears. Both are ordinary
+// events, so the sharded runner's barrier schedule and the execution record
+// see them like any other. The input slice is returned untouched when there
+// is nothing to expand.
 func expandHostMoves(events []dynamics.Event) []dynamics.Event {
 	hasMove := false
 	for _, ev := range events {
@@ -323,13 +322,7 @@ func expandHostMoves(events []dynamics.Event) []dynamics.Event {
 		if ev.Outage <= 0 {
 			ev.Outage = 200 * time.Millisecond
 		}
-		attaches = append(attaches, dynamics.Event{
-			At:      ev.At + ev.Outage,
-			Kind:    dynamics.HostAttach,
-			Host:    ev.Host,
-			Policy:  ev.Policy,
-			NewName: ev.NewName,
-		})
+		attaches = append(attaches, dynamics.Event{At: ev.At + ev.Outage, Kind: dynamics.HostAttach, Host: ev.Host})
 	}
 	out = append(out, attaches...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
@@ -367,58 +360,25 @@ func (s *Sim) applyHostEvent(ev dynamics.Event) (routesChanged, flowsWiped int) 
 	case dynamics.HostMove:
 		// The host leaves its attachment point: every adjacent link goes
 		// down, routes recompute, and in-flight packets toward it die as
-		// route misses. Unless the policy migrates state, congestion state
-		// about the old address is discarded — on the moving host's own CM
-		// (its path knowledge is stale) and on every peer CM aggregating
-		// flows toward it.
+		// route misses. Congestion state about the host is discarded — on
+		// the moving host's own CM (its path knowledge is stale) and on
+		// every peer CM aggregating flows toward it.
 		s.setHostLinks(ev.Host, true)
 		routesChanged = s.recomputeRoutes()
-		if ev.Policy != dynamics.PolicyMigrate {
-			if c := s.cms[ev.Host]; c != nil {
-				flowsWiped += c.ResetAllMacroflows()
+		if c := s.cms[ev.Host]; c != nil {
+			flowsWiped += c.ResetAllMacroflows()
+		}
+		for _, h := range s.cmHosts {
+			if h == ev.Host {
+				continue
 			}
-			for _, h := range s.cmHosts {
-				if h == ev.Host {
-					continue
-				}
-				flowsWiped += s.cms[h].ResetMacroflows(ev.Host)
-			}
+			flowsWiped += s.cms[h].ResetMacroflows(ev.Host)
 		}
 	case dynamics.HostAttach:
 		s.setHostLinks(ev.Host, false)
-		if ev.NewName != "" {
-			s.renameHost(ev.Host, ev.NewName)
-		}
 		routesChanged = s.recomputeRoutes()
 	}
 	return routesChanged, flowsWiped
-}
-
-// renameHost re-keys a renumbering host (host-move with the "renumber"
-// policy) under its new name: the network's host registry, the interned node
-// order, the route engine and the control plane. Spec-level structures
-// (Links, Workloads, CM maps) keep the old name — a renumbered host's old
-// address is exactly what stale peers keep talking to until the protocol
-// ages it out, and setHostLinks matches links by the unchanged spec names.
-func (s *Sim) renameHost(old, newName string) {
-	s.net.Rename(old, newName)
-	for i, n := range s.nodeNames {
-		if n != old {
-			continue
-		}
-		s.nodeNames[i] = newName
-		if s.proto != nil {
-			s.proto.rename(int32(i), old, newName)
-		}
-		s.routing.rename(int32(i), newName)
-		break
-	}
-	if s.shard.plan.nshards > 1 {
-		s.shard.plan.shardOf[newName] = s.shard.plan.shardOf[old]
-	}
-	if s.recorders != nil {
-		s.recorders[newName] = s.recorders[old]
-	}
 }
 
 // setHostLinks takes every link adjacent to host down (or back up).
@@ -433,9 +393,8 @@ func (s *Sim) setHostLinks(host string, down bool) {
 
 // expandGenerators merges the spec's declared events with the expansion of
 // every generator, filling owner-level defaults first: a zero generator seed
-// derives from the spec seed and the generator's position, End defaults to
-// the run duration, and a bandwidth walk starting rate defaults to the target
-// link's configured bandwidth. The merged list is stably sorted by time so
+// derives from the spec seed and the generator's position, and End defaults
+// to the run duration. The merged list is stably sorted by time so
 // declaration order equals firing order, and re-validated, since expansion
 // happens after Spec.Validate.
 func expandGenerators(spec *Spec) ([]dynamics.Event, error) {
@@ -446,16 +405,6 @@ func expandGenerators(spec *Spec) ([]dynamics.Event, error) {
 		}
 		if g.End <= 0 || g.End > spec.Duration {
 			g.End = spec.Duration
-		}
-		if g.Kind == dynamics.GenBandwidthWalk && g.Initial == 0 {
-			g.Initial = spec.Links[g.Link].Bandwidth
-			if g.Initial <= 0 {
-				// An unset link bandwidth means "infinitely fast"; a walk on
-				// it has no starting rate and would silently expand to no
-				// events — reject rather than run a churnless scenario.
-				return nil, fmt.Errorf("scenario %q: generator %d: bandwidth walk on link %d needs an initial rate (the link has none)",
-					spec.Name, i, g.Link)
-			}
 		}
 		combined = append(combined, g.Expand()...)
 	}

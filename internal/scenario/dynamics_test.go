@@ -202,19 +202,20 @@ func TestFiredEventRecords(t *testing.T) {
 		},
 		{
 			name: "a forward event changes only the forward link",
-			spec: p2p(dynamics.Event{At: time.Second, Kind: dynamics.SetDelay, Link: 0,
-				Direction: dynamics.DirForward, Delay: 40 * time.Millisecond}),
+			spec: p2p(dynamics.Event{At: time.Second, Kind: dynamics.SetBandwidth, Link: 0,
+				Direction: dynamics.DirForward, Bandwidth: 64 * netsim.Kbps}),
 			check: func(t *testing.T, sim *Sim, _ []dynamics.Record) {
 				d := sim.Duplex(0)
-				if fwd, rev := d.Forward.Config().Delay, d.Reverse.Config().Delay; fwd != 40*time.Millisecond || rev == fwd {
-					t.Fatalf("delay fwd=%v rev=%v, want 40ms forward only", fwd, rev)
+				if fwd, rev := d.Forward.Config().Bandwidth, d.Reverse.Config().Bandwidth; fwd != 64*netsim.Kbps || rev != 10*netsim.Mbps {
+					t.Fatalf("bandwidth fwd=%v rev=%v, want 64Kbps and 10Mbps", fwd, rev)
 				}
 			},
 		},
 		{
 			name: "only link-down and link-up records carry routes_changed",
 			spec: p2p(
-				dynamics.Event{At: 250 * time.Millisecond, Kind: dynamics.SetLoss, Link: 0, LossRate: 0.01},
+				dynamics.Event{At: 250 * time.Millisecond, Kind: dynamics.SetGilbert, Link: 0,
+					Gilbert: &netsim.GilbertElliott{PGoodBad: 0.01, PBadGood: 0.5}},
 				dynamics.Event{At: 500 * time.Millisecond, Kind: dynamics.LinkDown, Link: 0},
 				dynamics.Event{At: 750 * time.Millisecond, Kind: dynamics.SetBandwidth, Link: 0, Bandwidth: netsim.Mbps},
 				dynamics.Event{At: time.Second, Kind: dynamics.LinkUp, Link: 0},
@@ -249,7 +250,7 @@ func TestFiredEventRecords(t *testing.T) {
 		{
 			name: "an event after Duration is past_end and never fires",
 			spec: p2p(
-				dynamics.Event{At: time.Second, Kind: dynamics.SetLoss, Link: 0, LossRate: 0.01},
+				dynamics.Event{At: time.Second, Kind: dynamics.SetBandwidth, Link: 0, Bandwidth: netsim.Mbps},
 				dynamics.Event{At: 3 * time.Second, Kind: dynamics.LinkDown, Link: 0},
 				dynamics.Event{At: time.Minute, Kind: dynamics.CMRestart, Host: "sender"},
 			),

@@ -4,13 +4,11 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"repro/internal/dynamics"
 )
 
 // shardPlan is the output of partitioning a spec's topology for sharded
 // execution: a shard index per node, the shard count actually used, and the
-// lookahead — the smallest effective propagation delay of any link whose two
+// lookahead — the smallest propagation delay of any link whose two
 // endpoints landed on different shards. The lookahead is the conservative
 // synchronization window: a shard that has run to virtual time T cannot be
 // affected by any other shard before T + lookahead, because every cross-shard
@@ -19,24 +17,6 @@ type shardPlan struct {
 	shardOf   map[string]int
 	nshards   int
 	lookahead time.Duration
-}
-
-// effectiveLinkDelays returns, per Spec.Links index, the minimum propagation
-// delay the link can ever have over the whole run: the configured delay or
-// any set-delay event targeting the link, whichever is smaller. Conservative
-// sync fixes the lookahead before the run starts, so it must hold across the
-// entire dynamics timeline, not just the initial configuration.
-func effectiveLinkDelays(spec *Spec) []time.Duration {
-	eff := make([]time.Duration, len(spec.Links))
-	for i, ls := range spec.Links {
-		eff[i] = ls.Delay
-	}
-	for _, ev := range spec.Events {
-		if ev.Kind == dynamics.SetDelay && ev.Delay < eff[ev.Link] {
-			eff[ev.Link] = ev.Delay
-		}
-	}
-	return eff
 }
 
 // planShards partitions the spec's nodes into at most spec.Shards shards so
@@ -93,14 +73,13 @@ func planShards(spec *Spec, nodeNames []string) shardPlan {
 		comps--
 	}
 
-	eff := effectiveLinkDelays(spec)
 	type edge struct {
 		a, b int
 		d    time.Duration
 	}
 	edges := make([]edge, len(spec.Links))
 	for i, ls := range spec.Links {
-		edges[i] = edge{a: idx[ls.A], b: idx[ls.B], d: eff[i]}
+		edges[i] = edge{a: idx[ls.A], b: idx[ls.B], d: ls.Delay}
 	}
 	// Stable sort: equal-delay edges contract in declaration order, keeping
 	// the partition a pure function of the spec.
@@ -144,9 +123,9 @@ func planShards(spec *Spec, nodeNames []string) shardPlan {
 	}
 
 	lookahead := time.Duration(math.MaxInt64)
-	for i, ls := range spec.Links {
-		if shardOf[ls.A] != shardOf[ls.B] && eff[i] < lookahead {
-			lookahead = eff[i]
+	for _, ls := range spec.Links {
+		if shardOf[ls.A] != shardOf[ls.B] && ls.Delay < lookahead {
+			lookahead = ls.Delay
 		}
 	}
 	return shardPlan{shardOf: shardOf, nshards: len(rootShard), lookahead: lookahead}

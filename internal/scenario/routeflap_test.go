@@ -125,74 +125,6 @@ func TestProtocolWarmStartQuiescent(t *testing.T) {
 	}
 }
 
-// renumberSpec is a small exact-mode star: four hosts behind one router, a
-// stream from a to b, and a renumbering move of b at 1.5s.
-func renumberSpec() Spec {
-	link := netsim.LinkConfig{Bandwidth: 10 * netsim.Mbps, Delay: time.Millisecond, QueuePackets: 50}
-	return Spec{
-		Name:      "renumber-star",
-		Routers:   []string{"r0"},
-		RouteSync: RouteSyncProtocol,
-		Links: []LinkSpec{
-			{A: "r0", B: "a", LinkConfig: link},
-			{A: "r0", B: "b", LinkConfig: link},
-			{A: "r0", B: "c", LinkConfig: link},
-			{A: "r0", B: "d", LinkConfig: link},
-		},
-		Workloads: []Workload{
-			{Kind: KindStream, From: "a", To: "b", CC: CCNative},
-			{Kind: KindStream, From: "c", To: "d", CC: CCNative},
-		},
-		Events: []dynamics.Event{
-			{At: 1500 * time.Millisecond, Kind: dynamics.HostMove, Host: "b",
-				Policy: dynamics.PolicyRenumber, NewName: "b2", Outage: 200 * time.Millisecond},
-		},
-		Duration: 8 * time.Second,
-		Seed:     7,
-	}
-}
-
-// TestRenumberHostMove covers the renumber move policy under the protocol:
-// the moved host re-attaches under a new name, the control plane originates
-// the new name and ages the old one out, and traffic still addressed to the
-// old name dies as routing-failure drops while every pair of *current* names
-// stays routable.
-func TestRenumberHostMove(t *testing.T) {
-	res, err := Run(renumberSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, h := range res.Hosts {
-		names[h.Name] = true
-	}
-	if names["b"] || !names["b2"] {
-		t.Fatalf("host result names %v: want b renamed to b2", names)
-	}
-	rr := res.Routing
-	if rr == nil || !rr.Converged {
-		t.Fatalf("routing result %+v: want a converged protocol run", rr)
-	}
-	// The audit walks current names only, so b2 must be reachable from every
-	// host — proof the rename propagated through the control plane.
-	if rr.LoopPairs != 0 || rr.UnreachedPairs != 0 {
-		t.Errorf("audit: %d loops / %d unreached of %d pairs — renamed host not re-learned",
-			rr.LoopPairs, rr.UnreachedPairs, rr.AuditedPairs)
-	}
-	// The a->b stream keeps talking to the dead name; those packets must die
-	// as routing-failure drops (route-miss at the renamed leaf while the old
-	// route ages, no-route at the sender once it is gone).
-	if got := routeDropTotal(res); got == 0 {
-		t.Error("no routing-failure drops: traffic to the old name was still delivered")
-	}
-	// The undisturbed c->d stream must be unharmed.
-	for _, h := range res.Hosts {
-		if h.Name == "d" && h.ReceivedBytes == 0 {
-			t.Error("bystander stream c->d delivered nothing")
-		}
-	}
-}
-
 // TestAggregateProbes pins the links.<glob> / hosts.<glob> probe families:
 // the sampled sum must track the sum of the matched components' counters.
 func TestAggregateProbes(t *testing.T) {

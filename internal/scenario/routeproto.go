@@ -44,7 +44,6 @@ const routeAuditLimit = 512
 type protoPlane struct {
 	sim *Sim
 	eng *routeEngine
-	cfg routeproto.Config
 
 	// agents[v] is node v's protocol speaker: every node in exact mode,
 	// routers only in hier mode (leaves keep purely local tables).
@@ -87,7 +86,6 @@ func newProtoPlane(sim *Sim) *protoPlane {
 	pp := &protoPlane{
 		sim:       sim,
 		eng:       e,
-		cfg:       sim.Spec.routeProtoConfig(),
 		agents:    make([]*routeproto.Agent, e.n),
 		edgeNb:    make([]int32, len(e.adjLink)),
 		edgeOf:    make(map[*netsim.Link]int32, len(e.adjLink)),
@@ -103,7 +101,7 @@ func newProtoPlane(sim *Sim) *protoPlane {
 		}
 		host := e.hosts[v]
 		seed := sim.Spec.Seed + int64(v+1)*subSeedStride + 0x40e7
-		pp.agents[v] = routeproto.NewAgent(host, sim.clockFor(e.names[v]), pp.cfg, seed, pp.installFunc(v))
+		pp.agents[v] = routeproto.NewAgent(host, sim.clockFor(e.names[v]), seed, pp.installFunc(v))
 	}
 	// Neighbor slots in adjacency order: deterministic, and the same tie-break
 	// order (lowest slot wins) on every run.
@@ -386,33 +384,6 @@ func (pp *protoPlane) applyRouteFaults(ev dynamics.Event) {
 	}
 }
 
-// rename re-keys node v's control-plane identity after a renumbering host
-// re-attach: the agent originates the new name (advertised by the next
-// triggered update), stops originating the old one (peers age it out via
-// route expiry — the deliberate "old routes age out" semantics of the
-// renumber policy), and every adjacent agent re-labels its neighbor slot so
-// the renamed host's messages keep resolving.
-func (pp *protoPlane) rename(v int32, old, newName string) {
-	ag := pp.agents[v]
-	if ag == nil {
-		return
-	}
-	ag.Unoriginate(old)
-	ag.Originate(newName)
-	e := pp.eng
-	for k := e.adjOff[v]; k < e.adjOff[v+1]; k++ {
-		w := e.adjTo[k]
-		if pp.agents[w] == nil {
-			continue
-		}
-		for kr := e.adjOff[w]; kr < e.adjOff[w+1]; kr++ {
-			if e.adjTo[kr] == v && pp.edgeNb[kr] >= 0 {
-				pp.agents[w].RenameNeighbor(int(pp.edgeNb[kr]), newName)
-			}
-		}
-	}
-}
-
 // arm computes the convergence deadline from the expanded event list and —
 // when the deadline falls inside the run — registers the barrier observer
 // that captures the baseline route-drop counters exactly at it. Called from
@@ -466,14 +437,9 @@ func (pp *protoPlane) convergenceBound() time.Duration {
 			maxDelay = ls.Delay
 		}
 	}
-	for _, ev := range pp.sim.Spec.Events {
-		if ev.Kind == dynamics.SetDelay && ev.Delay > maxDelay {
-			maxDelay = ev.Delay
-		}
-	}
-	perStep := pp.cfg.TriggerDelayMax + maxDelay + 5*time.Millisecond
-	return pp.cfg.ExpireAfter + pp.cfg.Holddown + pp.cfg.RefreshInterval +
-		time.Duration(pp.cfg.Infinity)*perStep
+	perStep := routeproto.DefaultTriggerDelayMax + maxDelay + 5*time.Millisecond
+	return routeproto.DefaultExpireAfter + routeproto.DefaultHolddown + routeproto.DefaultRefreshInterval +
+		routeproto.DefaultInfinity*perStep
 }
 
 // routeDrops sums the four routing-failure drop counters across every host:

@@ -228,14 +228,6 @@ func (e *routeEngine) detectFlips() []int32 {
 	return flips
 }
 
-// rename re-labels node v (a renumbered host). Only the interned name
-// changes; adjacency and distances are name-independent. Callers must also
-// re-key every name-indexed map they hold (the scenario layer's renameHost
-// does).
-func (e *routeEngine) rename(v int32, newName string) {
-	e.names[v] = newName
-}
-
 func (e *routeEngine) installAll() int {
 	changed := 0
 	if e.hier {

@@ -220,6 +220,8 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 		total += s.Spec.Workloads[wi].Flows
 	}
 	drivers := make([]*flowDriver, 0, total)
+	// Flows listen on consecutive ports from 5000, in declaration order.
+	nextPort := 5000
 	for wi := range s.Spec.Workloads {
 		w := &s.Spec.Workloads[wi]
 		// A web mix pre-samples every request's arrival time and size with a
@@ -238,7 +240,8 @@ func (s *Sim) startWorkloads() ([]*flowDriver, error) {
 			flows: make([]flowDriver, w.Flows),
 		}
 		for fi := range wl.flows {
-			port := w.Port + fi
+			port := nextPort
+			nextPort++
 			d := &wl.flows[fi]
 			d.wl = wl
 			d.res = FlowResult{

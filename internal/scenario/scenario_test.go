@@ -254,32 +254,30 @@ func TestWorkloadStartDelaysDial(t *testing.T) {
 	}
 }
 
-// TestAutoPortsAvoidExplicitRanges pins the fillDefaults contract: an
-// auto-assigned range must dodge an explicit Port that appears later in the
-// workload list, and normalisation must not write into a replicated spec's
-// shared backing array.
-func TestAutoPortsAvoidExplicitRanges(t *testing.T) {
+// TestPortsFollowDeclarationOrder pins the port assignment: flows listen on
+// consecutive ports from 5000 in declaration order, and normalisation does
+// not write into a replicated spec's shared backing array.
+func TestPortsFollowDeclarationOrder(t *testing.T) {
 	base := Spec{
 		Name:  "ports",
 		Links: []LinkSpec{{A: "a", B: "b"}},
 		Workloads: []Workload{
-			{From: "a", To: "b", Flows: 3},             // auto
-			{From: "a", To: "b", Flows: 2, Port: 5001}, // explicit, overlapping the naive range
+			{From: "a", To: "b", Flows: 3},
+			{From: "b", To: "a", Flows: 2},
 		},
+		Duration: time.Second,
 	}
 	replica := base // value copy shares the Workloads backing array
-	spec := base
-	spec.fillDefaults()
-	w0, w1 := spec.Workloads[0], spec.Workloads[1]
-	for p := w0.Port; p < w0.Port+w0.Flows; p++ {
-		if p >= w1.Port && p < w1.Port+w1.Flows {
-			t.Fatalf("auto range [%d,%d) collides with explicit [%d,%d)", w0.Port, w0.Port+w0.Flows, w1.Port, w1.Port+w1.Flows)
+	res, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range res.Flows {
+		if f.Port != 5000+i {
+			t.Fatalf("flow %d (workload %d) on port %d, want %d", i, f.Workload, f.Port, 5000+i)
 		}
 	}
-	if replica.Workloads[0].Port != 0 {
+	if replica.Workloads[0].Flows != 3 || replica.Workloads[0].Kind != "" {
 		t.Fatal("fillDefaults mutated the shared backing array of a replicated spec")
-	}
-	if _, err := Run(spec); err != nil {
-		t.Fatalf("spec with mixed auto/explicit ports failed to run: %v", err)
 	}
 }

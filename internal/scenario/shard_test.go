@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dynamics"
 	"repro/internal/netsim"
 	"repro/internal/probe"
 )
@@ -223,41 +222,36 @@ func TestShardedFallsBackToSerial(t *testing.T) {
 		t.Fatal("Shards=1 must run serially")
 	}
 
-	// A set-delay event can shrink a link's delay mid-run; the lookahead
-	// must honour the lifetime minimum. On a two-node topology the squeezed
+	// A zero-delay cut admits no lookahead. On a two-node topology the one
 	// link is the only possible cut, so sharding must be abandoned.
 	squeeze, err := Lookup("wireless")
 	if err != nil {
 		t.Fatal(err)
 	}
 	squeeze.Shards = 2
-	squeeze.Events = append(squeeze.Events, dynamics.Event{
-		At: time.Second, Kind: dynamics.SetDelay, Link: 0, Delay: 0,
-	})
+	squeeze.Links[0].Delay = 0
 	if sim = MustBuild(squeeze); sim.Sharded() {
-		t.Fatal("a zero-delay set-delay event on the only cut link must force serial execution")
+		t.Fatal("a zero-delay link as the only cut must force serial execution")
 	}
 
-	// On the grid the same squeeze is routed around: the partitioner
-	// contracts the cheapened backbone link into one shard (cheapest edges
-	// merge first), so the surviving cut keeps the full 10ms lookahead.
-	// Links are built cluster hosts first (16 clusters * 3 hosts = 48), so
-	// index 48 is the first backbone link.
+	// On the grid a low-delay link is routed around: the partitioner
+	// contracts the cheap backbone link into one shard (cheapest edges merge
+	// first), so the surviving cut keeps the full 10ms lookahead. Links are
+	// built cluster hosts first (16 clusters * 3 hosts = 48), so index 48 is
+	// the first backbone link.
 	routed, err := Lookup("grid")
 	if err != nil {
 		t.Fatal(err)
 	}
 	routed.Shards = 4
-	routed.Events = append(routed.Events, dynamics.Event{
-		At: time.Second, Kind: dynamics.SetDelay, Link: 48, Delay: 2 * time.Millisecond,
-	})
+	routed.Links[48].Delay = 2 * time.Millisecond
 	if sim = MustBuild(routed); !sim.Sharded() || sim.Lookahead() != 10*time.Millisecond {
 		t.Fatalf("sharded=%v lookahead=%v, want the cut routed around the squeezed link (10ms)",
 			sim.Sharded(), sim.Lookahead())
 	}
 	a, b := routed.Links[48].A, routed.Links[48].B
 	if sim.ShardOf(a) != sim.ShardOf(b) {
-		t.Fatalf("squeezed link %s-%s still crosses shards", a, b)
+		t.Fatalf("low-delay link %s-%s still crosses shards", a, b)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dynamics"
 	"repro/internal/netsim"
 	"repro/internal/probe"
-	"repro/internal/routeproto"
 )
 
 // Congestion-control selectors for workloads, mirroring tcp.CCCM/CCNative
@@ -76,12 +75,11 @@ type LinkSpec struct {
 type Workload struct {
 	// Kind is KindBulk (default) or KindStream.
 	Kind string `json:"kind,omitempty"`
-	// From and To are the sending and receiving host names.
+	// From and To are the sending and receiving host names. The flows of
+	// every workload listen on consecutive ports from 5000, in declaration
+	// order.
 	From string `json:"from"`
 	To   string `json:"to"`
-	// Port is the first listening port; flow i listens on Port+i. Zero
-	// auto-assigns a port range disjoint from other workloads.
-	Port int `json:"port,omitempty"`
 	// Flows is the number of concurrent connections (default 1).
 	Flows int `json:"flows,omitempty"`
 	// Bytes is the per-flow transfer size for KindBulk (default 1 MB).
@@ -115,14 +113,14 @@ type Spec struct {
 	// Workloads are the traffic sources.
 	Workloads []Workload `json:"workloads"`
 	// Events is the network-dynamics timeline: scheduled link up/down,
-	// bandwidth/delay/loss changes and bursty-loss (Gilbert-Elliott) mode
-	// switches, applied mid-run by the dynamics subsystem. Events with
+	// bandwidth changes, bursty-loss (Gilbert-Elliott) mode switches and
+	// host faults, applied mid-run by the dynamics subsystem. Events with
 	// At <= 0 are applied at Build, before any traffic.
 	Events []dynamics.Event `json:"events,omitempty"`
-	// Generators are seeded stochastic event sources (Poisson link flaps,
-	// Markov bandwidth walks). Build expands each into ordinary deterministic
-	// Events merged with the declared ones, so generated churn inherits the
-	// timeline's serial/parallel/sharded byte-identity.
+	// Generators are seeded stochastic event sources (Poisson link flaps, CM
+	// restarts). Build expands each into ordinary deterministic Events merged
+	// with the declared ones, so generated churn inherits the timeline's
+	// serial/parallel/sharded byte-identity.
 	Generators []dynamics.Generator `json:"generators,omitempty"`
 	// Duration is how much virtual time to simulate (default 30 s).
 	Duration time.Duration `json:"duration,omitempty"`
@@ -162,9 +160,6 @@ type Spec struct {
 	// open a bounded blackhole window that heals by convergence rather than
 	// by fiat. Works with both exact and hier routing (see docs/ROUTING.md).
 	RouteSync string `json:"route_sync,omitempty"`
-	// RouteProto overrides the control-plane timers (protocol mode only);
-	// nil uses routeproto's defaults.
-	RouteProto *routeproto.Config `json:"route_proto,omitempty"`
 	// Probes declares mid-run sampling probes. Each probe samples its target
 	// (see probe.ParseTarget for the path grammar) every Interval of virtual
 	// time at an executor barrier, seeing every event before the sampling
@@ -205,16 +200,6 @@ const (
 // plane instead of the oracle.
 func (s *Spec) routeProtocol() bool { return s.RouteSync == RouteSyncProtocol }
 
-// routeProtoConfig resolves the spec's control-plane timer config without
-// mutating the (possibly shared) RouteProto pointer.
-func (s *Spec) routeProtoConfig() routeproto.Config {
-	var cfg routeproto.Config
-	if s.RouteProto != nil {
-		cfg = *s.RouteProto
-	}
-	return cfg.WithDefaults()
-}
-
 // fillDefaults normalises the spec in place. The Workloads slice is cloned
 // before any write: specs are replicated by value for batch runs (cmsim
 // -runs, the determinism tests), and the copies would otherwise share one
@@ -227,22 +212,6 @@ func (s *Spec) fillDefaults() {
 		s.Seed = 1
 	}
 	s.Workloads = append([]Workload(nil), s.Workloads...)
-	// Auto-assigned port ranges must not collide with explicit ones that
-	// appear later in the list, so claim the explicit ranges first.
-	used := make(map[int]bool)
-	for _, w := range s.Workloads {
-		if w.Port == 0 {
-			continue
-		}
-		flows := w.Flows
-		if flows <= 0 {
-			flows = 1
-		}
-		for p := w.Port; p < w.Port+flows; p++ {
-			used[p] = true
-		}
-	}
-	nextPort := 5000
 	for i := range s.Workloads {
 		w := &s.Workloads[i]
 		if w.Kind == "" {
@@ -278,23 +247,6 @@ func (s *Spec) fillDefaults() {
 		}
 		if w.RecvWindow <= 0 {
 			w.RecvWindow = 1 << 20
-		}
-		if w.Port == 0 {
-			for {
-				free := true
-				for p := nextPort; p < nextPort+w.Flows; p++ {
-					if used[p] {
-						free = false
-						nextPort = p + 1
-						break
-					}
-				}
-				if free {
-					break
-				}
-			}
-			w.Port = nextPort
-			nextPort += w.Flows
 		}
 	}
 }
@@ -460,42 +412,16 @@ func (s *Spec) Validate() error {
 	}
 	switch s.RouteSync {
 	case "", RouteSyncOracle:
-		// Protocol-only constructs have no meaning under the oracle.
-		if s.RouteProto != nil {
-			return fmt.Errorf("scenario %q: route_proto set but route_sync is %q", s.Name, s.RouteSync)
-		}
+		// Control-plane faults have no meaning under the oracle.
 		for i, ev := range s.Events {
 			if ev.Kind == dynamics.SetRouteFaults {
 				return fmt.Errorf("scenario %q: event %d: %s requires route_sync %q", s.Name, i, ev.Kind, RouteSyncProtocol)
 			}
-			if ev.Policy == dynamics.PolicyRenumber {
-				return fmt.Errorf("scenario %q: event %d: the %s policy requires route_sync %q", s.Name, i, dynamics.PolicyRenumber, RouteSyncProtocol)
-			}
 		}
 	case RouteSyncProtocol:
-		if err := s.routeProtoConfig().Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
 		if s.Routing != RoutingHier && len(nodes) > incrementalRouteLimit {
 			return fmt.Errorf("scenario %q: exact-mode protocol routing supports at most %d nodes (%d declared); use hier routing",
 				s.Name, incrementalRouteLimit, len(nodes))
-		}
-		renamed := make(map[string]bool)
-		for i, ev := range s.Events {
-			if ev.Policy != dynamics.PolicyRenumber {
-				continue
-			}
-			if s.Routing == RoutingHier {
-				return fmt.Errorf("scenario %q: event %d: the %s policy needs exact routing (a hier leaf's name encodes its position)", s.Name, i, dynamics.PolicyRenumber)
-			}
-			if nodes[ev.NewName] {
-				return fmt.Errorf("scenario %q: event %d: new name %q already in the topology", s.Name, i, ev.NewName)
-			}
-			if renamed[ev.Host] || renamed[ev.NewName] {
-				return fmt.Errorf("scenario %q: event %d: host %q renumbered more than once", s.Name, i, ev.Host)
-			}
-			renamed[ev.Host] = true
-			renamed[ev.NewName] = true
 		}
 	default:
 		return fmt.Errorf("scenario %q: unknown route_sync mode %q", s.Name, s.RouteSync)

@@ -170,7 +170,7 @@ func TestGeneratorsExpandIntoTimeline(t *testing.T) {
 		Duration: 10 * time.Second,
 	})
 	spec.Events = []dynamics.Event{
-		{At: 4 * time.Second, Kind: dynamics.SetLoss, Link: 0, LossRate: 0.01},
+		{At: 4 * time.Second, Kind: dynamics.SetBandwidth, Link: 0, Bandwidth: 5 * netsim.Mbps},
 	}
 	spec.Generators = []dynamics.Generator{
 		{Kind: dynamics.GenPoissonFlaps, Link: 0, MeanUp: 2 * time.Second, MeanDown: 300 * time.Millisecond},
@@ -194,7 +194,7 @@ func TestGeneratorsExpandIntoTimeline(t *testing.T) {
 			downs++
 		case dynamics.LinkUp:
 			ups++
-		case dynamics.SetLoss:
+		case dynamics.SetBandwidth:
 			declared++
 		}
 		if ev.At < spec.Duration && !ev.Fired {
@@ -220,23 +220,6 @@ func TestGeneratorsExpandIntoTimeline(t *testing.T) {
 	}
 }
 
-// TestBandwidthWalkNeedsARate: a walk on a link with unset (infinite)
-// bandwidth has no starting rate; Build must reject it rather than silently
-// run a churnless scenario.
-func TestBandwidthWalkNeedsARate(t *testing.T) {
-	spec := PointToPoint(PointToPointParams{})
-	spec.Links[0].Bandwidth = 0
-	spec.Generators = []dynamics.Generator{{Kind: dynamics.GenBandwidthWalk, Link: 0}}
-	if _, err := Build(spec); err == nil {
-		t.Fatal("bandwidth walk on an infinite link must fail Build")
-	}
-	// An explicit Initial rescues it.
-	spec.Generators[0].Initial = 5 * netsim.Mbps
-	if _, err := Build(spec); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGeneratedEventsShardedByteIdentical extends the PR 4 determinism gate
 // to generated churn: a sharded run of a spec whose timeline comes from
 // generators is byte-identical to the serial run.
@@ -246,7 +229,7 @@ func TestGeneratedEventsShardedByteIdentical(t *testing.T) {
 		spec.Name = "gen-sharded"
 		spec.Generators = []dynamics.Generator{
 			{Kind: dynamics.GenPoissonFlaps, Link: 0, MeanUp: 2 * time.Second, MeanDown: 250 * time.Millisecond},
-			{Kind: dynamics.GenBandwidthWalk, Link: 0, Step: time.Second},
+			{Kind: dynamics.GenCMRestarts, Host: "s0", Mean: 2 * time.Second},
 		}
 		spec.Shards = shards
 		return spec

@@ -20,7 +20,7 @@ import (
 //	                re-invoking the builder, since they reshape the topology)
 //	link[i].{loss | bandwidth | delay | queue | seed |
 //	         ge.p_good_bad | ge.p_bad_good | ge.loss_good | ge.loss_bad}
-//	workload[i].{flows | bytes | rate | start | recv_window | port | cc | kind}
+//	workload[i].{flows | bytes | rate | start | recv_window | cc | kind}
 //	event[i].{at | drop_rate | delay_rate | duplicate_rate | delay | outage}
 //	generator[i].{seed | mean | mean_up | mean_down | start | end}
 //
@@ -216,8 +216,6 @@ func applyWorkload(w *scenario.Workload, param, field string, v Value) error {
 		w.Start = seconds(n)
 	case "recv_window":
 		w.RecvWindow = int(math.Round(n))
-	case "port":
-		w.Port = int(math.Round(n))
 	default:
 		return fmt.Errorf("sweep: unknown workload param %q", param)
 	}

@@ -188,7 +188,9 @@ type Campaign struct {
 // DecodeCampaign parses a campaign file strictly: a field the Campaign, its
 // base Spec or anything nested in them does not have is an error naming it,
 // so a misspelt or removed knob fails instead of silently running the
-// defaults. So is anything after the one JSON object.
+// defaults. So is anything after the one JSON object, a negative replicate
+// or shard count, and a base spec that fails validation (an unknown event
+// kind, say), which would otherwise fail every point of the campaign.
 func DecodeCampaign(data []byte) (Campaign, error) {
 	var c Campaign
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -198,6 +200,17 @@ func DecodeCampaign(data []byte) (Campaign, error) {
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return Campaign{}, fmt.Errorf("data after the campaign object")
+	}
+	if c.Replicates < 0 {
+		return Campaign{}, fmt.Errorf("campaign replicates %d: want at least 0", c.Replicates)
+	}
+	if c.Shards < 0 {
+		return Campaign{}, fmt.Errorf("campaign shards %d: want at least 0", c.Shards)
+	}
+	if c.Base != nil {
+		if err := c.Base.Validate(); err != nil {
+			return Campaign{}, fmt.Errorf("campaign base: %w", err)
+		}
 	}
 	return c, nil
 }

@@ -282,8 +282,8 @@ func TestGlobMatch(t *testing.T) {
 
 // TestCampaignSerialParallelByteIdentical is the sweep-level determinism
 // gate: a campaign over a spec with active dynamics — a declared
-// Gilbert-Elliott fade plus stochastic generators (Poisson flaps and a
-// bandwidth walk) — emits byte-identical CSV and JSON whether the runner
+// Gilbert-Elliott fade plus stochastic generators (Poisson flaps on both
+// directions and a faster one on the reverse direction) — emits byte-identical CSV and JSON whether the runner
 // uses one worker or eight.
 func TestCampaignSerialParallelByteIdentical(t *testing.T) {
 	base := scenario.PointToPoint(scenario.PointToPointParams{
@@ -302,7 +302,7 @@ func TestCampaignSerialParallelByteIdentical(t *testing.T) {
 	base.Name = "sweep-dynamics"
 	base.Generators = []dynamics.Generator{
 		{Kind: dynamics.GenPoissonFlaps, Link: 0, MeanUp: 1500 * time.Millisecond, MeanDown: 200 * time.Millisecond},
-		{Kind: dynamics.GenBandwidthWalk, Link: 0, Step: 500 * time.Millisecond},
+		{Kind: dynamics.GenPoissonFlaps, Link: 0, Direction: dynamics.DirReverse, MeanUp: 500 * time.Millisecond, MeanDown: 100 * time.Millisecond},
 	}
 	camp := Campaign{
 		Name: "dynamics-sweep",
