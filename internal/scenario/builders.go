@@ -58,7 +58,7 @@ func (p *DumbbellParams) fillDefaults() {
 	if p.AccessBandwidth == 0 {
 		p.AccessBandwidth = 100 * netsim.Mbps
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 20 * time.Second
 	}
 	if p.Seed == 0 {
@@ -153,7 +153,7 @@ func ParkingLot(p ParkingLotParams) Spec {
 	if p.HopBandwidth == 0 {
 		p.HopBandwidth = 10 * netsim.Mbps
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 20 * time.Second
 	}
 	if p.Seed == 0 {
@@ -230,7 +230,7 @@ func Star(p StarParams) Spec {
 	if p.SpokeBandwidth == 0 {
 		p.SpokeBandwidth = 10 * netsim.Mbps
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 20 * time.Second
 	}
 	if p.Seed == 0 {
@@ -304,7 +304,7 @@ func Wireless(p WirelessParams) Spec {
 	if p.FadeUntil <= p.FadeAt {
 		p.FadeUntil = p.FadeAt + 5*time.Second
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 20 * time.Second
 	}
 	if p.Seed == 0 {
@@ -365,7 +365,7 @@ func Asymmetric(p AsymmetricParams) Spec {
 	if p.SqueezeAt == 0 {
 		p.SqueezeAt = 10 * time.Second
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 20 * time.Second
 	}
 	if p.Seed == 0 {
@@ -486,7 +486,7 @@ func DumbbellGrid(p GridParams) Spec {
 	if p.CC == "" {
 		p.CC = CCCM
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 10 * time.Second
 	}
 	if p.Seed == 0 {
@@ -626,7 +626,7 @@ func PointToPoint(p PointToPointParams) Spec {
 	if p.Link.QueuePackets == 0 && p.Link.QueueBytes == 0 {
 		p.Link.QueuePackets = 120
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 30 * time.Second
 	}
 	spec := Spec{
@@ -691,7 +691,7 @@ func (p *ChurnParams) fillDefaults() {
 	if p.FlapMeanDown <= 0 {
 		p.FlapMeanDown = 300 * time.Millisecond
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 12 * time.Second
 	}
 	if p.Seed == 0 {

@@ -48,7 +48,7 @@ func (p *FatTreeParams) fillDefaults() error {
 	if p.CC == "" {
 		p.CC = CCCM
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 10 * time.Second
 	}
 	if p.Seed == 0 {
@@ -194,7 +194,7 @@ func (p *ISPParams) fillDefaults() error {
 	if p.MeanBytes <= 0 {
 		p.MeanBytes = 12 << 10
 	}
-	if p.Duration <= 0 {
+	if p.Duration == 0 {
 		p.Duration = 10 * time.Second
 	}
 	if p.Seed == 0 {

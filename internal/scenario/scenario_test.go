@@ -39,6 +39,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"workload at router", func(s *Spec) { s.Routers = []string{"b"} }},
 		{"bad kind", func(s *Spec) { s.Workloads[0].Kind = "warp" }},
 		{"bad cc", func(s *Spec) { s.Workloads[0].CC = "vegas" }},
+		{"negative duration", func(s *Spec) { s.Duration = -time.Second }},
+		{"negative flows", func(s *Spec) { s.Workloads[0].Flows = -1 }},
+		{"negative bytes", func(s *Spec) { s.Workloads[0].Bytes = -1 }},
+		{"negative recv window", func(s *Spec) { s.Workloads[0].RecvWindow = -1 }},
+		{"negative webmix flows", func(s *Spec) { s.Workloads[0].Kind = KindWebMix; s.Workloads[0].Flows = -1 }},
+		{"negative webmix bytes", func(s *Spec) { s.Workloads[0].Kind = KindWebMix; s.Workloads[0].Bytes = -1 }},
 	}
 	for _, tc := range cases {
 		spec := good()

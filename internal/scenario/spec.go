@@ -200,12 +200,13 @@ const (
 // plane instead of the oracle.
 func (s *Spec) routeProtocol() bool { return s.RouteSync == RouteSyncProtocol }
 
-// fillDefaults normalises the spec in place. The Workloads slice is cloned
-// before any write: specs are replicated by value for batch runs (cmsim
-// -runs, the determinism tests), and the copies would otherwise share one
-// backing array that concurrent Run calls then race on.
+// fillDefaults normalises the spec in place. Only zero fields take a
+// default: a negative one is a spec error that Validate must still see. The
+// Workloads slice is cloned before any write: specs are replicated by value
+// for batch runs (cmsim -runs, the determinism tests), and the copies would
+// otherwise share one backing array that concurrent Run calls then race on.
 func (s *Spec) fillDefaults() {
-	if s.Duration <= 0 {
+	if s.Duration == 0 {
 		s.Duration = 30 * time.Second
 	}
 	if s.Seed == 0 {
@@ -218,19 +219,17 @@ func (s *Spec) fillDefaults() {
 			w.Kind = KindBulk
 		}
 		if w.Kind == KindWebMix {
-			if w.Flows <= 0 {
+			if w.Flows == 0 {
 				w.Flows = 32
 			}
-			// Only a zero rate defaults: a negative one is a spec error that
-			// Validate must still see.
 			if w.Rate == 0 {
 				w.Rate = 10
 			}
-			if w.Bytes <= 0 {
+			if w.Bytes == 0 {
 				w.Bytes = 12 << 10
 			}
 		}
-		if w.Flows <= 0 {
+		if w.Flows == 0 {
 			w.Flows = 1
 		}
 		if w.CC == "" {
@@ -242,10 +241,10 @@ func (s *Spec) fillDefaults() {
 				w.CC = CCNative
 			}
 		}
-		if w.Bytes <= 0 && w.Kind == KindBulk {
+		if w.Bytes == 0 && w.Kind == KindBulk {
 			w.Bytes = 1 << 20
 		}
-		if w.RecvWindow <= 0 {
+		if w.RecvWindow == 0 {
 			w.RecvWindow = 1 << 20
 		}
 	}
@@ -309,6 +308,14 @@ func (s *Spec) Validate() error {
 		}
 		if w.Rate < 0 {
 			return fmt.Errorf("scenario %q: workload %d rate %v negative", s.Name, i, w.Rate)
+		}
+		for _, f := range [...]struct {
+			name string
+			v    int
+		}{{"flows", w.Flows}, {"bytes", w.Bytes}, {"recv_window", w.RecvWindow}} {
+			if f.v < 0 {
+				return fmt.Errorf("scenario %q: workload %d %s %d negative", s.Name, i, f.name, f.v)
+			}
 		}
 	}
 	// Host-level fault events must name real nodes: a CM to restart or
@@ -378,6 +385,9 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %q: probe %d: host %q runs no Congestion Manager", s.Name, i, t.Host)
 			}
 		}
+	}
+	if s.Duration < 0 {
+		return fmt.Errorf("scenario %q: negative duration %v", s.Name, s.Duration)
 	}
 	if s.TraceDepth < 0 {
 		return fmt.Errorf("scenario %q: negative trace depth %d", s.Name, s.TraceDepth)
