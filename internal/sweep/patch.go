@@ -54,12 +54,11 @@ func Apply(spec *scenario.Spec, param string, v Value) error {
 		}
 		switch name {
 		case "seed":
-			spec.Seed = int64(n)
+			return setInt(&spec.Seed, param, n)
 		case "shards":
-			spec.Shards = int(math.Round(n))
-		case "duration":
-			spec.Duration = seconds(n)
+			return setInt(&spec.Shards, param, n)
 		}
+		spec.Duration = seconds(n)
 		return nil
 	case "link":
 		if index == indexNone {
@@ -175,9 +174,9 @@ func applyLink(l *scenario.LinkSpec, param, field string, v Value) error {
 	case "delay":
 		l.Delay = seconds(n)
 	case "queue":
-		l.QueuePackets = int(math.Round(n))
+		return setInt(&l.QueuePackets, param, n)
 	case "seed":
-		l.Seed = int64(n)
+		return setInt(&l.Seed, param, n)
 	default:
 		return fmt.Errorf("sweep: unknown link param %q", param)
 	}
@@ -207,15 +206,15 @@ func applyWorkload(w *scenario.Workload, param, field string, v Value) error {
 	}
 	switch field {
 	case "flows":
-		w.Flows = int(math.Round(n))
+		return setInt(&w.Flows, param, n)
 	case "bytes":
-		w.Bytes = int(math.Round(n))
+		return setInt(&w.Bytes, param, n)
 	case "rate":
 		w.Rate = n
 	case "start":
 		w.Start = seconds(n)
 	case "recv_window":
-		w.RecvWindow = int(math.Round(n))
+		return setInt(&w.RecvWindow, param, n)
 	default:
 		return fmt.Errorf("sweep: unknown workload param %q", param)
 	}
@@ -253,7 +252,7 @@ func applyGenerator(g *dynamics.Generator, param, field string, v Value) error {
 	}
 	switch field {
 	case "seed":
-		g.Seed = int64(n)
+		return setInt(&g.Seed, param, n)
 	case "mean":
 		g.Mean = seconds(n)
 	case "mean_up":
@@ -267,6 +266,17 @@ func applyGenerator(g *dynamics.Generator, param, field string, v Value) error {
 	default:
 		return fmt.Errorf("sweep: unknown generator param %q", param)
 	}
+	return nil
+}
+
+// setInt stores n in an integer field. A fractional value, or one outside
+// int64, is an error rather than something to round silently (as the
+// registry's integer knobs refuse -param flows=2.5).
+func setInt[T int | int64](field *T, param string, n float64) error {
+	if n != math.Trunc(n) || n < math.MinInt64 || n >= math.MaxInt64 {
+		return fmt.Errorf("sweep: param %q must be an integer, got %v", param, n)
+	}
+	*field = T(n)
 	return nil
 }
 
