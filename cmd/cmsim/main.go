@@ -203,9 +203,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *campaign != "" || len(sweeps) > 0 {
 		set := make(map[string]bool)
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if err := runCampaign(stdout, stderr, *campaign, sweeps, probes, *names, params, *replicates, *shards, *parallel, *jsonOut, *csvOut, *checkInv, *plotDir, set); err != nil {
+		ok, err := runCampaign(stdout, stderr, *campaign, sweeps, probes, *names, params, *replicates, *shards, *parallel, *jsonOut, *csvOut, *checkInv, *plotDir, set)
+		switch {
+		case err != nil:
 			fmt.Fprintln(stderr, err)
 			return 2
+		case !ok:
+			return 1
 		}
 		return 0
 	}
@@ -446,24 +450,27 @@ func reportViolations(stderr io.Writer, violations []faults.Violation) bool {
 // one assembled from -scenario plus repeated -sweep axes. With -campaign,
 // explicitly passed -replicates/-shards override the file's values; a
 // -scenario alongside -campaign is rejected rather than silently ignored.
-func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes []probe.Spec, names string, params map[string]float64, replicates, shards, parallel int, jsonOut, csvOut, checkInv bool, plotDir string, set map[string]bool) error {
+// An input error is returned (exit 2). A campaign that ran is not ok (exit 1)
+// when any replicate failed, each failed point's first error going to stderr,
+// or when -check-invariants found a violation.
+func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes []probe.Spec, names string, params map[string]float64, replicates, shards, parallel int, jsonOut, csvOut, checkInv bool, plotDir string, set map[string]bool) (ok bool, err error) {
 	var camp sweep.Campaign
 	switch {
 	case file != "" && len(sweeps) > 0:
-		return fmt.Errorf("-campaign and -sweep are mutually exclusive")
+		return false, fmt.Errorf("-campaign and -sweep are mutually exclusive")
 	case file != "":
 		if set["scenario"] {
-			return fmt.Errorf("-campaign and -scenario are mutually exclusive (the campaign file names its base)")
+			return false, fmt.Errorf("-campaign and -scenario are mutually exclusive (the campaign file names its base)")
 		}
 		if len(params) > 0 {
-			return fmt.Errorf("-campaign and -param are mutually exclusive (the campaign file carries its params)")
+			return false, fmt.Errorf("-campaign and -param are mutually exclusive (the campaign file carries its params)")
 		}
 		data, err := os.ReadFile(file)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if camp, err = sweep.DecodeCampaign(data); err != nil {
-			return fmt.Errorf("campaign %s: %w", file, err)
+			return false, fmt.Errorf("campaign %s: %w", file, err)
 		}
 		if set["replicates"] {
 			camp.Replicates = replicates
@@ -473,13 +480,13 @@ func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes 
 		}
 	default:
 		if names == "" || strings.Contains(names, ",") {
-			return fmt.Errorf("-sweep needs exactly one base -scenario")
+			return false, fmt.Errorf("-sweep needs exactly one base -scenario")
 		}
 		camp = sweep.Campaign{Name: names, Scenario: names, Params: params, Replicates: replicates, Shards: shards}
 		for _, s := range sweeps {
 			axis, err := parseSweepAxis(s)
 			if err != nil {
-				return err
+				return false, err
 			}
 			camp.Axes = append(camp.Axes, axis)
 		}
@@ -489,7 +496,7 @@ func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes 
 	camp.Probes = append(camp.Probes, probes...)
 	res, err := camp.Run(scenario.Runner{Parallel: parallel})
 	if err != nil {
-		return err
+		return false, err
 	}
 	switch {
 	case csvOut:
@@ -497,7 +504,7 @@ func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes 
 	case jsonOut:
 		data, err := res.JSON()
 		if err != nil {
-			return err
+			return false, err
 		}
 		fmt.Fprintf(stdout, "%s\n", data)
 	default:
@@ -505,18 +512,25 @@ func runCampaign(stdout, stderr io.Writer, file string, sweeps []string, probes 
 	}
 	if plotDir != "" {
 		if err := os.MkdirAll(plotDir, 0o755); err != nil {
-			return err
+			return false, err
 		}
 		files, err := camp.WritePlots(res, plotDir)
 		if err != nil {
-			return err
+			return false, err
 		}
 		fmt.Fprintf(stderr, "wrote %d plot(s) to %s: %s\n", len(files), plotDir, strings.Join(files, " "))
 	}
-	if checkInv && reportViolations(stderr, faults.CheckCampaign(res)) {
-		return fmt.Errorf("campaign %s failed invariant checking", camp.Name)
+	ok = true
+	for _, pt := range res.Points {
+		if pt.Failed > 0 {
+			fmt.Fprintf(stderr, "point %d: %d of %d replicate(s) failed: %s\n", pt.Index, pt.Failed, res.Replicates, pt.Errors[0])
+			ok = false
+		}
 	}
-	return nil
+	if checkInv && reportViolations(stderr, faults.CheckCampaign(res)) {
+		ok = false
+	}
+	return ok, nil
 }
 
 // profileBuild builds one scenario's topology with CPU and heap profiling

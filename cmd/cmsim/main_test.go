@@ -97,6 +97,9 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{[]string{"-scenario", "p2p", "-param", "queue=-1"}, `link 0: negative queue limit`},
 		{[]string{"-scenario", "p2p", "-param", "loss=2"}, `link 0: loss_rate 2 out of [0,1]`},
 		{[]string{"-scenario", "p2p", "-param", "bandwidth=-1"}, `link 0: bandwidth -1 negative`},
+		{[]string{"-scenario", "p2p", "-param", "duration=-1"}, `negative duration -1s`},
+		{[]string{"-scenario", "p2p", "-param", "bytes=-5"}, `workload 0 bytes -5 negative`},
+		{[]string{"-scenario", "p2p", "-sweep", "workload[0].flows=2.5"}, `param "workload[0].flows" must be an integer, got 2.5`},
 	} {
 		code, out, errOut := cmsim(tc.args...)
 		if code != 2 {
@@ -107,6 +110,30 @@ func TestBadInputExitsTwo(t *testing.T) {
 		}
 		if !strings.Contains(errOut, tc.says) {
 			t.Errorf("%q: stderr does not say %q:\n%s", tc.args, tc.says, errOut)
+		}
+	}
+}
+
+// A campaign point whose every replicate fails to run is a failed run, as in
+// scenario mode: the table still prints, stderr names the point and its first
+// error, and the exit status is 1.
+func TestFailedCampaignPointExitsOne(t *testing.T) {
+	for _, tc := range []struct{ axis, says string }{
+		{"link[0].loss=0,2", `point 1: 1 of 1 replicate(s) failed: scenario "p2p": link 0: loss_rate 2 out of [0,1]`},
+		{"duration=-1", `point 0: 1 of 1 replicate(s) failed: scenario "p2p": negative duration -1s`},
+		{"workload[0].flows=-1", `workload 0 flows -1 negative`},
+		{"workload[0].bytes=-1", `workload 0 bytes -1 negative`},
+		{"workload[0].recv_window=-1", `workload 0 recv_window -1 negative`},
+	} {
+		code, out, errOut := cmsim("-scenario", "p2p", "-param", "duration=1", "-sweep", tc.axis)
+		if code != 1 {
+			t.Errorf("%s: exit status %d, want 1", tc.axis, code)
+		}
+		if !strings.Contains(out, "replicate(s) failed") {
+			t.Errorf("%s: the table does not show the failed point:\n%s", tc.axis, out)
+		}
+		if !strings.Contains(errOut, tc.says) {
+			t.Errorf("%s: stderr does not say %q:\n%s", tc.axis, tc.says, errOut)
 		}
 	}
 }
