@@ -184,6 +184,7 @@ func TestApplyErrors(t *testing.T) {
 	spec := scenario.PointToPoint(scenario.PointToPointParams{
 		Workloads: []scenario.Workload{{Kind: scenario.KindBulk, From: "sender", To: "receiver"}},
 	})
+	spec.Generators = []dynamics.Generator{{Kind: dynamics.GenCMRestarts, Host: "sender", Mean: time.Second}}
 	for _, c := range []struct {
 		param string
 		v     Value
@@ -197,40 +198,19 @@ func TestApplyErrors(t *testing.T) {
 		{"workload[0].cc", Value{Num: 1}},                 // string param, numeric value
 		{"link[0].loss", Value{Str: "a", IsString: true}}, // numeric param, string value
 		{"seed[0]", Value{Num: 1}},
+		// Integer params refuse what they would otherwise round or wrap.
+		{"workload[0].flows", Value{Num: 2.5}},
+		{"workload[0].bytes", Value{Num: 1e19}},
+		{"workload[0].recv_window", Value{Num: math.NaN()}},
+		{"link[0].queue", Value{Num: 64.5}},
+		{"link[0].seed", Value{Num: math.Inf(-1)}},
+		{"shards", Value{Num: 1.5}},
+		{"seed", Value{Num: 0x1p63}},
+		{"generator[0].seed", Value{Num: 7.25}},
 	} {
 		if err := Apply(&spec, c.param, c.v); err == nil {
 			t.Fatalf("Apply(%q) should fail", c.param)
 		}
-	}
-}
-
-// Integer params refuse a value they would otherwise round or wrap, and take
-// a whole one at the edge of int64.
-func TestApplyRefusesNonIntegers(t *testing.T) {
-	spec := scenario.PointToPoint(scenario.PointToPointParams{
-		Workloads: []scenario.Workload{{Kind: scenario.KindBulk, From: "sender", To: "receiver"}},
-	})
-	spec.Generators = []dynamics.Generator{{Kind: dynamics.GenCMRestarts, Host: "sender", Mean: time.Second}}
-	for _, c := range []struct {
-		param string
-		v     float64
-	}{
-		{"workload[0].flows", 2.5},
-		{"workload[0].bytes", 1e19},
-		{"workload[0].recv_window", math.NaN()},
-		{"link[0].queue", 64.5},
-		{"link[0].seed", math.Inf(-1)},
-		{"shards", 1.5},
-		{"seed", 0x1p63},
-		{"generator[0].seed", 7.25},
-	} {
-		err := Apply(&spec, c.param, Value{Num: c.v})
-		if err == nil || !strings.Contains(err.Error(), "must be an integer") {
-			t.Errorf("Apply(%q, %v) = %v, want a must-be-an-integer error", c.param, c.v, err)
-		}
-	}
-	if err := Apply(&spec, "seed", Value{Num: -0x1p63}); err != nil || spec.Seed != math.MinInt64 {
-		t.Errorf("Apply(seed, -2^63) = %v, seed %d", err, spec.Seed)
 	}
 }
 
