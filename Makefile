@@ -92,6 +92,11 @@ soak-smoke:
 	$(GO) run ./cmd/cmsim -campaign examples/campaigns/churn-soak.json \
 		-parallel 8 -check-invariants -csv > CHURN_SOAK.csv
 
+# $(call gotest-run,<flags>,<names>,<packages>) runs `go test -run` over the
+# '|'-joined test names, after tools/check-run-pattern.sh has checked that each
+# name is a test of the packages: go test passes a pattern that matches nothing.
+gotest-run = GO=$(GO) bash tools/check-run-pattern.sh '$(2)' $(3) && $(GO) test $(1) -run '$(2)' $(3)
+
 # In-run observability smoke: re-run the flight recorder's zero-alloc gate,
 # the probes-active byte-identity/determinism checks, the one-sampling-rule
 # check (per-target probes equal their aggregate twins) and the past-end
@@ -103,9 +108,9 @@ soak-smoke:
 # SHARD_TIMELINE.json, RUN_REPORT.{json,md} and plots/ (see
 # docs/OBSERVABILITY.md).
 probe-smoke:
-	$(GO) test -run TestRecorderAppendZeroAlloc ./internal/probe/
-	$(GO) test -short -run 'TestShardedRunsAreByteIdentical|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration' \
-		./internal/scenario/ ./internal/faults/
+	$(call gotest-run,,TestRecorderAppendZeroAlloc,./internal/probe/)
+	$(call gotest-run,-short,TestShardedRunsAreByteIdentical|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration,\
+		./internal/scenario/ ./internal/faults/)
 	$(GO) run ./cmd/cmsim -scenario churn -shards 4 \
 		-probe "link[0].queue_depth" -probe "link[0].utilization" \
 		-probe "cm[s0].cwnd" -probe "links.*-fwd.drops" \
@@ -123,7 +128,7 @@ probe-smoke:
 # any replicate fails the target. CI uploads ROUTE_SMOKE.csv; the aggregate
 # drop probes in it show the blackhole window widening with the drop rate.
 route-smoke:
-	$(GO) test -run 'TestRouteFlapConvergence|TestRouteProtoFuzz' ./internal/scenario/
+	$(call gotest-run,,TestRouteFlapConvergence|TestRouteProtoFuzz,./internal/scenario/)
 	$(GO) run ./cmd/cmsim -campaign examples/campaigns/route-smoke.json \
 		-parallel 8 -check-invariants -csv > ROUTE_SMOKE.csv
 
