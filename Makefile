@@ -98,9 +98,10 @@ soak-smoke:
 gotest-run = GO=$(GO) bash tools/check-run-pattern.sh '$(2)' $(3) && $(GO) test $(1) -run '$(2)' $(3)
 
 # In-run observability smoke: re-run the flight recorder's zero-alloc gate,
-# the probes-active byte-identity/determinism checks, the one-sampling-rule
-# check (per-target probes equal their aggregate twins) and the past-end
-# dynamics check, then a sharded churn run with per-target and aggregate
+# the -short determinism matrix (probes, snapshots and the recorder armed on
+# every cell), the probe-series determinism check, the one-sampling-rule check
+# (per-target probes equal their aggregate twins) and the past-end dynamics
+# check, then a sharded churn run with per-target and aggregate
 # probes, the flight recorder, mid-run snapshot invariant checking, the
 # shard-execution timeline and the structured run report all armed (-report
 # exits nonzero on a non-clean faults verdict, like -check-invariants), then
@@ -109,7 +110,7 @@ gotest-run = GO=$(GO) bash tools/check-run-pattern.sh '$(2)' $(3) && $(GO) test 
 # docs/OBSERVABILITY.md).
 probe-smoke:
 	$(call gotest-run,,TestRecorderAppendZeroAlloc,./internal/probe/)
-	$(call gotest-run,-short,TestShardedRunsAreByteIdentical|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration,\
+	$(call gotest-run,-short,TestDeterminismMatrix|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration,\
 		./internal/scenario/ ./internal/faults/)
 	$(GO) run ./cmd/cmsim -scenario churn -shards 4 \
 		-probe "link[0].queue_depth" -probe "link[0].utilization" \

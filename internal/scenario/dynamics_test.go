@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
-	"reflect"
 	"testing"
 	"time"
 
@@ -111,45 +109,6 @@ func TestEventsDeclaredOutOfOrderFireOnTime(t *testing.T) {
 		if !r.Fired {
 			t.Errorf("record %d (%s at %v) did not fire", i, r.Kind, r.At)
 		}
-	}
-}
-
-// TestDynamicsDeterminismSerialVsParallel pins byte-identical results with an
-// event timeline active: the dynamics scenarios (outage, bursty loss with a
-// scheduled fade, time-zero asymmetry) run twice each, fanned across 8
-// workers, and must equal the serial run on the JSON wire encoding.
-func TestDynamicsDeterminismSerialVsParallel(t *testing.T) {
-	var specs []Spec
-	for _, name := range []string{"flaky-dumbbell", "wireless", "asymmetric"} {
-		spec, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(spec.Events) == 0 {
-			t.Fatalf("%s: dynamics scenario has no events", name)
-		}
-		specs = append(specs, spec, spec)
-	}
-	serial := Runner{Parallel: 1}.RunAll(specs)
-	parallel := Runner{Parallel: 8}.RunAll(specs)
-	for i := range serial {
-		if serial[i].Err != "" || parallel[i].Err != "" {
-			t.Fatalf("outcome %d errored: serial=%q parallel=%q", i, serial[i].Err, parallel[i].Err)
-		}
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel result structs differ under dynamics")
-	}
-	sj, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sj) != string(pj) {
-		t.Fatal("serial and parallel JSON encodings differ under dynamics")
 	}
 }
 

@@ -1,127 +1,12 @@
 package scenario
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/probe"
 )
-
-// TestShardedRunsAreByteIdentical is the sharded-execution acceptance check:
-// a K-shard run must produce exactly the serial run's Result — same structs,
-// same JSON bytes — for K in {2,4,8}, on scenarios covering symmetric
-// dumbbells (same-instant tie-breaks), multi-hop chains, bursty loss with
-// layered UDP workloads, an active dynamics timeline with an outage and live
-// route recomputation, and the 64-node cluster grid. Every run executes with
-// the per-event-kind profiler armed, proving wall-clock attribution never
-// perturbs simulation state; the Perf block (execution telemetry, by design
-// different per run) is asserted populated and then stripped before the
-// comparison.
-func TestShardedRunsAreByteIdentical(t *testing.T) {
-	runProfiled := func(spec Spec) (*Result, error) {
-		sim, err := Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		sim.EnableProfiling()
-		if err := sim.Start(); err != nil {
-			return nil, err
-		}
-		sim.RunToEnd()
-		res := sim.Finish()
-		if res.Perf == nil || res.Perf.Events == 0 || len(res.Perf.Kinds) == 0 {
-			t.Fatalf("%s: profiled run produced no Perf attribution: %+v", spec.Name, res.Perf)
-		}
-		res.Perf = nil
-		return res, nil
-	}
-	// fattree is the residual-tie torture case: its cross-pod streams dial in
-	// nanosecond lockstep and collide at the cores at shared instants, which
-	// only the link-identity sort key (Link.SortKey, see drain()) orders
-	// consistently between serial and sharded runs.
-	scenarios := []string{"grid", "flaky-dumbbell", "churn", "fattree", "routeflap"}
-	if !testing.Short() {
-		scenarios = append(scenarios, "wireless", "parkinglot")
-	}
-	for _, name := range scenarios {
-		spec, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Long enough to cross every scheduled dynamics event, short enough
-		// to keep the whole matrix quick.
-		spec.Duration = 3 * time.Second
-		if name == "flaky-dumbbell" {
-			spec.Duration = 12 * time.Second // past the outage and recovery
-		}
-		if name == "churn" {
-			// Past the host move (2s), its re-attach and a few CM restarts,
-			// with notify faults injecting throughout.
-			spec.Duration = 6 * time.Second
-		}
-		if name == "routeflap" {
-			// Past the flap (1s down, 3s up) with the control plane active and
-			// control-plane faults injecting — the distance-vector messages
-			// must serialise identically across shard counts.
-			spec.Duration = 4 * time.Second
-		}
-		if name == "grid" {
-			// Drop the cross-cluster start stagger: every transfer dials at
-			// t=0 in lockstep, so symmetric same-instant deliveries from
-			// different source shards hit shared routers — the hardest
-			// tie-breaking case for the injection order (see drain()).
-			for i := range spec.Workloads {
-				spec.Workloads[i].Start = 0
-			}
-		}
-		// Observability must be observation-only: identical results with
-		// probes sampling mid-run and the flight recorder armed. The link
-		// probes split across the field-ownership boundary (queue depth on
-		// the sending shard, delivered bytes on the receiving one), and the
-		// host probe rides the first workload's source host.
-		spec.Probes = []probe.Spec{
-			{Target: "link[0].queue_depth"},
-			{Target: "link[0].delivered_bytes"},
-			{Target: "host[" + spec.Workloads[0].From + "].sent_bytes"},
-		}
-		for _, w := range spec.Workloads {
-			if w.CC == CCCM {
-				spec.Probes = append(spec.Probes, probe.Spec{Target: "cm[" + w.From + "].cwnd"})
-				break
-			}
-		}
-		spec.TraceDepth = 256
-		serial, err := runProfiled(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, err := json.Marshal(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{2, 4, 8} {
-			sp := spec
-			sp.Shards = k
-			sharded, err := runProfiled(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("%s: serial and %d-shard result structs differ", name, k)
-			}
-			kj, err := json.Marshal(sharded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(sj) != string(kj) {
-				t.Errorf("%s: serial and %d-shard JSON encodings differ", name, k)
-			}
-		}
-	}
-}
 
 // TestShardedBuildPartition pins the partitioner's observable properties on
 // the canned topologies: whole clusters stay on one shard, the lookahead is
@@ -252,24 +137,6 @@ func TestShardedFallsBackToSerial(t *testing.T) {
 	a, b := routed.Links[48].A, routed.Links[48].B
 	if sim.ShardOf(a) != sim.ShardOf(b) {
 		t.Fatalf("low-delay link %s-%s still crosses shards", a, b)
-	}
-}
-
-// TestShardedRepeatedRunsIdentical pins plain determinism of the sharded
-// path itself: two sharded runs of one spec are identical.
-func TestShardedRepeatedRunsIdentical(t *testing.T) {
-	spec := DumbbellGrid(GridParams{Duration: 2 * time.Second})
-	spec.Shards = 4
-	a, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two sharded runs of the same spec differ")
 	}
 }
 

@@ -219,34 +219,3 @@ func TestGeneratorsExpandIntoTimeline(t *testing.T) {
 		t.Fatal("generated outages dropped nothing — flaps did not reach the network")
 	}
 }
-
-// TestGeneratedEventsShardedByteIdentical extends the PR 4 determinism gate
-// to generated churn: a sharded run of a spec whose timeline comes from
-// generators is byte-identical to the serial run.
-func TestGeneratedEventsShardedByteIdentical(t *testing.T) {
-	mk := func(shards int) Spec {
-		spec := Dumbbell(DumbbellParams{Senders: 2, Receivers: 2, Bytes: 256 << 10, Duration: 8 * time.Second})
-		spec.Name = "gen-sharded"
-		spec.Generators = []dynamics.Generator{
-			{Kind: dynamics.GenPoissonFlaps, Link: 0, MeanUp: 2 * time.Second, MeanDown: 250 * time.Millisecond},
-			{Kind: dynamics.GenCMRestarts, Host: "s0", Mean: 2 * time.Second},
-		}
-		spec.Shards = shards
-		return spec
-	}
-	serial, err := Run(mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		sharded, err := Run(mk(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, _ := json.Marshal(serial)
-		kj, _ := json.Marshal(sharded)
-		if string(sj) != string(kj) {
-			t.Fatalf("sharded (%d) run with generated events differs from serial", shards)
-		}
-	}
-}
