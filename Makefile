@@ -99,7 +99,7 @@ gotest-run = GO=$(GO) bash tools/check-run-pattern.sh '$(2)' $(3) && $(GO) test 
 
 # In-run observability smoke: re-run the flight recorder's zero-alloc gate,
 # the -short determinism matrix (probes, snapshots and the recorder armed on
-# every cell), the probe-series determinism check, the one-sampling-rule check
+# every cell) with its shard byte-identity check, the probe-series determinism check, the one-sampling-rule check
 # (per-target probes equal their aggregate twins) and the past-end dynamics
 # check, then a sharded churn run with per-target and aggregate
 # probes, the flight recorder, mid-run snapshot invariant checking, the
@@ -110,7 +110,7 @@ gotest-run = GO=$(GO) bash tools/check-run-pattern.sh '$(2)' $(3) && $(GO) test 
 # docs/OBSERVABILITY.md).
 probe-smoke:
 	$(call gotest-run,,TestRecorderAppendZeroAlloc,./internal/probe/)
-	$(call gotest-run,-short,TestDeterminismMatrix|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration,\
+	$(call gotest-run,-short,TestDeterminismMatrix|TestShardedRunsAreByteIdentical|TestProbeSeriesDeterministic|TestProbeTargetsMatchAggregateTwins|TestPastEndEventStaysUnfiredPastDuration,\
 		./internal/scenario/ ./internal/faults/)
 	$(GO) run ./cmd/cmsim -scenario churn -shards 4 \
 		-probe "link[0].queue_depth" -probe "link[0].utilization" \

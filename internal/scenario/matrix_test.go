@@ -75,12 +75,12 @@ func (c class) key() string {
 
 // matrix lists every class: every registry scenario × every mode pair its
 // spec validates under × seeds 1–3, each spec armed for its cells.
-func matrix(t *testing.T) []class {
+func matrix() ([]class, error) {
 	var out []class
 	for _, name := range scenario.List() {
 		base, err := scenario.Lookup(name)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		n := len(out)
 		for _, routing := range []string{scenario.RoutingExact, scenario.RoutingHier} {
@@ -96,10 +96,10 @@ func matrix(t *testing.T) []class {
 			}
 		}
 		if len(out) == n {
-			t.Errorf("registry scenario %s validates under no mode pair", name)
+			return nil, fmt.Errorf("registry scenario %s validates under no mode pair", name)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // armed returns the spec of a class: its seed, its length, probes on every
@@ -162,45 +162,61 @@ func covering(all []class) []class {
 func pair(c class) string { return c.routing + "/" + c.sync }
 
 // cell is one run: a class's spec at one shard count on one executor, with
-// the faults checker's verdict on it.
+// the faults checker's verdict on it, the digest of its Perf-stripped JSON
+// Result and whether the profiler attributed its events.
 type cell struct {
 	class, exec int
 	spec        scenario.Spec
 	res         *scenario.Result
 	err         string
 	vs          []faults.Violation
+	digest      string
+	profiled    bool
 }
 
-// TestDeterminismMatrix is the determinism contract, generated from the
-// registry: every class runs once at each shard count, its cells dealt round
-// the executors so every class meets both runner widths. The cells of a class
-// must agree byte for byte, each must pass the faults checker (the direct
-// cells at every snapshot too), and each class's digest must equal its
-// testdata/digests.json entry. A change that moves a digest regenerates the
-// file (go test ./internal/scenario -run TestDeterminismMatrix -update) and
-// says why.
-func TestDeterminismMatrix(t *testing.T) {
-	all := matrix(t)
-	classes := all
-	if testing.Short() || race.Enabled {
-		if *update {
-			t.Fatal("-update needs the full matrix: run without -short and -race")
-		}
-		classes = covering(all)
-		used := map[string]bool{}
-		for _, c := range classes {
-			used[pair(c)] = true
-		}
-		for _, c := range all {
-			if !used[pair(c)] {
-				t.Errorf("the covering subset never runs mode pair %s", pair(c))
-			}
-		}
-	}
+func (x *cell) label(c class) string {
+	return fmt.Sprintf("%s shards=%d runner=%d", c.key(), x.spec.Shards, x.exec)
+}
 
+// run is the matrix as run: the classes of the table (all of them, or the
+// covering subset under -short and -race) and their cells, grouped by class.
+type run struct {
+	all, classes []class
+	cells        [][]*cell
+}
+
+var (
+	matrixOnce sync.Once
+	matrixRun  run
+	matrixErr  error
+)
+
+// runMatrix runs the matrix once per test binary, for whichever test asks
+// first; every test below reads its own property off the same cells.
+func runMatrix(t *testing.T) *run {
+	t.Helper()
+	matrixOnce.Do(func() { matrixErr = matrixRun.execute() })
+	if matrixErr != nil {
+		t.Fatal(matrixErr)
+	}
+	return &matrixRun
+}
+
+// execute builds the table and runs every class once at each shard count,
+// its cells dealt round the executors so every class meets both runner
+// widths. The batches run at once.
+func (r *run) execute() error {
+	all, err := matrix()
+	if err != nil {
+		return err
+	}
+	r.all, r.classes = all, all
+	if testing.Short() || race.Enabled {
+		r.classes = covering(all)
+	}
 	var cells []cell
 	batches := make([][]int, len(executors))
-	for ci, c := range classes {
+	for ci, c := range r.classes {
 		for j, k := range shardCounts {
 			e := (ci + j) % len(executors)
 			batches[e] = append(batches[e], len(cells))
@@ -233,40 +249,213 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	wg.Wait()
 
-	got, forgiven := map[string]string{}, map[string]bool{}
-	for _, x := range cells {
-		c := classes[x.class]
-		label := fmt.Sprintf("%s shards=%d runner=%d", c.key(), x.spec.Shards, x.exec)
-		if x.err != "" {
-			t.Errorf("%s: %s", label, x.err)
-			continue
-		}
-		for _, v := range x.vs {
-			if v.Rule == knownViolations[c.key()] {
-				forgiven[c.key()] = true
-			} else {
-				t.Errorf("%s: %s", label, v)
+	r.cells = make([][]*cell, len(r.classes))
+	for i := range cells {
+		x := &cells[i]
+		if x.res != nil {
+			if x.digest, err = digest(x.res); err != nil {
+				return err
 			}
 		}
-		x.res.Perf = nil
-		js, err := json.Marshal(x.res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(js)
-		digest := hex.EncodeToString(sum[:])
-		if first, ok := got[c.key()]; !ok {
-			got[c.key()] = digest
-		} else if digest != first {
-			t.Errorf("%s: Result differs from the class's first cell", label)
+		r.cells[x.class] = append(r.cells[x.class], x)
+	}
+	return nil
+}
+
+// digest is the hex SHA-256 of res's JSON encoding with Perf, the execution
+// telemetry that differs per run by design, stripped.
+func digest(res *scenario.Result) (string, error) {
+	stripped := *res
+	stripped.Perf = nil
+	js, err := json.Marshal(&stripped)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(js)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// agree fails t unless, for each value in want, the class has a cell whose
+// key is that value, and all those cells ran and gave the same bytes.
+func agree(t *testing.T, c class, cells []*cell, key func(*cell) int, want ...int) {
+	t.Helper()
+	first := ""
+	for _, w := range want {
+		i := slices.IndexFunc(cells, func(x *cell) bool { return key(x) == w })
+		switch {
+		case i < 0:
+			t.Errorf("%s: no cell at %d", c.key(), w)
+		case cells[i].err != "":
+			t.Errorf("%s: %s", cells[i].label(c), cells[i].err)
+		case first == "":
+			first = cells[i].digest
+		case cells[i].digest != first:
+			t.Errorf("%s: Result differs from the class's first cell", cells[i].label(c))
 		}
 	}
+}
+
+func shards(x *cell) int   { return x.spec.Shards }
+func executor(x *cell) int { return x.exec }
+
+// TestDeterminismMatrix is the table of the determinism contract, generated
+// from the registry: every class runs once at each shard count, and every
+// cell must run and pass the faults checker (the direct cells at every
+// snapshot too). Under -short and -race the covering subset must still run
+// every legal mode pair. The tests after it read the contract's properties
+// off the same cells.
+func TestDeterminismMatrix(t *testing.T) {
+	r := runMatrix(t)
+	used := map[string]bool{}
+	for _, c := range r.classes {
+		used[pair(c)] = true
+	}
+	for _, c := range r.all {
+		if !used[pair(c)] {
+			t.Errorf("the covering subset never runs mode pair %s", pair(c))
+		}
+	}
+	forgiven := map[string]bool{}
+	for ci, c := range r.classes {
+		for _, x := range r.cells[ci] {
+			if x.err != "" {
+				t.Errorf("%s: %s", x.label(c), x.err)
+			}
+			for _, v := range x.vs {
+				if v.Rule == knownViolations[c.key()] {
+					forgiven[c.key()] = true
+				} else {
+					t.Errorf("%s: %s", x.label(c), v)
+				}
+			}
+		}
+	}
+	ran := map[string]bool{}
+	for _, c := range r.classes {
+		ran[c.key()] = true
+	}
 	for key, rule := range knownViolations {
-		if _, ran := got[key]; ran && !forgiven[key] {
+		if ran[key] && !forgiven[key] {
 			t.Errorf("%s no longer breaks %s: delete its knownViolations entry", key, rule)
 		}
 	}
-	checkLedger(t, got, len(classes) == len(all))
+}
+
+// TestShardedRunsAreByteIdentical is the sharded-execution contract: in every
+// class the 1-, 2- and 4-shard cells give the same Perf-stripped JSON
+// Result, with probes, snapshots and the flight recorder armed, and the
+// direct cells show the profiler attributed their events without perturbing
+// them.
+func TestShardedRunsAreByteIdentical(t *testing.T) {
+	r := runMatrix(t)
+	for ci, c := range r.classes {
+		agree(t, c, r.cells[ci], shards, shardCounts...)
+		for _, x := range r.cells[ci] {
+			if x.exec == 0 && x.err == "" && !x.profiled {
+				t.Errorf("%s: profiled run produced no Perf attribution", x.label(c))
+			}
+		}
+	}
+}
+
+// TestSerialAndParallelRunsAreByteIdentical is the batch-runner contract:
+// each simulation owns its scheduler and seeded random sources, so in every
+// class the cell run by Runner{Parallel: 1} and the one run by
+// Runner{Parallel: 4}, among other scenarios' cells on shared workers, give
+// the same bytes.
+func TestSerialAndParallelRunsAreByteIdentical(t *testing.T) {
+	r := runMatrix(t)
+	for ci, c := range r.classes {
+		agree(t, c, r.cells[ci], executor, 1, 4)
+	}
+}
+
+// TestDynamicsDeterminismSerialVsParallel pins the batch-runner contract with
+// an event timeline active: the dynamics scenarios (an outage, bursty loss
+// with a scheduled fade, time-zero asymmetry) declare events, and their
+// cells, run past every event, agree between the two runner widths.
+func TestDynamicsDeterminismSerialVsParallel(t *testing.T) {
+	r := runMatrix(t)
+	for _, name := range []string{"flaky-dumbbell", "wireless", "asymmetric"} {
+		n := 0
+		for ci, c := range r.classes {
+			if c.name != name {
+				continue
+			}
+			n++
+			if len(c.spec.Events) == 0 {
+				t.Errorf("%s: dynamics scenario has no events", c.key())
+			}
+			agree(t, c, r.cells[ci], executor, 1, 4)
+		}
+		if n == 0 {
+			t.Errorf("%s: no class in the matrix", name)
+		}
+	}
+}
+
+// TestGeneratedEventsShardedByteIdentical pins the sharded contract for a
+// timeline that comes from seeded generators (churn's Poisson flaps and CM
+// restarts): every class whose spec has generators agrees across shard
+// counts, and the matrix has at least one.
+func TestGeneratedEventsShardedByteIdentical(t *testing.T) {
+	r := runMatrix(t)
+	n := 0
+	for ci, c := range r.classes {
+		if len(c.spec.Generators) > 0 {
+			n++
+			agree(t, c, r.cells[ci], shards, shardCounts...)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no class in the matrix has generated events")
+	}
+}
+
+// TestShardedRepeatedRunsIdentical pins plain determinism of the sharded
+// path itself: the grid's 4-shard cell, run again in the same process,
+// gives the same bytes.
+func TestShardedRepeatedRunsIdentical(t *testing.T) {
+	r := runMatrix(t)
+	for ci, c := range r.classes {
+		if c.name != "grid" {
+			continue
+		}
+		x := r.cells[ci][slices.IndexFunc(r.cells[ci], func(x *cell) bool { return x.spec.Shards == 4 })]
+		if x.err != "" {
+			t.Fatalf("%s: %s", x.label(c), x.err)
+		}
+		res, err := scenario.Run(x.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := digest(res); err != nil || d != x.digest {
+			t.Fatalf("%s: a second run differs (digest %s, %v)", x.label(c), d, err)
+		}
+		return
+	}
+	t.Fatal("no grid class in the matrix")
+}
+
+// TestDigestLedger pins the outcome of every class: its digest must equal
+// its testdata/digests.json entry. A change that moves a digest regenerates
+// the file (go test ./internal/scenario -run TestDigestLedger -update) and
+// says why.
+func TestDigestLedger(t *testing.T) {
+	if *update && (testing.Short() || race.Enabled) {
+		t.Fatal("-update needs the full matrix: run without -short and -race")
+	}
+	r := runMatrix(t)
+	got := map[string]string{}
+	for ci, c := range r.classes {
+		for _, x := range r.cells[ci] {
+			if x.err == "" {
+				got[c.key()] = x.digest
+				break
+			}
+		}
+	}
+	checkLedger(t, got, len(r.classes) == len(r.all))
 }
 
 // runDirect is the direct executor: Build, the per-kind profiler armed (it
@@ -284,6 +473,7 @@ func runDirect(x *cell) {
 	}
 	sim.RunToEnd()
 	x.res = sim.Finish()
+	x.profiled = x.res.Perf != nil && x.res.Perf.Events > 0 && len(x.res.Perf.Kinds) > 0
 	x.vs, _ = faults.CheckSnapshots(sim.Snapshots(), x.res)
 }
 

@@ -8,7 +8,7 @@
 // coordinator's barriers. Everything here is observation-only: nothing
 // consumes randomness or mutates simulation state, so a run's Result is
 // byte-identical with all of it on or off and on any shard count (pinned by
-// TestDeterminismMatrix and TestProbeSeriesDeterministic).
+// TestShardedRunsAreByteIdentical and TestProbeSeriesDeterministic).
 package scenario
 
 import (

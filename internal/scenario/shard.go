@@ -26,7 +26,7 @@
 // (stamp, key, seq) — which is exactly the order a single shared scheduler
 // produces (it keys its local hand-ups the same way), so a K-shard run
 // executes every host's events in the one-shard order and the Result is
-// byte-identical to the serial run (enforced by TestDeterminismMatrix).
+// byte-identical to the serial run (enforced by TestShardedRunsAreByteIdentical).
 // Handoff queues are single-producer/single-consumer slices: only the source
 // shard appends (during a window), only the coordinator drains (at a
 // barrier), and the window channels provide the happens-before edges.
@@ -249,8 +249,8 @@ func (sr *shardRun) window(until time.Duration, inclusive bool) {
 // so both executions break the double tie by link identity without either
 // observing the other's insertion order. (Fat-tree cross-pod streams really
 // produce such ties: flows dialing in lockstep collide at a core at shared
-// nanosecond instants. Without the key, TestDeterminismMatrix's 4-shard
-// dumbbell cells differ from the serial ones.)
+// nanosecond instants. Without the key, TestShardedRunsAreByteIdentical's
+// 4-shard dumbbell cells differ from the serial ones.)
 // Two same-instant deliveries on the *same* link direction order by the
 // link-local delivery sequence (shardMsg.sub, assigned by the sender in
 // serialisation order).
