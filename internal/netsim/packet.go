@@ -103,11 +103,15 @@ type Packet struct {
 	// output hook does not charge them to a macroflow.
 	Control bool
 
+	// pooled marks packets obtained from the pool; only those are returned
+	// to it by Release, and the flag doubles as a double-release guard.
+	pooled bool
+
 	// TTL is the remaining hop budget. The originating host's IP output
 	// routine sets it to DefaultTTL when zero; every forwarding hop decrements
 	// it and discards the packet when it reaches zero, so routing loops
-	// cannot circulate packets forever. It shares a word with Control,
-	// which keeps a Packet at 128 bytes.
+	// cannot circulate packets forever. It shares a word with Control and
+	// pooled, which keeps a Packet at 128 bytes.
 	TTL int32
 
 	// cmFlow is the sending transport's Congestion Manager flow handle plus
@@ -129,9 +133,9 @@ type Packet struct {
 	// event's callback finds the link there (see handUp in link.go).
 	via *Link
 
-	// pooled marks packets obtained from the pool; only those are returned
-	// to it by Release, and the flag doubles as a double-release guard.
-	pooled bool
+	// srcID and dstID are the ids of Src.Host and Dst.Host in the hosts'
+	// address table (node.Network), 0 while unresolved (see SetIDs).
+	srcID, dstID int32
 }
 
 // packetPool recycles Packet objects across transmit/deliver cycles so the
@@ -187,6 +191,17 @@ func (p *Packet) SetCMFlow(h int64) { p.cmFlow = h + 1 }
 // CMFlow returns the CM flow handle stamped by SetCMFlow, and false when the
 // packet carries none.
 func (p *Packet) CMFlow() (int64, bool) { return p.cmFlow - 1, p.cmFlow != 0 }
+
+// SetIDs stamps the ids of the source and destination hosts, as the sending
+// host's address table numbers them (node.Network). The IP layer routes and
+// demultiplexes on them instead of on the names; a transport that knows its
+// peer's id stamps both, the way it stamps its CM flow, so that output looks
+// nothing up. A packet nobody stamped (an id of 0) is resolved by name once,
+// by the first host it reaches.
+func (p *Packet) SetIDs(src, dst int32) { p.srcID, p.dstID = src, dst }
+
+// IDs returns the host ids stamped by SetIDs, 0 for one not resolved.
+func (p *Packet) IDs() (src, dst int32) { return p.srcID, p.dstID }
 
 // Key returns the packet's flow key.
 func (p *Packet) Key() FlowKey {

@@ -12,37 +12,74 @@ import (
 // packet of every multi-hop scenario through each router, so it must not
 // allocate in steady state: the packet comes from the pool, the TTL
 // decrement and route lookup are in-place, and the next link's transmit
-// events come from the scheduler freelist. PR 2 added the router path
-// without a gate; this is it.
+// events come from the scheduler freelist. Three relays are gated: an exact
+// route for a packet that arrives without host ids (resolved by name at the
+// router) and ends at a host with no listener; a hierarchical router's domain
+// route, reached by walking the destination's suffix chain, for a packet
+// stamped with ids as a transport stamps them; and a delivery demultiplexed
+// to a connected binding.
 func TestForwardingHotPathZeroAlloc(t *testing.T) {
-	sched := simtime.NewScheduler()
-	nw := NewNetwork(sched)
 	cfg := netsim.LinkConfig{Bandwidth: 100 * netsim.Mbps, Delay: time.Millisecond, QueuePackets: 64}
-	nw.ConnectDuplex("src", "r", cfg)
-	d2 := nw.ConnectDuplex("r", "dst", cfg)
-	router := nw.Router("r")
-	router.AddRoute("dst", d2.Forward)
-	// The destination host terminates the packet: no listener, so it is
-	// counted as a no-listener drop and released — still the full relay path.
-	relay := func() {
-		p := netsim.NewPacket()
-		p.Proto = netsim.ProtoUDP
-		p.Src = netsim.Addr{Host: "src", Port: 1}
-		p.Dst = netsim.Addr{Host: "dst", Port: 2}
-		p.Size = 1500
-		p.TTL = netsim.DefaultTTL
-		router.Receive(p)
-		sched.Run()
-	}
-	for i := 0; i < 64; i++ {
-		relay()
-	}
-	allocs := testing.AllocsPerRun(500, relay)
-	if allocs != 0 {
-		t.Fatalf("transit relay allocated %.1f objects per op, want 0", allocs)
-	}
-	if st := router.Stats(); st.ForwardedPackets == 0 {
-		t.Fatal("relay path did not forward")
+	for _, c := range []struct {
+		name string
+		dst  string
+		// setup wires src -> r -> dst and returns the router and what the
+		// destination counts per delivered packet.
+		setup func(r, dst *Host, out *netsim.Link) (delivered func() int)
+		stamp bool
+	}{
+		{"exact route, no listener", "dst", func(r, dst *Host, out *netsim.Link) func() int {
+			r.AddRoute("dst", out)
+			return func() int { return dst.Stats().NoListenerDrops }
+		}, false},
+		{"domain route", "h0.e1.p2", func(r, dst *Host, out *netsim.Link) func() int {
+			r.RemoveRoute(dst.Name())
+			r.SetDomainRoute("p2", out)
+			return func() int { return dst.Stats().NoListenerDrops }
+		}, true},
+		{"connected binding", "dst", func(r, dst *Host, out *netsim.Link) func() int {
+			n := 0
+			if err := dst.Bind(netsim.ProtoUDP, 2, HandlerFunc(func(*netsim.Packet) {})); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.BindConn(netsim.ProtoUDP, 2, netsim.Addr{Host: "src", Port: 1}, HandlerFunc(func(*netsim.Packet) { n++ })); err != nil {
+				t.Fatal(err)
+			}
+			return func() int { return n }
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sched := simtime.NewScheduler()
+			nw := NewNetwork(sched)
+			nw.ConnectDuplex("src", "r", cfg)
+			d2 := nw.ConnectDuplex("r", c.dst, cfg)
+			router := nw.Router("r")
+			src, dst := nw.Host("src"), nw.Host(c.dst)
+			delivered := c.setup(router, dst, d2.Forward)
+			relay := func() {
+				p := netsim.NewPacket()
+				p.Proto = netsim.ProtoUDP
+				p.Src = netsim.Addr{Host: "src", Port: 1}
+				p.Dst = netsim.Addr{Host: c.dst, Port: 2}
+				p.Size = 1500
+				p.TTL = netsim.DefaultTTL
+				if c.stamp {
+					p.SetIDs(src.ID(), dst.ID())
+				}
+				router.Receive(p)
+				sched.Run()
+			}
+			for i := 0; i < 64; i++ {
+				relay()
+			}
+			allocs := testing.AllocsPerRun(500, relay)
+			if allocs != 0 {
+				t.Fatalf("transit relay allocated %.1f objects per op, want 0", allocs)
+			}
+			if got, want := delivered(), 64+501; got != want || router.Stats().ForwardedPackets != want {
+				t.Fatalf("%d of %d relayed packets delivered, %d forwarded", got, want, router.Stats().ForwardedPackets)
+			}
+		})
 	}
 }
 

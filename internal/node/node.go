@@ -36,11 +36,14 @@ type HandlerFunc func(pkt *netsim.Packet)
 // Handle implements Handler.
 func (f HandlerFunc) Handle(pkt *netsim.Packet) { f(pkt) }
 
+// bindingKey identifies a binding: a wildcard listener has remote 0 and
+// remotePort 0, a connected binding the remote host's id and port. It holds
+// no string and no padding, so a lookup hashes 24 bytes in one go.
 type bindingKey struct {
-	proto      netsim.Protocol
 	localPort  int
-	remoteHost string
 	remotePort int
+	remote     int32
+	proto      int32
 }
 
 // HostStats are cumulative counters for a host's IP layer.
@@ -78,25 +81,27 @@ type HostStats struct {
 // forwarding enabled doubles as a router: packets arriving for other
 // destinations are relayed hop-by-hop through the routing table.
 //
-// The three tables — routes, domains, bindings — are created by their first
-// insert: most hosts of an internet-scale topology are leaves that reach
-// everything over the default route and never bind a port, and a nil map
-// reads as an empty one.
+// The host has an id in its address table (see addr.go), and its routes and
+// bindings are keyed by ids. The route tables and the bindings are made by
+// their first insert: most hosts of an internet-scale topology are leaves that
+// reach everything over the default route and never bind a port.
 type Host struct {
-	name   string
-	sched  *simtime.Scheduler
-	routes map[string]*netsim.Link
-	// domains routes whole name-suffix subtrees: a packet for "h3.e1.p2"
-	// with no exact route matches the longest dotted suffix present
-	// ("e1.p2", then "p2"). Hierarchical routing uses it to give interior
-	// routers O(children) tables instead of O(V); nil for exact-routed hosts.
-	domains    map[string]*netsim.Link
-	def        *netsim.Link
-	bindings   map[bindingKey]Handler
-	notifier   TransmitNotifier
-	stats      HostStats
-	nextPort   int
+	name       string
+	id         int32
 	forwarding bool
+	addrs      *addrTable
+	sched      *simtime.Scheduler
+	// tables holds the exact routes and the domains: name-suffix routes for
+	// whole subtrees. A packet for "h3.e1.p2" with no exact route matches the
+	// longest dotted suffix present ("e1.p2", then "p2"); hierarchical routing
+	// uses it to give interior routers O(children) tables instead of O(V).
+	// nil until the first route.
+	tables   *routeTables
+	def      *netsim.Link
+	bindings *bindingTable
+	notifier TransmitNotifier
+	stats    HostStats
+	nextPort int
 	// owned, when non-nil, must report true whenever host code runs. Sharded
 	// execution installs a check tied to the host's shard's execution phase
 	// so that a packet delivered outside the shard protocol (while the
@@ -105,26 +110,38 @@ type Host struct {
 	owned func() bool
 }
 
-// NewHost creates a host with the given name attached to the scheduler.
+// NewHost creates a host with the given name attached to the scheduler. It
+// has an address table of its own, so it exchanges packets with no other
+// host; hosts that talk to each other come from one Network.
 func NewHost(name string, sched *simtime.Scheduler) *Host {
-	h := new(Host)
-	h.init(name, sched)
-	return h
+	addrs := newAddrTable(1)
+	return addrs.newHost(addrs.intern(name), name, sched, new(Host))
 }
 
-// init builds the host in place; a Network uses it on its slab.
-func (h *Host) init(name string, sched *simtime.Scheduler) {
+// newHost builds h in place as the host called name, entered in t under id,
+// the name's. A Network passes an element of its slab.
+func (t *addrTable) newHost(id int32, name string, sched *simtime.Scheduler, h *Host) *Host {
 	if sched == nil {
 		panic("node: NewHost requires a scheduler")
 	}
 	if name == "" {
 		panic("node: NewHost requires a name")
 	}
-	*h = Host{name: name, sched: sched, nextPort: 10000}
+	*h = Host{name: name, id: id, addrs: t, sched: sched, nextPort: 10000}
+	t.hosts[id] = h
+	return h
 }
 
 // Name returns the host name (its "IP address" in the simulation).
 func (h *Host) Name() string { return h.name }
+
+// ID returns the host's id in its address table.
+func (h *Host) ID() int32 { return h.id }
+
+// Resolve returns the id the host's address table gives name, 0 when it
+// gives none. A transport resolves its peer once per connection and stamps
+// the id on its packets (netsim.Packet.SetIDs).
+func (h *Host) Resolve(name string) int32 { return h.addrs.lookup(name) }
 
 // Clock returns the host's scheduler: its clock, and where everything on the
 // host schedules its events and timers.
@@ -155,53 +172,52 @@ func (h *Host) EnableForwarding() { h.forwarding = true }
 // Forwarding reports whether the host relays transit packets.
 func (h *Host) Forwarding() bool { return h.forwarding }
 
+// routeTables returns the host's tables, making them on first use.
+func (h *Host) routeTables() *routeTables {
+	if h.tables == nil {
+		h.tables = new(routeTables)
+	}
+	return h.tables
+}
+
 // AddRoute routes packets destined to dstHost over link.
 func (h *Host) AddRoute(dstHost string, link *netsim.Link) {
 	if link == nil {
 		panic("node: AddRoute with nil link")
 	}
-	h.setRoute(dstHost, link)
-}
-
-func (h *Host) setRoute(dstHost string, link *netsim.Link) {
-	if h.routes == nil {
-		h.routes = make(map[string]*netsim.Link)
-	}
-	h.routes[dstHost] = link
+	h.routeTables().exact.set(h.addrs.intern(dstHost), link)
 }
 
 // SetDefaultRoute sets the link used for destinations with no explicit route.
 func (h *Host) SetDefaultRoute(link *netsim.Link) { h.def = link }
 
-// InstallRoutes atomically replaces the host's routing table with the given
-// destination->link map (the default route is untouched). Packets forwarded
-// after the call use only the new table — there is no partially updated state,
-// which is what lets the dynamics subsystem recompute routes mid-run while
-// packets are in flight. It returns the number of table entries that changed
-// (added, removed or repointed), the per-host measure of a routing event's
-// blast radius. A nil map installs the empty table. The caller must not retain
-// the map.
-func (h *Host) InstallRoutes(routes map[string]*netsim.Link) int {
-	changed := tableDiff(h.routes, routes)
-	h.routes = routes
-	return changed
+// InstallRoutes atomically replaces the host's exact routing table with
+// routes (the default route is untouched). Packets forwarded after the call
+// use only the new table — there is no partially updated state, which is what
+// lets the dynamics subsystem recompute routes mid-run while packets are in
+// flight. It returns the number of table entries that changed (added, removed
+// or repointed), the per-host measure of a routing event's blast radius. The
+// zero RouteTable installs the empty table. The host keeps routes.Links: the
+// caller must not reuse it.
+func (h *Host) InstallRoutes(routes RouteTable) int {
+	if h.tables == nil && len(routes.Links) == 0 {
+		return 0
+	}
+	return swap(&h.routeTables().exact, routes)
 }
 
-// tableDiff counts the entries that differ between two tables: added, removed
-// or repointed.
-func tableDiff(old, table map[string]*netsim.Link) int {
-	changed := 0
-	for dst, l := range table {
-		if was, ok := old[dst]; !ok || was != l {
-			changed++
-		}
+// setEntry points name's entry in t at link, a reject entry for nil,
+// reporting whether the table changed.
+func (h *Host) setEntry(t *RouteTable, name string, link *netsim.Link) bool {
+	if link == nil {
+		link = reject
 	}
-	for dst := range old {
-		if _, ok := table[dst]; !ok {
-			changed++
-		}
+	id := h.addrs.intern(name)
+	if t.get(id) == link {
+		return false
 	}
-	return changed
+	t.set(id, link)
+	return true
 }
 
 // SetRoute points the route to dstHost at link, reporting whether the table
@@ -211,22 +227,14 @@ func tableDiff(old, table map[string]*netsim.Link) int {
 // route. The routing control plane (internal/routeproto) uses SetRoute for
 // its incremental per-message table updates.
 func (h *Host) SetRoute(dstHost string, link *netsim.Link) bool {
-	if old, ok := h.routes[dstHost]; ok && old == link {
-		return false
-	}
-	h.setRoute(dstHost, link)
-	return true
+	return h.setEntry(&h.routeTables().exact, dstHost, link)
 }
 
 // RemoveRoute deletes the explicit route (or reject entry) for dstHost,
 // reporting whether an entry was removed. Lookups for dstHost fall through to
 // the domain table and default route again.
 func (h *Host) RemoveRoute(dstHost string) bool {
-	if _, ok := h.routes[dstHost]; !ok {
-		return false
-	}
-	delete(h.routes, dstHost)
-	return true
+	return h.tables != nil && h.tables.exact.remove(h.addrs.lookup(dstHost))
 }
 
 // SetDomainRoute points the name-suffix route for domain at link, reporting
@@ -236,35 +244,27 @@ func (h *Host) RemoveRoute(dstHost string) bool {
 // it to blackhole their own subtree's dead destinations instead of bouncing
 // them back up.
 func (h *Host) SetDomainRoute(domain string, link *netsim.Link) bool {
-	if old, ok := h.domains[domain]; ok && old == link {
-		return false
-	}
-	if h.domains == nil {
-		h.domains = make(map[string]*netsim.Link)
-	}
-	h.domains[domain] = link
-	return true
+	return h.setEntry(&h.routeTables().domains, domain, link)
 }
 
 // RemoveDomainRoute deletes the name-suffix route (or reject entry) for
 // domain, reporting whether an entry was removed.
 func (h *Host) RemoveDomainRoute(domain string) bool {
-	if _, ok := h.domains[domain]; !ok {
-		return false
-	}
-	delete(h.domains, domain)
-	return true
+	return h.tables != nil && h.tables.domains.remove(h.addrs.lookup(domain))
 }
 
 // InstallHierRoutes atomically replaces the host's entire routing state —
-// exact table, domain (name-suffix) table and default route — with the given
-// maps, returning the number of entries that changed (a default-route change
-// counts as one). It is the hierarchical-routing counterpart of
-// InstallRoutes; either map may be nil for empty. The caller must not retain
-// the maps.
-func (h *Host) InstallHierRoutes(routes, domains map[string]*netsim.Link, def *netsim.Link) int {
-	changed := h.InstallRoutes(routes) + tableDiff(h.domains, domains)
-	h.domains = domains
+// exact table, domain (name-suffix) table and default route — returning the
+// number of entries that changed (a default-route change counts as one). It
+// is the hierarchical-routing counterpart of InstallRoutes: routes is indexed
+// by destination id and domains by the id of the domain's name (Network.ID);
+// either may be the zero RouteTable for empty. The host keeps both.
+func (h *Host) InstallHierRoutes(routes, domains RouteTable, def *netsim.Link) int {
+	changed := 0
+	if h.tables != nil || len(routes.Links) > 0 || len(domains.Links) > 0 {
+		t := h.routeTables()
+		changed = swap(&t.exact, routes) + swap(&t.domains, domains)
+	}
 	if h.def != def {
 		h.def = def
 		changed++
@@ -276,23 +276,42 @@ func (h *Host) InstallHierRoutes(routes, domains map[string]*netsim.Link, def *n
 // lookup tries an exact match, then the longest dotted name-suffix in the
 // domain table, then the default route.
 func (h *Host) RouteTo(dstHost string) *netsim.Link {
-	if l, ok := h.routes[dstHost]; ok {
-		return l
+	return h.route(h.addrs.lookup(dstHost), dstHost)
+}
+
+// route is RouteTo on ids: dst is the destination's id, and name is looked at
+// only when dst is 0, for a destination the address table does not know. The
+// domain lookup follows dst's suffix chain, a few integer lookups.
+func (h *Host) route(dst int32, name string) *netsim.Link {
+	t := h.tables
+	if t == nil {
+		return h.def
 	}
-	if len(h.domains) > 0 {
-		rest := dstHost
-		for {
-			dot := strings.IndexByte(rest, '.')
-			if dot < 0 {
-				break
-			}
-			rest = rest[dot+1:]
-			if l, ok := h.domains[rest]; ok {
-				return l
+	var s int32
+	if dst != 0 {
+		if l := t.exact.get(dst); l != nil {
+			return live(l)
+		}
+		s = h.addrs.suffix[dst]
+	} else if len(t.domains.Links) > 0 {
+		s = h.addrs.suffixOf(name) // no name without an id has an exact route
+	}
+	if len(t.domains.Links) > 0 {
+		for ; s != 0; s = h.addrs.suffix[s] {
+			if l := t.domains.get(s); l != nil {
+				return live(l)
 			}
 		}
 	}
 	return h.def
+}
+
+// live maps a reject entry to nil.
+func live(l *netsim.Link) *netsim.Link {
+	if l == reject {
+		return nil
+	}
+	return l
 }
 
 // AllocPort returns a fresh ephemeral port number.
@@ -304,38 +323,85 @@ func (h *Host) AllocPort() int {
 // Bind registers a listener handler for (proto, localPort) accepting packets
 // from any remote endpoint. It returns an error if the port is taken.
 func (h *Host) Bind(proto netsim.Protocol, localPort int, handler Handler) error {
-	return h.bind(bindingKey{proto: proto, localPort: localPort}, handler)
+	return h.bind(bindingKey{localPort: localPort, proto: int32(proto)}, handler)
+}
+
+// connKey is the key of a connected binding to remote, whose host has id
+// remote (never 0: BindConn interns the name).
+func connKey(proto netsim.Protocol, localPort int, remote int32, remotePort int) bindingKey {
+	return bindingKey{localPort: localPort, remotePort: remotePort, remote: remote, proto: int32(proto)}
 }
 
 // BindConn registers a connected handler for (proto, localPort, remote). A
 // connected binding takes precedence over a wildcard Bind on the same port,
 // which is how multiple TCP connections share a server port.
 func (h *Host) BindConn(proto netsim.Protocol, localPort int, remote netsim.Addr, handler Handler) error {
-	return h.bind(bindingKey{proto: proto, localPort: localPort, remoteHost: remote.Host, remotePort: remote.Port}, handler)
+	return h.bind(connKey(proto, localPort, h.addrs.intern(remote.Host), remote.Port), handler)
+}
+
+// bindingTable is a host's demultiplexing state. Beside the bindings it
+// remembers the last lookup and its answer, as 4.3BSD's TCP kept the last
+// PCB it found: a host's packets come in runs from one connection, and a
+// repeat costs a comparison instead of a hash. Any change to the bindings
+// forgets it.
+type bindingTable struct {
+	byKey   map[bindingKey]Handler
+	lastKey bindingKey
+	last    Handler
+}
+
+// lookup returns the handler for a packet whose connected key is k: its
+// connected binding, else the wildcard listener of its port, else nil.
+func (b *bindingTable) lookup(k bindingKey) Handler {
+	if b == nil {
+		return nil
+	}
+	if b.last != nil && b.lastKey == k {
+		return b.last
+	}
+	hd, ok := b.byKey[k]
+	if !ok {
+		hd = b.byKey[bindingKey{localPort: k.localPort, proto: k.proto}]
+	}
+	if hd != nil {
+		b.lastKey, b.last = k, hd
+	}
+	return hd
+}
+
+// remove deletes k's binding.
+func (b *bindingTable) remove(k bindingKey) {
+	if b != nil {
+		delete(b.byKey, k)
+		b.last = nil
+	}
 }
 
 func (h *Host) bind(k bindingKey, handler Handler) error {
 	if handler == nil {
-		return fmt.Errorf("node: nil handler for %v", k)
-	}
-	if _, ok := h.bindings[k]; ok {
-		return fmt.Errorf("node: %s port %d already bound on %s", k.proto, k.localPort, h.name)
+		return fmt.Errorf("node: nil handler for %s port %d", netsim.Protocol(k.proto), k.localPort)
 	}
 	if h.bindings == nil {
-		h.bindings = make(map[bindingKey]Handler)
+		h.bindings = &bindingTable{byKey: make(map[bindingKey]Handler)}
 	}
-	h.bindings[k] = handler
+	if _, ok := h.bindings.byKey[k]; ok {
+		return fmt.Errorf("node: %s port %d already bound on %s", netsim.Protocol(k.proto), k.localPort, h.name)
+	}
+	h.bindings.byKey[k] = handler
+	h.bindings.last = nil
 	return nil
 }
 
 // Unbind removes a wildcard binding.
 func (h *Host) Unbind(proto netsim.Protocol, localPort int) {
-	delete(h.bindings, bindingKey{proto: proto, localPort: localPort})
+	h.bindings.remove(bindingKey{localPort: localPort, proto: int32(proto)})
 }
 
 // UnbindConn removes a connected binding.
 func (h *Host) UnbindConn(proto netsim.Protocol, localPort int, remote netsim.Addr) {
-	delete(h.bindings, bindingKey{proto: proto, localPort: localPort, remoteHost: remote.Host, remotePort: remote.Port})
+	if id := h.addrs.lookup(remote.Host); id != 0 {
+		h.bindings.remove(connKey(proto, localPort, id, remote.Port))
+	}
 }
 
 // RebindConn hands an existing connected binding to another handler; where no
@@ -343,16 +409,22 @@ func (h *Host) UnbindConn(proto netsim.Protocol, localPort int, remote netsim.Ad
 // TIME_WAIT: a small record takes over the demultiplexing slot and the host no
 // longer refers to the endpoint.
 func (h *Host) RebindConn(proto netsim.Protocol, localPort int, remote netsim.Addr, handler Handler) {
-	k := bindingKey{proto: proto, localPort: localPort, remoteHost: remote.Host, remotePort: remote.Port}
-	if _, ok := h.bindings[k]; ok {
-		h.bindings[k] = handler
+	if id := h.addrs.lookup(remote.Host); id != 0 {
+		k := connKey(proto, localPort, id, remote.Port)
+		if b := h.bindings; b != nil {
+			if _, ok := b.byKey[k]; ok {
+				b.byKey[k] = handler
+				b.last = nil
+			}
+		}
 	}
 }
 
 // Output is the IP output routine. It invokes the CM transmit notifier (if
 // installed), looks up the route to the packet's destination and hands the
 // packet to the link. It returns false if the packet could not be sent
-// (no route) or was dropped by the link on ingress.
+// (no route) or was dropped by the link on ingress. It stamps the packet's
+// host ids, resolving a name only where the transport stamped none.
 func (h *Host) Output(pkt *netsim.Packet) bool {
 	if pkt == nil {
 		panic("node: Output(nil)")
@@ -363,7 +435,18 @@ func (h *Host) Output(pkt *netsim.Packet) bool {
 	if pkt.TTL == 0 {
 		pkt.TTL = netsim.DefaultTTL
 	}
-	link := h.RouteTo(pkt.Dst.Host)
+	src, dst := pkt.IDs()
+	if src == 0 {
+		src = h.id
+		if pkt.Src.Host != h.name {
+			src = h.addrs.lookup(pkt.Src.Host)
+		}
+	}
+	if dst == 0 {
+		dst = h.addrs.lookup(pkt.Dst.Host)
+	}
+	pkt.SetIDs(src, dst)
+	link := h.route(dst, pkt.Dst.Host)
 	if link == nil {
 		h.stats.NoRouteDrops++
 		pkt.Release()
@@ -395,22 +478,26 @@ func (h *Host) Output(pkt *netsim.Packet) bool {
 // is released back to the pool, and a pooled payload (tcp.Segment,
 // udp.Datagram) with it. Handlers therefore keep neither the packet nor its
 // payload: they copy what they need during Handle.
+//
+// A packet that arrives without host ids — one a routing agent or a test put
+// straight onto a link — is resolved by name here, once, and carries its ids
+// from this hop on.
 func (h *Host) Receive(pkt *netsim.Packet) {
 	h.assertOwned()
-	if pkt.Dst.Host != h.name {
-		h.forward(pkt)
+	src, dst := pkt.IDs()
+	if dst == 0 {
+		src, dst = h.addrs.lookup(pkt.Src.Host), h.addrs.lookup(pkt.Dst.Host)
+		pkt.SetIDs(src, dst)
+	}
+	if dst != h.id {
+		h.forward(pkt, dst)
 		return
 	}
 	h.stats.ReceivedPackets++
 	h.stats.ReceivedBytes += int64(pkt.Size)
 	h.stats.LastReceived = h.sched.Now()
-	k := bindingKey{proto: pkt.Proto, localPort: pkt.Dst.Port, remoteHost: pkt.Src.Host, remotePort: pkt.Src.Port}
-	hd, ok := h.bindings[k]
-	if !ok {
-		k = bindingKey{proto: pkt.Proto, localPort: pkt.Dst.Port}
-		hd, ok = h.bindings[k]
-	}
-	if !ok {
+	hd := h.bindings.lookup(connKey(pkt.Proto, pkt.Dst.Port, src, pkt.Src.Port))
+	if hd == nil {
 		h.stats.NoListenerDrops++
 		pkt.Release()
 		return
@@ -419,13 +506,13 @@ func (h *Host) Receive(pkt *netsim.Packet) {
 	pkt.Release()
 }
 
-// forward relays a transit packet toward its destination. The hop decrements
-// the TTL (dropping expired packets), consults the routing table (falling
-// back to the default route) and hands the packet to the next link. Both
-// failure modes are counted in HostStats rather than silently discarded.
-// Forwarding deliberately bypasses Output: transit traffic is not a local
-// transmission, so it is never charged to the Congestion Manager.
-func (h *Host) forward(pkt *netsim.Packet) {
+// forward relays a transit packet toward its destination, whose id is dst.
+// The hop decrements the TTL (dropping expired packets), consults the routing
+// table (falling back to the default route) and hands the packet to the next
+// link. Both failure modes are counted in HostStats rather than silently
+// discarded. Forwarding deliberately bypasses Output: transit traffic is not a
+// local transmission, so it is never charged to the Congestion Manager.
+func (h *Host) forward(pkt *netsim.Packet, dst int32) {
 	if !h.forwarding {
 		h.stats.RouteMissDrops++
 		pkt.Release()
@@ -437,7 +524,7 @@ func (h *Host) forward(pkt *netsim.Packet) {
 		pkt.Release()
 		return
 	}
-	link := h.RouteTo(pkt.Dst.Host)
+	link := h.route(dst, pkt.Dst.Host)
 	if link == nil {
 		h.stats.ForwardMissDrops++
 		pkt.Release()
@@ -461,7 +548,9 @@ var _ netsim.Receiver = (*Host)(nil)
 type Network struct {
 	sched    *simtime.Scheduler
 	schedFor func(host string) *simtime.Scheduler
-	hosts    map[string]*Host
+	// addrs numbers every host and names them; nhosts counts the hosts.
+	addrs  addrTable
+	nhosts int
 
 	// hostSlab and duplexSlab hold reserved, not yet handed-out elements; they
 	// are only ever resliced, never grown, so element addresses are stable.
@@ -476,7 +565,7 @@ func NewNetwork(sched *simtime.Scheduler) *Network {
 	if sched == nil {
 		panic("node: NewNetwork requires a scheduler")
 	}
-	return &Network{sched: sched, hosts: make(map[string]*Host)}
+	return &Network{sched: sched, addrs: newAddrTable(0)}
 }
 
 // NewShardedNetwork returns an empty topology whose hosts are bound to
@@ -487,7 +576,7 @@ func NewShardedNetwork(schedFor func(host string) *simtime.Scheduler) *Network {
 	if schedFor == nil {
 		panic("node: NewShardedNetwork requires a scheduler map")
 	}
-	return &Network{schedFor: schedFor, hosts: make(map[string]*Host)}
+	return &Network{schedFor: schedFor, addrs: newAddrTable(0)}
 }
 
 // Reserve sizes the network for hosts more hosts and duplexes more duplex
@@ -499,8 +588,8 @@ func (n *Network) Reserve(hosts, duplexes, nameBytes int) {
 	n.duplexSlab = make([]netsim.Duplex, duplexes)
 	n.names = strings.Builder{}
 	n.names.Grow(nameBytes)
-	if len(n.hosts) == 0 {
-		n.hosts = make(map[string]*Host, hosts)
+	if n.nhosts == 0 && len(n.addrs.ids) == 0 {
+		n.addrs = newAddrTable(hosts)
 	}
 }
 
@@ -514,14 +603,19 @@ func (n *Network) schedOf(name string) *simtime.Scheduler {
 
 // Host returns the named host, creating it on first use.
 func (n *Network) Host(name string) *Host {
-	if h, ok := n.hosts[name]; ok {
+	id := n.addrs.intern(name)
+	if h := n.addrs.hosts[id]; h != nil {
 		return h
 	}
-	h := take(&n.hostSlab)
-	h.init(name, n.schedOf(name))
-	n.hosts[name] = h
-	return h
+	n.nhosts++
+	return n.addrs.newHost(id, name, n.schedOf(name), take(&n.hostSlab))
 }
+
+// ID returns the id the network's hosts know name by, dealing one if the name
+// has none. A hierarchical routing table keys its domains by these ids
+// (InstallHierRoutes); a topology interns its domain names while it is
+// assembled, with its hosts.
+func (n *Network) ID(name string) int32 { return n.addrs.intern(name) }
 
 // Router returns the named host with forwarding enabled, creating it on
 // first use. Calling Router on an existing host upgrades it in place.
@@ -532,7 +626,7 @@ func (n *Network) Router(name string) *Host {
 }
 
 // Hosts returns the number of hosts created so far.
-func (n *Network) Hosts() int { return len(n.hosts) }
+func (n *Network) Hosts() int { return n.nhosts }
 
 // ConnectDuplex joins hosts a and b with a duplex link built from cfg and
 // installs routes in both directions. It returns the duplex so experiments

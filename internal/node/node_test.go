@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -135,11 +136,6 @@ func TestConnectedBindingTakesPrecedence(t *testing.T) {
 	if err := srv.Bind(netsim.ProtoTCP, 80, HandlerFunc(func(p *netsim.Packet) { wildcard++ })); err != nil {
 		t.Fatal(err)
 	}
-	remote := netsim.Addr{Host: "client", Port: 1234}
-	if err := srv.BindConn(netsim.ProtoTCP, 80, remote, HandlerFunc(func(p *netsim.Packet) { connected++ })); err != nil {
-		t.Fatal(err)
-	}
-
 	send := func(srcPort int) {
 		net.Host("client").Output(&netsim.Packet{
 			Proto: netsim.ProtoTCP,
@@ -148,17 +144,26 @@ func TestConnectedBindingTakesPrecedence(t *testing.T) {
 			Size:  40,
 		})
 	}
+	// Before the connected binding exists the packet goes to the listener,
+	// and the host remembers that answer; the bind must make it forget.
+	send(1234)
+	s.Run()
+	remote := netsim.Addr{Host: "client", Port: 1234}
+	if err := srv.BindConn(netsim.ProtoTCP, 80, remote, HandlerFunc(func(p *netsim.Packet) { connected++ })); err != nil {
+		t.Fatal(err)
+	}
+
 	send(1234) // matches the connected binding
 	send(9999) // falls back to the wildcard listener
 	s.Run()
-	if connected != 1 || wildcard != 1 {
-		t.Fatalf("connected=%d wildcard=%d, want 1/1", connected, wildcard)
+	if connected != 1 || wildcard != 2 {
+		t.Fatalf("connected=%d wildcard=%d, want 1/2", connected, wildcard)
 	}
 
 	srv.UnbindConn(netsim.ProtoTCP, 80, remote)
 	send(1234)
 	s.Run()
-	if wildcard != 2 {
+	if wildcard != 3 {
 		t.Fatal("after UnbindConn the wildcard listener should receive the packet")
 	}
 	srv.Unbind(netsim.ProtoTCP, 80)
@@ -395,6 +400,24 @@ func TestNonForwardingHostDropsTransit(t *testing.T) {
 	}
 }
 
+// routeTable builds the id-indexed table of m, spanning the ids m names, as
+// a caller holding names would: through Network.ID.
+func routeTable(net *Network, m map[string]*netsim.Link) RouteTable {
+	if len(m) == 0 {
+		return RouteTable{}
+	}
+	lo, hi := int32(math.MaxInt32), int32(0)
+	for name := range m {
+		id := net.ID(name)
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	t := RouteTable{Base: lo, Links: make([]*netsim.Link, hi-lo+1)}
+	for name, l := range m {
+		t.Links[net.ID(name)-lo] = l
+	}
+	return t
+}
+
 // TestInstallRoutesAtomicSwap checks the route-table replacement used by the
 // dynamics subsystem: the new table fully replaces the old one, the change
 // count reflects added/removed/repointed entries, and forwarding immediately
@@ -408,10 +431,10 @@ func TestInstallRoutesAtomicSwap(t *testing.T) {
 
 	// ConnectDuplex installed {b: d1.Forward, c: d2.Forward}. Repoint b via c,
 	// drop c, add d.
-	changed := h.InstallRoutes(map[string]*netsim.Link{
+	changed := h.InstallRoutes(routeTable(net, map[string]*netsim.Link{
 		"b": d2.Forward,
 		"d": d1.Forward,
-	})
+	}))
 	if changed != 3 {
 		t.Fatalf("changed = %d, want 3 (b repointed, c removed, d added)", changed)
 	}
@@ -419,11 +442,11 @@ func TestInstallRoutesAtomicSwap(t *testing.T) {
 		t.Fatal("table not atomically replaced")
 	}
 	// Installing the identical table changes nothing.
-	if changed := h.InstallRoutes(map[string]*netsim.Link{"b": d2.Forward, "d": d1.Forward}); changed != 0 {
+	if changed := h.InstallRoutes(routeTable(net, map[string]*netsim.Link{"b": d2.Forward, "d": d1.Forward})); changed != 0 {
 		t.Fatalf("idempotent install changed %d entries", changed)
 	}
-	// A nil table empties the host's routes; sends then count NoRouteDrops.
-	if changed := h.InstallRoutes(nil); changed != 2 {
+	// The empty table empties the host's routes; sends then count NoRouteDrops.
+	if changed := h.InstallRoutes(RouteTable{}); changed != 2 {
 		t.Fatalf("clearing changed %d entries, want 2", changed)
 	}
 	h.Output(&netsim.Packet{Proto: netsim.ProtoUDP, Dst: netsim.Addr{Host: "b", Port: 1}, Size: 10})
@@ -443,8 +466,8 @@ func TestDomainRouteSuffixMatch(t *testing.T) {
 	d3 := net.ConnectDuplex("r", "up", lanCfg())
 	h := net.Host("r")
 	h.InstallHierRoutes(
-		map[string]*netsim.Link{"h9.e1.p2": d3.Forward},
-		map[string]*netsim.Link{"e1.p2": d1.Forward, "p2": d2.Forward},
+		routeTable(net, map[string]*netsim.Link{"h9.e1.p2": d3.Forward}),
+		routeTable(net, map[string]*netsim.Link{"e1.p2": d1.Forward, "p2": d2.Forward}),
 		d3.Forward,
 	)
 	cases := []struct {
@@ -475,8 +498,8 @@ func TestInstallHierRoutesCountsChanges(t *testing.T) {
 	// ConnectDuplex installed exact routes {a, b}; replacing them with one
 	// exact entry, two domains and a default counts every delta.
 	changed := h.InstallHierRoutes(
-		map[string]*netsim.Link{"a": d1.Forward},
-		map[string]*netsim.Link{"p1": d1.Forward, "p2": d2.Forward},
+		routeTable(net, map[string]*netsim.Link{"a": d1.Forward}),
+		routeTable(net, map[string]*netsim.Link{"p1": d1.Forward, "p2": d2.Forward}),
 		d2.Forward,
 	)
 	// b removed (1) + p1, p2 added (2) + default set (1) = 4.
@@ -485,16 +508,16 @@ func TestInstallHierRoutesCountsChanges(t *testing.T) {
 	}
 	// Idempotent reinstall changes nothing.
 	if changed := h.InstallHierRoutes(
-		map[string]*netsim.Link{"a": d1.Forward},
-		map[string]*netsim.Link{"p1": d1.Forward, "p2": d2.Forward},
+		routeTable(net, map[string]*netsim.Link{"a": d1.Forward}),
+		routeTable(net, map[string]*netsim.Link{"p1": d1.Forward, "p2": d2.Forward}),
 		d2.Forward,
 	); changed != 0 {
 		t.Fatalf("idempotent install changed %d entries", changed)
 	}
 	// Repointing one domain and dropping the default counts 2.
 	if changed := h.InstallHierRoutes(
-		map[string]*netsim.Link{"a": d1.Forward},
-		map[string]*netsim.Link{"p1": d2.Forward, "p2": d2.Forward},
+		routeTable(net, map[string]*netsim.Link{"a": d1.Forward}),
+		routeTable(net, map[string]*netsim.Link{"p1": d2.Forward, "p2": d2.Forward}),
 		nil,
 	); changed != 2 {
 		t.Fatalf("changed = %d, want 2 (p1 repointed, default cleared)", changed)
@@ -526,5 +549,76 @@ func TestRebindConnReplacesOnlyExistingBindings(t *testing.T) {
 	deliver()
 	if first != 1 || second != 1 || wildcard != 1 {
 		t.Fatalf("first=%d second=%d wildcard=%d, want 1/1/1", first, second, wildcard)
+	}
+}
+
+// A packet that reaches the network without host ids — a routing agent's
+// message put straight onto a link, a test literal handed to a host — is
+// resolved by name at the first host and from then on must route, forward,
+// demultiplex and count exactly like one sent through Output, which stamps
+// the ids. Each case is sent three ways on a fresh network a <-> r <-> b: by
+// a's Output, as a literal put on a's link to r, and as a literal handed to
+// r. The router, the destination and the handlers must see the same thing.
+func TestPacketsWithoutIDsBehaveLikeStamped(t *testing.T) {
+	type outcome struct {
+		r, b    HostStats
+		handled string
+	}
+	send := func(p netsim.Packet, how int) outcome {
+		s := simtime.NewScheduler()
+		net := NewNetwork(s)
+		ar := net.ConnectDuplex("a", "r", lanCfg())
+		net.ConnectDuplex("r", "b", lanCfg())
+		net.Host("a").SetDefaultRoute(ar.Forward)
+		r, b := net.Router("r"), net.Host("b")
+		r.SetDomainRoute("sub", r.RouteTo("b")) // "h1.sub" is no host: reached by suffix
+		var o outcome
+		handler := func(name string) Handler {
+			return HandlerFunc(func(*netsim.Packet) { o.handled = name })
+		}
+		b.Bind(netsim.ProtoUDP, 7, handler("listener"))
+		b.BindConn(netsim.ProtoUDP, 7, netsim.Addr{Host: "a", Port: 1234}, handler("conn a"))
+		b.BindConn(netsim.ProtoUDP, 7, netsim.Addr{Host: "c", Port: 1234}, handler("conn c"))
+		pkt := p
+		switch how {
+		case 0:
+			net.Host("a").Output(&pkt)
+		case 1:
+			pkt.TTL = netsim.DefaultTTL
+			ar.Forward.Send(&pkt)
+		case 2:
+			pkt.TTL = netsim.DefaultTTL
+			r.Receive(&pkt)
+		}
+		s.Run()
+		o.r, o.b = r.Stats(), b.Stats()
+		o.b.LastReceived = 0 // handed to r directly, the packet skips a's link
+		return o
+	}
+	udp := func(src netsim.Addr, dst string, port int) netsim.Packet {
+		return netsim.Packet{Proto: netsim.ProtoUDP, Src: src, Dst: netsim.Addr{Host: dst, Port: port}, Size: 100}
+	}
+	a, c := netsim.Addr{Host: "a", Port: 1234}, netsim.Addr{Host: "c", Port: 1234}
+	for _, tc := range []struct {
+		name string
+		pkt  netsim.Packet
+		want func(o outcome) bool
+	}{
+		{"connected binding", udp(a, "b", 7), func(o outcome) bool { return o.handled == "conn a" }},
+		{"listener", udp(netsim.Addr{Host: "a", Port: 9}, "b", 7), func(o outcome) bool { return o.handled == "listener" }},
+		{"no listener", udp(a, "b", 8), func(o outcome) bool { return o.b.NoListenerDrops == 1 }},
+		{"another host's source", udp(c, "b", 7), func(o outcome) bool { return o.handled == "conn c" }},
+		{"domain route to a leaf", udp(a, "h1.sub", 7), func(o outcome) bool { return o.b.RouteMissDrops == 1 }},
+		{"no route at the router", udp(a, "ghost", 7), func(o outcome) bool { return o.r.ForwardMissDrops == 1 }},
+	} {
+		stamped := send(tc.pkt, 0)
+		if !tc.want(stamped) || stamped.r.ForwardedPackets+stamped.r.ForwardMissDrops != 1 {
+			t.Errorf("%s: sent through Output: %+v", tc.name, stamped)
+		}
+		for how, form := range []string{"a literal on a's link", "a literal handed to r"} {
+			if got := send(tc.pkt, how+1); got != stamped {
+				t.Errorf("%s: %s:\n    got     %+v\n    Output  %+v", tc.name, form, got, stamped)
+			}
+		}
 	}
 }

@@ -12,12 +12,14 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// The reference host: the tables as Host had them before they became lazy.
-// Three maps made by the constructor, an install that swaps in the caller's
-// map (a fresh one for nil), lookups and demultiplexing written straight from
-// the doc comments. Nothing here can go wrong the way a nil table can — no
-// write to a map that was never made, no stale table surviving an empty
-// install — which is what the differential test below leans on.
+// The reference host: the tables as Host had them before they became lazy
+// and before they were keyed by host ids. Three maps keyed by name, made by
+// the constructor, an install that swaps in the caller's map (a fresh one for
+// nil), lookups and demultiplexing written straight from the doc comments.
+// Nothing here can go wrong the way a nil table or an id can — no write to a
+// map that was never made, no stale table surviving an empty install, no
+// suffix chain or stamped id disagreeing with a name — which is what the
+// differential test below leans on.
 // ---------------------------------------------------------------------------
 
 type refHost struct {
@@ -26,7 +28,7 @@ type refHost struct {
 	routes     map[string]*netsim.Link
 	domains    map[string]*netsim.Link
 	def        *netsim.Link
-	bindings   map[bindingKey]Handler
+	bindings   map[refKey]Handler
 	stats      HostStats
 	forwarding bool
 }
@@ -37,7 +39,7 @@ func newRefHost(name string, now func() time.Duration) *refHost {
 		now:      now,
 		routes:   map[string]*netsim.Link{},
 		domains:  map[string]*netsim.Link{},
-		bindings: map[bindingKey]Handler{},
+		bindings: map[refKey]Handler{},
 	}
 }
 
@@ -112,7 +114,16 @@ func (r *refHost) RouteTo(dst string) *netsim.Link {
 	return r.def
 }
 
-func (r *refHost) bind(k bindingKey, hd Handler) error {
+// refKey is a binding's key by name: remoteHost "" and remotePort 0 for a
+// wildcard listener.
+type refKey struct {
+	proto      netsim.Protocol
+	localPort  int
+	remoteHost string
+	remotePort int
+}
+
+func (r *refHost) bind(k refKey, hd Handler) error {
 	if hd == nil {
 		return fmt.Errorf("nil handler")
 	}
@@ -123,24 +134,24 @@ func (r *refHost) bind(k bindingKey, hd Handler) error {
 	return nil
 }
 
-func connKey(proto netsim.Protocol, port int, remote netsim.Addr) bindingKey {
-	return bindingKey{proto: proto, localPort: port, remoteHost: remote.Host, remotePort: remote.Port}
+func refConnKey(proto netsim.Protocol, port int, remote netsim.Addr) refKey {
+	return refKey{proto: proto, localPort: port, remoteHost: remote.Host, remotePort: remote.Port}
 }
 
 func (r *refHost) Bind(proto netsim.Protocol, port int, hd Handler) error {
-	return r.bind(bindingKey{proto: proto, localPort: port}, hd)
+	return r.bind(refKey{proto: proto, localPort: port}, hd)
 }
 func (r *refHost) BindConn(proto netsim.Protocol, port int, remote netsim.Addr, hd Handler) error {
-	return r.bind(connKey(proto, port, remote), hd)
+	return r.bind(refConnKey(proto, port, remote), hd)
 }
 func (r *refHost) Unbind(proto netsim.Protocol, port int) {
-	delete(r.bindings, bindingKey{proto: proto, localPort: port})
+	delete(r.bindings, refKey{proto: proto, localPort: port})
 }
 func (r *refHost) UnbindConn(proto netsim.Protocol, port int, remote netsim.Addr) {
-	delete(r.bindings, connKey(proto, port, remote))
+	delete(r.bindings, refConnKey(proto, port, remote))
 }
 func (r *refHost) RebindConn(proto netsim.Protocol, port int, remote netsim.Addr, hd Handler) {
-	if k := connKey(proto, port, remote); r.bindings[k] != nil {
+	if k := refConnKey(proto, port, remote); r.bindings[k] != nil {
 		r.bindings[k] = hd
 	}
 }
@@ -185,9 +196,9 @@ func (r *refHost) Receive(pkt *netsim.Packet) {
 	r.stats.ReceivedPackets++
 	r.stats.ReceivedBytes += int64(pkt.Size)
 	r.stats.LastReceived = r.now()
-	hd, ok := r.bindings[connKey(pkt.Proto, pkt.Dst.Port, pkt.Src)]
+	hd, ok := r.bindings[refConnKey(pkt.Proto, pkt.Dst.Port, pkt.Src)]
 	if !ok {
-		hd, ok = r.bindings[bindingKey{proto: pkt.Proto, localPort: pkt.Dst.Port}]
+		hd, ok = r.bindings[refKey{proto: pkt.Proto, localPort: pkt.Dst.Port}]
 	}
 	if ok {
 		hd.Handle(pkt)
@@ -197,7 +208,35 @@ func (r *refHost) Receive(pkt *netsim.Packet) {
 	pkt.Release()
 }
 
-// testHost is what the trace interpreter drives: *Host and *refHost.
+// stamp is a no-op: the reference has no ids.
+func (r *refHost) stamp(*netsim.Packet) {}
+
+// idHost is the Host under test as the interpreter drives it: the installs
+// take the reference's name-keyed maps, turned into id-indexed tables the way
+// a caller holding ids would build them, and stamp gives a packet the ids a
+// sender of the same Network would have.
+type idHost struct{ *Host }
+
+func (h idHost) table(m map[string]*netsim.Link) RouteTable {
+	var t RouteTable
+	for name, l := range m {
+		if l == nil {
+			l = reject // a nil value is an entry in the reference: a reject
+		}
+		t.set(h.addrs.intern(name), l)
+	}
+	return t
+}
+
+func (h idHost) InstallRoutes(m map[string]*netsim.Link) int { return h.Host.InstallRoutes(h.table(m)) }
+
+func (h idHost) InstallHierRoutes(routes, domains map[string]*netsim.Link, def *netsim.Link) int {
+	return h.Host.InstallHierRoutes(h.table(routes), h.table(domains), def)
+}
+
+func (h idHost) stamp(p *netsim.Packet) { p.SetIDs(h.Resolve(p.Src.Host), h.Resolve(p.Dst.Host)) }
+
+// testHost is what the trace interpreter drives: idHost and *refHost.
 type testHost interface {
 	Stats() HostStats
 	EnableForwarding()
@@ -217,10 +256,11 @@ type testHost interface {
 	RebindConn(netsim.Protocol, int, netsim.Addr, Handler)
 	Output(*netsim.Packet) bool
 	Receive(*netsim.Packet)
+	stamp(*netsim.Packet)
 }
 
 var (
-	_ testHost = (*Host)(nil)
+	_ testHost = idHost{}
 	_ testHost = (*refHost)(nil)
 )
 
@@ -230,7 +270,10 @@ var (
 // and remote addresses come from small fixed universes so that operations
 // collide: a route is set, repointed, shadowed by a reject entry, removed and
 // looked up again within a few dozen bytes. Every operation logs what it
-// returned and the host's counters afterwards.
+// returned and the host's counters afterwards. Packets come in both forms:
+// stamped with host ids, as a transport that caches its peer's id or the
+// previous hop leaves them, and without, as a routing agent or a test literal
+// does; the reference, which has no ids, must not be able to tell.
 // ---------------------------------------------------------------------------
 
 const traceSelf = "me.x"
@@ -313,7 +356,13 @@ func (in *hostInterp) packet() *netsim.Packet {
 	p := netsim.NewPacket()
 	p.Proto = netsim.ProtoTCP
 	p.Src = traceRemotes[in.byte()%len(traceRemotes)]
-	p.Dst = netsim.Addr{Host: traceDests[in.byte()%len(traceDests)], Port: tracePorts[in.byte()%len(tracePorts)]}
+	// Half the packets are for the host itself, so that demultiplexing sees
+	// as many as routing.
+	dst := traceSelf
+	if d := in.byte() % (2 * len(traceDests)); d < len(traceDests) {
+		dst = traceDests[d]
+	}
+	p.Dst = netsim.Addr{Host: dst, Port: tracePorts[in.byte()%len(tracePorts)]}
 	p.Size = 100 + in.byte()
 	p.TTL = int32(in.byte() % 3) // 0 and 1 expire at a router; Output resets 0
 	return p
@@ -333,7 +382,7 @@ func (in *hostInterp) note(op string, ret int) {
 func (in *hostInterp) op() {
 	in.via, in.handler = -1, -1
 	h := in.h
-	switch in.byte() % 18 {
+	switch in.byte() % 20 {
 	case 0:
 		h.AddRoute(traceDests[in.byte()%len(traceDests)], in.link(false))
 		in.note("AddRoute", 0)
@@ -375,12 +424,20 @@ func (in *hostInterp) op() {
 		in.note("Bind(nil)", b2i(h.Bind(netsim.ProtoTCP, tracePorts[in.byte()%len(tracePorts)], nil) == nil))
 	case 14:
 		in.note("RouteTo", in.linkIndex(h.RouteTo(traceDests[in.byte()%len(traceDests)])))
-	case 15:
-		ok := h.Output(in.packet())
+	case 15, 16:
+		p := in.packet()
+		if in.byte()%2 == 1 {
+			h.stamp(p)
+		}
+		ok := h.Output(p)
 		in.sched.Run()
 		in.note("Output", b2i(ok))
-	case 16, 17:
-		h.Receive(in.packet())
+	case 17, 18, 19:
+		p := in.packet()
+		if in.byte()%2 == 1 {
+			h.stamp(p)
+		}
+		h.Receive(p)
 		in.sched.Run()
 		in.note("Receive", 0)
 	}
@@ -413,10 +470,10 @@ func checkHostTrace(t testing.TB, data []byte) {
 	t.Helper()
 	got := runHostTrace(data, func(s *simtime.Scheduler) testHost {
 		h := NewHost(traceSelf, s)
-		if h.routes != nil || h.domains != nil || h.bindings != nil {
+		if h.tables != nil || h.bindings != nil {
 			t.Fatal("a new host has made a table")
 		}
-		return h
+		return idHost{h}
 	})
 	want := runHostTrace(data, func(s *simtime.Scheduler) testHost { return newRefHost(traceSelf, s.Now) })
 	if len(got) != len(want) {
@@ -430,18 +487,19 @@ func checkHostTrace(t testing.TB, data []byte) {
 }
 
 // TestHostMatchesReference holds Host, whose tables are made by their first
-// insert, to the reference with eager maps over seeded random traces.
-// Hand-made mutants of node.go it was seen to catch, 13 of 13: setRoute,
-// SetDomainRoute and bind each writing to a table that was never made (three
-// mutants, three panics); InstallRoutes keeping the old table when handed an
-// empty one, and returning early on nil; InstallHierRoutes keeping the old
-// domain table on nil, and counting a default-route change without making it;
-// tableDiff not counting removed entries; SetRoute taking a reject entry over
-// no entry for no change; RouteTo skipping the domain table while the exact
-// table is empty; RebindConn binding where nothing was bound; UnbindConn
-// removing the wildcard binding; Receive never falling back to the wildcard
-// listener.
+// insert and keyed by host ids, to the name-keyed reference with eager maps,
+// over the demultiplexing traces and seeded random ones. Hand-made mutants of
+// node.go and addr.go it was seen to catch, 11 of 11: the route tables never
+// made (a panic); InstallRoutes keeping the old table when handed an empty
+// one; the install's diff not counting removed entries; SetRoute storing a
+// reject entry as no entry; the lookup skipping the suffix chain of a known
+// destination, or of a name without an id; a suffix chain that skips a
+// level; Receive trusting an unstamped packet's zero ids; and the
+// demultiplexing memory surviving a Bind, a RebindConn or an UnbindConn.
 func TestHostMatchesReference(t *testing.T) {
+	for _, data := range demuxTraces {
+		checkHostTrace(t, data)
+	}
 	rng := rand.New(rand.NewSource(24))
 	for trace := 0; trace < 3000; trace++ {
 		data := make([]byte, 1+rng.Intn(120))
@@ -450,10 +508,25 @@ func TestHostMatchesReference(t *testing.T) {
 	}
 }
 
+// demuxTraces each deliver a packet, change the binding it was demultiplexed
+// to, and deliver its twin: a Bind of a wildcard listener followed by a
+// BindConn (a SetRoute first gives the remote its id), a BindConn followed by
+// a RebindConn, and one followed by an UnbindConn. The host remembers its last demultiplexing answer, and each
+// change must make it forget; random traces rarely line the three operations
+// up on one port and remote.
+var demuxTraces = [][]byte{
+	{0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 17, 0, 8, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 17, 0, 8, 0, 0, 0, 0},
+	{0, 0, 9, 0, 0, 0, 0, 17, 0, 8, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 17, 0, 8, 0, 0, 0, 0},
+	{0, 0, 9, 0, 0, 0, 0, 17, 0, 8, 0, 0, 0, 0, 0, 11, 0, 0, 0, 17, 0, 8, 0, 0, 0, 0},
+}
+
 // FuzzHostOps is the same differential check over fuzzer-chosen traces.
 func FuzzHostOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 7, 4, 4, 2, 0, 14, 1})
+	for _, data := range demuxTraces {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("trace longer than any sequence worth shrinking")

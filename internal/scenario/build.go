@@ -196,7 +196,7 @@ func Build(spec Spec) (*Sim, error) {
 	for i, name := range sim.nodeNames {
 		hosts[i] = nw.Host(name)
 	}
-	eng, err := newRouteEngine(&sim.Spec, sim.nodeNames, hosts, edges)
+	eng, err := newRouteEngine(&sim.Spec, nw, sim.nodeNames, id, hosts, edges)
 	if err != nil {
 		return nil, err
 	}

@@ -321,35 +321,7 @@ func (pp *protoPlane) topologyChanged() int {
 // choices installHierNode makes, minus the domain entries the protocol owns.
 func (pp *protoPlane) hierLocal(u int32) {
 	e := pp.eng
-	lv := e.level[u]
-	var routes map[string]*netsim.Link
-	var def *netsim.Link
-	up := e.queue[:0]
-	for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
-		v := e.adjTo[k]
-		if e.level[v] == lv-1 {
-			up = append(up, k)
-			continue
-		}
-		if e.adjLink[k].IsDown() {
-			continue
-		}
-		if routes == nil {
-			routes = make(map[string]*netsim.Link, e.adjOff[u+1]-e.adjOff[u])
-		}
-		routes[e.names[v]] = e.adjLink[k]
-	}
-	if len(up) > 0 {
-		start := int(u) % len(up)
-		for i := 0; i < len(up); i++ {
-			k := up[(start+i)%len(up)]
-			if !e.adjLink[k].IsDown() {
-				def = e.adjLink[k]
-				break
-			}
-		}
-	}
-	e.queue = up[:0]
+	routes, _, def := e.hierTables(u, false)
 	pp.totalChanged.Add(int64(e.hosts[u].InstallRoutes(routes)))
 	if pp.defMirror[u] != def {
 		pp.defMirror[u] = def

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/netsim"
 	"repro/internal/node"
@@ -33,11 +34,18 @@ import (
 // zero by definition, and touched ones are diffed by InstallRoutes /
 // InstallHierRoutes.
 type routeEngine struct {
-	n       int
-	names   []string
-	hosts   []*node.Host
-	hier    bool
-	domains []string // per node: the name-suffix domain it covers downward
+	n     int
+	names []string
+	hosts []*node.Host
+	// ids[v] is node v's host id, the index of its entries in every table;
+	// exact tables span ids [0, span).
+	ids  []int32
+	span int32
+	hier bool
+	// domains[v] is the name-suffix domain router v covers downward (hier
+	// mode), and domainIDs[v] its id, interned at Build with the hosts.
+	domains   []string
+	domainIDs []int32
 
 	// CSR adjacency in first-mention order. downMirror[k] is the last
 	// observed IsDown state of adjLink[k]; recompute diffs it against the
@@ -59,8 +67,9 @@ type routeEngine struct {
 	// in exact mode while n <= incrementalRouteLimit; nil otherwise.
 	dist []int32
 
-	// BFS scratch, sized n.
+	// BFS scratch, sized n; kids collects a hier node's live children.
 	queue    []int32
+	kids     []int32
 	firstHop []int32
 	distRow  []int32
 	affected []bool
@@ -81,14 +90,15 @@ type dirEdge struct {
 }
 
 // newRouteEngine interns the topology. Nodes and edges arrive in
-// first-mention order (the order the old map-based router iterated in);
-// hierRoots/domainOf are empty for exact mode.
-func newRouteEngine(spec *Spec, names []string, hosts []*node.Host, edges []dirEdge) (*routeEngine, error) {
+// first-mention order (the order the old map-based router iterated in), and
+// index maps a node's name to its position in that order.
+func newRouteEngine(spec *Spec, nw *node.Network, names []string, index map[string]int, hosts []*node.Host, edges []dirEdge) (*routeEngine, error) {
 	n := len(names)
 	e := &routeEngine{
 		n:        n,
 		names:    names,
 		hosts:    hosts,
+		ids:      make([]int32, n),
 		hier:     spec.Routing == RoutingHier,
 		adjOff:   make([]int32, n+1),
 		adjFrom:  make([]int32, len(edges)),
@@ -117,23 +127,25 @@ func newRouteEngine(spec *Spec, names []string, hosts []*node.Host, edges []dirE
 		e.adjLink[k] = ed.link
 	}
 	e.downMirror = make([]bool, len(edges))
-	for i := range hosts {
-		e.isRouter[i] = hosts[i].Forwarding()
+	for i, h := range hosts {
+		e.isRouter[i] = h.Forwarding()
+		e.ids[i] = h.ID()
+		e.span = max(e.span, h.ID()+1)
 	}
 	if e.hier {
-		id := make(map[string]int, n)
-		for i, name := range names {
-			id[name] = i
-		}
 		e.domains = make([]string, n)
+		e.domainIDs = make([]int32, n)
 		for i, name := range names {
-			if d, ok := spec.Domains[name]; ok {
-				e.domains[i] = d
-			} else {
-				e.domains[i] = name
+			if !e.isRouter[i] {
+				continue // a leaf covers nothing
 			}
+			d, ok := spec.Domains[name]
+			if !ok {
+				d = name
+			}
+			e.domains[i], e.domainIDs[i] = d, nw.ID(d)
 		}
-		if err := e.computeLevels(spec, id); err != nil {
+		if err := e.computeLevels(spec, index); err != nil {
 			return nil, err
 		}
 	} else if n <= incrementalRouteLimit {
@@ -320,14 +332,14 @@ func (e *routeEngine) installExactNode(src int32) int {
 		row = e.dist[int(src)*e.n : (int(src)+1)*e.n]
 	}
 	e.bfs(src, row)
-	table := make(map[string]*netsim.Link, e.n-1)
+	table := make([]*netsim.Link, e.span)
 	for v := 0; v < e.n; v++ {
 		if int32(v) == src || row[v] < 0 {
 			continue // unreachable; Output will count a NoRouteDrop
 		}
-		table[e.names[v]] = e.adjLink[e.firstHop[v]]
+		table[e.ids[v]] = e.adjLink[e.firstHop[v]]
 	}
-	return e.hosts[src].InstallRoutes(table)
+	return e.hosts[src].InstallRoutes(node.RouteTable{Links: table})
 }
 
 // bfs fills dist (and the firstHop scratch) from src over the live links,
@@ -364,21 +376,27 @@ func (e *routeEngine) bfs(src int32, dist []int32) {
 	e.queue = q[:0]
 }
 
-// installHierNode rebuilds one node's hierarchical table from its own links:
-// an exact entry per live child, a domain entry per live child router, and a
-// default route on the first live up link starting from a per-node rotation
-// (so redundant up links — a fat-tree edge switch's k/2 aggregations — are
-// spread across sources instead of all picking the first). A node's table
-// depends on nothing beyond its own adjacency, which is what makes the
-// incremental path O(flipped links). Each table is made by its first entry, at
-// the size the adjacency bounds it to: a leaf, whose only link goes up, gets
-// none, and the host takes the nil for an empty table.
+// installHierNode rebuilds one node's hierarchical table from its own links
+// (hierTables). A node's table depends on nothing beyond its own adjacency,
+// which is what makes the incremental path O(flipped links).
 func (e *routeEngine) installHierNode(u int32) int {
+	routes, domains, def := e.hierTables(u, true)
+	return e.hosts[u].InstallHierRoutes(routes, domains, def)
+}
+
+// hierTables builds node u's hierarchical tables from its own links: an exact
+// entry per live child, with withDomains a domain entry per live child router
+// (the first link to claim a domain keeps it), and a default route on the
+// first live up link starting from a per-node rotation (so redundant up links
+// — a fat-tree edge switch's k/2 aggregations — are spread across sources
+// instead of all picking the first). Each table spans just the ids it holds,
+// and is made only when it holds one: a leaf, whose only link goes up, gets
+// none.
+func (e *routeEngine) hierTables(u int32, withDomains bool) (routes, domains node.RouteTable, def *netsim.Link) {
 	lv := e.level[u]
-	degree := int(e.adjOff[u+1] - e.adjOff[u])
-	var routes, domains map[string]*netsim.Link
-	var def *netsim.Link
 	up := e.queue[:0] // borrow the BFS scratch for the up-slot list
+	kids := e.kids[:0]
+	var lo, hi, dlo, dhi int32 = math.MaxInt32, 0, math.MaxInt32, 0
 	for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
 		v := e.adjTo[k]
 		if e.level[v] == lv-1 {
@@ -388,17 +406,23 @@ func (e *routeEngine) installHierNode(u int32) int {
 		if e.adjLink[k].IsDown() {
 			continue
 		}
-		if routes == nil {
-			routes = make(map[string]*netsim.Link, degree)
+		kids = append(kids, k)
+		lo, hi = min(lo, e.ids[v]), max(hi, e.ids[v])
+		if withDomains && e.isRouter[v] {
+			dlo, dhi = min(dlo, e.domainIDs[v]), max(dhi, e.domainIDs[v])
 		}
-		routes[e.names[v]] = e.adjLink[k]
-		if e.isRouter[v] {
-			if domains == nil {
-				domains = make(map[string]*netsim.Link, degree)
-			}
-			if _, claimed := domains[e.domains[v]]; !claimed {
-				domains[e.domains[v]] = e.adjLink[k]
-			}
+	}
+	if len(kids) > 0 {
+		routes = node.RouteTable{Base: lo, Links: make([]*netsim.Link, hi-lo+1)}
+	}
+	if dhi > 0 {
+		domains = node.RouteTable{Base: dlo, Links: make([]*netsim.Link, dhi-dlo+1)}
+	}
+	for _, k := range kids {
+		v := e.adjTo[k]
+		routes.Links[e.ids[v]-lo] = e.adjLink[k]
+		if withDomains && e.isRouter[v] && domains.Links[e.domainIDs[v]-dlo] == nil {
+			domains.Links[e.domainIDs[v]-dlo] = e.adjLink[k]
 		}
 	}
 	if len(up) > 0 {
@@ -411,6 +435,6 @@ func (e *routeEngine) installHierNode(u int32) int {
 			}
 		}
 	}
-	e.queue = up[:0]
-	return e.hosts[u].InstallHierRoutes(routes, domains, def)
+	e.queue, e.kids = up[:0], kids[:0]
+	return routes, domains, def
 }

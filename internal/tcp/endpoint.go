@@ -108,7 +108,10 @@ type Endpoint struct {
 	cfg   Config
 
 	local, remote netsim.Addr
-	state         State
+	// peer is the remote host's id, resolved once, which every packet of the
+	// connection carries so that the IP layer looks no name up.
+	peer  int32
+	state State
 
 	// Application callbacks, and the word each of them is handed (SetOwner).
 	owner         any
@@ -177,6 +180,7 @@ func newEndpoint(h *node.Host, local, remote netsim.Addr, cfg Config) *Endpoint 
 		cfg:     cfg,
 		local:   local,
 		remote:  remote,
+		peer:    h.Resolve(remote.Host),
 		state:   StateClosed,
 		peerWnd: cfg.RecvWindow,
 	}
@@ -326,6 +330,7 @@ func (e *Endpoint) mss() int { return e.cfg.MSS }
 // after a CM restart it is the one CMRestarted re-opened.
 func (e *Endpoint) basePacket(seg *Segment, control bool) *netsim.Packet {
 	pkt := newPacket(e.local, e.remote, seg, control)
+	pkt.SetIDs(e.host.ID(), e.peer)
 	if !control && e.viaCM.opened {
 		pkt.SetCMFlow(int64(e.viaCM.flow))
 	}
@@ -371,20 +376,22 @@ func (e *Endpoint) sendAck() {
 	e.ackTimer.Stop()
 	e.unackedSegs = 0
 	e.stats.AcksSent++
-	outputAck(e.host, e.local, e.remote, e.sndNxt, e.rcvNxt, e.availableRecvWindow(), e.lastTSVal)
+	outputAck(e.host, e.local, e.remote, e.peer, e.sndNxt, e.rcvNxt, e.availableRecvWindow(), e.lastTSVal)
 }
 
 // outputAck builds and sends a pure acknowledgement; a live endpoint and a
 // time-wait record answer through the same code.
-func outputAck(h *node.Host, local, remote netsim.Addr, seq, ack int64, wnd int, tsEcr time.Duration) {
-	h.Output(newPacket(local, remote, newSegment(Segment{
+func outputAck(h *node.Host, local, remote netsim.Addr, peer int32, seq, ack int64, wnd int, tsEcr time.Duration) {
+	pkt := newPacket(local, remote, newSegment(Segment{
 		Seq:   seq,
 		ACK:   true,
 		Ack:   ack,
 		Wnd:   wnd,
 		TSVal: h.Clock().Now(),
 		TSEcr: tsEcr,
-	}), true))
+	}), true)
+	pkt.SetIDs(h.ID(), peer)
+	h.Output(pkt)
 }
 
 func (e *Endpoint) availableRecvWindow() int {
@@ -776,6 +783,7 @@ func (e *Endpoint) handOver() {
 		host:      e.host,
 		local:     e.local,
 		remote:    e.remote,
+		peer:      e.peer,
 		sndNxt:    e.sndNxt,
 		rcvNxt:    e.rcvNxt,
 		wnd:       e.availableRecvWindow(),

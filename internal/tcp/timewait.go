@@ -18,6 +18,7 @@ import (
 type timeWait struct {
 	host          *node.Host
 	local, remote netsim.Addr
+	peer          int32
 
 	sndNxt, rcvNxt int64
 	wnd            int
@@ -37,7 +38,7 @@ func (t *timeWait) Handle(pkt *netsim.Packet) {
 		return
 	}
 	t.acksSent++
-	outputAck(t.host, t.local, t.remote, t.sndNxt, t.rcvNxt, t.wnd, t.lastTSVal)
+	outputAck(t.host, t.local, t.remote, t.peer, t.sndNxt, t.rcvNxt, t.wnd, t.lastTSVal)
 }
 
 var _ node.Handler = (*timeWait)(nil)
