@@ -540,7 +540,10 @@ func fireRefresh(a any) { a.(*Agent).refreshTick() }
 
 // refreshTick is the periodic safety net: age out silent routes,
 // garbage-collect fully dead entries, and re-advertise the whole table to
-// every live neighbor.
+// every live neighbor. A route the neighbor itself originates (cost 1: the
+// neighbor's own name, or the domain it covers) is a connected route, as in
+// RIP: it lasts as long as the link, which LinkState withdraws, and does not
+// age, so refreshes lost on a lossy link that is up cannot take it away.
 func (a *Agent) refreshTick() {
 	now := a.sched.Now()
 	a.stats.Refreshes++
@@ -550,7 +553,7 @@ func (a *Agent) refreshTick() {
 		}
 		changed := false
 		for j := range e.adv {
-			if e.adv[j] >= 0 && now-e.heard[j] > DefaultExpireAfter {
+			if e.adv[j] > 1 && now-e.heard[j] > DefaultExpireAfter {
 				e.adv[j] = -1
 				changed = true
 			}

@@ -254,3 +254,25 @@ func TestHolddownSuppressesEcho(t *testing.T) {
 		t.Fatalf("better route during holddown rejected: metric=%d via=%q ok=%v", m, via, ok)
 	}
 }
+
+// A route to a directly attached neighbor is a connected route: it lasts as
+// long as the link. On a link that is up but loses every message, routes the
+// neighbor only relays age out after DefaultExpireAfter, while the route to
+// the neighbor itself stays installed; when the link goes down, it goes.
+func TestConnectedRouteOutlivesLostRefreshes(t *testing.T) {
+	r := newRig(t, [][2]string{{"a", "b"}, {"b", "c"}})
+	a := r.agents["a"]
+	r.agents["b"].SetFaults(r.nbIdx["b"]["a"], 1, 0, 0, 0)
+	r.sched.RunFor(4 * DefaultExpireAfter)
+	ha := r.net.Host("a")
+	if _, via, ok := a.Route("b"); !ok || via != "b" || ha.RouteTo("b") != r.links[[2]string{"a", "b"}] {
+		t.Fatalf("a lost its connected route to b over a lossy link that is up: ok=%v via=%q", ok, via)
+	}
+	if _, _, ok := a.Route("c"); ok || ha.RouteTo("c") != nil {
+		t.Fatal("a kept the route to c, which only b's lost refreshes could renew")
+	}
+	r.flip("a", "b", true)
+	if _, _, ok := a.Route("b"); ok || ha.RouteTo("b") != nil {
+		t.Fatal("the connected route to b survived its link going down")
+	}
+}

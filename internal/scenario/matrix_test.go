@@ -53,11 +53,7 @@ var (
 // break. Their cells still run and must still agree byte for byte; only that
 // rule is forgiven, and an entry whose violation no longer occurs fails the
 // test, so it goes when the fault is mended.
-var knownViolations = map[string]string{
-	// Protocol routing has no connected routes: the route to the one
-	// neighbor ages out when the 8 s fade loses refreshes in a row.
-	"wireless routing=exact sync=protocol seed=2": faults.RuleRouteBlackhole,
-}
+var knownViolations = map[string]string{}
 
 // class is one equivalence class of the matrix: a registry scenario under a
 // (Routing, RouteSync) pair that Spec.Validate accepts, at one seed. Its
