@@ -32,12 +32,11 @@ type addrTable struct {
 // newAddrTable returns an empty table with room for names names; id 0 is
 // taken, by no name.
 func newAddrTable(names int) addrTable {
-	t := addrTable{
+	return addrTable{
 		ids:    make(map[string]int32, names),
 		hosts:  make([]*Host, 1, names+1),
 		suffix: make([]int32, 1, names+1),
 	}
-	return t
 }
 
 // intern returns name's id, dealing one to it, and first to its suffixes,

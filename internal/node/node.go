@@ -287,20 +287,19 @@ func (h *Host) route(dst int32, name string) *netsim.Link {
 	if t == nil {
 		return h.def
 	}
+	suffix := h.addrs.suffix
 	var s int32
 	if dst != 0 {
 		if l := t.exact.get(dst); l != nil {
 			return live(l)
 		}
-		s = h.addrs.suffix[dst]
-	} else if len(t.domains.Links) > 0 {
+		s = suffix[dst]
+	} else {
 		s = h.addrs.suffixOf(name) // no name without an id has an exact route
 	}
-	if len(t.domains.Links) > 0 {
-		for ; s != 0; s = h.addrs.suffix[s] {
-			if l := t.domains.get(s); l != nil {
-				return live(l)
-			}
+	for d := t.domains; s != 0 && len(d.Links) > 0; s = suffix[s] {
+		if l := d.get(s); l != nil {
+			return live(l)
 		}
 	}
 	return h.def
@@ -548,7 +547,8 @@ var _ netsim.Receiver = (*Host)(nil)
 type Network struct {
 	sched    *simtime.Scheduler
 	schedFor func(host string) *simtime.Scheduler
-	// addrs numbers every host and names them; nhosts counts the hosts.
+	// addrs gives each host's name, and each dotted suffix of one, its id;
+	// nhosts counts the hosts.
 	addrs  addrTable
 	nhosts int
 
