@@ -30,7 +30,8 @@ type addrTable struct {
 }
 
 // newAddrTable returns an empty table with room for names names; id 0 is
-// taken, by no name.
+// taken, by no name. The zero addrTable is empty too, and makes itself on
+// its first intern.
 func newAddrTable(names int) addrTable {
 	return addrTable{
 		ids:    make(map[string]int32, names),
@@ -44,6 +45,9 @@ func newAddrTable(names int) addrTable {
 func (t *addrTable) intern(name string) int32 {
 	if id, ok := t.ids[name]; ok {
 		return id
+	}
+	if t.ids == nil {
+		*t = newAddrTable(1)
 	}
 	var suffix int32
 	if dot := strings.IndexByte(name, '.'); dot >= 0 {

@@ -114,7 +114,7 @@ type Host struct {
 // has an address table of its own, so it exchanges packets with no other
 // host; hosts that talk to each other come from one Network.
 func NewHost(name string, sched *simtime.Scheduler) *Host {
-	addrs := newAddrTable(1)
+	addrs := new(addrTable)
 	return addrs.newHost(addrs.intern(name), name, sched, new(Host))
 }
 
@@ -565,7 +565,7 @@ func NewNetwork(sched *simtime.Scheduler) *Network {
 	if sched == nil {
 		panic("node: NewNetwork requires a scheduler")
 	}
-	return &Network{sched: sched, addrs: newAddrTable(0)}
+	return &Network{sched: sched}
 }
 
 // NewShardedNetwork returns an empty topology whose hosts are bound to
@@ -576,7 +576,7 @@ func NewShardedNetwork(schedFor func(host string) *simtime.Scheduler) *Network {
 	if schedFor == nil {
 		panic("node: NewShardedNetwork requires a scheduler map")
 	}
-	return &Network{schedFor: schedFor, addrs: newAddrTable(0)}
+	return &Network{schedFor: schedFor}
 }
 
 // Reserve sizes the network for hosts more hosts and duplexes more duplex
@@ -588,7 +588,7 @@ func (n *Network) Reserve(hosts, duplexes, nameBytes int) {
 	n.duplexSlab = make([]netsim.Duplex, duplexes)
 	n.names = strings.Builder{}
 	n.names.Grow(nameBytes)
-	if n.nhosts == 0 && len(n.addrs.ids) == 0 {
+	if n.addrs.ids == nil {
 		n.addrs = newAddrTable(hosts)
 	}
 }
