@@ -76,7 +76,8 @@ func (s *sweepFlags) Set(v string) error { *s = append(*s, v); return nil }
 
 // probeFlags collects repeated -probe flags as parsed probe specs. Each flag
 // is "target" or "target@interval" (e.g. "link[0].queue_depth@100ms"); the
-// target grammar is validated here so a typo fails at flag-parse time.
+// target and its field are validated here so a typo fails at flag-parse
+// time.
 type probeFlags []probe.Spec
 
 func (p *probeFlags) String() string {
@@ -97,7 +98,7 @@ func (p *probeFlags) Set(v string) error {
 		}
 		ps.Interval = d
 	}
-	if _, err := probe.ParseTarget(ps.Target); err != nil {
+	if _, err := scenario.ParseProbeTarget(ps.Target); err != nil {
 		return err
 	}
 	*p = append(*p, ps)

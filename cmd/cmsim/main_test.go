@@ -90,6 +90,10 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{[]string{"-campaign", campaign("set-loss", splice{base: `, "events": [{"at": 500000000, "kind": "set-loss", "link": 0, "loss_rate": 0.1}]`})}, `unknown field "loss_rate"`},
 		{[]string{"-campaign", campaign("set-loss-kind", splice{base: `, "events": [{"at": 500000000, "kind": "set-loss", "link": 0}]`})}, `event kind "set-loss" unknown`},
 		{[]string{"-scenario", "p2p", "-probe", "nosuch[0].depth"}, `invalid value "nosuch[0].depth" for flag -probe`},
+		{[]string{"-scenario", "p2p", "-probe", "link[0].nosuch"}, `invalid value "link[0].nosuch" for flag -probe: probe target "link[0].nosuch": ` +
+			`unknown field "nosuch" (valid: queue_depth, sent_packets, sent_bytes, delivered_bytes, drops, utilization)`},
+		{[]string{"-scenario", "p2p", "-probe", "cm[s0].queue_depth"}, `invalid value "cm[s0].queue_depth" for flag -probe: probe target "cm[s0].queue_depth": ` +
+			`unknown field "queue_depth" (valid: rate, cwnd, srtt, loss_rate, outstanding, flows, macroflows)`},
 		{[]string{"-scenario", "nosuch"}, `unknown scenario "nosuch"`},
 		{nil, "nothing to run"},
 		{[]string{"-scenario", "dumbbell", "-param", "k=4"}, `scenario "dumbbell": unknown parameter "k" (takes none)`},

@@ -373,9 +373,10 @@ func (l *Link) SetDown(down bool) {
 func (l *Link) IsDown() bool { return l.down }
 
 // Stats returns a copy of the link counters. The copy spans both writing
-// sides of the ownership split, so under sharded execution it may only be
-// taken at quiescence (a barrier, or after the run); mid-run samplers use
-// the single-side accessors below instead.
+// sides of the ownership split (DeliveredOctets is written by the receiving
+// side's scheduler, the rest by the sending side's), so under sharded
+// execution it may only be taken at quiescence: a barrier, where probes
+// sample, or after the run.
 func (l *Link) Stats() LinkStats {
 	st := l.stats
 	st.SentPackets, st.SentBytes = l.SentCounters()
@@ -393,16 +394,6 @@ func (l *Link) SentCounters() (packets int, bytes int64) {
 	}
 	return l.stats.SentPackets, l.stats.SentBytes
 }
-
-// DropCount returns queue + Bernoulli + burst + down drops, all written by
-// the sending side's scheduler.
-func (l *Link) DropCount() int {
-	return l.stats.QueueDrops + l.stats.BernoulliDrops + l.stats.BurstDrops + l.stats.DownDrops
-}
-
-// DeliveredBytes returns the delivered-octet counter, written only by the
-// receiving side's scheduler (DeliverRemote under sharding).
-func (l *Link) DeliveredBytes() int64 { return l.stats.DeliveredOctets }
 
 // QueueStats returns the counters of the link's buffer.
 func (l *Link) QueueStats() QueueStats {

@@ -282,7 +282,7 @@ func TestPropertyLossyLinkAccounting(t *testing.T) {
 		}
 		s.Run()
 		st := l.Stats()
-		return len(dst.pkts)+st.BernoulliDrops+st.QueueDrops == count && l.DropCount() == st.BernoulliDrops+st.QueueDrops
+		return len(dst.pkts)+st.BernoulliDrops+st.QueueDrops == count && st.BurstDrops+st.DownDrops == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

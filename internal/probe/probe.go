@@ -3,7 +3,6 @@ package probe
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -66,54 +65,6 @@ type Target struct {
 	Field string
 }
 
-// linkFields, hostFields, cmFields and shardFields are the valid Field sets
-// per target kind (documented in docs/OBSERVABILITY.md).
-var (
-	linkFields = map[string]bool{
-		"queue_depth":     true, // packets queued right now
-		"sent_packets":    true,
-		"sent_bytes":      true,
-		"delivered_bytes": true, // counted on the receiving side
-		"drops":           true, // queue + loss + burst + down drops
-		"utilization":     true, // busy fraction of elapsed virtual time
-	}
-	hostFields = map[string]bool{
-		"sent_packets":       true,
-		"sent_bytes":         true,
-		"received_packets":   true,
-		"received_bytes":     true,
-		"forwarded_packets":  true,
-		"no_route_drops":     true, // sender-side: no route for the destination
-		"route_miss_drops":   true, // transit packet died at a non-forwarding leaf
-		"forward_miss_drops": true, // transit packet died at a router with no entry
-		"ttl_expired_drops":  true, // hop budget exhausted: the routing-loop symptom
-	}
-	// Aggregate (links.* / hosts.*) fields: the summable subset — gauges that
-	// add meaningfully (queue_depth) and monotonic counters, but not ratios
-	// like utilization.
-	linksAggFields = map[string]bool{
-		"queue_depth":     true,
-		"sent_packets":    true,
-		"sent_bytes":      true,
-		"delivered_bytes": true,
-		"drops":           true,
-	}
-	hostsAggFields = hostFields
-	cmFields       = map[string]bool{
-		"rate":        true, // sum of macroflow rates, bytes/s
-		"cwnd":        true, // sum of macroflow congestion windows, bytes
-		"srtt":        true, // max macroflow smoothed RTT, seconds
-		"loss_rate":   true, // max macroflow loss rate
-		"outstanding": true, // sum of outstanding (granted, unreported) bytes
-		"flows":       true,
-		"macroflows":  true,
-	}
-	shardFields = map[string]bool{
-		"count":     true,
-		"lookahead": true, // seconds
-	}
-)
-
 // ParseTarget parses a probe path. The grammar mirrors the sweep axis
 // language:
 //
@@ -131,6 +82,9 @@ var (
 // In the aggregate families the field is the segment after the last dot;
 // everything between the kind and the field is the glob (globs and names may
 // contain dots, fields never do).
+//
+// ParseTarget checks the path's syntax only: which fields a kind has, and
+// how each is read, is scenario's field table (scenario.ParseProbeTarget).
 func ParseTarget(s string) (Target, error) {
 	if open := strings.IndexByte(s, '['); open >= 0 {
 		closing := strings.IndexByte(s, ']')
@@ -151,19 +105,13 @@ func ParseTarget(s string) (Target, error) {
 				return Target{}, fmt.Errorf("probe target %q: link index %q must be a non-negative integer", s, arg)
 			}
 			t.Index = idx
-			return t, checkField(s, t.Field, linkFields)
-		case TargetHost:
+			return t, nil
+		case TargetHost, TargetCM:
 			if arg == "" {
 				return Target{}, fmt.Errorf("probe target %q: empty host name", s)
 			}
 			t.Host = arg
-			return t, checkField(s, t.Field, hostFields)
-		case TargetCM:
-			if arg == "" {
-				return Target{}, fmt.Errorf("probe target %q: empty host name", s)
-			}
-			t.Host = arg
-			return t, checkField(s, t.Field, cmFields)
+			return t, nil
 		default:
 			return Target{}, fmt.Errorf("probe target %q: unknown kind %q (want link, host, cm or shard)", s, t.Kind)
 		}
@@ -174,8 +122,7 @@ func ParseTarget(s string) (Target, error) {
 	}
 	switch kind {
 	case TargetShard:
-		t := Target{Kind: TargetShard, Field: rest}
-		return t, checkField(s, rest, shardFields)
+		return Target{Kind: TargetShard, Field: rest}, nil
 	case TargetLinks, TargetHosts:
 		dot := strings.LastIndexByte(rest, '.')
 		if dot <= 0 || dot == len(rest)-1 {
@@ -185,23 +132,7 @@ func ParseTarget(s string) (Target, error) {
 		if _, err := path.Match(t.Pattern, ""); err != nil {
 			return Target{}, fmt.Errorf("probe target %q: bad glob %q: %w", s, t.Pattern, err)
 		}
-		fields := linksAggFields
-		if kind == TargetHosts {
-			fields = hostsAggFields
-		}
-		return t, checkField(s, t.Field, fields)
+		return t, nil
 	}
 	return Target{}, fmt.Errorf("probe target %q: unknown kind %q (want link, host, cm, shard, links or hosts)", s, kind)
-}
-
-func checkField(target, field string, valid map[string]bool) error {
-	if valid[field] {
-		return nil
-	}
-	names := make([]string, 0, len(valid))
-	for f := range valid {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	return fmt.Errorf("probe target %q: unknown field %q (valid: %s)", target, field, strings.Join(names, ", "))
 }

@@ -41,12 +41,9 @@ func TestParseTargetErrors(t *testing.T) {
 		"link[0]",              // missing field
 		"link[x].queue_depth",  // non-numeric link index
 		"link[-1].queue_depth", // negative link index
-		"link[0].bogus",        // unknown field
 		"host[].sent_bytes",    // empty host
-		"cm[s0].queue_depth",   // field of the wrong kind
 		"queue[0].depth",       // unknown kind
 		"shard",                // no field
-		"shard.bogus",          // unknown shard field
 		"link]0[.queue_depth",  // unbalanced brackets
 		"host[s0]sent_bytes",   // missing dot
 		"cwnd",                 // bare word

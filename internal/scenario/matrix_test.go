@@ -36,18 +36,6 @@ var (
 	executors   = []int{0, 1, 4}
 )
 
-// The probe grammar's fields (docs/OBSERVABILITY.md), shard.* left out: it
-// describes the execution plan and differs by shard count by design. The
-// link fields straddle the shard cut: delivered bytes are written on the
-// receiving side of a link, the rest on the sending side.
-var (
-	linksFields = []string{"queue_depth", "sent_packets", "sent_bytes", "delivered_bytes", "drops"}
-	linkFields  = append(linksFields, "utilization")
-	hostsFields = []string{"sent_packets", "sent_bytes", "received_packets", "received_bytes", "forwarded_packets",
-		"no_route_drops", "route_miss_drops", "forward_miss_drops", "ttl_expired_drops"}
-	cmFields = []string{"rate", "cwnd", "srtt", "loss_rate", "outstanding", "flows", "macroflows"}
-)
-
 // knownViolations names the classes whose cells break an invariant through a
 // fault recorded in CHANGES.md (FOUND) and not yet mended, with the rule they
 // break. Their cells still run and must still agree byte for byte; only that
@@ -114,10 +102,14 @@ func armed(spec scenario.Spec, seed int64) scenario.Spec {
 			spec.Probes = append(spec.Probes, probe.Spec{Target: prefix + f})
 		}
 	}
-	add("links.*.", linksFields)
-	add("hosts.*.", hostsFields)
+	// Every probe field of the table but shard.*: that family describes the
+	// execution plan and differs by shard count by design. The link fields
+	// straddle the shard cut: delivered bytes are written on the receiving
+	// side of a link, the rest on the sending side.
+	add("links.*.", scenario.ProbeFieldNames(probe.TargetLinks))
+	add("hosts.*.", scenario.ProbeFieldNames(probe.TargetHosts))
 	for i := range spec.Links {
-		add("link["+strconv.Itoa(i)+"].", linkFields)
+		add("link["+strconv.Itoa(i)+"].", scenario.ProbeFieldNames(probe.TargetLink))
 	}
 	cms := slices.Clone(spec.CMHosts)
 	for _, w := range spec.Workloads {
@@ -127,7 +119,7 @@ func armed(spec scenario.Spec, seed int64) scenario.Spec {
 	}
 	slices.Sort(cms)
 	for _, h := range slices.Compact(cms) {
-		add("cm["+h+"].", cmFields)
+		add("cm["+h+"].", scenario.ProbeFieldNames(probe.TargetCM))
 	}
 	spec.SnapshotEvery = probe.DefaultInterval
 	spec.TraceDepth = 256

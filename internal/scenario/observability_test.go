@@ -95,14 +95,11 @@ func TestProbeTargetsMatchAggregateTwins(t *testing.T) {
 	spec := churnProbeSpec(t)
 	fwd := MustBuild(spec).Duplex(0).Forward.Config().Name
 	var pairs [][2]string
-	for _, f := range []string{"queue_depth", "sent_packets", "sent_bytes", "delivered_bytes", "drops"} {
+	for _, f := range probeFieldNames(probe.TargetLinks) {
 		pairs = append(pairs, [2]string{"link[0]." + f, "links." + fwd + "." + f})
 	}
 	for _, host := range []string{"s0", "s1"} {
-		for _, f := range []string{
-			"sent_packets", "sent_bytes", "received_packets", "received_bytes", "forwarded_packets",
-			"no_route_drops", "route_miss_drops", "forward_miss_drops", "ttl_expired_drops",
-		} {
+		for _, f := range probeFieldNames(probe.TargetHosts) {
 			pairs = append(pairs, [2]string{"host[" + host + "]." + f, "hosts." + host + "." + f})
 		}
 	}
@@ -168,6 +165,9 @@ func TestProbeValidation(t *testing.T) {
 	}
 	for _, tc := range []struct{ target, want string }{
 		{"link[0].no_such_field", "unknown field"},
+		{"cm[sender].queue_depth", "unknown field"}, // a field of another kind
+		{"shard.bogus", "unknown field"},
+		{"links.*.utilization", "unknown field"}, // a ratio does not sum
 		{"link[9].queue_depth", "out of range"},
 		{"host[nobody].sent_bytes", "not in topology"},
 		{"cm[receiver].rate", "no Congestion Manager"},

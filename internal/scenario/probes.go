@@ -15,8 +15,11 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"slices"
+	"strings"
 	"time"
 
+	"repro/internal/cm"
 	"repro/internal/netsim"
 	"repro/internal/node"
 	"repro/internal/probe"
@@ -56,20 +59,128 @@ func (s *Sim) installProbes() error {
 	return nil
 }
 
+// probeField is one sampled quantity of a probe target family: its name in
+// the target path, its reader, and whether a links.<glob> or hosts.<glob>
+// target may sum it over its matches.
+type probeField[T any] struct {
+	name   string
+	read   func(T) float64
+	summed bool
+}
+
+// The probe fields of each target family, in the order docs/OBSERVABILITY.md
+// lists them. They are the one definition of a field: ParseProbeTarget checks
+// a path against them and compileProbe reads through them. A link field is
+// read at a barrier, when both sides of the link are quiescent.
+var (
+	linkProbes = []probeField[*netsim.Link]{
+		{"queue_depth", func(l *netsim.Link) float64 { return float64(l.QueueLen()) }, true},
+		{"sent_packets", func(l *netsim.Link) float64 { return float64(l.Stats().SentPackets) }, true},
+		{"sent_bytes", func(l *netsim.Link) float64 { return float64(l.Stats().SentBytes) }, true},
+		{"delivered_bytes", func(l *netsim.Link) float64 { return float64(l.Stats().DeliveredOctets) }, true},
+		{"drops", func(l *netsim.Link) float64 {
+			st := l.Stats()
+			return float64(st.QueueDrops + st.BernoulliDrops + st.BurstDrops + st.DownDrops)
+		}, true},
+		// A ratio: a sum over links would mean nothing.
+		{"utilization", (*netsim.Link).Utilization, false},
+	}
+	hostProbes = []probeField[*node.Host]{
+		{"sent_packets", func(h *node.Host) float64 { return float64(h.Stats().SentPackets) }, true},
+		{"sent_bytes", func(h *node.Host) float64 { return float64(h.Stats().SentBytes) }, true},
+		{"received_packets", func(h *node.Host) float64 { return float64(h.Stats().ReceivedPackets) }, true},
+		{"received_bytes", func(h *node.Host) float64 { return float64(h.Stats().ReceivedBytes) }, true},
+		{"forwarded_packets", func(h *node.Host) float64 { return float64(h.Stats().ForwardedPackets) }, true},
+		{"no_route_drops", func(h *node.Host) float64 { return float64(h.Stats().NoRouteDrops) }, true},
+		{"route_miss_drops", func(h *node.Host) float64 { return float64(h.Stats().RouteMissDrops) }, true},
+		{"forward_miss_drops", func(h *node.Host) float64 { return float64(h.Stats().ForwardMissDrops) }, true},
+		{"ttl_expired_drops", func(h *node.Host) float64 { return float64(h.Stats().TTLExpiredDrops) }, true},
+	}
+	// The CM fields aggregate over the host's macroflows as its status query
+	// does: rate, cwnd and outstanding sum, srtt and loss_rate take the worst.
+	cmProbes = []probeField[*cm.CM]{
+		{"rate", func(c *cm.CM) float64 { return c.AggregateStatus().Rate }, false},
+		{"cwnd", func(c *cm.CM) float64 { return float64(c.AggregateStatus().CWND) }, false},
+		{"srtt", func(c *cm.CM) float64 { return c.AggregateStatus().SRTT.Seconds() }, false},
+		{"loss_rate", func(c *cm.CM) float64 { return c.AggregateStatus().LossRate }, false},
+		{"outstanding", func(c *cm.CM) float64 { return float64(c.AggregateStatus().Outstanding) }, false},
+		{"flows", func(c *cm.CM) float64 { return float64(c.FlowCount()) }, false},
+		{"macroflows", func(c *cm.CM) float64 { return float64(c.MacroflowCount()) }, false},
+	}
+	// Execution-plan values: identical at every sample, but as a series they
+	// flow into sweep aggregation like any other probe. They describe the
+	// execution, not the simulated system, so they are the one family whose
+	// values differ between a serial and a sharded run of the same spec.
+	shardProbes = []probeField[*Sim]{
+		{"count", func(s *Sim) float64 { return float64(s.ShardCount()) }, false},
+		{"lookahead", func(s *Sim) float64 { return s.Lookahead().Seconds() }, false},
+	}
+)
+
+// probeFieldNames returns the fields a target kind accepts, in table order:
+// an aggregate kind takes only the fields that sum.
+func probeFieldNames(kind string) []string {
+	switch kind {
+	case probe.TargetLink, probe.TargetLinks:
+		return fieldNames(linkProbes, kind == probe.TargetLinks)
+	case probe.TargetHost, probe.TargetHosts:
+		return fieldNames(hostProbes, kind == probe.TargetHosts)
+	case probe.TargetCM:
+		return fieldNames(cmProbes, false)
+	case probe.TargetShard:
+		return fieldNames(shardProbes, false)
+	}
+	return nil
+}
+
+func fieldNames[T any](fields []probeField[T], summedOnly bool) []string {
+	var names []string
+	for _, f := range fields {
+		if f.summed || !summedOnly {
+			names = append(names, f.name)
+		}
+	}
+	return names
+}
+
+// reader returns the reader of the named field, which ParseProbeTarget has
+// checked is in fields.
+func reader[T any](fields []probeField[T], name string) func(T) float64 {
+	for _, f := range fields {
+		if f.name == name {
+			return f.read
+		}
+	}
+	panic("scenario: unchecked probe field " + name)
+}
+
+// ParseProbeTarget parses a probe path (probe.ParseTarget) and checks its
+// field against the target family's field table.
+func ParseProbeTarget(target string) (probe.Target, error) {
+	t, err := probe.ParseTarget(target)
+	if err != nil {
+		return probe.Target{}, err
+	}
+	names := probeFieldNames(t.Kind)
+	if !slices.Contains(names, t.Field) {
+		return probe.Target{}, fmt.Errorf("probe target %q: unknown field %q (valid: %s)", target, t.Field, strings.Join(names, ", "))
+	}
+	return t, nil
+}
+
 // compileProbe resolves a probe target against the built topology and
 // returns its reader. link[i] and host[h] are the one-member cases of the
 // links.<glob> and hosts.<glob> sums. Spec.Validate has checked the target
-// and its link index, host or CM, and ParseTarget the glob; a glob that
-// matches nothing is an error here, since a silently-empty series would read
-// as "nothing happened".
+// and its link index, host or CM; a glob that matches nothing is an error
+// here, since a silently-empty series would read as "nothing happened".
 func (s *Sim) compileProbe(target string) (func() float64, error) {
-	t, err := probe.ParseTarget(target)
+	t, err := ParseProbeTarget(target)
 	if err != nil {
 		return nil, err
 	}
 	switch t.Kind {
 	case probe.TargetLink:
-		return sum([]*netsim.Link{s.duplexes[t.Index].Forward}, linkField(t.Field)), nil
+		return sum([]*netsim.Link{s.duplexes[t.Index].Forward}, reader(linkProbes, t.Field)), nil
 	case probe.TargetLinks:
 		var links []*netsim.Link
 		for _, d := range s.duplexes {
@@ -82,9 +193,9 @@ func (s *Sim) compileProbe(target string) (func() float64, error) {
 		if len(links) == 0 {
 			return nil, fmt.Errorf("links pattern %q matches no link direction", t.Pattern)
 		}
-		return sum(links, linkField(t.Field)), nil
+		return sum(links, reader(linkProbes, t.Field)), nil
 	case probe.TargetHost:
-		return sum([]*node.Host{s.net.Host(t.Host)}, hostField(t.Field)), nil
+		return sum([]*node.Host{s.net.Host(t.Host)}, reader(hostProbes, t.Field)), nil
 	case probe.TargetHosts:
 		var hosts []*node.Host
 		for _, name := range s.nodeNames {
@@ -95,39 +206,14 @@ func (s *Sim) compileProbe(target string) (func() float64, error) {
 		if len(hosts) == 0 {
 			return nil, fmt.Errorf("hosts pattern %q matches no node", t.Pattern)
 		}
-		return sum(hosts, hostField(t.Field)), nil
+		return sum(hosts, reader(hostProbes, t.Field)), nil
 	case probe.TargetCM:
-		c := s.cms[t.Host]
-		switch t.Field {
-		case "rate":
-			return func() float64 { return c.AggregateStatus().Rate }, nil
-		case "cwnd":
-			return func() float64 { return float64(c.AggregateStatus().CWND) }, nil
-		case "srtt":
-			return func() float64 { return c.AggregateStatus().SRTT.Seconds() }, nil
-		case "loss_rate":
-			return func() float64 { return c.AggregateStatus().LossRate }, nil
-		case "outstanding":
-			return func() float64 { return float64(c.AggregateStatus().Outstanding) }, nil
-		case "flows":
-			return func() float64 { return float64(c.FlowCount()) }, nil
-		case "macroflows":
-			return func() float64 { return float64(c.MacroflowCount()) }, nil
-		}
-	case probe.TargetShard:
-		// Execution-plan values: identical at every sample, but as a series
-		// they flow into sweep aggregation like any other probe. They
-		// describe the execution (not the simulated system), so they are the
-		// one probe family whose values differ between a serial and a
-		// sharded run of the same spec.
-		switch t.Field {
-		case "count":
-			return func() float64 { return float64(s.ShardCount()) }, nil
-		case "lookahead":
-			return func() float64 { return s.Lookahead().Seconds() }, nil
-		}
+		read, c := reader(cmProbes, t.Field), s.cms[t.Host]
+		return func() float64 { return read(c) }, nil
+	default: // probe.TargetShard
+		read := reader(shardProbes, t.Field)
+		return func() float64 { return read(s) }, nil
 	}
-	return nil, fmt.Errorf("probe target %q: no reader", target)
 }
 
 // sum returns the reader adding field over every member of set.
@@ -139,52 +225,6 @@ func sum[T any](set []T, field func(T) float64) func() float64 {
 		}
 		return total
 	}
-}
-
-// linkField returns the reader for one link-level probe field (shared by the
-// link[i] and links.<glob> families).
-func linkField(field string) func(l *netsim.Link) float64 {
-	switch field {
-	case "queue_depth":
-		return func(l *netsim.Link) float64 { return float64(l.QueueLen()) }
-	case "sent_packets":
-		return func(l *netsim.Link) float64 { p, _ := l.SentCounters(); return float64(p) }
-	case "sent_bytes":
-		return func(l *netsim.Link) float64 { _, b := l.SentCounters(); return float64(b) }
-	case "delivered_bytes":
-		return func(l *netsim.Link) float64 { return float64(l.DeliveredBytes()) }
-	case "drops":
-		return func(l *netsim.Link) float64 { return float64(l.DropCount()) }
-	case "utilization":
-		return (*netsim.Link).Utilization
-	}
-	return nil
-}
-
-// hostField returns the reader for one host-level probe field (shared by the
-// host[h] and hosts.<glob> families).
-func hostField(field string) func(h *node.Host) float64 {
-	switch field {
-	case "sent_packets":
-		return func(h *node.Host) float64 { return float64(h.Stats().SentPackets) }
-	case "sent_bytes":
-		return func(h *node.Host) float64 { return float64(h.Stats().SentBytes) }
-	case "received_packets":
-		return func(h *node.Host) float64 { return float64(h.Stats().ReceivedPackets) }
-	case "received_bytes":
-		return func(h *node.Host) float64 { return float64(h.Stats().ReceivedBytes) }
-	case "forwarded_packets":
-		return func(h *node.Host) float64 { return float64(h.Stats().ForwardedPackets) }
-	case "no_route_drops":
-		return func(h *node.Host) float64 { return float64(h.Stats().NoRouteDrops) }
-	case "route_miss_drops":
-		return func(h *node.Host) float64 { return float64(h.Stats().RouteMissDrops) }
-	case "forward_miss_drops":
-		return func(h *node.Host) float64 { return float64(h.Stats().ForwardMissDrops) }
-	case "ttl_expired_drops":
-		return func(h *node.Host) float64 { return float64(h.Stats().TTLExpiredDrops) }
-	}
-	return nil
 }
 
 // takeSnapshot captures the full current Result. The executor calls it at

@@ -364,7 +364,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for i, p := range s.Probes {
-		t, err := probe.ParseTarget(p.Target)
+		t, err := ParseProbeTarget(p.Target)
 		if err != nil {
 			return fmt.Errorf("scenario %q: probe %d: %w", s.Name, i, err)
 		}
