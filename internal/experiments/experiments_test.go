@@ -203,7 +203,7 @@ func TestFig8ALFAdaptationTrace(t *testing.T) {
 	}
 	// The transmission rate must track the CM-reported rate: averaged over
 	// the trace they agree within a factor of two.
-	tx, rep := res.TransmissionRate.Mean(), res.ReportedRate.Mean()
+	tx, rep := res.TransmissionRate.Summary().Mean, res.ReportedRate.Summary().Mean
 	if tx <= 0 || rep <= 0 {
 		t.Fatalf("zero rates: tx=%.0f reported=%.0f", tx, rep)
 	}
@@ -228,7 +228,7 @@ func TestFig9RateCallbackAdaptationTrace(t *testing.T) {
 	}
 	// Self-clocked transmission follows the chosen layer: the average
 	// transmission rate stays within the configured layer range.
-	tx := res.TransmissionRate.Mean()
+	tx := res.TransmissionRate.Summary().Mean
 	cfg := res.Config
 	if tx < cfg.Layers[0]*0.5 || tx > cfg.Layers[len(cfg.Layers)-1]*1.2 {
 		t.Fatalf("transmission rate %.0f outside the layer range", tx)
@@ -275,8 +275,8 @@ func TestAdaptationTracesConserveBytes(t *testing.T) {
 			}
 			return bytes
 		}
-		if last, _ := res.TransmissionRate.Last(); last.T != res.Config.Duration {
-			t.Errorf("%s: last sample at %v, want %v", name, last.T, res.Config.Duration)
+		if pts := res.TransmissionRate.Points; len(pts) == 0 || pts[len(pts)-1].T != res.Config.Duration {
+			t.Errorf("%s: %d samples, the last not at %v", name, len(pts), res.Config.Duration)
 		}
 		if got := sum(res.TransmissionRate); got != res.Stats.BytesSent || got == 0 {
 			t.Errorf("%s: transmission trace sums to %d B, server sent %d", name, got, res.Stats.BytesSent)

@@ -76,6 +76,12 @@ type HostStats struct {
 	NotifierUpcalled int
 }
 
+// RouteDrops sums the four routing-failure drop counters: the blackhole
+// signal the convergence invariant watches.
+func (s HostStats) RouteDrops() int {
+	return s.NoRouteDrops + s.RouteMissDrops + s.ForwardMissDrops + s.TTLExpiredDrops
+}
+
 // Host is a simulated end system with an IP layer, a routing table keyed by
 // destination host, and transport-endpoint demultiplexing. A Host with
 // forwarding enabled doubles as a router: packets arriving for other

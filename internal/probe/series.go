@@ -44,14 +44,6 @@ func (s *Series) Len() int { return len(s.Points) }
 // At returns the i-th sample.
 func (s *Series) At(i int) Point { return s.Points[i] }
 
-// Last returns the most recent sample and whether the series is non-empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
-}
-
 // Freeze returns a value copy of the series whose Points slice is detached
 // from the live one, so a result collected mid-run (a snapshot) is immune to
 // later sampling appends.
@@ -59,54 +51,36 @@ func (s *Series) Freeze() Series {
 	return Series{Name: s.Name, Points: append([]Point(nil), s.Points...)}
 }
 
-// Values returns just the sample values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
+// Summary condenses a series into the figures the run report and the sweep's
+// probe.<name>.* metrics carry. Every figure reads 0 for an empty series.
+type Summary struct {
+	Samples int     `json:"samples"`
+	Mean    float64 `json:"mean"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+	Last    float64 `json:"last"`
 }
 
-// Mean returns the arithmetic mean of the sample values (0 for an empty
-// series).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
+// Summary returns the series' summary; the mean adds the samples in order.
+func (s *Series) Summary() Summary {
+	n := len(s.Points)
+	if n == 0 {
+		return Summary{}
 	}
-	var sum float64
+	first := s.Points[0].V
+	sum := Summary{Samples: n, Min: first, Max: first, Last: s.Points[n-1].V}
+	var total float64
 	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Min and Max return the extreme sample values (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points {
-		if p.V < m {
-			m = p.V
+		total += p.V
+		if p.V < sum.Min {
+			sum.Min = p.V
+		}
+		if p.V > sum.Max {
+			sum.Max = p.V
 		}
 	}
-	return m
-}
-
-// Max returns the maximum sample value.
-func (s *Series) Max() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
+	sum.Mean = total / float64(n)
+	return sum
 }
 
 // CSV renders the series (or several series sharing timestamps) as CSV with a

@@ -8,24 +8,17 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("rate")
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series should have no last point")
-	}
 	s.Add(time.Second, 10)
 	s.Add(2*time.Second, 20)
 	s.Add(3*time.Second, 30)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Mean() != 20 || s.Min() != 10 || s.Max() != 30 {
-		t.Fatalf("mean/min/max = %v/%v/%v", s.Mean(), s.Min(), s.Max())
+	if got, want := s.Summary(), (Summary{Samples: 3, Mean: 20, Min: 10, Max: 30, Last: 30}); got != want {
+		t.Fatalf("Summary = %+v, want %+v", got, want)
 	}
-	last, ok := s.Last()
-	if !ok || last.V != 30 || last.T != 3*time.Second {
-		t.Fatalf("Last = %+v", last)
-	}
-	if got := s.Values(); len(got) != 3 || got[1] != 20 {
-		t.Fatalf("Values = %v", got)
+	if p := s.At(2); p.V != 30 || p.T != 3*time.Second {
+		t.Fatalf("At(2) = %+v", p)
 	}
 	if p := s.At(0); p.V != 10 {
 		t.Fatalf("At(0) = %+v", p)
@@ -34,8 +27,8 @@ func TestSeriesBasics(t *testing.T) {
 
 func TestEmptySeriesStats(t *testing.T) {
 	s := NewSeries("empty")
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatal("empty series stats should be zero")
+	if got := s.Summary(); got != (Summary{}) {
+		t.Fatalf("empty series summary = %+v, want zero", got)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/probe"
 	"repro/internal/scenario"
 )
 
@@ -47,39 +48,6 @@ type SpecSummary struct {
 	TraceDepth      int           `json:"trace_depth,omitempty"`
 }
 
-// Counters aggregates the Result's counters across flows, links, hosts and
-// CMs.
-type Counters struct {
-	EndTime            time.Duration `json:"end_time"`
-	CompletedFlows     int           `json:"completed_flows"`
-	DeliveredBytes     int64         `json:"delivered_bytes"`
-	MeanThroughputKBps float64       `json:"mean_throughput_kbps"`
-	Retransmissions    int64         `json:"retransmissions"`
-	Timeouts           int64         `json:"timeouts"`
-
-	SentPackets     int   `json:"sent_packets"`
-	SentBytes       int64 `json:"sent_bytes"`
-	DeliveredOctets int64 `json:"delivered_octets"`
-	QueueDrops      int   `json:"queue_drops"`
-	BernoulliDrops  int   `json:"bernoulli_drops"`
-	BurstDrops      int   `json:"burst_drops"`
-	DownDrops       int   `json:"down_drops"`
-
-	ForwardedPackets int `json:"forwarded_packets"`
-	// RouteDrops sums no-route, route-miss and forward-miss drops across
-	// hosts — the routing-failure signal the blackhole-window invariant
-	// watches.
-	RouteDrops int `json:"route_drops"`
-
-	DynamicsEvents int `json:"dynamics_events"`
-
-	GrantsIssued    int64 `json:"grants_issued,omitempty"`
-	GrantsReclaimed int64 `json:"grants_reclaimed,omitempty"`
-	Notifies        int64 `json:"notifies,omitempty"`
-	CMRestarts      int64 `json:"cm_restarts,omitempty"`
-	StaleFlowCalls  int64 `json:"stale_flow_calls,omitempty"`
-}
-
 // Verdict is the faults-checker outcome over the end state and any mid-run
 // snapshots.
 type Verdict struct {
@@ -95,19 +63,15 @@ type Verdict struct {
 
 // ProbeSummary condenses one probe series.
 type ProbeSummary struct {
-	Name    string  `json:"name"`
-	Samples int     `json:"samples"`
-	Mean    float64 `json:"mean"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Last    float64 `json:"last"`
+	Name string `json:"name"`
+	probe.Summary
 }
 
 // Report is the structured run report.
 type Report struct {
 	Scenario string                  `json:"scenario"`
 	Spec     SpecSummary             `json:"spec"`
-	Counters Counters                `json:"counters"`
+	Counters scenario.Totals         `json:"counters"`
 	Routing  *scenario.RoutingResult `json:"routing,omitempty"`
 	Faults   Verdict                 `json:"faults"`
 	// Perf is the per-event-kind cost attribution (nil when profiling was
@@ -143,51 +107,12 @@ func Build(sim *scenario.Sim, res *scenario.Result) *Report {
 			SnapshotEvery:   spec.SnapshotEvery,
 			TraceDepth:      spec.TraceDepth,
 		},
-		Routing: res.Routing,
-		Perf:    res.Perf,
+		Counters: res.Totals(),
+		Routing:  res.Routing,
+		Perf:     res.Perf,
 	}
 	if sim.Sharded() {
 		r.Spec.Lookahead = sim.Lookahead()
-	}
-
-	c := &r.Counters
-	c.EndTime = res.EndTime
-	c.DynamicsEvents = len(res.Events)
-	for i := range res.Flows {
-		f := &res.Flows[i]
-		if f.Completed {
-			c.CompletedFlows++
-		}
-		c.DeliveredBytes += f.Delivered
-		c.MeanThroughputKBps += f.ThroughputKBps
-		c.Retransmissions += f.Retransmissions
-		c.Timeouts += f.Timeouts
-	}
-	if n := len(res.Flows); n > 0 {
-		c.MeanThroughputKBps /= float64(n)
-	}
-	for i := range res.Links {
-		l := &res.Links[i]
-		c.SentPackets += l.SentPackets
-		c.SentBytes += l.SentBytes
-		c.DeliveredOctets += l.DeliveredOctets
-		c.QueueDrops += l.QueueDrops
-		c.BernoulliDrops += l.BernoulliDrops
-		c.BurstDrops += l.BurstDrops
-		c.DownDrops += l.DownDrops
-	}
-	for i := range res.Hosts {
-		h := &res.Hosts[i]
-		c.ForwardedPackets += h.ForwardedPackets
-		c.RouteDrops += h.NoRouteDrops + h.RouteMissDrops + h.ForwardMissDrops
-	}
-	for i := range res.CMs {
-		cm := &res.CMs[i]
-		c.GrantsIssued += cm.GrantsIssued
-		c.GrantsReclaimed += cm.GrantsReclaimed
-		c.Notifies += cm.Notifies
-		c.CMRestarts += cm.Restarts
-		c.StaleFlowCalls += cm.StaleFlowCalls
 	}
 
 	snaps := sim.Snapshots()
@@ -201,11 +126,7 @@ func Build(sim *scenario.Sim, res *scenario.Result) *Report {
 
 	for i := range res.Series {
 		s := &res.Series[i]
-		ps := ProbeSummary{Name: s.Name, Samples: s.Len(), Mean: s.Mean(), Min: s.Min(), Max: s.Max()}
-		if last, ok := s.Last(); ok {
-			ps.Last = last.V
-		}
-		r.Probes = append(r.Probes, ps)
+		r.Probes = append(r.Probes, ProbeSummary{Name: s.Name, Summary: s.Summary()})
 	}
 	return r
 }

@@ -414,13 +414,12 @@ func (pp *protoPlane) convergenceBound() time.Duration {
 		routeproto.DefaultInfinity*perStep
 }
 
-// routeDrops sums the four routing-failure drop counters across every host:
-// the blackhole metric the convergence invariant is defined over.
+// routeDrops sums node.HostStats.RouteDrops across every host: the blackhole
+// metric the convergence invariant is defined over.
 func (pp *protoPlane) routeDrops() int64 {
 	var sum int64
 	for _, h := range pp.eng.hosts {
-		st := h.Stats()
-		sum += int64(st.NoRouteDrops + st.RouteMissDrops + st.ForwardMissDrops + st.TTLExpiredDrops)
+		sum += int64(h.Stats().RouteDrops())
 	}
 	return sum
 }

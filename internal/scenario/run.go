@@ -112,6 +112,80 @@ type Result struct {
 	Perf *Perf `json:"perf,omitempty"`
 }
 
+// Totals are a Result's whole-run counters, summed across its flows, links,
+// hosts and CMs: the run report's counters and the sweep's total.* metrics.
+type Totals struct {
+	EndTime            time.Duration `json:"end_time"`
+	CompletedFlows     int           `json:"completed_flows"`
+	DeliveredBytes     int64         `json:"delivered_bytes"`
+	MeanThroughputKBps float64       `json:"mean_throughput_kbps"`
+	Retransmissions    int64         `json:"retransmissions"`
+	Timeouts           int64         `json:"timeouts"`
+
+	SentPackets     int   `json:"sent_packets"`
+	SentBytes       int64 `json:"sent_bytes"`
+	DeliveredOctets int64 `json:"delivered_octets"`
+	QueueDrops      int   `json:"queue_drops"`
+	BernoulliDrops  int   `json:"bernoulli_drops"`
+	BurstDrops      int   `json:"burst_drops"`
+	DownDrops       int   `json:"down_drops"`
+
+	ForwardedPackets int `json:"forwarded_packets"`
+	// RouteDrops sums node.HostStats.RouteDrops across hosts.
+	RouteDrops int `json:"route_drops"`
+
+	DynamicsEvents int `json:"dynamics_events"`
+
+	GrantsIssued    int64 `json:"grants_issued,omitempty"`
+	GrantsReclaimed int64 `json:"grants_reclaimed,omitempty"`
+	Notifies        int64 `json:"notifies,omitempty"`
+	CMRestarts      int64 `json:"cm_restarts,omitempty"`
+	StaleFlowCalls  int64 `json:"stale_flow_calls,omitempty"`
+}
+
+// Totals sums the Result's counters in one pass over each slice. It
+// allocates nothing: the invariant checker takes it on every result.
+func (r *Result) Totals() Totals {
+	t := Totals{EndTime: r.EndTime, DynamicsEvents: len(r.Events)}
+	for i := range r.Flows {
+		f := &r.Flows[i]
+		if f.Completed {
+			t.CompletedFlows++
+		}
+		t.DeliveredBytes += f.Delivered
+		t.MeanThroughputKBps += f.ThroughputKBps
+		t.Retransmissions += f.Retransmissions
+		t.Timeouts += f.Timeouts
+	}
+	if n := len(r.Flows); n > 0 {
+		t.MeanThroughputKBps /= float64(n)
+	}
+	for i := range r.Links {
+		l := &r.Links[i]
+		t.SentPackets += l.SentPackets
+		t.SentBytes += l.SentBytes
+		t.DeliveredOctets += l.DeliveredOctets
+		t.QueueDrops += l.QueueDrops
+		t.BernoulliDrops += l.BernoulliDrops
+		t.BurstDrops += l.BurstDrops
+		t.DownDrops += l.DownDrops
+	}
+	for i := range r.Hosts {
+		h := &r.Hosts[i]
+		t.ForwardedPackets += h.ForwardedPackets
+		t.RouteDrops += h.RouteDrops()
+	}
+	for i := range r.CMs {
+		c := &r.CMs[i]
+		t.GrantsIssued += c.GrantsIssued
+		t.GrantsReclaimed += c.GrantsReclaimed
+		t.Notifies += c.Notifies
+		t.CMRestarts += c.Restarts
+		t.StaleFlowCalls += c.StaleFlowCalls
+	}
+	return t
+}
+
 // flowDriver tracks one declarative flow while the simulation runs: its result
 // in the making, the listener waiting for its one connection and the dialing
 // endpoint while that connection lives. The drivers of a workload are one slab

@@ -52,54 +52,31 @@ func FlattenWhere(res *scenario.Result, keep func(v float64) bool) map[string]fl
 	f.value(reflect.ValueOf(res).Elem())
 	for i := range res.Series {
 		s := &res.Series[i]
-		var last float64
-		if p, ok := s.Last(); ok {
-			last = p.V
-		}
+		sum := s.Summary()
 		prefix := "probe." + s.Name
-		f.put(prefix+".mean", s.Mean())
-		f.put(prefix+".min", s.Min())
-		f.put(prefix+".max", s.Max())
-		f.put(prefix+".last", last)
-		f.put(prefix+".samples", float64(s.Len()))
+		f.put(prefix+".mean", sum.Mean)
+		f.put(prefix+".min", sum.Min)
+		f.put(prefix+".max", sum.Max)
+		f.put(prefix+".last", sum.Last)
+		f.put(prefix+".samples", float64(sum.Samples))
 	}
 
-	var delivered, rtx, timeouts int64
-	var completed int
-	for _, fl := range res.Flows {
-		delivered += fl.Delivered
-		rtx += fl.Retransmissions
-		timeouts += fl.Timeouts
-		if fl.Completed {
-			completed++
-		}
-	}
-	var queueDrops, bernoulli, burst, down int
-	for _, l := range res.Links {
-		queueDrops += l.QueueDrops
-		bernoulli += l.BernoulliDrops
-		burst += l.BurstDrops
-		down += l.DownDrops
-	}
-	var forwarded int64
-	for _, h := range res.Hosts {
-		forwarded += int64(h.ForwardedPackets)
-	}
+	t := res.Totals()
 	var goodput float64
-	if secs := res.EndTime.Seconds(); secs > 0 {
-		goodput = float64(delivered) / secs / 1024
+	if secs := t.EndTime.Seconds(); secs > 0 {
+		goodput = float64(t.DeliveredBytes) / secs / 1024
 	}
-	f.put("total.delivered_bytes", float64(delivered))
+	f.put("total.delivered_bytes", float64(t.DeliveredBytes))
 	f.put("total.goodput_kbps", goodput)
-	f.put("total.completed", float64(completed))
+	f.put("total.completed", float64(t.CompletedFlows))
 	f.put("total.flows", float64(len(res.Flows)))
-	f.put("total.retransmissions", float64(rtx))
-	f.put("total.timeouts", float64(timeouts))
-	f.put("total.queue_drops", float64(queueDrops))
-	f.put("total.bernoulli_drops", float64(bernoulli))
-	f.put("total.burst_drops", float64(burst))
-	f.put("total.down_drops", float64(down))
-	f.put("total.forwarded_packets", float64(forwarded))
+	f.put("total.retransmissions", float64(t.Retransmissions))
+	f.put("total.timeouts", float64(t.Timeouts))
+	f.put("total.queue_drops", float64(t.QueueDrops))
+	f.put("total.bernoulli_drops", float64(t.BernoulliDrops))
+	f.put("total.burst_drops", float64(t.BurstDrops))
+	f.put("total.down_drops", float64(t.DownDrops))
+	f.put("total.forwarded_packets", float64(t.ForwardedPackets))
 	return f.out
 }
 

@@ -21,14 +21,24 @@ func referenceFlatten(res *scenario.Result) map[string]float64 {
 	for i := range res.Series {
 		s := &res.Series[i]
 		prefix := "probe." + s.Name
-		out[prefix+".mean"] = s.Mean()
-		out[prefix+".min"] = s.Min()
-		out[prefix+".max"] = s.Max()
-		if p, ok := s.Last(); ok {
-			out[prefix+".last"] = p.V
-		} else {
-			out[prefix+".last"] = 0
+		var total, lo, hi, last float64
+		for j, p := range s.Points {
+			total += p.V
+			if j == 0 || p.V < lo {
+				lo = p.V
+			}
+			if j == 0 || p.V > hi {
+				hi = p.V
+			}
+			last = p.V
 		}
+		if n := len(s.Points); n > 0 {
+			total /= float64(n)
+		}
+		out[prefix+".mean"] = total
+		out[prefix+".min"] = lo
+		out[prefix+".max"] = hi
+		out[prefix+".last"] = last
 		out[prefix+".samples"] = float64(s.Len())
 	}
 
