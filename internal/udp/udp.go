@@ -86,6 +86,11 @@ type Socket struct {
 	local   netsim.Addr
 	onRecv  ReceiveFunc
 	control bool
+	// peer is the last destination name that resolved, peerID its id: a
+	// socket sending to one peer resolves it once. An unresolved name (id
+	// 0) is never remembered, so Output resolves it again per datagram.
+	peer   string
+	peerID int32
 
 	sentPackets int64
 	sentBytes   int64
@@ -134,6 +139,14 @@ func (s *Socket) SendTo(dst netsim.Addr, d *Datagram) bool {
 	pkt.Payload = d
 	pkt.Control = s.control
 	pkt.ChargeBytes = d.Size
+	if dst.Host != s.peer {
+		if id := s.host.Resolve(dst.Host); id != 0 {
+			s.peer, s.peerID = dst.Host, id
+		}
+	}
+	if dst.Host == s.peer {
+		pkt.SetIDs(s.host.ID(), s.peerID)
+	}
 	s.sentPackets++
 	s.sentBytes += int64(d.Size)
 	return s.host.Output(pkt)

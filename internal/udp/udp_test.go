@@ -74,6 +74,39 @@ func TestPlainSocketSendReceive(t *testing.T) {
 	}
 }
 
+// SendTo stamps both host ids on a datagram, so Output looks no name up; the
+// socket resolves a destination name when it changes and never remembers one
+// that does not resolve.
+func TestSendToStampsHostIDs(t *testing.T) {
+	s := simtime.NewScheduler()
+	nw := node.NewNetwork(s)
+	d := nw.ConnectDuplex("sender", "receiver", fastLink())
+	tx, rx := nw.Host("sender"), nw.Host("receiver")
+	var stamped [][2]int32
+	d.Forward.SetSendTap(func(pkt *netsim.Packet) {
+		src, dst := pkt.IDs()
+		stamped = append(stamped, [2]int32{src, dst})
+	})
+	sock, err := NewSocket(tx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := netsim.Addr{Host: "receiver", Port: 5000}
+	sock.SendTo(to, &Datagram{Size: 100})
+	if sock.SendTo(netsim.Addr{Host: "nobody", Port: 5000}, &Datagram{Size: 100}) {
+		t.Fatal("a datagram to an unknown host went out")
+	}
+	if sock.peer != "receiver" {
+		t.Fatalf("socket remembers %q, want the last name that resolved", sock.peer)
+	}
+	sock.SendTo(to, &Datagram{Size: 100})
+	s.Run()
+	want := [2]int32{tx.ID(), rx.ID()}
+	if len(stamped) != 2 || stamped[0] != want || stamped[1] != want {
+		t.Fatalf("stamped ids %v, want %v twice", stamped, want)
+	}
+}
+
 func TestSocketValidation(t *testing.T) {
 	if _, err := NewSocket(nil, 1); err == nil {
 		t.Fatal("nil host should fail")
