@@ -8,6 +8,7 @@ import (
 	"repro/internal/libcm"
 	"repro/internal/netsim"
 	"repro/internal/probe"
+	"repro/internal/sweep"
 )
 
 // AdaptationConfig parameterises the layered-streaming adaptation traces of
@@ -194,7 +195,7 @@ func (r AdaptationResult) Table() string {
 	}
 	title := fmt.Sprintf("Adaptation trace (%s API, %d layer switches, %d rate callbacks, %d reports)\n",
 		r.Config.Mode, r.Stats.LayerSwitches, r.Stats.RateCallbacks, r.ReportsSent)
-	return title + formatTable([]string{"t(s)", "tx KB/s", "CM-reported KB/s", "layer KB/s", "client KB/s"}, rows)
+	return title + sweep.FormatTable([]string{"t(s)", "tx KB/s", "CM-reported KB/s", "layer KB/s", "client KB/s"}, rows)
 }
 
 // CSV renders the adaptation traces as CSV for plotting.

@@ -6,8 +6,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cm"
@@ -105,40 +103,4 @@ func (w *testbed) senderTCPConfig(cc tcp.CongestionControl) tcp.Config {
 		cfg.CM = w.cm
 	}
 	return cfg
-}
-
-// formatTable renders rows of columns with a header, aligned for terminal
-// output.
-func formatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cols []string) {
-		for i, c := range cols {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	writeRow(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/probe"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // FailureConfig parameterises the adaptation-under-failure experiment: a
@@ -132,7 +133,7 @@ func (r FailureResult) Table() string {
 				ev.At, ev.Kind, ev.Link, ev.Fired, ev.RoutesChanged)
 		}
 	}
-	return title + formatTable([]string{"t(s)", "link", "cwnd KB", "rate KB/s"}, rows)
+	return title + sweep.FormatTable([]string{"t(s)", "link", "cwnd KB", "rate KB/s"}, rows)
 }
 
 // CSV renders the failure traces for plotting.

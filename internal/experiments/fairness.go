@@ -129,5 +129,5 @@ func (r FairnessResult) Table() string {
 		{fmt.Sprintf("aggressive share (%d/%d)", n, n+1), fmt.Sprintf("%.2f", float64(n)/float64(n+1))},
 	}
 	return "Ensemble aggressiveness: share of a shared bottleneck taken from one competing TCP\n" +
-		formatTable([]string{"ensemble configuration", "bandwidth share"}, rows)
+		sweep.FormatTable([]string{"ensemble configuration", "bandwidth share"}, rows)
 }

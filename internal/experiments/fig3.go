@@ -154,7 +154,7 @@ func (r Fig3Result) Table() string {
 		})
 	}
 	return "Figure 3: throughput vs. packet loss (10 Mbps link, 60 ms RTT)\n" +
-		formatTable([]string{"loss%", "TCP/CM KB/s", "TCP/Linux KB/s", "CM/Linux"}, rows)
+		sweep.FormatTable([]string{"loss%", "TCP/CM KB/s", "TCP/Linux KB/s", "CM/Linux"}, rows)
 }
 
 func safeRatio(a, b float64) float64 {

@@ -137,7 +137,7 @@ func (r Fig4Result) Table() string {
 		})
 	}
 	return "Figure 4: 100 Mbps TCP throughput vs transfer length (8 KB buffers)\n" +
-		formatTable([]string{"buffers", "TCP/CM KB/s", "TCP/Linux KB/s", "Linux advantage"}, rows)
+		sweep.FormatTable([]string{"buffers", "TCP/CM KB/s", "TCP/Linux KB/s", "Linux advantage"}, rows)
 }
 
 // Fig5Config parameterises the CPU-utilisation comparison of Figure 5. The
@@ -214,5 +214,5 @@ func (r Fig5Result) Table() string {
 		})
 	}
 	return "Figure 5: CPU utilisation, TCP/CM vs TCP/Linux (100 Mbps saturation)\n" +
-		formatTable([]string{"buffers", "TCP/CM CPU", "TCP/Linux CPU", "CM overhead"}, rows)
+		sweep.FormatTable([]string{"buffers", "TCP/CM CPU", "TCP/Linux CPU", "CM overhead"}, rows)
 }

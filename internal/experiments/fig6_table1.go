@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/apicost"
+	"repro/internal/sweep"
 )
 
 // Table1Result reproduces Table 1: cumulative sources of per-packet overhead
@@ -32,7 +33,7 @@ func (r Table1Result) Table() string {
 		rows = append(rows, []string{row.Variant.String(), row.AddedOps, delta})
 	}
 	return "Table 1: cumulative sources of overhead for the CM APIs (relative to TCP)\n" +
-		formatTable([]string{"API", "added operations", "added cost/pkt"}, rows)
+		sweep.FormatTable([]string{"API", "added operations", "added cost/pkt"}, rows)
 }
 
 // Fig6Config parameterises the API-overhead comparison of Figure 6: modelled
@@ -117,5 +118,5 @@ func (r Fig6Result) Table() string {
 		rows = append(rows, row)
 	}
 	return fmt.Sprintf("Figure 6: per-packet cost by API and packet size (worst-case throughput reduction %.0f%%)\n",
-		100*r.WorstCaseReduction) + formatTable(header, rows)
+		100*r.WorstCaseReduction) + sweep.FormatTable(header, rows)
 }

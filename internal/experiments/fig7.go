@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/netsim"
+	"repro/internal/sweep"
 	"repro/internal/tcp"
 )
 
@@ -118,5 +119,5 @@ func (r Fig7Result) Table() string {
 	}
 	return fmt.Sprintf("Figure 7: sequential %d KB fetches (CM improvement first->last: %.0f%%, CM first-request penalty: %.0f ms)\n",
 		r.Config.FileSize/1024, r.ImprovementPct, r.FirstRequestPenaltyMs) +
-		formatTable([]string{"request#", "TCP/CM ms", "TCP/Linux ms"}, rows)
+		sweep.FormatTable([]string{"request#", "TCP/CM ms", "TCP/Linux ms"}, rows)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/libcm"
 	"repro/internal/netsim"
 	"repro/internal/simtime"
+	"repro/internal/sweep"
 	"repro/internal/tcp"
 )
 
@@ -47,7 +48,7 @@ func (r ConnSetupResult) Table() string {
 		{"TCP/Linux", fmt.Sprintf("%.3f ms", float64(r.Linux)/float64(time.Millisecond))},
 	}
 	return "Connection establishment time (§4.1 microbenchmark)\n" +
-		formatTable([]string{"stack", "setup time"}, rows)
+		sweep.FormatTable([]string{"stack", "setup time"}, rows)
 }
 
 // AblationInitialWindowResult compares the CM's initial window of 1 MTU with
@@ -82,7 +83,7 @@ func (r AblationInitialWindowResult) Table() string {
 		{"CM, initial window 2 MTU", fmt.Sprintf("%.0f ms", r.FirstRequestIW2ms)},
 	}
 	return "Ablation A1: first 128 KB retrieval vs initial congestion window\n" +
-		formatTable([]string{"configuration", "first request"}, rows)
+		sweep.FormatTable([]string{"configuration", "first request"}, rows)
 }
 
 // AblationBulkCallsResult compares the number of kernel boundary crossings a
@@ -140,7 +141,7 @@ func (r AblationBulkCallsResult) Table() string {
 		{"crossings saved", fmt.Sprintf("%d", r.CrossingsSaved)},
 	}
 	return fmt.Sprintf("Ablation A2: control-socket ioctls to request sends for %d flows\n", r.Flows) +
-		formatTable([]string{"strategy", "ioctls"}, rows)
+		sweep.FormatTable([]string{"strategy", "ioctls"}, rows)
 }
 
 // AblationSchedulerResult compares the paper's unweighted round-robin (every
@@ -193,7 +194,7 @@ func (r AblationSchedulerResult) Table() string {
 		{"weights 3:1", fmt.Sprintf("%.2f", r.WeightedShare)},
 	}
 	return "Ablation A3: grant ratio between two backlogged flows on one round-robin\n" +
-		formatTable([]string{"weights", "grant ratio A:B"}, rows)
+		sweep.FormatTable([]string{"weights", "grant ratio A:B"}, rows)
 }
 
 // fig7RunInTestbed is RunFig7's inner loop exposed for the ablations that need

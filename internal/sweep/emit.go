@@ -94,15 +94,20 @@ func (r *CampaignResult) Table() string {
 			rows = append(rows, row)
 		}
 	}
+	return FormatTable(header, rows)
+}
+
+// FormatTable renders rows of columns under a header, each column padded to
+// its widest cell and separated by two spaces, with a dashed rule under the
+// header: the aligned text of every terminal table.
+func FormatTable(header []string, rows [][]string) string {
 	widths := make([]int, len(header))
 	for i, h := range header {
 		widths[i] = len(h)
 	}
 	for _, row := range rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	var b strings.Builder
