@@ -101,8 +101,8 @@ gotest-run = GO=$(GO) bash tools/check-run-pattern.sh '$(2)' $(3) && $(GO) test 
 # the -short determinism matrix (probes, snapshots and the recorder armed on
 # every cell) with its shard byte-identity check, the probe-series determinism check, the one-sampling-rule check
 # (per-target probes equal their aggregate twins) and the past-end dynamics
-# check, then a sharded churn run with per-target and aggregate
-# probes, the flight recorder, mid-run snapshot invariant checking, the
+# check, then a sharded churn run with a probe of every target family but
+# shard.* (link, host, cm, links and hosts), the flight recorder, mid-run snapshot invariant checking, the
 # shard-execution timeline and the structured run report all armed (-report
 # exits nonzero on a non-clean faults verdict, like -check-invariants), then
 # one small sweep with plot emission. CI uploads PROBE_SMOKE.csv,
@@ -115,6 +115,7 @@ probe-smoke:
 	$(GO) run ./cmd/cmsim -scenario churn -shards 4 \
 		-probe "link[0].queue_depth" -probe "link[0].utilization" \
 		-probe "cm[s0].cwnd" -probe "links.*-fwd.drops" \
+		-probe "host[d1].received_bytes" -probe "hosts.*.no_route_drops" \
 		-trace-depth 512 -snapshot-every 1s \
 		-check-invariants -probe-csv PROBE_SMOKE.csv \
 		-timeline-out SHARD_TIMELINE.json \
