@@ -32,7 +32,7 @@ race:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Fifteen seconds of native fuzzing over every fuzz target, 3 s each. Each
+# Eighteen seconds of native fuzzing over every fuzz target, 3 s each. Each
 # feeds random operation traces, callbacks included, to the real thing and to
 # a plain reference, and compares step by step: FuzzSchedulerOps holds the
 # scheduler to a container/heap one (internal/simtime/reference_test.go),
@@ -42,7 +42,10 @@ bench-test:
 # (internal/netsim/queue_reference_test.go), FuzzHostOps holds node.Host's
 # tables to a map-backed host (internal/node/reference_test.go), FuzzCMOps
 # holds the CM's slot-table flow handles to map-keyed ones
-# (internal/cm/reference_test.go).
+# (internal/cm/reference_test.go), FuzzRouteRecompute holds the exact-mode
+# route engine's tables and changed-entry counts to a map-based full-BFS
+# router over random topologies and link flips
+# (internal/scenario/routing_test.go).
 # The seed corpora are in each package's testdata/fuzz/; a failing input is
 # written there too.
 # Minimising each coverage-expanding input would otherwise eat the budget.
@@ -52,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=3s -fuzzminimizetime=1s ./internal/netsim
 	$(GO) test -run='^$$' -fuzz=FuzzHostOps -fuzztime=3s -fuzzminimizetime=1s ./internal/node
 	$(GO) test -run='^$$' -fuzz=FuzzCMOps -fuzztime=3s -fuzzminimizetime=1s ./internal/cm
+	$(GO) test -run='^$$' -fuzz=FuzzRouteRecompute -fuzztime=3s -fuzzminimizetime=1s ./internal/scenario
 
 # Tracked Go lines in three totals: non-test and _test.go files outside bench/,
 # and bench/ (its own module). "code" leaves out blank lines and lines holding

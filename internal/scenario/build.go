@@ -478,9 +478,10 @@ func MustBuild(spec Spec) *Sim {
 // entries. Build uses it for the initial installation; fireEvent calls it on
 // link up/down, where packets already in flight toward a
 // withdrawn route are dropped at the next hop and counted as route-miss (or
-// no-route) drops. After the initial installation the route engine works
-// incrementally — it touches only the state a flipped link can affect while
-// reporting exactly the changed-entry count a full recompute would.
+// no-route) drops. After the initial installation the route engine rebuilds
+// only when a link flipped — every table in exact mode, the flipped links'
+// transmitting endpoints in hier mode — and counts only the entries that
+// changed.
 //
 // In protocol mode the global oracle is replaced by local failure handling:
 // only the flipped links' endpoints react synchronously, and the rest of the

@@ -125,6 +125,85 @@ func TestProtocolWarmStartQuiescent(t *testing.T) {
 	}
 }
 
+// TestProtocolWarmStartMatchesOracle holds the warm-start seeding to BFS on
+// random topologies (exact mode) and fat-trees (hier mode): right after Build
+// has started every agent, each agent's metric for each destination is the
+// hop count to that destination's nearest originator, and every host's table
+// equals the oracle-mode build of the same spec.
+func TestProtocolWarmStartMatchesOracle(t *testing.T) {
+	check := func(t *testing.T, spec Spec) {
+		spec.RouteSync = RouteSyncOracle
+		ref, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.RouteSync = RouteSyncProtocol
+		sim, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, oracle := sim.routing, newOracle(sim)
+		if !e.hier {
+			checkSameRoutes(t, sim, ref, sim.Nodes())
+		} else {
+			// Routers are no endpoints in hier mode, and a router's seeded
+			// domain routes may break ties otherwise than the oracle's
+			// rotated default: compare the hosts' tables, and walk every
+			// host pair along a shortest path.
+			hosts := leafHosts(sim)
+			checkSameRoutes(t, sim, ref, hosts)
+			for _, src := range hosts {
+				for _, dst := range hosts {
+					if src == dst {
+						continue
+					}
+					if hops, want := walkRoute(t, sim, src, dst), bfsDistance(oracle, src, dst); hops != want {
+						t.Fatalf("%s->%s took %d hops, shortest is %d", src, dst, hops, want)
+					}
+				}
+			}
+		}
+		own := e.names
+		if e.hier {
+			own = e.domains
+		}
+		for v, ag := range sim.proto.agents {
+			if ag == nil {
+				continue
+			}
+			for w, dw := range sim.proto.agents {
+				if dw == nil {
+					continue
+				}
+				want := -1
+				for r, rag := range sim.proto.agents {
+					if rag != nil && own[r] == own[w] {
+						if d := bfsDistance(oracle, e.names[v], e.names[r]); want < 0 || d < want {
+							want = d
+						}
+					}
+				}
+				if got, _, ok := ag.Route(own[w]); !ok || got != want {
+					t.Fatalf("%s's metric for %s is %d (known %v), BFS says %d", e.names[v], own[w], got, ok, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 25; iter++ {
+		spec := randomRouteSpec(rng.Intn)
+		t.Run(fmt.Sprintf("random-%d", iter), func(t *testing.T) { check(t, spec) })
+	}
+	for _, k := range []int{4, 6} {
+		spec, err := FatTree(FatTreeParams{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Workloads = nil
+		t.Run(fmt.Sprintf("fattree-k%d", k), func(t *testing.T) { check(t, spec) })
+	}
+}
+
 // TestAggregateProbes pins the links.<glob> / hosts.<glob> probe families:
 // the sampled sum must track the sum of the matched components' counters.
 func TestAggregateProbes(t *testing.T) {

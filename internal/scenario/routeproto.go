@@ -40,6 +40,12 @@ import (
 // Beyond it the audit fields stay zero and AuditedPairs reports 0.
 const routeAuditLimit = 512
 
+// exactProtocolNodeLimit caps exact-mode protocol specs (Validate refuses a
+// larger one): every agent's RIB holds an entry per node, so the control
+// plane's memory and its warm-start seeding grow as the square of the node
+// count. Larger topologies use hier routing, whose RIBs hold domains.
+const exactProtocolNodeLimit = 1024
+
 // protoPlane owns the protocol-mode control plane of one built simulation.
 type protoPlane struct {
 	sim *Sim
@@ -112,11 +118,7 @@ func newProtoPlane(sim *Sim) *protoPlane {
 		}
 		pp.edgeNb[k] = int32(pp.agents[u].AddNeighbor(e.names[v], e.adjLink[k]))
 	}
-	if e.hier {
-		pp.seedHier()
-	} else {
-		pp.seedExact()
-	}
+	pp.seed()
 	return pp
 }
 
@@ -154,48 +156,29 @@ func (pp *protoPlane) installFunc(v int32) routeproto.InstallFunc {
 	}
 }
 
-// seedExact warm-starts every agent's RIB from the engine's distance matrix:
-// agent u's advertisement column for neighbor w holds dist(w, dest)+1, which
-// is exactly what w's first full update would carry. Start() then installs
-// the resulting bests silently, so the t=0 tables equal the oracle's up to
-// tie-breaks the protocol itself would have produced.
-func (pp *protoPlane) seedExact() {
+// seed warm-starts the agents' RIBs. Every agent originates its own
+// destination at metric 0 — its host name in exact mode, the domain it covers
+// in hier mode — and a multi-source BFS per destination from its originators,
+// over the links between agents, provides the neighbor metrics: agent v's
+// column for neighbor w holds dist(w)+1, which is exactly what w's first full
+// update would carry. At Build no link is down and every duplex is symmetric,
+// so the distance from the originators is the distance to them. Start() then
+// installs the resulting bests silently, so the t=0 tables equal the oracle's
+// up to tie-breaks the protocol itself would have produced. RIB size is
+// O(agents × destinations).
+func (pp *protoPlane) seed() {
 	e := pp.eng
-	for s := 0; s < e.n; s++ {
-		e.bfs(int32(s), e.dist[s*e.n:(s+1)*e.n])
+	own := e.names
+	if e.hier {
+		own = e.domains
 	}
-	for v := int32(0); v < int32(e.n); v++ {
-		ag := pp.agents[v]
-		ag.Originate(e.names[v])
-		for k := e.adjOff[v]; k < e.adjOff[v+1]; k++ {
-			j := pp.edgeNb[k]
-			if j < 0 {
-				continue
-			}
-			row := e.dist[int(e.adjTo[k])*e.n : (int(e.adjTo[k])+1)*e.n]
-			for d := int32(0); d < int32(e.n); d++ {
-				if d == v || row[d] < 0 {
-					continue
-				}
-				ag.SeedRoute(e.names[d], int(j), int(row[d])+1)
-			}
-		}
-	}
-}
-
-// seedHier warm-starts the router agents: every router originates the domain
-// it covers at metric 0, and a per-domain multi-source BFS over the
-// router-only subgraph provides the neighbor metrics. Destinations are
-// domains, not hosts, so RIB size is O(routers × domains).
-func (pp *protoPlane) seedHier() {
-	e := pp.eng
 	originators := make(map[string][]int32)
 	var order []string
 	for v := int32(0); v < int32(e.n); v++ {
 		if pp.agents[v] == nil {
 			continue
 		}
-		d := e.domains[v]
+		d := own[v]
 		if _, ok := originators[d]; !ok {
 			order = append(order, d)
 		}
@@ -204,12 +187,12 @@ func (pp *protoPlane) seedHier() {
 	}
 	dist := make([]int32, e.n)
 	queue := make([]int32, 0, e.n)
-	for _, dom := range order {
+	for _, dest := range order {
 		for i := range dist {
 			dist[i] = -1
 		}
 		q := queue[:0]
-		for _, r := range originators[dom] {
+		for _, r := range originators[dest] {
 			dist[r] = 0
 			q = append(q, r)
 		}
@@ -227,7 +210,7 @@ func (pp *protoPlane) seedHier() {
 			}
 		}
 		for v := int32(0); v < int32(e.n); v++ {
-			if pp.agents[v] == nil || e.domains[v] == dom {
+			if pp.agents[v] == nil || own[v] == dest {
 				continue
 			}
 			for k := e.adjOff[v]; k < e.adjOff[v+1]; k++ {
@@ -235,7 +218,7 @@ func (pp *protoPlane) seedHier() {
 				if j < 0 || dist[e.adjTo[k]] < 0 {
 					continue
 				}
-				pp.agents[v].SeedRoute(dom, int(j), int(dist[e.adjTo[k]])+1)
+				pp.agents[v].SeedRoute(dest, int(j), int(dist[e.adjTo[k]])+1)
 			}
 		}
 	}
@@ -294,18 +277,8 @@ func (pp *protoPlane) topologyChanged() int {
 	}
 	before := pp.totalChanged.Load()
 	if e.hier {
-		for i, k := range flips {
-			u := e.adjFrom[k]
-			dup := false
-			for _, prev := range flips[:i] {
-				if e.adjFrom[prev] == u {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				pp.hierLocal(u)
-			}
+		for _, u := range e.flipSenders(flips) {
+			pp.hierLocal(u)
 		}
 	}
 	for _, k := range flips {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/node"
@@ -10,18 +11,17 @@ import (
 
 // routeEngine owns all routing computation for a built simulation. It interns
 // node names once at Build and works on flat integer-indexed state from then
-// on: a CSR adjacency (offsets, targets, links) in first-mention order, a
-// per-entry down-state mirror, and — in exact mode — a per-source distance
-// matrix that lets a link event recompute only the sources it can affect.
+// on: a CSR adjacency (offsets, targets, links) in first-mention order and a
+// per-entry down-state mirror.
 //
 // Two modes share the engine:
 //
 //   - Exact (the default, Spec.Routing empty or "exact"): every host gets a
 //     full destination→next-hop table from a deterministic BFS, bit-for-bit
 //     identical to the original map-based implementation (ties break by
-//     first-mention order). Link events update incrementally while the node
-//     count stays within incrementalRouteLimit, falling back to a full
-//     recompute above it.
+//     first-mention order). A link event recomputes every table: a BFS per
+//     source is cheap at the sizes exact mode serves, and InstallRoutes
+//     reports only the entries that really changed.
 //   - Hierarchical (Spec.Routing == RoutingHier): for tree-like topologies,
 //     levels are measured from Spec.HierRoots and each node's table holds
 //     only its children — an exact entry per child, a name-suffix domain
@@ -29,10 +29,10 @@ import (
 //     O(children) per node and a link event rebuilds only the endpoints of
 //     the flipped links, which is what makes 100k-host specs buildable.
 //
-// In both modes the changed-entry count returned by recompute matches what a
-// from-scratch recompute would have reported: untouched tables contribute
-// zero by definition, and touched ones are diffed by InstallRoutes /
-// InstallHierRoutes.
+// In both modes the changed-entry count returned by recompute is the number
+// of entries that differ from the tables installed before: InstallRoutes and
+// InstallHierRoutes diff what they install, and a hier node whose links did
+// not flip keeps its table.
 type routeEngine struct {
 	n     int
 	names []string
@@ -63,25 +63,13 @@ type routeEngine struct {
 	// (hier mode only), computed once over the static topology.
 	level []int32
 
-	// dist[s*n+v] is the hop count from s to v (-1 unreachable), maintained
-	// in exact mode while n <= incrementalRouteLimit; nil otherwise.
-	dist []int32
-
 	// BFS scratch, sized n; kids collects a hier node's live children.
 	queue    []int32
 	kids     []int32
 	firstHop []int32
-	distRow  []int32
-	affected []bool
 
 	installed bool
 }
-
-// incrementalRouteLimit bounds the exact-mode distance matrix (n² int32).
-// Every canned exact-routing scenario is far below it; a larger exact
-// topology recomputes fully per event, and internet-scale specs use
-// hierarchical routing, whose incremental path needs no matrix at all.
-const incrementalRouteLimit = 1024
 
 // dirEdge is one directional link in Build insertion order.
 type dirEdge struct {
@@ -107,8 +95,6 @@ func newRouteEngine(spec *Spec, nw *node.Network, names []string, index map[stri
 		isRouter: make([]bool, n),
 		queue:    make([]int32, 0, n),
 		firstHop: make([]int32, n),
-		distRow:  make([]int32, n),
-		affected: make([]bool, n),
 	}
 	// Counting sort of the edge list into CSR keeps each node's adjacency in
 	// edge insertion order — exactly the old neighbors-map iteration order.
@@ -148,8 +134,6 @@ func newRouteEngine(spec *Spec, nw *node.Network, names []string, index map[stri
 		if err := e.computeLevels(spec, index); err != nil {
 			return nil, err
 		}
-	} else if n <= incrementalRouteLimit {
-		e.dist = make([]int32, n*n)
 	}
 	return e, nil
 }
@@ -208,8 +192,9 @@ func (e *routeEngine) computeLevels(spec *Spec, id map[string]int) error {
 
 // recompute is the single routing entry point: the first call installs every
 // table from scratch; later calls (the dynamics hook, host moves) diff the
-// live link states against the mirror and touch only what flipped. It
-// returns the total changed-entry count across all hosts.
+// live link states against the mirror and repair routing when anything
+// flipped (update). It returns the total changed-entry count across all
+// hosts.
 func (e *routeEngine) recompute() int {
 	if !e.installed {
 		e.installed = true
@@ -227,8 +212,8 @@ func (e *routeEngine) syncMirror() {
 
 // detectFlips diffs the live link states against the mirror, updating the
 // mirror and returning the adjacency indices whose up/down state changed.
-// Both the oracle's incremental update and the protocol control plane's
-// local failure detectors consume it.
+// Both the oracle's update and the protocol control plane's local failure
+// detectors consume it.
 func (e *routeEngine) detectFlips() []int32 {
 	var flips []int32
 	for k, l := range e.adjLink {
@@ -255,71 +240,34 @@ func (e *routeEngine) installAll() int {
 }
 
 // update finds the directional links whose up/down state changed since the
-// last recompute and repairs routing incrementally. In hier mode only the
-// transmitting endpoint of each flipped link owns table entries through it,
-// so those nodes are rebuilt. In exact mode the distance matrix identifies
-// the affected sources: a downed link matters to source s only if it was
-// tight on s's BFS levels (dist[to] == dist[from]+1 — a non-tight edge
-// carries no shortest path and never discovers a node, so removing it cannot
-// change s's table), and a restored link matters only if it points forward
-// (dist[to] > dist[from] or to was unreachable — a sideways or backward edge
-// can neither shorten a path nor win a discovery tie). Affected sources
-// re-run their BFS against the live links, refreshing their matrix rows.
+// last recompute and repairs routing. In exact mode every table is rebuilt.
+// In hier mode only the transmitting endpoint of each flipped link owns table
+// entries through it, so only those nodes are rebuilt.
 func (e *routeEngine) update() int {
 	flips := e.detectFlips()
 	if len(flips) == 0 {
 		return 0
 	}
-	changed := 0
-	if e.hier {
-		for i, k := range flips {
-			u := e.adjFrom[k]
-			dup := false
-			for _, prev := range flips[:i] {
-				if e.adjFrom[prev] == u {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				changed += e.installHierNode(u)
-			}
-		}
-		return changed
-	}
-	if e.dist == nil {
-		// Exact mode beyond the matrix budget: full recompute. InstallRoutes
-		// still reports only real deltas, so the count is unchanged.
+	if !e.hier {
 		return e.installAll()
 	}
-	aff := e.affected
-	for i := range aff {
-		aff[i] = false
-	}
-	for s := 0; s < e.n; s++ {
-		row := e.dist[s*e.n : (s+1)*e.n]
-		for _, k := range flips {
-			du, dv := row[e.adjFrom[k]], row[e.adjTo[k]]
-			if du < 0 {
-				continue
-			}
-			if e.downMirror[k] {
-				if dv == du+1 {
-					aff[s] = true
-					break
-				}
-			} else if dv < 0 || dv > du {
-				aff[s] = true
-				break
-			}
-		}
-	}
-	for s := 0; s < e.n; s++ {
-		if aff[s] {
-			changed += e.installExactNode(int32(s))
-		}
+	changed := 0
+	for _, u := range e.flipSenders(flips) {
+		changed += e.installHierNode(u)
 	}
 	return changed
+}
+
+// flipSenders reduces flipped adjacency entries to their distinct
+// transmitting endpoints, in first-flip order.
+func (e *routeEngine) flipSenders(flips []int32) []int32 {
+	var senders []int32
+	for _, k := range flips {
+		if u := e.adjFrom[k]; !slices.Contains(senders, u) {
+			senders = append(senders, u)
+		}
+	}
+	return senders
 }
 
 // installExactNode BFSes from src and installs the full destination table,
@@ -327,33 +275,27 @@ func (e *routeEngine) update() int {
 // the parent chain, which yields the same link the old implementation found
 // by walking parent pointers back to the source.
 func (e *routeEngine) installExactNode(src int32) int {
-	row := e.distRow
-	if e.dist != nil {
-		row = e.dist[int(src)*e.n : (int(src)+1)*e.n]
-	}
-	e.bfs(src, row)
+	e.bfs(src)
 	table := make([]*netsim.Link, e.span)
-	for v := 0; v < e.n; v++ {
-		if int32(v) == src || row[v] < 0 {
-			continue // unreachable; Output will count a NoRouteDrop
+	for v, k := range e.firstHop {
+		if k >= 0 { // none for src, nor for the unreachable: Output counts a NoRouteDrop
+			table[e.ids[v]] = e.adjLink[k]
 		}
-		table[e.ids[v]] = e.adjLink[e.firstHop[v]]
 	}
 	return e.hosts[src].InstallRoutes(node.RouteTable{Links: table})
 }
 
-// bfs fills dist (and the firstHop scratch) from src over the live links,
-// skipping those that are down. Ties break by first-mention order: the
-// adjacency preserves edge insertion order, so tables are deterministic.
-func (e *routeEngine) bfs(src int32, dist []int32) {
+// bfs fills the firstHop scratch from src over the live links, skipping those
+// that are down: firstHop[v] is the adjacency index src leaves by towards v,
+// -1 for src itself and for unreachable nodes. Ties break by first-mention
+// order: the adjacency preserves edge insertion order, so tables are
+// deterministic.
+func (e *routeEngine) bfs(src int32) {
 	fh := e.firstHop
-	for i := range dist {
-		dist[i] = -1
+	for i := range fh {
 		fh[i] = -1
 	}
-	q := e.queue[:0]
-	dist[src] = 0
-	q = append(q, src)
+	q := append(e.queue[:0], src)
 	for qi := 0; qi < len(q); qi++ {
 		u := q[qi]
 		for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
@@ -361,10 +303,9 @@ func (e *routeEngine) bfs(src int32, dist []int32) {
 				continue
 			}
 			v := e.adjTo[k]
-			if dist[v] >= 0 {
+			if v == src || fh[v] >= 0 {
 				continue
 			}
-			dist[v] = dist[u] + 1
 			if u == src {
 				fh[v] = k
 			} else {

@@ -131,65 +131,103 @@ func linkName(l *netsim.Link) string {
 	return l.Config().Name
 }
 
-// TestIncrementalRecomputeMatchesFullBFSOracle is the equivalence fuzz test
-// for exact-mode incremental recomputation: random connected topologies,
-// random directional link-flip sequences, and after every flip the engine's
-// tables AND changed-entry count must equal a from-scratch full-BFS oracle.
-func TestIncrementalRecomputeMatchesFullBFSOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+// randomRouteSpec builds a random connected exact-routing topology of 5 to 24
+// nodes, all routers, from intn's draws.
+func randomRouteSpec(intn func(int) int) Spec {
 	link := netsim.LinkConfig{Bandwidth: 10 * netsim.Mbps, Delay: time.Millisecond, QueuePackets: 20}
-	for iter := 0; iter < 25; iter++ {
-		n := 5 + rng.Intn(20)
-		name := func(i int) string { return fmt.Sprintf("n%d", i) }
-		spec := Spec{Name: "route-fuzz", Duration: time.Second}
-		type pair struct{ a, b int }
-		used := make(map[pair]bool)
-		addLink := func(a, b int) {
-			if a == b || used[pair{a, b}] || used[pair{b, a}] {
-				return
-			}
-			used[pair{a, b}] = true
-			spec.Links = append(spec.Links, LinkSpec{A: name(a), B: name(b), LinkConfig: link})
+	n := 5 + intn(20)
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	spec := Spec{Name: "route-fuzz", Duration: time.Second}
+	type pair struct{ a, b int }
+	used := make(map[pair]bool)
+	addLink := func(a, b int) {
+		if a == b || used[pair{a, b}] || used[pair{b, a}] {
+			return
 		}
-		// A random spanning tree keeps the graph connected; extra random
-		// edges add the redundancy that makes rerouting interesting.
-		for i := 1; i < n; i++ {
-			addLink(rng.Intn(i), i)
-		}
-		for j := rng.Intn(n + 1); j > 0; j-- {
-			addLink(rng.Intn(n), rng.Intn(n))
-		}
-		for i := 0; i < n; i++ {
-			spec.Routers = append(spec.Routers, name(i))
-		}
-		sim, err := Build(spec)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		oracle := newOracle(sim)
-		oracle.recompute()
-		checkAgainstOracle(t, sim, oracle)
-
-		for step := 0; step < 40; step++ {
-			d := sim.Duplex(rng.Intn(len(spec.Links)))
-			down := rng.Intn(2) == 0
-			switch rng.Intn(3) {
-			case 0:
-				d.Forward.SetDown(down)
-			case 1:
-				d.Reverse.SetDown(down)
-			default:
-				d.Forward.SetDown(down)
-				d.Reverse.SetDown(down)
-			}
-			got := sim.recomputeRoutes()
-			want := oracle.recompute()
-			if got != want {
-				t.Fatalf("iter %d step %d: engine changed %d entries, oracle %d", iter, step, got, want)
-			}
-			checkAgainstOracle(t, sim, oracle)
-		}
+		used[pair{a, b}] = true
+		spec.Links = append(spec.Links, LinkSpec{A: name(a), B: name(b), LinkConfig: link})
 	}
+	// A random spanning tree keeps the graph connected; extra random
+	// edges add the redundancy that makes rerouting interesting.
+	for i := 1; i < n; i++ {
+		addLink(intn(i), i)
+	}
+	for j := intn(n + 1); j > 0; j-- {
+		addLink(intn(n), intn(n))
+	}
+	for i := 0; i < n; i++ {
+		spec.Routers = append(spec.Routers, name(i))
+	}
+	return spec
+}
+
+// checkFlipsAgainstOracle builds a random topology (randomRouteSpec), then
+// applies steps random directional link flips; after the build and after
+// every flip, the engine's tables AND changed-entry count must equal the
+// from-scratch full-BFS oracle's.
+func checkFlipsAgainstOracle(t *testing.T, intn func(int) int, steps int) {
+	t.Helper()
+	spec := randomRouteSpec(intn)
+	sim, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := newOracle(sim)
+	oracle.recompute()
+	checkAgainstOracle(t, sim, oracle)
+
+	for step := 0; step < steps; step++ {
+		d := sim.Duplex(intn(len(spec.Links)))
+		down := intn(2) == 0
+		switch intn(3) {
+		case 0:
+			d.Forward.SetDown(down)
+		case 1:
+			d.Reverse.SetDown(down)
+		default:
+			d.Forward.SetDown(down)
+			d.Reverse.SetDown(down)
+		}
+		got := sim.recomputeRoutes()
+		want := oracle.recompute()
+		if got != want {
+			t.Fatalf("step %d: engine changed %d entries, oracle %d", step, got, want)
+		}
+		checkAgainstOracle(t, sim, oracle)
+	}
+}
+
+// TestExactRecomputeMatchesOracleAcrossFlips holds exact-mode recomputation
+// to the full-BFS oracle on 25 random topologies of 40 flips each.
+func TestExactRecomputeMatchesOracleAcrossFlips(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for iter := 0; iter < 25; iter++ {
+		t.Run(fmt.Sprint(iter), func(t *testing.T) { checkFlipsAgainstOracle(t, rng.Intn, 40) })
+	}
+}
+
+// byteDraws turns a fuzz input into a generator's draws: each takes the next
+// byte modulo n, and an exhausted input draws 0.
+type byteDraws []byte
+
+func (b *byteDraws) intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// FuzzRouteRecompute is the same oracle check over fuzzer-chosen topologies
+// and flip sequences: the input's bytes are the generator's draws, and it
+// flips until they run out (at most 64 times).
+func FuzzRouteRecompute(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		draws := byteDraws(data)
+		checkFlipsAgainstOracle(t, draws.intn, min(len(data)/3, 64))
+	})
 }
 
 // TestExactRoutingMatchesOracleOnCannedScenarios pins byte-identity of the
@@ -332,11 +370,11 @@ func TestHierRoutingDeliversShortestPaths(t *testing.T) {
 	}
 }
 
-// checkSameRoutes compares every (src, dst) next hop between two builds of
-// the same spec by link name (the builds hold distinct Link pointers).
-func checkSameRoutes(t *testing.T, a, b *Sim) {
+// checkSameRoutes compares the (src, dst) next hop of every pair of nodes
+// between two builds of the same spec by link name (the builds hold distinct
+// Link pointers).
+func checkSameRoutes(t *testing.T, a, b *Sim, nodes []string) {
 	t.Helper()
-	nodes := a.Nodes()
 	for _, src := range nodes {
 		ha, hb := a.Host(src), b.Host(src)
 		for _, dst := range nodes {
@@ -396,7 +434,7 @@ func TestHierIncrementalFlapsMatchFreshBuild(t *testing.T) {
 			}
 		}
 		fresh.recomputeRoutes()
-		checkSameRoutes(t, sim, fresh)
+		checkSameRoutes(t, sim, fresh, sim.Nodes())
 	}
 }
 

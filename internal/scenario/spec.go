@@ -429,9 +429,9 @@ func (s *Spec) Validate() error {
 			}
 		}
 	case RouteSyncProtocol:
-		if s.Routing != RoutingHier && len(nodes) > incrementalRouteLimit {
+		if s.Routing != RoutingHier && len(nodes) > exactProtocolNodeLimit {
 			return fmt.Errorf("scenario %q: exact-mode protocol routing supports at most %d nodes (%d declared); use hier routing",
-				s.Name, incrementalRouteLimit, len(nodes))
+				s.Name, exactProtocolNodeLimit, len(nodes))
 		}
 	default:
 		return fmt.Errorf("scenario %q: unknown route_sync mode %q", s.Name, s.RouteSync)
