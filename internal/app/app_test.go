@@ -348,6 +348,42 @@ func TestLayeredServerResyncsAtRestartInstant(t *testing.T) {
 	}
 }
 
+// A layered server's data datagrams carry its live CM flow handle, after a CM
+// restart the one onCMRestart re-opened; the receiver's feedback carries none.
+func TestLayeredDataCarriesFlowHandle(t *testing.T) {
+	e := newAppEnv(t, bottleneck(1*netsim.Mbps, 20*time.Millisecond))
+	srv, _ := layeredSetup(t, e, ModeALF, FeedbackPolicy{})
+	var want cm.FlowID
+	data, feedback := 0, 0
+	e.duplex.Forward.SetSendTap(func(p *netsim.Packet) {
+		if h, ok := p.CMFlow(); !ok || cm.FlowID(h) != want {
+			t.Errorf("data datagram %d carries handle %d (stamped %v), want %d", p.Payload.(*udp.Datagram).Seq, h, ok, want)
+		}
+		data++
+	})
+	e.duplex.Reverse.SetSendTap(func(p *netsim.Packet) {
+		if h, ok := p.CMFlow(); ok {
+			t.Errorf("feedback datagram carries handle %d", h)
+		}
+		feedback++
+	})
+	want = srv.Flow()
+	srv.Start()
+	e.sched.RunFor(2 * time.Second)
+	e.cm.Restart()
+	if srv.Flow() == want {
+		t.Fatalf("the flow was not re-opened under a new handle after the restart: %d", want)
+	}
+	want = srv.Flow()
+	e.sched.RunFor(2 * time.Second)
+	if data == 0 || feedback == 0 {
+		t.Fatalf("%d data and %d feedback datagrams sent, want both", data, feedback)
+	}
+	if e.cm.FlowInfo(want).BytesCharged == 0 {
+		t.Fatal("the re-opened flow was charged nothing")
+	}
+}
+
 // ---------------------------------------------------------------------------
 // vat interactive audio
 // ---------------------------------------------------------------------------

@@ -152,6 +152,7 @@ func NewLayeredServer(h *node.Host, lib *libcm.Lib, dst netsim.Addr, cfg Layered
 	// Layered applications "open their usual UDP socket, and call cm_open()
 	// to obtain a control socket" (§3.4).
 	s.flow = lib.Open(netsim.ProtoUDP, sock.Local(), dst)
+	sock.SetCMFlow(s.flow)
 	s.fb = NewSenderFeedback(s.sched, func(nsent, nrecd int, mode cm.LossMode, rtt time.Duration) {
 		s.lib.Update(s.flow, nsent, nrecd, mode, rtt)
 	})
@@ -287,6 +288,7 @@ func (s *LayeredServer) onWatchdog() {
 func (s *LayeredServer) onCMRestart() {
 	s.stats.Restarts++
 	s.flow = s.lib.Open(netsim.ProtoUDP, s.sock.Local(), s.dst)
+	s.sock.SetCMFlow(s.flow)
 	switch s.cfg.Mode {
 	case ModeALF:
 		s.lib.RegisterSend(s.flow, s.onGrant)

@@ -91,6 +91,10 @@ type Socket struct {
 	// 0) is never remembered, so Output resolves it again per datagram.
 	peer   string
 	peerID int32
+	// cmFlow is the CM flow the socket's owner opened for it (SetCMFlow);
+	// without one, hasCMFlow is false and the CM charges by flow key.
+	cmFlow    cm.FlowID
+	hasCMFlow bool
 
 	sentPackets int64
 	sentBytes   int64
@@ -124,6 +128,12 @@ func (s *Socket) OnReceive(fn ReceiveFunc) { s.onRecv = fn }
 // traffic (application-level acknowledgements) that the CM does not charge.
 func (s *Socket) MarkControl() { s.control = true }
 
+// SetCMFlow records the CM flow the socket's owner opened for it: data
+// datagrams then carry its handle to the IP output hook, which charges the
+// flow without a key lookup. An owner that re-opens its flow after a CM
+// restart sets the new handle.
+func (s *Socket) SetCMFlow(f cm.FlowID) { s.cmFlow, s.hasCMFlow = f, true }
+
 // SendTo transmits a datagram to dst. It returns false if the packet could
 // not be sent (no route) or was dropped at the first hop.
 func (s *Socket) SendTo(dst netsim.Addr, d *Datagram) bool {
@@ -139,6 +149,9 @@ func (s *Socket) SendTo(dst netsim.Addr, d *Datagram) bool {
 	pkt.Payload = d
 	pkt.Control = s.control
 	pkt.ChargeBytes = d.Size
+	if s.hasCMFlow && !s.control {
+		pkt.SetCMFlow(int64(s.cmFlow))
+	}
 	if dst.Host != s.peer {
 		if id := s.host.Resolve(dst.Host); id != 0 {
 			s.peer, s.peerID = dst.Host, id
@@ -231,6 +244,7 @@ func NewCCSocket(h *node.Host, port int, dst netsim.Addr, cmgr *cm.CM, queueLimi
 	}
 	s := &CCSocket{sock: sock, cmgr: cmgr, dst: dst, limit: queueLimit}
 	s.flow = cmgr.Open(netsim.ProtoUDP, sock.Local(), dst)
+	sock.SetCMFlow(s.flow)
 	cmgr.RegisterSender(s.flow, s)
 	return s, nil
 }
@@ -325,6 +339,7 @@ func (s *CCSocket) CMAppSend(_ cm.FlowID) {
 // if datagrams wait in the queue, request for them again.
 func (s *CCSocket) CMRestarted() {
 	s.flow = s.cmgr.Open(netsim.ProtoUDP, s.sock.Local(), s.dst)
+	s.sock.SetCMFlow(s.flow)
 	s.cmgr.RegisterSender(s.flow, s)
 	if s.pending = s.QueueLen() > 0; s.pending {
 		s.cmgr.Request(s.flow)

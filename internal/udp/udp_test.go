@@ -168,6 +168,71 @@ func TestPlainSocketChargedToCMWhenFlowRegistered(t *testing.T) {
 	}
 }
 
+// A CCSocket's data datagrams carry its live CM flow handle to the IP output
+// hook, after a CM restart the handle CMRestarted re-opened; a control
+// socket's datagrams carry none, even with a flow set.
+func TestCCSocketDataCarriesFlowHandle(t *testing.T) {
+	e := newUDPEnv(t, fastLink())
+	cc, rx := newCCPair(t, e, 100)
+	ctl, _ := NewSocket(e.net.Host("sender"), 7200)
+	ctl.SetCMFlow(cc.Flow())
+	ctl.MarkControl()
+	type sent struct {
+		port    int
+		stamped bool
+		handle  cm.FlowID
+	}
+	var log []sent
+	e.net.Host("sender").RouteTo("receiver").SetSendTap(func(p *netsim.Packet) {
+		h, ok := p.CMFlow()
+		log = append(log, sent{port: p.Src.Port, stamped: ok, handle: cm.FlowID(h)})
+	})
+	rx.OnReceive(func(_ netsim.Addr, d *Datagram) {
+		size := d.Size
+		e.sched.After(10*time.Millisecond, func() { cc.Update(size, size, cm.NoLoss, 10*time.Millisecond) })
+	})
+	check := func(phase string, want cm.FlowID) {
+		t.Helper()
+		data := 0
+		for i, s := range log {
+			switch {
+			case s.port == ctl.Local().Port && s.stamped:
+				t.Errorf("%s: control datagram %d carries handle %d", phase, i, s.handle)
+			case s.port == cc.Local().Port && (!s.stamped || s.handle != want):
+				t.Errorf("%s: data datagram %d carries handle %d (stamped %v), want %d", phase, i, s.handle, s.stamped, want)
+			case s.port == cc.Local().Port:
+				data++
+			}
+		}
+		if data != 5 {
+			t.Fatalf("%s: %d data datagrams sent, want 5", phase, data)
+		}
+	}
+	send := func() {
+		for i := 0; i < 5; i++ {
+			cc.Send(&Datagram{Size: 1000})
+		}
+		ctl.SendTo(rx.Local(), &Datagram{Size: 100})
+		e.sched.RunFor(time.Second)
+	}
+
+	send()
+	first := cc.Flow()
+	check("before restart", first)
+
+	log = nil
+	e.cm.Restart()
+	send()
+	second := cc.Flow()
+	if second == first {
+		t.Fatalf("the flow was not re-opened under a new handle after the restart: %d", second)
+	}
+	check("after restart", second)
+	if got := e.cm.FlowInfo(second).BytesCharged; got != 5000 {
+		t.Fatalf("the re-opened flow was charged %d bytes, want 5000", got)
+	}
+}
+
 func newCCPair(t *testing.T, e *udpEnv, queueLimit int) (*CCSocket, *Socket) {
 	t.Helper()
 	rx, err := NewSocket(e.net.Host("receiver"), 9000)
