@@ -152,16 +152,7 @@ func TestProtocolWarmStartMatchesOracle(t *testing.T) {
 			// host pair along a shortest path.
 			hosts := leafHosts(sim)
 			checkSameRoutes(t, sim, ref, hosts)
-			for _, src := range hosts {
-				for _, dst := range hosts {
-					if src == dst {
-						continue
-					}
-					if hops, want := walkRoute(t, sim, src, dst), bfsDistance(oracle, src, dst); hops != want {
-						t.Fatalf("%s->%s took %d hops, shortest is %d", src, dst, hops, want)
-					}
-				}
-			}
+			checkShortestWalks(t, sim, oracle, hosts)
 		}
 		own := e.names
 		if e.hier {

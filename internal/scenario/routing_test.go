@@ -315,6 +315,22 @@ func bfsDistance(o *oracleRouter, src, dst string) int {
 	return -1
 }
 
+// checkShortestWalks walks every pair of hosts through the installed tables
+// and fails unless each walk takes the BFS-shortest hop count.
+func checkShortestWalks(t *testing.T, sim *Sim, oracle *oracleRouter, hosts []string) {
+	t.Helper()
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			if hops, want := walkRoute(t, sim, src, dst), bfsDistance(oracle, src, dst); hops != want {
+				t.Fatalf("%s->%s took %d hops, shortest is %d", src, dst, hops, want)
+			}
+		}
+	}
+}
+
 // leafHosts returns the spec's non-router nodes in first-mention order.
 func leafHosts(sim *Sim) []string {
 	var hosts []string
@@ -355,17 +371,7 @@ func TestHierRoutingDeliversShortestPaths(t *testing.T) {
 			if len(hosts) < 4 {
 				t.Fatalf("only %d hosts", len(hosts))
 			}
-			for _, src := range hosts {
-				for _, dst := range hosts {
-					if src == dst {
-						continue
-					}
-					hops := walkRoute(t, sim, src, dst)
-					if want := bfsDistance(oracle, src, dst); hops != want {
-						t.Fatalf("%s->%s took %d hops, shortest is %d", src, dst, hops, want)
-					}
-				}
-			}
+			checkShortestWalks(t, sim, oracle, hosts)
 		})
 	}
 }
