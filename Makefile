@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke examples-smoke artifacts-check loc
+.PHONY: ci fmt vet build test race bench-test fuzz-smoke cmperf-compare cmperf-digests sweep-smoke soak-smoke fattree-smoke probe-smoke route-smoke examples-smoke artifacts-check loc
 
 ci: fmt vet build race bench-test fuzz-smoke
 
@@ -77,6 +77,13 @@ PAIRS ?= 10
 cmperf-compare:
 	@test -n "$(PARENT)" || { echo "usage: make cmperf-compare PARENT=<rev> [PAIRS=10] [ARGS='-workload ...']"; exit 2; }
 	bash tools/cmperf-compare.sh $(PARENT) $(PAIRS) $(ARGS)
+
+# The sim_digests of a cmperf result (RESULT, default bench/out/ci.json, the
+# file CI's cmperf checks write) against tools/cmperf-digests.txt: a change
+# that is not meant to move the simulation must leave every digest alone.
+RESULT ?= bench/out/ci.json
+cmperf-digests:
+	bash tools/check-cmperf-digests.sh $(RESULT)
 
 # Tiny two-axis sweep campaign through the sweep engine: an end-to-end smoke
 # of expansion, the parallel runner, aggregation and the CSV emitter. CI

@@ -119,55 +119,61 @@ type LinkStats struct {
 // queued, serialised in FIFO order at the link rate, and delivered to the
 // destination Receiver after the propagation delay.
 //
-// Everything about a packet's trip is fixed the moment it goes on the wire:
-// serialisation time, propagation delay and its link-local delivery number. So
-// its hand-up event is scheduled right then, for txEnd + delay with the
-// insertion stamp txEnd, and the transmitter itself needs an event only when
-// somebody waits for it. It is in one of three states:
+// A direction is a FIFO channel: the packets it has accepted, on the wire or
+// propagating (the in-flight list) and then waiting for the wire (the
+// queue), in one order. It costs the scheduler one event per packet: its
+// hand-up. Only the head of the in-flight list has one pending, keyed by the
+// head's (arrival, end of serialisation, link key, delivery number); all four
+// grow along the channel, so the head is the only one that could be the
+// scheduler's earliest. Firing it hands the head up and keys the next.
 //
-//   - free (Now >= txEnd): a Send, or SetDown(false) with a held backlog,
-//     starts serialising at once. A hop on an idle link is one event.
-//   - busy (Now < txEnd, nothing queued): no event is pending for txEnd; the
-//     transmitter becomes free by the clock.
-//   - armed (a packet waits): the first packet to queue behind the wire puts
-//     a tx-done event at txEnd, which starts the next packet and re-arms
-//     itself while the queue is non-empty. A saturated link is two events a
-//     hop.
+// The transmitter has no event at all. The end of each serialisation is a
+// tx-done event that is never inserted, only reserved (Scheduler.Reserve): it is
+// keyed (txEnd, txStart, 0, link key), which places it among the events of its
+// instant after every unkeyed one inserted before the serialisation began and
+// before every hand-up, wherever it would have been armed from, and its
+// firing starts the next waiting packet. Whoever reads the transmitter —
+// Send's drop-tail admission, the counters, SetDown, SetBandwidth, a hand-up
+// that finds the in-flight list empty — first settles it: it asks the
+// scheduler (Scheduler.Fired) whether that tx-done has fired by the current
+// point of the order and, while it has, starts the next packet at its
+// instant, back to back. A packet starts as a tx-done would have started it,
+// so it is timed with the bandwidth of that instant, and a change of
+// bandwidth re-times the unstarted tail by construction. The transmitter is
 //
-// The tie rule follows: a packet offered at exactly txEnd finds the
-// transmitter free if nothing was queued, and queues behind the pending
-// tx-done otherwise. That event is stamped txStart and keyed (0, link key), so
-// among the events of its instant it has a place that does not depend on when
-// it was armed: after events inserted before the serialisation started and
-// unkeyed ones inserted in its first instant, before every hand-up.
+//   - free (nothing waits and Now >= txEnd): a Send starts serialising at
+//     once, so a packet offered at exactly txEnd with nothing queued finds it
+//     free;
+//   - busy (Now < txEnd, or packets wait): a Send queues, behind the ones
+//     waiting, and starts when the tx-done ahead of it fires.
 //
 // Links are mutable mid-run: the dynamics subsystem may take a link down,
-// bring it back up, or swap bandwidth/delay/loss parameters while packets are
-// in flight. Parameter changes apply to packets serialised after the change;
-// packets already serialising or propagating complete under the old
-// parameters (their delivery events are already scheduled). While a link is
-// down, newly offered packets are dropped and queued packets are held; the
-// queue resumes draining when the link comes back up.
+// bring it back up, or swap its bandwidth while packets are in flight. A
+// bandwidth change applies to packets serialised after it; packets already
+// serialising or propagating complete under the old one (their hand-ups are
+// keyed already). While a link is down, newly offered packets are dropped and
+// queued packets are held; the queue resumes draining when the link comes back
+// up.
 type Link struct {
 	cfg   LinkConfig
 	sched *simtime.Scheduler
 	dst   Receiver
-	// queue is the transmit buffer, created by the first Send: in an
-	// internet-scale topology almost every direction never carries a packet,
-	// and a Queue with its ring is ~290 bytes. A nil queue reads as an empty
-	// one (QueueLen, QueueStats).
+	// queue holds the packets waiting for the wire, created by the first Send:
+	// in an internet-scale topology almost every direction never carries a
+	// packet. A nil queue reads as an empty one (QueueLen, QueueStats).
 	queue *Queue
 	// key orders this link's delivery events against same-instant deliveries
 	// from other links (see SortKey). Derived from the direction name at
 	// construction so serial and sharded builds agree on it.
 	key uint32
-	// deliverSeq is the link-local delivery sequence: incremented once per
-	// serialised packet and attached to the hand-up event as the scheduler's
-	// sub-sequence tie-break, so multiple same-instant deliveries of one
-	// direction order by an explicit, shard-independent number instead of
-	// scheduler insertion order. uint32 wrap after ~4.3e9 deliveries on one
-	// direction could misorder only a pair tied at the same instant across
-	// the wrap — beyond any run this simulator performs.
+	// deliverSeq counts the packets handed up (or, on a cross-shard
+	// direction, handed off): the delivery number of the in-flight head is one
+	// more. It is the hand-up's sub-sequence tie-break, so multiple
+	// same-instant deliveries of one direction order by an explicit,
+	// shard-independent number instead of scheduler insertion order. uint32
+	// wrap after ~4.3e9 deliveries on one direction could misorder only a pair
+	// tied at the same instant across the wrap — beyond any run this simulator
+	// performs.
 	deliverSeq uint32
 	// rng is the link's private random source for the loss draws, created
 	// lazily by random(): a rand.Rand source is ~5 KB, and in an
@@ -179,16 +185,19 @@ type Link struct {
 	// gilbert is the installed bursty-loss model (nil = disabled); geBad is
 	// its current state.
 	gilbert *GilbertElliott
-	geBad   bool
 
-	// The transmitter. txStart and txEnd bracket the serialisation of the most
-	// recent packet and txSize is its wire size; the clock against txEnd says
-	// whether the wire is free, and armed says whether a tx-done event is
-	// pending at txEnd (see the type comment).
+	// The transmitter, as of its last settle: txStart and txEnd bracket the
+	// serialisation of the most recent packet, txSize is its wire size and
+	// txSeq the seq of its tx-done (see the type comment).
 	txStart, txEnd time.Duration
-	txSize         int
-	down, armed    bool
-	stats          LinkStats
+	txSeq          uint64
+	txSize         int32
+	geBad, down    bool
+	// fly and flyTail are the in-flight list, linked through Packet.next;
+	// fly's hand-up is the pending event. A cross-shard direction hands its
+	// packets off as they start and keeps none.
+	fly, flyTail *Packet
+	stats        LinkStats
 
 	// tap, when non-nil, observes every packet that is delivered (after
 	// loss and queueing). Experiments use taps to trace rates.
@@ -201,9 +210,9 @@ type Link struct {
 	sendTap func(pkt *Packet)
 
 	// remote, when non-nil, replaces local delivery scheduling: instead of
-	// putting the delivery event on this link's (sending-side) scheduler, the
-	// packet is handed to the hook as it goes on the wire, with its arrival
-	// time and the sender-side time it will have left the wire. Sharded
+	// keeping the packet in flight on this link's (sending-side) scheduler, the
+	// packet is handed to the hook once it has gone on the wire, with its
+	// arrival time and the sender-side time it leaves the wire. Sharded
 	// execution installs it on links whose destination lives on another shard;
 	// the receiving shard later calls DeliverRemote. See docs/PERF.md, "Sharded
 	// execution".
@@ -309,11 +318,14 @@ func (l *Link) SetDropTap(fn func(pkt *Packet, reason string)) { l.dropTap = fn 
 func (l *Link) SetSendTap(fn func(pkt *Packet)) { l.sendTap = fn }
 
 // RemoteDeliver receives a packet whose delivery belongs to another
-// scheduler, at the moment it starts serialising: the packet arrives at the
+// scheduler, once it has started serialising: the packet arrives at the
 // destination at time arrive; sent is the sender-side virtual time its
 // serialisation ends (the insertion stamp for deterministic ordering, possibly
 // later than the sender's clock) and seq the link-local delivery sequence
-// (the sub-sequence tie-break; see Link.deliverSeq).
+// (the sub-sequence tie-break; see Link.deliverSeq). A packet that started
+// behind another is handed over when the link is next settled: by a Send or
+// a read on the sending side, or by Settle, which sharded execution calls at
+// every barrier.
 type RemoteDeliver func(pkt *Packet, arrive, sent time.Duration, seq uint32)
 
 // SetRemoteDeliver diverts this link's deliveries to a cross-scheduler hook.
@@ -338,9 +350,12 @@ func (l *Link) Config() LinkConfig {
 	return cfg
 }
 
-// SetBandwidth changes the serialisation rate. The packet currently being
-// serialised (if any) completes at the old rate.
-func (l *Link) SetBandwidth(bw Bandwidth) { l.cfg.Bandwidth = bw }
+// SetBandwidth changes the serialisation rate. The packets that have gone on
+// the wire by now complete at the old rate; the waiting ones start at the new.
+func (l *Link) SetBandwidth(bw Bandwidth) {
+	l.Settle()
+	l.cfg.Bandwidth = bw
+}
 
 // SetGilbert installs (or, with nil, removes) the bursty loss model. The model
 // starts in the Good state; replacing a model resets its state.
@@ -363,9 +378,14 @@ func (l *Link) SetDown(down bool) {
 	if l.down == down {
 		return
 	}
+	l.Settle()
 	l.down = down
-	if !down && !l.armed && l.sched.Now() >= l.txEnd {
-		l.startTransmit()
+	// The held packets start as the packet ahead of them leaves the wire, or
+	// now if it already has.
+	if q := l.queue; !down && q != nil && q.count > 0 {
+		if _, ended := l.sched.Fired(l.txEnd, l.txStart, 0, l.key, l.txSeq); ended {
+			l.start(l.sched.Now(), l.sched.Reserve())
+		}
 	}
 }
 
@@ -378,6 +398,7 @@ func (l *Link) IsDown() bool { return l.down }
 // execution it may only be taken at quiescence: a barrier, where probes
 // sample, or after the run.
 func (l *Link) Stats() LinkStats {
+	l.Settle()
 	st := l.stats
 	st.SentPackets, st.SentBytes = l.SentCounters()
 	return st
@@ -389,6 +410,7 @@ func (l *Link) Stats() LinkStats {
 // A packet counts as sent once the clock has reached the end of its
 // serialisation; until then the one on the wire is left out.
 func (l *Link) SentCounters() (packets int, bytes int64) {
+	l.Settle()
 	if l.sched.Now() < l.txEnd {
 		return l.stats.SentPackets - 1, l.stats.SentBytes - int64(l.txSize)
 	}
@@ -397,6 +419,7 @@ func (l *Link) SentCounters() (packets int, bytes int64) {
 
 // QueueStats returns the counters of the link's buffer.
 func (l *Link) QueueStats() QueueStats {
+	l.Settle()
 	if l.queue == nil {
 		return QueueStats{}
 	}
@@ -405,6 +428,7 @@ func (l *Link) QueueStats() QueueStats {
 
 // QueueLen returns the instantaneous queue depth in packets.
 func (l *Link) QueueLen() int {
+	l.Settle()
 	if l.queue == nil {
 		return 0
 	}
@@ -416,6 +440,7 @@ func (l *Link) QueueLen() int {
 // BusyTime books a packet in full when it goes on the wire; the part not yet
 // serialised is left out here, so the fraction never exceeds 1.
 func (l *Link) Utilization() float64 {
+	l.Settle()
 	now := l.sched.Now()
 	if now <= 0 {
 		return 0
@@ -457,85 +482,102 @@ func (l *Link) Send(pkt *Packet) bool {
 		pkt.Release()
 		return false
 	}
-	pkt.Enqueued = l.sched.Now()
-	if victim := l.buffer().Enqueue(pkt); victim != nil {
+	q := l.buffer()
+	l.Settle()
+	if q.Enqueue(pkt) != nil {
 		l.stats.QueueDrops++
 		if l.dropTap != nil {
-			l.dropTap(victim, "queue")
+			l.dropTap(pkt, "queue")
 		}
-		victim.Release()
-		if victim == pkt {
-			return false
-		}
+		pkt.Release()
+		return false
 	}
 	if l.sendTap != nil {
 		l.sendTap(pkt)
 	}
-	if !l.armed && l.sched.Now() >= l.txEnd {
-		l.startTransmit()
-	} else if !l.armed {
-		l.arm()
+	if now := l.sched.Now(); q.count == 1 && now >= l.txEnd {
+		l.start(now, l.sched.Reserve())
 	}
 	return true
 }
 
-// arm schedules the tx-done event for the packet on the wire, with the stamp
-// and key that place it among the events of txEnd wherever it is armed from.
-func (l *Link) arm() {
-	l.armed = true
-	l.sched.InjectAt(l.txEnd, l.txStart, 0, l.key, simtime.KindPktTransmit, txDone, l)
-}
-
-// txDone and handUp are the callbacks of the two per-packet events. They are
-// package-level functions, the link travelling as the event argument or on the
-// packet, so that a link owns no closures: most directions of an
-// internet-scale topology never carry a packet.
-func txDone(x any) { x.(*Link).startTransmit() }
-
-func handUp(x any) {
-	pkt := x.(*Packet)
-	pkt.via.DeliverRemote(pkt, pkt.via.sched.Now())
-}
-
-// startTransmit puts the head-of-line packet on the wire: the caller has seen
-// the clock at or past txEnd, and is the tx-done event if one was pending. It
-// books the packet, schedules its hand-up and, if more packets wait, the
-// tx-done that will start the next one. A down link does not serialise: queued
-// packets wait for SetDown(false).
-func (l *Link) startTransmit() {
-	l.armed = false
-	if l.down || l.QueueLen() == 0 {
-		return
+// Settle brings the transmitter up to the scheduler's current point: while
+// the tx-done of the packet on the wire has fired, it starts the next waiting
+// packet at that instant, with the seq an insertion made there would have
+// taken. A down link starts nothing: its packets are held. Every reader
+// settles on its own; sharded execution calls Settle at each barrier on a
+// direction whose deliveries cross to another shard, so that each packet that
+// went on the wire in the window is handed off before the next one opens.
+func (l *Link) Settle() {
+	for q := l.queue; q != nil && q.count > 0 && !l.down; {
+		after, ended := l.sched.Fired(l.txEnd, l.txStart, 0, l.key, l.txSeq)
+		if !ended {
+			return
+		}
+		l.start(l.txEnd, after)
 	}
+}
+
+// start puts the queue's head on the wire at instant at; seq is the seq of its
+// tx-done. It books the packet and moves it to the in-flight list, keying the
+// hand-up if the list was empty, or hands it off to another shard.
+func (l *Link) start(at time.Duration, seq uint64) {
 	pkt := l.queue.Dequeue()
-	now := l.sched.Now()
 	txTime := l.cfg.Bandwidth.TransmitTime(pkt.Size)
-	l.txStart, l.txEnd, l.txSize = now, max(now+txTime, now), pkt.Size
+	pkt.txEnd = max(at+txTime, at)
+	l.txStart, l.txEnd, l.txSeq, l.txSize = at, pkt.txEnd, seq, int32(pkt.Size)
 	l.stats.BusyTime += txTime
 	l.stats.SentPackets++
 	l.stats.SentBytes += int64(pkt.Size)
-	if l.queue.Len() > 0 {
-		l.arm()
-	}
-	// Every serialised packet takes the next link-local delivery sequence
-	// number; it rides on the hand-up event (or the cross-shard injection) as
-	// the sub-sequence tie-break.
-	l.deliverSeq++
-	// The hand-up is inserted now but stamped txEnd, the instant a tx-done
-	// event would have inserted it, so it fires exactly where it always has.
-	arrive := max(l.txEnd+l.cfg.Delay, l.txEnd)
 	if l.remote != nil {
 		// Cross-scheduler delivery: the destination's shard performs the
 		// hand-up (DeliverRemote) at the arrival time.
-		l.remote(pkt, arrive, l.txEnd, l.deliverSeq)
+		l.deliverSeq++
+		l.remote(pkt, l.arrival(pkt), pkt.txEnd, l.deliverSeq)
 		return
 	}
-	// Hand-ups are keyed by the link direction so same-instant deliveries
-	// from different links order by link identity — the only tie-break that
-	// serial and sharded executions can both compute (see SortKey) — and
-	// sub-sequenced by the delivery number within the direction.
-	pkt.via = l
-	l.sched.InjectAt(arrive, l.txEnd, l.key, l.deliverSeq, simtime.KindPktDeliver, handUp, pkt)
+	if l.flyTail == nil {
+		l.fly = pkt
+		l.keyHandUp()
+	} else {
+		l.flyTail.next = pkt
+	}
+	l.flyTail = pkt
+}
+
+// arrival is when a packet on the wire reaches the far end.
+func (l *Link) arrival(pkt *Packet) time.Duration { return max(pkt.txEnd+l.cfg.Delay, pkt.txEnd) }
+
+// keyHandUp schedules the hand-up of the in-flight head. It is stamped with
+// the end of the head's serialisation, the instant its tx-done would have
+// inserted it, keyed by the link direction so same-instant deliveries from
+// different links order by link identity — the only tie-break that serial and
+// sharded executions can both compute (see SortKey) — and sub-sequenced by
+// its delivery number.
+func (l *Link) keyHandUp() {
+	l.sched.InjectAt(l.arrival(l.fly), l.fly.txEnd, l.key, l.deliverSeq+1, simtime.KindPktDeliver, handUp, l)
+}
+
+// handUp is the callback of a direction's hand-up event, a package-level
+// function with the link as its argument so that a link owns no closures: most
+// directions of an internet-scale topology never carry a packet. It takes the
+// head off the in-flight list, keys the next one — settling first if the list
+// is empty, since the next packet went on the wire as the head came off it,
+// unless the link is down — and hands the head up.
+func handUp(x any) {
+	l := x.(*Link)
+	pkt := l.fly
+	if l.fly = pkt.next; l.fly == nil {
+		l.flyTail = nil
+	}
+	pkt.next = nil
+	l.deliverSeq++
+	if l.fly != nil {
+		l.keyHandUp()
+	} else {
+		l.Settle()
+	}
+	l.DeliverRemote(pkt, l.sched.Now())
 }
 
 // DeliverRemote hands a packet up to the destination at now: the hand-up

@@ -125,13 +125,11 @@ type Packet struct {
 	// report through cm_update.
 	ChargeBytes int
 
-	// Enqueued records when the packet entered the first queue; used for
-	// queueing-delay statistics.
-	Enqueued time.Duration
-
-	// via is the link whose hand-up event currently carries the packet; the
-	// event's callback finds the link there (see handUp in link.go).
-	via *Link
+	// next links the packet into the one queue or link channel that holds
+	// it (see Queue and Link); txEnd is when its serialisation on the link
+	// carrying it ends, set as it goes on the wire.
+	next  *Packet
+	txEnd time.Duration
 
 	// srcID and dstID are the ids of Src.Host and Dst.Host in the hosts'
 	// address table (node.Network), 0 while unresolved (see SetIDs).

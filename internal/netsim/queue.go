@@ -61,20 +61,17 @@ type QueueStats struct {
 // Limits may be expressed in packets, bytes, or both; a zero limit means
 // "unlimited" in that dimension, but at least one limit must be set.
 //
-// The buffer is a ring: enqueue and dequeue are O(1) and allocation-free in
-// steady state. The ring starts at the packet limit or 16 slots, whichever
-// is smaller, and grows by doubling (capped at the packet limit) until the
-// working depth is reached — an idle link in a 100k-host topology costs a
-// few pointers, not its full configured buffer.
+// The packets are linked through their own next field, so enqueue and
+// dequeue are O(1), allocate nothing, and a queue costs the same whatever
+// its depth. A packet is in at most one queue or link channel at a time.
 type Queue struct {
 	limitPackets int
 	limitBytes   int
 
-	buf   []*Packet // ring buffer of queued packets
-	head  int       // index of the oldest packet
-	count int       // number of queued packets
-	bytes int
-	stats QueueStats
+	head, tail *Packet // oldest and newest queued packet
+	count      int     // number of queued packets
+	bytes      int
+	stats      QueueStats
 }
 
 // NewQueue returns a queue limited to limitPackets packets and limitBytes
@@ -87,17 +84,7 @@ func NewQueue(limitPackets, limitBytes int) *Queue {
 	if limitPackets == 0 && limitBytes == 0 {
 		panic("netsim: queue needs at least one limit")
 	}
-	cap := limitPackets
-	if cap == 0 || cap > 16 {
-		// Unbounded packet count (byte-limited only) or a deep buffer: start
-		// small and grow on demand.
-		cap = 16
-	}
-	return &Queue{
-		limitPackets: limitPackets,
-		limitBytes:   limitBytes,
-		buf:          make([]*Packet, cap),
-	}
+	return &Queue{limitPackets: limitPackets, limitBytes: limitBytes}
 }
 
 // Len returns the number of queued packets.
@@ -129,31 +116,6 @@ func (q *Queue) wouldOverflow(p *Packet) bool {
 	return false
 }
 
-// pushTail appends the packet, growing the ring if it is full. Growth is
-// amortised doubling, capped at the packet limit plus the control-plane
-// reserve for packet-limited queues (wouldOverflow guarantees count never
-// exceeds that).
-func (q *Queue) pushTail(p *Packet) {
-	if q.count == len(q.buf) {
-		newCap := 2 * len(q.buf)
-		if q.limitPackets > 0 && newCap > q.limitPackets+RouteReservePackets {
-			newCap = q.limitPackets + RouteReservePackets
-		}
-		grown := make([]*Packet, newCap)
-		n := copy(grown, q.buf[q.head:])
-		copy(grown[n:], q.buf[:q.head])
-		q.buf = grown
-		q.head = 0
-	}
-	tail := q.head + q.count
-	if tail >= len(q.buf) {
-		tail -= len(q.buf)
-	}
-	q.buf[tail] = p
-	q.count++
-	q.bytes += p.Size
-}
-
 // Enqueue appends the packet, or drops it if the queue is full: it returns p
 // when p was dropped and nil when it was queued.
 func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
@@ -165,7 +127,14 @@ func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
 		q.stats.DroppedBytes += int64(p.Size)
 		return p
 	}
-	q.pushTail(p)
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.count++
+	q.bytes += p.Size
 	q.stats.EnqueuedPackets++
 	q.stats.EnqueuedBytes += int64(p.Size)
 	if q.count > q.stats.MaxDepthPackets {
@@ -180,15 +149,14 @@ func (q *Queue) Enqueue(p *Packet) (dropped *Packet) {
 // Dequeue removes and returns the oldest packet, or nil if the queue is
 // empty.
 func (q *Queue) Dequeue() *Packet {
-	if q.count == 0 {
+	p := q.head
+	if p == nil {
 		return nil
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
+	if q.head = p.next; q.head == nil {
+		q.tail = nil
 	}
+	p.next = nil
 	q.count--
 	q.bytes -= p.Size
 	q.stats.DequeuedPackets++
@@ -197,9 +165,4 @@ func (q *Queue) Dequeue() *Packet {
 }
 
 // Peek returns the oldest packet without removing it, or nil if empty.
-func (q *Queue) Peek() *Packet {
-	if q.count == 0 {
-		return nil
-	}
-	return q.buf[q.head]
-}
+func (q *Queue) Peek() *Packet { return q.head }

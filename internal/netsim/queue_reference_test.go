@@ -62,8 +62,8 @@ func (r *refQueue) Peek() *Packet {
 // first picks the packet and byte limits; the second once picked an ECN
 // threshold and is skipped, so the seed corpus keeps its meaning), then
 // operations. The limits are small
-// enough that traces fill a queue and its routing reserve, and wrap and grow
-// its ring, within a few dozen operations; packets are from 40 to 3000 bytes,
+// enough that traces fill a queue and its routing reserve, and empty it
+// again, within a few dozen operations; packets are from 40 to 3000 bytes,
 // so a byte-limited queue drops on bytes alone.
 var (
 	queueTracePacketLimits = [8]int{0, 1, 2, 3, 5, 16, 20, 40}
@@ -173,9 +173,8 @@ func checkQueueTrace(t testing.TB, data []byte) {
 // TestQueueMatchesReference holds Queue to the slice-backed reference over
 // seeded random traces. Hand-made mutants of queue.go it was seen to catch:
 // the routing reserve dropped from the packet limit, or from the byte limit;
-// the ring's growth capped one slot short of the packet limit plus the
-// reserve; MaxDepthBytes not tracked; Dequeue's head wrap tested with `>` for
-// `==`.
+// MaxDepthBytes not tracked. (Two more were caught while the queue was a
+// ring buffer, on its growth cap and its head wrap.)
 func TestQueueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trace := 0; trace < 3000; trace++ {

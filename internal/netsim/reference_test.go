@@ -10,11 +10,12 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// The reference link: the two-event transmitter Link had before the tx-done
-// event was elided. Every serialisation schedules a tx-done event at its end,
-// and that event schedules the hand-up and starts the next packet. It carries
-// the three rules that fix what the two designs could otherwise disagree on
-// (see the Link type comment and docs/PERF.md, "Links"), and nothing clever:
+// The reference link: the two-event transmitter Link had before its tx-dones
+// were reserved instead of scheduled and its hand-ups became one channel.
+// Every serialisation schedules a tx-done event at its end, and that event
+// schedules the hand-up and starts the next packet. It carries the three rules
+// that fix what the two designs could otherwise disagree on (see the Link type
+// comment and docs/PERF.md, "Links"), and nothing clever:
 //
 //  1. a packet offered at exactly txEnd with nothing queued finds the
 //     transmitter free (Send runs the pending tx-done inline);
@@ -35,12 +36,12 @@ type refLink struct {
 	rng        *rand.Rand
 	remote     RemoteDeliver
 
-	busy, down bool
-	txEnd      time.Duration
-	txEv       *simtime.Event
-	txPkt      *Packet
-	txDelay    time.Duration
-	stats      LinkStats
+	busy, down     bool
+	txStart, txEnd time.Duration
+	txEv           *simtime.Event
+	txPkt          *Packet
+	txDelay        time.Duration
+	stats          LinkStats
 }
 
 func newRefLink(sched *simtime.Scheduler, cfg LinkConfig) *refLink {
@@ -62,7 +63,7 @@ func (r *refLink) SetRemoteDeliver(fn RemoteDeliver) { r.remote = fn }
 func (r *refLink) SetBandwidth(bw Bandwidth)         { r.cfg.Bandwidth = bw }
 func (r *refLink) QueueStats() QueueStats            { return r.queue.Stats() }
 func (r *refLink) QueueLen() int                     { return r.queue.Len() }
-func (r *refLink) wireEnd() time.Duration            { return r.txEnd }
+func (r *refLink) wire() (start, end time.Duration)  { return r.txStart, r.txEnd }
 
 func (r *refLink) SetDown(down bool) {
 	if r.down == down {
@@ -78,6 +79,14 @@ func (r *refLink) Stats() LinkStats {
 	st := r.stats
 	st.SentPackets, st.SentBytes = r.SentCounters()
 	return st
+}
+
+func (r *refLink) Utilization() float64 {
+	now := r.sched.Now()
+	if now <= 0 {
+		return 0
+	}
+	return float64(r.stats.BusyTime-max(0, r.txEnd-now)) / float64(now)
 }
 
 func (r *refLink) SentCounters() (int, int64) {
@@ -100,7 +109,6 @@ func (r *refLink) Send(pkt *Packet) bool {
 		pkt.Release()
 		return false
 	}
-	pkt.Enqueued = r.sched.Now()
 	if victim := r.queue.Enqueue(pkt); victim != nil {
 		r.stats.QueueDrops++
 		victim.Release()
@@ -131,7 +139,7 @@ func (r *refLink) startTransmit() {
 	r.stats.BusyTime += txTime
 	r.txDelay = r.cfg.Delay
 	now := r.sched.Now()
-	r.txPkt, r.txEnd = pkt, now+txTime
+	r.txPkt, r.txStart, r.txEnd = pkt, now, now+txTime
 	r.txEv = r.sched.InjectAt(r.txEnd, now, 0, r.key, simtime.KindPktTransmit, r.txDone, nil) // rule 2
 }
 
@@ -160,7 +168,10 @@ func (r *refLink) DeliverRemote(pkt *Packet, now time.Duration) {
 	r.dst.Receive(pkt)
 }
 
-func (l *Link) wireEnd() time.Duration { return l.txEnd }
+func (l *Link) wire() (start, end time.Duration) {
+	l.Settle()
+	return l.txStart, l.txEnd
+}
 
 // ---------------------------------------------------------------------------
 // Traces. A trace is a byte string: four bytes of link configuration, then
@@ -184,7 +195,10 @@ type testLink interface {
 	QueueStats() QueueStats
 	QueueLen() int
 	SentCounters() (int, int64)
-	wireEnd() time.Duration
+	Utilization() float64
+	// wire brackets the serialisation of the packet that went on the wire
+	// last.
+	wire() (start, end time.Duration)
 }
 
 // linkRec is the observable state after one operation or firing.
@@ -198,6 +212,7 @@ type linkRec struct {
 	qlen  int
 	sentP int
 	sentB int64
+	util  float64
 }
 
 type linkInterp struct {
@@ -209,6 +224,17 @@ type linkInterp struct {
 	nextID int
 	depth  int // callbacks on the stack
 	log    []linkRec
+	// sparse leaves the link unread by the records made inside callbacks,
+	// so that it is not settled at every point of the firing order and its
+	// own operations must settle it; no event is then keyed to tie a tx-done
+	// on everything but the seq (see Scheduler.Fired). A link with the remote
+	// hand-off is never sparse: it is settled at every point, as sharded
+	// execution settles it at every barrier, which here, with no lookahead,
+	// has to be every point.
+	sparse bool
+	// handUps and fired count the hand-ups and the interpreter's own events
+	// (timers and injections) that ran; the link's own events are the rest.
+	handUps, fired uint64
 }
 
 const (
@@ -231,9 +257,22 @@ func (in *linkInterp) byte() int {
 }
 
 func (in *linkInterp) note(op string, pkt int, down bool) {
-	p, b := in.l.SentCounters()
-	in.log = append(in.log, linkRec{op, in.sched.Now(), pkt, down,
-		in.l.Stats(), in.l.QueueStats(), in.l.QueueLen(), p, b})
+	r := linkRec{op: op, now: in.sched.Now(), pkt: pkt, down: down}
+	if !in.sparse || in.depth == 0 {
+		// Each reader settles the link on its own, so the one that reads
+		// first takes turns.
+		reads := []func(){
+			func() { r.sentP, r.sentB = in.l.SentCounters() },
+			func() { r.stats = in.l.Stats() },
+			func() { r.queue = in.l.QueueStats() },
+			func() { r.qlen = in.l.QueueLen() },
+			func() { r.util = in.l.Utilization() },
+		}
+		for i := range reads {
+			reads[(len(in.log)+i)%len(reads)]()
+		}
+	}
+	in.log = append(in.log, r)
 }
 
 func (in *linkInterp) send(size int) {
@@ -246,17 +285,18 @@ func (in *linkInterp) send(size int) {
 
 // callback runs a few operations from inside a firing event.
 func (in *linkInterp) callback() {
-	in.depth++
 	for n := in.byte() % 3; n > 0 && in.pos < len(in.data); n-- {
 		in.op()
 	}
-	in.depth--
 }
 
 // Receive is the link's destination. It may forward the packet onto the same
 // link again (a router does that with the very packet it was handed), twice at
 // most, then runs operations of its own.
 func (in *linkInterp) Receive(pkt *Packet) {
+	in.handUps++
+	in.depth++
+	defer func() { in.depth-- }()
 	id := pkt.Payload.(int)
 	in.note("hand-up", id, false)
 	if pkt.TTL > 0 && in.pos < len(in.data) && in.byte()%4 == 0 {
@@ -272,18 +312,31 @@ func (in *linkInterp) Receive(pkt *Packet) {
 // timer schedules an unkeyed event at t that sends a packet, if size > 0, and
 // then runs operations of its own.
 func (in *linkInterp) timer(t time.Duration, size int) {
-	in.sched.At(t, func() {
-		in.note("timer", size, false)
-		if size > 0 {
-			in.send(size)
-		}
-		in.callback()
-	})
+	in.sched.At(t, func() { in.fire("timer", size) })
+}
+
+// fire is the callback of the interpreter's own events: it sends a packet, if
+// size > 0, and then runs operations of its own.
+func (in *linkInterp) fire(op string, size int) {
+	in.fired++
+	in.depth++
+	defer func() { in.depth-- }()
+	in.note(op, size, false)
+	if size > 0 {
+		in.send(size)
+	}
+	in.callback()
+}
+
+// wireEnd is when the packet that went on the wire last leaves it.
+func (in *linkInterp) wireEnd() time.Duration {
+	_, end := in.l.wire()
+	return end
 }
 
 func (in *linkInterp) op() {
 	now := in.sched.Now()
-	switch code := in.byte() % 14; code {
+	switch code := in.byte() % 16; code {
 	case 0, 1, 2:
 		in.send(traceSizes[in.byte()%4])
 	case 3:
@@ -295,12 +348,12 @@ func (in *linkInterp) op() {
 	case 4, 5:
 		// A sender aiming at the end of the current serialisation, or a
 		// nanosecond either side of it.
-		in.timer(in.l.wireEnd()+time.Duration(in.byte()%3-1), traceSizes[in.byte()%4])
+		in.timer(in.wireEnd()+time.Duration(in.byte()%3-1), traceSizes[in.byte()%4])
 		in.note("timer-at-txend", 0, false)
 	case 6:
 		// A bystander at the same instant: it competes with the tx-done for
 		// its place in the firing order and then does whatever comes next.
-		in.timer(in.l.wireEnd(), 0)
+		in.timer(in.wireEnd(), 0)
 		in.note("bystander-at-txend", 0, false)
 	case 7:
 		in.timer(now+time.Duration(in.byte()%8)*linkTick, traceSizes[in.byte()%4]*(in.byte()%2))
@@ -321,31 +374,69 @@ func (in *linkInterp) op() {
 	case 12:
 		// Stop exactly where the wire frees, or a nanosecond either side: the
 		// operations that follow are offers and changes at that instant.
-		if t := in.l.wireEnd() + time.Duration(in.byte()%3-1); in.depth == 0 && t >= now {
+		if t := in.wireEnd() + time.Duration(in.byte()%3-1); in.depth == 0 && t >= now {
 			in.sched.RunUntil(t)
 			in.note("run-to-txend", 0, false)
 		}
 	case 13:
 		if in.depth == 0 {
-			in.sched.RunUntilBefore(in.l.wireEnd())
+			in.sched.RunUntilBefore(in.wireEnd())
 			in.note("run-before-txend", 0, false)
+		}
+	case 14:
+		// A barrier where the wire frees: every event before it has run and
+		// none at it, the tx-done included, when an offer, a change of state
+		// and an observation arrive.
+		if t := in.wireEnd(); in.depth == 0 && t >= now {
+			in.sched.RunUntilBefore(t)
+			in.sched.AdvanceTo(t)
+			in.note("barrier-at-txend", 0, false)
+			in.send(traceSizes[in.byte()%4])
+			if in.byte()%2 == 0 {
+				in.down = !in.down
+				in.l.SetDown(in.down)
+				in.note("set-down", 0, in.down)
+			}
+			i := in.byte() % 4
+			in.l.SetBandwidth(traceRates[i])
+			in.note("set-bandwidth", i, false)
+		}
+	case 15:
+		// An event keyed like a tx-done, (0, link key ± 1), at the end of the
+		// serialisation and stamped with its start ± 1 ns: with (0, 0) it
+		// ties the tx-done on everything but the seq.
+		start, end := in.l.wire()
+		stamp := start + time.Duration(in.byte()%3-1)
+		d := in.byte()%3 - 1
+		if in.sparse && d == 0 {
+			d = 1
+		}
+		sub := nameKey(linkName) + uint32(d)
+		size := traceSizes[in.byte()%4] * (in.byte() % 2)
+		if end >= now {
+			in.sched.InjectAt(end, stamp, 0, sub, simtime.KindOther, func(any) { in.fire("keyed-at-txend", size) }, nil)
+			in.note("keyed-at-txend", 0, false)
 		}
 	}
 }
 
+const linkName = "ref"
+
 // runLinkTrace applies a trace to one link on a scheduler of its own and
-// returns the log, plus the number of events the run fired.
+// returns the log, plus the number of events the link fired beyond one per
+// hand-up.
 func runLinkTrace(data []byte, build func(*simtime.Scheduler, LinkConfig) testLink) ([]linkRec, uint64) {
 	in := &linkInterp{data: data, sched: simtime.NewScheduler()}
 	c0, c1, c2, c3 := in.byte(), in.byte(), in.byte(), in.byte()
 	cfg := LinkConfig{
-		Name:         "ref",
+		Name:         linkName,
 		Bandwidth:    traceRates[c0%4],
 		Delay:        traceDelays[c0/4%4],
 		QueuePackets: 1 + c1%4,
 		LossRate:     0.2 * float64(c2%2),
 		Seed:         int64(c3),
 	}
+	in.sparse = c2/2%2 == 1 && c3%2 == 0
 	in.l = build(in.sched, cfg)
 	in.l.SetDestination(in)
 	if c3%2 == 1 {
@@ -366,15 +457,15 @@ func runLinkTrace(data []byte, build func(*simtime.Scheduler, LinkConfig) testLi
 	}
 	in.sched.Run()
 	in.note("drained", 0, false)
-	return in.log, in.sched.Executed()
+	return in.log, in.sched.Executed() - in.fired - in.handUps
 }
 
 // checkLinkTrace is the differential check shared by the seeded test and the
 // fuzz target.
 func checkLinkTrace(t testing.TB, data []byte) {
 	t.Helper()
-	got, fired := runLinkTrace(data, func(s *simtime.Scheduler, cfg LinkConfig) testLink { return NewLink(s, cfg, nil) })
-	want, refFired := runLinkTrace(data, func(s *simtime.Scheduler, cfg LinkConfig) testLink { return newRefLink(s, cfg) })
+	got, extra := runLinkTrace(data, func(s *simtime.Scheduler, cfg LinkConfig) testLink { return NewLink(s, cfg, nil) })
+	want, _ := runLinkTrace(data, func(s *simtime.Scheduler, cfg LinkConfig) testLink { return newRefLink(s, cfg) })
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			var g any = "nothing"
@@ -387,19 +478,21 @@ func checkLinkTrace(t testing.TB, data []byte) {
 	if len(got) != len(want) {
 		t.Fatalf("trace %x: Link logged %d records, reference %d", data, len(got), len(want))
 	}
-	if fired > refFired {
-		t.Fatalf("trace %x: Link fired %d events, the two-event reference %d", data, fired, refFired)
+	if extra != 0 {
+		t.Fatalf("trace %x: Link fired %d events beyond one per hand-up", data, extra)
 	}
 }
 
 // TestLinkMatchesReference holds Link to the two-event reference over seeded
-// random traces. Hand-made mutants of link.go it was seen to catch: the hand-up
-// (local or remote) stamped Now instead of txEnd; the tx-done armed with stamp
-// Now, or unkeyed; `>` for `>=` in Send's free test, and in SetDown's; the
-// packet on the wire not left out of SentCounters, or left out a nanosecond
-// too long; a Send behind an armed tx-done at txEnd starting at once;
-// startTransmit not re-arming over a backlog, or serialising on a down link;
-// SetDown(false) ignoring a pending tx-done; startTransmit leaving armed set.
+// random traces. Hand-made mutants it was seen to catch, each also caught by
+// the seed corpus alone: Scheduler.Fired counting a tx-done reserved inside
+// the running callback as fired; AdvanceTo or RunUntilBefore recorded as
+// "through t" instead of "before t"; RunUntil not recorded; Fired ignoring
+// the stamp; the scheduler keeping only its latest point; SetBandwidth,
+// SetDown or Send not settling first; a hand-up that empties the in-flight
+// list not settling; SetDown(false) starting a held packet at txEnd instead
+// of now; a settled start taking a fresh seq; the tx-done unkeyed, or stamped
+// txEnd; `>` for `>=` in Send's free test.
 func TestLinkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trace := 0; trace < 2000; trace++ {

@@ -11,8 +11,9 @@ func pkt(size int) *Packet {
 	return &Packet{Proto: ProtoUDP, Src: Addr{Host: "a", Port: 1}, Dst: Addr{Host: "b", Port: 2}, Size: size}
 }
 
-// The ring must wrap cleanly: interleave enqueues and dequeues so head walks
-// around the backing array several times, and verify strict FIFO order.
+// The queue tests keep the names they had when the queue was a ring buffer.
+// Interleaved enqueues and dequeues, emptying and refilling the queue many
+// times at varying occupancy, keep strict FIFO order.
 func TestQueueRingWraparoundFIFO(t *testing.T) {
 	q := NewQueue(4, 0)
 	next := 0     // next packet id to enqueue
@@ -39,10 +40,10 @@ func TestQueueRingWraparoundFIFO(t *testing.T) {
 			expected++
 		}
 	}
-	// Drive head around the 4-slot ring many times with varying occupancy.
+	// Empty and refill the 4-packet queue many times with varying occupancy.
 	enq(3)
 	deq(2)
-	enq(3) // wraps: tail passes the end of the array
+	enq(3)
 	deq(4)
 	for round := 0; round < 10; round++ {
 		enq(4) // fill completely
@@ -54,15 +55,14 @@ func TestQueueRingWraparoundFIFO(t *testing.T) {
 		t.Fatalf("Len() = %d after balanced interleaving, want 0", q.Len())
 	}
 	if q.Dequeue() != nil {
-		t.Fatal("Dequeue on empty ring should return nil")
+		t.Fatal("Dequeue on empty queue should return nil")
 	}
 }
 
-// A byte-limited queue has no packet bound, so the ring must grow while
-// preserving FIFO order, including when the contents wrap the old array.
+// A byte-limited queue has no packet bound: hundreds of packets, queued after
+// the queue has already filled and drained, leave in FIFO order.
 func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 	q := NewQueue(0, 1<<20)
-	// Advance head so the ring is wrapped when growth happens.
 	for i := 0; i < 48; i++ {
 		if d := q.Enqueue(pkt(10)); d != nil {
 			t.Fatal("unexpected drop")
@@ -73,7 +73,6 @@ func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 			t.Fatal("unexpected empty")
 		}
 	}
-	// Now fill beyond the initial 64-slot capacity.
 	const n = 300
 	for i := 0; i < n; i++ {
 		p := pkt(10)
@@ -88,16 +87,15 @@ func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p := q.Dequeue()
 		if p == nil || p.ChargeBytes != i {
-			t.Fatalf("growth broke FIFO at %d: %+v", i, p)
+			t.Fatalf("FIFO broken at %d: %+v", i, p)
 		}
 	}
 }
 
-// Drop-tail under wraparound: a full wrapped ring drops the arrival and keeps
-// its logical head.
+// Drop-tail after the queue has drained once: a full queue drops the arrival
+// and keeps its head.
 func TestQueueRingDropTailWrapped(t *testing.T) {
 	q := NewQueue(3, 0)
-	// Wrap the ring first.
 	q.Enqueue(pkt(1))
 	q.Enqueue(pkt(1))
 	q.Dequeue()
@@ -120,8 +118,8 @@ func TestQueueRingDropTailWrapped(t *testing.T) {
 }
 
 // Enqueue/transmit/deliver of pooled packets over a link must not allocate in
-// steady state: events come from the scheduler freelist, packets cycle
-// through the pool, and the ring buffer never reallocates.
+// steady state: events come from the scheduler freelist, and packets cycle
+// through the pool and are linked through their own next field.
 func TestPooledPacketPathZeroAlloc(t *testing.T) {
 	sched := simtime.NewScheduler()
 	sink := ReceiverFunc(func(p *Packet) { p.Release() })

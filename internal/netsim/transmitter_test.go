@@ -9,13 +9,13 @@ import (
 )
 
 // An internet-scale topology holds tens of thousands of link directions, most
-// of which never carry a packet: the struct stays within 296 bytes and owns no
-// closures (the only allocation of NewLink is the Link itself). The link is
-// kept in linkSink, as a topology keeps its links: one that does not outlive
-// the call may live on the stack.
+// of which never carry a packet: the struct stays within 304 bytes, which
+// keeps a Duplex at ten cache lines, and owns no closures (the only allocation
+// of NewLink is the Link itself). The link is kept in linkSink, as a topology
+// keeps its links: one that does not outlive the call may live on the stack.
 func TestLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got > 296 {
-		t.Errorf("Link is %d bytes, want <= 296", got)
+	if got := unsafe.Sizeof(Link{}); got > 304 {
+		t.Errorf("Link is %d bytes, want <= 304", got)
 	}
 	sched := simtime.NewScheduler()
 	if allocs := testing.AllocsPerRun(100, func() { linkSink = NewLink(sched, LinkConfig{Name: "l"}, nil) }); allocs != 1 {
@@ -42,9 +42,8 @@ func TestPacketSize(t *testing.T) {
 	}
 }
 
-// The events-per-hop gate: a packet that finds the wire free costs one event,
-// its hand-up; only a packet that had to wait costs a second, the tx-done that
-// started it.
+// The events-per-hop gate: every packet costs one event, its hand-up, whether
+// it found the wire free or had to wait for it.
 func TestEventsPerHop(t *testing.T) {
 	const n = 50
 	cfg := LinkConfig{Name: "hop", Bandwidth: 10 * Mbps, Delay: time.Millisecond, QueuePackets: n}
@@ -63,7 +62,7 @@ func TestEventsPerHop(t *testing.T) {
 	}{
 		{"spaced wider than a serialisation", txTime + time.Nanosecond, n},
 		{"offered exactly as the wire frees", txTime, n},
-		{"one back-to-back burst", 0, 2*n - 1},
+		{"one back-to-back burst", 0, n},
 	} {
 		sched := simtime.NewScheduler()
 		delivered := 0

@@ -157,6 +157,9 @@ type shardRun struct {
 	states  []*shardState
 	queues  []handoff   // [source shard * nshards + destination shard]
 	control atomic.Bool // single-threaded coordinator phase (build, barriers)
+	// remote lists the directions with a cross-shard hand-off, which every
+	// barrier settles (see barrier).
+	remote []*netsim.Link
 
 	// last is the latest barrier instant. Deliveries handed off since then
 	// arrive at or after last + lookahead, which bounds the next window even
@@ -207,6 +210,7 @@ func (sr *shardRun) ownerCheck(i int) func() bool {
 func (sr *shardRun) connectRemote(l *netsim.Link, src, dst int) {
 	q := &sr.queues[src*sr.plan.nshards+dst]
 	key := l.SortKey()
+	sr.remote = append(sr.remote, l)
 	l.SetRemoteDeliver(func(pkt *netsim.Packet, arrive, sent time.Duration, seq uint32) {
 		q.msgs = append(q.msgs, shardMsg{link: l, pkt: pkt, arrive: arrive, sent: sent, key: key, sub: seq})
 	})
@@ -288,8 +292,11 @@ func (sr *shardRun) nextBarrier(t time.Duration) (at time.Duration, ok bool) {
 }
 
 // barrier runs with every shard stopped at at, every event before it
-// executed and none at it: clocks advance, cross-shard deliveries drain, and
-// the actions due at at fire in rank order.
+// executed and none at it: clocks advance, the cross-shard directions settle
+// (a packet that went on the wire in the window behind another is handed off
+// now: it started at or after the window opened, so it arrives at or after
+// this barrier), cross-shard deliveries drain, and the actions due at at fire
+// in rank order.
 func (sr *shardRun) barrier(at time.Duration) {
 	sr.last = at
 	var t0 time.Duration
@@ -298,6 +305,9 @@ func (sr *shardRun) barrier(at time.Duration) {
 	}
 	for _, ss := range sr.states {
 		ss.sched.AdvanceTo(at)
+	}
+	for _, l := range sr.remote {
+		l.Settle()
 	}
 	injected := sr.drain()
 	if sr.timeline != nil {

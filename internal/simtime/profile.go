@@ -13,9 +13,10 @@ type Kind uint8
 const (
 	// KindOther is the default for untagged events.
 	KindOther Kind = iota
-	// KindPktTransmit is a link finishing the serialization of a packet with
-	// another one waiting: the tx-done event exists only then, so its count
-	// over KindPktDeliver's is the share of packet-hops that queued.
+	// KindPktTransmit was a link's tx-done event, the end of a serialisation
+	// with another packet waiting. netsim.Link no longer schedules one (it
+	// reserves it, see Scheduler.Reserve), so the kind counts nothing in a
+	// simulation; cmperf still reports it.
 	KindPktTransmit
 	// KindPktDeliver is a packet hand-up at the far end of a link (including
 	// cross-shard injected deliveries).

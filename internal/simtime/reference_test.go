@@ -20,6 +20,21 @@ type refEvent struct {
 	key, sub  uint32
 	seq       uint64
 	id, index int
+	// chain is set on a member of a reserved chain (see chain below): a real
+	// event here, which fires silently and inserts the chain's next member.
+	chain *refChain
+}
+
+// A reserved chain is what a link's transmitter keeps to itself: a sequence
+// of events keyed (0, sub), the first reserved at the chain's creation, each
+// later one inserted by the firing of the one before it, stamped with that
+// firing's instant. The reference inserts and fires them like any other event,
+// except that they run no callback, do not move the clock and are not counted;
+// the Scheduler only reserves the first seq and answers Fired.
+type refChain struct {
+	ats   []time.Duration
+	sub   uint32
+	fired int
 }
 
 type refHeap []*refEvent
@@ -48,6 +63,7 @@ type refSched struct {
 	h        refHeap
 	seq      uint64
 	executed uint64
+	reserved int // chain members in h
 	fire     func(id int)
 }
 
@@ -64,21 +80,43 @@ func (r *refSched) cancel(e *refEvent) {
 	}
 }
 
-func (r *refSched) step() bool {
-	if len(r.h) == 0 {
+// pop fires the earliest event and reports whether it was a real one.
+func (r *refSched) pop() bool {
+	e := heap.Pop(&r.h).(*refEvent)
+	if c := e.chain; c != nil {
+		r.reserved--
+		if c.fired++; c.fired < len(c.ats) {
+			r.pushChain(c, e.at)
+		}
 		return false
 	}
-	e := heap.Pop(&r.h).(*refEvent)
 	r.now = max(r.now, e.at)
 	r.executed++
 	r.fire(e.id)
 	return true
 }
 
+// pushChain inserts the chain's next member, stamped stamp.
+func (r *refSched) pushChain(c *refChain, stamp time.Duration) {
+	e := r.push(0, c.ats[c.fired], stamp, 0, c.sub)
+	e.chain = c
+	r.reserved++
+}
+
+// step fires events up to and including the next real one.
+func (r *refSched) step() bool {
+	for len(r.h) > 0 {
+		if r.pop() {
+			return true
+		}
+	}
+	return false
+}
+
 // runBelow fires everything earlier than limit (RunUntil(t) is runBelow(t+1)).
 func (r *refSched) runBelow(limit time.Duration) {
 	for len(r.h) > 0 && r.h[0].at < limit {
-		r.step()
+		r.pop()
 	}
 }
 
@@ -104,8 +142,28 @@ type driven interface {
 	runUntil(t time.Duration)
 	runUntilBefore(t time.Duration)
 	advanceTo(t time.Duration)
+	// nextAt is the time of the earliest pending event (reserved ones left
+	// out), ok false when none is.
+	nextAt() (t time.Duration, ok bool)
 	state() (now time.Duration, pending int, executed uint64)
+	// chain reserves a chain whose members fire at ats, the first stamped
+	// now; chainsFired counts the fired members of each chain, leaving out
+	// (as lazyChain) the lazy ones unless top is set.
+	chain(ats []time.Duration, sub uint32)
+	chainsFired(top bool) [traceChains]uint8
 }
+
+// A chain keyed with a sub from lazySub up ties no other event, so its owner
+// need not ask Fired at every point, only at the top level: inside callbacks
+// its count is logged as lazyChain. That is what holds Fired to the order of
+// points that fire out of key order, which an owner asking at every point
+// never depends on.
+const (
+	lazySub   = 4
+	lazyChain = 0xff
+)
+
+const traceChains = 4
 
 type realWorld struct {
 	t      testing.TB
@@ -114,6 +172,18 @@ type realWorld struct {
 	timers [traceTimers]EventTimer
 	fire   func(id int)
 	firing []*Event // handles of the callbacks on the stack, nil for timers
+	chains []*realChain
+}
+
+// realChain is a reserved chain as its owner keeps it: the members' times,
+// the stamp and seq of the first one Fired has not yet reported, and how many
+// it has.
+type realChain struct {
+	ats   []time.Duration
+	stamp time.Duration
+	sub   uint32
+	seq   uint64
+	fired int
 }
 
 func newRealWorld(t testing.TB, fire func(id int)) *realWorld {
@@ -167,6 +237,33 @@ func (w *realWorld) step() bool                       { return w.s.Step() }
 func (w *realWorld) runUntil(t time.Duration)         { w.s.RunUntil(t) }
 func (w *realWorld) runUntilBefore(t time.Duration)   { w.s.RunUntilBefore(t) }
 func (w *realWorld) advanceTo(t time.Duration)        { w.s.AdvanceTo(t) }
+func (w *realWorld) nextAt() (time.Duration, bool) {
+	if h := w.s.head(); len(h) > 0 {
+		return h[0].at, true
+	}
+	return 0, false
+}
+func (w *realWorld) chain(ats []time.Duration, sub uint32) {
+	w.chains = append(w.chains, &realChain{ats: ats, stamp: w.s.Now(), sub: sub, seq: w.s.Reserve()})
+}
+func (w *realWorld) chainsFired(top bool) (n [traceChains]uint8) {
+	for i, c := range w.chains {
+		if c.sub >= lazySub && !top {
+			n[i] = lazyChain
+			continue
+		}
+		for c.fired < len(c.ats) {
+			after, ok := w.s.Fired(c.ats[c.fired], c.stamp, 0, c.sub, c.seq)
+			if !ok {
+				break
+			}
+			c.stamp, c.seq = c.ats[c.fired], after
+			c.fired++
+		}
+		n[i] = uint8(c.fired)
+	}
+	return n
+}
 func (w *realWorld) state() (time.Duration, int, uint64) {
 	checkHeap(w.t, w.s, len(w.firing) > 0)
 	for id, ev := range w.events {
@@ -181,6 +278,7 @@ type refWorld struct {
 	r      refSched
 	events map[int]*refEvent
 	timers [traceTimers]*refEvent
+	chains []*refChain
 }
 
 func newRefWorld(fire func(id int)) *refWorld {
@@ -226,9 +324,38 @@ func (w *refWorld) runUntil(t time.Duration) {
 	w.r.now = max(w.r.now, t)
 }
 func (w *refWorld) runUntilBefore(t time.Duration) { w.r.runBelow(t) }
-func (w *refWorld) advanceTo(t time.Duration)      { w.r.now = max(w.r.now, t) }
+func (w *refWorld) advanceTo(t time.Duration) {
+	w.r.runBelow(t) // reserved events only: AdvanceTo panics over a real one
+	w.r.now = max(w.r.now, t)
+}
+func (w *refWorld) nextAt() (time.Duration, bool) {
+	var next *refEvent
+	for _, e := range w.r.h {
+		if e.chain == nil && (next == nil || e.at < next.at) {
+			next = e
+		}
+	}
+	if next == nil {
+		return 0, false
+	}
+	return next.at, true
+}
 func (w *refWorld) state() (time.Duration, int, uint64) {
-	return w.r.now, len(w.r.h), w.r.executed
+	return w.r.now, len(w.r.h) - w.r.reserved, w.r.executed
+}
+func (w *refWorld) chain(ats []time.Duration, sub uint32) {
+	c := &refChain{ats: ats, sub: sub}
+	w.chains = append(w.chains, c)
+	w.r.pushChain(c, w.r.now)
+}
+func (w *refWorld) chainsFired(top bool) (n [traceChains]uint8) {
+	for i, c := range w.chains {
+		n[i] = uint8(c.fired)
+		if c.sub >= lazySub && !top {
+			n[i] = lazyChain
+		}
+	}
+	return n
 }
 
 // checkHeap verifies the queue's structure: heap order under the full
@@ -277,6 +404,7 @@ type traceRec struct {
 	pending  int
 	executed uint64
 	timers   uint8
+	chains   [traceChains]uint8
 }
 
 type interp struct {
@@ -284,6 +412,7 @@ type interp struct {
 	data   []byte
 	pos    int
 	nextID int
+	chains int
 	live   []int          // ids scheduled and neither fired nor cancelled, ascending
 	keys   map[int]uint32 // sort key of each live id
 	firing []int          // ids of the callbacks on the stack
@@ -306,7 +435,7 @@ func (in *interp) note(op string, id int) {
 			timers |= 1 << i
 		}
 	}
-	in.log = append(in.log, traceRec{op, id, now, pending, executed, timers})
+	in.log = append(in.log, traceRec{op, id, now, pending, executed, timers, in.w.chainsFired(len(in.firing) == 0)})
 }
 
 func (in *interp) newID(key uint32) int {
@@ -345,7 +474,7 @@ const tick = time.Millisecond
 func (in *interp) op(firingKey uint32) {
 	now, _, _ := in.w.state()
 	inCallback := len(in.firing) > 0
-	code := in.byte() % 16
+	code := in.byte() % 17
 	switch code {
 	case 0:
 		id := in.newID(0)
@@ -401,8 +530,14 @@ func (in *interp) op(firingKey uint32) {
 	case 14:
 		if !inCallback {
 			t := now + time.Duration(in.byte()%6)*tick
-			in.w.runUntilBefore(t)
-			in.note("run-until-before", 0)
+			if in.byte()%2 == 0 {
+				in.w.runUntilBefore(t)
+				in.note("run-until-before", 0)
+			} else if next, ok := in.w.nextAt(); ok {
+				// A barrier with nothing to run first: reserved events
+				// before it have fired, none at it.
+				t = max(now, min(t, next))
+			}
 			in.w.advanceTo(t)
 			in.note("advance-to", 0)
 		} else {
@@ -423,6 +558,22 @@ func (in *interp) op(firingKey uint32) {
 				in.w.after(id, time.Duration(in.byte()%3)*tick)
 				in.note("after", id)
 			}
+		}
+	case 16:
+		// A reserved chain: members keyed (0, sub) one or two ticks apart or
+		// tied, from now on — ties with keyed events, which share its key and
+		// stamps, are the rule unless the chain is lazy.
+		if in.chains < traceChains {
+			in.chains++
+			sub := uint32(in.byte() % (2 * lazySub))
+			ats := make([]time.Duration, 1+in.byte()%4)
+			t := now
+			for i := range ats {
+				t += time.Duration(in.byte()%3) * tick
+				ats[i] = t
+			}
+			in.w.chain(ats, sub)
+			in.note("chain", in.chains)
 		}
 	}
 }
@@ -482,8 +633,8 @@ func FuzzSchedulerOps(f *testing.F) {
 	})
 }
 
-// The Event comment promises 72 bytes (bytes_per_pkt is bounded), and four
-// heap entries must fill exactly one cache line.
+// The Event comment promises 72 bytes (bytes_per_pkt is bounded), and a heap
+// entry is a timestamp and a pointer, so four siblings are 64 bytes.
 func TestEventAndEntrySizes(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got > 72 {
 		t.Errorf("Event is %d bytes, want <= 72", got)

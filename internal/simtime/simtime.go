@@ -22,7 +22,7 @@
 // no insertion order exists that both runs could observe.
 //
 // The scheduler is the inner loop of every experiment — each packet-hop
-// crosses it twice — and is built for that: the queue is a 4-ary min-heap of
+// crosses it once — and is built for that: the queue is a 4-ary min-heap of
 // 16-byte {time, *Event} entries, so ordering is decided on the timestamps in
 // the array and an event is dereferenced only when timestamps tie; the
 // earliest of four siblings is chosen with conditional moves; the root slot of
@@ -46,9 +46,28 @@ import (
 // later scheduling, so callers must not retain or Cancel a handle past that
 // point (EventTimer wraps this protocol for the common rearm pattern).
 type Event struct {
-	// The firing order, most significant key first, is (at, stamp, key, sub,
-	// seq); the four tie-breaks lie together so that a tie on at costs one
-	// cache line.
+	order
+	// index is the heap position while queued, notQueued after firing or
+	// recycling, and canceledIdx once Cancel has run (folding the canceled
+	// flag into the index saves a separate bool).
+	index int32
+	// kind classifies the event for the optional profiler (KindOther when
+	// untagged); it packs into padding next to index, which keeps the Event at
+	// 72 bytes (TestEventAndEntrySizes).
+	kind Kind
+	s    *Scheduler
+	// fn(arg) is the callback, the one shape of every event: a pointer-shaped
+	// arg boxes into the interface for free, so hot paths (one event per
+	// packet) pass their object with a package-level fn and allocate nothing.
+	fn  func(any)
+	arg any
+}
+
+// order is an event's position in the firing order: most significant key
+// first, (at, stamp, key, sub, seq). The keys lie together in 32 bytes, so a
+// tie on at reads one cache line of the event, or two for the quarter of
+// events whose 80-byte allocation puts them across a line boundary.
+type order struct {
 	at time.Duration
 	// stamp is the virtual time the event counts as inserted: Now for local
 	// scheduling, the caller's choice for InjectAt, so that an event computed
@@ -68,20 +87,14 @@ type Event struct {
 	// which makes the agreement on hand-up order explicit instead of leaning
 	// on seq.
 	keysub uint64
-	// index is the heap position while queued, notQueued after firing or
-	// recycling, and canceledIdx once Cancel has run (folding the canceled
-	// flag into the index saves a separate bool).
-	index int32
-	// kind classifies the event for the optional profiler (KindOther when
-	// untagged); it packs into padding next to index, which keeps the Event at
-	// 72 bytes (TestEventAndEntrySizes).
-	kind Kind
-	s    *Scheduler
-	// fn(arg) is the callback, the one shape of every event: a pointer-shaped
-	// arg boxes into the interface for free, so hot paths (one event per
-	// packet) pass their object with a package-level fn and allocate nothing.
-	fn  func(any)
-	arg any
+}
+
+// less is the firing order.
+func (a *order) less(b *order) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return tieLess(a, b)
 }
 
 const (
@@ -131,11 +144,35 @@ type Scheduler struct {
 	// prof, when non-nil, receives per-kind wall-clock aggregates for every
 	// fired event (see EnableProfile). Disarmed cost: one nil check in Step.
 	prof *Profile
+	// passed holds the points of the firing order reached so far that Fired
+	// still needs (see pass): orders strictly decreasing, begun nondecreasing.
+	passed []point
 }
 
+// A point is a position in the firing order the scheduler has reached: the
+// order of an event that began firing, or the bound a run loop stopped at,
+// and begun, the seq counter at that moment. An event whose seq is below
+// begun existed there, and fired before it if it is less.
+type point struct {
+	order
+	begun uint64
+}
+
+// The bounds the run loops stop at: everything at or before t has fired
+// (RunUntil), or everything before t and nothing at t (RunUntilBefore,
+// AdvanceTo). Run and a Step that finds nothing pending reach the end of time.
+func through(t time.Duration) order {
+	return order{at: t, stamp: math.MaxInt64, keysub: math.MaxUint64, seq: math.MaxUint64}
+}
+
+func before(t time.Duration) order { return order{at: t, stamp: math.MinInt64} }
+
 // entry is one slot of the heap array. The timestamp sits beside the pointer
-// so that the four children of a node share one cache line and are ordered
-// without touching the events; only entries that tie on at are dereferenced.
+// so that the four children of a node are ordered without touching the
+// events; only entries that tie on at are dereferenced. The four are 64 bytes
+// but not one cache line: the array's base lies 8 bytes past a line (the
+// allocation header, once it holds 64 entries or more), so slot 1 starts 24
+// bytes into one and every group of siblings spans two.
 type entry struct {
 	at time.Duration
 	ev *Event
@@ -157,16 +194,67 @@ func (s *Scheduler) Len() int { return len(s.events) - b2i(s.open) }
 // Executed returns the total number of events that have run.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
+// Reserve takes the seq an event inserted now would get, without inserting
+// one. A caller that keeps an event to itself — it knows the event's key and
+// will only ever ask Fired about it — reserves the seq when it would have
+// scheduled the event, so the event sorts exactly where that insertion would
+// have put it.
+func (s *Scheduler) Reserve() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// Fired reports whether an event keyed (at, stamp, key, sub) with sequence
+// number seq — one that was never inserted, only reserved — would have fired
+// by now, had it been inserted when seq was taken. It has if the scheduler
+// has reached a point after it in the firing order that began after seq was
+// taken: inside a callback, the firing event and every event fired before it
+// since; after RunUntil(t), every instant up to t inclusive; at a barrier
+// (RunUntilBefore(t) or AdvanceTo(t)), everything before t and nothing at t.
+// An event reserved during the running callback has therefore not fired,
+// whatever its key.
+//
+// When it has fired, after is the seq that an event inserted as it fired
+// compares as: the successor of a chain of such events (a link's
+// transmitter, whose every tx-done starts the next packet) passes it to the
+// next Fired. It is exact when the owner asks at every point where the
+// answer could have changed; an owner that asks less often is exact for
+// every event that is not keyed (0, sub) like its own.
+func (s *Scheduler) Fired(at, stamp time.Duration, key, sub uint32, seq uint64) (after uint64, ok bool) {
+	v := order{at: at, stamp: min(stamp, at), keysub: uint64(key)<<32 | uint64(sub), seq: seq}
+	for i := range s.passed {
+		if p := &s.passed[i]; p.begun > seq {
+			return p.begun - 1, v.less(&p.order)
+		}
+	}
+	return 0, false
+}
+
+// pass records that the scheduler has reached o. Of the points reached since
+// any given seq, only the latest in the order matters to Fired, so o
+// replaces every earlier point it is not below; the list is one point long
+// except while the events of one instant fire out of key order (an event
+// inserted with a key below the running one's fires after it).
+func (s *Scheduler) pass(o order) {
+	n := len(s.passed)
+	for n > 0 && !o.less(&s.passed[n-1].order) {
+		n--
+	}
+	s.passed = append(s.passed[:n], point{o, s.seq})
+}
+
 // ---------------------------------------------------------------------------
 // 4-ary min-heap of entries. The pending set is small (tens to a thousand
 // events), so a sift costs what its compares mispredict and its loads miss,
-// not its depth: four children per node keep a level inside one cache line,
-// and their minimum is chosen on at with conditional moves.
+// not its depth: the four timestamps of a level lie side by side in the array
+// (two cache lines, see entry), and their minimum is chosen on at with
+// conditional moves.
 // ---------------------------------------------------------------------------
 
 // tieLess orders two events that share a timestamp by the rest of the key:
 // insertion stamp, sort key, sub-sequence, then scheduling order.
-func tieLess(a, b *Event) bool {
+func tieLess(a, b *order) bool {
 	if a.stamp != b.stamp {
 		return a.stamp < b.stamp
 	}
@@ -180,7 +268,7 @@ func entryLess(a, b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return tieLess(a.ev, b.ev)
+	return tieLess(&a.ev.order, &b.ev.order)
 }
 
 // siftUp places e at slot i or above, moving later ancestors down. It never
@@ -232,7 +320,7 @@ func (s *Scheduler) siftDown(i int, e entry) {
 				if hi < lo {
 					k = 2 + b2i(a3 < a2)
 				}
-				if at == e.at && !tieLess(c[k].ev, e.ev) {
+				if at == e.at && !tieLess(&c[k].ev.order, &e.ev.order) {
 					break
 				}
 			} else {
@@ -382,11 +470,10 @@ func (s *Scheduler) Schedule(t time.Duration, kind Kind, fn func(any), arg any) 
 // inserts it at another, and wants it to fire where an insertion at stamp
 // would have put it:
 //
-//   - netsim schedules a packet's hand-up when its serialisation starts, for
-//     the end of serialisation plus the propagation delay, stamped with the
-//     end of serialisation — the instant an event there would have inserted
-//     it — and arms a link's tx-done event, only once a packet waits for it,
-//     with the stamp of the serialisation start.
+//   - netsim schedules a packet's hand-up once its serialisation has
+//     started, for the end of serialisation plus the propagation delay,
+//     stamped with the end of serialisation — the instant a tx-done event
+//     there would have inserted it.
 //   - sharded execution hands such a delivery across schedulers: the sending
 //     shard computed it, the receiving shard inserts it during a
 //     synchronization barrier.
@@ -434,11 +521,13 @@ func (s *Scheduler) InjectAt(t, stamp time.Duration, key, sub uint32, kind Kind,
 func (s *Scheduler) Step() bool {
 	h := s.head()
 	if len(h) == 0 {
+		s.pass(through(math.MaxInt64))
 		return false
 	}
 	ev := h[0].ev
 	ev.index = notQueued
 	s.open = true
+	s.pass(ev.order)
 	if ev.at > s.now {
 		s.now = ev.at
 	}
@@ -471,6 +560,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	for h := s.head(); len(h) > 0 && h[0].at <= t; h = s.head() {
 		s.Step()
 	}
+	s.pass(through(t))
 	if t > s.now {
 		s.now = t
 	}
@@ -490,6 +580,7 @@ func (s *Scheduler) RunUntilBefore(t time.Duration) {
 	for h := s.head(); len(h) > 0 && h[0].at < t; h = s.head() {
 		s.Step()
 	}
+	s.pass(before(t))
 }
 
 // AdvanceTo moves the clock forward to t without executing anything. It
@@ -500,6 +591,7 @@ func (s *Scheduler) AdvanceTo(t time.Duration) {
 	if h := s.head(); len(h) > 0 && h[0].at < t {
 		panic(fmt.Sprintf("simtime: AdvanceTo(%v) over pending event at %v", t, h[0].at))
 	}
+	s.pass(before(t))
 	if t > s.now {
 		s.now = t
 	}
